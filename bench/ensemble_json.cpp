@@ -127,12 +127,9 @@ Row measure_cell(const char* name, const typename P::Params& params,
   {
     core::EnsembleRunner<P> probe(params, 1);
     probe.add_ring(inits[0], seeds[0]);
-    row.ensemble_engine =
-        probe.packed_mode()
-            ? "lut"
-            : (probe.narrow_word_mode()
-                   ? "word32"
-                   : (probe.word_kernel_mode() ? "word" : "generic"));
+    row.ensemble_engine = probe.packed_mode()        ? "lut"
+                          : probe.word_kernel_mode() ? "word"
+                                                     : "generic";
   }
   return row;
 }
@@ -179,21 +176,6 @@ int main() {
       }
     }
   }
-  // Regime-narrowed P_PL cells: small-psi parameter points whose packed
-  // image fits 32 bits, so the ensemble keeps a u32 mirror and the
-  // cross-ring driver packs two states per 64 bits of vector register
-  // (engine "word32"). Distinct c1 per n — the largest that still fits.
-  for (const auto& [nn, c1n] : {std::pair<int, int>{16, 3},
-                                std::pair<int, int>{64, 1}}) {
-    for (int trials : {32, 256}) {
-      const std::uint64_t steps_per_ring = std::max<std::uint64_t>(
-          256, steps_total / static_cast<std::uint64_t>(trials));
-      const auto p = pl::PlParams::make(nn, c1n);
-      rows.push_back(measure_cell<pl::PlProtocol>(
-          "P_PL_narrow", p, trials, steps_per_ring, repeats, tag++));
-    }
-  }
-
   core::Table t({"protocol", "n", "trials", "engine", "per-trial M/s",
                  "ensemble M/s", "speedup"});
   for (const Row& r : rows) {

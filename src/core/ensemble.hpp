@@ -119,14 +119,6 @@ class EnsembleRunner {
   /// are ring math); the LUT lane, by contrast, is topology-generic.
   static constexpr bool kWordable =
       WordKernelRunnable<P> && std::is_same_v<Topo, RingTopology>;
-
-  /// Regime-narrowed word lane: when the protocol's kernel also
-  /// instantiates at 32-bit elements (core::HasNarrowWordKernel) *and* the
-  /// layout for these parameters fits a half-word (P_PL at small n /
-  /// small c1), the mirror is u32 instead of u64 and the cross-ring
-  /// lockstep lane carries twice the rings per vector register. Same
-  /// round-trip fallback contract; bit-identical trajectories.
-  static constexpr bool kNarrowable = kWordable && HasNarrowWordKernel<P>;
   using WordLayout = typename detail::WordLayoutOf<P>::type;
   using WordConsts = typename detail::WordConstsOf<P>::type;
 
@@ -187,13 +179,6 @@ class EnsembleRunner {
             deactivate_word();  // out-of-domain state: generic path, forever
             break;
           }
-          if constexpr (kNarrowable) {
-            if (narrow_active_) {
-              // Lossless: fits_narrow bounds total_bits <= 32.
-              words32_.push_back(static_cast<std::uint32_t>(w));
-              continue;
-            }
-          }
           words_.push_back(w);
         }
       }
@@ -217,12 +202,6 @@ class EnsembleRunner {
   /// to the generic path).
   [[nodiscard]] bool word_kernel_mode() const noexcept {
     return word_active_;
-  }
-
-  /// True while the word-kernel lane runs on the narrow (u32) mirror — the
-  /// regime-narrowed layout at small n. Implies word_kernel_mode().
-  [[nodiscard]] bool narrow_word_mode() const noexcept {
-    return narrow_active_;
   }
 
   [[nodiscard]] std::span<const State> agents(int r) const {
@@ -261,11 +240,10 @@ class EnsembleRunner {
   /// Runner constructed with the same seed and faults. Active faults
   /// permanently drop the ensemble to the generic path (the accelerated
   /// lanes assume the clean uniform scheduler — exactly as Runner pins
-  /// itself scalar).
+  /// itself scalar). Invalid inputs throw std::invalid_argument
+  /// (SchedulerFaults::validate).
   void set_scheduler_faults(const SchedulerFaults& f) {
-    assert(f.loss_p >= 0.0 && f.loss_p <= 1.0);
-    assert(f.arc_weights.empty() ||
-           f.arc_weights.size() == static_cast<std::size_t>(bound_));
+    f.validate(static_cast<int>(bound_));
     loss_threshold_ = detail::probability_threshold(f.loss_p);
     bias_ = f.arc_weights.empty() ? detail::BiasTable{}
                                   : detail::BiasTable(f.arc_weights);
@@ -318,12 +296,6 @@ class EnsembleRunner {
         const std::uint64_t w = P::pack_word(s, layout_);
         if (!(P::unpack_word(w, layout_) == s)) {
           deactivate_word();
-        } else if constexpr (kNarrowable) {
-          if (narrow_active_) {
-            words32_[slot] = static_cast<std::uint32_t>(w);
-          } else {
-            words_[slot] = w;
-          }
         } else {
           words_[slot] = w;
         }
@@ -461,9 +433,6 @@ class EnsembleRunner {
         word_active_ = layout_.fits() && P::word_leader(1, layout_) &&
                        !P::word_leader(0, layout_);
         if (word_active_) consts_ = P::make_word_consts(layout_);
-        if constexpr (kNarrowable) {
-          narrow_active_ = word_active_ && P::word_fits_narrow(layout_);
-        }
       }
     }
   }
@@ -563,16 +532,13 @@ class EnsembleRunner {
     packed_.shrink_to_fit();
   }
 
-  /// Leave the word-kernel lane permanently (narrow or wide), same
-  /// contract as deactivate_lut.
+  /// Leave the word-kernel lane permanently, same contract as
+  /// deactivate_lut.
   void deactivate_word() {
     for (int r = 0; r < ring_count(); ++r) sync_ring(r);
     word_active_ = false;
-    narrow_active_ = false;
     words_.clear();
     words_.shrink_to_fit();
-    words32_.clear();
-    words32_.shrink_to_fit();
   }
 
   /// Materialize ring r's State block from the active accelerator mirror if
@@ -595,16 +561,6 @@ class EnsembleRunner {
       }
       if constexpr (kWordable) {
         if (word_active_) {
-          if constexpr (kNarrowable) {
-            if (narrow_active_) {
-              for (int i = 0; i < params_.n; ++i) {
-                states_[off + static_cast<std::size_t>(i)] = P::unpack_word(
-                    words32_[off + static_cast<std::size_t>(i)], layout_);
-              }
-              dirty_[ri] = 0;
-              return;
-            }
-          }
           for (int i = 0; i < params_.n; ++i) {
             states_[off + static_cast<std::size_t>(i)] = P::unpack_word(
                 words_[off + static_cast<std::size_t>(i)], layout_);
@@ -632,59 +588,19 @@ class EnsembleRunner {
     advance_ring_generic(r, k);
   }
 
-  /// Generic block: the shared InteractionEngine fast path, with the ring's
-  /// RNG and clock in locals for the duration of the block (the compiler
-  /// keeps them in registers; through the arrays they reload every step).
-  /// [[gnu::flatten]] pins the full inlining of apply_arc_batched and the
-  /// RNG into this block regardless of translation-unit size: in a TU that
-  /// instantiates several protocols' engines (bench/ensemble_json.cpp),
-  /// GCC's unit-growth budget otherwise stops inlining here and the
-  /// ensemble lane measures ~0.75x of the per-trial Runner while the
-  /// stand-alone instantiation measures ~1.05x — the PR-3
-  /// BENCH_ensemble.json yokota28 regression was exactly this artifact.
-  [[gnu::flatten]] void advance_ring_generic(int r, std::uint64_t k) {
+  /// Generic block: the shared scalar loop (InteractionEngine::run_block),
+  /// literally the code Runner::run's scalar path runs.
+  void advance_ring_generic(int r, std::uint64_t k) {
     State* const agents = states_.data() + ring_offset(r);
     const auto ri = static_cast<std::size_t>(r);
-    // bound_/threshold_/topo_ hoisted into locals for the same reason
-    // rng/clk are: the loop's byte-sized state stores may alias *this under
-    // the strict aliasing rules (unsigned char writes alias everything), so
-    // the member loads would otherwise be re-issued every iteration —
-    // measured as the per-trial-Runner-vs-ensemble gap on yokota28
-    // (README.md, BENCH_ensemble.json).
-    const std::uint64_t bound = bound_;
-    const std::uint64_t threshold = threshold_;
-    const Topo topo = topo_;
-    Xoshiro256pp rng = rngs_[ri];
-    RingClock clk = clocks_[ri];
     if (!sched_active_) {
-      for (std::uint64_t i = 0; i < k; ++i) {
-        Engine::apply_arc_batched(
-            agents,
-            topo.endpoints(static_cast<int>(
-                rng.bounded_with_threshold(bound, threshold))),
-            params_, clk);
-      }
+      Engine::run_block(agents, topo_, bound_, threshold_, params_, rngs_[ri],
+                        clocks_[ri], k);
     } else {
-      // Faulted-scheduler loop, kept out of the clean loop so its codegen
-      // is untouched. Same draws (and the same loss stream consumption) as
-      // Runner's faulted scalar loop.
-      const std::uint64_t loss_threshold = loss_threshold_;
-      Xoshiro256pp loss_rng = loss_rngs_[ri];
-      for (std::uint64_t i = 0; i < k; ++i) {
-        const int arc = bias_.empty()
-                            ? static_cast<int>(rng.bounded_with_threshold(
-                                  bound, threshold))
-                            : bias_.draw(rng);
-        if (loss_threshold != 0 && loss_rng() < loss_threshold) {
-          ++clk.steps;
-          continue;
-        }
-        Engine::apply_arc_batched(agents, topo.endpoints(arc), params_, clk);
-      }
-      loss_rngs_[ri] = loss_rng;
+      Engine::run_block_faulted(agents, topo_, bound_, threshold_, params_,
+                                bias_, loss_threshold_, rngs_[ri],
+                                loss_rngs_[ri], clocks_[ri], k);
     }
-    rngs_[ri] = rng;
-    clocks_[ri] = clk;
   }
 
   /// Packed block: one table load per interaction on the u16 mirror; the
@@ -738,15 +654,6 @@ class EnsembleRunner {
     requires(kWordable)
   {
     const auto ri = static_cast<std::size_t>(r);
-    if constexpr (kNarrowable) {
-      if (narrow_active_) {
-        WordGroupDriver<P>::run_narrow_ring(
-            words32_.data() + ring_offset(r), params_.n, bound_, threshold_,
-            rngs_[ri], clocks_[ri], consts_, k);
-        dirty_[ri] = 1;
-        return;
-      }
-    }
     WordGroupDriver<P>::run_block(words_.data() + ring_offset(r), params_.n,
                                   bound_, threshold_, rngs_[ri], clocks_[ri],
                                   consts_, k);
@@ -760,18 +667,6 @@ class EnsembleRunner {
                           std::uint64_t k)
     requires(kWordable)
   {
-    if constexpr (kNarrowable) {
-      if (narrow_active_) {
-        WordGroupDriver<P>::run_rings_narrow_block(
-            words32_.data(), static_cast<std::size_t>(params_.n),
-            rings.data(), nrings, params_.n, bound_, threshold_,
-            rngs_.data(), clocks_.data(), consts_, k);
-        for (int i = 0; i < nrings; ++i)
-          dirty_[static_cast<std::size_t>(
-              rings[static_cast<std::size_t>(i)])] = 1;
-        return;
-      }
-    }
     WordGroupDriver<P>::run_rings_block(
         words_.data(), static_cast<std::size_t>(params_.n), rings.data(),
         nrings, params_.n, bound_, threshold_, rngs_.data(), clocks_.data(),
@@ -805,10 +700,8 @@ class EnsembleRunner {
   WordLayout layout_{};             ///< valid only in word-kernel mode
   WordConsts consts_{};             ///< kernel constants (word-kernel mode)
   std::vector<std::uint64_t> words_;  ///< u64 mirror of states_, same layout
-  std::vector<std::uint32_t> words32_;  ///< narrow mirror (replaces words_)
   std::vector<int> all_rings_;      ///< reusable [0, ring_count) id list
   bool word_active_ = false;        ///< word-kernel lane drives the hot loop
-  bool narrow_active_ = false;      ///< the mirror is words32_, not words_
 };
 
 /// Mutable view of one *running* ring — the engine-agnostic surface fault

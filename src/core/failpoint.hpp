@@ -38,7 +38,7 @@
 // Examples:
 //   service.ckpt.write=enospc                 fail-once ENOSPC
 //   service.file_sink.write=2xskip+3xeintr    pass 2 hits, then 3 EINTRs
-//   service.fd_sink.write=2xshort:1           two 1-byte short writes
+//   service.file_sink.write=2xshort:1         two 1-byte short writes
 //   service.worker.shard=p250@42xeintr        ~25% of shard attempts fail,
 //                                             pattern fixed by seed 42
 //
@@ -74,9 +74,7 @@ namespace failpoints {
 
 // --- Site-name registry (append new sites here AND in kAll) ---------------
 
-/// FdFrameSink::write's ::write(2) call (service/campaign.hpp).
-inline constexpr const char* kFdSinkWrite = "service.fd_sink.write";
-/// FileFrameSink::write's fwrite call.
+/// FileFrameSink::write's fwrite call (service/campaign.hpp).
 inline constexpr const char* kFileSinkWrite = "service.file_sink.write";
 /// FileFrameSink::flush's fflush call.
 inline constexpr const char* kFileSinkFlush = "service.file_sink.flush";
@@ -102,9 +100,9 @@ inline constexpr const char* kWorkerShard = "service.worker.shard";
 /// Every registered site, for arm()-time validation and for tests that
 /// enumerate the injection surface.
 inline constexpr const char* kAll[] = {
-    kFdSinkWrite,  kFileSinkWrite, kFileSinkFlush, kFileSinkTruncate,
-    kCkptOpen,     kCkptWrite,     kCkptFsync,     kCkptRename,
-    kCkptDirFsync, kCkptRead,      kWorkerShard,
+    kFileSinkWrite, kFileSinkFlush, kFileSinkTruncate, kCkptOpen,
+    kCkptWrite,     kCkptFsync,     kCkptRename,       kCkptDirFsync,
+    kCkptRead,      kWorkerShard,
 };
 inline constexpr int kCount = static_cast<int>(sizeof(kAll) / sizeof(kAll[0]));
 

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <limits>
 
@@ -101,25 +100,6 @@ class Xoshiro256pp {
       m = static_cast<u128>((*this)()) * static_cast<u128>(bound);
     }
     return static_cast<std::uint64_t>(m >> 64);
-  }
-
-  /// Block bounded sampling: fill `dst[0, count)` with uniform integers in
-  /// [0, bound), bound in (0, 2^32]. Amortized Lemire — the rejection
-  /// threshold is hoisted out of the loop. Consumes exactly the same
-  /// generator stream and produces exactly the same values as `count` calls
-  /// to `bounded(bound)` (stream identity verified in
-  /// tests/core/rng_test.cpp). Note: the Runner's fast path uses the fused
-  /// `bounded_with_threshold` instead — draining the generator's serial
-  /// chain into a buffer up front measured slower there (README.md); this
-  /// block sampler is kept for callers that want arc schedules as data.
-  void fill_bounded(std::uint32_t* dst, std::size_t count,
-                    std::uint64_t bound) noexcept {
-    assert(bound > 0 && bound <= (1ULL << 32));
-    const std::uint64_t threshold = rejection_threshold(bound);
-    for (std::size_t i = 0; i < count; ++i) {
-      dst[i] =
-          static_cast<std::uint32_t>(bounded_with_threshold(bound, threshold));
-    }
   }
 
   /// Uniform double in [0, 1).

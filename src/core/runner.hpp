@@ -32,10 +32,9 @@
 //    unconditional before/after predicate census (the engine as originally
 //    written).
 //  * `run(k)` — the fused fast path: amortized Lemire bounded sampling (the
-//    rejection threshold is hoisted out of the loop; block sampling into a
-//    caller buffer is also available as `Xoshiro256pp::fill_bounded`, but
-//    draining the generator's serial dependency chain up front measured
-//    slower than fusing it into the transition loop — see README.md), plus a
+//    rejection threshold is hoisted out of the loop and each draw is fused
+//    into the transition loop; draining the generator's serial dependency
+//    chain into a buffer up front measured slower — see README.md), plus a
 //    *delta census*: small trivially-copyable states are snapshotted into a
 //    64-bit image before the transition, and when the interaction was a
 //    no-op (bitwise-equal states — the common case for the O(1)-state
@@ -49,11 +48,12 @@
 // run_unbatched() produces the same trajectory (tests/core/batch_test.cpp).
 //
 // The per-interaction core (transition dispatch, delta census, fault
-// injection, recount) is factored into `InteractionEngine<P>` operating on a
-// raw agent array plus a `RingClock`, so `Runner` (one ring) and
-// `EnsembleRunner` (core/ensemble.hpp, R rings in one struct-of-arrays
-// block) execute literally the same code per interaction — per-ring
-// bit-identity between the two engines is by construction, then pinned by
+// injection, recount) and the random-scheduler scalar loop over it
+// (`run_block`, `run_block_faulted`) live in `InteractionEngine<P>`,
+// operating on a raw agent array plus a `RingClock`, so `Runner` (one ring)
+// and `EnsembleRunner` (core/ensemble.hpp, R rings in one struct-of-arrays
+// block) execute literally the same loop — per-ring bit-identity between
+// the two engines is by construction, then pinned by
 // tests/core/ensemble_test.cpp.
 //
 // Protocols with a word-packed kernel (HasWordKernel — P_PL) get a third
@@ -67,12 +67,15 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -200,6 +203,36 @@ struct SchedulerFaults {
   [[nodiscard]] bool active() const noexcept {
     return loss_p > 0.0 || !arc_weights.empty();
   }
+
+  /// Reject inputs the engines cannot run, in every build type: `loss_p`
+  /// outside [0, 1] or NaN, an `arc_weights` table whose size is neither 0
+  /// nor `arc_count`, and weights that are negative, non-finite or all zero.
+  /// Throws std::invalid_argument. Both engines call this first in
+  /// set_scheduler_faults.
+  void validate(int arc_count) const {
+    if (!(loss_p >= 0.0 && loss_p <= 1.0)) {
+      throw std::invalid_argument("SchedulerFaults: loss_p must be in [0, 1]");
+    }
+    if (arc_weights.empty()) return;
+    if (arc_weights.size() != static_cast<std::size_t>(arc_count)) {
+      throw std::invalid_argument(
+          "SchedulerFaults: arc_weights has " +
+          std::to_string(arc_weights.size()) + " entries, the topology " +
+          std::to_string(arc_count) + " arcs");
+    }
+    double total = 0.0;
+    for (const double w : arc_weights) {
+      if (!(w >= 0.0 && std::isfinite(w))) {
+        throw std::invalid_argument(
+            "SchedulerFaults: arc weights must be finite and non-negative");
+      }
+      total += w;
+    }
+    if (!(total > 0.0 && std::isfinite(total))) {
+      throw std::invalid_argument(
+          "SchedulerFaults: arc weights must have a finite positive sum");
+    }
+  }
 };
 
 template <typename P>
@@ -266,25 +299,6 @@ template <typename P>
 concept WordKernelRunnable =
     HasWordKernel<P> && !WantsOracle<P> && !HasTokenCensus<P> &&
     std::equality_comparable<typename P::State>;
-
-/// Protocols whose word kernel also instantiates at 32-bit element width
-/// (the regime-narrowed layout: two packed states per 64 bits of register).
-/// `word_fits_narrow(layout)` is the capacity probe — true only when every
-/// field of the layout lands inside 32 bits, so the u32 mirror is lossless
-/// and the same clamp/round-trip fallback contract applies unchanged. Used
-/// by EnsembleRunner: at the small n where narrow layouts exist, the
-/// cross-ring lockstep lane carries twice the rings per vector register.
-template <typename P>
-concept HasNarrowWordKernel =
-    HasWordKernel<P> &&
-    requires(const typename P::WordLayout& lay,
-             const typename P::WordKernelConsts& kc, std::uint32_t& hw,
-             HalfVec8& h8, HalfVec16& h16) {
-      { P::word_fits_narrow(lay) } -> std::convertible_to<bool>;
-      P::apply_word_narrow_one(hw, hw, kc);
-      P::apply_word_narrow_x8(h8, h8, kc);
-      P::apply_word_narrow_x16(h16, h16, kc);
-    };
 
 namespace detail {
 /// Storage types for the word layout / kernel constants: the protocol's
@@ -461,6 +475,70 @@ struct InteractionEngine {
       census_after(a, b, la, lb, ta, tb, params, clk);
     }
     ++clk.steps;
+  }
+
+  /// The random-scheduler scalar loop: `k` uniform draws from `rng`, each
+  /// through apply_arc_batched — the one per-ring loop behind Runner::run
+  /// and EnsembleRunner's generic lane. The RNG, clock and topology are
+  /// copied into locals for the block and stored back at its end: the
+  /// compiler keeps them in registers, while through the caller's storage
+  /// every byte-sized state store (which may alias anything) would force
+  /// them to reload per step. [[gnu::flatten]] pins the full inlining of
+  /// apply_arc_batched and the RNG regardless of translation-unit size: in
+  /// a TU that instantiates several protocols' engines
+  /// (bench/ensemble_json.cpp) GCC's unit-growth budget otherwise stops
+  /// inlining here, which once measured the yokota28 ensemble lane at ~0.75x
+  /// of the per-trial Runner in BENCH_ensemble.json.
+  template <typename Topo>
+  [[gnu::flatten]] static void run_block(State* agents, const Topo& topo0,
+                                         std::uint64_t bound,
+                                         std::uint64_t threshold,
+                                         const Params& params,
+                                         Xoshiro256pp& rng0, RingClock& clk0,
+                                         std::uint64_t k) {
+    const Topo topo = topo0;
+    Xoshiro256pp rng = rng0;
+    RingClock clk = clk0;
+    for (std::uint64_t i = 0; i < k; ++i) {
+      apply_arc_batched(agents,
+                        topo.endpoints(static_cast<int>(
+                            rng.bounded_with_threshold(bound, threshold))),
+                        params, clk);
+    }
+    rng0 = rng;
+    clk0 = clk;
+  }
+
+  /// run_block under scheduler faults, kept separate so the clean loop's
+  /// codegen is untouched. A non-empty `bias` replaces the uniform draw by
+  /// one biased draw of the main stream; with `loss_threshold` != 0 every
+  /// draw then consumes one value of `loss_rng0`, and a lost draw counts the
+  /// step without firing a transition (see SchedulerFaults).
+  template <typename Topo>
+  [[gnu::flatten]] static void run_block_faulted(
+      State* agents, const Topo& topo0, std::uint64_t bound,
+      std::uint64_t threshold, const Params& params,
+      const detail::BiasTable& bias, std::uint64_t loss_threshold,
+      Xoshiro256pp& rng0, Xoshiro256pp& loss_rng0, RingClock& clk0,
+      std::uint64_t k) {
+    const Topo topo = topo0;
+    Xoshiro256pp rng = rng0;
+    Xoshiro256pp loss_rng = loss_rng0;
+    RingClock clk = clk0;
+    for (std::uint64_t i = 0; i < k; ++i) {
+      const int arc =
+          bias.empty()
+              ? static_cast<int>(rng.bounded_with_threshold(bound, threshold))
+              : bias.draw(rng);
+      if (loss_threshold != 0 && loss_rng() < loss_threshold) {
+        ++clk.steps;
+        continue;
+      }
+      apply_arc_batched(agents, topo.endpoints(arc), params, clk);
+    }
+    rng0 = rng;
+    loss_rng0 = loss_rng;
+    clk0 = clk;
   }
 
   /// Overwrite one agent slot (fault injection): census updated by the delta
@@ -760,7 +838,6 @@ struct WordGroupDriver {
 
   /// Cold outlined per-lane census replay for the cross-ring lockstep
   /// blocks (frozen-clock contract: the running step rides as step0[j]+s).
-  /// V is the block's lane type — u64 lanes (wide) or u32 lanes (narrow).
   template <typename V>
   [[gnu::cold, gnu::noinline]] static void census_replay_rings(
       const V& oa, const V& ob, const V& wa, const V& wb, RingClock* clk,
@@ -1103,196 +1180,6 @@ struct WordGroupDriver {
     }
   }
 
-  /// Cross-ring lockstep block over the *narrow* (u32) mirror: identical
-  /// structure to rings_impl, but one 32-bit element per ring — G = 8 rings
-  /// in a 32-byte register (HalfVec8), 16 in a 64-byte one (HalfVec16). The
-  /// G per-ring streams still need G full 64-bit xoshiro columns, so the
-  /// group carries G/8 eight-lane engines. Same software pipeline, same
-  /// frozen-clock census contract, bit-identical per-ring trajectories.
-  template <typename VH>
-  [[gnu::always_inline]] static inline void rings_narrow_impl(
-      std::uint32_t* words_base, std::size_t ring_stride, const int* rings,
-      int nrings, int n, std::uint64_t bound, std::uint64_t threshold,
-      Xoshiro256pp* rngs, RingClock* clks, const Consts& kc0, std::uint64_t k)
-    requires HasNarrowWordKernel<P>
-  {
-    const Consts kc = kc0;
-    constexpr int G = kLanesOf<VH>;
-    constexpr int kEngineLanes = kLanesOf<WordVec8>;
-    static_assert(G % kEngineLanes == 0);
-    constexpr int NE = G / kEngineLanes;
-    int i = 0;
-    for (; i + G <= nrings; i += G) {
-      const int* rg = rings + i;
-      std::uint32_t* base[G];
-      Xoshiro256pp rng[G];
-      RingClock clk[G];
-      std::uint64_t step0[G];
-      for (int j = 0; j < G; ++j) {
-        const int r = rg[j];
-        base[j] = words_base + ring_stride * static_cast<std::size_t>(r);
-        rng[j] = rngs[r];
-        clk[j] = clks[r];
-        step0[j] = clk[j].steps;
-      }
-      XoshiroLanes<WordVec8> lanes[NE];
-      for (int e = 0; e < NE; ++e) lanes[e].load(rng + kEngineLanes * e);
-      int ia[G] = {};  // zero-init: k == 0 legitimately skips the prologue
-      int ib[G] = {};
-      const auto draw = [&](int* pa, int* pb) __attribute__((always_inline)) {
-        for (int e = 0; e < NE; ++e) {
-          const WordVec8 arcs =
-              lanes[e].bounded_with_threshold(bound, threshold);
-          for (int j = 0; j < kEngineLanes; ++j) {
-            const ArcEndpoints ep =
-                arc_endpoints(static_cast<int>(arcs[j]), n);
-            pa[kEngineLanes * e + j] = ep.initiator;
-            pb[kEngineLanes * e + j] = ep.responder;
-          }
-        }
-      };
-      if (k > 0) draw(ia, ib);
-      for (std::uint64_t s = 0; s < k; ++s) {
-        VH wa;
-        VH wb;
-        for (int j = 0; j < G; ++j) {
-          wa[j] = base[j][ia[j]];
-          wb[j] = base[j][ib[j]];
-        }
-        int na[G];
-        int nb[G];
-        const bool more = s + 1 < k;
-        if (more) draw(na, nb);
-        const VH oa = wa;
-        const VH ob = wb;
-        if constexpr (G == 8) {
-          P::apply_word_narrow_x8(wa, wb, kc);
-        } else {
-          P::apply_word_narrow_x16(wa, wb, kc);
-        }
-        for (int j = 0; j < G; ++j) {
-          base[j][ia[j]] = wa[j];
-          base[j][ib[j]] = wb[j];
-        }
-        if constexpr (HasLeaderOutput<P>) {
-          const VH dl = (wa ^ oa) | (wb ^ ob);
-          // Bit 0 of each u32 lane sits at bits 0 and 32 of the u64 view.
-          const std::uint64_t fold = [&] {
-            if constexpr (sizeof(VH) == sizeof(WordVec)) {
-              return orfold((WordVec)dl);
-            } else {
-              return orfold((WordVec8)dl);
-            }
-          }();
-          if ((fold & 0x1'00000001ull) != 0) [[unlikely]] {
-            census_replay_rings<VH>(oa, ob, wa, wb, clk, step0, s);
-          }
-        }
-        if (more) {
-          for (int j = 0; j < G; ++j) {
-            ia[j] = na[j];
-            ib[j] = nb[j];
-          }
-        }
-      }
-      for (int e = 0; e < NE; ++e) lanes[e].store(rng + kEngineLanes * e);
-      for (int j = 0; j < G; ++j) {
-        const int r = rg[j];
-        clk[j].steps = step0[j] + k;
-        rngs[r] = rng[j];
-        clks[r] = clk[j];
-      }
-    }
-    for (; i < nrings; ++i) {
-      const int r = rings[i];
-      run_narrow_ring(words_base + ring_stride * static_cast<std::size_t>(r),
-                      n, bound, threshold, rngs[r], clks[r], kc, k);
-    }
-  }
-
- public:
-  /// Scalar per-ring loop over the narrow (u32) mirror — the ensemble's
-  /// per-ring advancement at narrow layouts. Deliberately ungrouped: narrow
-  /// layouts exist only at small n, where the single-ring disjointness
-  /// proof nearly always fails (see single_ring_engaged).
-  static void run_narrow_ring(std::uint32_t* words, int n,
-                              std::uint64_t bound, std::uint64_t threshold,
-                              Xoshiro256pp& rng0, RingClock& clk0,
-                              const Consts& kc0, std::uint64_t k)
-    requires HasNarrowWordKernel<P>
-  {
-    Xoshiro256pp rng = rng0;
-    RingClock clk = clk0;
-    const Consts kc = kc0;
-    for (std::uint64_t s = 0; s < k; ++s) {
-      const int arc =
-          static_cast<int>(rng.bounded_with_threshold(bound, threshold));
-      const ArcEndpoints e = arc_endpoints(arc, n);
-      std::uint32_t wa = words[e.initiator];
-      std::uint32_t wb = words[e.responder];
-      const std::uint32_t oa = wa;
-      const std::uint32_t ob = wb;
-      P::apply_word_narrow_one(wa, wb, kc);
-      words[e.initiator] = wa;
-      words[e.responder] = wb;
-      census_leader_change(oa, ob, wa, wb, clk, clk.steps);
-      ++clk.steps;
-    }
-    rng0 = rng;
-    clk0 = clk;
-  }
-
-  /// Entry point for the narrow cross-ring lockstep block (see
-  /// rings_narrow_impl).
-  static void run_rings_narrow_block(std::uint32_t* words_base,
-                                     std::size_t ring_stride,
-                                     const int* rings, int nrings, int n,
-                                     std::uint64_t bound,
-                                     std::uint64_t threshold,
-                                     Xoshiro256pp* rngs, RingClock* clks,
-                                     const Consts& kc, std::uint64_t k)
-    requires HasNarrowWordKernel<P>
-  {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    const int isa = isa_level();
-    if (isa == 2) {
-      narrow_avx512(words_base, ring_stride, rings, nrings, n, bound,
-                    threshold, rngs, clks, kc, k);
-      return;
-    }
-    if (isa == 1) {
-      narrow_avx2(words_base, ring_stride, rings, nrings, n, bound,
-                  threshold, rngs, clks, kc, k);
-      return;
-    }
-#endif
-    rings_narrow_impl<HalfVec8>(words_base, ring_stride, rings, nrings, n,
-                                bound, threshold, rngs, clks, kc, k);
-  }
-
- private:
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl"))) static void
-  narrow_avx512(std::uint32_t* words_base, std::size_t ring_stride,
-                const int* rings, int nrings, int n, std::uint64_t bound,
-                std::uint64_t threshold, Xoshiro256pp* rngs, RingClock* clks,
-                const Consts& kc, std::uint64_t k)
-    requires HasNarrowWordKernel<P>
-  {
-    rings_narrow_impl<HalfVec16>(words_base, ring_stride, rings, nrings, n,
-                                 bound, threshold, rngs, clks, kc, k);
-  }
-  __attribute__((target("avx2"))) static void narrow_avx2(
-      std::uint32_t* words_base, std::size_t ring_stride, const int* rings,
-      int nrings, int n, std::uint64_t bound, std::uint64_t threshold,
-      Xoshiro256pp* rngs, RingClock* clks, const Consts& kc, std::uint64_t k)
-    requires HasNarrowWordKernel<P>
-  {
-    rings_narrow_impl<HalfVec8>(words_base, ring_stride, rings, nrings, n,
-                                bound, threshold, rngs, clks, kc, k);
-  }
-#endif
-
  public:
   /// Entry point for the cross-ring lockstep block (see rings_impl).
   static void run_rings_block(std::uint64_t* words_base,
@@ -1466,11 +1353,10 @@ class Runner {
   /// loss stream to its trial-derived origin (stream_seed(seed,
   /// kLossStreamTag)), so
   /// configuring faults then running is deterministic per seed. Active
-  /// faults pin the runner to the scalar path permanently.
+  /// faults pin the runner to the scalar path permanently. Invalid inputs
+  /// throw std::invalid_argument (SchedulerFaults::validate).
   void set_scheduler_faults(const SchedulerFaults& f) {
-    assert(f.loss_p >= 0.0 && f.loss_p <= 1.0);
-    assert(f.arc_weights.empty() ||
-           static_cast<int>(f.arc_weights.size()) == arc_count());
+    f.validate(arc_count());
     loss_threshold_ = detail::probability_threshold(f.loss_p);
     bias_ = f.arc_weights.empty() ? detail::BiasTable{}
                                   : detail::BiasTable(f.arc_weights);
@@ -1490,13 +1376,7 @@ class Runner {
       apply_arc(static_cast<int>(rng_.bounded(arc_count())));
       return;
     }
-    prepare_scalar_mutation();
-    const int arc = draw_faulted_arc();
-    if (lose_draw()) {
-      ++clk_.steps;
-      return;
-    }
-    Engine::apply_arc(agents_.data(), topo_.endpoints(arc), params_, clk_);
+    run_scalar(1);
   }
 
   /// True while run(k) dispatches to the protocol's word-packed kernel.
@@ -1541,37 +1421,7 @@ class Runner {
         return;
       }
     }
-    prepare_scalar_mutation();
-    const auto bound = static_cast<std::uint64_t>(arc_count());
-    const std::uint64_t threshold = Xoshiro256pp::rejection_threshold(bound);
-    State* const agents = agents_.data();
-    // Local topology copy: byte stores through `agents` could alias the
-    // member under TBAA and force per-iteration reloads of the endpoint
-    // arithmetic's inputs (same reasoning as EnsembleRunner's hoisted
-    // locals).
-    const Topo topo = topo_;
-    if (!sched_active_) {
-      for (std::uint64_t i = 0; i < k; ++i) {
-        Engine::apply_arc_batched(
-            agents,
-            topo.endpoints(static_cast<int>(
-                rng_.bounded_with_threshold(bound, threshold))),
-            params_, clk_);
-      }
-      return;
-    }
-    // Faulted loop, kept separate so the clean loop's codegen is untouched.
-    for (std::uint64_t i = 0; i < k; ++i) {
-      const int arc =
-          bias_.empty()
-              ? static_cast<int>(rng_.bounded_with_threshold(bound, threshold))
-              : bias_.draw(rng_);
-      if (lose_draw()) {
-        ++clk_.steps;
-        continue;
-      }
-      Engine::apply_arc_batched(agents, topo.endpoints(arc), params_, clk_);
-    }
+    run_scalar(k);
   }
 
   /// Execute `k` uniformly random interactions one draw at a time with the
@@ -1649,18 +1499,20 @@ class Runner {
     }
   }
 
-  /// One faulted-scheduler arc draw at step() granularity (no hoisted
-  /// Lemire threshold; same stream values as the hoisted form).
-  [[nodiscard]] int draw_faulted_arc() {
-    return bias_.empty()
-               ? static_cast<int>(
-                     rng_.bounded(static_cast<std::uint64_t>(arc_count())))
-               : bias_.draw(rng_);
-  }
-
-  /// Consume one loss draw iff the omission model is on; true = lost.
-  [[nodiscard]] bool lose_draw() {
-    return loss_threshold_ != 0 && loss_rng_() < loss_threshold_;
+  /// `k` interactions through the shared scalar loop (clean or faulted —
+  /// see InteractionEngine::run_block).
+  void run_scalar(std::uint64_t k) {
+    prepare_scalar_mutation();
+    const auto bound = static_cast<std::uint64_t>(arc_count());
+    const std::uint64_t threshold = Xoshiro256pp::rejection_threshold(bound);
+    if (!sched_active_) {
+      Engine::run_block(agents_.data(), topo_, bound, threshold, params_,
+                        rng_, clk_, k);
+    } else {
+      Engine::run_block_faulted(agents_.data(), topo_, bound, threshold,
+                                params_, bias_, loss_threshold_, rng_,
+                                loss_rng_, clk_, k);
+    }
   }
 
   /// Materialize agents_ from the word mirror if the last run(k) block left

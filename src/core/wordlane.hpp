@@ -37,16 +37,9 @@ typedef std::int64_t WordVecS __attribute__((vector_size(32)));
 typedef std::uint64_t WordVec8 __attribute__((vector_size(64)));
 typedef std::int64_t WordVec8S __attribute__((vector_size(64)));
 
-// Half-width (32-bit element) lanes for the regime-narrowed packed layouts:
-// the same register width carries twice the rings when the layout fits 32
-// bits (pl/packed_state.hpp fits_narrow()).
-typedef std::uint32_t HalfVec8 __attribute__((vector_size(32)));
+// Eight / four i32 lanes (one YMM / XMM register): edge-id vectors for the
+// grouped scheduler's arc-overlap classification at WordVec8 / WordVec width.
 typedef std::int32_t HalfVec8S __attribute__((vector_size(32)));
-typedef std::uint32_t HalfVec16 __attribute__((vector_size(64)));
-typedef std::int32_t HalfVec16S __attribute__((vector_size(64)));
-
-// Four i32 lanes (one XMM register): index vectors for the grouped
-// scheduler's arc-overlap classification at WordVec width.
 typedef std::int32_t HalfVec4S __attribute__((vector_size(16)));
 
 /// Element type and lane count of a lane type (scalar integrals count as one
@@ -61,18 +54,12 @@ struct lane_traits<std::uint64_t> {
   using element = std::uint64_t;
   static constexpr int lanes = 1;
 };
-template <>
-struct lane_traits<std::uint32_t> {
-  using element = std::uint32_t;
-  static constexpr int lanes = 1;
-};
 
-/// Lanes of a vector type (4 for WordVec / AVX2, 8 for WordVec8 / AVX-512,
-/// 8/16 for the half-width HalfVec8/HalfVec16).
+/// Lanes of a vector type (4 for WordVec / AVX2, 8 for WordVec8 / AVX-512).
 template <typename V>
 inline constexpr int kLanesOf = lane_traits<V>::lanes;
 
-/// Lanes in the narrow grouped kernel dispatch (WordVec width).
+/// Lanes in the 4-wide grouped kernel dispatch (WordVec width).
 inline constexpr int kWordLanes = 4;
 
 template <typename V>
@@ -113,36 +100,6 @@ template <typename V>
                                                       WordVec8 b) noexcept {
   return (WordVec8)((WordVec8S)a > (WordVec8S)b);
 }
-// Half-width overloads. vgt is signed-32: narrow kernels only run on
-// layouts whose field values stay below 2^31, so wrapped negatives still
-// compare as negatives (same contract as the 64-bit lanes).
-[[nodiscard, gnu::always_inline]] inline std::uint32_t veq(
-    std::uint32_t a, std::uint32_t b) noexcept {
-  return a == b ? ~std::uint32_t{0} : std::uint32_t{0};
-}
-[[nodiscard, gnu::always_inline]] inline std::uint32_t vgt(
-    std::uint32_t a, std::uint32_t b) noexcept {
-  return static_cast<std::int32_t>(a) > static_cast<std::int32_t>(b)
-             ? ~std::uint32_t{0}
-             : std::uint32_t{0};
-}
-[[nodiscard, gnu::always_inline]] inline HalfVec8 veq(HalfVec8 a,
-                                                      HalfVec8 b) noexcept {
-  return (HalfVec8)(a == b);
-}
-[[nodiscard, gnu::always_inline]] inline HalfVec8 vgt(HalfVec8 a,
-                                                      HalfVec8 b) noexcept {
-  return (HalfVec8)((HalfVec8S)a > (HalfVec8S)b);
-}
-[[nodiscard, gnu::always_inline]] inline HalfVec16 veq(HalfVec16 a,
-                                                       HalfVec16 b) noexcept {
-  return (HalfVec16)(a == b);
-}
-[[nodiscard, gnu::always_inline]] inline HalfVec16 vgt(HalfVec16 a,
-                                                       HalfVec16 b) noexcept {
-  return (HalfVec16)((HalfVec16S)a > (HalfVec16S)b);
-}
-
 template <typename V>
 [[nodiscard, gnu::always_inline]] inline V vsel(V m, V a, V b) noexcept {
   return b ^ ((a ^ b) & m);

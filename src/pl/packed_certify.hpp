@@ -41,7 +41,8 @@
 //
 // The static_asserts at the bottom certify every packed parameter regime
 // present in the committed BENCH_throughput.json / BENCH_ensemble.json
-// cells, wide and narrow. For regimes outside that certified set the
+// cells, plus the small-c1 regimes PPSIM_C1 = 3 / 1 reaches at n = 16 / 64.
+// For regimes outside that certified set the
 // runtime boundary guard (half 1) remains the documented line of defense —
 // and !PackedLayout::fits() regimes never reach a packed lane at all.
 #pragma once
@@ -357,8 +358,8 @@ constexpr Interval eq_cap_increment(const Interval& x, long long cap,
 // the packed cells n = 1024 and n = 16384 (n = 64 is engagement-gated to
 // the scalar engine but certified anyway — the gate is about speed, not
 // soundness). BENCH_ensemble.json: the same c1 = 4 family at
-// n in {16, 64, 256} (engine "word") and the regime-narrowed u32 cells
-// (n, c1) in {(16, 3), (64, 1)} (engine "word32").
+// n in {16, 64, 256} (engine "word"). The small-c1 regimes (n, c1) in
+// {(16, 3), (64, 1)} run on the same u64 word lane and certify too.
 
 static_assert(kernel_clamp_free(PlParams::make(64, 4)),
               "P_PL bench regime n=64,c1=4 must certify clamp-free");
@@ -370,14 +371,10 @@ static_assert(kernel_clamp_free(PlParams::make(16384, 4)),
 static_assert(kernel_clamp_free(PlParams::make(16, 4)) &&
                   kernel_clamp_free(PlParams::make(256, 4)),
               "P_PL ensemble bench regimes (word) must certify clamp-free");
-static_assert(PackedLayout::make(PlParams::make(16, 3)).fits_narrow() &&
-                  kernel_clamp_free(PlParams::make(16, 3)),
-              "P_PL narrow bench regime n=16,c1=3 must fit u32 and certify "
-              "clamp-free");
-static_assert(PackedLayout::make(PlParams::make(64, 1)).fits_narrow() &&
-                  kernel_clamp_free(PlParams::make(64, 1)),
-              "P_PL narrow bench regime n=64,c1=1 must fit u32 and certify "
-              "clamp-free");
+static_assert(kernel_clamp_free(PlParams::make(16, 3)),
+              "P_PL small-c1 regime n=16,c1=3 must certify clamp-free");
+static_assert(kernel_clamp_free(PlParams::make(64, 1)),
+              "P_PL small-c1 regime n=64,c1=1 must certify clamp-free");
 // The paper's own constant (c1 = 32) at the flagship ring size still fits
 // one word (51 bits at n = 2^16) and certifies.
 static_assert(PackedLayout::make(PlParams::make(65536, 32)).fits() &&

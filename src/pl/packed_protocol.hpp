@@ -466,42 +466,6 @@ inline void apply_word_one(std::uint64_t& wl, std::uint64_t& wr,
   return (w & 1) != 0;
 }
 
-// --- Narrow (32-bit element) instantiations -------------------------------
-//
-// The kernel dataflow above is element-width generic: when the layout fits
-// 32 bits (PackedLayout::fits_narrow — the small-n regime), the same source
-// instantiates at u32 elements and a vector register carries twice the
-// interactions. Correctness of the reinterpretation: vbroadcast truncates
-// every u64 constant mod 2^32, and the kernel's algebra is add/sub/and/or/
-// xor/shift — all homomorphic under truncation — while the signed compares
-// stay valid because a 32-bit layout bounds every non-negative field value
-// below 2^31 and the only wrapped negatives (the dbias/tau arithmetic)
-// wrap identically mod 2^32. Bit-identity to the u64 kernel on narrow
-// layouts is pinned by tests/core/word_kernel_test.cpp.
-
-/// One interaction on two narrow packed words (u32 instantiation,
-/// precomputed constants).
-inline void apply_word_narrow_one(std::uint32_t& wl, std::uint32_t& wr,
-                                  const PlKernelConsts& k) noexcept {
-  packed_detail::apply_word_lanes<std::uint32_t>(wl, wr, k);
-}
-
-/// Eight scheduler-independent interactions in one 32-byte register (the
-/// core::HalfVec8 instantiation).
-[[gnu::always_inline]] inline void apply_word_narrow_x8(
-    core::HalfVec8& wl, core::HalfVec8& wr,
-    const PlKernelConsts& k) noexcept {
-  packed_detail::apply_word_lanes<core::HalfVec8>(wl, wr, k);
-}
-
-/// Sixteen scheduler-independent interactions in one 64-byte register (the
-/// core::HalfVec16 instantiation — AVX-512).
-[[gnu::always_inline]] inline void apply_word_narrow_x16(
-    core::HalfVec16& wl, core::HalfVec16& wr,
-    const PlKernelConsts& k) noexcept {
-  packed_detail::apply_word_lanes<core::HalfVec16>(wl, wr, k);
-}
-
 }  // namespace ppsim::pl
 
 #pragma GCC diagnostic pop

@@ -81,17 +81,6 @@ struct PackedLayout {
     return total_bits > 0 && total_bits <= 64;
   }
 
-  /// True iff the whole variable block also fits one 32-bit half-word — the
-  /// regime-narrowed layout: two packed states per 64 bits of vector
-  /// register. Small-n only (e.g. n = 16 needs c1 <= 3, n = 64 needs
-  /// c1 = 1 at zero slack); the narrow engines probe this and keep the
-  /// 64-bit mirror otherwise. The pack/round-trip/clamp fallback contract
-  /// is unchanged — a narrow mirror stores the same pack_word image,
-  /// losslessly truncated to its low total_bits <= 32 bits.
-  [[nodiscard]] constexpr bool fits_narrow() const noexcept {
-    return total_bits > 0 && total_bits <= 32;
-  }
-
   /// Bit width of the packed layout for the given parameters (the constexpr
   /// capacity probe; usable in static_asserts and tests without building a
   /// layout).

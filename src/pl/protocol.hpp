@@ -304,29 +304,6 @@ struct PlProtocol {
     return pl::word_leader(w, l);
   }
 
-  // Narrow (u32) kernel entry points (core::HasNarrowWordKernel): the same
-  // kernel at 32-bit element width, engaged by EnsembleRunner when the
-  // layout fits a half-word (small-n / small-c1 regimes) so a vector
-  // register carries twice the rings.
-  [[nodiscard]] static bool word_fits_narrow(const WordLayout& l) noexcept {
-    return l.fits_narrow();
-  }
-  [[gnu::always_inline]] static inline void apply_word_narrow_one(
-      std::uint32_t& l, std::uint32_t& r,
-      const WordKernelConsts& k) noexcept {
-    pl::apply_word_narrow_one(l, r, k);
-  }
-  [[gnu::always_inline]] static inline void apply_word_narrow_x8(
-      core::HalfVec8& l, core::HalfVec8& r,
-      const WordKernelConsts& k) noexcept {
-    pl::apply_word_narrow_x8(l, r, k);
-  }
-  [[gnu::always_inline]] static inline void apply_word_narrow_x16(
-      core::HalfVec16& l, core::HalfVec16& r,
-      const WordKernelConsts& k) noexcept {
-    pl::apply_word_narrow_x16(l, r, k);
-  }
-
   /// Human-readable state rendering (differential-fuzzer divergence reports;
   /// same customization point the checker adapters expose for decoded
   /// counterexamples).

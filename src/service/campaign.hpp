@@ -88,10 +88,9 @@ inline constexpr int kFrameSchemaVersion = 1;
 
 /// Byte sink for the NDJSON frame stream. write() is always called from
 /// under the emitter lock, in frame order — implementations need no
-/// internal synchronization. truncate_to() is the resume hook; sinks that
-/// cannot rewind (sockets, pipes) may adopt the offset without truncating,
-/// degrading the exactly-once frame contract to at-least-once after a
-/// crash (consumers dedup on (cell, shard) — the frame ids are stable).
+/// internal synchronization. truncate_to() is the resume hook: it must cut
+/// the stream back to exactly `offset` bytes (or throw when the stream is
+/// shorter), which is what makes resumed frame streams byte-identical.
 class FrameSink {
  public:
   virtual ~FrameSink() = default;
@@ -249,71 +248,6 @@ class FileFrameSink final : public FrameSink {
   std::FILE* f_ = nullptr;
   std::uint64_t off_ = 0;
   RetryPolicy retry_;
-};
-
-/// Raw-descriptor sink (Unix socket, pipe, stdout). Cannot rewind:
-/// truncate_to() only adopts the offset, so crash-resume delivery over a
-/// socket is at-least-once (see FrameSink). Writes loop over partial
-/// ::write()s, so a full socket buffer blocks here — and through the
-/// emitter window, blocks the whole campaign: backpressure end to end.
-///
-/// EINTR and EAGAIN/EWOULDBLOCK are retried in place rather than aborting
-/// the campaign. Caveat: the sink expects a BLOCKING descriptor — on a
-/// non-blocking fd EAGAIN means "buffer full", which this sink handles by
-/// a bounded 1 ms sleep-and-retry loop (kEintrStormLimit iterations ≈ 1 s),
-/// not by polling; wire a poll()-based sink if you need real non-blocking
-/// backpressure. Failpoint site: service.fd_sink.write.
-class FdFrameSink final : public FrameSink {
- public:
-  explicit FdFrameSink(int fd) : fd_(fd) {}
-
-  void write(const char* data, std::size_t len) override {
-    int spins = 0;
-    while (len > 0) {
-      std::size_t want = len;
-      const core::FailOutcome fo =
-          core::failpoint(core::failpoints::kFdSinkWrite);
-      if (fo.action == core::FailAction::kThrow)
-        throw CheckpointError("failpoint: frame descriptor write aborted");
-      ssize_t put = 0;
-      if (fo.action == core::FailAction::kErrno) {
-        errno = fo.err;
-        put = -1;
-      } else {
-        if (fo.action == core::FailAction::kShortWrite)
-          want = std::max<std::size_t>(
-              1,
-              std::min<std::size_t>(want, static_cast<std::size_t>(fo.arg)));
-        put = ::write(fd_, data, want);
-      }
-      if (put > 0) {
-        data += put;
-        len -= static_cast<std::size_t>(put);
-        off_ += static_cast<std::uint64_t>(put);
-        spins = 0;
-        continue;
-      }
-      const int e = put < 0 ? errno : 0;
-      if (put == 0 || e == EINTR || e == EAGAIN || e == EWOULDBLOCK) {
-        if (++spins >= kEintrStormLimit)
-          throw CheckpointError(
-              "frame descriptor write: EINTR/EAGAIN storm — descriptor "
-              "never made progress");
-        if (e != EINTR)
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      throw CheckpointError(
-          std::string("write to frame descriptor failed: ") +
-          std::strerror(e));
-    }
-  }
-  void truncate_to(std::uint64_t offset) override { off_ = offset; }
-  [[nodiscard]] std::uint64_t offset() const override { return off_; }
-
- private:
-  int fd_ = -1;
-  std::uint64_t off_ = 0;
 };
 
 // --- In-order frame emission with bounded in-flight window ----------------

@@ -70,7 +70,6 @@
 // loss-stream/bias-draw contract (see run_differential).
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -228,7 +227,7 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
   // vector column of the cross-ring driver (word-kernel protocols only —
   // for everything else run() degenerates to lane C's per-ring loop).
   constexpr bool kHaveLaneG = core::Runner<P, Topo>::kWordKernel;
-  constexpr int kLockstepRings = 16;  // >= widest cross-ring group (narrow)
+  constexpr int kLockstepRings = 8;  // >= widest cross-ring group (WordVec8)
   std::optional<core::EnsembleRunner<P, Topo>> lane_g;
   if constexpr (kHaveLaneG) {
     lane_g.emplace(params, kLockstepRings);
@@ -249,8 +248,6 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
   sched.arc_weights = cfg.arc_bias;
   const bool have_sched = sched.active();
   if (have_sched) {
-    assert(cfg.arc_bias.empty() ||
-           cfg.arc_bias.size() == static_cast<std::size_t>(arc_count));
     lane_a.set_scheduler_faults(sched);
     lane_b.set_scheduler_faults(sched);
     lane_c.set_scheduler_faults(sched);

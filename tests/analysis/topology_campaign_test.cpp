@@ -4,12 +4,15 @@
 // invariance of faulted campaigns — then semantic sanity (loss_p = 1 freezes
 // state while steps advance; a zero-weight arc never fires), then full
 // recovery campaigns through measure_recovery / run_campaign off the ring.
+// Invalid fault configurations throw std::invalid_argument in both engines.
 #include "analysis/scenario.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -94,6 +97,66 @@ TEST(SchedulerFaults, ZeroWeightArcNeverFires) {
     EXPECT_EQ(runner.agents()[2].tok, 0) << "zero-weight arc fired";
   }
   EXPECT_EQ(runner.agents()[1].tok, 1);  // ... but arc 0 did its job
+}
+
+/// Both engines must refuse `bad` with std::invalid_argument (in every build
+/// type, not only under assert) and stay fault-free afterwards.
+void expect_rejected_by_both_engines(const core::SchedulerFaults& bad) {
+  const auto p = pl::PlParams::make(8, 4);
+  core::Xoshiro256pp cfg_rng(7);
+  const auto init = pl::random_config(p, cfg_rng);
+  core::Runner<pl::PlProtocol> runner(p, init, 1);
+  EXPECT_THROW(runner.set_scheduler_faults(bad), std::invalid_argument);
+  EXPECT_FALSE(runner.scheduler_faults_active());
+  core::EnsembleRunner<pl::PlProtocol> ensemble(p, 1);
+  ensemble.add_ring(init, 1);
+  EXPECT_THROW(ensemble.set_scheduler_faults(bad), std::invalid_argument);
+  EXPECT_FALSE(ensemble.scheduler_faults_active());
+}
+
+core::SchedulerFaults uniform_weights(int arcs) {
+  core::SchedulerFaults f;
+  f.arc_weights.assign(static_cast<std::size_t>(arcs), 1.0);
+  return f;
+}
+
+TEST(SchedulerFaults, RejectsWeightTableOfWrongSize) {
+  // P_PL on a ring of 8 is directed: 8 arcs. A longer table would let
+  // BiasTable::draw return arc ids past the topology.
+  expect_rejected_by_both_engines(uniform_weights(9));
+  expect_rejected_by_both_engines(uniform_weights(7));
+}
+
+TEST(SchedulerFaults, RejectsLossOutsideUnitInterval) {
+  core::SchedulerFaults f;
+  f.loss_p = 1.5;
+  expect_rejected_by_both_engines(f);
+  f.loss_p = -0.25;
+  expect_rejected_by_both_engines(f);
+}
+
+TEST(SchedulerFaults, RejectsNanLoss) {
+  core::SchedulerFaults f;
+  f.loss_p = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected_by_both_engines(f);
+}
+
+TEST(SchedulerFaults, RejectsNegativeWeight) {
+  auto f = uniform_weights(8);
+  f.arc_weights[3] = -1.0;
+  expect_rejected_by_both_engines(f);
+}
+
+TEST(SchedulerFaults, RejectsNanWeight) {
+  auto f = uniform_weights(8);
+  f.arc_weights[5] = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected_by_both_engines(f);
+}
+
+TEST(SchedulerFaults, RejectsAllZeroWeights) {
+  auto f = uniform_weights(8);
+  for (double& w : f.arc_weights) w = 0.0;
+  expect_rejected_by_both_engines(f);
 }
 
 TEST(SchedulerFaults, EnsembleRingBitIdenticalToRunnerUnderFaults) {

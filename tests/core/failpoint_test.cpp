@@ -104,18 +104,18 @@ TEST_F(FailpointTest, SkipThenFailNTimesPositionsTheFault) {
 }
 
 TEST_F(FailpointTest, ForeverUnitNeverExhausts) {
-  reg().arm(failpoints::kFdSinkWrite, "*xeagain");
+  reg().arm(failpoints::kFileSinkWrite, "*xeagain");
   for (int i = 0; i < 100; ++i) {
-    const FailOutcome fo = failpoint(failpoints::kFdSinkWrite);
+    const FailOutcome fo = failpoint(failpoints::kFileSinkWrite);
     ASSERT_EQ(fo.action, FailAction::kErrno);
     ASSERT_EQ(fo.err, EAGAIN);
   }
-  EXPECT_TRUE(reg().armed(failpoints::kFdSinkWrite));
+  EXPECT_TRUE(reg().armed(failpoints::kFileSinkWrite));
 }
 
 TEST_F(FailpointTest, ActionArgumentsParse) {
-  reg().arm(failpoints::kFdSinkWrite, "short:3");
-  const FailOutcome sw = failpoint(failpoints::kFdSinkWrite);
+  reg().arm(failpoints::kFileSinkWrite, "short:3");
+  const FailOutcome sw = failpoint(failpoints::kFileSinkWrite);
   EXPECT_EQ(sw.action, FailAction::kShortWrite);
   EXPECT_EQ(sw.arg, 3u);
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/ensemble.hpp"
@@ -165,11 +166,15 @@ void expect_ring_same(const Runner<PlProtocol>& ref,
 }
 
 TEST(WordKernelEnsemble, KernelLaneMatchesGenericLaneAndRunner) {
-  // Satellite: trajectory/census/last_leader_change equivalence vs the
-  // generic lane for P_PL at n in {4, 16, 64}, mid-run set_agent storms
-  // included. The ensemble run() path is the cross-ring lockstep driver.
-  for (const int n : {4, 16, 64}) {
-    const auto p = PlParams::make(n, 4);
+  // Trajectory/census/last_leader_change equivalence vs the generic lane
+  // for P_PL at n in {4, 16, 64}, mid-run set_agent storms included. The
+  // small-c1 regimes (16, 3) and (64, 1) pack into at most 32 bits and run
+  // on the same u64 word lane. The ensemble run() path is the cross-ring
+  // lockstep driver.
+  for (const auto [n, c1] : {std::pair{4, 4}, std::pair{16, 4},
+                             std::pair{64, 4}, std::pair{16, 3},
+                             std::pair{64, 1}}) {
+    const auto p = PlParams::make(n, c1);
     const int R = 11;  // not a multiple of the lane width: leftover rings
     EnsembleRunner<PlProtocol> word(p, R);
     EnsembleRunner<PlProtocol> generic(p, R);
@@ -284,113 +289,6 @@ TEST(WordKernelEnsemble, RunUntilEachMatchesRunnerRunUntil) {
           << "ring " << t;
     }
   }
-}
-
-TEST(WordKernelEnsemble, NarrowLaneMatchesGenericLaneAndRunner) {
-  // Regime-narrowed layout: at n = 16, c1 = 3 the packed image is 31 bits,
-  // so the ensemble keeps a u32 mirror and the cross-ring driver packs two
-  // states per 64 bits of vector register. R = 19 is not a multiple of the
-  // narrow group width, leaving leftovers for the scalar narrow driver.
-  const auto p = PlParams::make(16, 3);
-  ASSERT_TRUE(pl::PackedLayout::make(p).fits_narrow());
-  const int R = 19;
-  EnsembleRunner<PlProtocol> narrow(p, R);
-  EnsembleRunner<PlProtocol> generic(p, R);
-  generic.force_generic_path();
-  std::vector<Runner<PlProtocol>> refs;
-  for (int t = 0; t < R; ++t) {
-    core::Xoshiro256pp cfg(250 + t);
-    const auto init = pl::random_config(p, cfg);
-    narrow.add_ring(init, 800 + t);
-    generic.add_ring(init, 800 + t);
-    refs.emplace_back(p, init, 800 + t);
-  }
-  ASSERT_TRUE(narrow.word_kernel_mode());
-  ASSERT_TRUE(narrow.narrow_word_mode());
-  ASSERT_FALSE(generic.narrow_word_mode());
-  core::Xoshiro256pp faults(321);
-  for (int round = 0; round < 4; ++round) {
-    const std::uint64_t k = 300 + 77 * round;
-    narrow.run(k);
-    generic.run(k);
-    for (auto& ref : refs) ref.run_unbatched(k);
-    for (int t = 0; t < R; ++t) {
-      expect_ring_same(refs[t], narrow, t, "narrow lane");
-      expect_ring_same(refs[t], generic, t, "generic lane");
-    }
-    for (int f = 0; f < 4; ++f) {
-      const int t = static_cast<int>(
-          faults.bounded(static_cast<std::uint64_t>(R)));
-      const int idx = static_cast<int>(
-          faults.bounded(static_cast<std::uint64_t>(p.n)));
-      const PlState s = pl::random_state(p, faults);
-      narrow.set_agent(t, idx, s);
-      generic.set_agent(t, idx, s);
-      refs[static_cast<std::size_t>(t)].set_agent(idx, s);
-    }
-  }
-  EXPECT_TRUE(narrow.narrow_word_mode());  // in-domain storms keep the lane
-}
-
-TEST(WordKernelEnsemble, NarrowCrossRingLockstepMatchesPerRing) {
-  const auto p = PlParams::make(16, 3);
-  const int R = 17;  // one leftover past a full 16-wide narrow group
-  EnsembleRunner<PlProtocol> lockstep(p, R);
-  EnsembleRunner<PlProtocol> per_ring(p, R);
-  for (int t = 0; t < R; ++t) {
-    core::Xoshiro256pp cfg(170 + t);
-    const auto init = pl::random_config(p, cfg);
-    lockstep.add_ring(init, 600 + t);
-    per_ring.add_ring(init, 600 + t);
-  }
-  ASSERT_TRUE(lockstep.narrow_word_mode());
-  lockstep.run(3000);
-  for (int t = 0; t < R; ++t) per_ring.run_ring(t, 3000);
-  for (int t = 0; t < R; ++t) {
-    ASSERT_EQ(lockstep.steps(t), per_ring.steps(t));
-    ASSERT_EQ(lockstep.leader_count(t), per_ring.leader_count(t));
-    ASSERT_EQ(lockstep.last_leader_change(t), per_ring.last_leader_change(t));
-    const auto sa = lockstep.agents(t);
-    const auto sb = per_ring.agents(t);
-    for (int i = 0; i < p.n; ++i) ASSERT_EQ(sa[i], sb[i]);
-  }
-}
-
-TEST(WordKernelEnsemble, NarrowOutOfDomainFallbackIsExact) {
-  const auto p = PlParams::make(16, 3);
-  EnsembleRunner<PlProtocol> ens(p, 2);
-  std::vector<Runner<PlProtocol>> refs;
-  for (int t = 0; t < 2; ++t) {
-    core::Xoshiro256pp cfg(90 + t);
-    const auto init = pl::random_config(p, cfg);
-    ens.add_ring(init, 140 + t);
-    refs.emplace_back(p, init, 140 + t);
-  }
-  ASSERT_TRUE(ens.narrow_word_mode());
-  ens.run(500);
-  for (auto& r : refs) r.run_unbatched(500);
-  PlState bad;
-  bad.token_w = pl::Token{1, 0, 9};  // carry outside {0, 1}
-  ens.set_agent(0, 2, bad);
-  refs[0].set_agent(2, bad);
-  EXPECT_FALSE(ens.word_kernel_mode());
-  EXPECT_FALSE(ens.narrow_word_mode());
-  ens.run(500);
-  for (auto& r : refs) r.run_unbatched(500);
-  for (int t = 0; t < 2; ++t) expect_ring_same(refs[t], ens, t, "fallback");
-}
-
-TEST(WordKernelEnsemble, NarrowProbeRefusesWideLayouts) {
-  // One clock bit over the line: n = 16, c1 = 4 packs to 33 bits, so the
-  // ensemble must keep the 64-bit mirror (and still run the word lane).
-  const auto p = PlParams::make(16, 4);
-  EXPECT_TRUE(pl::PackedLayout::make(p).fits());
-  EXPECT_FALSE(pl::PackedLayout::make(p).fits_narrow());
-  EnsembleRunner<PlProtocol> ens(p, 1);
-  core::Xoshiro256pp cfg(8);
-  ens.add_ring(pl::random_config(p, cfg), 3);
-  EXPECT_TRUE(ens.word_kernel_mode());
-  EXPECT_FALSE(ens.narrow_word_mode());
 }
 
 TEST(WordKernelCampaign, DifferentialReportsByteIdenticalAcrossThreads) {

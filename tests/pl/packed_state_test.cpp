@@ -154,39 +154,6 @@ TEST(PackedState, ExhaustivePerFieldRoundTrip) {
   }
 }
 
-TEST(PackedLayout, NarrowProbeTracksThe32BitBoundary) {
-  // The regime-narrowed (two states per 64-bit lane) layout engages iff the
-  // packed image fits 32 bits. Small-psi, small-c1 regimes qualify; one
-  // clock bit over the line must refuse.
-  EXPECT_TRUE(PackedLayout::make(params_for(2, 8)).fits_narrow());
-  const auto p16c3 = PlParams::make(16, 3);  // psi = 4, kappa_max = 12
-  EXPECT_EQ(PackedLayout::width(p16c3.psi, p16c3.kappa_max), 31u);
-  EXPECT_TRUE(PackedLayout::make(p16c3).fits_narrow());
-  const auto p16c4 = PlParams::make(16, 4);  // 33 bits: word-only
-  EXPECT_FALSE(PackedLayout::make(p16c4).fits_narrow());
-  EXPECT_TRUE(PackedLayout::make(p16c4).fits());
-  EXPECT_FALSE(PackedLayout::make(PlParams::make(1 << 16, 32)).fits_narrow());
-  // Never narrow without also fitting the word layout.
-  EXPECT_FALSE(PackedLayout::make(params_for(1 << 13, 32 << 13)).fits_narrow());
-}
-
-TEST(PackedState, NarrowImageIsTheTruncatedWordImage) {
-  // A narrow mirror stores pack_word's image truncated to 32 bits; for a
-  // narrow layout that truncation must be lossless and unpack must invert
-  // it — same round-trip/clamp contract as the 64-bit path.
-  const auto p = PlParams::make(16, 3);
-  const auto l = PackedLayout::make(p);
-  ASSERT_TRUE(l.fits_narrow());
-  core::Xoshiro256pp rng(23);
-  for (int t = 0; t < 20000; ++t) {
-    const PlState s = random_state(p, rng);
-    const std::uint64_t w = pack_word(s, l);
-    EXPECT_EQ(w >> 32, 0u);  // nothing above the narrow image
-    const auto half = static_cast<std::uint32_t>(w);
-    EXPECT_EQ(unpack_word(half, l), s);
-  }
-}
-
 TEST(PackedState, OutOfDomainStatesNeverRoundTrip) {
   // pack_word clamps; the round-trip failure is exactly what drops an
   // engine to the scalar path, so it must fire for every out-of-domain
@@ -303,56 +270,6 @@ TEST(PackedKernel, VectorLanesMatchScalarKernel) {
       if (j < 4) {
         ASSERT_EQ(vl4[j], sl) << "x4 lane " << j;
         ASSERT_EQ(vr4[j], sr) << "x4 lane " << j;
-      }
-    }
-  }
-}
-
-TEST(PackedKernel, NarrowKernelMatchesWideKernel) {
-  // The kernel dataflow is element-width generic: on a narrow layout every
-  // constant, mask and field fits 32 bits, so running it at u32 must equal
-  // the u64 kernel truncated — which is itself lossless (no output bit
-  // above total_bits <= 32). Scalar u32 entry plus both vector widths.
-  const auto p = PlParams::make(16, 3);
-  const auto lay = PackedLayout::make(p);
-  ASSERT_TRUE(lay.fits_narrow());
-  const auto kc = PlKernelConsts::make(lay);
-  core::Xoshiro256pp rng(4711);
-  for (int t = 0; t < 4000; ++t) {
-    std::uint64_t wl[16];
-    std::uint64_t wr[16];
-    core::HalfVec16 nl16{};
-    core::HalfVec16 nr16{};
-    core::HalfVec8 nl8{};
-    core::HalfVec8 nr8{};
-    for (int j = 0; j < 16; ++j) {
-      wl[j] = pack_word(random_state(p, rng), lay);
-      wr[j] = pack_word(random_state(p, rng), lay);
-      nl16[j] = static_cast<std::uint32_t>(wl[j]);
-      nr16[j] = static_cast<std::uint32_t>(wr[j]);
-      if (j < 8) {
-        nl8[j] = static_cast<std::uint32_t>(wl[j]);
-        nr8[j] = static_cast<std::uint32_t>(wr[j]);
-      }
-    }
-    apply_word_narrow_x16(nl16, nr16, kc);
-    apply_word_narrow_x8(nl8, nr8, kc);
-    for (int j = 0; j < 16; ++j) {
-      std::uint64_t sl = wl[j];
-      std::uint64_t sr = wr[j];
-      apply_word_one(sl, sr, kc);
-      ASSERT_EQ(sl >> 32, 0u) << "wide kernel left bits above the layout";
-      ASSERT_EQ(sr >> 32, 0u);
-      auto hl = static_cast<std::uint32_t>(wl[j]);
-      auto hr = static_cast<std::uint32_t>(wr[j]);
-      apply_word_narrow_one(hl, hr, kc);
-      ASSERT_EQ(hl, static_cast<std::uint32_t>(sl)) << "narrow lane " << j;
-      ASSERT_EQ(hr, static_cast<std::uint32_t>(sr)) << "narrow lane " << j;
-      ASSERT_EQ(nl16[j], hl) << "x16 lane " << j;
-      ASSERT_EQ(nr16[j], hr) << "x16 lane " << j;
-      if (j < 8) {
-        ASSERT_EQ(nl8[j], hl) << "x8 lane " << j;
-        ASSERT_EQ(nr8[j], hr) << "x8 lane " << j;
       }
     }
   }

@@ -28,9 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "analysis/adversary.hpp"
 #include "analysis/scenario.hpp"
 #include "core/failpoint.hpp"
@@ -121,42 +118,6 @@ class SelfHealingTest : public ::testing::Test {
 
   std::string dir_;
 };
-
-// --- FdFrameSink: EINTR/EAGAIN/short-write healing (satellite 1) ----------
-
-TEST_F(SelfHealingTest, FdSinkHealsEintrEagainAndShortWrites) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  const std::string payload =
-      "the quick brown fox jumps over the lazy dog\n";
-  {
-    FdFrameSink sink(fds[1]);
-    // Three fault classes interleaved before clean writes: each must be
-    // retried in place without dropping or duplicating a byte.
-    reg().arm(fp::kFdSinkWrite,
-              "eintr+eagain+short:5+eintr+short:1");
-    sink.write(payload.data(), payload.size());
-    EXPECT_EQ(sink.offset(), payload.size());
-  }
-  ::close(fds[1]);
-  std::string got(payload.size(), '\0');
-  ASSERT_EQ(::read(fds[0], got.data(), got.size()),
-            static_cast<ssize_t>(payload.size()));
-  EXPECT_EQ(got, payload) << "retries must not drop or duplicate bytes";
-  char extra = 0;
-  EXPECT_EQ(::read(fds[0], &extra, 1), 0) << "no extra bytes after EOF";
-  ::close(fds[0]);
-}
-
-TEST_F(SelfHealingTest, FdSinkAbortsOnNonTransientErrno) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  FdFrameSink sink(fds[1]);
-  reg().arm(fp::kFdSinkWrite, "errno:9");  // EBADF: permanent
-  EXPECT_THROW(sink.write("x", 1), CheckpointError);
-  ::close(fds[0]);
-  ::close(fds[1]);
-}
 
 // --- FileFrameSink: transient healing and the storm bound ------------------
 

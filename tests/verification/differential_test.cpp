@@ -263,35 +263,36 @@ TEST(Differential, BrokenWordKernelIsDetected) {
 }
 
 TEST(Differential, BrokenLockstepVectorLaneIsDetected) {
-  // The canary for the lane-parallel (vector-RNG) cross-ring driver: in a
-  // narrow regime only lane G consumes the vector narrow kernels — lane B
-  // runs the 64-bit kernel and lane D's single ring goes through the
-  // scalar narrow entry — so a bit of drift in the vector entries must be
-  // caught at the first checkpoint and named as the lockstep lane. This is
-  // the flipped-bit canary for the whole draw-pack-kernel column: any
-  // desync between a vector column and its scalar stream (RNG included)
-  // surfaces exactly here.
-  struct BrokenNarrowPl : pl::PlProtocol {
-    static void apply_word_narrow_x8(core::HalfVec8& l, core::HalfVec8& r,
-                                     const WordKernelConsts& k) noexcept {
-      pl::apply_word_narrow_x8(l, r, k);
-      for (int j = 0; j < 8; ++j) r[j] ^= 0x2u;  // flip r.b per column
+  // The canary for the lane-parallel (vector-RNG) cross-ring driver. At
+  // n = 7 the ring's maximum matching has 3 edges, so no single-ring group
+  // of 4 or 8 draws is ever disjoint: lanes B and D (one ring) replay every
+  // group through apply_word_one, and lane G — 8 rings in lockstep — is the
+  // only caller of the vector entries, at every ISA level (x4 groups on
+  // baseline/AVX2, one x8 group on AVX-512). A bit of drift in those
+  // entries must be caught at the first checkpoint and named as the
+  // lockstep lane. This is the flipped-bit canary for the whole
+  // draw-pack-kernel column: any desync between a vector column and its
+  // scalar stream (RNG included) surfaces exactly here.
+  struct BrokenVectorPl : pl::PlProtocol {
+    static void apply_word_x4(core::WordVec& l, core::WordVec& r,
+                              const WordKernelConsts& k) noexcept {
+      pl::apply_word_x4(l, r, k);
+      for (int j = 0; j < 4; ++j) r[j] ^= 0x2;  // flip r.b per column
     }
-    static void apply_word_narrow_x16(core::HalfVec16& l, core::HalfVec16& r,
-                                      const WordKernelConsts& k) noexcept {
-      pl::apply_word_narrow_x16(l, r, k);
-      for (int j = 0; j < 16; ++j) r[j] ^= 0x2u;
+    static void apply_word_x8(core::WordVec8& l, core::WordVec8& r,
+                              const WordKernelConsts& k) noexcept {
+      pl::apply_word_x8(l, r, k);
+      for (int j = 0; j < 8; ++j) r[j] ^= 0x2;
     }
   };
-  static_assert(core::Runner<BrokenNarrowPl>::kWordKernel);
-  const auto p = pl::PlParams::make(16, 3);  // 31-bit image: narrow regime
-  ASSERT_TRUE(pl::PackedLayout::make(p).fits_narrow());
+  static_assert(core::Runner<BrokenVectorPl>::kWordKernel);
+  const auto p = pl::PlParams::make(7, 4);
   core::Xoshiro256pp cfg_rng(6);
   FuzzConfig cfg;
   cfg.seed = 17;
   cfg.steps = 2048;
   cfg.check_every = 32;
-  const auto rep = run_differential<BrokenNarrowPl>(
+  const auto rep = run_differential<BrokenVectorPl>(
       p, pl::random_config(p, cfg_rng), cfg, pl_fault);
   EXPECT_FALSE(rep.ok);
   EXPECT_NE(rep.divergence.find("G(ensemble-lockstep)"), std::string::npos)
