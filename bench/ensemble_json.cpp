@@ -10,10 +10,9 @@
 // word-packed SIMD kernel lane (P_PL, cross-ring lockstep) — see
 // core/ensemble.hpp.
 //
-// The per-trial reference is pinned to the *scalar* Runner engine
-// (force_scalar_path): that is the engine every previous
-// BENCH_ensemble.json point measured, so the longitudinal speedup cells
-// stay comparable across PRs; each row's `ensemble_engine` field records
+// The per-trial reference is the scalar Runner engine: that is the engine
+// every previous BENCH_ensemble.json point measured, so the longitudinal
+// speedup cells stay comparable; each row's `ensemble_engine` field records
 // which lane (lut / word / generic) produced the ensemble number.
 //
 // Writes BENCH_ensemble.json (schema documented in README.md) so the
@@ -110,7 +109,6 @@ Row measure_cell(const char* name, const typename P::Params& params,
         for (int t = 0; t < trials; ++t) {
           core::Runner<P> runner(params, inits[static_cast<std::size_t>(t)],
                                  seeds[static_cast<std::size_t>(t)]);
-          runner.force_scalar_path();  // the per-trial engine of record
           runner.run(steps_per_ring);
         }
       },

@@ -6,6 +6,7 @@
 #include "baselines/fischer_jiang.hpp"
 #include "baselines/modk.hpp"
 #include "baselines/yokota28.hpp"
+#include "core/ensemble.hpp"
 #include "core/runner.hpp"
 #include "orientation/por.hpp"
 #include "pl/adversary.hpp"
@@ -16,10 +17,13 @@ namespace {
 
 using namespace ppsim;
 
+// P_PL on its accelerated engine: a one-ring ensemble (the single-ring
+// grouped word driver).
 void BM_PlSteps(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto p = pl::PlParams::make(n, 4);
-  core::Runner<pl::PlProtocol> run(p, pl::make_safe_config(p), 1);
+  core::EnsembleRunner<pl::PlProtocol> run(p, 1);
+  run.add_ring(pl::make_safe_config(p), 1);
   for (auto _ : state) {
     run.run(1024);
   }

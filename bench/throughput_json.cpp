@@ -1,16 +1,17 @@
 // E18 — engine throughput trajectory: interactions/sec of the batched fast
-// path (Runner::run pinned to the scalar engine), the unbatched reference
-// path (Runner::run_unbatched, the pre-batching engine), and — for
-// protocols with a word-packed kernel (P_PL, src/pl/packed_protocol.hpp) —
-// the packed path (Runner::run's word-kernel dispatch), all measured in
-// this same binary for the four runnable Table-1 protocols at
-// n in {64, 1024, 16384}.
+// path (Runner::run, the scalar engine), the unbatched reference path
+// (Runner::run_unbatched, the pre-batching engine), and — for protocols
+// with a word-packed kernel (P_PL, src/pl/packed_protocol.hpp) — the packed
+// path (a one-ring EnsembleRunner::run, i.e. the single-ring grouped word
+// driver), all measured in this same binary for the four runnable Table-1
+// protocols at n in {64, 1024, 16384}.
 //
-// Column semantics: `batched_ips` is Runner::run with force_scalar_path(),
-// i.e. exactly the engine every previous BENCH_throughput.json point
-// measured, so the longitudinal `speedup` cell stays comparable across
-// PRs; `packed_ips`/`packed_speedup` (packed vs scalar batched) are the
-// new word-kernel cells, 0 for protocols without a kernel.
+// Column semantics: `batched_ips` is Runner::run, exactly the engine every
+// previous BENCH_throughput.json point measured, so the longitudinal
+// `speedup` cell stays comparable; `packed_ips`/`packed_speedup` (packed vs
+// scalar batched) are the word-kernel cells, measured at every n with no
+// engagement gate (a ring size where grouping loses shows up below 1x), and
+// 0 for protocols without a kernel.
 //
 // Writes BENCH_throughput.json (schema documented in README.md) so the perf
 // trajectory of the simulation engine is tracked from PR 1 onward. Knobs:
@@ -27,6 +28,7 @@
 #include "baselines/modk.hpp"
 #include "baselines/yokota28.hpp"
 #include "bench_util.hpp"
+#include "core/ensemble.hpp"
 #include "core/runner.hpp"
 #include "core/table.hpp"
 #include "pl/adversary.hpp"
@@ -44,7 +46,7 @@ struct Row {
   std::size_t state_bytes = 0;
   double unbatched_ips = 0.0;
   double batched_ips = 0.0;
-  double packed_ips = 0.0;  ///< word-kernel path; 0 = no kernel
+  double packed_ips = 0.0;  ///< one-ring word lane; 0 = no kernel
   bool has_packed = false;
 
   [[nodiscard]] double speedup() const {
@@ -72,8 +74,9 @@ double measure_ips(Body&& body, std::uint64_t steps, int repeats) {
   return ips[ips.size() / 2];
 }
 
-/// BM_PlSteps-equivalent workload for one protocol/config: warm both paths,
-/// then time run_unbatched(k) and run(k) on the same runner.
+/// BM_PlSteps-equivalent workload for one protocol/config: warm up, then
+/// time run_unbatched(k), run(k) and (word-kernel protocols) the one-ring
+/// ensemble's run(k) from the same warmed configuration.
 template <typename P>
 Row measure_protocol(const char* name, const typename P::Params& params,
                      std::vector<typename P::State> init,
@@ -82,34 +85,31 @@ Row measure_protocol(const char* name, const typename P::Params& params,
   row.protocol = name;
   row.n = params.n;
   row.state_bytes = sizeof(typename P::State);
+  const std::uint64_t warmup = steps / 4 + 1024;
+  // Every path starts from the same warmed configuration and RNG state (the
+  // engines' trajectories are bit-identical), so none is biased by another
+  // having advanced the configuration first.
+  if constexpr (core::EnsembleRunner<P>::kWordable) {
+    core::EnsembleRunner<P> word(params, 1);
+    word.add_ring(init, /*seed=*/1);
+    word.run(warmup);
+    if (word.word_kernel_mode()) {
+      row.has_packed = true;
+      row.packed_ips = measure_ips(
+          [&](std::uint64_t k) { word.run(k); }, steps, repeats);
+    }
+  }
   core::Runner<P> warmed(params, std::move(init), /*seed=*/1);
-  warmed.run(steps / 4 + 1024);  // warm caches, reach workload equilibrium
-  // Each path starts from a copy of the same warmed snapshot (same agents,
-  // same RNG state), so neither is biased by the other having advanced the
-  // configuration first.
+  warmed.run(warmup);  // warm caches, reach workload equilibrium
   {
     core::Runner<P> runner = warmed;
-    runner.force_scalar_path();
     row.unbatched_ips = measure_ips(
         [&](std::uint64_t k) { runner.run_unbatched(k); }, steps, repeats);
   }
   {
     core::Runner<P> runner = warmed;
-    runner.force_scalar_path();  // the scalar batched engine of record
     row.batched_ips =
         measure_ips([&](std::uint64_t k) { runner.run(k); }, steps, repeats);
-  }
-  if constexpr (core::Runner<P>::kWordKernel) {
-    // word_path_active() honors the engagement gate: ring sizes whose
-    // grouped draws are too conflict-prone to win (the old sub-1x cells)
-    // report no packed number at all instead of a dishonest one — the
-    // runner would route them to the scalar batched engine anyway.
-    core::Runner<P> runner = warmed;
-    if (runner.word_path_active()) {
-      row.has_packed = true;
-      row.packed_ips = measure_ips(
-          [&](std::uint64_t k) { runner.run(k); }, steps, repeats);
-    }
   }
   return row;
 }

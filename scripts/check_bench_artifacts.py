@@ -100,14 +100,12 @@ def schema_errors(path: pathlib.Path, name: str) -> list[str]:
 
 
 def throughput_word_path_errors(results: list) -> list[str]:
-    """P_PL word-path invariants of BENCH_throughput.json.
+    """P_PL word-lane invariant of BENCH_throughput.json.
 
-    The engagement gate means a packed_speedup cell is either 0 (the word
-    path declined the ring size and the scalar engine is the engine of
-    record) or a genuine win: any value in (0, 1) is a regression — the
-    gate failed to route that ring size to the scalar path. And the flagship
-    n = 16384 cell must actually engage (packed_speedup > 0), the CI smoke
-    that the word path did not silently fall back.
+    packed_speedup is measured at every ring size (no engagement gate), so
+    a value below 1 is a measurement, not an error. The flagship n = 16384
+    cell must be measured at all (packed_speedup > 0): the CI smoke that
+    the one-ring ensemble stayed in word_kernel_mode.
     """
     errs = []
     flagship_seen = False
@@ -118,17 +116,13 @@ def throughput_word_path_errors(results: list) -> list[str]:
         if not isinstance(ps, (int, float)):
             errs.append(f'P_PL n={r.get("n")}: packed_speedup missing')
             continue
-        if 0 < ps < 1:
-            errs.append(
-                f'P_PL n={r.get("n")}: packed_speedup {ps:.3f} in (0, 1) — '
-                f"the engagement gate should have routed this ring size to "
-                f"the scalar engine")
         if r.get("n") == 16384:
             flagship_seen = True
             if ps <= 0:
                 errs.append(
-                    "P_PL n=16384: packed_speedup <= 0 — the word path must "
-                    "engage at the flagship ring size (word_path_active)")
+                    "P_PL n=16384: packed_speedup <= 0 — the one-ring "
+                    "ensemble must run in word_kernel_mode at the flagship "
+                    "ring size")
     if not flagship_seen:
         errs.append("P_PL n=16384 row missing from throughput results")
     return errs

@@ -48,12 +48,16 @@
 //
 // The third engine lane is the *word-kernel lane* (core::HasWordKernel —
 // P_PL): protocols whose state space is far too large for the LUT but
-// whose whole variable block bit-slices into one uint64_t run the shared
+// whose whole variable block bit-slices into one uint64_t run the
 // branchless SIMD kernel (core::WordGroupDriver) on a u64 mirror, with the
 // same lazy materialization, delta census and round-trip fallback contract
 // the LUT lane has. run(k) advances rings in *cross-ring lockstep* — one
 // SIMD lane per ring, no disjointness proofs, effective at any n — and
 // run_until_each batches the rings still owed a full check_every block.
+// This is the repo's only accelerated engine for such protocols (Runner is
+// scalar): a one-ring EnsembleRunner is the single-ring word engine, and
+// every single-ring word block (run_ring, a near-deadline ring, a lockstep
+// leftover) goes through WordGroupDriver::run_block.
 //
 // run_until_each mirrors Runner::run_until per ring (pre-check, then blocks
 // of check_every against a per-ring deadline); converged or timed-out rings
@@ -62,11 +66,11 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <concepts>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -136,19 +140,24 @@ class EnsembleRunner {
   }
 
   /// Explicit-topology constructor (topologies that carry more than n).
+  /// Throws std::invalid_argument unless topo.n() == params.n.
   EnsembleRunner(Topo topo, Params params, int reserve_rings = 0)
       : params_(std::move(params)),
         topo_(std::move(topo)),
         bound_(static_cast<std::uint64_t>(topo_.arc_count(P::directed))),
         threshold_(Xoshiro256pp::rejection_threshold(bound_)) {
-    assert(topo_.n() == params_.n);
+    if (topo_.n() != params_.n)
+      throw std::invalid_argument("EnsembleRunner: topology n != params.n");
     init_modes(reserve_rings);
   }
 
   /// Append one ring initialized from `initial`, seeded exactly like
-  /// `Runner<P>(params, initial, seed)`. Returns the ring index.
+  /// `Runner<P>(params, initial, seed)`. Returns the ring index. Throws
+  /// std::invalid_argument unless initial.size() == params.n (a short ring
+  /// would misalign every later one).
   int add_ring(std::span<const State> initial, std::uint64_t seed) {
-    assert(static_cast<int>(initial.size()) == params_.n);
+    if (static_cast<int>(initial.size()) != params_.n)
+      throw std::invalid_argument("EnsembleRunner::add_ring: size != n");
     states_.insert(states_.end(), initial.begin(), initial.end());
     rngs_.emplace_back(seed);
     seeds_.push_back(seed);
@@ -204,13 +213,15 @@ class EnsembleRunner {
     return word_active_;
   }
 
+  // Ring and agent indices are checked in every build type: a bad r or i
+  // throws std::out_of_range (check_ring / check_agent).
   [[nodiscard]] std::span<const State> agents(int r) const {
     sync_ring(check_ring(r));
     return {states_.data() + ring_offset(r),
             static_cast<std::size_t>(params_.n)};
   }
   [[nodiscard]] const State& agent(int r, int i) const {
-    assert(i >= 0 && i < params_.n);
+    check_agent(i);
     sync_ring(check_ring(r));
     return states_[ring_offset(r) + static_cast<std::size_t>(i)];
   }
@@ -239,9 +250,8 @@ class EnsembleRunner {
   /// so ring r's faulted trajectory stays bit-identical to a standalone
   /// Runner constructed with the same seed and faults. Active faults
   /// permanently drop the ensemble to the generic path (the accelerated
-  /// lanes assume the clean uniform scheduler — exactly as Runner pins
-  /// itself scalar). Invalid inputs throw std::invalid_argument
-  /// (SchedulerFaults::validate).
+  /// lanes assume the clean uniform scheduler). Invalid inputs throw
+  /// std::invalid_argument (SchedulerFaults::validate).
   void set_scheduler_faults(const SchedulerFaults& f) {
     f.validate(static_cast<int>(bound_));
     loss_threshold_ = detail::probability_threshold(f.loss_p);
@@ -275,7 +285,7 @@ class EnsembleRunner {
   /// the packing; otherwise the ensemble drops to the generic path (still
   /// exact, just slower).
   void set_agent(int r, int i, const State& s) {
-    assert(i >= 0 && i < params_.n);
+    check_agent(i);
     sync_ring(check_ring(r));
     const std::size_t slot =
         ring_offset(r) + static_cast<std::size_t>(i);
@@ -344,13 +354,14 @@ class EnsembleRunner {
   }
 
   /// Subset form: only the rings listed in `rings` participate (the others
-  /// do not advance). `hits` must span ring_count(); entries of
-  /// non-participating rings are left untouched.
+  /// do not advance). `hits` must span ring_count() (std::invalid_argument
+  /// otherwise); entries of non-participating rings are left untouched.
   template <typename Pred>
   void run_until_each(std::vector<int> rings, Pred&& pred,
                       std::uint64_t max_steps, std::uint64_t check_every,
                       std::span<std::uint64_t> hits) {
-    assert(hits.size() == clocks_.size());
+    if (hits.size() != clocks_.size())
+      throw std::invalid_argument("EnsembleRunner: hits size != rings");
     if (check_every == 0)
       check_every = static_cast<std::uint64_t>(params_.n);
     // Per-ring deadline, indexed by ring id (mirrors Runner::run_until's
@@ -429,7 +440,10 @@ class EnsembleRunner {
     if constexpr (kWordable) {
       if (!lut_active_) {
         layout_ = P::word_layout(params_);
-        // Same bit-0 leader probe as Runner (see its constructor).
+        // The grouped driver reads the leader output off bit 0 of the word;
+        // probe that word_leader really is that bit, so a layout with the
+        // flag elsewhere keeps the generic path instead of corrupting the
+        // census.
         word_active_ = layout_.fits() && P::word_leader(1, layout_) &&
                        !P::word_leader(0, layout_);
         if (word_active_) consts_ = P::make_word_consts(layout_);
@@ -456,8 +470,14 @@ class EnsembleRunner {
   }
 
   [[nodiscard]] int check_ring(int r) const {
-    assert(r >= 0 && r < ring_count());
+    if (r < 0 || r >= ring_count())
+      throw std::out_of_range("EnsembleRunner: ring index out of range");
     return r;
+  }
+
+  void check_agent(int i) const {
+    if (i < 0 || i >= params_.n)
+      throw std::out_of_range("EnsembleRunner: agent index out of range");
   }
 
   [[nodiscard]] const RingClock& clock(int r) const {
@@ -589,7 +609,7 @@ class EnsembleRunner {
   }
 
   /// Generic block: the shared scalar loop (InteractionEngine::run_block),
-  /// literally the code Runner::run's scalar path runs.
+  /// literally the code Runner::run runs.
   void advance_ring_generic(int r, std::uint64_t k) {
     State* const agents = states_.data() + ring_offset(r);
     const auto ri = static_cast<std::size_t>(r);
@@ -645,10 +665,9 @@ class EnsembleRunner {
     dirty_[ri] = 1;
   }
 
-  /// Kernel-lane block: the shared grouped word-kernel driver on this
-  /// ring's slice of the u64 mirror — literally the same code path as
-  /// Runner::run's word lane (WordGroupDriver), so per-ring bit-identity
-  /// between the engines is by construction. States go stale until the
+  /// Kernel-lane block: the single-ring grouped word-kernel driver
+  /// (WordGroupDriver::run_block, the one entry the lockstep leftovers use
+  /// too) on this ring's slice of the u64 mirror. States go stale until the
   /// next sync_ring.
   void advance_ring_word(int r, std::uint64_t k)
     requires(kWordable)

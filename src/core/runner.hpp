@@ -56,13 +56,16 @@
 // the two engines is by construction, then pinned by
 // tests/core/ensemble_test.cpp.
 //
-// Protocols with a word-packed kernel (HasWordKernel — P_PL) get a third
-// path: run(k) dispatches to the branchless bit-sliced kernel over a
-// lazily materialized u64 mirror through the shared WordGroupDriver
-// (grouped SIMD execution of scheduler-disjoint interactions; ISA
-// dispatched at runtime), bit-identical to the scalar paths and certified
-// so by the differential fuzz matrix. See the README's "Word-packed P_PL
-// fast path" for the design and the measured trajectory.
+// Runner is the scalar engine: the reference path, per-trial runs,
+// deterministic scheduling and every topology. Protocols with a word-packed
+// kernel (HasWordKernel — P_PL) are accelerated by EnsembleRunner alone: its
+// word lane drives the branchless bit-sliced kernel through WordGroupDriver
+// below (grouped SIMD execution of scheduler-disjoint interactions, or one
+// SIMD lane per ring in cross-ring lockstep; ISA dispatched at runtime),
+// bit-identical to Runner's paths and certified so by the differential fuzz
+// matrix. A one-ring EnsembleRunner is the single-ring word engine. See the
+// README's "Word-packed P_PL fast path" for the design and the measured
+// trajectory.
 #pragma once
 
 #include <algorithm>
@@ -192,10 +195,10 @@ class BiasTable {
 ///    uniform scheduler). Biased draws consume exactly one raw 64-bit value
 ///    of the main stream per interaction (see detail::BiasTable).
 ///
-/// Active faults pin the engine to the scalar path — the word kernel's
-/// grouped draws and the ensemble's accelerated lanes assume the clean
-/// uniform scheduler. Deterministic scheduling entry points (apply_arc,
-/// apply_sequence) always bypass faults.
+/// Active faults pin EnsembleRunner to its generic path — its accelerated
+/// lanes (LUT, word kernel) assume the clean uniform scheduler.
+/// Deterministic scheduling entry points (apply_arc, apply_sequence) always
+/// bypass faults.
 struct SchedulerFaults {
   double loss_p = 0.0;
   std::vector<double> arc_weights;
@@ -281,7 +284,6 @@ concept HasWordKernel =
       { P::pack_word(s, lay) } -> std::convertible_to<std::uint64_t>;
       { P::unpack_word(w, lay) } -> std::same_as<typename P::State>;
       { P::word_leader(w, lay) } -> std::convertible_to<bool>;
-      P::apply_word(w, w, lay);
       {
         P::make_word_consts(lay)
       } -> std::convertible_to<typename P::WordKernelConsts>;
@@ -290,7 +292,7 @@ concept HasWordKernel =
       P::apply_word_x8(v8, v8, kc);
     };
 
-/// A word kernel is runnable by Runner/EnsembleRunner when the protocol
+/// A word kernel is runnable by EnsembleRunner when the protocol
 /// takes no oracle input (the kernel sees only the two words), has no token
 /// census (the kernel exposes only the leader output; P_PL's leader-only
 /// census is exactly this shape) and states are equality-comparable (the
@@ -582,10 +584,10 @@ struct InteractionEngine {
   }
 };
 
-/// The blocked hot loop of the word-kernel engine lane, shared by Runner
-/// (one ring) and EnsembleRunner (per ring) so the two frontends cannot
-/// drift. Per group of kWordLanes scheduler draws it proves the agent
-/// pairs disjoint (a ~2% event at n = 1024, ~0.1% at 16384) and then runs
+/// The blocked hot loops of EnsembleRunner's word-kernel lane. The
+/// single-ring grouped driver has exactly one entry, run_block: per group
+/// of kWordLanes scheduler draws it proves the agent pairs disjoint (a ~2%
+/// event at n = 1024, ~0.1% at 16384) and then runs
 /// the protocol's branchless vector kernel on all four interactions at
 /// once — legal because disjoint interactions commute state-wise, and the
 /// RNG draw order is untouched, so the trajectory is bit-identical to the
@@ -626,31 +628,11 @@ struct WordGroupDriver {
 #endif
   }
 
-  /// Engagement floor for the single-ring grouped path: the estimated
-  /// probability that a full group of G draws is pairwise disjoint. Below
-  /// it the grouped path degrades to (mostly) scalar word steps plus the
-  /// classification overhead and measures *slower* than the scalar batched
-  /// loop — the honest 0.72x cell at n = 64 in PR 5's table.
-  static constexpr double kEngageMinDisjoint = 0.5;
-
-  /// Measured-engagement heuristic for the single-ring grouped path. Each
-  /// prior draw in a group occupies two adjacent agents, conflicting with
-  /// ~4 of the n (2n undirected) arcs, so a group of G draws is fully
-  /// disjoint with probability ~ prod_{j<G} (1 - 4j/n). True when that
-  /// estimate clears kEngageMinDisjoint for the ISA's group width — e.g.
-  /// at G = 8: n = 1024 -> 0.90 (engage), n = 256 -> 0.64 (engage),
-  /// n = 64 -> 0.12 (stay scalar). Cross-ring lockstep lanes are never
-  /// gated: they need no disjointness proof.
-  [[nodiscard]] static bool single_ring_engaged(int n) noexcept {
-    const int g = isa_level() == 2 ? kLanesOf<WordVec8> : kWordLanes;
-    double p = 1.0;
-    for (int j = 1; j < g; ++j) {
-      const double q = 1.0 - 4.0 * static_cast<double>(j) / n;
-      p *= q > 0.0 ? q : 0.0;
-    }
-    return p >= kEngageMinDisjoint;
-  }
-
+  /// The one single-ring word block: advance the ring stored at `words`
+  /// `k` interactions through the grouped driver (run_impl), compiled once
+  /// per ISA in the out-of-line clones below. Every single-ring word block
+  /// — EnsembleRunner::run_ring, a near-deadline ring of run_until_each, a
+  /// leftover ring of run_rings_block — comes through here.
   static void run_block(std::uint64_t* words, int n, std::uint64_t bound,
                         std::uint64_t threshold, Xoshiro256pp& rng,
                         RingClock& clk, const Consts& kc, std::uint64_t k) {
@@ -1172,11 +1154,11 @@ struct WordGroupDriver {
       }
     }
     // Leftover rings (< G): the single-ring grouped path, same per-ring
-    // trajectory.
+    // trajectory, through its one out-of-line entry.
     for (; i < nrings; ++i) {
       const int r = rings[i];
-      run_impl<VW>(words_base + ring_stride * static_cast<std::size_t>(r), n,
-                   bound, threshold, rngs[r], clks[r], kc, k);
+      run_block(words_base + ring_stride * static_cast<std::size_t>(r), n,
+                bound, threshold, rngs[r], clks[r], kc, k);
     }
   }
 
@@ -1223,32 +1205,35 @@ struct WordGroupDriver {
     rings_impl<WordVec>(words_base, ring_stride, rings, nrings, n, bound,
                         threshold, rngs, clks, kc, k);
   }
-  __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl"))) static void
+  // The single-ring clones stay out of line (noinline) so run_impl is
+  // compiled exactly once per ISA, whichever caller reaches it.
+  __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl"),
+                 noinline)) static void
   run_avx512(std::uint64_t* words, int n, std::uint64_t bound,
              std::uint64_t threshold, Xoshiro256pp& rng, RingClock& clk,
              const Consts& kc, std::uint64_t k) {
     run_impl<WordVec8>(words, n, bound, threshold, rng, clk, kc, k);
   }
-  __attribute__((target("avx2"))) static void run_avx2(
+  __attribute__((target("avx2"), noinline)) static void run_avx2(
       std::uint64_t* words, int n, std::uint64_t bound,
       std::uint64_t threshold, Xoshiro256pp& rng, RingClock& clk,
       const Consts& kc, std::uint64_t k) {
     run_impl<WordVec>(words, n, bound, threshold, rng, clk, kc, k);
   }
 #endif
-  static void run_base(std::uint64_t* words, int n, std::uint64_t bound,
-                       std::uint64_t threshold, Xoshiro256pp& rng,
-                       RingClock& clk, const Consts& kc, std::uint64_t k) {
+  [[gnu::noinline]] static void run_base(std::uint64_t* words, int n,
+                                        std::uint64_t bound,
+                                        std::uint64_t threshold,
+                                        Xoshiro256pp& rng, RingClock& clk,
+                                        const Consts& kc, std::uint64_t k) {
     run_impl<WordVec>(words, n, bound, threshold, rng, clk, kc, k);
   }
 };
 
-/// Simulation runner. Owns the configuration, the scheduler RNG and step
-/// bookkeeping. Copyable (snapshot = copy). `Topo` selects the interaction
-/// topology (core/topology.hpp); the default RingTopology reproduces the
-/// historical ring engine bit for bit, and the word-kernel path is a
-/// ring-only specialization — other topologies compile it out and take the
-/// scalar engine.
+/// Simulation runner: the scalar engine. Owns the configuration, the
+/// scheduler RNG and step bookkeeping. Copyable (snapshot = copy). `Topo`
+/// selects the interaction topology (core/topology.hpp); the default
+/// RingTopology reproduces the historical ring engine bit for bit.
 template <typename P, typename Topo = RingTopology>
 class Runner {
   static_assert(TopologyLike<Topo>);
@@ -1258,23 +1243,12 @@ class Runner {
   using Params = typename P::Params;
   using Topology = Topo;
   using Engine = InteractionEngine<P>;
-  using WordLayout = typename detail::WordLayoutOf<P>::type;
-  using WordConsts = typename detail::WordConstsOf<P>::type;
 
   static constexpr std::uint64_t npos =
       std::numeric_limits<std::uint64_t>::max();
 
-  /// run(k) dispatches to the protocol's word-packed kernel when it has one
-  /// (see HasWordKernel): the configuration is lazily mirrored into a u64
-  /// array, the hot loop runs on words, and the scalar states materialize on
-  /// demand. All other paths (step, apply_arc, run_unbatched, set_agent)
-  /// stay scalar — run_unbatched is the scalar *reference* the kernel is
-  /// differentially fuzzed against. The kernel's grouped driver proves
-  /// disjointness with ring arc arithmetic, so it exists only on
-  /// RingTopology; any other topology is scalar by construction.
-  static constexpr bool kWordKernel =
-      WordKernelRunnable<P> && std::is_same_v<Topo, RingTopology>;
-
+  /// `initial` must hold exactly params.n states (std::invalid_argument
+  /// otherwise, in every build type).
   Runner(Params params, std::vector<State> initial, std::uint64_t seed)
       : params_(std::move(params)),
         topo_(params_.n),
@@ -1285,6 +1259,7 @@ class Runner {
   }
 
   /// Explicit-topology constructor (topologies that carry more than n).
+  /// Throws std::invalid_argument unless topo.n() == params.n.
   Runner(Topo topo, Params params, std::vector<State> initial,
          std::uint64_t seed)
       : params_(std::move(params)),
@@ -1292,20 +1267,18 @@ class Runner {
         agents_(std::move(initial)),
         rng_(seed),
         seed_(seed) {
-    assert(topo_.n() == params_.n);
+    if (topo_.n() != params_.n)
+      throw std::invalid_argument("Runner: topology n != params.n");
     init_engine();
   }
 
   [[nodiscard]] const Params& params() const noexcept { return params_; }
   [[nodiscard]] const Topo& topology() const noexcept { return topo_; }
   [[nodiscard]] std::span<const State> agents() const noexcept {
-    sync_states();
     return agents_;
   }
-  [[nodiscard]] const State& agent(int i) const {
-    sync_states();
-    return agents_.at(i);
-  }
+  /// Throws std::out_of_range for i outside [0, n).
+  [[nodiscard]] const State& agent(int i) const { return agents_.at(i); }
   [[nodiscard]] int n() const noexcept { return params_.n; }
   [[nodiscard]] std::uint64_t steps() const noexcept { return clk_.steps; }
 
@@ -1343,18 +1316,16 @@ class Runner {
   /// not reset the Omega? leaderless clock to "now" — the oracle's delay
   /// counts from the original onset of leaderlessness — and injecting the
   /// last leader away starts the clock at the current step, exactly as a
-  /// transition would.
+  /// transition would. Throws std::out_of_range for i outside [0, n).
   void set_agent(int i, const State& s) {
-    prepare_scalar_mutation();
     Engine::set_agent(agents_.at(i), s, params_, clk_);
   }
 
   /// Configure the scheduler fault models (see SchedulerFaults). Resets the
   /// loss stream to its trial-derived origin (stream_seed(seed,
   /// kLossStreamTag)), so
-  /// configuring faults then running is deterministic per seed. Active
-  /// faults pin the runner to the scalar path permanently. Invalid inputs
-  /// throw std::invalid_argument (SchedulerFaults::validate).
+  /// configuring faults then running is deterministic per seed. Invalid
+  /// inputs throw std::invalid_argument (SchedulerFaults::validate).
   void set_scheduler_faults(const SchedulerFaults& f) {
     f.validate(arc_count());
     loss_threshold_ = detail::probability_threshold(f.loss_p);
@@ -1362,7 +1333,6 @@ class Runner {
                                   : detail::BiasTable(f.arc_weights);
     sched_active_ = loss_threshold_ != 0 || !bias_.empty();
     loss_rng_ = Xoshiro256pp(stream_seed(seed_, kLossStreamTag));
-    if (sched_active_) force_scalar_path();
   }
 
   /// True when a scheduler fault model (loss or bias) is configured.
@@ -1376,52 +1346,23 @@ class Runner {
       apply_arc(static_cast<int>(rng_.bounded(arc_count())));
       return;
     }
-    run_scalar(1);
+    run(1);
   }
 
-  /// True while run(k) dispatches to the protocol's word-packed kernel.
-  /// Always false for protocols without one; starts false below the
-  /// grouped path's engagement threshold (see
-  /// WordGroupDriver::single_ring_engaged — force_word_path() opts back
-  /// in); drops (permanently) to false when a state outside the packed
-  /// domain enters via set_agent or the initial configuration, or after
-  /// force_scalar_path().
-  [[nodiscard]] bool word_path_active() const noexcept {
-    return word_active_;
-  }
-
-  /// Permanently pin run(k) to the scalar batched path (no-op for protocols
-  /// without a word kernel). Exists so benches can measure scalar-vs-kernel
-  /// in one binary and the differential harness can drive both side by side.
-  void force_scalar_path() {
-    sync_states();
-    word_active_ = false;
-    word_capable_ = false;
-    words_fresh_ = false;
-    words_.clear();
-    words_.shrink_to_fit();
-  }
-
-  /// Opt into the word kernel below the engagement threshold (tests and
-  /// differential lanes exercise the kernel at small n where the heuristic
-  /// would keep it off). No-op when the kernel is structurally unavailable:
-  /// no word kernel, capacity probe failed, an out-of-domain state was
-  /// seen, or force_scalar_path() was called — those stay scalar forever.
-  void force_word_path() {
-    if constexpr (kWordKernel) word_active_ = word_capable_;
-  }
-
-  /// Execute `k` uniformly random interactions through the fused fast path
-  /// (the word-packed kernel when the protocol has one, the scalar batched
-  /// loop otherwise — bit-identical trajectories either way).
+  /// Execute `k` uniformly random interactions through the fused fast path:
+  /// the shared scalar loop, clean or faulted (InteractionEngine::run_block
+  /// / run_block_faulted).
   void run(std::uint64_t k) {
-    if constexpr (kWordKernel) {
-      if (word_active_ && ensure_words()) {
-        run_word(k);
-        return;
-      }
+    const auto bound = static_cast<std::uint64_t>(arc_count());
+    const std::uint64_t threshold = Xoshiro256pp::rejection_threshold(bound);
+    if (!sched_active_) {
+      Engine::run_block(agents_.data(), topo_, bound, threshold, params_,
+                        rng_, clk_, k);
+    } else {
+      Engine::run_block_faulted(agents_.data(), topo_, bound, threshold,
+                                params_, bias_, loss_threshold_, rng_,
+                                loss_rng_, clk_, k);
     }
-    run_scalar(k);
   }
 
   /// Execute `k` uniformly random interactions one draw at a time with the
@@ -1438,7 +1379,6 @@ class Runner {
   /// (F = topology().forward_arcs(); on the ring F = n and arc n + i
   /// reverses e_i).
   void apply_arc(int arc) {
-    prepare_scalar_mutation();
     Engine::apply_arc(agents_.data(), topo_.endpoints(arc), params_, clk_);
   }
 
@@ -1477,107 +1417,16 @@ class Runner {
   }
 
  private:
-  /// Shared constructor tail: census recount and word-kernel capability
-  /// probing.
+  /// Shared constructor tail: size check and census recount.
   void init_engine() {
-    assert(static_cast<int>(agents_.size()) == params_.n);
+    if (static_cast<int>(agents_.size()) != params_.n)
+      throw std::invalid_argument("Runner: initial size != params.n");
     Engine::recount(agents_, params_, clk_);
-    if constexpr (kWordKernel) {
-      layout_ = P::word_layout(params_);
-      // The grouped driver reads the leader output off bit 0 of the word;
-      // probe that word_leader really is that bit, so a layout with the
-      // flag elsewhere keeps the scalar path instead of corrupting the
-      // census.
-      word_capable_ = layout_.fits() && P::word_leader(1, layout_) &&
-                      !P::word_leader(0, layout_);
-      // Below the measured engagement threshold the grouped path loses to
-      // the scalar batched loop (disjointness proofs keep failing), so it
-      // starts disengaged; force_word_path() opts back in.
-      word_active_ = word_capable_ &&
-                     WordGroupDriver<P>::single_ring_engaged(params_.n);
-      if (word_capable_) consts_ = P::make_word_consts(layout_);
-    }
-  }
-
-  /// `k` interactions through the shared scalar loop (clean or faulted —
-  /// see InteractionEngine::run_block).
-  void run_scalar(std::uint64_t k) {
-    prepare_scalar_mutation();
-    const auto bound = static_cast<std::uint64_t>(arc_count());
-    const std::uint64_t threshold = Xoshiro256pp::rejection_threshold(bound);
-    if (!sched_active_) {
-      Engine::run_block(agents_.data(), topo_, bound, threshold, params_,
-                        rng_, clk_, k);
-    } else {
-      Engine::run_block_faulted(agents_.data(), topo_, bound, threshold,
-                                params_, bias_, loss_threshold_, rng_,
-                                loss_rng_, clk_, k);
-    }
-  }
-
-  /// Materialize agents_ from the word mirror if the last run(k) block left
-  /// the scalar states stale. Logically const (lazy view refresh).
-  void sync_states() const noexcept {
-    if constexpr (kWordKernel) {
-      if (!states_stale_) return;
-      for (std::size_t i = 0; i < agents_.size(); ++i)
-        agents_[i] = P::unpack_word(words_[i], layout_);
-      states_stale_ = false;
-    }
-  }
-
-  /// A scalar-path mutation is about to touch agents_: materialize them and
-  /// invalidate the word mirror (it will be lazily repacked by the next
-  /// kernel block).
-  void prepare_scalar_mutation() noexcept {
-    if constexpr (kWordKernel) {
-      sync_states();
-      words_fresh_ = false;
-    }
-  }
-
-  /// Pack the configuration into the word mirror. Any state that fails the
-  /// round-trip acceptance test (= outside the packed domain, e.g. an
-  /// injected fault with dist >= 2psi) permanently drops the runner to the
-  /// scalar path — exact, just slower; mirrors EnsembleRunner's LUT
-  /// fallback contract.
-  [[nodiscard]] bool ensure_words()
-    requires(kWordKernel)
-  {
-    if (words_fresh_) return true;
-    words_.resize(agents_.size());
-    for (std::size_t i = 0; i < agents_.size(); ++i) {
-      const std::uint64_t w = P::pack_word(agents_[i], layout_);
-      if (!(P::unpack_word(w, layout_) == agents_[i])) {
-        word_active_ = false;
-        word_capable_ = false;
-        return false;
-      }
-      words_[i] = w;
-    }
-    words_fresh_ = true;
-    return true;
-  }
-
-  /// The word-kernel hot loop: the shared grouped driver (same RNG draws
-  /// as the scalar batched path, leader-bit delta census, bit-identical
-  /// trajectories — see WordGroupDriver).
-  void run_word(std::uint64_t k)
-    requires(kWordKernel)
-  {
-    const auto bound = static_cast<std::uint64_t>(arc_count());
-    const std::uint64_t threshold = Xoshiro256pp::rejection_threshold(bound);
-    WordGroupDriver<P>::run_block(words_.data(), params_.n, bound, threshold,
-                                  rng_, clk_, consts_, k);
-    states_stale_ = true;
   }
 
   Params params_;
   Topo topo_;  ///< after params_: the default ctor builds it from params_.n
-  /// In word-kernel runs this block is a lazily refreshed materialization of
-  /// `words_` (see `states_stale_`), hence mutable: accessors are logically
-  /// const.
-  mutable std::vector<State> agents_;
+  std::vector<State> agents_;
   Xoshiro256pp rng_;
   std::uint64_t seed_ = 0;          ///< origin seed (loss-stream derivation)
   Xoshiro256pp loss_rng_{};  ///< placeholder; set_scheduler_faults derives it
@@ -1585,13 +1434,6 @@ class Runner {
   std::uint64_t loss_threshold_ = 0;  ///< 0 = omission model off
   bool sched_active_ = false;         ///< any scheduler fault model on
   RingClock clk_;
-  WordLayout layout_{};                 ///< valid only when kWordKernel
-  WordConsts consts_{};                 ///< kernel constants (word path)
-  std::vector<std::uint64_t> words_;    ///< u64 mirror of agents_
-  bool words_fresh_ = false;            ///< words_ mirrors agents_
-  mutable bool states_stale_ = false;   ///< agents_ behind words_
-  bool word_active_ = false;            ///< kernel dispatch enabled
-  bool word_capable_ = false;           ///< kernel structurally available
 };
 
 }  // namespace ppsim::core

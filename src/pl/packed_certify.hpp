@@ -355,9 +355,8 @@ constexpr Interval eq_cap_increment(const Interval& x, long long cap,
 // certified here at compile time; the engines' runtime round-trip guard is
 // thereby a *boundary* (fault-ingress) check only in these regimes, not a
 // closure check. BENCH_throughput.json: P_PL c1 = 4 (PPSIM_C1 default) at
-// the packed cells n = 1024 and n = 16384 (n = 64 is engagement-gated to
-// the scalar engine but certified anyway — the gate is about speed, not
-// soundness). BENCH_ensemble.json: the same c1 = 4 family at
+// the packed cells n = 64, 1024 and 16384. BENCH_ensemble.json: the same
+// c1 = 4 family at
 // n in {16, 64, 256} (engine "word"). The small-c1 regimes (n, c1) in
 // {(16, 3), (64, 1)} run on the same u64 word lane and certify too.
 

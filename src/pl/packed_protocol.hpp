@@ -45,9 +45,9 @@
 // contract is enforced three ways: exhaustive/boundary sweeps in
 // tests/pl/packed_state_test.cpp, randomized scalar-vs-word cross-checks
 // in tests/core/word_kernel_test.cpp, and the cross-engine differential
-// fuzzer (src/verification/differential.hpp), where Runner::run and the
-// EnsembleRunner kernel lane replay this code in lockstep against the
-// scalar reference path, fault storms included.
+// fuzzer (src/verification/differential.hpp), where the EnsembleRunner
+// kernel lanes (one ring, and eight in lockstep) replay this code against
+// the scalar reference path, fault storms included.
 //
 // Domain closure: starting from in-domain words, every field written below
 // stays in domain (dist via the wrap-to-zero select, clock/hits/signal_r

@@ -255,11 +255,10 @@ struct PlProtocol {
   // The whole variable block bit-sliced into one uint64_t with a
   // parameter-derived layout (pl/packed_state.hpp) and a branch-lean
   // transition kernel bit-identical to apply() on in-domain states
-  // (pl/packed_protocol.hpp). Runner::run and the EnsembleRunner kernel
-  // lane dispatch to this automatically when the layout fits 64 bits;
-  // out-of-domain states (fault injection beyond the declared domains)
-  // fail the pack/unpack round trip and drop the engine back to the
-  // scalar path.
+  // (pl/packed_protocol.hpp). The EnsembleRunner kernel lane dispatches
+  // to this automatically when the layout fits 64 bits; out-of-domain
+  // states (fault injection beyond the declared domains) fail the
+  // pack/unpack round trip and drop the ensemble back to its generic path.
   using WordLayout = PackedLayout;
   using WordKernelConsts = PlKernelConsts;
 
@@ -273,10 +272,6 @@ struct PlProtocol {
   [[nodiscard]] static State unpack_word(std::uint64_t w,
                                          const WordLayout& l) noexcept {
     return pl::unpack_word(w, l);
-  }
-  static void apply_word(std::uint64_t& l, std::uint64_t& r,
-                         const WordLayout& lay) noexcept {
-    pl::apply_word(l, r, lay);
   }
   [[nodiscard]] static WordKernelConsts make_word_consts(
       const WordLayout& l) noexcept {

@@ -1,29 +1,27 @@
 // Cross-engine differential fuzzing: replay one seed-determined execution
 // through every engine the repo has and assert they never disagree.
 //
-// The repo's determinism contract says these five lanes are bit-identical
+// The repo's determinism contract says these six lanes are bit-identical
 // per step for the same (params, initial configuration, seed):
 //
 //   A  Runner::run_unbatched   — the reference scheduler path
-//   B  Runner::run             — the fused fast path (delta census; for
-//                                word-kernel protocols this IS the
-//                                bit-sliced kernel + grouped SIMD driver)
-//   C  EnsembleRunner, generic — the blocked InteractionEngine kernel
+//   B  Runner::run             — the fused scalar fast path (delta census)
+//   C  EnsembleRunner, generic — the shared InteractionEngine loop
 //   D  EnsembleRunner, packed  — the accelerated ensemble lane: the
 //                                pair-transition LUT (HasPackedStates) or
 //                                the word-kernel lane (core::HasWordKernel,
 //                                P_PL — cross-checked against every scalar
 //                                lane here, which is what certifies the
-//                                packed kernel rather than assuming it)
+//                                packed kernel rather than assuming it).
+//                                One ring, so for P_PL this is the
+//                                single-ring grouped driver
+//                                (WordGroupDriver::run_block) at every n:
+//                                the ensemble has no engagement gate
 //   E  checker mirror          — ModelChecker<M>::successor driven by a
 //                                cloned RNG stream: every step decodes,
 //                                applies M::apply, re-encodes, so the
 //                                checker adapter's pack/unpack/apply are
 //                                cross-checked against the protocol proper
-//   F  Runner::run, forced scalar — only for word-kernel protocols: the
-//                                scalar batched path Runner::run would
-//                                otherwise never take (force_scalar_path),
-//                                so the delta-census code keeps coverage
 //   G  EnsembleRunner lockstep  — only for word-kernel protocols: ring 0
 //                                (the lanes' seed + initial) plus decoy
 //                                rings advanced together through run(), so
@@ -33,10 +31,8 @@
 //                                scalar-stream-r RNG contract against
 //                                every scalar lane above
 //
-// Lane B calls force_word_path(): at small n the engagement heuristic
-// would route Runner::run to the scalar batched path (lane F's job), and
-// the whole point of lane B is to keep the word kernel under differential
-// fire at every ring size it can represent.
+// There is no lane F: lane letters stay fixed so divergence messages keep
+// their meaning.
 //
 // The harness advances all lanes in blocks of `check_every` interactions
 // and, at every checkpoint, compares full configurations (operator==),
@@ -99,9 +95,9 @@ struct FuzzConfig {
   /// interaction (dedicated loss stream, seed ^ core::kLossStreamTag) and
   /// an optional non-uniform arc distribution (one raw main-stream draw per
   /// interaction). Active faults force every engine onto its scalar/generic
-  /// path, so the accelerated lanes (B word, D packed, F, G) drop out of
-  /// the matrix — what remains is still a full cross-check of the faulted
-  /// scalar loops against the mirror's independent replay.
+  /// path, so the accelerated lanes (D packed, G) drop out of the matrix —
+  /// what remains is still a full cross-check of the faulted scalar loops
+  /// against the mirror's independent replay.
   double loss_p = 0.0;
   std::vector<double> arc_bias;  ///< empty = uniform; else one weight/arc
 };
@@ -120,7 +116,6 @@ struct FuzzReport {
   std::uint64_t final_digest = 0;
   bool packed_lane = false;  ///< lane D ran in (and stayed in) an
                              ///< accelerated mode (LUT or word kernel)
-  bool word_lane = false;    ///< lane B ran (and stayed) on the word kernel
   bool mirror_lane = false;  ///< lane E (checker adapter) participated
   bool lockstep_lane = false;  ///< lane G ran (and stayed) in word-kernel
                                ///< mode, i.e. ring 0 went through the
@@ -207,26 +202,19 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
   [[maybe_unused]] const auto arc_count =
       static_cast<std::uint64_t>(topo.arc_count(P::directed));
 
-  // Lanes A-D, and F for word-kernel protocols.
+  // Lanes A-D.
   core::Runner<P, Topo> lane_a(params, initial, cfg.seed);
   core::Runner<P, Topo> lane_b(params, initial, cfg.seed);
-  lane_b.force_word_path();  // past the small-n engagement gate (see header)
   core::EnsembleRunner<P, Topo> lane_c(params, 1);
   lane_c.force_generic_path();
   lane_c.add_ring(initial, cfg.seed);
   core::EnsembleRunner<P, Topo> lane_d(params, 1);
   lane_d.add_ring(initial, cfg.seed);
-  constexpr bool kHaveLaneF = core::Runner<P, Topo>::kWordKernel;
-  std::optional<core::Runner<P, Topo>> lane_f;  // dead weight otherwise
-  if constexpr (kHaveLaneF) {
-    lane_f.emplace(params, initial, cfg.seed);
-    lane_f->force_scalar_path();
-  }
   // Lane G: ring 0 shares the lanes' seed and initial configuration; the
   // decoys exist only to fill a full SIMD group so ring 0 is advanced as a
   // vector column of the cross-ring driver (word-kernel protocols only —
   // for everything else run() degenerates to lane C's per-ring loop).
-  constexpr bool kHaveLaneG = core::Runner<P, Topo>::kWordKernel;
+  constexpr bool kHaveLaneG = core::EnsembleRunner<P, Topo>::kWordable;
   constexpr int kLockstepRings = 8;  // >= widest cross-ring group (WordVec8)
   std::optional<core::EnsembleRunner<P, Topo>> lane_g;
   if constexpr (kHaveLaneG) {
@@ -252,7 +240,6 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
     lane_b.set_scheduler_faults(sched);
     lane_c.set_scheduler_faults(sched);
     lane_d.set_scheduler_faults(sched);
-    if constexpr (kHaveLaneF) lane_f->set_scheduler_faults(sched);
     if constexpr (kHaveLaneG) lane_g->set_scheduler_faults(sched);
   }
   const bool have_lane_d =
@@ -337,12 +324,6 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
     if (!compare_span("B(run)", lane_b.agents())) return false;
     if (!compare_u64("B(run)", "steps", lane_b.steps(), lane_a.steps()))
       return false;
-    if constexpr (kHaveLaneF) {
-      if (!compare_span("F(run-scalar)", lane_f->agents())) return false;
-      if (!compare_u64("F(run-scalar)", "steps", lane_f->steps(),
-                       lane_a.steps()))
-        return false;
-    }
     if (!compare_span("C(ensemble-generic)", lane_c.agents(0))) return false;
     if (!compare_u64("C(ensemble-generic)", "steps", lane_c.steps(0),
                      lane_a.steps()))
@@ -389,16 +370,6 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
                        lane_b.last_leader_change(),
                        lane_a.last_leader_change()))
         return false;
-      if constexpr (kHaveLaneF) {
-        if (!compare_u64("F(run-scalar)", "leader_count",
-                         static_cast<std::uint64_t>(lane_f->leader_count()),
-                         want_l))
-          return false;
-        if (!compare_u64("F(run-scalar)", "last_leader_change",
-                         lane_f->last_leader_change(),
-                         lane_a.last_leader_change()))
-          return false;
-      }
       if (!compare_u64("C(ensemble-generic)", "last_leader_change",
                        lane_c.last_leader_change(0),
                        lane_a.last_leader_change()))
@@ -482,7 +453,6 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
             fault_state(params, fault_rng, lane_a.agent(idx), idx);
         lane_a.set_agent(idx, payload);
         lane_b.set_agent(idx, payload);
-        if constexpr (kHaveLaneF) lane_f->set_agent(idx, payload);
         lane_c.set_agent(0, idx, payload);
         if (have_lane_d) lane_d.set_agent(0, idx, payload);
         if constexpr (kHaveLaneG) lane_g->set_agent(0, idx, payload);
@@ -512,7 +482,6 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
     const std::uint64_t block = std::min(check_every, cfg.steps - done);
     lane_a.run_unbatched(block);
     lane_b.run(block);
-    if constexpr (kHaveLaneF) lane_f->run(block);
     lane_c.run_ring(0, block);
     if (have_lane_d) lane_d.run_ring(0, block);
     if constexpr (kHaveLaneG) lane_g->run(block);  // every ring, lockstep
@@ -546,7 +515,6 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
 
   rep.packed_lane =
       have_lane_d && (lane_d.packed_mode() || lane_d.word_kernel_mode());
-  rep.word_lane = lane_b.word_path_active();
   if constexpr (kHaveLaneG) rep.lockstep_lane = lane_g->word_kernel_mode();
   std::uint64_t h = detail::mix64(core::streams::kDigest, lane_a.steps());
   if constexpr (core::HasLeaderOutput<P>) {

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/adversary.hpp"
@@ -403,6 +405,73 @@ TEST(EnsembleRunner, RunUntilEachZeroBudgetMatchesRunner) {
                          Runner<pl::PlProtocol>::npos));
   EXPECT_EQ(hits[0], 0u);                              // already safe
   EXPECT_EQ(hits[1], Runner<pl::PlProtocol>::npos);    // no budget to hit
+}
+
+// ---------------------------------------------------------------------------
+// Engine misuse throws in every build type instead of reading or writing
+// past the state block.
+
+/// A two-ring ensemble of n = 4 leader rings.
+EnsembleRunner<LeaderProto> two_rings() {
+  EnsembleRunner<LeaderProto> ens(LeaderProto::Params{4}, 2);
+  const std::vector<LeaderProto::State> init(4);
+  ens.add_ring(init, 1);
+  ens.add_ring(init, 2);
+  return ens;
+}
+
+TEST(EnsembleMisuse, RingIndexOutOfRangeThrows) {
+  auto ens = two_rings();
+  const auto none = [](std::span<const LeaderProto::State>,
+                       const LeaderProto::Params&) { return false; };
+  std::vector<std::uint64_t> hits(2, EnsembleRunner<LeaderProto>::npos);
+  for (const int r : {-1, 2}) {
+    EXPECT_THROW((void)ens.agents(r), std::out_of_range) << r;
+    EXPECT_THROW((void)ens.agent(r, 0), std::out_of_range) << r;
+    EXPECT_THROW((void)ens.steps(r), std::out_of_range) << r;
+    EXPECT_THROW((void)ens.leader_count(r), std::out_of_range) << r;
+    EXPECT_THROW(ens.run_ring(r, 10), std::out_of_range) << r;
+    EXPECT_THROW(ens.set_agent(r, 0, LeaderProto::State{}), std::out_of_range)
+        << r;
+    EXPECT_THROW(ens.run_until_each({0, r}, none, 10, 0, hits),
+                 std::out_of_range)
+        << r;
+  }
+}
+
+TEST(EnsembleMisuse, AgentIndexOutOfRangeThrows) {
+  auto ens = two_rings();
+  for (const int i : {-1, 4}) {
+    EXPECT_THROW((void)ens.agent(1, i), std::out_of_range) << i;
+    EXPECT_THROW(ens.set_agent(1, i, LeaderProto::State{}), std::out_of_range)
+        << i;
+  }
+  EXPECT_EQ(ens.steps(0), 0u);  // nothing advanced or written
+}
+
+TEST(EnsembleMisuse, AddRingOfWrongSizeThrows) {
+  auto ens = two_rings();
+  EXPECT_THROW(ens.add_ring(std::vector<LeaderProto::State>(3), 3),
+               std::invalid_argument);
+  EXPECT_THROW(ens.add_ring(std::vector<LeaderProto::State>(5), 3),
+               std::invalid_argument);
+  EXPECT_EQ(ens.ring_count(), 2);
+}
+
+TEST(EnsembleMisuse, RunUntilEachHitsOfWrongSizeThrows) {
+  auto ens = two_rings();
+  const auto none = [](std::span<const LeaderProto::State>,
+                       const LeaderProto::Params&) { return false; };
+  std::vector<std::uint64_t> hits(1, EnsembleRunner<LeaderProto>::npos);
+  EXPECT_THROW(ens.run_until_each({0}, none, 10, 0, hits),
+               std::invalid_argument);
+  EXPECT_EQ(ens.steps(0), 0u);
+}
+
+TEST(EnsembleMisuse, TopologySizeMismatchThrows) {
+  EXPECT_THROW(EnsembleRunner<LeaderProto>(RingTopology(8),
+                                           LeaderProto::Params{4}),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

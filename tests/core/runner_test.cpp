@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/ring.hpp"
@@ -198,6 +199,25 @@ TEST(Runner, SnapshotViaCopy) {
   Runner<CountProto> snap = run;
   run.run(100);
   EXPECT_EQ(snap.steps() + 100, run.steps());
+}
+
+TEST(Runner, InitialConfigurationOfWrongSizeThrows) {
+  EXPECT_THROW(Runner<CountProto>({4}, std::vector<CountProto::State>(3), 1),
+               std::invalid_argument);
+  EXPECT_THROW(Runner<CountProto>({4}, std::vector<CountProto::State>(5), 1),
+               std::invalid_argument);
+}
+
+TEST(Runner, TopologySizeMismatchThrows) {
+  EXPECT_THROW(Runner<CountProto>(RingTopology(8), {4},
+                                  std::vector<CountProto::State>(4), 1),
+               std::invalid_argument);
+}
+
+TEST(Runner, AgentIndexOutOfRangeThrows) {
+  Runner<CountProto> run({4}, std::vector<CountProto::State>(4), 1);
+  EXPECT_THROW((void)run.agent(4), std::out_of_range);
+  EXPECT_THROW(run.set_agent(-1, CountProto::State{}), std::out_of_range);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // The word-kernel engine lanes (core::WordGroupDriver wired into
-// Runner::run and EnsembleRunner): bit-identity against the scalar
+// EnsembleRunner, the only accelerated engine): bit-identity of the
+// single-ring and cross-ring lockstep lanes against Runner's scalar
 // reference paths, fault-storm behavior (in-domain fast path and the
-// documented fall-back-to-scalar on out-of-domain states), the cross-ring
-// lockstep ensemble lane, capacity-probe gating, and thread-count
-// byte-identity of the differential campaign driver.
+// documented fall-back-to-generic on out-of-domain states), capacity-probe
+// gating, and thread-count byte-identity of the differential campaign
+// driver.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +16,6 @@
 #include "core/runner.hpp"
 #include "pl/adversary.hpp"
 #include "pl/protocol.hpp"
-#include "pl/safe_config.hpp"
 #include "verification/differential.hpp"
 
 namespace ppsim {
@@ -27,131 +27,10 @@ using pl::PlParams;
 using pl::PlProtocol;
 using pl::PlState;
 
-static_assert(Runner<PlProtocol>::kWordKernel,
+static_assert(EnsembleRunner<PlProtocol>::kWordable,
               "P_PL must satisfy the word-kernel concept");
-static_assert(EnsembleRunner<PlProtocol>::kWordable);
 static_assert(!EnsembleRunner<PlProtocol>::kPackable,
               "P_PL's state space must be far beyond the LUT lane");
-
-void expect_same(const Runner<PlProtocol>& a, const Runner<PlProtocol>& b,
-                 const char* what) {
-  ASSERT_EQ(a.steps(), b.steps()) << what;
-  ASSERT_EQ(a.leader_count(), b.leader_count()) << what;
-  ASSERT_EQ(a.last_leader_change(), b.last_leader_change()) << what;
-  const auto sa = a.agents();
-  const auto sb = b.agents();
-  for (int i = 0; i < a.n(); ++i)
-    ASSERT_EQ(sa[i], sb[i]) << what << " agent " << i;
-}
-
-TEST(WordKernelRunner, WordPathMatchesUnbatchedReference) {
-  for (const int n : {4, 16, 64, 257, 1024}) {
-    const auto p = PlParams::make(n, 4);
-    core::Xoshiro256pp cfg(900 + n);
-    const auto init = pl::random_config(p, cfg);
-    Runner<PlProtocol> ref(p, init, 42);   // scalar reference
-    Runner<PlProtocol> word(p, init, 42);  // word kernel
-    word.force_word_path();  // past the small-n engagement gate
-    ASSERT_TRUE(word.word_path_active());
-    core::Xoshiro256pp faults(77);
-    for (int round = 0; round < 6; ++round) {
-      const std::uint64_t k = 500 + 37 * round;
-      ref.run_unbatched(k);
-      word.run(k);
-      expect_same(ref, word, "word vs unbatched");
-      // In-domain fault storm through both engines' set_agent.
-      for (int f = 0; f < 3; ++f) {
-        const int idx = static_cast<int>(
-            faults.bounded(static_cast<std::uint64_t>(n)));
-        const PlState s = pl::random_state(p, faults);
-        ref.set_agent(idx, s);
-        word.set_agent(idx, s);
-      }
-      expect_same(ref, word, "word vs unbatched after storm");
-    }
-    EXPECT_TRUE(word.word_path_active());  // in-domain storms keep the lane
-  }
-}
-
-TEST(WordKernelRunner, ForceScalarPathIsBitIdentical) {
-  const auto p = PlParams::make(64, 4);
-  const auto init = pl::make_safe_config(p);
-  Runner<PlProtocol> word(p, init, 7);
-  word.force_word_path();
-  Runner<PlProtocol> scalar(p, init, 7);
-  scalar.force_scalar_path();
-  EXPECT_FALSE(scalar.word_path_active());
-  word.run(5000);
-  scalar.run(5000);
-  expect_same(word, scalar, "forced scalar vs word");
-}
-
-TEST(WordKernelRunner, OutOfDomainInjectionDropsToScalarExactly) {
-  const auto p = PlParams::make(32, 4);
-  core::Xoshiro256pp cfg(3);
-  const auto init = pl::random_config(p, cfg);
-  Runner<PlProtocol> ref(p, init, 9);
-  Runner<PlProtocol> word(p, init, 9);
-  word.force_word_path();
-  word.run(1000);
-  ref.run_unbatched(1000);
-  PlState bad;
-  bad.dist = 60000;  // far outside [0, 2psi)
-  ref.set_agent(5, bad);
-  word.set_agent(5, bad);
-  word.run(1000);  // round-trip check fails -> permanent scalar fallback
-  ref.run_unbatched(1000);
-  EXPECT_FALSE(word.word_path_active());
-  word.force_word_path();  // the fallback is permanent: no resurrection
-  EXPECT_FALSE(word.word_path_active());
-  expect_same(ref, word, "after out-of-domain fault");
-}
-
-TEST(WordKernelRunner, EngagementGateRoutesSmallRingsToScalar) {
-  // The word path only engages by default when the grouped driver's
-  // disjointness estimate clears the threshold; tiny rings go scalar (the
-  // honest sub-1x cells), big rings engage, and force_word_path restores
-  // the kernel — bit-identically — wherever it is structurally capable.
-  const auto p_small = PlParams::make(16, 4);
-  core::Xoshiro256pp cfg(31);
-  const auto init = pl::random_config(p_small, cfg);
-  Runner<PlProtocol> gated(p_small, init, 13);
-  EXPECT_FALSE(gated.word_path_active());  // capable, but below threshold
-  Runner<PlProtocol> ref(p_small, init, 13);
-  gated.run(2000);
-  ref.run_unbatched(2000);
-  expect_same(ref, gated, "gated-off runner (scalar batched)");
-  gated.force_word_path();
-  EXPECT_TRUE(gated.word_path_active());
-  gated.run(2000);
-  ref.run_unbatched(2000);
-  expect_same(ref, gated, "forced back onto the word kernel");
-
-  const auto p_big = PlParams::make(1024, 4);
-  const std::vector<PlState> zeros(static_cast<std::size_t>(p_big.n));
-  Runner<PlProtocol> big(p_big, zeros, 13);
-  EXPECT_TRUE(big.word_path_active());  // engaged without forcing
-}
-
-TEST(WordKernelRunner, CapacityExceededKeepsScalarPath) {
-  // psi_slack blows the 64-bit layout; the capacity probe must refuse and
-  // the runner must never activate the word path (and still be exact).
-  const auto p = PlParams::make(8, 32, /*psi_slack=*/5000);
-  EXPECT_FALSE(pl::PackedLayout::make(p).fits());
-  // All-zero initial configuration: make_safe_config's segment-ID modulus
-  // (1 << psi) has no 64-bit representation at this psi, and the protocol
-  // accepts any configuration anyway.
-  const std::vector<PlState> init(static_cast<std::size_t>(p.n));
-  Runner<PlProtocol> r(p, init, 1);
-  EXPECT_FALSE(r.word_path_active());
-  Runner<PlProtocol> ref(p, init, 1);
-  r.run(200);
-  ref.run_unbatched(200);
-  expect_same(r, ref, "capacity-refused runner");
-  EnsembleRunner<PlProtocol> ens(p, 1);
-  ens.add_ring(init, 1);
-  EXPECT_FALSE(ens.word_kernel_mode());
-}
 
 void expect_ring_same(const Runner<PlProtocol>& ref,
                       EnsembleRunner<PlProtocol>& ens, int r,
@@ -163,6 +42,63 @@ void expect_ring_same(const Runner<PlProtocol>& ref,
   const auto sb = ens.agents(r);
   for (int i = 0; i < ref.n(); ++i)
     ASSERT_EQ(sa[i], sb[i]) << what << " ring " << r << " agent " << i;
+}
+
+TEST(WordKernelEnsemble, WordPathMatchesUnbatchedReference) {
+  // A one-ring ensemble is the single-ring word engine: run() sends its
+  // ring through the lockstep driver's leftover path, i.e. the grouped
+  // driver's one entry, WordGroupDriver::run_block. No engagement gate:
+  // the word lane runs at every n, down to n = 4.
+  for (const int n : {4, 16, 64, 257, 1024}) {
+    const auto p = PlParams::make(n, 4);
+    core::Xoshiro256pp cfg(900 + n);
+    const auto init = pl::random_config(p, cfg);
+    Runner<PlProtocol> ref(p, init, 42);  // scalar reference
+    EnsembleRunner<PlProtocol> word(p, 1);
+    word.add_ring(init, 42);
+    ASSERT_TRUE(word.word_kernel_mode());
+    core::Xoshiro256pp faults(77);
+    for (int round = 0; round < 6; ++round) {
+      const std::uint64_t k = 500 + 37 * round;
+      ref.run_unbatched(k);
+      word.run(k);
+      expect_ring_same(ref, word, 0, "word vs unbatched");
+      // In-domain fault storm through both engines' set_agent.
+      for (int f = 0; f < 3; ++f) {
+        const int idx = static_cast<int>(
+            faults.bounded(static_cast<std::uint64_t>(n)));
+        const PlState s = pl::random_state(p, faults);
+        ref.set_agent(idx, s);
+        word.set_agent(0, idx, s);
+      }
+      expect_ring_same(ref, word, 0, "word vs unbatched after storm");
+    }
+    EXPECT_TRUE(word.word_kernel_mode());  // in-domain storms keep the lane
+  }
+}
+
+TEST(WordKernelEnsemble, CapacityExceededKeepsScalarPath) {
+  // psi_slack blows the 64-bit layout; the capacity probe must refuse and
+  // the ensemble must never activate the word lane (and still be exact).
+  const auto p = PlParams::make(8, 32, /*psi_slack=*/5000);
+  EXPECT_FALSE(pl::PackedLayout::make(p).fits());
+  // All-zero initial configuration: make_safe_config's segment-ID modulus
+  // (1 << psi) has no 64-bit representation at this psi, and the protocol
+  // accepts any configuration anyway.
+  const std::vector<PlState> init(static_cast<std::size_t>(p.n));
+  EnsembleRunner<PlProtocol> ens(p, 1);
+  ens.add_ring(init, 1);
+  EXPECT_FALSE(ens.word_kernel_mode());
+  Runner<PlProtocol> r(p, init, 1);
+  Runner<PlProtocol> ref(p, init, 1);
+  r.run(200);
+  ens.run(200);
+  ref.run_unbatched(200);
+  expect_ring_same(ref, ens, 0, "capacity-refused ensemble");
+  ASSERT_EQ(r.steps(), ref.steps());
+  ASSERT_EQ(r.leader_count(), ref.leader_count());
+  ASSERT_EQ(r.last_leader_change(), ref.last_leader_change());
+  for (int i = 0; i < p.n; ++i) ASSERT_EQ(r.agent(i), ref.agent(i));
 }
 
 TEST(WordKernelEnsemble, KernelLaneMatchesGenericLaneAndRunner) {
@@ -314,8 +250,7 @@ TEST(WordKernelCampaign, DifferentialReportsByteIdenticalAcrossThreads) {
     EXPECT_TRUE(one[t].ok) << one[t].divergence;
     EXPECT_EQ(one[t].digest, four[t].digest);
     EXPECT_EQ(one[t].final_digest, four[t].final_digest);
-    EXPECT_TRUE(one[t].packed_lane);  // ensemble kernel lane participated
-    EXPECT_TRUE(one[t].word_lane);    // Runner word path stayed active
+    EXPECT_TRUE(one[t].packed_lane);  // one-ring word lane stayed active
     EXPECT_TRUE(one[t].lockstep_lane);  // lane G rode the vector-RNG driver
   }
 }

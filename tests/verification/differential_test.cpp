@@ -159,10 +159,9 @@ TEST(Differential, PlProtocolLanes) {
   const auto rep = run_differential<pl::PlProtocol>(
       p, pl::random_config(p, cfg_rng), cfg, pl_fault);
   EXPECT_TRUE(rep.ok) << rep.divergence;
-  // P_PL's word-packed lanes: Runner::run (lane B) and the ensemble kernel
-  // lane (lane D) both replay the bit-sliced kernel against the scalar
-  // reference; in-domain fault storms keep them active.
-  EXPECT_TRUE(rep.word_lane);
+  // P_PL's one-ring word lane (lane D, the single-ring grouped driver)
+  // replays the bit-sliced kernel against the scalar reference; in-domain
+  // fault storms keep it active.
   EXPECT_TRUE(rep.packed_lane);
   // Lane G: ring 0 advanced as a column of the cross-ring vector-RNG
   // driver, lockstep with decoy rings, still bit-identical to lane A.
@@ -172,8 +171,10 @@ TEST(Differential, PlProtocolLanes) {
 TEST(Differential, PlPackedLanesAtLargerRingsWithStorms) {
   // The grouped SIMD driver's no-conflict fast path only engages when the
   // drawn pairs are disjoint — exercise it at ring sizes where it runs
-  // (and where the conflict/scalar fallback mixes in), storms on.
-  for (const int n : {16, 64, 257}) {
+  // (and where the conflict/scalar fallback mixes in), storms on. At
+  // n = 1024 most 8-draw groups (~0.9) are disjoint, so the vectorized
+  // clean path dominates lane D there.
+  for (const int n : {16, 64, 257, 1024}) {
     const auto p = pl::PlParams::make(n, 4);
     core::Xoshiro256pp cfg_rng(600 + n);
     FuzzConfig cfg;
@@ -185,7 +186,6 @@ TEST(Differential, PlPackedLanesAtLargerRingsWithStorms) {
     const auto rep = run_differential<pl::PlProtocol>(
         p, pl::random_config(p, cfg_rng), cfg, pl_fault);
     EXPECT_TRUE(rep.ok) << "n=" << n << ": " << rep.divergence;
-    EXPECT_TRUE(rep.word_lane) << n;
     EXPECT_TRUE(rep.packed_lane) << n;
     EXPECT_TRUE(rep.lockstep_lane) << n;
   }
@@ -193,8 +193,8 @@ TEST(Differential, PlPackedLanesAtLargerRingsWithStorms) {
 
 TEST(Differential, PlOutOfDomainFaultDropsPackedLanesExactly) {
   // A fault outside the declared variable domains must fail the pack
-  // round-trip, drop lanes B/D to their scalar paths, and still diverge
-  // nowhere.
+  // round-trip, drop the word lanes (D, G) to the generic path, and still
+  // diverge nowhere.
   const auto p = pl::PlParams::make(12, 4);
   core::Xoshiro256pp cfg_rng(77);
   FuzzConfig cfg;
@@ -213,8 +213,8 @@ TEST(Differential, PlOutOfDomainFaultDropsPackedLanesExactly) {
   const auto rep = run_differential<pl::PlProtocol>(
       p, pl::random_config(p, cfg_rng), cfg, garbage_fault);
   EXPECT_TRUE(rep.ok) << rep.divergence;
-  EXPECT_FALSE(rep.word_lane);    // permanently back on the scalar path
-  EXPECT_FALSE(rep.packed_lane);  // same for the ensemble kernel lane
+  EXPECT_FALSE(rep.packed_lane);    // permanently back on the generic path
+  EXPECT_FALSE(rep.lockstep_lane);  // same for the lockstep lane
 }
 
 TEST(Differential, BrokenWordKernelIsDetected) {
@@ -223,11 +223,6 @@ TEST(Differential, BrokenWordKernelIsDetected) {
   // checkpoint — equivalence is certified, not assumed.
   struct BrokenWordPl : pl::PlProtocol {
     static void sabotage(std::uint64_t& wr) { wr ^= 0x2; }  // flip r.b
-    static void apply_word(std::uint64_t& l, std::uint64_t& r,
-                           const WordLayout& lay) noexcept {
-      pl::apply_word(l, r, lay);
-      sabotage(r);
-    }
     static void apply_word_one(std::uint64_t& l, std::uint64_t& r,
                                const WordKernelConsts& k) noexcept {
       pl::apply_word_one(l, r, k);
@@ -244,7 +239,7 @@ TEST(Differential, BrokenWordKernelIsDetected) {
       for (int j = 0; j < 8; ++j) sabotage(r[j]);
     }
   };
-  static_assert(core::Runner<BrokenWordPl>::kWordKernel);
+  static_assert(core::EnsembleRunner<BrokenWordPl>::kWordable);
   const auto p = pl::PlParams::make(8, 4);
   core::Xoshiro256pp cfg_rng(5);
   FuzzConfig cfg;
@@ -254,18 +249,16 @@ TEST(Differential, BrokenWordKernelIsDetected) {
   const auto rep = run_differential<BrokenWordPl>(
       p, pl::random_config(p, cfg_rng), cfg, pl_fault);
   EXPECT_FALSE(rep.ok);
-  // The word kernel drives lanes B and D; the scalar lanes A/C/F are the
-  // truth, so the first divergence names a word lane.
-  const bool named_word_lane =
-      rep.divergence.find("B(run)") != std::string::npos ||
-      rep.divergence.find("D(ensemble-packed)") != std::string::npos;
-  EXPECT_TRUE(named_word_lane) << rep.divergence;
+  // The word kernel drives lanes D and G; the scalar lanes A/B/C are the
+  // truth, and lane D is compared first, so the divergence names it.
+  EXPECT_NE(rep.divergence.find("D(ensemble-packed)"), std::string::npos)
+      << rep.divergence;
 }
 
 TEST(Differential, BrokenLockstepVectorLaneIsDetected) {
   // The canary for the lane-parallel (vector-RNG) cross-ring driver. At
   // n = 7 the ring's maximum matching has 3 edges, so no single-ring group
-  // of 4 or 8 draws is ever disjoint: lanes B and D (one ring) replay every
+  // of 4 or 8 draws is ever disjoint: lane D (one ring) replays every
   // group through apply_word_one, and lane G — 8 rings in lockstep — is the
   // only caller of the vector entries, at every ISA level (x4 groups on
   // baseline/AVX2, one x8 group on AVX-512). A bit of drift in those
@@ -285,7 +278,7 @@ TEST(Differential, BrokenLockstepVectorLaneIsDetected) {
       for (int j = 0; j < 8; ++j) r[j] ^= 0x2;
     }
   };
-  static_assert(core::Runner<BrokenVectorPl>::kWordKernel);
+  static_assert(core::EnsembleRunner<BrokenVectorPl>::kWordable);
   const auto p = pl::PlParams::make(7, 4);
   core::Xoshiro256pp cfg_rng(6);
   FuzzConfig cfg;

@@ -148,13 +148,13 @@ TEST(TopologyDifferential, PlProtocolOffRingWithOmission) {
                                        core::LineTopology>(
         p, pl::random_config(p, cfg_rng), cfg, pl_fault);
     EXPECT_TRUE(line.ok) << "line loss=" << loss << ": " << line.divergence;
-    EXPECT_FALSE(line.word_lane);  // ring-only kernel must not engage
+    EXPECT_FALSE(line.packed_lane);  // ring-only kernel must not engage
     const auto clique = run_differential<pl::PlProtocol, void,
                                          core::CliqueTopology>(
         p, pl::random_config(p, cfg_rng), cfg, pl_fault);
     EXPECT_TRUE(clique.ok) << "clique loss=" << loss << ": "
                            << clique.divergence;
-    EXPECT_FALSE(clique.word_lane);
+    EXPECT_FALSE(clique.packed_lane);
   }
 }
 
