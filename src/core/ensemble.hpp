@@ -62,7 +62,9 @@
 // run_until_each mirrors Runner::run_until per ring (pre-check, then blocks
 // of check_every against a per-ring deadline); converged or timed-out rings
 // retire from a compacted active index array so a few slow rings never pay
-// for the fast majority.
+// for the fast majority. On the word lane, a predicate that accepts a
+// WordRingView reads the u64 mirror in place, so the check needs no
+// materialization (pl::SafePredicate does this).
 #pragma once
 
 #include <algorithm>
@@ -71,6 +73,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -92,6 +95,30 @@ concept HasPackedStates =
       { P::pack_state(s, p) } -> std::convertible_to<std::size_t>;
       { P::unpack_state(v, p) } -> std::convertible_to<typename P::State>;
     };
+
+/// Read-only view of one word-lane ring: agent i is decoded from the u64
+/// mirror on access (P::unpack_word), so a predicate taking this view reads
+/// exactly the States sync_ring would have written, without writing them.
+/// Valid while the ensemble stays on the word lane and is not resized.
+template <typename P>
+class WordRingView {
+ public:
+  using State = typename P::State;
+  using Layout = typename P::WordLayout;
+
+  WordRingView(std::span<const std::uint64_t> words,
+               const Layout& layout) noexcept
+      : words_(words), layout_(&layout) {}
+
+  [[nodiscard]] std::size_t size() const noexcept { return words_.size(); }
+  [[nodiscard]] State operator[](std::size_t i) const noexcept {
+    return P::unpack_word(words_[i], *layout_);
+  }
+
+ private:
+  std::span<const std::uint64_t> words_;
+  const Layout* layout_;
+};
 
 template <typename P, typename Topo = RingTopology>
 class EnsembleRunner {
@@ -338,10 +365,12 @@ class EnsembleRunner {
 
   /// Per-ring Runner::run_until over the whole ensemble: for every ring,
   /// check `pred` up front, then run blocks of `check_every` (0 = every ~n)
-  /// against a per-ring deadline of `max_steps` further interactions,
-  /// retiring rings from a compacted active set as they hit the predicate or
-  /// the deadline. Returns, per ring, the step count at the first satisfied
-  /// check (exactly Runner::run_until's value) or npos on timeout.
+  /// against a per-ring deadline of `max_steps` further interactions
+  /// (saturating at npos), retiring rings from a compacted active set as
+  /// they hit the predicate or the deadline. Returns, per ring, the step
+  /// count at the first satisfied check (exactly Runner::run_until's value)
+  /// or npos on timeout. On the word lane a predicate invocable with a
+  /// WordRingView<P> is handed the ring's u64 mirror instead of agents(r).
   template <typename Pred>
   [[nodiscard]] std::vector<std::uint64_t> run_until_each(
       Pred&& pred, std::uint64_t max_steps, std::uint64_t check_every = 0) {
@@ -354,29 +383,39 @@ class EnsembleRunner {
   }
 
   /// Subset form: only the rings listed in `rings` participate (the others
-  /// do not advance). `hits` must span ring_count() (std::invalid_argument
-  /// otherwise); entries of non-participating rings are left untouched.
+  /// do not advance). `hits` must span ring_count() and no ring may be
+  /// listed twice (std::invalid_argument otherwise); entries of
+  /// non-participating rings are left untouched.
   template <typename Pred>
   void run_until_each(std::vector<int> rings, Pred&& pred,
                       std::uint64_t max_steps, std::uint64_t check_every,
                       std::span<std::uint64_t> hits) {
     if (hits.size() != clocks_.size())
       throw std::invalid_argument("EnsembleRunner: hits size != rings");
+    // A ring listed twice would advance twice per pass (or take two SIMD
+    // lanes over the same words): reject it before anything runs.
+    std::vector<std::uint8_t> listed(clocks_.size(), 0);
+    for (int r : rings) {
+      std::uint8_t& seen = listed[static_cast<std::size_t>(check_ring(r))];
+      if (seen != 0)
+        throw std::invalid_argument("EnsembleRunner: ring listed twice");
+      seen = 1;
+    }
     if (check_every == 0)
       check_every = static_cast<std::uint64_t>(params_.n);
-    // Per-ring deadline, indexed by ring id (mirrors Runner::run_until's
-    // `deadline = steps + max_steps` computed at entry).
+    // Per-ring deadline, indexed by ring id (Runner::run_until's saturating
+    // detail::run_until_deadline, computed at entry).
     std::vector<std::uint64_t> deadline(clocks_.size(), 0);
     // Pre-check: a ring already satisfying the predicate hits at its current
     // step without consuming any randomness.
     std::size_t w = 0;
     for (int r : rings) {
-      const auto ri = static_cast<std::size_t>(check_ring(r));
-      if (pred(agents(r), params_)) {
+      const auto ri = static_cast<std::size_t>(r);
+      if (satisfied(pred, r)) {
         hits[ri] = clocks_[ri].steps;
         continue;
       }
-      deadline[ri] = clocks_[ri].steps + max_steps;
+      deadline[ri] = detail::run_until_deadline(clocks_[ri].steps, max_steps);
       rings[w++] = r;
     }
     rings.resize(w);
@@ -415,7 +454,7 @@ class EnsembleRunner {
       w = 0;
       for (int r : rings) {
         const auto ri = static_cast<std::size_t>(r);
-        if (pred(agents(r), params_)) {
+        if (satisfied(pred, r)) {
           hits[ri] = clocks_[ri].steps;
           continue;
         }
@@ -482,6 +521,27 @@ class EnsembleRunner {
 
   [[nodiscard]] const RingClock& clock(int r) const {
     return clocks_[static_cast<std::size_t>(check_ring(r))];
+  }
+
+  /// One run_until_each check of ring r. On the word lane the u64 mirror is
+  /// always current (add_ring, set_agent and the kernels write it), so a
+  /// predicate that takes a WordRingView reads it directly and the ring's
+  /// State block stays unsynced; any other predicate gets agents(r).
+  template <typename Pred>
+  [[nodiscard]] bool satisfied(Pred& pred, int r) const {
+    if constexpr (kWordable) {
+      if constexpr (std::is_invocable_r_v<bool, Pred&,
+                                          const WordRingView<P>&,
+                                          const Params&>) {
+        if (word_active_) {
+          return pred(WordRingView<P>({words_.data() + ring_offset(r),
+                                       static_cast<std::size_t>(params_.n)},
+                                      layout_),
+                      params_);
+        }
+      }
+    }
+    return pred(agents(r), params_);
   }
 
   /// Enumerate the pair-transition table through the same P::apply and

@@ -120,6 +120,16 @@ inline constexpr std::uint64_t kLossStreamTag = streams::kLoss;
 
 namespace detail {
 
+/// The run_until deadline `steps + max_steps`, saturated at the all-ones
+/// step count (npos) instead of wrapping, so an unbounded budget from a
+/// ring that has already run means "until the predicate holds" in both
+/// engines.
+[[nodiscard]] constexpr std::uint64_t run_until_deadline(
+    std::uint64_t steps, std::uint64_t max_steps) noexcept {
+  const std::uint64_t npos = std::numeric_limits<std::uint64_t>::max();
+  return max_steps > npos - steps ? npos : steps + max_steps;
+}
+
 /// 64-bit acceptance threshold for an event of probability p: the event
 /// fires iff next() < threshold. p >= 1 maps to an all-ones threshold
 /// (miss probability 2^-64 — indistinguishable from certain at any budget).
@@ -1396,7 +1406,8 @@ class Runner {
     if (check_every == 0)
       check_every = static_cast<std::uint64_t>(params_.n);
     if (pred(agents(), params_)) return clk_.steps;
-    const std::uint64_t deadline = clk_.steps + max_steps;
+    const std::uint64_t deadline =
+        detail::run_until_deadline(clk_.steps, max_steps);
     while (clk_.steps < deadline) {
       const std::uint64_t block =
           std::min<std::uint64_t>(check_every, deadline - clk_.steps);

@@ -98,6 +98,17 @@ bool token_valid(const PlState& host, const Token& t, int d,
 
 namespace {
 
+// The S_PL clauses, each written once over a configuration view C: a span
+// of PlState or a WordConfig, whose operator[] decodes a word on access.
+// Agents are read through agent(), which binds a span element by reference
+// and a decoded word by value. Ring walks step a wrapping index rather than
+// calling ring_add (a 64-bit modulo) per agent.
+
+template <typename C>
+decltype(auto) agent(const C& c, int i) {
+  return c[static_cast<std::size_t>(i)];
+}
+
 /// Resolve the working-pair geometry of a valid token in the C_DL layout.
 /// Returns false when the geometry does not embed in the ring without
 /// wrapping past the leader.
@@ -106,10 +117,9 @@ struct TokenGeometry {
   int round = 0;       ///< x: the round the token is in
 };
 
-bool resolve_geometry(Config c, const PlParams& p, int host, const Token& t,
-                      int d, int leader_pos, TokenGeometry& g) {
-  const int n = static_cast<int>(c.size());
-  const PlState& h = c[static_cast<std::size_t>(host)];
+bool resolve_geometry(int n, const PlParams& p, int host, const PlState& h,
+                      const Token& t, int d, int leader_pos,
+                      TokenGeometry& g) {
   if (!token_valid(h, t, d, p)) return false;
   const int tau =
       detail::mod_2psi(static_cast<int>(h.dist) + t.pos + d, p.two_psi());
@@ -136,24 +146,24 @@ bool resolve_geometry(Config c, const PlParams& p, int host, const Token& t,
   return true;
 }
 
-}  // namespace
-
-bool token_correct(Config c, const PlParams& p, int host, bool black,
-                   int leader_pos) {
+template <typename C>
+bool token_correct_in(const C& c, const PlParams& p, int host, bool black,
+                      int leader_pos) {
   const int n = static_cast<int>(c.size());
-  const PlState& h = c[static_cast<std::size_t>(host)];
+  const PlState h = agent(c, host);
   const Token& t = black ? h.token_b : h.token_w;
   const int d = black ? 0 : p.psi;
   TokenGeometry g;
-  if (!resolve_geometry(c, p, host, t, d, leader_pos, g)) return false;
+  if (!resolve_geometry(n, p, host, h, t, d, leader_pos, g)) return false;
 
   // j = index of the first 0 bit of S_i (psi if all ones).
   int j = p.psi;
-  for (int idx = 0; idx < p.psi; ++idx) {
-    if (c[static_cast<std::size_t>(ring_add(g.pair_start, idx, n))].b == 0) {
+  for (int idx = 0, at = g.pair_start; idx < p.psi; ++idx) {
+    if (agent(c, at).b == 0) {
       j = idx;
       break;
     }
+    if (++at == n) at = 0;
   }
   const int x = g.round;
   // During round x the token carries the increment's result bit x and the
@@ -161,26 +171,111 @@ bool token_correct(Config c, const PlParams& p, int host, bool black,
   //   value = b_x XOR carry_x,   carry-field = carry_{x+1},
   // with carry_x = [x <= j] and carry_{x+1} = [x < j]. (Def. 4.3 with the
   // carry-phase fix; forced by lines 13 and 27, see DESIGN.md §2.1(5).)
-  const int b_x =
-      c[static_cast<std::size_t>(ring_add(g.pair_start, x, n))].b;
+  const int b_x = agent(c, ring_add(g.pair_start, x, n)).b;
   const int carry_x = x <= j ? 1 : 0;
   const int carry_next = x < j ? 1 : 0;
   return static_cast<int>(t.carry) == carry_next &&
          static_cast<int>(t.value) == (b_x ^ carry_x);
 }
 
-bool live_bullet_peaceful(Config c, int i) {
+template <typename C>
+bool live_bullet_peaceful_in(const C& c, int i) {
   const int n = static_cast<int>(c.size());
   // Walk left from u_i to the nearest leader; every agent on the way
   // (including u_i and the leader) must carry no bullet-absence signal, and
   // the leader must be shielded.
-  for (int jj = 0; jj < n; ++jj) {
-    const int idx = ring_add(i, -jj, n);
-    const PlState& s = c[static_cast<std::size_t>(idx)];
+  for (int jj = 0, idx = i; jj < n; ++jj) {
+    const auto& s = agent(c, idx);
     if (s.signal_b != 0) return false;
     if (s.leader == 1) return s.shield == 1;
+    idx = idx == 0 ? n - 1 : idx - 1;
   }
   return false;  // no leader: d_LL(i) = infinity, not peaceful
+}
+
+template <typename C>
+bool in_cdl_layout_in(const C& c, const PlParams& p, int leader_pos) {
+  const int n = static_cast<int>(c.size());
+  const int last_from = p.psi * (p.zeta() - 1);
+  for (int i = 0, idx = leader_pos, dist = 0; i < n; ++i) {
+    const auto& s = agent(c, idx);
+    if (static_cast<int>(s.dist) != dist) return false;
+    if ((s.last == 1) != (i >= last_from)) return false;
+    if (++idx == n) idx = 0;
+    if (++dist == p.two_psi()) dist = 0;
+  }
+  return true;
+}
+
+/// The first failing clause plus where it failed: the leader count for
+/// kLeaderCount, the agent index for kPeacefulBullets and kTokens, the
+/// segment pair for kSegmentIds. check_safe turns it into a reason.
+struct SafeFinding {
+  SafeClause clause = SafeClause::kSafe;
+  int at = 0;
+  bool black = false;  ///< kTokens: the failing token's color
+};
+
+template <typename C>
+SafeFinding find_failing_clause(const C& c, const PlParams& p) {
+  const int n = static_cast<int>(c.size());
+  int leaders = 0;
+  int k = 0;
+  for (int i = 0; i < n; ++i) {
+    if (agent(c, i).leader == 1) {
+      ++leaders;
+      k = i;
+    }
+  }
+  if (leaders != 1) return {SafeClause::kLeaderCount, leaders};
+  if (!in_cdl_layout_in(c, p, k)) return {SafeClause::kCdlLayout, k};
+  for (int i = 0; i < n; ++i)
+    if (agent(c, i).bullet == common::kLiveBullet &&
+        !live_bullet_peaceful_in(c, i))
+      return {SafeClause::kPeacefulBullets, i};
+
+  for (int i = 0; i < n; ++i) {
+    const auto& s = agent(c, i);
+    for (const bool black : {true, false}) {
+      if (!(black ? s.token_b : s.token_w).exists()) continue;
+      if (s.last == 1 || !token_correct_in(c, p, i, black, k))
+        return {SafeClause::kTokens, i, black};
+    }
+  }
+
+  // Segment IDs consecutive for i in [0, zeta-3]: read S_0, S_1, ... in one
+  // forward walk from the leader, each ID once.
+  const auto modulus = static_cast<unsigned long long>(p.id_modulus());
+  int at = k;
+  const auto next_segment_id = [&] {
+    unsigned long long id = 0;
+    for (int j = 0; j < p.psi; ++j) {
+      id += static_cast<unsigned long long>(agent(c, at).b) << j;
+      if (++at == n) at = 0;
+    }
+    return id;
+  };
+  const int pairs = p.zeta() - 2;
+  if (pairs > 0) {
+    unsigned long long prev = next_segment_id();
+    for (int i = 0; i < pairs; ++i) {
+      const unsigned long long cur = next_segment_id();
+      if (cur != (prev + 1) % modulus) return {SafeClause::kSegmentIds, i};
+      prev = cur;
+    }
+  }
+  return {SafeClause::kSafe, 0};
+}
+
+}  // namespace
+
+bool token_correct(Config c, const PlParams& p, int host, bool black,
+                   int leader_pos) {
+  return token_correct_in(c, p, host, black, leader_pos);
+}
+
+bool live_bullet_peaceful(Config c, int i) {
+  return live_bullet_peaceful_in(c, ring_add(i, 0, static_cast<int>(c.size())));
 }
 
 bool in_cpb(Config c) {
@@ -193,63 +288,44 @@ bool in_cpb(Config c) {
 }
 
 bool in_cdl_layout(Config c, const PlParams& p, int leader_pos) {
-  const int n = static_cast<int>(c.size());
-  const int last_from = p.psi * (p.zeta() - 1);
-  for (int i = 0; i < n; ++i) {
-    const PlState& s = c[static_cast<std::size_t>(ring_add(leader_pos, i, n))];
-    if (static_cast<int>(s.dist) != i % p.two_psi()) return false;
-    const bool want_last = i >= last_from;
-    if ((s.last == 1) != want_last) return false;
-  }
-  return true;
+  return in_cdl_layout_in(
+      c, p, ring_add(leader_pos, 0, static_cast<int>(c.size())));
+}
+
+SafeClause first_failing_clause(Config c, const PlParams& p) {
+  return find_failing_clause(c, p).clause;
+}
+
+SafeClause first_failing_clause(const WordConfig& c, const PlParams& p) {
+  return find_failing_clause(c, p).clause;
 }
 
 SafetyVerdict check_safe(Config c, const PlParams& p) {
-  const int n = static_cast<int>(c.size());
-  const auto leaders = leader_positions(c);
-  if (leaders.size() != 1)
-    return {false, "leader count != 1 (" +
-                       std::to_string(leaders.size()) + ")"};
-  const int k = leaders.front();
-  if (!in_cdl_layout(c, p, k)) return {false, "dist/last layout not C_DL"};
-  for (int i = 0; i < n; ++i)
-    if (c[static_cast<std::size_t>(i)].bullet == common::kLiveBullet &&
-        !live_bullet_peaceful(c, i))
-      return {false, "non-peaceful live bullet at " + std::to_string(i)};
-
-  for (int i = 0; i < n; ++i) {
-    const PlState& s = c[static_cast<std::size_t>(i)];
-    for (bool black : {true, false}) {
-      const Token& t = black ? s.token_b : s.token_w;
-      if (!t.exists()) continue;
-      if (s.last == 1)
-        return {false, "token hosted in the last segment at " +
-                           std::to_string(i)};
-      if (!token_correct(c, p, i, black, k))
-        return {false, std::string(black ? "black" : "white") +
-                           " token invalid/incorrect at " + std::to_string(i)};
-    }
+  const SafeFinding f = find_failing_clause(c, p);
+  const std::string at = std::to_string(f.at);
+  switch (f.clause) {
+    case SafeClause::kLeaderCount:
+      return {false, f.clause, "leader count != 1 (" + at + ")"};
+    case SafeClause::kCdlLayout:
+      return {false, f.clause, "dist/last layout not C_DL"};
+    case SafeClause::kPeacefulBullets:
+      return {false, f.clause, "non-peaceful live bullet at " + at};
+    case SafeClause::kTokens:
+      if (c[static_cast<std::size_t>(f.at)].last == 1)
+        return {false, f.clause, "token hosted in the last segment at " + at};
+      return {false, f.clause,
+              std::string(f.black ? "black" : "white") +
+                  " token invalid/incorrect at " + at};
+    case SafeClause::kSegmentIds:
+      return {false, f.clause, "segment IDs not consecutive at pair " + at};
+    case SafeClause::kSafe:
+      break;
   }
-
-  // Segment IDs consecutive for i in [0, zeta-3].
-  const auto modulus = static_cast<unsigned long long>(p.id_modulus());
-  const int zeta = p.zeta();
-  auto segment_id = [&](int seg_index) {
-    unsigned long long id = 0;
-    for (int j = p.psi - 1; j >= 0; --j)
-      id = id * 2 +
-           c[static_cast<std::size_t>(ring_add(k, seg_index * p.psi + j, n))]
-               .b;
-    return id;
-  };
-  for (int i = 0; i + 1 <= zeta - 2; ++i) {
-    if (segment_id(i + 1) != (segment_id(i) + 1) % modulus)
-      return {false,
-              "segment IDs not consecutive at pair " + std::to_string(i)};
-  }
-  return {true, ""};
+  return {true, SafeClause::kSafe, ""};
 }
 
-bool is_safe(Config c, const PlParams& p) { return check_safe(c, p).safe; }
+bool is_safe(Config c, const PlParams& p) {
+  return first_failing_clause(c, p) == SafeClause::kSafe;
+}
 
 }  // namespace ppsim::pl

@@ -8,12 +8,20 @@
 //
 // These are measurement/verification tools of the harness, not part of the
 // protocol itself: convergence time is *defined* as first entry into S_PL.
+//
+// Every S_PL clause has one implementation, a template over a configuration
+// view (anything with size() and operator[](i) -> PlState) in invariants.cpp.
+// It is instantiated for spans of PlState and for core::WordRingView, the
+// word lane's view of a ring's u64 mirror, so convergence sweeps on that lane
+// check S_PL without unpacking the ring into a State block.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/ensemble.hpp"
 #include "pl/params.hpp"
 #include "pl/protocol.hpp"
 #include "pl/state.hpp"
@@ -73,18 +81,45 @@ struct SegmentView {
 /// dist(u_{k+i}) == i mod 2psi and last == 1 iff i in [psi*(zeta-1), n-1].
 [[nodiscard]] bool in_cdl_layout(Config c, const PlParams& p, int leader_pos);
 
-/// Membership in the safe set S_PL (Def. 4.6) with a human-readable reason
-/// on failure.
+/// The clauses of S_PL (Def. 4.6) in proof order; kSafe when none fails.
+enum class SafeClause : std::uint8_t {
+  kLeaderCount,      ///< exactly one leader
+  kCdlLayout,        ///< dist/last follow C_DL from the leader
+  kPeacefulBullets,  ///< every live bullet is peaceful
+  kTokens,           ///< every token is correct and outside the last segment
+  kSegmentIds,       ///< segment IDs consecutive for S_0..S_{zeta-2}
+  kSafe,
+};
+
+/// The word lane's view of one ring (core::WordRingView over P_PL's u64
+/// mirror).
+using WordConfig = core::WordRingView<PlProtocol>;
+
+/// The first S_PL clause the configuration fails, or kSafe. Allocation-free;
+/// the two overloads are the one clause template instantiated for spans and
+/// for word views, so they agree on every configuration both can hold.
+[[nodiscard]] SafeClause first_failing_clause(Config c, const PlParams& p);
+[[nodiscard]] SafeClause first_failing_clause(const WordConfig& c,
+                                              const PlParams& p);
+
+/// Membership in the safe set S_PL (Def. 4.6) with the first failing clause
+/// and a human-readable reason on failure.
 struct SafetyVerdict {
   bool safe = false;
+  SafeClause clause = SafeClause::kLeaderCount;
   std::string reason;
 };
 [[nodiscard]] SafetyVerdict check_safe(Config c, const PlParams& p);
 [[nodiscard]] bool is_safe(Config c, const PlParams& p);
 
-/// Predicates in the shape core::Runner::run_until expects.
+/// Predicates in the shape core::Runner::run_until expects. SafePredicate
+/// also takes the word view, which EnsembleRunner::run_until_each prefers on
+/// its word lane (no sync_ring unpack per check).
 struct SafePredicate {
   bool operator()(Config c, const PlParams& p) const { return is_safe(c, p); }
+  bool operator()(const WordConfig& c, const PlParams& p) const {
+    return first_failing_clause(c, p) == SafeClause::kSafe;
+  }
 };
 struct UniqueLeaderPredicate {
   bool operator()(Config c, const PlParams&) const {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -407,6 +408,55 @@ TEST(EnsembleRunner, RunUntilEachZeroBudgetMatchesRunner) {
   EXPECT_EQ(hits[1], Runner<pl::PlProtocol>::npos);    // no budget to hit
 }
 
+/// Runner::run_until and a one-ring run_until_each from the same state
+/// after `warm` steps, with an unbounded budget (max_steps = UINT64_MAX) and
+/// a predicate that holds on its second call: both engines must report the
+/// same hitting step. With a wrapping `steps + max_steps` deadline, Runner
+/// returns nullopt without running while the ensemble runs a block.
+template <typename P>
+void expect_unbounded_budget_agrees(const typename P::Params& p,
+                                    std::vector<typename P::State> init,
+                                    int lane) {
+  constexpr std::uint64_t kUnbounded =
+      std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kWarm = 37;
+  constexpr std::uint64_t kCheckEvery = 16;
+  EnsembleRunner<P> ensemble(p, 1);
+  ensemble.add_ring(init, 99);
+  EXPECT_EQ(ensemble.packed_mode(), lane == 1);
+  EXPECT_EQ(ensemble.word_kernel_mode(), lane == 2);
+  Runner<P> runner(p, std::move(init), 99);
+  ensemble.run(kWarm);
+  runner.run(kWarm);
+  int ens_calls = 0;
+  int run_calls = 0;
+  const auto second_call = [](int& calls) {
+    return [&calls](std::span<const typename P::State>,
+                    const typename P::Params&) { return ++calls >= 2; };
+  };
+  const auto hits =
+      ensemble.run_until_each(second_call(ens_calls), kUnbounded, kCheckEvery);
+  const auto want = runner.run_until(second_call(run_calls), kUnbounded,
+                                     kCheckEvery);
+  ASSERT_TRUE(want.has_value()) << "lane " << lane;
+  EXPECT_EQ(*want, kWarm + kCheckEvery);
+  EXPECT_EQ(hits[0], *want) << "lane " << lane;
+  EXPECT_EQ(ensemble.steps(0), runner.steps());
+}
+
+TEST(EnsembleRunner, UnboundedBudgetFromRunningRingMatchesRunnerOnEveryLane) {
+  core::Xoshiro256pp rng(17);
+  const auto pm = baselines::ModkParams::make(15, 2);
+  expect_unbounded_budget_agrees<baselines::Modk>(
+      pm, baselines::modk_random_config(pm, rng), 1);
+  const auto pp = pl::PlParams::make(16, 4);
+  expect_unbounded_budget_agrees<pl::PlProtocol>(
+      pp, pl::random_config(pp, rng), 2);
+  const auto py = baselines::Y28Params::make(12);
+  expect_unbounded_budget_agrees<baselines::Yokota28>(
+      py, baselines::y28_random_config(py, rng), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Engine misuse throws in every build type instead of reading or writing
 // past the state block.
@@ -466,6 +516,45 @@ TEST(EnsembleMisuse, RunUntilEachHitsOfWrongSizeThrows) {
   EXPECT_THROW(ens.run_until_each({0}, none, 10, 0, hits),
                std::invalid_argument);
   EXPECT_EQ(ens.steps(0), 0u);
+}
+
+/// A ring listed twice in the subset run_until_each would advance twice per
+/// pass (or take two SIMD lanes over one ring's words): it throws before
+/// any ring advances or any hit is written, on every lane.
+template <typename P>
+void expect_duplicate_ring_throws(const typename P::Params& p,
+                                  const std::vector<typename P::State>& init,
+                                  int lane) {
+  EnsembleRunner<P> ens(p, 3);
+  for (std::uint64_t s = 0; s < 3; ++s) ens.add_ring(init, 40 + s);
+  EXPECT_EQ(ens.packed_mode(), lane == 1);
+  EXPECT_EQ(ens.word_kernel_mode(), lane == 2);
+  const auto none = [](std::span<const typename P::State>,
+                       const typename P::Params&) { return false; };
+  std::vector<std::uint64_t> hits(3, EnsembleRunner<P>::npos);
+  EXPECT_THROW(ens.run_until_each({0, 2, 0}, none, 100, 0, hits),
+               std::invalid_argument)
+      << "lane " << lane;
+  EXPECT_THROW(ens.run_until_each({1, 1}, none, 100, 0, hits),
+               std::invalid_argument)
+      << "lane " << lane;
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(ens.steps(r), 0u) << "lane " << lane;
+    EXPECT_EQ(hits[static_cast<std::size_t>(r)], EnsembleRunner<P>::npos);
+  }
+}
+
+TEST(EnsembleMisuse, RunUntilEachDuplicateRingThrowsOnEveryLane) {
+  core::Xoshiro256pp rng(23);
+  const auto pm = baselines::ModkParams::make(15, 2);
+  expect_duplicate_ring_throws<baselines::Modk>(
+      pm, baselines::modk_random_config(pm, rng), 1);
+  const auto pp = pl::PlParams::make(16, 4);
+  expect_duplicate_ring_throws<pl::PlProtocol>(
+      pp, pl::random_config(pp, rng), 2);
+  const auto py = baselines::Y28Params::make(12);
+  expect_duplicate_ring_throws<baselines::Yokota28>(
+      py, baselines::y28_random_config(py, rng), 0);
 }
 
 TEST(EnsembleMisuse, TopologySizeMismatchThrows) {

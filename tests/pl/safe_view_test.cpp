@@ -1,0 +1,299 @@
+// S_PL on the word lane. The safe-set clauses are one template instantiated
+// for spans of PlState and for core::WordRingView (the word lane's view of a
+// ring's u64 mirror). The two must agree, verdict and first failing clause,
+// on:
+//
+//   * random configurations, tiny rings (psi >= n) included
+//   * every adversary family
+//   * single-field perturbations of safe configurations at every agent
+//   * configurations sampled every check_every from a running ensemble under
+//     fault storms, across an out-of-domain injection that ends its word lane
+//
+// and measure_convergence_parallel must return the same hitting times
+// whether its predicate reads the view or a materialized span.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <set>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "analysis/adversary.hpp"
+#include "analysis/experiment.hpp"
+#include "core/ensemble.hpp"
+#include "core/rng.hpp"
+#include "core/runner.hpp"
+#include "pl/adversary.hpp"
+#include "pl/invariants.hpp"
+#include "pl/packed_state.hpp"
+#include "pl/protocol.hpp"
+#include "pl/safe_config.hpp"
+
+namespace ppsim::pl {
+namespace {
+
+/// Checks every S_PL entry point on the span against the word view of the
+/// same configuration and returns the first failing clause.
+SafeClause expect_view_agrees(std::span<const PlState> c, const PlParams& p,
+                              const std::string& what) {
+  const PackedLayout l = PackedLayout::make(p);
+  std::vector<std::uint64_t> words;
+  for (const PlState& s : c) {
+    EXPECT_TRUE(in_word_domain(s, l)) << what;
+    words.push_back(pack_word(s, l));
+  }
+  const WordConfig view(words, l);
+  const SafetyVerdict v = check_safe(c, p);
+  const SafeClause clause = first_failing_clause(c, p);
+  EXPECT_EQ(v.clause, clause) << what;
+  EXPECT_EQ(v.safe, clause == SafeClause::kSafe) << what;
+  EXPECT_EQ(v.reason.empty(), v.safe) << what << ": " << v.reason;
+  EXPECT_EQ(is_safe(c, p), v.safe) << what;
+  EXPECT_EQ(first_failing_clause(view, p), clause) << what;
+  EXPECT_EQ(SafePredicate{}(view, p), v.safe) << what;
+  return clause;
+}
+
+TEST(SafeView, RandomConfigsAgreeIncludingTinyRings) {
+  core::Xoshiro256pp rng(0x5AFE);
+  for (int n : {2, 3, 4, 5, 6, 7, 8, 16, 64, 257, 1024}) {
+    const PlParams p = PlParams::make(n);
+    const int draws = n <= 64 ? 200 : 20;
+    for (int t = 0; t < draws; ++t)
+      expect_view_agrees(random_config(p, rng), p,
+                         "n=" + std::to_string(n) + " t=" + std::to_string(t));
+    for (int k = 0; k < n; k += 1 + n / 8) {
+      EXPECT_EQ(expect_view_agrees(make_safe_config(p, k, 5), p,
+                                   "safe n=" + std::to_string(n)),
+                SafeClause::kSafe);
+    }
+  }
+}
+
+TEST(SafeView, AdversaryFamiliesAgree) {
+  core::Xoshiro256pp rng(0xFA31);
+  for (int n : {3, 5, 16, 64}) {
+    const PlParams p = PlParams::make(n, 4);
+    for (const auto& family :
+         analysis::Adversary<PlProtocol>::families()) {
+      for (int t = 0; t < 4; ++t)
+        expect_view_agrees(family.make(p, rng), p,
+                           family.name + " n=" + std::to_string(n));
+    }
+  }
+}
+
+/// Safe configurations to perturb: the canonical one at a few leader
+/// positions, the same with a live bullet as far from the leader as the
+/// ring allows (so absence signals and the shield matter), and states
+/// sampled from a trajectory inside S_PL (closure), which carry tokens.
+std::vector<std::vector<PlState>> safe_bases(const PlParams& p) {
+  const int n = p.n;
+  std::vector<std::vector<PlState>> bases;
+  for (int k : {0, n / 2, n - 1}) {
+    auto c = make_safe_config(p, k, 3);
+    bases.push_back(c);
+    c[static_cast<std::size_t>((k + n - 1) % n)].bullet = common::kLiveBullet;
+    bases.push_back(std::move(c));
+  }
+  core::Runner<PlProtocol> run(p, make_safe_config(p, 1 % n, 6), 0xBA5E);
+  for (int t = 0; t < 6; ++t) {
+    run.run(static_cast<std::uint64_t>(7 * n));
+    const auto a = run.agents();
+    bases.emplace_back(a.begin(), a.end());
+  }
+  return bases;
+}
+
+/// Single-field, in-domain perturbations of one agent state.
+std::vector<std::pair<std::string, PlState>> perturbations(const PlState& s,
+                                                           const PlParams& p) {
+  std::vector<std::pair<std::string, PlState>> out;
+  const auto add = [&](const std::string& field, auto&& edit) {
+    PlState t = s;
+    edit(t);
+    out.emplace_back(field, t);
+  };
+  const auto flip = [](std::uint8_t v) {
+    return static_cast<std::uint8_t>(v ^ 1);
+  };
+  add("leader", [&](PlState& t) { t.leader = flip(t.leader); });
+  add("b", [&](PlState& t) { t.b = flip(t.b); });
+  add("dist", [&](PlState& t) {
+    t.dist = static_cast<std::uint16_t>((t.dist + 1) % p.two_psi());
+  });
+  add("last", [&](PlState& t) { t.last = flip(t.last); });
+  add("shield", [&](PlState& t) { t.shield = flip(t.shield); });
+  add("signal_b", [&](PlState& t) { t.signal_b = flip(t.signal_b); });
+  for (int b = 0; b <= 2; ++b)
+    if (b != s.bullet)
+      add("bullet", [&](PlState& t) { t.bullet = static_cast<std::uint8_t>(b); });
+  add("clock", [&](PlState& t) {
+    t.clock = static_cast<std::uint16_t>(p.kappa_max - t.clock);
+  });
+  add("hits", [&](PlState& t) {
+    t.hits = static_cast<std::uint8_t>(p.psi - t.hits);
+  });
+  add("signal_r", [&](PlState& t) {
+    t.signal_r = static_cast<std::uint16_t>(p.kappa_max - t.signal_r);
+  });
+  for (Token PlState::* tm : {&PlState::token_b, &PlState::token_w}) {
+    const Token& tok = s.*tm;
+    if (tok.exists()) {
+      add("token", [&](PlState& t) { (t.*tm).value ^= 1; });
+      add("token", [&](PlState& t) { (t.*tm).carry ^= 1; });
+      add("token", [&](PlState& t) { (t.*tm).clear(); });
+    } else {
+      add("token", [&](PlState& t) {
+        t.*tm = Token{static_cast<std::int8_t>(p.psi), 0, 1};
+      });
+      add("token", [&](PlState& t) {
+        t.*tm = Token{static_cast<std::int8_t>(1 - p.psi), 1, 0};
+      });
+    }
+  }
+  return out;
+}
+
+TEST(SafeView, SingleFieldPerturbationsAgreeAndNameTheirClause) {
+  std::set<SafeClause> seen;
+  for (int n : {2, 3, 5, 8, 16, 33}) {
+    const PlParams p = PlParams::make(n, 4);
+    for (const auto& base : safe_bases(p)) {
+      ASSERT_EQ(expect_view_agrees(base, p, "base n=" + std::to_string(n)),
+                SafeClause::kSafe);
+      for (int i = 0; i < n; ++i) {
+        for (const auto& [field, s] :
+             perturbations(base[static_cast<std::size_t>(i)], p)) {
+          auto c = base;
+          c[static_cast<std::size_t>(i)] = s;
+          const std::string what =
+              field + " at " + std::to_string(i) + " n=" + std::to_string(n);
+          const SafeClause clause = expect_view_agrees(c, p, what);
+          seen.insert(clause);
+          if (field == "leader") {
+            EXPECT_EQ(clause, SafeClause::kLeaderCount) << what;
+          } else if (field == "dist" || field == "last") {
+            EXPECT_EQ(clause, SafeClause::kCdlLayout) << what;
+          } else if (field == "clock" || field == "hits" ||
+                     field == "signal_r") {
+            EXPECT_EQ(clause, SafeClause::kSafe) << what;  // not in S_PL
+          } else if (field == "shield" || field == "signal_b" ||
+                     field == "bullet") {
+            EXPECT_TRUE(clause == SafeClause::kPeacefulBullets ||
+                        clause == SafeClause::kSafe)
+                << what;
+          } else {  // b, token
+            EXPECT_TRUE(clause == SafeClause::kTokens ||
+                        clause == SafeClause::kSegmentIds ||
+                        clause == SafeClause::kSafe)
+                << what;
+          }
+        }
+      }
+    }
+  }
+  // Every clause, and the safe verdict, occurred at least once.
+  EXPECT_EQ(seen.size(), 6u);
+}
+
+/// A predicate with both overloads: records which one run_until_each chose,
+/// the clause it computed and the configuration it read.
+struct Probe {
+  bool took_view = false;
+  SafeClause clause = SafeClause::kSafe;
+  std::vector<PlState> read;
+
+  bool operator()(std::span<const PlState> c, const PlParams& p) {
+    took_view = false;
+    clause = first_failing_clause(c, p);
+    read.assign(c.begin(), c.end());
+    return false;
+  }
+  bool operator()(const WordConfig& c, const PlParams& p) {
+    took_view = true;
+    clause = first_failing_clause(c, p);
+    read.clear();
+    for (std::size_t i = 0; i < c.size(); ++i) read.push_back(c[i]);
+    return false;
+  }
+};
+
+TEST(SafeView, EnsembleFaultStormSamplesAgree) {
+  const PlParams p = PlParams::make(12, 4);
+  const auto n = static_cast<std::uint64_t>(p.n);
+  constexpr int kRings = 6;
+  core::EnsembleRunner<PlProtocol> ens(p, kRings);
+  core::Xoshiro256pp rng(0x570F);
+  for (int r = 0; r < kRings; ++r) {
+    ens.add_ring(r % 2 == 0 ? make_safe_config(p, r) : random_config(p, rng),
+                 900 + static_cast<std::uint64_t>(r));
+  }
+  ASSERT_TRUE(ens.word_kernel_mode());
+  std::set<SafeClause> seen;
+  int view_checks = 0;
+  int span_checks = 0;
+  for (int round = 0; round < 3000; ++round) {
+    ens.run(n);  // one check_every block
+    if (round % 150 == 75) {  // storm: a few in-domain faults per ring
+      for (int r = 0; r < kRings; ++r)
+        for (int f = 0; f < 1 + r % 3; ++f)
+          ens.set_agent(r, static_cast<int>(rng.bounded(n)),
+                        random_state(p, rng));
+    }
+    if (round == 2000) {  // out of the word domain: the lane ends for good
+      PlState bad = ens.agent(2, 5);
+      bad.dist = static_cast<std::uint16_t>(p.two_psi() + 1);
+      ens.set_agent(2, 5, bad);
+      ASSERT_FALSE(ens.word_kernel_mode());
+    }
+    for (int r = 0; r < kRings; ++r) {
+      // A zero budget only runs run_until_each's checks: the probe sees
+      // exactly what the convergence drivers' predicate would see now.
+      Probe probe;
+      std::vector<std::uint64_t> hits(kRings, core::EnsembleRunner<PlProtocol>::npos);
+      ens.run_until_each({r}, probe, 0, 0, hits);
+      ASSERT_EQ(probe.took_view, ens.word_kernel_mode()) << "round " << round;
+      (probe.took_view ? view_checks : span_checks) += 1;
+      const auto agents = ens.agents(r);
+      ASSERT_TRUE(std::equal(agents.begin(), agents.end(), probe.read.begin(),
+                             probe.read.end()))
+          << "round " << round << " ring " << r;
+      ASSERT_EQ(probe.clause, check_safe(agents, p).clause)
+          << "round " << round << " ring " << r;
+      seen.insert(probe.clause);
+    }
+  }
+  EXPECT_GT(view_checks, 0);
+  EXPECT_GT(span_checks, 0);
+  EXPECT_TRUE(seen.count(SafeClause::kSafe) == 1);
+  EXPECT_GE(seen.size(), 3u);
+}
+
+TEST(SafeView, ConvergenceHitsMatchTheMaterializingPath) {
+  const std::function<bool(std::span<const PlState>, const PlParams&)>
+      span_only = [](std::span<const PlState> c, const PlParams& q) {
+        return is_safe(c, q);
+      };
+  for (const auto& [n, trials] : {std::pair{16, 12}, {64, 6}, {257, 3}}) {
+    const PlParams p = PlParams::make(n, 4);
+    const auto gen = [&p](core::Xoshiro256pp& rng) {
+      return random_config(p, rng);
+    };
+    const std::uint64_t budget = analysis::sweep_budget(n);
+    for (int threads : {1, 3}) {
+      const auto view = analysis::measure_convergence_parallel<PlProtocol>(
+          p, gen, SafePredicate{}, trials, budget, 77, 0x51E, threads);
+      const auto span = analysis::measure_convergence_parallel<PlProtocol>(
+          p, gen, span_only, trials, budget, 77, 0x51E, threads);
+      EXPECT_EQ(view.failures, span.failures) << "n=" << n;
+      EXPECT_EQ(view.raw, span.raw) << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(view.raw.size(), static_cast<std::size_t>(trials));
+    }
+  }
+}
+
+}  // namespace
+}  // namespace ppsim::pl
