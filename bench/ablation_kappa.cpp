@@ -18,8 +18,8 @@ int main() {
   bench::banner("Ablation — kappa_max = c1 * psi",
                 "footnote 2 + Lemma 3.6 (the role of kappa_max)");
 
-  const int trials = bench::env_int("PPSIM_TRIALS", 5);
-  const int n = bench::env_int("PPSIM_N", 64);
+  const int trials = core::env_int("PPSIM_TRIALS", 5);
+  const int n = core::env_int("PPSIM_N", 64);
   const auto n_u = static_cast<std::uint64_t>(n);
 
   core::Table t({"c1", "kappa_max", "median convergence (random cfg)",

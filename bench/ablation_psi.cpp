@@ -16,9 +16,9 @@ int main() {
   bench::banner("Ablation — psi slack",
                 "the 'O(1)' in psi = ceil(log n) + O(1)");
 
-  const int trials = bench::env_int("PPSIM_TRIALS", 5);
-  const int c1 = bench::env_int("PPSIM_C1", 4);
-  const int n = bench::env_int("PPSIM_N", 64);
+  const int trials = core::env_int("PPSIM_TRIALS", 5);
+  const int c1 = core::env_int("PPSIM_C1", 4);
+  const int n = core::env_int("PPSIM_N", 64);
   const auto n_u = static_cast<std::uint64_t>(n);
 
   core::Table t({"psi slack", "psi", "median convergence", "|Q| per agent",

@@ -5,7 +5,7 @@
 // AND whether the two frame streams were byte-identical (the service's
 // crash-equivalence contract, exercised on every commit).
 //
-// Writes BENCH_campaign.json (schema documented in README.md). Knobs:
+// Writes BENCH_campaign.json (fields: its write_artifact call). Knobs:
 // PPSIM_TRIALS (trials per cell; keep it above the 64-ring shard width so
 // cells actually split into several shards), PPSIM_MAX_N, PPSIM_C1,
 // PPSIM_THREADS, PPSIM_BENCH_DIR.
@@ -29,18 +29,14 @@ using namespace ppsim;
 
 constexpr std::uint64_t kSeedBase = 53;
 
-struct ProtocolRun {
+/// One result cell, with its campaign's digest, shards and resume verdict.
+struct Cell {
   std::string protocol;
   std::string digest;
   std::uint64_t shards = 0;
   bool resume_identical = false;
-  std::vector<analysis::CampaignResult> results;
+  analysis::CampaignResult result;
 };
-
-std::uint64_t recovery_budget(int n) {
-  const auto n_u = static_cast<std::uint64_t>(n);
-  return 60'000ULL * n_u * n_u + 60'000'000ULL;
-}
 
 template <typename P>
 std::vector<typename service::CampaignService<P>::Cell> make_cells(
@@ -49,7 +45,7 @@ std::vector<typename service::CampaignService<P>::Cell> make_cells(
   for (int f : {1, 4}) {
     analysis::TrialPlan plan;
     plan.trials = trials;
-    plan.max_steps = recovery_budget(p.n);
+    plan.max_steps = analysis::recovery_budget(p.n);
     plan.seed_base = kSeedBase;
     plan.tag = analysis::campaign_tag(tag_base, p.n, f);
     cells.emplace_back(p, analysis::make_recovery_scenario<P>(
@@ -62,9 +58,9 @@ std::vector<typename service::CampaignService<P>::Cell> make_cells(
 /// pause/checkpoint/resume cycle (fresh instance per leg, like a killed and
 /// restarted process), and compare the two frame streams byte for byte.
 template <typename P>
-ProtocolRun run_protocol(const std::string& name,
-                         const typename P::Params& p, std::uint64_t tag_base,
-                         std::int64_t trials) {
+std::vector<Cell> run_protocol(const std::string& name,
+                               const typename P::Params& p,
+                               std::uint64_t tag_base, std::int64_t trials) {
   const auto cells = make_cells<P>(p, tag_base, trials);
 
   service::CampaignService<P> ref(cells);
@@ -90,23 +86,14 @@ ProtocolRun run_protocol(const std::string& name,
     status = svc.run(frames).status;
   }
 
-  std::string resumed;
-  if (std::FILE* f = std::fopen(frames_path.c_str(), "rb")) {
-    char buf[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-      resumed.append(buf, got);
-    std::fclose(f);
-  }
+  const bool identical = bench::read_file(frames_path) == ref_frames.str();
   std::remove(ckpt.c_str());
   std::remove(frames_path.c_str());
 
-  ProtocolRun out;
-  out.protocol = name;
-  out.digest = service::digest_hex(ref.digest());
-  out.shards = ref.shards_total();
-  out.resume_identical = resumed == ref_frames.str();
-  out.results = ref.results();
+  std::vector<Cell> out;
+  for (auto& r : ref.results())
+    out.push_back(Cell{name, service::digest_hex(ref.digest()),
+                       ref.shards_total(), identical, std::move(r)});
   return out;
 }
 
@@ -119,30 +106,29 @@ int main() {
 
   // Above the 64-ring shard width so each cell splits into several shards
   // and the pause points land inside cells, not just between them.
-  const int trials = bench::env_int("PPSIM_TRIALS", 150);
-  const int max_n = bench::env_int("PPSIM_MAX_N", 64);
-  const int c1 = bench::env_int("PPSIM_C1", 4);
+  const int trials = core::env_int("PPSIM_TRIALS", 150);
+  const int max_n = core::env_int("PPSIM_MAX_N", 64);
+  const int c1 = core::env_int("PPSIM_C1", 4);
   const int n = std::min(32, max_n);
 
-  std::vector<ProtocolRun> runs;
-  runs.push_back(run_protocol<pl::PlProtocol>("P_PL", pl::PlParams::make(n, c1),
-                                              1, trials));
-  runs.push_back(run_protocol<baselines::Yokota28>(
-      "yokota28", baselines::Y28Params::make(n), 2, trials));
+  std::vector<Cell> cells = run_protocol<pl::PlProtocol>(
+      "P_PL", pl::PlParams::make(n, c1), 1, trials);
+  for (auto& c : run_protocol<baselines::Yokota28>(
+           "yokota28", baselines::Y28Params::make(n), 2, trials))
+    cells.push_back(std::move(c));
 
   core::Table t({"protocol", "scenario", "faults", "shards",
                  "median recovery", "p90", "resume"});
   bool all_identical = true;
-  for (const ProtocolRun& run : runs) {
-    all_identical = all_identical && run.resume_identical;
-    for (const auto& r : run.results) {
-      t.add_row({run.protocol, r.scenario,
-                 core::fmt_u64(static_cast<unsigned long long>(r.faults)),
-                 core::fmt_u64(static_cast<unsigned long long>(run.shards)),
-                 core::fmt_double(r.stats.recovery.median, 4),
-                 core::fmt_double(r.stats.recovery.p90, 4),
-                 run.resume_identical ? "identical" : "DIVERGED"});
-    }
+  for (const Cell& c : cells) {
+    const auto& r = c.result;
+    all_identical = all_identical && c.resume_identical;
+    t.add_row({c.protocol, r.scenario,
+               core::fmt_u64(static_cast<unsigned long long>(r.faults)),
+               core::fmt_u64(static_cast<unsigned long long>(c.shards)),
+               core::fmt_double(r.stats.recovery.median, 4),
+               core::fmt_double(r.stats.recovery.p90, 4),
+               c.resume_identical ? "identical" : "DIVERGED"});
   }
   t.print(std::cout);
   if (!all_identical) {
@@ -151,45 +137,22 @@ int main() {
     return 1;
   }
 
-  const std::string path = bench::bench_json_path("campaign");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  bench::JsonWriter w(f);
-  w.begin_object();
-  w.field("bench", "campaign");
-  w.field("schema_version", 1);
-  w.field("unit", "steps_to_reenter_safe_set");
-  w.field("trials", trials);
-  w.field("seed_base", kSeedBase);
-  w.field("resume_identical", all_identical);
-  w.key("results");
-  w.begin_array();
-  for (const ProtocolRun& run : runs) {
-    for (const auto& r : run.results) {
-      const auto& s = r.stats;
-      w.begin_object();
-      w.field("protocol", run.protocol);
-      w.field("campaign", run.digest);
-      w.field("scenario", r.scenario);
-      w.field("n", r.n);
-      w.field("faults", r.faults);
-      w.field("shards", run.shards);
-      w.field("stabilization_failures", s.stabilization_failures);
-      w.field("recovery_failures", s.recovery_failures);
-      w.field("median", s.recovery.median);
-      w.field("mean", s.recovery.mean);
-      w.field("p90", s.recovery.p90);
-      w.field("max", s.recovery.max);
-      w.end_object();
-    }
-  }
-  w.end_array();
-  w.end_object();
-  w.finish();
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
+  bench::write_artifact(
+      "campaign", 1, "steps_to_reenter_safe_set",
+      [&](core::JsonWriter& w) {
+        w.field("trials", trials);
+        w.field("seed_base", kSeedBase);
+        w.field("resume_identical", all_identical);
+      },
+      cells,
+      [](core::JsonWriter& w, const Cell& c) {
+        w.field("protocol", c.protocol);
+        w.field("campaign", c.digest);
+        w.field("scenario", c.result.scenario);
+        w.field("n", c.result.n);
+        w.field("faults", c.result.faults);
+        w.field("shards", c.shards);
+        analysis::write_recovery_summary(w, c.result.stats);
+      });
   return 0;
 }

@@ -6,7 +6,7 @@
 // (scripts/campaign_chaos_check.sh is the randomized process-level layer;
 // this bench pins a deterministic in-process battery on every commit).
 //
-// Writes BENCH_chaos.json (schema documented in README.md). Knobs:
+// Writes BENCH_chaos.json (fields: its write_artifact call). Knobs:
 // PPSIM_TRIALS (trials per cell; keep it above the 64-ring shard width so
 // cells split into several shards), PPSIM_MAX_N, PPSIM_THREADS,
 // PPSIM_BENCH_DIR.
@@ -50,11 +50,6 @@ struct ChaosRun {
   bool identical = false;
 };
 
-std::uint64_t recovery_budget(int n) {
-  const auto n_u = static_cast<std::uint64_t>(n);
-  return 60'000ULL * n_u * n_u + 60'000'000ULL;
-}
-
 using Svc = service::CampaignService<pl::PlProtocol>;
 
 std::vector<Svc::Cell> make_cells(const pl::PlParams& p, std::int64_t trials) {
@@ -63,24 +58,13 @@ std::vector<Svc::Cell> make_cells(const pl::PlParams& p, std::int64_t trials) {
   for (int f : {1, 4}) {
     analysis::TrialPlan plan;
     plan.trials = trials;
-    plan.max_steps = recovery_budget(p.n);
+    plan.max_steps = analysis::recovery_budget(p.n);
     plan.seed_base = kSeedBase;
     plan.tag = analysis::campaign_tag(tag++, p.n, f);
     cells.emplace_back(p, analysis::make_recovery_scenario<pl::PlProtocol>(
                               "burst", analysis::burst_schedule(f), plan));
   }
   return cells;
-}
-
-std::string slurp(const std::string& path) {
-  std::string out;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    char buf[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, got);
-    std::fclose(f);
-  }
-  return out;
 }
 
 /// Run one schedule against a fresh service instance and compare the
@@ -126,7 +110,7 @@ ChaosRun run_schedule(const Schedule& sch, const std::vector<Svc::Cell>& cells,
     case service::RunStatus::kDegraded: out.status = "degraded"; break;
     default: out.status = "paused"; break;
   }
-  const std::string got = slurp(frames_path);
+  const std::string got = bench::read_file(frames_path);
   out.identical = got == (sch.expect_degraded ? want_degraded : want_complete);
   if ((rep.status == service::RunStatus::kDegraded) != sch.expect_degraded)
     out.identical = false;
@@ -144,8 +128,8 @@ int main() {
   bench::banner("Chaos battery — self-healing under injected failure",
                 "failpoint schedules vs fault-free run, byte for byte");
 
-  const int trials = bench::env_int("PPSIM_TRIALS", 150);
-  const int max_n = bench::env_int("PPSIM_MAX_N", 64);
+  const int trials = core::env_int("PPSIM_TRIALS", 150);
+  const int max_n = core::env_int("PPSIM_MAX_N", 64);
   const int n = std::min(32, max_n);
   const auto p = pl::PlParams::make(n, 4);
   const auto cells = make_cells(p, trials);
@@ -199,39 +183,24 @@ int main() {
     return 1;
   }
 
-  const std::string path = bench::bench_json_path("chaos");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  bench::JsonWriter w(f);
-  w.begin_object();
-  w.field("bench", "chaos");
-  w.field("schema_version", 1);
-  w.field("unit", "injected_faults_survived");
-  w.field("trials", trials);
-  w.field("seed_base", kSeedBase);
-  w.field("chaos_seed", kChaosSeed);
-  w.field("all_identical", all_ok);
-  w.key("results");
-  w.begin_array();
-  for (const ChaosRun& r : runs) {
-    w.begin_object();
-    w.field("schedule", r.name);
-    w.field("spec", r.spec);
-    w.field("n", n);
-    w.field("shards", r.shards);
-    w.field("faults_injected", r.faults_injected);
-    w.field("shards_quarantined", r.quarantined);
-    w.field("status", r.status);
-    w.field("stream_identical", r.identical);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.finish();
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
+  bench::write_artifact(
+      "chaos", 1, "injected_faults_survived",
+      [&](core::JsonWriter& w) {
+        w.field("trials", trials);
+        w.field("seed_base", kSeedBase);
+        w.field("chaos_seed", kChaosSeed);
+        w.field("all_identical", all_ok);
+      },
+      runs,
+      [&](core::JsonWriter& w, const ChaosRun& r) {
+        w.field("schedule", r.name);
+        w.field("spec", r.spec);
+        w.field("n", n);
+        w.field("shards", r.shards);
+        w.field("faults_injected", r.faults_injected);
+        w.field("shards_quarantined", r.quarantined);
+        w.field("status", r.status);
+        w.field("stream_identical", r.identical);
+      });
   return 0;
 }

@@ -10,8 +10,8 @@
 // quotient checker certifies are flagged certified_beyond_unreduced — the
 // concrete payoff of rotation/reflection reduction.
 //
-// Writes BENCH_checker.json (schema in README.md), registered with
-// scripts/check_bench_artifacts.py like every bench/<name>_json.cpp.
+// Writes BENCH_checker.json (fields: its write_artifact call), registered
+// with scripts/check_bench_artifacts.py like every bench/<name>_json.cpp.
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -141,7 +141,7 @@ int main() {
                 "(engineering artifact, not a paper figure)");
 
   const auto budget = static_cast<std::uint64_t>(
-      bench::env_int("PPSIM_CHECKER_BUDGET", 1 << 18));
+      core::env_int("PPSIM_CHECKER_BUDGET", 1 << 18));
   std::printf("node budget: %llu stored nodes per checker\n\n",
               static_cast<unsigned long long>(budget));
 
@@ -230,58 +230,40 @@ int main() {
                 best_full, best_quot);
   }
 
-  const std::string path = bench::bench_json_path("checker");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  bench::JsonWriter w(f);
-  w.begin_object();
-  w.field("bench", "checker");
-  w.field("schema_version", 1);
-  w.field("unit", "configurations");
-  w.field("node_budget", budget);
-  w.key("results");
-  w.begin_array();
-  for (const CellRow& r : rows) {
-    w.begin_object();
-    w.field("protocol", r.protocol);
-    w.field("n", r.n);
-    w.field("directed", r.directed);
-    w.field("per_agent_states", r.per_agent);
-    w.field("total_configurations", r.total);
-    w.field("rotation_period", r.rotation_period);
-    w.field("reflection", r.reflection);
-    w.field("group_order", r.group_order);
-    w.key("unreduced");
-    w.begin_object();
-    w.field("ran", r.unreduced_ran);
-    w.field("ok", r.unreduced_ok);
-    w.field("capacity_exceeded", r.unreduced_capacity);
-    w.field("bottom_sccs", r.unreduced_bottom_sccs);
-    w.field("bottom_configs", r.unreduced_bottom_configs);
-    w.field("ms", r.unreduced_ms);
-    w.end_object();
-    w.key("quotient");
-    w.begin_object();
-    w.field("ran", r.quotient_ran);
-    w.field("ok", r.quotient_ok);
-    w.field("capacity_exceeded", r.quotient_capacity);
-    w.field("orbits", r.orbits);
-    w.field("bottom_sccs", r.quotient_bottom_sccs);
-    w.field("bottom_orbits", r.quotient_bottom_orbits);
-    w.field("bottom_configs", r.quotient_bottom_configs);
-    w.field("reduction_factor", r.reduction);
-    w.field("ms", r.quotient_ms);
-    w.end_object();
-    w.field("certified_beyond_unreduced", r.certified_beyond_unreduced());
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.finish();
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
+  bench::write_artifact(
+      "checker", 1, "configurations",
+      [&](core::JsonWriter& w) { w.field("node_budget", budget); }, rows,
+      [](core::JsonWriter& w, const CellRow& r) {
+        w.field("protocol", r.protocol);
+        w.field("n", r.n);
+        w.field("directed", r.directed);
+        w.field("per_agent_states", r.per_agent);
+        w.field("total_configurations", r.total);
+        w.field("rotation_period", r.rotation_period);
+        w.field("reflection", r.reflection);
+        w.field("group_order", r.group_order);
+        w.key("unreduced");
+        w.begin_object();
+        w.field("ran", r.unreduced_ran);
+        w.field("ok", r.unreduced_ok);
+        w.field("capacity_exceeded", r.unreduced_capacity);
+        w.field("bottom_sccs", r.unreduced_bottom_sccs);
+        w.field("bottom_configs", r.unreduced_bottom_configs);
+        w.field("ms", r.unreduced_ms);
+        w.end_object();
+        w.key("quotient");
+        w.begin_object();
+        w.field("ran", r.quotient_ran);
+        w.field("ok", r.quotient_ok);
+        w.field("capacity_exceeded", r.quotient_capacity);
+        w.field("orbits", r.orbits);
+        w.field("bottom_sccs", r.quotient_bottom_sccs);
+        w.field("bottom_orbits", r.quotient_bottom_orbits);
+        w.field("bottom_configs", r.quotient_bottom_configs);
+        w.field("reduction_factor", r.reduction);
+        w.field("ms", r.quotient_ms);
+        w.end_object();
+        w.field("certified_beyond_unreduced", r.certified_beyond_unreduced());
+      });
   return 0;
 }

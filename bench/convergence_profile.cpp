@@ -78,8 +78,8 @@ int main() {
   using namespace ppsim;
   bench::banner("Convergence profiles",
                 "§3.1 overview (the phases of stabilization, qualitatively)");
-  const int n = bench::env_int("PPSIM_N", 64);
-  const int c1 = bench::env_int("PPSIM_C1", 4);
+  const int n = core::env_int("PPSIM_N", 64);
+  const int c1 = core::env_int("PPSIM_C1", 4);
   const auto p = pl::PlParams::make(n, c1);
 
   core::Xoshiro256pp rng(2023);

@@ -38,7 +38,7 @@ int main() {
   bench::banner("EliminateLeaders — Lemma 4.11",
                 "§3.4 (bullets & shields), Lemma 4.11 (O(n^2) expected)");
 
-  const int trials = bench::env_int("PPSIM_TRIALS", 9);
+  const int trials = core::env_int("PPSIM_TRIALS", 9);
 
   core::Table t({"n", "m (initial leaders)", "median steps to 1", "mean",
                  "median/n^2", "ever zero?"});

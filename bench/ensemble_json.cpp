@@ -15,14 +15,12 @@
 // speedup cells stay comparable; each row's `ensemble_engine` field records
 // which lane (lut / word / generic) produced the ensemble number.
 //
-// Writes BENCH_ensemble.json (schema documented in README.md) so the
+// Writes BENCH_ensemble.json (fields: its write_artifact call) so the
 // campaign-engine trajectory is tracked next to BENCH_throughput.json and
 // BENCH_recovery.json. Knobs: PPSIM_BENCH_STEPS (total interactions per
 // timed measurement, split across the cell's R rings), PPSIM_BENCH_REPEATS
 // (median-of-R), PPSIM_BENCH_DIR (artifact directory).
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -41,7 +39,6 @@
 namespace {
 
 using namespace ppsim;
-using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t kSeedBase = 53;
 
@@ -59,22 +56,6 @@ struct Row {
     return per_trial_ips > 0.0 ? ensemble_ips / per_trial_ips : 0.0;
   }
 };
-
-/// Median-of-repeats interactions/sec of `body()` executing `total` steps.
-template <typename Body>
-double measure_ips(Body&& body, std::uint64_t total, int repeats) {
-  std::vector<double> ips;
-  ips.reserve(static_cast<std::size_t>(repeats));
-  for (int r = 0; r < repeats; ++r) {
-    const auto t0 = Clock::now();
-    body();
-    const auto t1 = Clock::now();
-    const double sec = std::chrono::duration<double>(t1 - t0).count();
-    ips.push_back(sec > 0.0 ? static_cast<double>(total) / sec : 0.0);
-  }
-  std::sort(ips.begin(), ips.end());
-  return ips[ips.size() / 2];
-}
 
 /// One campaign cell: R trials of protocol P at the given params, each
 /// advancing `steps_per_ring` interactions. Initial configurations and seeds
@@ -104,7 +85,7 @@ Row measure_cell(const char* name, const typename P::Params& params,
   const std::uint64_t total =
       steps_per_ring * static_cast<std::uint64_t>(trials);
 
-  row.per_trial_ips = measure_ips(
+  row.per_trial_ips = bench::median_ips(
       [&] {
         for (int t = 0; t < trials; ++t) {
           core::Runner<P> runner(params, inits[static_cast<std::size_t>(t)],
@@ -113,7 +94,7 @@ Row measure_cell(const char* name, const typename P::Params& params,
         }
       },
       total, repeats);
-  row.ensemble_ips = measure_ips(
+  row.ensemble_ips = bench::median_ips(
       [&] {
         core::EnsembleRunner<P> ensemble(params, trials);
         for (int t = 0; t < trials; ++t)
@@ -139,10 +120,8 @@ int main() {
   bench::banner("Campaign throughput — ensemble vs per-trial Runner",
                 "engineering artifact (perf trajectory, not a paper figure)");
 
-  const auto steps_total = static_cast<std::uint64_t>(
-      bench::env_int("PPSIM_BENCH_STEPS", 4'000'000));
-  const int repeats = bench::env_int("PPSIM_BENCH_REPEATS", 5);
-  const int c1 = bench::env_int("PPSIM_C1", 4);
+  const auto [steps_total, repeats] = bench::steps_and_repeats();
+  const int c1 = core::env_int("PPSIM_C1", 4);
 
   std::vector<Row> rows;
   std::uint64_t tag = 1;
@@ -186,39 +165,24 @@ int main() {
   }
   t.print(std::cout);
 
-  const std::string path = bench::bench_json_path("ensemble");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  bench::JsonWriter w(f);
-  w.begin_object();
-  w.field("bench", "ensemble");
-  w.field("schema_version", 2);
-  w.field("unit", "interactions_per_second");
-  w.field("steps_per_measurement", steps_total);
-  w.field("repeats", repeats);
-  w.field("seed_base", kSeedBase);
-  w.key("results");
-  w.begin_array();
-  for (const Row& r : rows) {
-    w.begin_object();
-    w.field("protocol", r.protocol);
-    w.field("n", r.n);
-    w.field("trials", r.trials);
-    w.field("steps_per_ring", r.steps_per_ring);
-    w.field("state_bytes", static_cast<std::uint64_t>(r.state_bytes));
-    w.field("ensemble_engine", r.ensemble_engine);
-    w.field("per_trial_ips", r.per_trial_ips);
-    w.field("ensemble_ips", r.ensemble_ips);
-    w.field("speedup", r.speedup());
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.finish();
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
+  bench::write_artifact(
+      "ensemble", 2, "interactions_per_second",
+      [&](core::JsonWriter& w) {
+        w.field("steps_per_measurement", steps_total);
+        w.field("repeats", repeats);
+        w.field("seed_base", kSeedBase);
+      },
+      rows,
+      [](core::JsonWriter& w, const Row& r) {
+        w.field("protocol", r.protocol);
+        w.field("n", r.n);
+        w.field("trials", r.trials);
+        w.field("steps_per_ring", r.steps_per_ring);
+        w.field("state_bytes", static_cast<std::uint64_t>(r.state_bytes));
+        w.field("ensemble_engine", r.ensemble_engine);
+        w.field("per_trial_ips", r.per_trial_ips);
+        w.field("ensemble_ips", r.ensemble_ips);
+        w.field("speedup", r.speedup());
+      });
   return 0;
 }

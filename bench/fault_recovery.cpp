@@ -20,11 +20,10 @@ int main() {
   bench::banner("Fault recovery", "the self-stabilization guarantee "
                                   "(Def. 2.1) from post-fault states");
 
-  const int trials = bench::env_int("PPSIM_TRIALS", 9);
-  const int c1 = bench::env_int("PPSIM_C1", 4);
-  const int n = bench::env_int("PPSIM_N", 64);
+  const int trials = core::env_int("PPSIM_TRIALS", 9);
+  const int c1 = core::env_int("PPSIM_C1", 4);
+  const int n = core::env_int("PPSIM_N", 64);
   const auto p = pl::PlParams::make(n, c1);
-  const auto n_u = static_cast<std::uint64_t>(n);
   const double n2logn = static_cast<double>(n) * n * std::log2(n);
 
   core::Table t({"faults f", "median recovery steps", "mean", "p90",
@@ -33,7 +32,7 @@ int main() {
     if (f > n) continue;
     analysis::TrialPlan plan;
     plan.trials = trials;
-    plan.max_steps = 60'000ULL * n_u * n_u + 60'000'000ULL;
+    plan.max_steps = analysis::recovery_budget(n);
     plan.seed_base = 41;
     plan.tag = analysis::campaign_tag(1, n, f);
     const auto stats = analysis::measure_recovery<pl::PlProtocol>(

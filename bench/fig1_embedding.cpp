@@ -19,7 +19,7 @@ int main() {
   bench::banner("Figure 1 — segment-ID embedding on the ring",
                 "Figure 1 + §3.2 construction (O(n^2 log n) steps)");
 
-  const int c1 = bench::env_int("PPSIM_C1", 4);
+  const int c1 = core::env_int("PPSIM_C1", 4);
 
   // (a) Ring map after convergence, in the spirit of Fig. 1(a)/(b).
   {
@@ -44,7 +44,7 @@ int main() {
   }
 
   // (b) Construction time from a fresh deployment.
-  const int trials = bench::env_int("PPSIM_TRIALS", 7);
+  const int trials = core::env_int("PPSIM_TRIALS", 7);
   core::Table t({"n", "median to perfect", "median to S_PL",
                  "/(n^2 lg n) (S_PL)"});
   for (int n : bench::ring_sweep(256)) {

@@ -22,7 +22,7 @@ int main() {
   bench::banner("Internal mechanisms — tokens, signals, bullets",
                 "Def. 3.4, Lemma 3.11, §3.4 (steady-state statistics)");
 
-  const int c1 = bench::env_int("PPSIM_C1", 4);
+  const int c1 = core::env_int("PPSIM_C1", 4);
 
   core::Table t({"n", "psi", "tok moves/completion", "2p^2-2p+1",
                  "completions", "collision deaths", "lastseg deaths",

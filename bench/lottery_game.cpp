@@ -31,7 +31,7 @@ int main() {
   bench::banner("Lottery game — Lemmas 3.9/3.10",
                 "Definition 3.8 + the two Chernoff envelopes");
 
-  const int trials = bench::env_int("PPSIM_TRIALS", 400);
+  const int trials = core::env_int("PPSIM_TRIALS", 400);
   core::Xoshiro256pp rng(2023);
 
   core::Table t({"k", "c", "L3.9: P(W(4ck 2^k) <= 8ck)",

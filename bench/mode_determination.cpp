@@ -21,8 +21,8 @@ int main() {
   bench::banner("Mode determination — Lemmas 3.6/3.7",
                 "Lemma 3.6 (construction holds) / Lemma 3.7 (detection)");
 
-  const int trials = bench::env_int("PPSIM_TRIALS", 5);
-  const int c1 = bench::env_int("PPSIM_C1", 4);
+  const int trials = core::env_int("PPSIM_TRIALS", 5);
+  const int c1 = core::env_int("PPSIM_C1", 4);
 
   // (a) Detection latency without a leader.
   core::Table ta({"n", "median steps to all-Detect-or-leader",

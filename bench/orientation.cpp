@@ -15,8 +15,8 @@ int main() {
   bench::banner("Ring orientation — Theorem 5.2",
                 "§5: P_OR (O(1) states, O(n^2 log n) steps) + composition");
 
-  const int trials = bench::env_int("PPSIM_TRIALS", 7);
-  const int c1 = bench::env_int("PPSIM_C1", 4);
+  const int trials = core::env_int("PPSIM_TRIALS", 7);
+  const int c1 = core::env_int("PPSIM_C1", 4);
 
   core::Table t({"n", "median steps to oriented", "mean", "/(n^2 lg n)"});
   for (int n : bench::ring_sweep(256)) {

@@ -4,11 +4,10 @@
 // shapes (one burst vs a spaced storm), on the scenario campaign engine
 // (analysis/scenario.hpp).
 //
-// Writes BENCH_recovery.json (schema documented in README.md) so the
+// Writes BENCH_recovery.json (fields: its write_artifact call) so the
 // recovery trajectory is tracked per-commit next to BENCH_throughput.json.
 // Knobs: PPSIM_TRIALS (trials per cell), PPSIM_MAX_N (drops ring sizes above
 // it), PPSIM_C1 (P_PL's kappa constant), PPSIM_THREADS, PPSIM_BENCH_DIR.
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -31,13 +30,6 @@ struct Cell {
 
 constexpr std::uint64_t kSeedBase = 47;
 
-std::uint64_t recovery_budget(int n) {
-  const auto n_u = static_cast<std::uint64_t>(n);
-  // Covers the Theta(n^3) baseline and P_PL's Theta(n^2 kappa) detection
-  // path at the sizes swept here.
-  return 60'000ULL * n_u * n_u + 60'000'000ULL;
-}
-
 /// Campaign for one protocol: {burst, storm} x ns x fault counts.
 template <typename P>
 std::vector<Cell> run_protocol(const std::string& name, std::uint64_t tag_base,
@@ -49,7 +41,7 @@ std::vector<Cell> run_protocol(const std::string& name, std::uint64_t tag_base,
     for (int f : fault_counts) {
       analysis::TrialPlan plan;
       plan.trials = trials;
-      plan.max_steps = recovery_budget(p.n);
+      plan.max_steps = analysis::recovery_budget(p.n);
       plan.seed_base = kSeedBase;
       for (int storm = 0; storm < 2; ++storm) {
         plan.tag = analysis::campaign_tag((tag_base << 1) | storm, p.n, f);
@@ -79,9 +71,9 @@ int main() {
   bench::banner("Recovery-time campaign — faults injected mid-run",
                 "self-stabilization (Def. 2.1) as recovery after k faults");
 
-  const int trials = bench::env_int("PPSIM_TRIALS", 7);
-  const int max_n = bench::env_int("PPSIM_MAX_N", 64);
-  const int c1 = bench::env_int("PPSIM_C1", 4);
+  const int trials = core::env_int("PPSIM_TRIALS", 7);
+  const int max_n = core::env_int("PPSIM_MAX_N", 64);
+  const int c1 = core::env_int("PPSIM_C1", 4);
 
   std::vector<int> ns;
   for (int n : {32, 64})
@@ -132,44 +124,23 @@ int main() {
   }
   t.print(std::cout);
 
-  const std::string path = bench::bench_json_path("recovery");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  bench::JsonWriter w(f);
-  w.begin_object();
-  w.field("bench", "recovery");
-  w.field("schema_version", 1);
-  w.field("unit", "steps_to_reenter_safe_set");
-  w.field("trials", trials);
-  w.field("seed_base", kSeedBase);
-  w.key("results");
-  w.begin_array();
-  for (const Cell& c : cells) {
-    const auto& s = c.result.stats;
-    w.begin_object();
-    w.field("protocol", c.protocol);
-    w.field("scenario", c.result.scenario);
-    w.field("n", c.result.n);
-    w.field("faults", c.result.faults);
-    w.field("stabilization_failures", s.stabilization_failures);
-    w.field("recovery_failures", s.recovery_failures);
-    w.field("median", s.recovery.median);
-    w.field("mean", s.recovery.mean);
-    w.field("p90", s.recovery.p90);
-    w.field("max", s.recovery.max);
-    w.key("raw");
-    w.begin_array();
-    for (std::uint64_t v : s.raw) w.value(v);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.finish();
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
+  bench::write_artifact(
+      "recovery", 1, "steps_to_reenter_safe_set",
+      [&](core::JsonWriter& w) {
+        w.field("trials", trials);
+        w.field("seed_base", kSeedBase);
+      },
+      cells,
+      [](core::JsonWriter& w, const Cell& c) {
+        w.field("protocol", c.protocol);
+        w.field("scenario", c.result.scenario);
+        w.field("n", c.result.n);
+        w.field("faults", c.result.faults);
+        analysis::write_recovery_summary(w, c.result.stats);
+        w.key("raw");
+        w.begin_array();
+        for (std::uint64_t v : c.result.stats.raw) w.value(v);
+        w.end_array();
+      });
   return 0;
 }

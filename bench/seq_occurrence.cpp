@@ -32,7 +32,7 @@ int main() {
   bench::banner("Sequence occurrence — Lemma 2.3",
                 "Lemma 2.3 (expectation n*l; Chernoff tail)");
 
-  const int trials = bench::env_int("PPSIM_TRIALS", 300);
+  const int trials = core::env_int("PPSIM_TRIALS", 300);
   core::Xoshiro256pp rng(101);
 
   core::Table t({"n", "l", "mean steps", "n*l (Lemma 2.3)", "ratio", "p99",

@@ -76,9 +76,9 @@ int main() {
   bench::banner("Table 1 — SS-LE on rings: convergence & states",
                 "Table 1 of the paper (five protocols)");
 
-  const int trials = bench::env_int("PPSIM_TRIALS", 5);
+  const int trials = core::env_int("PPSIM_TRIALS", 5);
   const auto ns = bench::ring_sweep(128);
-  const int c1 = bench::env_int("PPSIM_C1", 4);
+  const int c1 = core::env_int("PPSIM_C1", 4);
 
   // --- this work: P_PL ---
   const auto pl_row = sweep<pl::PlProtocol>(

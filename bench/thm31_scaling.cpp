@@ -17,8 +17,8 @@ int main() {
   bench::banner("Theorem 3.1 — P_PL convergence scaling",
                 "Theorem 3.1 (O(n^2 log n) steps w.h.p. and in expectation)");
 
-  const int trials = bench::env_int("PPSIM_TRIALS", 7);
-  const int c1 = bench::env_int("PPSIM_C1", 4);
+  const int trials = core::env_int("PPSIM_TRIALS", 7);
+  const int c1 = core::env_int("PPSIM_C1", 4);
   const auto ns = bench::ring_sweep(512);
 
   // Trial-parallel sweep (fans out over cores; deterministic in seed_base=7).

@@ -13,13 +13,10 @@
 // engagement gate (a ring size where grouping loses shows up below 1x), and
 // 0 for protocols without a kernel.
 //
-// Writes BENCH_throughput.json (schema documented in README.md) so the perf
+// Writes BENCH_throughput.json (fields: its write_artifact call) so the perf
 // trajectory of the simulation engine is tracked from PR 1 onward. Knobs:
 // PPSIM_BENCH_STEPS (steps per timed measurement), PPSIM_BENCH_REPEATS
 // (median-of-R), PPSIM_BENCH_DIR (artifact directory).
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -38,7 +35,6 @@
 namespace {
 
 using namespace ppsim;
-using Clock = std::chrono::steady_clock;
 
 struct Row {
   std::string protocol;
@@ -56,23 +52,6 @@ struct Row {
     return has_packed && batched_ips > 0.0 ? packed_ips / batched_ips : 0.0;
   }
 };
-
-/// Median-of-repeats interactions/sec of `body(steps)`.
-template <typename Body>
-double measure_ips(Body&& body, std::uint64_t steps, int repeats) {
-  std::vector<double> ips;
-  ips.reserve(static_cast<std::size_t>(repeats));
-  for (int r = 0; r < repeats; ++r) {
-    const auto t0 = Clock::now();
-    body(steps);
-    const auto t1 = Clock::now();
-    const double sec = std::chrono::duration<double>(t1 - t0).count();
-    // Guard against a zero-resolution clock reading (tiny step counts).
-    ips.push_back(sec > 0.0 ? static_cast<double>(steps) / sec : 0.0);
-  }
-  std::sort(ips.begin(), ips.end());
-  return ips[ips.size() / 2];
-}
 
 /// BM_PlSteps-equivalent workload for one protocol/config: warm up, then
 /// time run_unbatched(k), run(k) and (word-kernel protocols) the one-ring
@@ -95,21 +74,21 @@ Row measure_protocol(const char* name, const typename P::Params& params,
     word.run(warmup);
     if (word.word_kernel_mode()) {
       row.has_packed = true;
-      row.packed_ips = measure_ips(
-          [&](std::uint64_t k) { word.run(k); }, steps, repeats);
+      row.packed_ips =
+          bench::median_ips([&] { word.run(steps); }, steps, repeats);
     }
   }
   core::Runner<P> warmed(params, std::move(init), /*seed=*/1);
   warmed.run(warmup);  // warm caches, reach workload equilibrium
   {
     core::Runner<P> runner = warmed;
-    row.unbatched_ips = measure_ips(
-        [&](std::uint64_t k) { runner.run_unbatched(k); }, steps, repeats);
+    row.unbatched_ips = bench::median_ips(
+        [&] { runner.run_unbatched(steps); }, steps, repeats);
   }
   {
     core::Runner<P> runner = warmed;
     row.batched_ips =
-        measure_ips([&](std::uint64_t k) { runner.run(k); }, steps, repeats);
+        bench::median_ips([&] { runner.run(steps); }, steps, repeats);
   }
   return row;
 }
@@ -121,10 +100,8 @@ int main() {
   bench::banner("Engine throughput — batched vs unbatched scheduler",
                 "engineering artifact (perf trajectory, not a paper figure)");
 
-  const auto steps = static_cast<std::uint64_t>(
-      bench::env_int("PPSIM_BENCH_STEPS", 4'000'000));
-  const int repeats = bench::env_int("PPSIM_BENCH_REPEATS", 5);
-  const int c1 = bench::env_int("PPSIM_C1", 4);
+  const auto [steps, repeats] = bench::steps_and_repeats();
+  const int c1 = core::env_int("PPSIM_C1", 4);
 
   std::vector<Row> rows;
   for (int n : {64, 1024, 16384}) {
@@ -167,37 +144,22 @@ int main() {
   }
   t.print(std::cout);
 
-  const std::string path = bench::bench_json_path("throughput");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  bench::JsonWriter w(f);
-  w.begin_object();
-  w.field("bench", "throughput");
-  w.field("schema_version", 2);
-  w.field("unit", "interactions_per_second");
-  w.field("steps_per_measurement", steps);
-  w.field("repeats", repeats);
-  w.key("results");
-  w.begin_array();
-  for (const Row& r : rows) {
-    w.begin_object();
-    w.field("protocol", r.protocol);
-    w.field("n", r.n);
-    w.field("state_bytes", static_cast<std::uint64_t>(r.state_bytes));
-    w.field("unbatched_ips", r.unbatched_ips);
-    w.field("batched_ips", r.batched_ips);
-    w.field("speedup", r.speedup());
-    w.field("packed_ips", r.packed_ips);
-    w.field("packed_speedup", r.packed_speedup());
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.finish();
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
+  bench::write_artifact(
+      "throughput", 2, "interactions_per_second",
+      [&](core::JsonWriter& w) {
+        w.field("steps_per_measurement", steps);
+        w.field("repeats", repeats);
+      },
+      rows,
+      [](core::JsonWriter& w, const Row& r) {
+        w.field("protocol", r.protocol);
+        w.field("n", r.n);
+        w.field("state_bytes", static_cast<std::uint64_t>(r.state_bytes));
+        w.field("unbatched_ips", r.unbatched_ips);
+        w.field("batched_ips", r.batched_ips);
+        w.field("speedup", r.speedup());
+        w.field("packed_ips", r.packed_ips);
+        w.field("packed_speedup", r.packed_speedup());
+      });
   return 0;
 }

@@ -9,10 +9,9 @@
 // trajectory thus records both the ring recovery numbers (loss slows the
 // wall clock by ~1/(1-p)) and the off-ring failure profile.
 //
-// Writes BENCH_topology.json (schema documented in README.md).
+// Writes BENCH_topology.json (fields: its write_artifact call).
 // Knobs: PPSIM_TRIALS (trials per cell), PPSIM_C1 (P_PL's kappa constant),
 // PPSIM_THREADS, PPSIM_BENCH_DIR.
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -102,8 +101,8 @@ int main() {
   bench::banner("Topology x fault-model recovery campaign",
                 "recovery from a 2-fault burst off the hard-wired ring");
 
-  const int trials = bench::env_int("PPSIM_TRIALS", 6);
-  const int c1 = bench::env_int("PPSIM_C1", 4);
+  const int trials = core::env_int("PPSIM_TRIALS", 6);
+  const int c1 = core::env_int("PPSIM_C1", 4);
   const int n = 16;
 
   std::vector<Cell> cells;
@@ -131,47 +130,26 @@ int main() {
   }
   t.print(std::cout);
 
-  const std::string path = bench::bench_json_path("topology");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  bench::JsonWriter w(f);
-  w.begin_object();
-  w.field("bench", "topology");
-  w.field("schema_version", 1);
-  w.field("unit", "steps_to_reenter_safe_set");
-  w.field("trials", trials);
-  w.field("seed_base", kSeedBase);
-  w.field("max_steps", kMaxSteps);
-  w.key("results");
-  w.begin_array();
-  for (const Cell& c : cells) {
-    const auto& s = c.result.stats;
-    w.begin_object();
-    w.field("protocol", c.protocol);
-    w.field("topology", c.topology);
-    w.field("scenario", c.result.scenario);
-    w.field("loss", c.loss);
-    w.field("n", c.result.n);
-    w.field("faults", c.result.faults);
-    w.field("stabilization_failures", s.stabilization_failures);
-    w.field("recovery_failures", s.recovery_failures);
-    w.field("median", s.recovery.median);
-    w.field("mean", s.recovery.mean);
-    w.field("p90", s.recovery.p90);
-    w.field("max", s.recovery.max);
-    w.key("raw");
-    w.begin_array();
-    for (std::uint64_t v : s.raw) w.value(v);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.finish();
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
+  bench::write_artifact(
+      "topology", 1, "steps_to_reenter_safe_set",
+      [&](core::JsonWriter& w) {
+        w.field("trials", trials);
+        w.field("seed_base", kSeedBase);
+        w.field("max_steps", kMaxSteps);
+      },
+      cells,
+      [](core::JsonWriter& w, const Cell& c) {
+        w.field("protocol", c.protocol);
+        w.field("topology", c.topology);
+        w.field("scenario", c.result.scenario);
+        w.field("loss", c.loss);
+        w.field("n", c.result.n);
+        w.field("faults", c.result.faults);
+        analysis::write_recovery_summary(w, c.result.stats);
+        w.key("raw");
+        w.begin_array();
+        for (std::uint64_t v : c.result.stats.raw) w.value(v);
+        w.end_array();
+      });
   return 0;
 }

@@ -22,9 +22,9 @@ int main() {
   bench::banner("Hitting-time distribution — w.h.p. and expectation",
                 "Theorem 3.1 ('both w.h.p. and in expectation'), Lemma 2.4");
 
-  const int n = bench::env_int("PPSIM_N", 64);
-  const int trials = bench::env_int("PPSIM_TRIALS", 200);
-  const int c1 = bench::env_int("PPSIM_C1", 4);
+  const int n = core::env_int("PPSIM_N", 64);
+  const int trials = core::env_int("PPSIM_TRIALS", 200);
+  const int c1 = core::env_int("PPSIM_C1", 4);
   const auto p = pl::PlParams::make(n, c1);
 
   // Trial-parallel engine; the histogram and summary are rebuilt from the

@@ -13,11 +13,12 @@
 //
 //   $ ./example_ppsim_campaignd <checkpoint> <frames.ndjson> [n] [trials]
 //
-// Exit codes: 0 = campaign complete (results written), 3 = paused
-// (PPSIM_CAMPAIGN_STOP shards ran; rerun to continue), 2 = refused a
-// corrupt/foreign checkpoint or inconsistent frame file, 4 = degraded
-// (every shard settled but some are quarantined after persistent failure —
-// recorded in the checkpoint; results withheld).
+// Exit codes: 0 = campaign complete (results written), 1 = usage error or
+// results file not written, 2 = refused a corrupt/foreign checkpoint or
+// inconsistent frame file, 3 = paused (PPSIM_CAMPAIGN_STOP shards ran;
+// rerun to continue), 4 = degraded (every shard settled but some are
+// quarantined after persistent failure — recorded in the checkpoint;
+// results withheld).
 // Env: PPSIM_THREADS (worker count; never changes any output byte),
 // PPSIM_CAMPAIGN_STOP (stop after that many shards, 0 = run to
 // completion), PPSIM_CKPT_EVERY (frames between checkpoints, default 1),
@@ -25,8 +26,10 @@
 // "service.file_sink.write=2xeintr;service.ckpt.write=enospc" — the chaos
 // harness scripts/campaign_chaos_check.sh drives this; grammar in
 // core/failpoint.hpp).
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <string>
 #include <utility>
@@ -53,7 +56,7 @@ std::vector<service::CampaignService<pl::PlProtocol>::Cell> make_cells(
   for (int faults : {1, p.n / 4}) {
     analysis::TrialPlan plan;
     plan.trials = trials;
-    plan.max_steps = 60'000ULL * n_u * n_u + 60'000'000ULL;
+    plan.max_steps = analysis::recovery_budget(p.n);
     plan.seed_base = 7;
     plan.tag = analysis::campaign_tag(tag++, p.n, faults);
     cells.emplace_back(p, analysis::make_recovery_scenario<pl::PlProtocol>(
@@ -132,7 +135,12 @@ int main(int argc, char** argv) {
     const auto results = svc.results();
     service::write_campaign_results_json(
         f, std::span<const analysis::CampaignResult>(results), svc.digest());
-    std::fclose(f);
+    const bool written = std::fflush(f) == 0 && std::ferror(f) == 0;
+    if (std::fclose(f) != 0 || !written) {
+      std::fprintf(stderr, "cannot write %s: %s\n", results_path.c_str(),
+                   std::strerror(errno));
+      return 1;
+    }
     std::printf("complete; wrote %s\n", results_path.c_str());
     return 0;
   } catch (const service::CheckpointError& e) {

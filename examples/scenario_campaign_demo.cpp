@@ -32,7 +32,7 @@ void report(const char* protocol, const typename P::Params& params,
   for (int faults : {1, params.n / 4}) {
     analysis::TrialPlan plan;
     plan.trials = trials;
-    plan.max_steps = 60'000ULL * n_u * n_u + 60'000'000ULL;
+    plan.max_steps = analysis::recovery_budget(params.n);
     plan.seed_base = 7;
     plan.tag = analysis::campaign_tag(static_cast<std::uint64_t>(tag++),
                                       params.n, faults);

@@ -9,7 +9,8 @@
 # byte-identical to the reference, which is the service's core contract
 # (tests/service/campaign_service_test.cpp pins the same property
 # in-process at exact shard boundaries; this harness adds real SIGKILL at
-# arbitrary byte positions, torn frame tails included).
+# arbitrary byte positions, torn frame tails included). A last leg checks
+# that a results file which cannot be written fails the run.
 #
 #   usage: campaign_resume_check.sh <path-to-example_ppsim_campaignd> [workdir]
 #   env:   PPSIM_CAMPAIGN_N (default 32), PPSIM_CAMPAIGN_TRIALS (default 1024)
@@ -64,3 +65,20 @@ cmp "$DIR/ref.ndjson" "$DIR/victim.ndjson"
 cmp "$DIR/ref.ndjson.results.json" "$DIR/victim.ndjson.results.json"
 echo "OK: $kills kill -9s across $attempt runs; frame stream and results" \
      "byte-identical to the uninterrupted reference"
+
+# Full disk: with the results file symlinked to /dev/full every write of it
+# fails (ENOSPC), so a completed campaign must exit nonzero and say so
+# instead of reporting a results file it did not write.
+rm -f "$DIR"/full.*
+ln -s /dev/full "$DIR/full.ndjson.results.json"
+set +e
+"$BIN" "$DIR/full.ckpt" "$DIR/full.ndjson" "$N" "$TRIALS" \
+    > /dev/null 2> "$DIR/full.err"
+status=$?
+set -e
+if [ "$status" -eq 0 ] || ! grep -q "cannot write" "$DIR/full.err"; then
+  echo "FAIL: campaignd exited $status with its results file on a full" \
+       "disk (expected nonzero and 'cannot write')" >&2
+  exit 1
+fi
+echo "OK: results file on a full disk -> exit $status"

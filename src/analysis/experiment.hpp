@@ -190,6 +190,13 @@ struct ScalingPoint {
   return 40'000ULL * n_u * n_u + 50'000'000ULL;
 }
 
+/// Step budget per recovery trial (fault-injection campaigns): covers the
+/// Theta(n^3) baseline and P_PL's Theta(n^2 kappa) detection path.
+[[nodiscard]] constexpr std::uint64_t recovery_budget(int n) noexcept {
+  const auto n_u = static_cast<std::uint64_t>(n);
+  return 60'000ULL * n_u * n_u + 60'000'000ULL;
+}
+
 /// Shared ring-size sweep driver (Theorem 3.1 / Table 1 harnesses): for each
 /// n, builds params via `mk(n)`, draws configurations via `gen(params, rng)`
 /// and measures convergence to `pred` with the trial-parallel engine.

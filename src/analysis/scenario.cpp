@@ -25,4 +25,14 @@ RecoveryStats fold_recovery(const std::vector<RecoveryTrial>& trials) {
 }
 
 }  // namespace detail
+
+void write_recovery_summary(core::JsonWriter& w, const RecoveryStats& s) {
+  w.field("stabilization_failures", s.stabilization_failures);
+  w.field("recovery_failures", s.recovery_failures);
+  w.field("median", s.recovery.median);
+  w.field("mean", s.recovery.mean);
+  w.field("p90", s.recovery.p90);
+  w.field("max", s.recovery.max);
+}
+
 }  // namespace ppsim::analysis

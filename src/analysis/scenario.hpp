@@ -66,6 +66,7 @@
 
 #include "analysis/experiment.hpp"
 #include "core/ensemble.hpp"
+#include "core/json.hpp"
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "core/runner.hpp"
@@ -173,6 +174,11 @@ struct RecoveryStats {
   core::Summary stabilization;  ///< over trials that stabilized
   std::vector<std::uint64_t> raw;
 };
+
+/// Writes the `stabilization_failures, recovery_failures, median, mean, p90,
+/// max` fields of `s` into the open JSON object, in that order: the one
+/// field run every recovery artifact shares (`raw` is the caller's choice).
+void write_recovery_summary(core::JsonWriter& w, const RecoveryStats& s);
 
 namespace detail {
 

@@ -4,7 +4,7 @@
 // so the campaign service (src/service/) can stream result frames through
 // exactly the same serializer the bench artifacts use — one JSON dialect,
 // one escaping routine, one set of number formats across every artifact the
-// repo emits (bench::JsonWriter remains as an alias).
+// repo emits.
 //
 // Two layout modes:
 //   * pretty (default) — two-space indentation, one element per line; the

@@ -794,12 +794,7 @@ inline void write_campaign_results_json(
     w.field("n", r.n);
     w.field("faults", r.faults);
     w.field("trials", r.stats.trials);
-    w.field("stabilization_failures", r.stats.stabilization_failures);
-    w.field("recovery_failures", r.stats.recovery_failures);
-    w.field("median", r.stats.recovery.median);
-    w.field("mean", r.stats.recovery.mean);
-    w.field("p90", r.stats.recovery.p90);
-    w.field("max", r.stats.recovery.max);
+    analysis::write_recovery_summary(w, r.stats);
     w.key("raw");
     w.begin_array();
     for (std::uint64_t v : r.stats.raw) w.value(v);
