@@ -38,6 +38,8 @@ struct Schedule {
   std::string name;
   std::string spec;
   bool expect_degraded = false;
+  /// run() must throw CheckpointError; a clean rerun then resumes.
+  bool expect_abort = false;
 };
 
 struct ChaosRun {
@@ -69,7 +71,8 @@ std::vector<Svc::Cell> make_cells(const pl::PlParams& p, std::int64_t trials) {
 
 /// Run one schedule against a fresh service instance and compare the
 /// on-disk frame stream to `want` (the fault-free reference, minus the
-/// quarantined shard's line for degraded schedules).
+/// quarantined shard's line for degraded schedules). An abort schedule is
+/// followed by a clean rerun in a fresh instance, which must resume.
 ChaosRun run_schedule(const Schedule& sch, const std::vector<Svc::Cell>& cells,
                       const std::string& want_complete,
                       const std::string& want_degraded) {
@@ -95,6 +98,19 @@ ChaosRun run_schedule(const Schedule& sch, const std::vector<Svc::Cell>& cells,
   // the same shard every run for the committed artifact to be stable.
   opts.threads = 1;
 
+  bool aborted = false;
+  if (sch.expect_abort) {
+    try {
+      Svc victim(cells, opts);
+      service::FileFrameSink frames(frames_path);
+      (void)victim.run(frames);
+    } catch (const service::CheckpointError&) {
+      aborted = true;
+    }
+    // The rerun is clean; disarm() keeps the fired counters.
+    for (const std::string& site : reg.armed_sites()) reg.disarm(site);
+  }
+
   Svc svc(cells, opts);
   service::FileFrameSink frames(frames_path);
   const service::RunReport rep = svc.run(frames);
@@ -110,9 +126,11 @@ ChaosRun run_schedule(const Schedule& sch, const std::vector<Svc::Cell>& cells,
     case service::RunStatus::kDegraded: out.status = "degraded"; break;
     default: out.status = "paused"; break;
   }
+  if (aborted) out.status = "aborted_then_" + out.status;
   const std::string got = bench::read_file(frames_path);
   out.identical = got == (sch.expect_degraded ? want_degraded : want_complete);
-  if ((rep.status == service::RunStatus::kDegraded) != sch.expect_degraded)
+  if ((rep.status == service::RunStatus::kDegraded) != sch.expect_degraded ||
+      aborted != sch.expect_abort)
     out.identical = false;
 
   std::remove(ckpt.c_str());
@@ -161,6 +179,9 @@ int main() {
        "service.ckpt.dir_fsync=1xeintr"},
       {"worker_transient", "service.worker.shard=2xeintr"},
       {"worker_quarantine", "service.worker.shard=3xeintr", true},
+      {"ckpt_append_enospc_short", "service.ckpt.append=short:7+enospc"},
+      {"ckpt_datasync_eintr", "service.ckpt.datasync=2xeintr"},
+      {"ckpt_append_abort", "service.ckpt.append=throw", false, true},
   };
 
   std::vector<ChaosRun> runs;

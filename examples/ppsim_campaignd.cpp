@@ -21,7 +21,8 @@
 // results withheld).
 // Env: PPSIM_THREADS (worker count; never changes any output byte),
 // PPSIM_CAMPAIGN_STOP (stop after that many shards, 0 = run to
-// completion), PPSIM_CKPT_EVERY (frames between checkpoints, default 1),
+// completion), PPSIM_CKPT_EVERY (settled shards per appended checkpoint
+// record, default 1),
 // PPSIM_FAILPOINTS (failpoint schedules, e.g.
 // "service.file_sink.write=2xeintr;service.ckpt.write=enospc" — the chaos
 // harness scripts/campaign_chaos_check.sh drives this; grammar in

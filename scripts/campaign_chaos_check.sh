@@ -99,6 +99,20 @@ heal_leg mixed_recover \
     "service.file_sink.write=1xshort:1+2xeintr+p200@${SEED}xeagain;service.ckpt.fsync=2xeintr;service.ckpt.rename=1xeintr" \
     2
 
+# 6. A checkpoint record append that writes 7 bytes and then hits ENOSPC:
+#    the partial record is cut off the file, the retry re-appends it whole,
+#    and the committed prefix survives — a clean rerun finds every shard
+#    already checkpointed and runs none.
+heal_leg ckpt_append_enospc_short "service.ckpt.append=short:7+enospc" 2
+run_leg ckpt_append_enospc_short_rerun "" 2 0
+grep -q "^ran 0 shards" "$DIR/victim.out" || {
+  echo "FAIL[ckpt_append_enospc_short]: rerun did not find every shard" \
+       "in the checkpoint" >&2; exit 1; }
+cmp "$DIR/ref.ndjson" "$DIR/victim.ndjson"
+
+# 7. EINTR on the fdatasync that makes each appended record durable.
+heal_leg ckpt_datasync_eintr "service.ckpt.datasync=2xeintr" 2
+
 # --- Abort-class fault: documented exit, clean rerun resumes identically ---
 
 rm -f "$DIR"/victim.*
@@ -112,6 +126,20 @@ cmp "$DIR/ref.ndjson" "$DIR/victim.ndjson" || {
   exit 1; }
 cmp "$DIR/ref.ndjson.results.json" "$DIR/victim.ndjson.results.json"
 echo "OK[ckpt_abort]: abort-class fault exited 2, clean rerun resumed" \
+     "byte-identically"
+
+# The same at the record append: the snapshot the run created stays the
+# checkpoint, and the rerun resumes from it.
+rm -f "$DIR"/victim.*
+run_leg ckpt_append_abort "service.ckpt.append=throw" 2 2
+grep -q "refused:" "$DIR/victim.err" || {
+  echo "FAIL[ckpt_append_abort]: no refusal diagnostic on stderr" >&2; exit 1; }
+run_leg ckpt_append_abort_resume "" 2 0
+cmp "$DIR/ref.ndjson" "$DIR/victim.ndjson" || {
+  echo "FAIL[ckpt_append_abort_resume]: stream diverged after abort+resume" >&2
+  exit 1; }
+cmp "$DIR/ref.ndjson.results.json" "$DIR/victim.ndjson.results.json"
+echo "OK[ckpt_append_abort]: append abort exited 2, clean rerun resumed" \
      "byte-identically"
 
 # --- Persistent shard failure: quarantine, degrade, never lie -------------

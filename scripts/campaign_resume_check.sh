@@ -4,7 +4,9 @@
 # Runs example_ppsim_campaignd once uninterrupted (the reference), then runs
 # the same campaign in a loop that kill -9s the process at arbitrary
 # wall-clock points — each restart resumes from the checkpoint at a
-# DIFFERENT thread count — until a leg completes. The frame stream and the
+# DIFFERENT thread count, and with one or four shards per checkpoint record
+# (PPSIM_CKPT_EVERY) in turn, so kills also land inside multi-shard
+# records — until a leg completes. The frame stream and the
 # final results artifact of the killed-and-resumed campaign must be
 # byte-identical to the reference, which is the service's core contract
 # (tests/service/campaign_service_test.cpp pins the same property
@@ -42,9 +44,10 @@ while true; do
     exit 1
   fi
   threads=$(( (attempt % 4) + 1 ))
+  every=$(( attempt % 2 == 1 ? 1 : 4 ))
   set +e
-  PPSIM_THREADS=$threads "$BIN" "$DIR/victim.ckpt" "$DIR/victim.ndjson" \
-      "$N" "$TRIALS" > /dev/null &
+  PPSIM_THREADS=$threads PPSIM_CKPT_EVERY=$every "$BIN" "$DIR/victim.ckpt" \
+      "$DIR/victim.ndjson" "$N" "$TRIALS" > /dev/null &
   pid=$!
   # Land the kill at an arbitrary wall-clock point; when the run finishes
   # first, the kill misses and `wait` reports a clean exit.

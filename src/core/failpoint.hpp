@@ -80,18 +80,27 @@ inline constexpr const char* kFileSinkWrite = "service.file_sink.write";
 inline constexpr const char* kFileSinkFlush = "service.file_sink.flush";
 /// FileFrameSink::truncate_to's ftruncate call.
 inline constexpr const char* kFileSinkTruncate = "service.file_sink.truncate";
-/// save_checkpoint's fopen of <path>.tmp (service/campaign_io.hpp).
+// The kCkpt{Open,Write,Fsync,Rename,DirFsync} sites cover the whole-file
+// snapshot write (service/campaign_io.hpp save_snapshot), which runs when a
+// fresh campaign creates its checkpoint and when a resume compacts the
+// appended records into a new snapshot; kCkptAppend/kCkptDatasync cover
+// the per-batch record append in between.
+/// save_snapshot's fopen of <path>.tmp (service/campaign_io.hpp).
 inline constexpr const char* kCkptOpen = "service.ckpt.open";
-/// save_checkpoint's fwrite of the encoded document.
+/// save_snapshot's fwrite of the encoded snapshot.
 inline constexpr const char* kCkptWrite = "service.ckpt.write";
-/// save_checkpoint's fsync of the tmp file (the durability barrier).
+/// save_snapshot's fsync of the tmp file (the durability barrier).
 inline constexpr const char* kCkptFsync = "service.ckpt.fsync";
-/// save_checkpoint's rename(2) commit.
+/// save_snapshot's rename(2) commit.
 inline constexpr const char* kCkptRename = "service.ckpt.rename";
-/// save_checkpoint's fsync of the parent directory (rename durability).
+/// save_snapshot's fsync of the parent directory (rename durability).
 inline constexpr const char* kCkptDirFsync = "service.ckpt.dir_fsync";
 /// load_checkpoint's fread loop.
 inline constexpr const char* kCkptRead = "service.ckpt.read";
+/// CheckpointJournal::append's write(2) of one record to the O_APPEND fd.
+inline constexpr const char* kCkptAppend = "service.ckpt.append";
+/// CheckpointJournal::append's fdatasync of the appended record.
+inline constexpr const char* kCkptDatasync = "service.ckpt.datasync";
 /// One hit per shard *attempt* in CampaignService's worker lambda; an
 /// errno-class outcome throws service::TransientError (retried up to
 /// shard_max_attempts, then quarantined), a throw-class outcome aborts.
@@ -102,7 +111,7 @@ inline constexpr const char* kWorkerShard = "service.worker.shard";
 inline constexpr const char* kAll[] = {
     kFileSinkWrite, kFileSinkFlush, kFileSinkTruncate, kCkptOpen,
     kCkptWrite,     kCkptFsync,     kCkptRename,       kCkptDirFsync,
-    kCkptRead,      kWorkerShard,
+    kCkptRead,      kCkptAppend,    kCkptDatasync,     kWorkerShard,
 };
 inline constexpr int kCount = static_cast<int>(sizeof(kAll) / sizeof(kAll[0]));
 

@@ -28,9 +28,9 @@
 //     runs too far ahead *blocks* in submit() — which is also the
 //     backpressure: a slow frame consumer stalls emission, emission stalls
 //     the window, the window stalls the workers.
-//  3. A checkpoint is only written at an emission-prefix boundary, and
-//     resume truncates the frame sink back to exactly the checkpointed
-//     byte count — so frames past the last checkpoint are re-run and
+//  3. A checkpoint record is only appended at an emission-prefix boundary,
+//     and resume truncates the frame sink back to exactly the byte count
+//     the last committed record covers — so frames past it are re-run and
 //     re-emitted identically, and the final frame stream is the same byte
 //     sequence as the uninterrupted run's.
 //
@@ -57,6 +57,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -79,6 +80,12 @@ namespace ppsim::service {
 
 // CheckpointError lives in service/campaign_io.hpp (the codec throws it on
 // injected non-transient failures); re-exported here via the include.
+
+/// First word of every spec digest. Frozen at 2, the checkpoint format the
+/// digest folded when frames first carried it: the digest is stamped into
+/// every frame and results.json, so a checkpoint format change must not
+/// move it.
+inline constexpr std::uint64_t kSpecDigestSalt = 2;
 
 /// Frame-stream version, stamped into every frame. Bump on any change to
 /// the frame schema (README "Campaign service").
@@ -332,8 +339,9 @@ struct CampaignOptions {
   /// Checkpoint file; empty = no persistence (in-memory progress only —
   /// a second run() on the same instance still resumes in-process).
   std::string checkpoint_path;
-  /// Emitted frames between periodic checkpoints. The final checkpoint at
-  /// the end of every run() (pause or completion) is unconditional.
+  /// Settled shards per appended checkpoint record. The shards settled
+  /// since the last record are appended at the end of every run() (pause or
+  /// completion) whatever their number.
   std::uint64_t checkpoint_every_shards = 8;
   /// Worker threads for the shard fan-out (0 = ThreadPool default). Never
   /// affects any output byte — the determinism contract of this file.
@@ -450,12 +458,11 @@ class CampaignService {
   /// or foreign checkpoint / frame file — never silently restarts.
   RunReport run(FrameSink& sink) {
     resume_or_start(sink);
+    // The checkpoint file's append side, open for this run() only.
+    std::optional<CheckpointJournal> journal;
+    if (!opts_.checkpoint_path.empty()) journal.emplace(opts_.checkpoint_path);
 
-    struct ShardRef {
-      std::uint32_t cell;
-      std::uint64_t shard;
-    };
-    std::vector<ShardRef> pending;
+    std::vector<ShardId> pending;
     for (std::uint32_t c = 0; c < progress_.size(); ++c)
       for (std::uint64_t s = 0; s < progress_[c].shards(); ++s)
         if (!progress_[c].done.test(s) && !progress_[c].quarantined.test(s))
@@ -464,13 +471,13 @@ class CampaignService {
         pending.size() > opts_.stop_after_shards)
       pending.resize(static_cast<std::size_t>(opts_.stop_after_shards));
 
-    std::uint64_t since_checkpoint = 0;
+    std::vector<ShardId> unsaved;  // settled since the last record
     FrameEmitter emitter(
         sink, opts_.max_inflight_frames,
         [&](std::uint64_t k, const Frame& fr) {
           // Under the emitter lock, in emission order — the only writer of
           // the done/quarantined bitmaps while workers run.
-          const ShardRef ref = pending[static_cast<std::size_t>(k)];
+          const ShardId ref = pending[static_cast<std::size_t>(k)];
           if (fr.quarantined) {
             progress_[ref.cell].quarantined.set(ref.shard);
             progress_[ref.cell]
@@ -479,18 +486,18 @@ class CampaignService {
           } else {
             progress_[ref.cell].done.set(ref.shard);
           }
-          if (!opts_.checkpoint_path.empty() &&
-              ++since_checkpoint >= opts_.checkpoint_every_shards) {
-            since_checkpoint = 0;
+          unsaved.push_back(ref);
+          if (journal && unsaved.size() >= opts_.checkpoint_every_shards) {
             sink.flush();
-            persist(sink.offset());
+            append_record(*journal, unsaved, sink.offset());
+            unsaved.clear();
           }
         });
 
     core::ThreadPool pool(opts_.threads);
     pool.for_index(pending.size(), [&](std::size_t k) {
       try {
-        const ShardRef ref = pending[k];
+        const ShardId ref = pending[k];
         Frame frame;
         std::string reason;
         if (run_shard_with_retry(ref.cell, ref.shard, reason)) {
@@ -512,7 +519,8 @@ class CampaignService {
 
     sink.flush();
     frame_bytes_ = sink.offset();
-    if (!opts_.checkpoint_path.empty()) persist(frame_bytes_);
+    if (journal && !unsaved.empty())
+      append_record(*journal, unsaved, frame_bytes_);
 
     RunReport rep;
     rep.shards_run = emitter.emitted();
@@ -661,40 +669,35 @@ class CampaignService {
     return frame;
   }
 
-  /// Called under the emitter lock while workers are still writing results
-  /// for *pending* shards, so the snapshot copies only the records of
-  /// shards whose done bit is set — those ranges are quiescent (their
-  /// writer finished before its frame was submitted). Copying the whole
-  /// results vector here would race with in-flight shard writers.
-  void persist(std::uint64_t frame_bytes) {
-    Checkpoint ckpt;
-    ckpt.spec_digest = digest_;
-    ckpt.frame_bytes = frame_bytes;
-    ckpt.cells.resize(progress_.size());
-    for (std::size_t c = 0; c < progress_.size(); ++c) {
-      const CellProgress& from = progress_[c];
-      CellProgress& to = ckpt.cells[c];
-      to.trials = from.trials;
-      to.shard_trials = from.shard_trials;
-      to.done = from.done;
-      to.quarantined = from.quarantined;
-      to.quarantine_reasons = from.quarantine_reasons;
-      to.results.resize(from.results.size());
-      for (std::uint64_t sh = 0; sh < from.shards(); ++sh) {
-        if (!from.done.test(sh)) continue;
-        const std::uint64_t first = from.shard_first(sh);
-        const std::uint64_t count = from.shard_count(sh);
-        for (std::uint64_t i = 0; i < count; ++i)
-          to.results[static_cast<std::size_t>(first + i)] =
-              from.results[static_cast<std::size_t>(first + i)];
-      }
-    }
-    // Transient save failures (ENOSPC, EIO — injected or real) back off
-    // and retry the whole idempotent save before giving up.
+  /// The whole-file write: a snapshot of `progress_` at `frame_bytes_`.
+  /// Runs at the start of run(), with no worker running: it creates the
+  /// file of a fresh campaign, or compacts a loaded file's records.
+  /// Transient failures (ENOSPC, EIO — injected or real) back off and retry
+  /// the whole idempotent save before giving up.
+  void write_snapshot() {
+    const std::vector<unsigned char> bytes =
+        encode_snapshot(digest_, frame_bytes_, progress_);
     RetryState retry(opts_.retry);
-    while (!save_checkpoint(opts_.checkpoint_path, ckpt))
+    while (!save_snapshot(opts_.checkpoint_path, bytes))
       if (!retry.backoff())
         throw CheckpointError("cannot write checkpoint " +
+                              opts_.checkpoint_path);
+  }
+
+  /// Called under the emitter lock while workers are still writing results
+  /// for *pending* shards: the record reads only the `settled` shards,
+  /// whose result ranges are quiescent (their writer finished before its
+  /// frame was submitted). A failed append has already been cut off the
+  /// file, so the retry re-appends the whole record.
+  void append_record(CheckpointJournal& journal,
+                     std::span<const ShardId> settled,
+                     std::uint64_t frame_bytes) {
+    const std::vector<unsigned char> record =
+        encode_record(progress_, settled, frame_bytes);
+    RetryState retry(opts_.retry);
+    while (!journal.append(record))
+      if (!retry.backoff())
+        throw CheckpointError("cannot append to checkpoint " +
                               opts_.checkpoint_path);
   }
 
@@ -740,11 +743,14 @@ class CampaignService {
     // Trim the sink back to the boundary the adopted progress covers:
     // frames past the last checkpoint (or a torn partial line) are re-run.
     sink.truncate_to(frame_bytes_);
+    // Then the run's one whole-file write: create, or compact the records
+    // (and any torn tail) into a new snapshot.
+    if (!opts_.checkpoint_path.empty()) write_snapshot();
   }
 
   [[nodiscard]] std::uint64_t compute_digest() const {
     Digest d;
-    d.u64(kCheckpointFormat);
+    d.u64(kSpecDigestSalt);
     d.u64(opts_.extra_digest);
     d.u64(cells_.size());
     for (std::size_t c = 0; c < cells_.size(); ++c) {

@@ -9,28 +9,46 @@
 //    per-trial results of those shards: a completed-shard bitmap per cell
 //    plus packed 17-byte RecoveryTrial records.
 //
-//  * A checkpoint is either valid or refused. The file carries a magic, a
-//    format version, the campaign-spec digest and a trailing FNV-1a
-//    checksum over everything before it. Loading verifies the checksum
-//    (torn/corrupted file -> kCorrupt), then the digest (checkpoint from a
-//    *different* campaign -> kSpecMismatch). Neither failure ever degrades
-//    to "silently start over" — the caller must decide (the service throws;
-//    tests/service/campaign_service_test.cpp pins both refusals).
+//  * A checkpoint file is a snapshot followed by records. The snapshot is
+//    the whole document (magic, format version, its own length, the
+//    campaign-spec digest, the frame-sink cursor, every cell's bitmaps and
+//    trial records) sealed by an FNV-1a checksum. Each record appended
+//    after it holds the shards settled since the previous one — (cell,
+//    shard) and either the trial records or the quarantine reason — plus
+//    the frame-sink cursor they cover, behind a checked length header and
+//    sealed by its own FNV-1a checksum. Loading folds the records into the
+//    snapshot, in file order. A v2 file is a snapshot with no records.
 //
-//  * Saves are atomic. The checkpoint is written to `<path>.tmp` and
-//    rename(2)d into place, so a kill -9 at any byte leaves either the
-//    previous complete checkpoint or the new complete one, never a torn
-//    file at the canonical path.
+//  * A checkpoint is either valid or refused. A bad snapshot checksum, a
+//    bad record header or a complete record with a bad checksum is
+//    kCorrupt; a valid file for a *different* campaign is kSpecMismatch.
+//    Neither ever degrades to "silently start over" — the caller must
+//    decide (the service throws; tests/service/campaign_service_test.cpp
+//    pins both refusals).
+//
+//  * Saves cost what they add. The snapshot is only ever written whole
+//    and atomically — to `<path>.tmp`, fsync, rename(2), fsync of the
+//    directory — when a fresh campaign creates the file and when a resume
+//    compacts the records into a new snapshot. Every checkpoint in between
+//    is one record appended to the file through an O_APPEND descriptor and
+//    made durable with fdatasync; a failed append is cut back off the file
+//    before the retry. The torn-tail rule: a kill -9 mid-append can leave
+//    the last record cut short at EOF. It was never committed, so the load
+//    drops it (LoadResult::torn_bytes) and resumes from the previous
+//    record's cursor; the resume's compaction then removes it from disk.
 //
 //  * Encoding is explicit little-endian bytes (not struct memcpy), so a
 //    checkpoint written by any build of this code reads back identically.
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -135,11 +153,16 @@ class ShardBitmap {
 
 // --- Checkpoint document ---------------------------------------------------
 
-/// On-disk format version. Bump on any layout change — an old-version file
-/// is refused as kCorrupt-class (explicitly versioned), never misread.
+/// On-disk format version. Bump on any layout change — a file of an
+/// unknown version is refused as kCorrupt-class, never misread.
 /// v2: per-cell quarantined-shard bitmap + reason strings (graceful
-/// degradation under persistent shard failure).
-inline constexpr std::uint64_t kCheckpointFormat = 2;
+/// degradation under persistent shard failure); one whole document.
+/// v3: the snapshot carries its own length and is followed by appended
+/// records (the file-header comment has the layout).
+inline constexpr std::uint64_t kCheckpointFormat = 3;
+/// The last snapshot-only format. Such a file still loads — as a snapshot
+/// with no records — and the resume's compaction rewrites it as v3.
+inline constexpr std::uint64_t kSnapshotOnlyFormat = 2;
 /// "PPCKPT01" as little-endian bytes.
 inline constexpr std::uint64_t kCheckpointMagic = 0x3130'5450'4B43'5050ULL;
 
@@ -195,6 +218,15 @@ struct LoadResult {
   LoadStatus status = LoadStatus::kAbsent;
   Checkpoint checkpoint;
   std::string error;  ///< human-readable reason for kCorrupt/kSpecMismatch
+  /// Bytes of an uncommitted record cut short at EOF that the load dropped
+  /// (the torn-tail rule); 0 when the file ends on a record boundary.
+  std::uint64_t torn_bytes = 0;
+};
+
+/// One shard of one cell: what a checkpoint record settles.
+struct ShardId {
+  std::uint32_t cell = 0;
+  std::uint64_t shard = 0;
 };
 
 namespace detail {
@@ -204,8 +236,15 @@ struct ByteSink {
   std::vector<unsigned char> out;
   void u8(std::uint8_t v) { out.push_back(v); }
   void u64(std::uint64_t v) {
+    unsigned char b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
+    out.insert(out.end(), b, b + 8);
+  }
+  /// Overwrite the u64 at byte `at` (a length written before it was known).
+  void patch_u64(std::size_t at, std::uint64_t v) {
     for (int i = 0; i < 8; ++i)
-      out.push_back(static_cast<unsigned char>(v >> (8 * i)));
+      out[at + static_cast<std::size_t>(i)] =
+          static_cast<unsigned char>(v >> (8 * i));
   }
   void str(const std::string& s) {
     u64(s.size());
@@ -271,19 +310,119 @@ inline analysis::RecoveryTrial decode_trial(ByteSource& s) {
   return t;
 }
 
+/// The trial records of shard `sh`, in trial order.
+inline void encode_shard(ByteSink& s, const CellProgress& cell,
+                         std::uint64_t sh) {
+  const std::uint64_t first = cell.shard_first(sh);
+  for (std::uint64_t i = 0; i < cell.shard_count(sh); ++i)
+    encode_trial(s, cell.results[static_cast<std::size_t>(first + i)]);
+}
+
+inline void decode_shard(ByteSource& s, CellProgress& cell, std::uint64_t sh) {
+  const std::uint64_t first = cell.shard_first(sh);
+  for (std::uint64_t i = 0; i < cell.shard_count(sh); ++i)
+    cell.results[static_cast<std::size_t>(first + i)] = decode_trial(s);
+}
+
+/// Decode a snapshot body into `ckpt`; "" or the refusal reason.
+[[nodiscard]] inline std::string decode_body(ByteSource& s, Checkpoint& ckpt) {
+  ckpt.spec_digest = s.u64();
+  ckpt.frame_bytes = s.u64();
+  const std::uint64_t n_cells = s.u64();
+  if (!s.ok || n_cells > (1ULL << 32)) return "implausible cell count";
+  for (std::uint64_t c = 0; c < n_cells && s.ok; ++c) {
+    CellProgress cell;
+    cell.trials = s.u64();
+    cell.shard_trials = s.u64();
+    const std::uint64_t shards = s.u64();
+    if (!s.ok || cell.shard_trials == 0 ||
+        shards != (cell.trials + cell.shard_trials - 1) / cell.shard_trials)
+      return "inconsistent shard decomposition";
+    cell.done = ShardBitmap(shards);
+    for (std::uint64_t& w : cell.done.words()) w = s.u64();
+    cell.quarantined = ShardBitmap(shards);
+    for (std::uint64_t& w : cell.quarantined.words()) w = s.u64();
+    cell.quarantine_reasons.resize(static_cast<std::size_t>(shards));
+    for (std::uint64_t sh = 0; sh < shards && s.ok; ++sh) {
+      if (cell.done.test(sh) && cell.quarantined.test(sh))
+        return "shard both completed and quarantined";
+      if (cell.quarantined.test(sh))
+        cell.quarantine_reasons[static_cast<std::size_t>(sh)] = s.str();
+    }
+    cell.results.resize(static_cast<std::size_t>(cell.trials));
+    for (std::uint64_t sh = 0; sh < shards && s.ok; ++sh)
+      if (cell.done.test(sh)) decode_shard(s, cell, sh);
+    ckpt.cells.push_back(std::move(cell));
+  }
+  if (!s.ok || s.at != s.len) return "truncated or oversized snapshot";
+  return {};
+}
+
+/// Record entry kinds: the shard's trial records follow, or its
+/// quarantine reason does.
+inline constexpr std::uint8_t kEntryDone = 0;
+inline constexpr std::uint8_t kEntryQuarantined = 1;
+
+/// Fold one record payload into `ckpt`; "" or the refusal reason. Each
+/// entry must settle a shard the checkpoint has not settled yet, and the
+/// frame cursor never runs backwards.
+[[nodiscard]] inline std::string apply_record(ByteSource& s,
+                                              Checkpoint& ckpt) {
+  const std::uint64_t cursor = s.u64();
+  const std::uint64_t entries = s.u64();
+  if (!s.ok || cursor < ckpt.frame_bytes)
+    return "frame cursor runs backwards";
+  for (std::uint64_t e = 0; e < entries && s.ok; ++e) {
+    const std::uint64_t c = s.u64();
+    const std::uint64_t sh = s.u64();
+    const std::uint8_t kind = s.u8();
+    if (!s.ok || c >= ckpt.cells.size()) return "unknown cell";
+    CellProgress& cell = ckpt.cells[static_cast<std::size_t>(c)];
+    if (sh >= cell.shards() || cell.done.test(sh) || cell.quarantined.test(sh))
+      return "unknown or already settled shard";
+    if (kind == kEntryDone) {
+      cell.done.set(sh);
+      decode_shard(s, cell, sh);
+    } else if (kind == kEntryQuarantined) {
+      cell.quarantined.set(sh);
+      cell.quarantine_reasons[static_cast<std::size_t>(sh)] = s.str();
+    } else {
+      return "unknown entry kind";
+    }
+  }
+  if (!s.ok || s.at != s.len) return "truncated or oversized payload";
+  ckpt.frame_bytes = cursor;
+  return {};
+}
+
+/// Bytes before a record's payload: its length and the length's FNV-1a.
+inline constexpr std::size_t kRecordHeader = 16;
+
+[[nodiscard]] inline std::uint64_t record_length_check(std::uint64_t len) {
+  Digest d;
+  d.u64(len);
+  return d.value();
+}
+
 }  // namespace detail
 
-/// Serialize a checkpoint to bytes: header, per-cell progress (bitmap +
-/// completed-shard records only), trailing FNV-1a checksum.
-[[nodiscard]] inline std::vector<unsigned char> encode_checkpoint(
-    const Checkpoint& ckpt) {
+/// Serialize a snapshot: magic, format, body length, body, then an FNV-1a
+/// checksum over everything before it. The body — spec digest, frame
+/// cursor, then per cell its shard decomposition, both bitmaps, the
+/// quarantine reasons and the trial records of done shards — is laid out
+/// as in v2. `cells` is read only where a shard is settled, so it may be
+/// live progress with shards in flight.
+[[nodiscard]] inline std::vector<unsigned char> encode_snapshot(
+    std::uint64_t spec_digest, std::uint64_t frame_bytes,
+    std::span<const CellProgress> cells) {
   detail::ByteSink s;
   s.u64(kCheckpointMagic);
   s.u64(kCheckpointFormat);
-  s.u64(ckpt.spec_digest);
-  s.u64(ckpt.frame_bytes);
-  s.u64(ckpt.cells.size());
-  for (const CellProgress& cell : ckpt.cells) {
+  s.u64(0);  // body length, patched below
+  s.u64(spec_digest);
+  s.u64(frame_bytes);
+  s.u64(cells.size());
+  for (const CellProgress& cell : cells) {
     s.u64(cell.trials);
     s.u64(cell.shard_trials);
     s.u64(cell.done.size());
@@ -302,23 +441,59 @@ inline analysis::RecoveryTrial decode_trial(ByteSource& s) {
         s.str(sh < cell.quarantine_reasons.size()
                   ? cell.quarantine_reasons[static_cast<std::size_t>(sh)]
                   : std::string());
-    for (std::uint64_t sh = 0; sh < cell.shards(); ++sh) {
-      if (!cell.done.test(sh)) continue;
-      const std::uint64_t first = cell.shard_first(sh);
-      const std::uint64_t count = cell.shard_count(sh);
-      for (std::uint64_t i = 0; i < count; ++i)
-        detail::encode_trial(
-            s, cell.results[static_cast<std::size_t>(first + i)]);
-    }
+    for (std::uint64_t sh = 0; sh < cell.shards(); ++sh)
+      if (cell.done.test(sh)) detail::encode_shard(s, cell, sh);
   }
+  s.patch_u64(16, s.out.size() - 24);
   Digest sum;
   sum.bytes(s.out.data(), s.out.size());
   s.u64(sum.value());
   return s.out;
 }
 
-/// Decode + verify. `expected_digest` is the running campaign's spec digest;
-/// a checksum-valid checkpoint with a different digest is kSpecMismatch.
+/// The whole checkpoint as one snapshot with no records.
+[[nodiscard]] inline std::vector<unsigned char> encode_checkpoint(
+    const Checkpoint& ckpt) {
+  return encode_snapshot(ckpt.spec_digest, ckpt.frame_bytes, ckpt.cells);
+}
+
+/// Serialize one record settling `settled` (each shard's done or
+/// quarantined bit must be set in `cells`), covering the frame stream up to
+/// `frame_bytes`.
+[[nodiscard]] inline std::vector<unsigned char> encode_record(
+    std::span<const CellProgress> cells, std::span<const ShardId> settled,
+    std::uint64_t frame_bytes) {
+  detail::ByteSink s;
+  s.u64(0);  // payload length and its check, patched below
+  s.u64(0);
+  s.u64(frame_bytes);
+  s.u64(settled.size());
+  for (const ShardId& id : settled) {
+    const CellProgress& cell = cells[id.cell];
+    s.u64(id.cell);
+    s.u64(id.shard);
+    if (cell.quarantined.test(id.shard)) {
+      s.u8(detail::kEntryQuarantined);
+      s.str(cell.quarantine_reasons[static_cast<std::size_t>(id.shard)]);
+      continue;
+    }
+    s.u8(detail::kEntryDone);
+    detail::encode_shard(s, cell, id.shard);
+  }
+  const std::uint64_t len = s.out.size() - detail::kRecordHeader;
+  s.patch_u64(0, len);
+  s.patch_u64(8, detail::record_length_check(len));
+  Digest sum;
+  sum.bytes(s.out.data() + detail::kRecordHeader, len);
+  s.u64(sum.value());
+  return s.out;
+}
+
+/// Decode + verify a checkpoint file image: the snapshot, then every
+/// record folded in file order. `expected_digest` is the running
+/// campaign's spec digest; a valid checkpoint with a different digest is
+/// kSpecMismatch. A record cut short at EOF is dropped (torn_bytes); any
+/// other bad byte is kCorrupt.
 [[nodiscard]] inline LoadResult decode_checkpoint(
     const unsigned char* data, std::size_t len,
     std::uint64_t expected_digest) {
@@ -328,68 +503,36 @@ inline analysis::RecoveryTrial decode_trial(ByteSource& s) {
     out.error = "file shorter than the fixed header";
     return out;
   }
-  {  // Checksum first: everything else assumes intact bytes.
-    Digest sum;
-    sum.bytes(data, len - 8);
-    detail::ByteSource tail{data + (len - 8), 8, 0, true};
-    if (sum.value() != tail.u64()) {
-      out.error = "content checksum mismatch (torn or corrupted file)";
-      return out;
-    }
-  }
-  detail::ByteSource s{data, len - 8, 0, true};
-  if (s.u64() != kCheckpointMagic) {
+  detail::ByteSource head{data, len, 0, true};
+  if (head.u64() != kCheckpointMagic) {
     out.error = "bad magic (not a ppsim campaign checkpoint)";
     return out;
   }
-  if (const std::uint64_t fmt = s.u64(); fmt != kCheckpointFormat) {
+  std::size_t snapshot_end = len;  // v2: the whole file
+  if (const std::uint64_t fmt = head.u64(); fmt == kCheckpointFormat) {
+    const std::uint64_t body = head.u64();
+    if (body > len - 32) {
+      out.error = "snapshot runs past the end of the file";
+      return out;
+    }
+    snapshot_end = static_cast<std::size_t>(32 + body);
+  } else if (fmt != kSnapshotOnlyFormat) {
     out.error = "unsupported checkpoint format version " + std::to_string(fmt);
     return out;
   }
-  Checkpoint ckpt;
-  ckpt.spec_digest = s.u64();
-  ckpt.frame_bytes = s.u64();
-  const std::uint64_t n_cells = s.u64();
-  if (!s.ok || n_cells > (1ULL << 32)) {
-    out.error = "implausible cell count";
-    return out;
-  }
-  for (std::uint64_t c = 0; c < n_cells && s.ok; ++c) {
-    CellProgress cell;
-    cell.trials = s.u64();
-    cell.shard_trials = s.u64();
-    const std::uint64_t shards = s.u64();
-    if (!s.ok || cell.shard_trials == 0 ||
-        shards != (cell.trials + cell.shard_trials - 1) / cell.shard_trials) {
-      out.error = "inconsistent shard decomposition";
+  {  // Checksum first: everything else assumes intact bytes.
+    Digest sum;
+    sum.bytes(data, snapshot_end - 8);
+    detail::ByteSource tail{data + (snapshot_end - 8), 8, 0, true};
+    if (sum.value() != tail.u64()) {
+      out.error = "snapshot checksum mismatch (corrupted file)";
       return out;
     }
-    cell.done = ShardBitmap(shards);
-    for (std::uint64_t& w : cell.done.words()) w = s.u64();
-    cell.quarantined = ShardBitmap(shards);
-    for (std::uint64_t& w : cell.quarantined.words()) w = s.u64();
-    cell.quarantine_reasons.resize(static_cast<std::size_t>(shards));
-    for (std::uint64_t sh = 0; sh < shards && s.ok; ++sh) {
-      if (cell.done.test(sh) && cell.quarantined.test(sh)) {
-        out.error = "shard both completed and quarantined";
-        return out;
-      }
-      if (cell.quarantined.test(sh))
-        cell.quarantine_reasons[static_cast<std::size_t>(sh)] = s.str();
-    }
-    cell.results.resize(static_cast<std::size_t>(cell.trials));
-    for (std::uint64_t sh = 0; sh < shards && s.ok; ++sh) {
-      if (!cell.done.test(sh)) continue;
-      const std::uint64_t first = cell.shard_first(sh);
-      const std::uint64_t count = cell.shard_count(sh);
-      for (std::uint64_t i = 0; i < count; ++i)
-        cell.results[static_cast<std::size_t>(first + i)] =
-            detail::decode_trial(s);
-    }
-    ckpt.cells.push_back(std::move(cell));
   }
-  if (!s.ok || s.at != s.len) {
-    out.error = "truncated or oversized payload";
+  detail::ByteSource s{data, snapshot_end - 8, head.at, true};
+  Checkpoint ckpt;
+  if (std::string err = detail::decode_body(s, ckpt); !err.empty()) {
+    out.error = std::move(err);
     return out;
   }
   if (ckpt.spec_digest != expected_digest) {
@@ -399,7 +542,38 @@ inline analysis::RecoveryTrial decode_trial(ByteSource& s) {
                 " — refusing to resume (and refusing to silently restart)";
     return out;
   }
+  std::size_t at = snapshot_end;
+  while (at < len) {
+    const std::size_t left = len - at;
+    detail::ByteSource r{data + at, left, 0, true};
+    const std::uint64_t rec = r.u64();
+    const std::uint64_t check = r.u64();
+    if (!r.ok) break;  // header cut by EOF: torn
+    auto where = [&] { return "record at byte " + std::to_string(at); };
+    if (check != detail::record_length_check(rec)) {
+      out.error = where() + ": length header corrupt";
+      return out;
+    }
+    if (rec > left || left - rec < detail::kRecordHeader + 8)
+      break;  // payload or checksum cut by EOF: torn
+    const unsigned char* payload = data + at + detail::kRecordHeader;
+    const auto plen = static_cast<std::size_t>(rec);
+    Digest sum;
+    sum.bytes(payload, plen);
+    detail::ByteSource tail{payload + plen, 8, 0, true};
+    if (sum.value() != tail.u64()) {
+      out.error = where() + ": checksum mismatch (corrupted file)";
+      return out;
+    }
+    detail::ByteSource p{payload, plen, 0, true};
+    if (std::string err = detail::apply_record(p, ckpt); !err.empty()) {
+      out.error = where() + ": " + err;
+      return out;
+    }
+    at += detail::kRecordHeader + plen + 8;
+  }
   out.status = LoadStatus::kLoaded;
+  out.torn_bytes = len - at;
   out.checkpoint = std::move(ckpt);
   return out;
 }
@@ -414,11 +588,12 @@ namespace detail {
   return slash == 0 ? "/" : path.substr(0, slash);
 }
 
-/// fsync with an EINTR spin bounded by kEintrStormLimit (hang prevention
-/// under an adversarial `*xeintr` schedule; see service/retry.hpp).
-[[nodiscard]] inline bool fsync_eintr(int fd) {
+/// fsync (or `sync` = ::fdatasync) with an EINTR spin bounded by
+/// kEintrStormLimit (hang prevention under an adversarial `*xeintr`
+/// schedule; see service/retry.hpp).
+[[nodiscard]] inline bool fsync_eintr(int fd, int (*sync)(int) = ::fsync) {
   for (int spins = 0; spins < kEintrStormLimit; ++spins) {
-    if (::fsync(fd) == 0) return true;
+    if (sync(fd) == 0) return true;
     if (errno != EINTR) return false;
   }
   return false;
@@ -440,17 +615,17 @@ namespace detail {
 
 }  // namespace detail
 
-/// Durable atomic save: write `<path>.tmp`, fflush + fsync the file, rename
-/// over `path`, then fsync the parent directory — so a *committed*
-/// checkpoint survives power loss, not just process death (rename alone
-/// orders the replacement but does not persist the directory entry).
-/// Returns false (with the OS error on stderr) when any step fails; EINTR
-/// is retried in place and never surfaces as a failure. Safe to retry
-/// wholesale — every step is idempotent. A kThrow failpoint outcome at any
-/// site throws CheckpointError (the non-transient injection class).
-[[nodiscard]] inline bool save_checkpoint(const std::string& path,
-                                          const Checkpoint& ckpt) {
-  const std::vector<unsigned char> bytes = encode_checkpoint(ckpt);
+/// Durable atomic whole-file write of an encoded snapshot: write
+/// `<path>.tmp`, fflush + fsync the file, rename over `path`, then fsync
+/// the parent directory — so a *committed* snapshot survives power loss,
+/// not just process death (rename alone orders the replacement but does
+/// not persist the directory entry). Returns false (with the OS error on
+/// stderr) when any step fails; EINTR is retried in place and never
+/// surfaces as a failure. Safe to retry wholesale — every step is
+/// idempotent. A kThrow failpoint outcome at any site throws
+/// CheckpointError (the non-transient injection class).
+[[nodiscard]] inline bool save_snapshot(const std::string& path,
+                                        const std::vector<unsigned char>& bytes) {
   const std::string tmp = path + ".tmp";
 
   std::FILE* f = nullptr;
@@ -575,6 +750,107 @@ namespace detail {
   }
   return true;
 }
+
+/// save_snapshot of the whole checkpoint: the file then holds one snapshot
+/// and no records.
+[[nodiscard]] inline bool save_checkpoint(const std::string& path,
+                                          const Checkpoint& ckpt) {
+  return save_snapshot(path, encode_checkpoint(ckpt));
+}
+
+/// The append side of a committed checkpoint file: an O_APPEND descriptor
+/// that CampaignService holds open for one run(). append() adds one record
+/// and makes it durable with fdatasync; the file length after the last
+/// successful append is the committed length.
+class CheckpointJournal {
+ public:
+  /// Opens `path`, which save_snapshot has just committed. Throws
+  /// CheckpointError when it cannot.
+  explicit CheckpointJournal(std::string path) : path_(std::move(path)) {
+    fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    const off_t end = fd_ < 0 ? -1 : ::lseek(fd_, 0, SEEK_END);
+    if (end < 0) {
+      const int err = errno;
+      if (fd_ >= 0) ::close(fd_);
+      throw CheckpointError("cannot open checkpoint " + path_ +
+                            " for appending: " + std::strerror(err));
+    }
+    committed_ = static_cast<std::uint64_t>(end);
+  }
+  CheckpointJournal(const CheckpointJournal&) = delete;
+  CheckpointJournal& operator=(const CheckpointJournal&) = delete;
+  ~CheckpointJournal() { ::close(fd_); }
+
+  /// Append `record` (an encode_record result) and fdatasync it. EINTR is
+  /// retried in place and short writes resume at the moved cursor. Any
+  /// other failure returns false (with the OS error on stderr) after
+  /// cutting the file back to the committed length, so the caller may
+  /// retry wholesale and no partial record is ever followed by another.
+  /// Throws CheckpointError on a kThrow failpoint outcome, or when the cut
+  /// itself fails (the file then ends in a torn record, which the next
+  /// load drops).
+  [[nodiscard]] bool append(const std::vector<unsigned char>& record) {
+    bool ok = true;
+    std::size_t put = 0;
+    int spins = 0;
+    while (put < record.size()) {
+      std::size_t want = record.size() - put;
+      const core::FailOutcome fo =
+          core::failpoint(core::failpoints::kCkptAppend);
+      if (fo.action == core::FailAction::kThrow)
+        throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
+      errno = 0;
+      ssize_t got = -1;
+      if (fo.action == core::FailAction::kErrno) {
+        errno = fo.err;
+      } else {
+        if (fo.action == core::FailAction::kShortWrite)
+          want = std::max<std::size_t>(
+              1, std::min<std::size_t>(want, static_cast<std::size_t>(fo.arg)));
+        got = ::write(fd_, record.data() + put, want);
+      }
+      if (got > 0) {
+        put += static_cast<std::size_t>(got);
+        spins = 0;
+        continue;
+      }
+      if (errno == EINTR && ++spins < kEintrStormLimit) continue;
+      ok = false;
+      break;
+    }
+    if (ok) {
+      const core::FailOutcome fo =
+          detail::ckpt_failpoint(core::failpoints::kCkptDatasync);
+      if (fo.action == core::FailAction::kThrow)
+        throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
+      if (fo.action == core::FailAction::kErrno) {
+        errno = fo.err;
+        ok = false;
+      } else {
+        ok = detail::fsync_eintr(fd_, ::fdatasync);
+      }
+    }
+    if (ok) {
+      committed_ += record.size();
+      return true;
+    }
+    std::perror(("campaign checkpoint: append to " + path_).c_str());
+    int r = -1;
+    for (int cut = 0; cut < kEintrStormLimit; ++cut) {
+      r = ::ftruncate(fd_, static_cast<off_t>(committed_));
+      if (r == 0 || errno != EINTR) break;
+    }
+    if (r != 0)
+      throw CheckpointError("cannot cut a failed append off checkpoint " +
+                            path_ + ": " + std::strerror(errno));
+    return false;
+  }
+
+ private:
+  std::string path_;
+  int fd_ = -1;
+  std::uint64_t committed_ = 0;  ///< file length through the last record
+};
 
 /// Load a checkpoint file. A missing file is kAbsent (fresh campaign); a
 /// mid-file read error (std::ferror — NOT a short file, which the codec

@@ -16,6 +16,7 @@
 
 #include "analysis/adversary.hpp"
 #include "analysis/scenario.hpp"
+#include "core/failpoint.hpp"
 #include "pl/params.hpp"
 #include "pl/protocol.hpp"
 #include "service/campaign.hpp"
@@ -79,6 +80,93 @@ std::string render_results(const std::vector<analysis::CampaignResult>& rs,
   std::fclose(mem);
   std::string out(buf, len);
   std::free(buf);
+  return out;
+}
+
+/// Frames of one uninterrupted, checkpoint-free run of make_cells(150, 33).
+std::string reference_frames() {
+  CampaignService<pl::PlProtocol> ref(make_cells(150, 33));
+  MemoryFrameSink frames;
+  EXPECT_EQ(ref.run(frames).status, RunStatus::kComplete);
+  return frames.str();
+}
+
+std::uint64_t reference_digest() {
+  return CampaignService<pl::PlProtocol>(make_cells(150, 33)).digest();
+}
+
+/// Checkpoint-file bytes after a fresh make_cells(150, 33) campaign runs
+/// `shards` shards with one record per shard: a snapshot plus `shards`
+/// records. The files are left at `<TempDir>ppsim_<tag>.{ckpt,ndjson}`.
+std::string paused_checkpoint(const std::string& tag, std::uint64_t shards) {
+  const std::string base = testing::TempDir() + "ppsim_" + tag;
+  std::remove((base + ".ckpt").c_str());
+  std::remove((base + ".ndjson").c_str());
+  CampaignOptions opts;
+  opts.checkpoint_path = base + ".ckpt";
+  opts.checkpoint_every_shards = 1;
+  opts.stop_after_shards = shards;
+  CampaignService<pl::PlProtocol> svc(make_cells(150, 33), opts);
+  FileFrameSink frames(base + ".ndjson");
+  EXPECT_EQ(svc.run(frames).status, RunStatus::kPaused);
+  return read_file(base + ".ckpt");
+}
+
+/// Resume the make_cells(150, 33) campaign from `<TempDir>ppsim_<tag>.*`
+/// in a fresh service instance and return its status.
+RunStatus resume(const std::string& tag) {
+  const std::string base = testing::TempDir() + "ppsim_" + tag;
+  CampaignOptions opts;
+  opts.checkpoint_path = base + ".ckpt";
+  opts.checkpoint_every_shards = 1;
+  CampaignService<pl::PlProtocol> svc(make_cells(150, 33), opts);
+  FileFrameSink frames(base + ".ndjson");
+  return svc.run(frames).status;
+}
+
+LoadResult decode(const std::string& bytes, std::size_t len) {
+  return decode_checkpoint(
+      reinterpret_cast<const unsigned char*>(bytes.data()), len,
+      reference_digest());
+}
+
+/// The v2 (snapshot-only) layout, written field by field: magic, format 2,
+/// digest, frame cursor, cells, then an FNV-1a checksum of all of it.
+std::string encode_v2(const Checkpoint& ckpt) {
+  std::string out;
+  auto u64 = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  u64(0x3130'5450'4B43'5050ULL);  // "PPCKPT01"
+  u64(2);
+  u64(ckpt.spec_digest);
+  u64(ckpt.frame_bytes);
+  u64(ckpt.cells.size());
+  for (const CellProgress& cell : ckpt.cells) {
+    u64(cell.trials);
+    u64(cell.shard_trials);
+    u64(cell.shards());
+    for (std::uint64_t w : cell.done.words()) u64(w);
+    for (std::uint64_t w : cell.quarantined.words()) u64(w);
+    for (std::uint64_t sh = 0; sh < cell.shards(); ++sh) {
+      if (!cell.quarantined.test(sh)) continue;
+      u64(cell.quarantine_reasons[sh].size());
+      out += cell.quarantine_reasons[sh];
+    }
+    for (std::uint64_t sh = 0; sh < cell.shards(); ++sh) {
+      if (!cell.done.test(sh)) continue;
+      for (std::uint64_t i = 0; i < cell.shard_count(sh); ++i) {
+        const auto& t = cell.results[cell.shard_first(sh) + i];
+        out.push_back(static_cast<char>((t.stabilized ? 1 : 0) |
+                                        (t.healed ? 2 : 0)));
+        u64(t.stabilize_steps);
+        u64(t.recovery_steps);
+      }
+    }
+  }
+  Digest sum;
+  sum.bytes(out.data(), out.size());
+  u64(sum.value());
   return out;
 }
 
@@ -183,6 +271,14 @@ TEST(CampaignServiceTest, SpecDigestSeparatesCampaigns) {
   extra.extra_digest = 7;  // protocol knobs beyond n fold in here
   CampaignService<pl::PlProtocol> d(make_cells(150, 33), extra);
   EXPECT_NE(a.digest(), d.digest());
+}
+
+TEST(CampaignServiceTest, SpecDigestIsPinned) {
+  // The digest is stamped into every frame and results.json: a change to
+  // the checkpoint format (or anything else outside the spec) must not
+  // move it.
+  EXPECT_EQ(CampaignService<pl::PlProtocol>(make_cells(150, 33)).digest(),
+            0x2b0da116eb273ecaULL);
 }
 
 TEST(CampaignServiceTest, CompletesAndMatchesRunCampaign) {
@@ -426,6 +522,148 @@ TEST(CampaignServiceTest, ResultsBeforeCompletionThrow) {
   MemoryFrameSink ref_frames;
   ASSERT_EQ(ref.run(ref_frames).status, RunStatus::kComplete);
   EXPECT_EQ(frames.str(), ref_frames.str());
+}
+
+// --- The appended records ---------------------------------------------------
+
+TEST(CheckpointJournalTest, RecordsAppendAndFoldIntoTheSnapshot) {
+  const std::string two = paused_checkpoint("fold2", 2);
+  const std::string three = paused_checkpoint("fold3", 3);
+  // The third shard's checkpoint is one record appended to the second's.
+  ASSERT_LT(two.size(), three.size());
+  EXPECT_EQ(three.compare(0, two.size(), two), 0);
+  const LoadResult lr = decode(three, three.size());
+  ASSERT_EQ(lr.status, LoadStatus::kLoaded) << lr.error;
+  EXPECT_EQ(lr.torn_bytes, 0u);
+  EXPECT_EQ(lr.checkpoint.cells[0].done.count() +
+                lr.checkpoint.cells[1].done.count(),
+            3u);
+  // Folding the records gives the document a whole-file save would hold.
+  const auto bytes = encode_checkpoint(lr.checkpoint);
+  const LoadResult again = decode_checkpoint(bytes.data(), bytes.size(),
+                                             reference_digest());
+  ASSERT_EQ(again.status, LoadStatus::kLoaded) << again.error;
+  EXPECT_EQ(encode_checkpoint(again.checkpoint), bytes);
+}
+
+TEST(CheckpointJournalTest, TornTailAtEveryOffsetLoadsThePreviousRecord) {
+  const std::string two = paused_checkpoint("torn2", 2);
+  const std::string three = paused_checkpoint("torn3", 3);
+  const LoadResult prev = decode(two, two.size());
+  ASSERT_EQ(prev.status, LoadStatus::kLoaded) << prev.error;
+  const LoadResult last = decode(three, three.size());
+  ASSERT_EQ(last.status, LoadStatus::kLoaded) << last.error;
+  ASSERT_GT(last.checkpoint.frame_bytes, prev.checkpoint.frame_bytes);
+  const auto prev_doc = encode_checkpoint(prev.checkpoint);
+
+  // A cut anywhere inside the last record: it was never committed, so the
+  // load is the previous record's state and cursor.
+  for (std::size_t len = two.size(); len < three.size(); ++len) {
+    const LoadResult lr = decode(three, len);
+    ASSERT_EQ(lr.status, LoadStatus::kLoaded) << "cut at " << len;
+    EXPECT_EQ(lr.torn_bytes, len - two.size());
+    EXPECT_EQ(lr.checkpoint.frame_bytes, prev.checkpoint.frame_bytes);
+    EXPECT_EQ(encode_checkpoint(lr.checkpoint), prev_doc) << "cut at " << len;
+  }
+
+  // And the campaign resumes from such a file byte-identically.
+  write_file(testing::TempDir() + "ppsim_torn3.ckpt",
+             three.substr(0, two.size() + (three.size() - two.size()) / 2));
+  EXPECT_EQ(resume("torn3"), RunStatus::kComplete);
+  EXPECT_EQ(read_file(testing::TempDir() + "ppsim_torn3.ndjson"),
+            reference_frames());
+}
+
+TEST(CheckpointJournalTest, FlippedByteAnywhereIsCorrupt) {
+  const std::string three = paused_checkpoint("flip", 3);
+  // Every byte is covered: the snapshot by its checksum, each record's
+  // length by its header check and its payload by its checksum. A complete
+  // record that fails its check is corruption even at the tail — only a
+  // record cut short by EOF counts as torn.
+  for (std::size_t at = 0; at < three.size(); ++at) {
+    std::string bad = three;
+    bad[at] = static_cast<char>(bad[at] ^ 0x10);
+    EXPECT_EQ(decode(bad, bad.size()).status, LoadStatus::kCorrupt)
+        << "flipped byte " << at;
+  }
+
+  // run() refuses a file with a damaged record before the tail.
+  const std::string two = paused_checkpoint("flip2", 2);
+  const std::string one = paused_checkpoint("flip1", 1);
+  std::string bad = three;
+  bad[one.size() + (two.size() - one.size()) / 2] ^= 0x01;
+  write_file(testing::TempDir() + "ppsim_flip.ckpt", bad);
+  EXPECT_THROW(resume("flip"), CheckpointError);
+  EXPECT_EQ(read_file(testing::TempDir() + "ppsim_flip.ckpt"), bad)
+      << "a refused checkpoint must be left as found";
+}
+
+TEST(CheckpointJournalTest, SnapshotOnlyV2FileLoadsAndIsRewrittenAsV3) {
+  // A tiny hand-built v2 document: one cell of 3 trials in 2 shards, the
+  // first done.
+  Checkpoint small;
+  small.spec_digest = reference_digest();
+  small.frame_bytes = 7;
+  CellProgress cell;
+  cell.trials = 3;
+  cell.shard_trials = 2;
+  cell.done = ShardBitmap(2);
+  cell.quarantined = ShardBitmap(2);
+  cell.quarantine_reasons.resize(2);
+  cell.results.resize(3);
+  cell.done.set(0);
+  cell.results[0] = {true, true, 11, 12};
+  cell.results[1] = {true, false, 21, 0};
+  small.cells.push_back(cell);
+  const std::string fixture = encode_v2(small);
+  ASSERT_EQ(fixture.size(), 8u * 10 + 2 * 17 + 8);
+  const LoadResult lr = decode(fixture, fixture.size());
+  ASSERT_EQ(lr.status, LoadStatus::kLoaded) << lr.error;
+  EXPECT_EQ(lr.checkpoint.frame_bytes, 7u);
+  EXPECT_TRUE(lr.checkpoint.cells[0].done.test(0));
+  EXPECT_FALSE(lr.checkpoint.cells[0].done.test(1));
+  EXPECT_EQ(lr.checkpoint.cells[0].results[0].recovery_steps, 12u);
+  EXPECT_EQ(lr.checkpoint.cells[0].results[1].stabilize_steps, 21u);
+  EXPECT_FALSE(lr.checkpoint.cells[0].results[1].healed);
+
+  // A real campaign's progress written as v2 resumes byte-identically, and
+  // the resume's compaction rewrites the file in the current format.
+  const std::string two = paused_checkpoint("v2", 2);
+  const LoadResult paused = decode(two, two.size());
+  ASSERT_EQ(paused.status, LoadStatus::kLoaded) << paused.error;
+  const std::string ckpt = testing::TempDir() + "ppsim_v2.ckpt";
+  write_file(ckpt, encode_v2(paused.checkpoint));
+  EXPECT_EQ(resume("v2"), RunStatus::kComplete);
+  EXPECT_EQ(read_file(testing::TempDir() + "ppsim_v2.ndjson"),
+            reference_frames());
+  const std::string rewritten = read_file(ckpt);
+  ASSERT_GE(rewritten.size(), 16u);
+  EXPECT_EQ(static_cast<unsigned char>(rewritten[8]), kCheckpointFormat);
+  EXPECT_EQ(decode(rewritten, rewritten.size()).status, LoadStatus::kLoaded);
+}
+
+TEST(CheckpointJournalTest, CrashBetweenCompactionAndFirstAppendResumes) {
+  auto& reg = core::FailpointRegistry::instance();
+  reg.disarm_all();
+  (void)paused_checkpoint("compact", 2);
+  // The resume compacts, then dies at its first append.
+  reg.arm(core::failpoints::kCkptAppend, "throw");
+  EXPECT_THROW(resume("compact"), CheckpointError);
+  reg.disarm_all();
+
+  // Left behind: the compacted snapshot alone, holding both shards.
+  const std::string left = read_file(testing::TempDir() + "ppsim_compact.ckpt");
+  const LoadResult lr = decode(left, left.size());
+  ASSERT_EQ(lr.status, LoadStatus::kLoaded) << lr.error;
+  EXPECT_EQ(lr.checkpoint.cells[0].done.count() +
+                lr.checkpoint.cells[1].done.count(),
+            2u);
+  const auto snapshot = encode_checkpoint(lr.checkpoint);
+  EXPECT_EQ(left, std::string(snapshot.begin(), snapshot.end()));
+
+  EXPECT_EQ(resume("compact"), RunStatus::kComplete);
+  EXPECT_EQ(read_file(testing::TempDir() + "ppsim_compact.ndjson"),
+            reference_frames());
 }
 
 }  // namespace

@@ -260,6 +260,55 @@ TEST_F(SelfHealingTest, QuarantineRoundTripsThroughTheCodec) {
             "injected transient shard failure");
 }
 
+TEST_F(SelfHealingTest, FailedAppendIsCutOffBeforeTheRetry) {
+  const std::string p = path("ckpt.bin");
+  Checkpoint ckpt = small_checkpoint();
+  ASSERT_TRUE(save_checkpoint(p, ckpt));
+  const std::string committed = read_file(p);
+  ckpt.cells[0].done.set(0);
+  const ShardId settled[] = {{0, 0}};
+  const std::vector<unsigned char> record =
+      encode_record(ckpt.cells, settled, 150);
+
+  CheckpointJournal journal(p);
+  // A write that fails after partial progress, and a datasync that fails
+  // after the whole record is written: either way the file is cut back to
+  // its committed length, so the retry never lands behind a partial record.
+  reg().arm(fp::kCkptAppend, "eintr+short:5+enospc");
+  EXPECT_FALSE(journal.append(record));
+  EXPECT_EQ(read_file(p), committed);
+  reg().arm(fp::kCkptDatasync, "2xeintr+eio");
+  EXPECT_FALSE(journal.append(record));
+  EXPECT_EQ(read_file(p), committed);
+
+  // EINTR and short writes heal in place.
+  reg().arm(fp::kCkptAppend, "2xshort:3+eintr");
+  reg().arm(fp::kCkptDatasync, "2xeintr");
+  ASSERT_TRUE(journal.append(record));
+  EXPECT_EQ(read_file(p),
+            committed + std::string(record.begin(), record.end()));
+  const LoadResult lr = load_checkpoint(p, ckpt.spec_digest);
+  ASSERT_EQ(lr.status, LoadStatus::kLoaded) << lr.error;
+  EXPECT_TRUE(lr.checkpoint.cells[0].done.test(0));
+  EXPECT_EQ(lr.checkpoint.frame_bytes, 150u);
+}
+
+TEST_F(SelfHealingTest, KThrowAtAppendSitesIsAbortClass) {
+  const std::string p = path("ckpt.bin");
+  Checkpoint ckpt = small_checkpoint();
+  ASSERT_TRUE(save_checkpoint(p, ckpt));
+  ckpt.cells[0].done.set(0);
+  const ShardId settled[] = {{0, 0}};
+  const std::vector<unsigned char> record =
+      encode_record(ckpt.cells, settled, 150);
+  CheckpointJournal journal(p);
+  for (const char* site : {fp::kCkptAppend, fp::kCkptDatasync}) {
+    reg().disarm_all();
+    reg().arm(site, "throw");
+    EXPECT_THROW((void)journal.append(record), CheckpointError) << site;
+  }
+}
+
 // --- Campaign under transient injection: byte-identity ---------------------
 
 TEST_F(SelfHealingTest, CampaignHealsSinkAndCheckpointTransients) {
@@ -289,6 +338,34 @@ TEST_F(SelfHealingTest, CampaignHealsSinkAndCheckpointTransients) {
   EXPECT_EQ(read_file(frames_path), ref_frames)
       << "transient-failure retries must not change any output byte";
   EXPECT_GT(reg().fired_total(), 0u) << "the schedules must actually fire";
+}
+
+TEST_F(SelfHealingTest, CampaignHealsAppendTransients) {
+  constexpr std::int64_t kTrials = 150;
+  constexpr std::uint64_t kSeed = 76;
+  const auto [ref_frames, ref_digest] = reference(kTrials, kSeed);
+
+  CampaignOptions opts;
+  opts.checkpoint_path = path("ckpt.bin");
+  opts.checkpoint_every_shards = 1;
+  opts.retry = fast_retry();
+  CampaignService<pl::PlProtocol> svc(make_cells(kTrials, kSeed), opts);
+
+  reg().arm(fp::kCkptAppend, "1xskip+short:7+enospc+eintr");
+  reg().arm(fp::kCkptDatasync, "1xskip+2xeintr+eio");
+  const std::string frames_path = path("frames.ndjson");
+  {
+    FileFrameSink sink(frames_path, fast_retry());
+    EXPECT_EQ(svc.run(sink).status, RunStatus::kComplete);
+  }
+  EXPECT_EQ(reg().fired_total(), 6u) << "every scheduled fault must fire";
+  EXPECT_EQ(read_file(frames_path), ref_frames);
+  // The healed file holds every shard exactly once.
+  const LoadResult lr = load_checkpoint(opts.checkpoint_path, ref_digest);
+  ASSERT_EQ(lr.status, LoadStatus::kLoaded) << lr.error;
+  EXPECT_EQ(lr.torn_bytes, 0u);
+  for (const CellProgress& cell : lr.checkpoint.cells)
+    EXPECT_TRUE(cell.done.all());
 }
 
 // --- Emitter poisoning sweep (satellite 4) ---------------------------------
