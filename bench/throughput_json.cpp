@@ -2,16 +2,18 @@
 // path (Runner::run, the scalar engine), the unbatched reference path
 // (Runner::run_unbatched, the pre-batching engine), and — for protocols
 // with a word-packed kernel (P_PL, src/pl/packed_protocol.hpp) — the packed
-// path (a one-ring EnsembleRunner::run, i.e. the single-ring grouped word
-// driver), all measured in this same binary for the four runnable Table-1
-// protocols at n in {64, 1024, 16384}.
+// path (a one-ring EnsembleRunner::run), all measured in this same binary
+// for the four runnable Table-1 protocols at n in {64, 1024, 16384}, plus
+// P_PL alone at n in {16, 256, EnsembleRunner::kWordCrossoverN}.
 //
 // Column semantics: `batched_ips` is Runner::run, exactly the engine every
 // previous BENCH_throughput.json point measured, so the longitudinal
 // `speedup` cell stays comparable; `packed_ips`/`packed_speedup` (packed vs
-// scalar batched) are the word-kernel cells, measured at every n with no
-// engagement gate (a ring size where grouping loses shows up below 1x), and
-// 0 for protocols without a kernel.
+// scalar batched) are the word-kernel cells, 0 for protocols without a
+// kernel. A one-ring EnsembleRunner runs the single-ring grouped word driver
+// from kWordCrossoverN up and the scalar loop below it, so the P_PL rows on
+// either side of the constant are its evidence: about 1x below it (same
+// loop as Runner::run), and at or above 1x from it up.
 //
 // Writes BENCH_throughput.json (fields: its write_artifact call) so the perf
 // trajectory of the simulation engine is tracked from PR 1 onward. Knobs:
@@ -130,6 +132,15 @@ int main() {
           "fischer_jiang", p, baselines::fj_random_config(p, rng), steps,
           repeats));
     }
+  }
+
+  // P_PL-only rows around the single-ring word crossover.
+  constexpr int kCrossover =
+      core::EnsembleRunner<pl::PlProtocol>::kWordCrossoverN;
+  for (int n : {16, 256, kCrossover}) {
+    const auto p = pl::PlParams::make(n, c1);
+    rows.push_back(measure_protocol<pl::PlProtocol>(
+        "P_PL", p, pl::make_safe_config(p), steps, repeats));
   }
 
   core::Table t({"protocol", "n", "unbatched M/s", "batched M/s", "speedup",

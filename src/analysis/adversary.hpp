@@ -13,7 +13,8 @@
 //   * safe_config(params, rng)    — a converged reference configuration with
 //                                   the leader at a random position
 //   * recovered(config, params)   — membership in the protocol's safe set
-//                                   (S_PL and its baseline analogs)
+//                                   (S_PL and its baseline analogs; P_PL
+//                                   also takes the word lane's view)
 //   * families()                  — named worst-case initial-configuration
 //                                   families for scenario diversity
 //
@@ -73,6 +74,11 @@ struct Adversary<pl::PlProtocol> {
   }
   static bool recovered(std::span<const State> c, const Params& p) {
     return pl::is_safe(c, p);
+  }
+  /// S_PL on the word lane's view of a ring (no unpack; agrees with the
+  /// span overload, tests/pl/safe_view_test.cpp).
+  static bool recovered(const pl::WordConfig& c, const Params& p) {
+    return pl::SafePredicate{}(c, p);
   }
   static std::vector<ConfigFamily<P>> families() {
     return {
@@ -310,8 +316,10 @@ template <typename P, typename Topo = core::RingTopology>
                    core::Xoshiro256pp& rng) {
     inject_random_faults(r, faults, rng);
   };
-  spec.recovered = [](std::span<const typename P::State> c,
-                      const typename P::Params& p) {
+  // Generic over the configuration type, so the predicate carries the
+  // word-view overload exactly when Adversary<P> has one (P_PL).
+  spec.recovered = [](const auto& c, const typename P::Params& p)
+      -> decltype(Adversary<P>::recovered(c, p)) {
     return Adversary<P>::recovered(c, p);
   };
   spec.plan = plan;

@@ -38,6 +38,17 @@
 // tests/core/ensemble_test.cpp). Injectors receive a core::RingView — one
 // ring of either engine — rather than a whole Runner.
 //
+// Recovery checks: ScenarioSpec::recovered is a RecoveryPredicate, one
+// type-erased object with the span overload every engine calls and, for
+// protocols with a word kernel, an optional core::WordRingView overload
+// (the way pl::SafePredicate carries both). A span-only lambda assigns to
+// it unchanged. Given a view overload, a check on a ring whose u64 words
+// own it reads them in place (EnsembleRunner::run_until_each); otherwise it
+// reads the ring's States. make_recovery_scenario's default predicate
+// carries the view for P_PL. measure_recovery and recovery_trial reject an
+// empty `initial` or `recovered`, or an empty `inject` with a non-empty
+// schedule, with std::invalid_argument before any trial runs.
+//
 // Quantization: both run_until phases check the predicate every
 // `plan.check_every` steps (0 = every ~n), so stabilization and recovery
 // hitting times are quantized up to that granularity; fault injections
@@ -56,11 +67,14 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -125,13 +139,74 @@ struct TrialPlan {
   int threads = 0;                ///< ThreadPool size; 0 = default
 };
 
+/// The stabilization/recovery predicate of a ScenarioSpec: one type-erased
+/// callable with a span overload and, for protocols with a word kernel
+/// (core::HasWordKernel), a core::WordRingView overload — the shape of
+/// pl::SafePredicate. Built from any callable invocable with
+/// (span, params); the view slot is filled when that callable is also
+/// invocable with (view, params), so a span-only lambda assigns unchanged
+/// and simply carries no view. Protocols without a word kernel have no view
+/// slot at all.
+template <typename P>
+class RecoveryPredicate {
+ public:
+  using State = typename P::State;
+  using Params = typename P::Params;
+  using Span = std::span<const State>;
+  using View = core::WordRingView<P>;
+  static constexpr bool kHasViewSlot = core::HasWordKernel<P>;
+
+  RecoveryPredicate() = default;
+  template <typename F>
+    requires(!std::same_as<std::remove_cvref_t<F>, RecoveryPredicate> &&
+             std::is_invocable_r_v<bool, const std::remove_cvref_t<F>&, Span,
+                                   const Params&>)
+  RecoveryPredicate(F&& f) {  // NOLINT: implicit, so lambdas assign directly
+    using Fn = std::remove_cvref_t<F>;
+    if constexpr (kHasViewSlot) {
+      if constexpr (std::is_invocable_r_v<bool, const Fn&, const View&,
+                                          const Params&>)
+        view_ = f;
+    }
+    span_ = std::forward<F>(f);
+  }
+
+  /// False for a default-constructed (empty) predicate.
+  explicit operator bool() const noexcept { return static_cast<bool>(span_); }
+  /// True when the view overload is set (EnsembleRunner reads this before
+  /// handing it a WordRingView).
+  [[nodiscard]] bool has_view() const noexcept {
+    if constexpr (kHasViewSlot) {
+      return static_cast<bool>(view_);
+    } else {
+      return false;
+    }
+  }
+
+  bool operator()(Span c, const Params& p) const { return span_(c, p); }
+  /// Requires has_view().
+  bool operator()(const View& c, const Params& p) const
+    requires kHasViewSlot
+  {
+    return view_(c, p);
+  }
+
+ private:
+  struct NoView {};
+  std::function<bool(Span, const Params&)> span_;
+  [[no_unique_address]] std::conditional_t<
+      kHasViewSlot, std::function<bool(const View&, const Params&)>, NoView>
+      view_;
+};
+
 /// Declarative recovery scenario for protocol P. `initial` draws the
 /// initial-configuration family, `inject` corrupts a running system through
 /// a core::RingView (RingView::set_agent keeps the census incremental, and
 /// the view works for a standalone Runner and for one ring of an
 /// EnsembleRunner alike), `recovered` is the stabilization/recovery
-/// predicate (for the study protocols: membership in the safe set).
-/// analysis/adversary.hpp builds the standard instances.
+/// predicate (for the study protocols: membership in the safe set; see
+/// RecoveryPredicate). analysis/adversary.hpp builds the standard
+/// instances.
 template <typename P, typename Topo = core::RingTopology>
 struct ScenarioSpec {
   using Params = typename P::Params;
@@ -146,7 +221,9 @@ struct ScenarioSpec {
   std::vector<FaultEvent> schedule;
   std::function<void(core::RingView<P, Topo>, int, core::Xoshiro256pp&)>
       inject;
-  std::function<bool(std::span<const State>, const Params&)> recovered;
+  /// Assign any (span, params) -> bool callable; one that also takes a
+  /// core::WordRingView lets word-owned rings skip the unpack per check.
+  RecoveryPredicate<P> recovered;
   TrialPlan plan;
   /// Scheduler faults active for the *whole* trial (stabilization and
   /// recovery phases alike): omission probability and/or biased arc
@@ -182,6 +259,20 @@ void write_recovery_summary(core::JsonWriter& w, const RecoveryStats& s);
 
 namespace detail {
 
+/// Reject a spec whose callbacks cannot run, with std::invalid_argument
+/// naming the field: an empty `initial` or `recovered`, or an empty
+/// `inject` while the schedule has events.
+template <typename P, typename Topo>
+void check_callbacks(const ScenarioSpec<P, Topo>& spec) {
+  const auto reject = [&](const char* why) {
+    throw std::invalid_argument("ScenarioSpec '" + spec.name + "': " + why);
+  };
+  if (!spec.initial) reject("initial is empty");
+  if (!spec.recovered) reject("recovered is empty");
+  if (!spec.inject && !spec.schedule.empty())
+    reject("inject is empty but the schedule is not");
+}
+
 /// `spec.schedule` stably sorted by at_step (same-step events keep their
 /// declared order) — the execution order of every trial.
 template <typename P, typename Topo>
@@ -198,11 +289,13 @@ template <typename P, typename Topo>
 /// One scenario trial on a standalone Runner — the historical per-trial
 /// path, kept as the byte-identity reference for the ensemble-sharded
 /// driver (tests/core/ensemble_test.cpp compares the two trial for trial).
-/// See the header comment for the phase diagram.
+/// See the header comment for the phase diagram. Throws
+/// std::invalid_argument on unusable callbacks (check_callbacks).
 template <typename P, typename Topo = core::RingTopology>
 [[nodiscard]] RecoveryTrial recovery_trial(const typename P::Params& params,
                                            const ScenarioSpec<P, Topo>& spec,
                                            std::uint64_t t) {
+  check_callbacks(spec);
   const TrialPlan& plan = spec.plan;
   const std::uint64_t seed = core::derive_seed(plan.seed_base, plan.tag, t);
   core::Xoshiro256pp cfg_rng(core::stream_seed(seed, core::streams::kConfig));
@@ -309,9 +402,12 @@ void ensemble_recovery_shard(const typename P::Params& params,
 /// Execute one scenario: `plan.trials` trials sharded into contiguous
 /// ensembles fanned over a ThreadPool, bit-identical for any thread count
 /// and to the per-trial reference path (indices only; see header comment).
+/// Throws std::invalid_argument on unusable callbacks before any shard
+/// runs (detail::check_callbacks).
 template <typename P, typename Topo = core::RingTopology>
 [[nodiscard]] RecoveryStats measure_recovery(
     const typename P::Params& params, const ScenarioSpec<P, Topo>& spec) {
+  detail::check_callbacks(spec);
   std::vector<RecoveryTrial> trials(
       static_cast<std::size_t>(std::max<std::int64_t>(spec.plan.trials, 0)));
   core::ThreadPool pool(spec.plan.threads);

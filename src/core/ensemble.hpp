@@ -25,11 +25,11 @@
 // dominant per-step cost: a modk step is ~8 ns branchy vs ~1.4 ns of RNG)
 // disappears. Measured ~2x campaign throughput over the per-trial Runner
 // path on small-n modk cells (BENCH_ensemble.json). Full State objects are
-// materialized lazily (per-ring dirty bit) when a predicate or accessor
-// needs them. A ring-interleaved variant of both kernels was tried and
-// rejected: on the reference container register pressure beats the ILP win
-// from overlapping independent RNG chains (0.9-1.1x, vs 2x+ for the packed
-// mode).
+// materialized lazily (the mirror contract below) when a predicate or
+// accessor needs them. A ring-interleaved variant of both kernels was tried
+// and rejected: on the reference container register pressure beats the ILP
+// win from overlapping independent RNG chains (0.9-1.1x, vs 2x+ for the
+// packed mode).
 //
 // Determinism contract: ring r owns *exactly* the RNG stream a standalone
 // Runner<P> constructed with the same seed would own, rings never interact,
@@ -50,21 +50,40 @@
 // P_PL): protocols whose state space is far too large for the LUT but
 // whose whole variable block bit-slices into one uint64_t run the
 // branchless SIMD kernel (core::WordGroupDriver) on a u64 mirror, with the
-// same lazy materialization, delta census and round-trip fallback contract
-// the LUT lane has. run(k) advances rings in *cross-ring lockstep* — one
-// SIMD lane per ring, no disjointness proofs, effective at any n — and
-// run_until_each batches the rings still owed a full check_every block.
-// This is the repo's only accelerated engine for such protocols (Runner is
-// scalar): a one-ring EnsembleRunner is the single-ring word engine, and
-// every single-ring word block (run_ring, a near-deadline ring, a lockstep
-// leftover) goes through WordGroupDriver::run_block.
+// same delta census and round-trip fallback contract the LUT lane has.
+// run(k) advances rings in *cross-ring lockstep* — one SIMD lane per ring,
+// no disjointness proofs, effective at any n — and run_until_each batches
+// the rings still owed a full check_every block. This is the repo's only
+// accelerated engine for such protocols (Runner is scalar). A ring that
+// advances alone (run_ring, a near-deadline ring, the nrings % G leftovers
+// of a lockstep batch of G-ring groups) runs the single-ring grouped
+// driver, WordGroupDriver::run_block, only from kWordCrossoverN up. Below
+// it that driver loses to the scalar loop, so such a ring runs the shared
+// scalar loop on its State block instead. Every path draws the ring's
+// stream in the same order, so the choice never shows in a trajectory.
+//
+// Mirror contract: every ring has exactly one authoritative copy, recorded
+// in a per-ring RingOwner (ring_owner(r)):
+//   kMirror  the accelerator mirror (u16 LUT codes or u64 words) owns the
+//            ring; its State block is stale
+//   kBoth    the mirror and the State block are both current
+//   kStates  the State block owns the ring; the u64 words are stale (word
+//            lane only: a ring that ran the scalar loop)
+// sync_ring unpacks a kMirror ring (kMirror -> kBoth) for agents() and span
+// predicates. A kStates ring re-packs its words only when it rejoins a
+// lockstep batch. The batch puts State-owning rings last, so they are the
+// ones left over, and ownership stays sticky: a re-pack costs ~30 ns per
+// agent. set_agent writes whichever copy owns the ring and decodes only the
+// overwritten slot for the census delta.
 //
 // run_until_each mirrors Runner::run_until per ring (pre-check, then blocks
 // of check_every against a per-ring deadline); converged or timed-out rings
 // retire from a compacted active index array so a few slow rings never pay
-// for the fast majority. On the word lane, a predicate that accepts a
-// WordRingView reads the u64 mirror in place, so the check needs no
-// materialization (pl::SafePredicate does this).
+// for the fast majority. A check reads whichever copy the ring owns: a
+// predicate that accepts a WordRingView reads a word-owned ring's u64
+// mirror in place (pl::SafePredicate, and analysis::RecoveryPredicate when
+// it carries a view overload); every other check reads the State block,
+// unpacking it first only if the mirror owns the ring.
 #pragma once
 
 #include <algorithm>
@@ -120,6 +139,14 @@ class WordRingView {
   const Layout* layout_;
 };
 
+/// Which copy of an EnsembleRunner ring is authoritative (see the mirror
+/// contract in the header comment; EnsembleRunner::ring_owner).
+enum class RingOwner : std::uint8_t {
+  kMirror,  ///< the accelerator mirror owns the ring; States are stale
+  kBoth,    ///< mirror and States are both current
+  kStates,  ///< the States own the ring; the word mirror is stale
+};
+
 template <typename P, typename Topo = RingTopology>
 class EnsembleRunner {
   static_assert(TopologyLike<Topo>);
@@ -158,6 +185,17 @@ class EnsembleRunner {
   /// transition wins again.
   static constexpr std::size_t kMaxLutPairs = std::size_t{1} << 16;
 
+  /// Smallest n at which a word-lane ring that advances alone (run_ring, a
+  /// near-deadline ring, a lockstep leftover) runs the single-ring grouped
+  /// word driver; a smaller ring runs the scalar loop on its State block.
+  /// Ungated, that driver measured against Runner::run on one ring (4 vCPU
+  /// reference VM, 4 M steps, best of 3): 0.33-0.49x at n = 16-64 (0.354x
+  /// in BENCH_throughput.json before this gate), 0.59-0.79x at 256,
+  /// 0.80-1.03x at 384, 0.91-1.43x at 512 and above 1x from 704 up. The
+  /// one-ring P_PL rows of BENCH_throughput.json (packed_speedup) at
+  /// n = 16, 64, 256 and 512 record both sides of the gate.
+  static constexpr int kWordCrossoverN = 512;
+
   explicit EnsembleRunner(Params params, int reserve_rings = 0)
       : params_(std::move(params)),
         topo_(params_.n),
@@ -193,7 +231,8 @@ class EnsembleRunner {
     clk.oracle_delay = oracle_delay_;
     Engine::recount(initial, params_, clk);
     clocks_.push_back(clk);
-    dirty_.push_back(0);
+    owner_.push_back(lut_active_ || word_active_ ? RingOwner::kBoth
+                                                 : RingOwner::kStates);
     if constexpr (kPackable) {
       if (lut_active_) {
         for (const State& s : initial) {
@@ -238,6 +277,13 @@ class EnsembleRunner {
   /// to the generic path).
   [[nodiscard]] bool word_kernel_mode() const noexcept {
     return word_active_;
+  }
+
+  /// Which copy of ring r is authoritative (introspection for tests; see
+  /// the mirror contract in the header comment). kStates on the generic
+  /// path.
+  [[nodiscard]] RingOwner ring_owner(int r) const {
+    return owner_[static_cast<std::size_t>(check_ring(r))];
   }
 
   // Ring and agent indices are checked in every build type: a bad r or i
@@ -308,51 +354,60 @@ class EnsembleRunner {
   }
 
   /// Fault injection into ring r, delta-census, identical to
-  /// Runner::set_agent. In packed mode the injected state must round-trip
-  /// the packing; otherwise the ensemble drops to the generic path (still
-  /// exact, just slower).
+  /// Runner::set_agent. The ring is never unpacked: a mirror-owned ring
+  /// decodes only the overwritten slot for the census delta and takes the
+  /// packed value (its States stay stale); otherwise the State is written.
+  /// On an accelerated lane the injected state must round-trip the packing;
+  /// otherwise the ensemble drops to the generic path (still exact, just
+  /// slower).
   void set_agent(int r, int i, const State& s) {
     check_agent(i);
-    sync_ring(check_ring(r));
     const std::size_t slot =
-        ring_offset(r) + static_cast<std::size_t>(i);
-    Engine::set_agent(states_[slot], s, params_,
-                      clocks_[static_cast<std::size_t>(r)]);
+        ring_offset(check_ring(r)) + static_cast<std::size_t>(i);
     if constexpr (kPackable) {
       if (lut_active_) {
         const std::size_t ps = P::pack_state(s, params_);
-        if (ps >= lut_states_ || !(P::unpack_state(ps, params_) == s)) {
-          deactivate_lut();
-        } else {
+        if (ps < lut_states_ && P::unpack_state(ps, params_) == s) {
+          inject(r, slot, s, [&] {
+            return P::unpack_state(packed_[slot], params_);
+          });
           packed_[slot] = static_cast<std::uint16_t>(ps);
+          return;
         }
+        deactivate_lut();
       }
     }
     if constexpr (kWordable) {
       if (word_active_) {
         const std::uint64_t w = P::pack_word(s, layout_);
-        if (!(P::unpack_word(w, layout_) == s)) {
-          deactivate_word();
-        } else {
-          words_[slot] = w;
+        if (P::unpack_word(w, layout_) == s) {
+          inject(r, slot, s,
+                 [&] { return P::unpack_word(words_[slot], layout_); });
+          words_[slot] = w;  // stale, hence harmless, on a kStates ring
+          return;
         }
+        deactivate_word();
       }
     }
+    Engine::set_agent(states_[slot], s, params_,
+                      clocks_[static_cast<std::size_t>(r)]);
   }
 
   /// Advance every ring `k` interactions (each through its own stream). In
   /// word-kernel mode the rings advance in lockstep — one SIMD lane per
-  /// ring (WordGroupDriver::run_rings_block); per-ring trajectories are
-  /// bit-identical to per-ring advancement, rings share nothing.
+  /// ring (WordGroupDriver::run_rings_block), leftovers alone (see
+  /// advance_rings_word); per-ring trajectories are bit-identical to
+  /// per-ring advancement, rings share nothing.
   void run(std::uint64_t k) {
     if constexpr (kWordable) {
       if (word_active_ && k > 0 && ring_count() > 0) {
-        // Reusable [0, ring_count) index list — grown, never shrunk, so
+        // Reusable list of the ring ids [0, ring_count), in the order
+        // advance_rings_word last left it — grown, never shrunk, so
         // campaigns interleaving many small run(k) blocks with faults pay
         // no per-call allocation.
         while (static_cast<int>(all_rings_.size()) < ring_count())
           all_rings_.push_back(static_cast<int>(all_rings_.size()));
-        advance_rings_word(all_rings_, ring_count(), k);
+        advance_rings_word(all_rings_, k);
         return;
       }
     }
@@ -369,8 +424,8 @@ class EnsembleRunner {
   /// (saturating at npos), retiring rings from a compacted active set as
   /// they hit the predicate or the deadline. Returns, per ring, the step
   /// count at the first satisfied check (exactly Runner::run_until's value)
-  /// or npos on timeout. On the word lane a predicate invocable with a
-  /// WordRingView<P> is handed the ring's u64 mirror instead of agents(r).
+  /// or npos on timeout. A predicate invocable with a WordRingView<P> is
+  /// handed a word-owned ring's u64 mirror instead of agents(r) (satisfied).
   template <typename Pred>
   [[nodiscard]] std::vector<std::uint64_t> run_until_each(
       Pred&& pred, std::uint64_t max_steps, std::uint64_t check_every = 0) {
@@ -438,9 +493,7 @@ class EnsembleRunner {
             else
               advance_ring(r, deadline[ri] - clocks_[ri].steps);
           }
-          if (!batch.empty())
-            advance_rings_word(batch, static_cast<int>(batch.size()),
-                               check_every);
+          if (!batch.empty()) advance_rings_word(batch, check_every);
           advanced = true;
         }
       }
@@ -523,17 +576,19 @@ class EnsembleRunner {
     return clocks_[static_cast<std::size_t>(check_ring(r))];
   }
 
-  /// One run_until_each check of ring r. On the word lane the u64 mirror is
-  /// always current (add_ring, set_agent and the kernels write it), so a
-  /// predicate that takes a WordRingView reads it directly and the ring's
-  /// State block stays unsynced; any other predicate gets agents(r).
+  /// One run_until_each check of ring r, on whichever copy owns it: a
+  /// word-owned ring hands a predicate that takes a WordRingView its u64
+  /// mirror in place, and its State block stays unsynced. Every other check
+  /// gets agents(r), which unpacks only a mirror-owned ring.
   template <typename Pred>
   [[nodiscard]] bool satisfied(Pred& pred, int r) const {
     if constexpr (kWordable) {
       if constexpr (std::is_invocable_r_v<bool, Pred&,
                                           const WordRingView<P>&,
                                           const Params&>) {
-        if (word_active_) {
+        if (word_active_ &&
+            owner_[static_cast<std::size_t>(r)] == RingOwner::kMirror &&
+            reads_view(pred)) {
           return pred(WordRingView<P>({words_.data() + ring_offset(r),
                                        static_cast<std::size_t>(params_.n)},
                                       layout_),
@@ -542,6 +597,20 @@ class EnsembleRunner {
       }
     }
     return pred(agents(r), params_);
+  }
+
+  /// Whether a predicate with a WordRingView overload can take the view: a
+  /// type-erased one (analysis::RecoveryPredicate) says so via has_view(),
+  /// since its view slot may be empty.
+  template <typename Pred>
+  [[nodiscard]] static bool reads_view(const Pred& pred) {
+    if constexpr (requires {
+                    { pred.has_view() } -> std::convertible_to<bool>;
+                  }) {
+      return pred.has_view();
+    } else {
+      return true;
+    }
   }
 
   /// Enumerate the pair-transition table through the same P::apply and
@@ -603,51 +672,64 @@ class EnsembleRunner {
     lut_active_ = true;
   }
 
-  /// Leave packed mode permanently: materialize every ring's states, then
-  /// drop the packed mirror. Trajectories continue on the generic path.
+  /// Leave packed mode permanently: materialize every mirror-owned ring's
+  /// states, then drop the packed mirror. Trajectories continue on the
+  /// generic path.
   void deactivate_lut() {
     for (int r = 0; r < ring_count(); ++r) sync_ring(r);
     lut_active_ = false;
+    std::fill(owner_.begin(), owner_.end(), RingOwner::kStates);
     packed_.clear();
     packed_.shrink_to_fit();
   }
 
   /// Leave the word-kernel lane permanently, same contract as
-  /// deactivate_lut.
+  /// deactivate_lut: only word-owned rings unpack, so a ring that owns its
+  /// States is never overwritten by its stale words.
   void deactivate_word() {
     for (int r = 0; r < ring_count(); ++r) sync_ring(r);
     word_active_ = false;
+    std::fill(owner_.begin(), owner_.end(), RingOwner::kStates);
     words_.clear();
     words_.shrink_to_fit();
   }
 
-  /// Materialize ring r's State block from the active accelerator mirror if
-  /// stale. dirty_ is only ever set by the accelerator hot loops, so at most
-  /// one mirror can be the stale ring's source of truth.
+  /// Materialize ring r's State block from the accelerator mirror if the
+  /// mirror owns the ring (kMirror -> kBoth). Only one accelerated lane is
+  /// ever active, so it holds the ring's source of truth.
   void sync_ring(int r) const {
     if constexpr (kPackable || kWordable) {
       const auto ri = static_cast<std::size_t>(r);
-      if (!dirty_[ri]) return;
+      if (owner_[ri] != RingOwner::kMirror) return;
       const std::size_t off = ring_offset(r);
-      if constexpr (kPackable) {
-        if (lut_active_) {
-          for (int i = 0; i < params_.n; ++i) {
-            states_[off + static_cast<std::size_t>(i)] = P::unpack_state(
-                packed_[off + static_cast<std::size_t>(i)], params_);
+      for (int i = 0; i < params_.n; ++i) {
+        const std::size_t slot = off + static_cast<std::size_t>(i);
+        if constexpr (kPackable) {
+          if (lut_active_) {
+            states_[slot] = P::unpack_state(packed_[slot], params_);
+            continue;
           }
-          dirty_[ri] = 0;
-          return;
+        }
+        if constexpr (kWordable) {
+          states_[slot] = P::unpack_word(words_[slot], layout_);
         }
       }
-      if constexpr (kWordable) {
-        if (word_active_) {
-          for (int i = 0; i < params_.n; ++i) {
-            states_[off + static_cast<std::size_t>(i)] = P::unpack_word(
-                words_[off + static_cast<std::size_t>(i)], layout_);
-          }
-          dirty_[ri] = 0;
-        }
-      }
+      owner_[ri] = RingOwner::kBoth;
+    }
+  }
+
+  /// Census delta and State write of one injection into `slot` of ring r,
+  /// whose mirror slot the caller overwrites next. A mirror-owned ring
+  /// decodes only the old slot (`decode_old`) for Engine::set_agent's
+  /// bookkeeping, and its States stay stale.
+  template <typename Decode>
+  void inject(int r, std::size_t slot, const State& s, Decode&& decode_old) {
+    const auto ri = static_cast<std::size_t>(r);
+    if (owner_[ri] == RingOwner::kMirror) {
+      State old = decode_old();
+      Engine::set_agent(old, s, params_, clocks_[ri]);
+    } else {
+      Engine::set_agent(states_[slot], s, params_, clocks_[ri]);
     }
   }
 
@@ -661,7 +743,13 @@ class EnsembleRunner {
     }
     if constexpr (kWordable) {
       if (word_active_) {
-        advance_ring_word(r, k);
+        if (params_.n >= kWordCrossoverN) {
+          advance_ring_word(r, k);
+        } else {
+          sync_ring(r);
+          owner_[static_cast<std::size_t>(r)] = RingOwner::kStates;
+          advance_ring_generic(r, k);
+        }
         return;
       }
     }
@@ -722,37 +810,83 @@ class EnsembleRunner {
     }
     rngs_[ri] = rng;
     clocks_[ri] = clk;
-    dirty_[ri] = 1;
+    owner_[ri] = RingOwner::kMirror;
   }
 
-  /// Kernel-lane block: the single-ring grouped word-kernel driver
-  /// (WordGroupDriver::run_block, the one entry the lockstep leftovers use
-  /// too) on this ring's slice of the u64 mirror. States go stale until the
-  /// next sync_ring.
+  /// Make ring r's u64 words current (kStates -> kBoth): re-pack its State
+  /// block with the round-trip check. A failed round trip drops the
+  /// ensemble to the generic path (deactivate_word); false whenever the
+  /// word lane is off.
+  [[nodiscard]] bool pack_ring(int r)
+    requires(kWordable)
+  {
+    if (!word_active_) return false;
+    const auto ri = static_cast<std::size_t>(r);
+    if (owner_[ri] != RingOwner::kStates) return true;
+    const std::size_t off = ring_offset(r);
+    for (int i = 0; i < params_.n; ++i) {
+      const std::size_t slot = off + static_cast<std::size_t>(i);
+      const std::uint64_t w = P::pack_word(states_[slot], layout_);
+      if (!(P::unpack_word(w, layout_) == states_[slot])) {
+        deactivate_word();
+        return false;
+      }
+      words_[slot] = w;
+    }
+    owner_[ri] = RingOwner::kBoth;
+    return true;
+  }
+
+  /// Kernel-lane block (n >= kWordCrossoverN): the single-ring grouped
+  /// word-kernel driver on this ring's slice of the u64 mirror, re-packed
+  /// first if the ring owns its States. States go stale until the next
+  /// sync_ring.
   void advance_ring_word(int r, std::uint64_t k)
     requires(kWordable)
   {
+    if (!pack_ring(r)) {
+      advance_ring_generic(r, k);
+      return;
+    }
     const auto ri = static_cast<std::size_t>(r);
     WordGroupDriver<P>::run_block(words_.data() + ring_offset(r), params_.n,
                                   bound_, threshold_, rngs_[ri], clocks_[ri],
                                   consts_, k);
-    dirty_[ri] = 1;
+    owner_[ri] = RingOwner::kMirror;
   }
 
-  /// Cross-ring lockstep: every listed ring advances `k` interactions with
-  /// one SIMD lane per ring (no disjointness proofs — rings share
-  /// nothing). Bit-identical per ring to advance_ring_word.
-  void advance_rings_word(const std::vector<int>& rings, int nrings,
-                          std::uint64_t k)
+  /// Advance the listed rings `k` interactions each: full groups of
+  /// lockstep_lanes() rings in cross-ring lockstep, one SIMD lane per ring
+  /// (no disjointness proofs — rings share nothing), and the leftovers
+  /// alone through advance_ring. Rings that own their States go last, so
+  /// they are the leftovers and rarely re-pack; the order never shows in a
+  /// trajectory. Bit-identical per ring to advance_ring.
+  void advance_rings_word(std::vector<int>& rings, std::uint64_t k)
     requires(kWordable)
   {
-    WordGroupDriver<P>::run_rings_block(
-        words_.data(), static_cast<std::size_t>(params_.n), rings.data(),
-        nrings, params_.n, bound_, threshold_, rngs_.data(), clocks_.data(),
-        consts_, k);
-    for (int i = 0; i < nrings; ++i)
-      dirty_[static_cast<std::size_t>(
-          rings[static_cast<std::size_t>(i)])] = 1;
+    std::partition(rings.begin(), rings.end(), [&](int r) {
+      return owner_[static_cast<std::size_t>(r)] != RingOwner::kStates;
+    });
+    const int G = WordGroupDriver<P>::lockstep_lanes();
+    const int nrings = static_cast<int>(rings.size());
+    const int grouped = nrings - nrings % G;
+    for (int i = 0; i < grouped; ++i) {
+      if (!pack_ring(rings[static_cast<std::size_t>(i)])) {
+        for (int r : rings) advance_ring_generic(r, k);
+        return;
+      }
+    }
+    if (grouped > 0) {
+      WordGroupDriver<P>::run_rings_block(
+          words_.data(), static_cast<std::size_t>(params_.n), rings.data(),
+          grouped, params_.n, bound_, threshold_, rngs_.data(),
+          clocks_.data(), consts_, k);
+      for (int i = 0; i < grouped; ++i)
+        owner_[static_cast<std::size_t>(rings[static_cast<std::size_t>(i)])] =
+            RingOwner::kMirror;
+    }
+    for (int i = grouped; i < nrings; ++i)
+      advance_ring(rings[static_cast<std::size_t>(i)], k);
   }
 
   Params params_;
@@ -765,13 +899,15 @@ class EnsembleRunner {
   detail::BiasTable bias_;               ///< non-empty = biased distribution
   std::uint64_t loss_threshold_ = 0;     ///< 0 = omission model off
   bool sched_active_ = false;            ///< any scheduler fault model on
-  /// Ring r's states at [r*n, (r+1)*n). In packed mode this block is a
-  /// lazily refreshed materialization of `packed_` (see `dirty_`), hence
-  /// mutable: accessors are logically const.
+  /// Ring r's states at [r*n, (r+1)*n). On an accelerated lane this block
+  /// is lazily refreshed from the mirror that owns the ring (see `owner_`),
+  /// hence mutable: accessors are logically const.
   mutable std::vector<State> states_;
   std::vector<RingClock> clocks_;   ///< parallel to rings
   std::vector<Xoshiro256pp> rngs_;  ///< parallel to rings
-  mutable std::vector<std::uint8_t> dirty_;  ///< states_ stale vs packed_
+  /// Per ring: which copy is authoritative (the mirror contract). Mutable:
+  /// sync_ring turns kMirror into kBoth from const accessors.
+  mutable std::vector<RingOwner> owner_;
   std::vector<LutEntry> lut_;       ///< S*S pair table (packed mode)
   std::vector<std::uint16_t> packed_;  ///< u16 mirror of states_, same layout
   std::size_t lut_states_ = 0;
@@ -779,7 +915,7 @@ class EnsembleRunner {
   WordLayout layout_{};             ///< valid only in word-kernel mode
   WordConsts consts_{};             ///< kernel constants (word-kernel mode)
   std::vector<std::uint64_t> words_;  ///< u64 mirror of states_, same layout
-  std::vector<int> all_rings_;      ///< reusable [0, ring_count) id list
+  std::vector<int> all_rings_;      ///< reusable permutation of ring ids
   bool word_active_ = false;        ///< word-kernel lane drives the hot loop
 };
 

@@ -63,9 +63,10 @@
 // below (grouped SIMD execution of scheduler-disjoint interactions, or one
 // SIMD lane per ring in cross-ring lockstep; ISA dispatched at runtime),
 // bit-identical to Runner's paths and certified so by the differential fuzz
-// matrix. A one-ring EnsembleRunner is the single-ring word engine. See the
-// README's "Word-packed P_PL fast path" for the design and the measured
-// trajectory.
+// matrix. A one-ring EnsembleRunner is the single-ring word engine from
+// EnsembleRunner::kWordCrossoverN up; below it a ring advancing alone runs
+// the scalar loop. See the README's "Word-packed P_PL fast path" for the
+// design and the measured trajectory.
 #pragma once
 
 #include <algorithm>
@@ -638,11 +639,18 @@ struct WordGroupDriver {
 #endif
   }
 
+  /// Rings per cross-ring lockstep group at this process's ISA level (the
+  /// vector width run_rings_block runs): 8 under AVX-512, else 4.
+  [[nodiscard]] static int lockstep_lanes() {
+    return isa_level() == 2 ? kLanesOf<WordVec8> : kLanesOf<WordVec>;
+  }
+
   /// The one single-ring word block: advance the ring stored at `words`
   /// `k` interactions through the grouped driver (run_impl), compiled once
-  /// per ISA in the out-of-line clones below. Every single-ring word block
-  /// — EnsembleRunner::run_ring, a near-deadline ring of run_until_each, a
-  /// leftover ring of run_rings_block — comes through here.
+  /// per ISA in the out-of-line clones below. EnsembleRunner sends a ring
+  /// that advances alone here (run_ring, a near-deadline ring, a lockstep
+  /// leftover) only at n >= its kWordCrossoverN; smaller rings run the
+  /// scalar loop instead.
   static void run_block(std::uint64_t* words, int n, std::uint64_t bound,
                         std::uint64_t threshold, Xoshiro256pp& rng,
                         RingClock& clk, const Consts& kc, std::uint64_t k) {
@@ -1015,7 +1023,8 @@ struct WordGroupDriver {
   /// instead of serializing. Per-ring trajectories are bit-identical to
   /// the single-ring engines by construction (each ring consumes exactly
   /// its own stream in order; lockstep only changes the interleaving
-  /// *between* rings, which share nothing).
+  /// *between* rings, which share nothing). `nrings` must be a multiple of
+  /// lockstep_lanes(): the caller advances the leftover rings itself.
   template <typename VW>
   [[gnu::always_inline]] static inline void rings_impl(
       std::uint64_t* words_base, std::size_t ring_stride, const int* rings,
@@ -1024,8 +1033,7 @@ struct WordGroupDriver {
       std::uint64_t k) {
     const Consts kc = kc0;
     constexpr int G = kLanesOf<VW>;
-    int i = 0;
-    for (; i + G <= nrings; i += G) {
+    for (int i = 0; i + G <= nrings; i += G) {
       const int* rg = rings + i;
       std::uint64_t* base[G];
       Xoshiro256pp rng[G];
@@ -1163,17 +1171,11 @@ struct WordGroupDriver {
         clks[r] = clk[j];
       }
     }
-    // Leftover rings (< G): the single-ring grouped path, same per-ring
-    // trajectory, through its one out-of-line entry.
-    for (; i < nrings; ++i) {
-      const int r = rings[i];
-      run_block(words_base + ring_stride * static_cast<std::size_t>(r), n,
-                bound, threshold, rngs[r], clks[r], kc, k);
-    }
   }
 
  public:
-  /// Entry point for the cross-ring lockstep block (see rings_impl).
+  /// Entry point for the cross-ring lockstep block (see rings_impl; nrings
+  /// is a multiple of lockstep_lanes()).
   static void run_rings_block(std::uint64_t* words_base,
                               std::size_t ring_stride, const int* rings,
                               int nrings, int n, std::uint64_t bound,

@@ -394,6 +394,7 @@ class CampaignService {
       : cells_(std::move(cells)), opts_(std::move(opts)) {
     progress_.reserve(cells_.size());
     for (const auto& [params, spec] : cells_) {
+      analysis::detail::check_callbacks(spec);  // before any shard runs
       CellProgress p;
       p.trials = static_cast<std::uint64_t>(
           std::max<std::int64_t>(spec.plan.trials, 0));

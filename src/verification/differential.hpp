@@ -15,8 +15,10 @@
 //                                packed kernel rather than assuming it).
 //                                One ring, so for P_PL this is the
 //                                single-ring grouped driver
-//                                (WordGroupDriver::run_block) at every n:
-//                                the ensemble has no engagement gate
+//                                (WordGroupDriver::run_block) from
+//                                EnsembleRunner::kWordCrossoverN up; below
+//                                it the ring advances alone on the scalar
+//                                loop, and only lane G runs the kernel
 //   E  checker mirror          — ModelChecker<M>::successor driven by a
 //                                cloned RNG stream: every step decodes,
 //                                applies M::apply, re-encodes, so the
@@ -115,7 +117,9 @@ struct FuzzReport {
   /// check_every granularities when fault_storms == 0.
   std::uint64_t final_digest = 0;
   bool packed_lane = false;  ///< lane D ran in (and stayed in) an
-                             ///< accelerated mode (LUT or word kernel)
+                             ///< accelerated mode (LUT or word kernel;
+                             ///< a word-lane ring below kWordCrossoverN
+                             ///< still advances on the scalar loop)
   bool mirror_lane = false;  ///< lane E (checker adapter) participated
   bool lockstep_lane = false;  ///< lane G ran (and stayed) in word-kernel
                                ///< mode, i.e. ring 0 went through the

@@ -1,9 +1,12 @@
 // Scenario campaign engine: determinism across thread counts, recovery
 // semantics of the phase diagram (stabilize -> inject -> recover), the
-// protocol-agnostic adversary layer, and the campaign driver.
+// protocol-agnostic adversary layer, the campaign driver, and the release
+// checks on a spec's callbacks.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "analysis/adversary.hpp"
@@ -141,6 +144,61 @@ TEST(Scenario, StabilizationFailuresAreNotRecoveryFailures) {
   EXPECT_EQ(stats.stabilization_failures, 4);
   EXPECT_EQ(stats.recovery_failures, 0);
   EXPECT_TRUE(stats.raw.empty());
+}
+
+/// Both entry points reject `spec` before running any trial, with an
+/// std::invalid_argument whose message names `field`.
+void expect_rejected(const ScenarioSpec<pl::PlProtocol>& spec,
+                     const std::string& field) {
+  const auto p = pl::PlParams::make(8, 2);
+  for (const bool ensemble : {true, false}) {
+    try {
+      if (ensemble) {
+        (void)measure_recovery<pl::PlProtocol>(p, spec);
+      } else {
+        (void)detail::recovery_trial<pl::PlProtocol>(p, spec, 0);
+      }
+      ADD_FAILURE() << field << ": no exception (ensemble=" << ensemble
+                    << ")";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+ScenarioSpec<pl::PlProtocol> runnable_spec() {
+  TrialPlan plan;
+  plan.trials = 5;  // several shards at 3 threads: the check precedes them
+  plan.threads = 3;
+  plan.seed_base = 4;
+  return make_recovery_scenario<pl::PlProtocol>("burst", burst_schedule(1),
+                                                plan);
+}
+
+TEST(ScenarioMisuse, EmptyInitialThrows) {
+  auto spec = runnable_spec();
+  spec.initial = nullptr;
+  expect_rejected(spec, "initial");
+}
+
+TEST(ScenarioMisuse, EmptyRecoveredThrows) {
+  auto spec = runnable_spec();
+  spec.recovered = {};
+  expect_rejected(spec, "recovered");
+}
+
+TEST(ScenarioMisuse, EmptyInjectWithScheduleThrows) {
+  auto spec = runnable_spec();
+  spec.inject = nullptr;
+  expect_rejected(spec, "inject");
+  // With no scheduled fault, inject is never called and may stay empty.
+  spec.schedule.clear();
+  spec.plan.max_steps = budget(8, pl::PlParams::make(8, 2).kappa_max);
+  const auto stats =
+      measure_recovery<pl::PlProtocol>(pl::PlParams::make(8, 2), spec);
+  EXPECT_EQ(stats.trials, 5);
+  EXPECT_EQ(stats.stabilization_failures, 0);
 }
 
 /// All four covered protocols heal from a mid-run fault burst.

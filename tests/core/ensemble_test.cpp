@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -386,6 +387,59 @@ TEST(EnsembleRunner, RunUntilEachMatchesPerRingRunUntil) {
     ASSERT_EQ(ensemble.steps(r), rn.steps());
     for (int i = 0; i < p.n; ++i)
       ASSERT_EQ(ensemble.agent(r, i), rn.agent(i)) << "ring " << r;
+  }
+}
+
+TEST(EnsembleRunner, RunUntilEachStaggeredRetirementsMatchRunners) {
+  // P_PL at n = 16 is below kWordCrossoverN: as rings retire one by one the
+  // active set regroups every pass, so rings leave a lockstep group for the
+  // scalar loop (their States take over) and rejoin one later (re-packed).
+  // Widths 9..17 cover one to two full groups plus every leftover count at
+  // both lockstep widths. Every ring must still equal its per-trial Runner.
+  static_assert(16 < EnsembleRunner<pl::PlProtocol>::kWordCrossoverN);
+  const auto p = pl::PlParams::make(16, 4);
+  constexpr std::uint64_t npos = Runner<pl::PlProtocol>::npos;
+  for (int R = 9; R <= 17; ++R) {
+    core::Xoshiro256pp rng(300 + static_cast<std::uint64_t>(R));
+    EnsembleRunner<pl::PlProtocol> ensemble(p, R);
+    std::vector<Runner<pl::PlProtocol>> runners;
+    for (int r = 0; r < R; ++r) {
+      auto init = pl::random_config(p, rng);
+      const auto seed = static_cast<std::uint64_t>(100 * R + r);
+      ensemble.add_ring(init, seed);
+      runners.emplace_back(p, std::move(init), seed);
+    }
+    const auto expect_rings_match = [&](const char* when) {
+      for (int r = 0; r < R; ++r) {
+        const auto& rn = runners[static_cast<std::size_t>(r)];
+        ASSERT_EQ(ensemble.steps(r), rn.steps()) << when << " ring " << r;
+        ASSERT_EQ(ensemble.leader_count(r), rn.leader_count())
+            << when << " ring " << r;
+        ASSERT_EQ(ensemble.last_leader_change(r), rn.last_leader_change())
+            << when << " ring " << r;
+        for (int i = 0; i < p.n; ++i)
+          ASSERT_EQ(ensemble.agent(r, i), rn.agent(i))
+              << when << " ring " << r << " agent " << i;
+      }
+    };
+    const std::uint64_t max_steps = 200'000;
+    const std::uint64_t check_every = 16;
+    const auto hits =
+        ensemble.run_until_each(pl::SafePredicate{}, max_steps, check_every);
+    std::set<std::uint64_t> distinct;
+    for (int r = 0; r < R; ++r) {
+      const auto want = runners[static_cast<std::size_t>(r)].run_until(
+          pl::SafePredicate{}, max_steps, check_every);
+      EXPECT_EQ(hits[static_cast<std::size_t>(r)], want.value_or(npos))
+          << "R=" << R << " ring " << r;
+      distinct.insert(hits[static_cast<std::size_t>(r)]);
+    }
+    EXPECT_GE(distinct.size(), static_cast<std::size_t>(R) / 2)
+        << "retirements should be staggered, R=" << R;
+    expect_rings_match("after run_until_each");
+    ensemble.run(333);  // streams stayed aligned: resume and re-compare
+    for (auto& rn : runners) rn.run(333);
+    expect_rings_match("after resume");
   }
 }
 

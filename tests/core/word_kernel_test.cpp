@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -45,35 +46,92 @@ void expect_ring_same(const Runner<PlProtocol>& ref,
 }
 
 TEST(WordKernelEnsemble, WordPathMatchesUnbatchedReference) {
-  // A one-ring ensemble is the single-ring word engine: run() sends its
-  // ring through the lockstep driver's leftover path, i.e. the grouped
-  // driver's one entry, WordGroupDriver::run_block. No engagement gate:
-  // the word lane runs at every n, down to n = 4.
-  for (const int n : {4, 16, 64, 257, 1024}) {
-    const auto p = PlParams::make(n, 4);
-    core::Xoshiro256pp cfg(900 + n);
-    const auto init = pl::random_config(p, cfg);
-    Runner<PlProtocol> ref(p, init, 42);  // scalar reference
-    EnsembleRunner<PlProtocol> word(p, 1);
-    word.add_ring(init, 42);
-    ASSERT_TRUE(word.word_kernel_mode());
-    core::Xoshiro256pp faults(77);
-    for (int round = 0; round < 6; ++round) {
-      const std::uint64_t k = 500 + 37 * round;
-      ref.run_unbatched(k);
-      word.run(k);
-      expect_ring_same(ref, word, 0, "word vs unbatched");
-      // In-domain fault storm through both engines' set_agent.
-      for (int f = 0; f < 3; ++f) {
-        const int idx = static_cast<int>(
-            faults.bounded(static_cast<std::uint64_t>(n)));
-        const PlState s = pl::random_state(p, faults);
-        ref.set_agent(idx, s);
-        word.set_agent(0, idx, s);
+  // A ring that advances alone (one ring, or a leftover of run()'s lockstep
+  // groups) runs the scalar loop on its States below kWordCrossoverN and
+  // the grouped driver's one entry, WordGroupDriver::run_block, on its
+  // words from there up; lockstep rings always own their words. Faults go
+  // into whichever copy owns the ring, before anything unpacks it, so
+  // set_agent's word-owned path (States stay stale) and State-owned path
+  // both run. The multi-ring variant ends with an out-of-domain injection
+  // into a word-owned ring while leftover rings own their States: the lane
+  // drops without overwriting them.
+  constexpr int kCrossover = EnsembleRunner<PlProtocol>::kWordCrossoverN;
+  for (const int n : {4, 16, 64, 257, kCrossover - 1, kCrossover, 1024}) {
+    for (const int rings : {1, 11}) {
+      const auto p = PlParams::make(n, 4);
+      std::vector<Runner<PlProtocol>> refs;  // scalar reference per ring
+      EnsembleRunner<PlProtocol> word(p, rings);
+      for (int r = 0; r < rings; ++r) {
+        core::Xoshiro256pp cfg(900 + n + 31 * r);
+        const auto init = pl::random_config(p, cfg);
+        refs.emplace_back(p, init, 42 + r);
+        word.add_ring(init, 42 + static_cast<std::uint64_t>(r));
       }
-      expect_ring_same(ref, word, 0, "word vs unbatched after storm");
+      ASSERT_TRUE(word.word_kernel_mode());
+      const std::string what =
+          "n=" + std::to_string(n) + " rings=" + std::to_string(rings);
+      core::Xoshiro256pp faults(77);
+      int mirror_faults = 0;
+      int state_faults = 0;
+      for (int round = 0; round < 6; ++round) {
+        const std::uint64_t k = 500 + 37 * round;
+        for (auto& ref : refs) ref.run_unbatched(k);
+        word.run(k);
+        if (rings == 1) {
+          EXPECT_EQ(word.ring_owner(0), n >= kCrossover
+                                            ? core::RingOwner::kMirror
+                                            : core::RingOwner::kStates)
+              << what;
+        }
+        // In-domain fault storm through both engines' set_agent.
+        for (int f = 0; f < 3 * rings; ++f) {
+          const int r = static_cast<int>(
+              faults.bounded(static_cast<std::uint64_t>(rings)));
+          const int idx = static_cast<int>(
+              faults.bounded(static_cast<std::uint64_t>(n)));
+          const PlState s = pl::random_state(p, faults);
+          (word.ring_owner(r) == core::RingOwner::kMirror ? mirror_faults
+                                                          : state_faults)++;
+          refs[static_cast<std::size_t>(r)].set_agent(idx, s);
+          word.set_agent(r, idx, s);
+        }
+        for (int r = 0; r < rings; ++r)
+          expect_ring_same(refs[static_cast<std::size_t>(r)], word, r,
+                           what.c_str());
+      }
+      EXPECT_TRUE(word.word_kernel_mode()) << what;  // in-domain storms
+      if (rings > 1 || n >= kCrossover) {
+        EXPECT_GT(mirror_faults, 0) << what;
+      }
+      if (n < kCrossover) {
+        EXPECT_GT(state_faults, 0) << what;
+      }
+      if (rings == 1) continue;
+      // Out of the word domain, into a word-owned ring while the leftovers
+      // own their States (n < kCrossover).
+      for (auto& ref : refs) ref.run_unbatched(300);
+      word.run(300);
+      int target = -1;
+      int state_owned = 0;
+      for (int r = 0; r < rings; ++r) {
+        if (word.ring_owner(r) == core::RingOwner::kMirror) target = r;
+        if (word.ring_owner(r) == core::RingOwner::kStates) ++state_owned;
+      }
+      ASSERT_GE(target, 0) << what;
+      if (n < kCrossover) {
+        EXPECT_GT(state_owned, 0) << what;
+      }
+      PlState bad;
+      bad.token_b = pl::Token{1, 7, 0};  // value outside {0, 1}
+      refs[static_cast<std::size_t>(target)].set_agent(3 % n, bad);
+      word.set_agent(target, 3 % n, bad);
+      EXPECT_FALSE(word.word_kernel_mode()) << what;
+      for (auto& ref : refs) ref.run_unbatched(400);
+      word.run(400);
+      for (int r = 0; r < rings; ++r)
+        expect_ring_same(refs[static_cast<std::size_t>(r)], word, r,
+                         what.c_str());
     }
-    EXPECT_TRUE(word.word_kernel_mode());  // in-domain storms keep the lane
   }
 }
 
@@ -112,6 +170,7 @@ TEST(WordKernelEnsemble, KernelLaneMatchesGenericLaneAndRunner) {
                              std::pair{64, 1}}) {
     const auto p = PlParams::make(n, c1);
     const int R = 11;  // not a multiple of the lane width: leftover rings
+                       // (on the scalar loop at these n)
     EnsembleRunner<PlProtocol> word(p, R);
     EnsembleRunner<PlProtocol> generic(p, R);
     generic.force_generic_path();

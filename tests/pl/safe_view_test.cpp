@@ -9,15 +9,18 @@
 //   * configurations sampled every check_every from a running ensemble under
 //     fault storms, across an out-of-domain injection that ends its word lane
 //
-// and measure_convergence_parallel must return the same hitting times
-// whether its predicate reads the view or a materialized span.
+// and measure_convergence_parallel and measure_recovery must return the same
+// results whether their predicate reads the view or a materialized span.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <set>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "analysis/adversary.hpp"
@@ -224,7 +227,10 @@ struct Probe {
 TEST(SafeView, EnsembleFaultStormSamplesAgree) {
   const PlParams p = PlParams::make(12, 4);
   const auto n = static_cast<std::uint64_t>(p.n);
-  constexpr int kRings = 6;
+  // 11 rings: one or two full lockstep groups (word-owned rings, checked on
+  // the view) plus leftovers that run the scalar loop at this n (State-owned
+  // rings, checked on the span).
+  constexpr int kRings = 11;
   core::EnsembleRunner<PlProtocol> ens(p, kRings);
   core::Xoshiro256pp rng(0x570F);
   for (int r = 0; r < kRings; ++r) {
@@ -254,8 +260,10 @@ TEST(SafeView, EnsembleFaultStormSamplesAgree) {
       // exactly what the convergence drivers' predicate would see now.
       Probe probe;
       std::vector<std::uint64_t> hits(kRings, core::EnsembleRunner<PlProtocol>::npos);
+      const bool words_own = ens.word_kernel_mode() &&
+                             ens.ring_owner(r) == core::RingOwner::kMirror;
       ens.run_until_each({r}, probe, 0, 0, hits);
-      ASSERT_EQ(probe.took_view, ens.word_kernel_mode()) << "round " << round;
+      ASSERT_EQ(probe.took_view, words_own) << "round " << round;
       (probe.took_view ? view_checks : span_checks) += 1;
       const auto agents = ens.agents(r);
       ASSERT_TRUE(std::equal(agents.begin(), agents.end(), probe.read.begin(),
@@ -270,6 +278,82 @@ TEST(SafeView, EnsembleFaultStormSamplesAgree) {
   EXPECT_GT(span_checks, 0);
   EXPECT_TRUE(seen.count(SafeClause::kSafe) == 1);
   EXPECT_GE(seen.size(), 3u);
+}
+
+void expect_same_stats(const analysis::RecoveryStats& a,
+                       const analysis::RecoveryStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.raw, b.raw) << what;
+  EXPECT_EQ(a.trials, b.trials) << what;
+  EXPECT_EQ(a.stabilization_failures, b.stabilization_failures) << what;
+  EXPECT_EQ(a.recovery_failures, b.recovery_failures) << what;
+  for (const auto& [x, y] : {std::pair{a.recovery, b.recovery},
+                             std::pair{a.stabilization, b.stabilization}}) {
+    EXPECT_EQ(x.count, y.count) << what;
+    EXPECT_EQ(x.mean, y.mean) << what;
+    EXPECT_EQ(x.stddev, y.stddev) << what;
+    EXPECT_EQ(x.min, y.min) << what;
+    EXPECT_EQ(x.p25, y.p25) << what;
+    EXPECT_EQ(x.median, y.median) << what;
+    EXPECT_EQ(x.p75, y.p75) << what;
+    EXPECT_EQ(x.p90, y.p90) << what;
+    EXPECT_EQ(x.max, y.max) << what;
+  }
+}
+
+TEST(SafeView, RecoveryStatsMatchTheMaterializingPath) {
+  // make_recovery_scenario's default predicate carries the view overload;
+  // a span-only lambda in the same spec must give identical RecoveryStats.
+  // At n = 16 a counting wrapper around the default proves the view path
+  // ran: one worker keeps every shard at >= 8 rings, so lockstep groups run
+  // and their word-owned rings are checked on the view.
+  for (const auto& [n, trials] : {std::pair{16, 40}, {256, 4}}) {
+    const PlParams p = PlParams::make(n, 4);
+    for (const bool storm : {false, true}) {
+      for (int threads : {1, 3}) {
+        analysis::TrialPlan plan;
+        plan.trials = trials;
+        plan.max_steps = analysis::sweep_budget(n);
+        plan.seed_base = 5;
+        plan.tag = analysis::campaign_tag(storm ? 2 : 1, n, 4);
+        plan.threads = threads;
+        const auto spec = analysis::make_recovery_scenario<PlProtocol>(
+            storm ? "storm" : "burst",
+            storm ? analysis::storm_schedule(4, static_cast<std::uint64_t>(n))
+                  : analysis::burst_schedule(4),
+            plan);
+        ASSERT_TRUE(spec.recovered.has_view());
+        auto span_spec = spec;
+        span_spec.recovered = [](std::span<const PlState> c,
+                                 const PlParams& q) { return is_safe(c, q); };
+        ASSERT_FALSE(span_spec.recovered.has_view());
+        const std::string what = std::string(storm ? "storm" : "burst") +
+                                 " n=" + std::to_string(n) +
+                                 " threads=" + std::to_string(threads);
+        const auto view = analysis::measure_recovery<PlProtocol>(p, spec);
+        const auto span = analysis::measure_recovery<PlProtocol>(p, span_spec);
+        expect_same_stats(view, span, what);
+        EXPECT_EQ(view.trials, trials) << what;
+        EXPECT_FALSE(view.raw.empty()) << what;
+        if (n != 16) continue;
+        std::atomic<std::uint64_t> view_calls{0};
+        auto counted_spec = spec;
+        counted_spec.recovered = [&view_calls, f = spec.recovered](
+                                     const auto& c, const PlParams& q) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(c)>,
+                                       WordConfig>)
+            view_calls.fetch_add(1, std::memory_order_relaxed);
+          return f(c, q);
+        };
+        const auto counted =
+            analysis::measure_recovery<PlProtocol>(p, counted_spec);
+        expect_same_stats(counted, span, what);
+        if (threads == 1) {
+          EXPECT_GT(view_calls.load(), 0u) << what;
+        }
+      }
+    }
+  }
 }
 
 TEST(SafeView, ConvergenceHitsMatchTheMaterializingPath) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -279,6 +280,12 @@ TEST(CampaignServiceTest, SpecDigestIsPinned) {
   // move it.
   EXPECT_EQ(CampaignService<pl::PlProtocol>(make_cells(150, 33)).digest(),
             0x2b0da116eb273ecaULL);
+}
+
+TEST(CampaignServiceTest, CellWithEmptyCallbackIsRejectedAtConstruction) {
+  auto cells = make_cells(150, 33);
+  cells[1].second.recovered = {};
+  EXPECT_THROW(CampaignService<pl::PlProtocol>{cells}, std::invalid_argument);
 }
 
 TEST(CampaignServiceTest, CompletesAndMatchesRunCampaign) {

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/fischer_jiang.hpp"
@@ -169,12 +171,16 @@ TEST(Differential, PlProtocolLanes) {
 }
 
 TEST(Differential, PlPackedLanesAtLargerRingsWithStorms) {
-  // The grouped SIMD driver's no-conflict fast path only engages when the
-  // drawn pairs are disjoint — exercise it at ring sizes where it runs
-  // (and where the conflict/scalar fallback mixes in), storms on. At
-  // n = 1024 most 8-draw groups (~0.9) are disjoint, so the vectorized
-  // clean path dominates lane D there.
-  for (const int n : {16, 64, 257, 1024}) {
+  // Lane D (one ring) runs the grouped SIMD driver from kWordCrossoverN up
+  // and the scalar loop below it; lane G runs cross-ring lockstep at every
+  // n. The grouped driver's no-conflict fast path only engages when the
+  // drawn pairs are disjoint: at the crossover (the smallest n where it
+  // still runs) conflicted groups and run_group_conflicted mix in often,
+  // and at n = 1024 most 8-draw groups (~0.9) are disjoint, so the
+  // vectorized clean path dominates lane D there. Storms on.
+  constexpr int kCrossover =
+      core::EnsembleRunner<pl::PlProtocol>::kWordCrossoverN;
+  for (const int n : {16, 64, 257, kCrossover, 1024}) {
     const auto p = pl::PlParams::make(n, 4);
     core::Xoshiro256pp cfg_rng(600 + n);
     FuzzConfig cfg;
@@ -240,28 +246,35 @@ TEST(Differential, BrokenWordKernelIsDetected) {
     }
   };
   static_assert(core::EnsembleRunner<BrokenWordPl>::kWordable);
-  const auto p = pl::PlParams::make(8, 4);
-  core::Xoshiro256pp cfg_rng(5);
-  FuzzConfig cfg;
-  cfg.seed = 13;
-  cfg.steps = 2048;
-  cfg.check_every = 32;
-  const auto rep = run_differential<BrokenWordPl>(
-      p, pl::random_config(p, cfg_rng), cfg, pl_fault);
-  EXPECT_FALSE(rep.ok);
-  // The word kernel drives lanes D and G; the scalar lanes A/B/C are the
-  // truth, and lane D is compared first, so the divergence names it.
-  EXPECT_NE(rep.divergence.find("D(ensemble-packed)"), std::string::npos)
-      << rep.divergence;
+  // The scalar lanes A/B/C are the truth. Below kWordCrossoverN the one-ring
+  // lane D runs the scalar loop too, so only the lockstep lane G runs the
+  // broken kernel and the divergence names it. From the crossover up the
+  // kernel drives lanes D and G, and lane D is compared first.
+  constexpr int kCrossover =
+      core::EnsembleRunner<BrokenWordPl>::kWordCrossoverN;
+  for (const auto& [n, lane] :
+       {std::pair{8, "G(ensemble-lockstep)"},
+        std::pair{kCrossover, "D(ensemble-packed)"}}) {
+    const auto p = pl::PlParams::make(n, 4);
+    core::Xoshiro256pp cfg_rng(5);
+    FuzzConfig cfg;
+    cfg.seed = 13;
+    cfg.steps = 2048;
+    cfg.check_every = 32;
+    const auto rep = run_differential<BrokenWordPl>(
+        p, pl::random_config(p, cfg_rng), cfg, pl_fault);
+    EXPECT_FALSE(rep.ok) << "n=" << n;
+    EXPECT_NE(rep.divergence.find(lane), std::string::npos)
+        << "n=" << n << ": " << rep.divergence;
+  }
 }
 
 TEST(Differential, BrokenLockstepVectorLaneIsDetected) {
   // The canary for the lane-parallel (vector-RNG) cross-ring driver. At
-  // n = 7 the ring's maximum matching has 3 edges, so no single-ring group
-  // of 4 or 8 draws is ever disjoint: lane D (one ring) replays every
-  // group through apply_word_one, and lane G — 8 rings in lockstep — is the
-  // only caller of the vector entries, at every ISA level (x4 groups on
-  // baseline/AVX2, one x8 group on AVX-512). A bit of drift in those
+  // n = 7 lane D (one ring, below kWordCrossoverN) runs the scalar loop,
+  // and lane G — 8 rings in lockstep — is the only caller of the vector
+  // entries, at every ISA level (x4 groups on baseline/AVX2, one x8 group
+  // on AVX-512). A bit of drift in those
   // entries must be caught at the first checkpoint and named as the
   // lockstep lane. This is the flipped-bit canary for the whole
   // draw-pack-kernel column: any desync between a vector column and its
