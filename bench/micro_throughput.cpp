@@ -3,6 +3,9 @@
 // cost of the S_PL safety predicate.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "baselines/fischer_jiang.hpp"
 #include "baselines/modk.hpp"
 #include "baselines/yokota28.hpp"
@@ -11,6 +14,7 @@
 #include "orientation/por.hpp"
 #include "pl/adversary.hpp"
 #include "pl/invariants.hpp"
+#include "pl/packed_state.hpp"
 #include "pl/safe_config.hpp"
 
 namespace {
@@ -74,16 +78,54 @@ void BM_PorSteps(benchmark::State& state) {
 }
 BENCHMARK(BM_PorSteps)->Arg(1024);
 
+// S_PL membership on the configurations a convergence sweep sends it:
+// make_safe_config plus at most one changed field, so the check passes
+// (case 0), fails at the leader count (1), at the segment IDs (2) or at the
+// tokens (3).
+std::vector<pl::PlState> safety_case(const pl::PlParams& p, int which) {
+  auto c = pl::make_safe_config(p);
+  auto& mid = c[static_cast<std::size_t>(p.n / 2)];
+  switch (which) {
+    case 1: mid.leader = 1; break;  // a second leader
+    case 2: mid.b ^= 1; break;      // the ID of mid's segment
+    case 3: c.back().token_b = pl::Token{1, 0, 0}; break;  // last segment
+    default: break;
+  }
+  return c;
+}
+
+void safety_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"n", "case"});
+  for (int n : {64, 1024, 16384})
+    for (int which = 0; which < 4; ++which) b->Args({n, which});
+}
+
 void BM_SafetyPredicate(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto p = pl::PlParams::make(n, 4);
-  const auto c = pl::make_safe_config(p);
+  const auto c = safety_case(p, static_cast<int>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(pl::is_safe(c, p));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SafetyPredicate)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_SafetyPredicate)->Apply(safety_args);
+
+// The same cases on the word lane's view of the ring (no State decode).
+void BM_SafetyPredicateView(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto p = pl::PlParams::make(n, 4);
+  const auto l = pl::PackedLayout::make(p);
+  std::vector<std::uint64_t> words;
+  for (const pl::PlState& s : safety_case(p, static_cast<int>(state.range(1))))
+    words.push_back(pl::pack_word(s, l));
+  const pl::WordConfig view(words, l);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pl::SafePredicate{}(view, p));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SafetyPredicateView)->Apply(safety_args);
 
 void BM_RngBounded(benchmark::State& state) {
   core::Xoshiro256pp rng(1);

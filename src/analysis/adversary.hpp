@@ -78,7 +78,7 @@ struct Adversary<pl::PlProtocol> {
   /// S_PL on the word lane's view of a ring (no unpack; agrees with the
   /// span overload, tests/pl/safe_view_test.cpp).
   static bool recovered(const pl::WordConfig& c, const Params& p) {
-    return pl::SafePredicate{}(c, p);
+    return pl::is_safe(c, p);
   }
   static std::vector<ConfigFamily<P>> families() {
     return {

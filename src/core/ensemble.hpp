@@ -133,6 +133,12 @@ class WordRingView {
   [[nodiscard]] State operator[](std::size_t i) const noexcept {
     return P::unpack_word(words_[i], *layout_);
   }
+  /// The raw word of agent i and the layout it decodes with, for readers
+  /// that extract a few fields instead of decoding the whole State.
+  [[nodiscard]] std::uint64_t word(std::size_t i) const noexcept {
+    return words_[i];
+  }
+  [[nodiscard]] const Layout& layout() const noexcept { return *layout_; }
 
  private:
   std::span<const std::uint64_t> words_;

@@ -37,11 +37,24 @@
 #include <cassert>
 #include <concepts>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/ring.hpp"
 
 namespace ppsim::core {
+
+namespace detail {
+/// A topology constructor's n, checked in every build type: a bad n would
+/// leave arc_count 0 and the scheduler's rejection threshold undefined.
+constexpr int checked_n(int n, int min, const char* who) {
+  if (n < min)
+    throw std::invalid_argument(std::string(who) + ": n must be >= " +
+                                std::to_string(min));
+  return n;
+}
+}  // namespace detail
 
 template <typename T>
 concept TopologyLike = requires(const T& t, int arc, int v, bool directed,
@@ -66,7 +79,9 @@ class RingTopology {
   static constexpr const char* kName = "ring";
 
   constexpr RingTopology() = default;
-  explicit constexpr RingTopology(int n) : n_(n) { assert(n >= 1); }
+  /// Throws std::invalid_argument unless n >= 1.
+  explicit constexpr RingTopology(int n)
+      : n_(detail::checked_n(n, 1, "RingTopology")) {}
 
   [[nodiscard]] constexpr int n() const noexcept { return n_; }
   [[nodiscard]] constexpr int forward_arcs() const noexcept { return n_; }
@@ -110,7 +125,9 @@ class LineTopology {
   static constexpr const char* kName = "line";
 
   constexpr LineTopology() = default;
-  explicit constexpr LineTopology(int n) : n_(n) { assert(n >= 2); }
+  /// Throws std::invalid_argument unless n >= 2.
+  explicit constexpr LineTopology(int n)
+      : n_(detail::checked_n(n, 2, "LineTopology")) {}
 
   [[nodiscard]] constexpr int n() const noexcept { return n_; }
   [[nodiscard]] constexpr int forward_arcs() const noexcept { return n_ - 1; }
@@ -155,7 +172,9 @@ class CliqueTopology {
   static constexpr const char* kName = "clique";
 
   constexpr CliqueTopology() = default;
-  explicit constexpr CliqueTopology(int n) : n_(n) { assert(n >= 2); }
+  /// Throws std::invalid_argument unless n >= 2.
+  explicit constexpr CliqueTopology(int n)
+      : n_(detail::checked_n(n, 2, "CliqueTopology")) {}
 
   [[nodiscard]] constexpr int n() const noexcept { return n_; }
   [[nodiscard]] constexpr int forward_arcs() const noexcept {
@@ -241,7 +260,9 @@ class TreeTopology {
   static constexpr const char* kName = "tree";
 
   constexpr TreeTopology() = default;
-  explicit constexpr TreeTopology(int n) : n_(n) { assert(n >= 2); }
+  /// Throws std::invalid_argument unless n >= 2.
+  explicit constexpr TreeTopology(int n)
+      : n_(detail::checked_n(n, 2, "TreeTopology")) {}
 
   [[nodiscard]] constexpr int n() const noexcept { return n_; }
   [[nodiscard]] constexpr int forward_arcs() const noexcept { return n_ - 1; }

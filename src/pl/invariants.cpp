@@ -98,113 +98,175 @@ bool token_valid(const PlState& host, const Token& t, int d,
 
 namespace {
 
-// The S_PL clauses, each written once over a configuration view C: a span
-// of PlState or a WordConfig, whose operator[] decodes a word on access.
-// Agents are read through agent(), which binds a span element by reference
-// and a decoded word by value. Ring walks step a wrapping index rather than
-// calling ring_add (a 64-bit modulo) per agent.
+// The S_PL clauses, each written once over a field reader F: SpanFields
+// reads PlState members, WordFields extracts the same fields from the word
+// lane's u64 mirror with PackedLayout's single-field reads, never decoding
+// a whole PlState. A reader exposes size() and one accessor per field the
+// clauses read. Ring walks step a wrapping index rather than calling
+// ring_add (a 64-bit modulo) per agent.
 
-template <typename C>
-decltype(auto) agent(const C& c, int i) {
-  return c[static_cast<std::size_t>(i)];
+struct SpanFields {
+  Config c;
+
+  [[nodiscard]] int size() const { return static_cast<int>(c.size()); }
+  [[nodiscard]] const PlState& at(int i) const {
+    return c[static_cast<std::size_t>(i)];
+  }
+  [[nodiscard]] int leader(int i) const { return at(i).leader; }
+  [[nodiscard]] int b(int i) const { return at(i).b; }
+  [[nodiscard]] int last(int i) const { return at(i).last; }
+  [[nodiscard]] int shield(int i) const { return at(i).shield; }
+  [[nodiscard]] int signal_b(int i) const { return at(i).signal_b; }
+  [[nodiscard]] int bullet(int i) const { return at(i).bullet; }
+  [[nodiscard]] int dist(int i) const { return at(i).dist; }
+  [[nodiscard]] Token token(int i, bool black) const {
+    return black ? at(i).token_b : at(i).token_w;
+  }
+  [[nodiscard]] bool has_token(int i) const {
+    return at(i).token_b.exists() || at(i).token_w.exists();
+  }
+};
+
+struct WordFields {
+  const WordConfig& c;
+
+  [[nodiscard]] std::uint64_t w(int i) const {
+    return c.word(static_cast<std::size_t>(i));
+  }
+  [[nodiscard]] int size() const { return static_cast<int>(c.size()); }
+  [[nodiscard]] int leader(int i) const { return PackedLayout::leader(w(i)); }
+  [[nodiscard]] int b(int i) const { return PackedLayout::b(w(i)); }
+  [[nodiscard]] int last(int i) const { return PackedLayout::last(w(i)); }
+  [[nodiscard]] int shield(int i) const { return PackedLayout::shield(w(i)); }
+  [[nodiscard]] int signal_b(int i) const {
+    return PackedLayout::signal_b(w(i));
+  }
+  [[nodiscard]] int bullet(int i) const { return PackedLayout::bullet(w(i)); }
+  [[nodiscard]] int dist(int i) const { return c.layout().dist(w(i)); }
+  [[nodiscard]] Token token(int i, bool black) const {
+    return c.layout().token(w(i), black);
+  }
+  [[nodiscard]] bool has_token(int i) const {
+    return c.layout().has_token(w(i));
+  }
+};
+
+/// C_DL at agent `idx`: its dist and last are what the walk expects there.
+/// For the agent i steps right of the leader that is dist == i mod 2psi,
+/// and last == 1 iff i >= psi * (zeta - 1).
+template <typename F>
+bool cdl_at(const F& f, int idx, int dist, bool last) {
+  return f.dist(idx) == dist && (f.last(idx) == 1) == last;
 }
 
-/// Resolve the working-pair geometry of a valid token in the C_DL layout.
-/// Returns false when the geometry does not embed in the ring without
-/// wrapping past the leader.
+/// Peaceful live bullets along a forward walk. A leader opens a clean
+/// stretch iff it is shielded and carries no bullet-absence signal; every
+/// later agent keeps the stretch clean only if it carries none either. A
+/// live bullet is peaceful iff the stretch is clean at it: its nearest left
+/// leader opened the stretch, and nothing on the path from there to the
+/// bullet signals absence. O(n) per walk instead of a left walk per bullet.
+struct PeaceWalk {
+  bool clean = false;  ///< before any leader: d_LL = infinity, not peaceful
+
+  /// Steps onto agent `i`; returns whether a live bullet there is peaceful.
+  template <typename F>
+  bool step(const F& f, int i) {
+    clean = f.signal_b(i) == 0 &&
+            (f.leader(i) == 1 ? f.shield(i) == 1 : clean);
+    return clean;
+  }
+};
+
+/// The working-pair geometry of a valid token in the C_DL layout.
 struct TokenGeometry {
   int pair_start = 0;  ///< absolute index of the border opening S_i
   int round = 0;       ///< x: the round the token is in
 };
 
-bool resolve_geometry(int n, const PlParams& p, int host, const PlState& h,
+/// x for a valid token. Its target sits tau agents into the pair either
+/// way: at psi + x moving right (tau in [psi, 2psi-1]), at x + 1 moving
+/// left (tau in [1, psi-1]).
+int token_round(int tau, int pos, const PlParams& p) {
+  return pos > 0 ? tau - p.psi : tau - 1;
+}
+
+/// The geometry of a token at `host` (whose dist is `dist`) with general
+/// ring arithmetic. False when the token is invalid, or its pair does not
+/// sit at a segment boundary of its color with host and target inside it,
+/// without wrapping past the leader.
+bool resolve_geometry(int n, const PlParams& p, int host, int dist,
                       const Token& t, int d, int leader_pos,
                       TokenGeometry& g) {
-  if (!token_valid(h, t, d, p)) return false;
-  const int tau =
-      detail::mod_2psi(static_cast<int>(h.dist) + t.pos + d, p.two_psi());
-  int target_offset_in_pair;  // offset of the target from the pair start
-  if (t.pos > 0) {
-    g.round = tau - p.psi;                       // x in [0, psi-1]
-    target_offset_in_pair = p.psi + g.round;
-  } else {
-    g.round = tau - 1;                           // x in [0, psi-2]
-    target_offset_in_pair = g.round + 1;
-  }
+  const int tau = detail::mod_2psi(dist + t.pos + d, p.two_psi());
+  if (!detail::in_valid_band(tau, t.pos, p)) return false;
+  g.round = token_round(tau, t.pos, p);
   const int target_abs = ring_add(host, t.pos, n);
-  g.pair_start = ring_add(target_abs, -target_offset_in_pair, n);
+  g.pair_start = ring_add(target_abs, -tau, n);
 
-  // The pair must sit at a segment boundary of the right color and contain
-  // the host without wrapping past the leader.
   const int rel_start = ring_distance(leader_pos, g.pair_start, n);
   if (rel_start % p.psi != 0) return false;
   if ((rel_start % p.two_psi()) != d) return false;
   const int host_off = ring_distance(leader_pos, host, n) - rel_start;
   if (host_off < 0 || host_off > p.two_psi() - 1) return false;
   const int tgt_off = ring_distance(leader_pos, target_abs, n) - rel_start;
-  if (tgt_off != target_offset_in_pair) return false;
+  return tgt_off == tau;
+}
+
+/// resolve_geometry for a host `r` steps right of the leader in a ring
+/// already known to follow C_DL, so dist == r mod 2psi. With pos in its
+/// domain, tau needs one conditional wrap. When the target r + pos and the
+/// pair start r + pos - tau both lie in [0, n) counted from the leader, the
+/// pair start is congruent to r + pos - (r + pos + d) = -d = d mod 2psi
+/// and the target sits tau into the pair by construction, so only the
+/// host's offset is left to check, and no division is needed. A pair that
+/// would wrap past the leader (tiny rings, the first pair) or an
+/// out-of-domain pos takes the general arithmetic.
+bool resolve_geometry_cdl(int n, const PlParams& p, int host, int r,
+                          int dist, const Token& t, int d, int leader_pos,
+                          TokenGeometry& g) {
+  if (t.pos < 1 - p.psi || t.pos > p.psi)
+    return resolve_geometry(n, p, host, dist, t, d, leader_pos, g);
+  int tau = dist + t.pos + d;  // in [1 - psi, 4psi - 1]
+  if (tau < 0) {
+    tau += p.two_psi();
+  } else if (tau >= p.two_psi()) {
+    tau -= p.two_psi();
+  }
+  if (!detail::in_valid_band(tau, t.pos, p)) return false;
+  const int target = r + t.pos;
+  const int rel_start = target - tau;
+  if (target >= n || rel_start < 0)
+    return resolve_geometry(n, p, host, dist, t, d, leader_pos, g);
+  g.round = token_round(tau, t.pos, p);
+  const int host_off = r - rel_start;
+  if (host_off < 0 || host_off > p.two_psi() - 1) return false;
+  g.pair_start = leader_pos + rel_start;
+  if (g.pair_start >= n) g.pair_start -= n;
   return true;
 }
 
-template <typename C>
-bool token_correct_in(const C& c, const PlParams& p, int host, bool black,
-                      int leader_pos) {
-  const int n = static_cast<int>(c.size());
-  const PlState h = agent(c, host);
-  const Token& t = black ? h.token_b : h.token_w;
-  const int d = black ? 0 : p.psi;
-  TokenGeometry g;
-  if (!resolve_geometry(n, p, host, h, t, d, leader_pos, g)) return false;
-
-  // j = index of the first 0 bit of S_i (psi if all ones).
-  int j = p.psi;
-  for (int idx = 0, at = g.pair_start; idx < p.psi; ++idx) {
-    if (agent(c, at).b == 0) {
-      j = idx;
-      break;
-    }
+/// Token correctness (Def. 4.3) on a resolved geometry. During round x the
+/// token carries the increment's result bit x and the carry *after*
+/// consuming bit x:
+///   value = b_x XOR carry_x,   carry-field = carry_{x+1},
+/// with j the index of the first 0 bit of S_i (psi if all ones),
+/// carry_x = [x <= j] and carry_{x+1} = [x < j]. (Def. 4.3 with the
+/// carry-phase fix; forced by lines 13 and 27, see DESIGN.md §2.1(5).)
+/// Bits b_0..b_x decide it: x <= j iff none of b_0..b_{x-1} is 0, and
+/// x < j iff b_x is not 0 either.
+template <typename F>
+bool token_matches_pair(const F& f, const Token& t, const TokenGeometry& g) {
+  const int n = f.size();
+  int at = g.pair_start;
+  int carry_x = 1;
+  for (int q = 0; q < g.round; ++q) {
+    if (f.b(at) == 0) carry_x = 0;
     if (++at == n) at = 0;
   }
-  const int x = g.round;
-  // During round x the token carries the increment's result bit x and the
-  // carry *after* consuming bit x:
-  //   value = b_x XOR carry_x,   carry-field = carry_{x+1},
-  // with carry_x = [x <= j] and carry_{x+1} = [x < j]. (Def. 4.3 with the
-  // carry-phase fix; forced by lines 13 and 27, see DESIGN.md §2.1(5).)
-  const int b_x = agent(c, ring_add(g.pair_start, x, n)).b;
-  const int carry_x = x <= j ? 1 : 0;
-  const int carry_next = x < j ? 1 : 0;
+  const int b_x = f.b(at);
+  const int carry_next = carry_x == 1 && b_x != 0 ? 1 : 0;
   return static_cast<int>(t.carry) == carry_next &&
          static_cast<int>(t.value) == (b_x ^ carry_x);
-}
-
-template <typename C>
-bool live_bullet_peaceful_in(const C& c, int i) {
-  const int n = static_cast<int>(c.size());
-  // Walk left from u_i to the nearest leader; every agent on the way
-  // (including u_i and the leader) must carry no bullet-absence signal, and
-  // the leader must be shielded.
-  for (int jj = 0, idx = i; jj < n; ++jj) {
-    const auto& s = agent(c, idx);
-    if (s.signal_b != 0) return false;
-    if (s.leader == 1) return s.shield == 1;
-    idx = idx == 0 ? n - 1 : idx - 1;
-  }
-  return false;  // no leader: d_LL(i) = infinity, not peaceful
-}
-
-template <typename C>
-bool in_cdl_layout_in(const C& c, const PlParams& p, int leader_pos) {
-  const int n = static_cast<int>(c.size());
-  const int last_from = p.psi * (p.zeta() - 1);
-  for (int i = 0, idx = leader_pos, dist = 0; i < n; ++i) {
-    const auto& s = agent(c, idx);
-    if (static_cast<int>(s.dist) != dist) return false;
-    if ((s.last == 1) != (i >= last_from)) return false;
-    if (++idx == n) idx = 0;
-    if (++dist == p.two_psi()) dist = 0;
-  }
-  return true;
 }
 
 /// The first failing clause plus where it failed: the leader count for
@@ -216,54 +278,108 @@ struct SafeFinding {
   bool black = false;  ///< kTokens: the failing token's color
 };
 
-template <typename C>
-SafeFinding find_failing_clause(const C& c, const PlParams& p) {
-  const int n = static_cast<int>(c.size());
+/// What find_failing_clause owes its caller (see the header comment).
+enum class Order : std::uint8_t {
+  kCost,   ///< membership: stop at the first failure met, cheapest pass first
+  kProof,  ///< the first failing clause in proof order, and where it failed
+};
+
+/// S_PL in three passes, cheapest first:
+///   1. the leader count;
+///   2. one walk from the leader over C_DL, peaceful bullets (PeaceWalk)
+///      and the segment IDs S_0..S_{zeta-2} (consecutive for the pairs
+///      i in [0, zeta-3]);
+///   3. the token clause, whose per-token geometry and bit reads make it
+///      the most expensive, last.
+/// kCost returns at the first failure. kProof still reports what proof
+/// order would: a C_DL failure anywhere returns at once (it precedes the
+/// clauses checked beside it), the smallest non-peaceful bullet index and
+/// the first bad segment pair are held back until the clauses before them
+/// have passed, and pass 3 walks in index order.
+template <Order O, typename F>
+SafeFinding find_failing_clause(const F& f, const PlParams& p) {
+  constexpr bool kProofOrder = O == Order::kProof;
+  const int n = f.size();
   int leaders = 0;
   int k = 0;
   for (int i = 0; i < n; ++i) {
-    if (agent(c, i).leader == 1) {
+    if (f.leader(i) == 1) {
       ++leaders;
       k = i;
+      if constexpr (!kProofOrder) {
+        if (leaders > 1) break;  // kCost owes no exact count
+      }
     }
   }
   if (leaders != 1) return {SafeClause::kLeaderCount, leaders};
-  if (!in_cdl_layout_in(c, p, k)) return {SafeClause::kCdlLayout, k};
-  for (int i = 0; i < n; ++i)
-    if (agent(c, i).bullet == common::kLiveBullet &&
-        !live_bullet_peaceful_in(c, i))
-      return {SafeClause::kPeacefulBullets, i};
 
-  for (int i = 0; i < n; ++i) {
-    const auto& s = agent(c, i);
-    for (const bool black : {true, false}) {
-      if (!(black ? s.token_b : s.token_w).exists()) continue;
-      if (s.last == 1 || !token_correct_in(c, p, i, black, k))
-        return {SafeClause::kTokens, i, black};
+  const int last_from = p.psi * (p.zeta() - 1);
+  const int id_end = p.zeta() > 2 ? last_from : 0;  // S_0..S_{zeta-2}
+  const auto id_mask = static_cast<unsigned long long>(p.id_modulus()) - 1;
+  PeaceWalk peace;
+  int bullet_at = n;  // kProof: the smallest non-peaceful live bullet
+  int id_pair = -1;   // kProof: the first pair with non-consecutive IDs
+  int idx = k;        // the agent the walk is at
+  SafeFinding stop;
+  // C_DL and the bullet at idx, then one step right; false when the walk
+  // must return `stop`.
+  const auto visit = [&](int dist, bool last) {
+    if (!cdl_at(f, idx, dist, last)) {
+      stop = {SafeClause::kCdlLayout, k};
+      return false;
     }
-  }
-
-  // Segment IDs consecutive for i in [0, zeta-3]: read S_0, S_1, ... in one
-  // forward walk from the leader, each ID once.
-  const auto modulus = static_cast<unsigned long long>(p.id_modulus());
-  int at = k;
-  const auto next_segment_id = [&] {
-    unsigned long long id = 0;
-    for (int j = 0; j < p.psi; ++j) {
-      id += static_cast<unsigned long long>(agent(c, at).b) << j;
-      if (++at == n) at = 0;
+    if (!peace.step(f, idx) && f.bullet(idx) == common::kLiveBullet) {
+      if constexpr (!kProofOrder) {
+        stop = {SafeClause::kPeacefulBullets, idx};
+        return false;
+      }
+      bullet_at = std::min(bullet_at, idx);
     }
-    return id;
+    if (++idx == n) idx = 0;
+    return true;
   };
-  const int pairs = p.zeta() - 2;
-  if (pairs > 0) {
-    unsigned long long prev = next_segment_id();
-    for (int i = 0; i < pairs; ++i) {
-      const unsigned long long cur = next_segment_id();
-      if (cur != (prev + 1) % modulus) return {SafeClause::kSegmentIds, i};
-      prev = cur;
+  // S_0..S_{zeta-2} lie before the last segment, so last == 0 throughout;
+  // segment `seg` starts at dist 0 or psi by its parity.
+  int seg = 0;
+  unsigned long long prev_id = 0;
+  for (; seg * p.psi < id_end; ++seg) {
+    const int dist = seg % 2 == 0 ? 0 : p.psi;
+    unsigned long long id = 0;
+    for (int bit = 0; bit < p.psi; ++bit) {
+      id += static_cast<unsigned long long>(f.b(idx)) << bit;
+      if (!visit(dist + bit, false)) return stop;
     }
+    if (seg > 0 && id_pair < 0 && id != ((prev_id + 1) & id_mask)) {
+      if constexpr (!kProofOrder) return {SafeClause::kSegmentIds, seg - 1};
+      id_pair = seg - 1;
+    }
+    prev_id = id;
   }
+  for (int i = seg * p.psi, dist = seg % 2 == 0 ? 0 : p.psi; i < n; ++i) {
+    if (!visit(dist, i >= last_from)) return stop;
+    if (++dist == p.two_psi()) dist = 0;
+  }
+  if (bullet_at < n) return {SafeClause::kPeacefulBullets, bullet_at};
+
+  // Every token is correct and outside the last segment. r is the host's
+  // offset from the leader, which the C_DL geometry reads.
+  const auto bad_token = [&](int host, int r, bool black) {
+    const Token t = f.token(host, black);
+    if (!t.exists()) return false;
+    TokenGeometry g;
+    return f.last(host) == 1 ||
+           !resolve_geometry_cdl(n, p, host, r, f.dist(host), t,
+                                 black ? 0 : p.psi, k, g) ||
+           !token_matches_pair(f, t, g);
+  };
+  for (int host = 0, r = k == 0 ? 0 : n - k; host < n; ++host) {
+    if (f.has_token(host)) {
+      if (bad_token(host, r, true)) return {SafeClause::kTokens, host, true};
+      if (bad_token(host, r, false)) return {SafeClause::kTokens, host, false};
+    }
+    if (++r == n) r = 0;
+  }
+  if (id_pair >= 0) return {SafeClause::kSegmentIds, id_pair};
   return {SafeClause::kSafe, 0};
 }
 
@@ -271,37 +387,76 @@ SafeFinding find_failing_clause(const C& c, const PlParams& p) {
 
 bool token_correct(Config c, const PlParams& p, int host, bool black,
                    int leader_pos) {
-  return token_correct_in(c, p, host, black, leader_pos);
+  const SpanFields f{c};
+  const Token t = f.token(host, black);
+  TokenGeometry g;
+  return t.exists() &&
+         resolve_geometry(f.size(), p, host, f.dist(host), t,
+                          black ? 0 : p.psi, leader_pos, g) &&
+         token_matches_pair(f, t, g);
 }
 
 bool live_bullet_peaceful(Config c, int i) {
-  return live_bullet_peaceful_in(c, ring_add(i, 0, static_cast<int>(c.size())));
+  const SpanFields f{c};
+  const int n = f.size();
+  i = ring_add(i, 0, n);
+  int from = i;  // the nearest leader at or left of u_i
+  for (int seen = 1; f.leader(from) != 1; ++seen) {
+    if (seen == n) return false;  // no leader: d_LL(i) = infinity
+    from = from == 0 ? n - 1 : from - 1;
+  }
+  PeaceWalk peace;
+  for (int at = from;; at = at + 1 == n ? 0 : at + 1) {
+    const bool peaceful = peace.step(f, at);
+    if (at == i) return peaceful;
+  }
 }
 
 bool in_cpb(Config c) {
-  if (count_leaders(c) < 1) return false;
-  for (int i = 0; i < static_cast<int>(c.size()); ++i)
-    if (c[static_cast<std::size_t>(i)].bullet == common::kLiveBullet &&
-        !live_bullet_peaceful(c, i))
+  const SpanFields f{c};
+  const int n = f.size();
+  int k = 0;
+  while (k < n && f.leader(k) != 1) ++k;
+  if (k == n) return false;
+  PeaceWalk peace;
+  for (int i = 0, at = k; i < n; ++i) {
+    if (!peace.step(f, at) && f.bullet(at) == common::kLiveBullet)
       return false;
+    if (++at == n) at = 0;
+  }
   return true;
 }
 
 bool in_cdl_layout(Config c, const PlParams& p, int leader_pos) {
-  return in_cdl_layout_in(
-      c, p, ring_add(leader_pos, 0, static_cast<int>(c.size())));
+  const SpanFields f{c};
+  const int n = f.size();
+  const int last_from = p.psi * (p.zeta() - 1);
+  for (int i = 0, idx = ring_add(leader_pos, 0, n), dist = 0; i < n; ++i) {
+    if (!cdl_at(f, idx, dist, i >= last_from)) return false;
+    if (++idx == n) idx = 0;
+    if (++dist == p.two_psi()) dist = 0;
+  }
+  return true;
 }
 
 SafeClause first_failing_clause(Config c, const PlParams& p) {
-  return find_failing_clause(c, p).clause;
+  return find_failing_clause<Order::kProof>(SpanFields{c}, p).clause;
 }
 
 SafeClause first_failing_clause(const WordConfig& c, const PlParams& p) {
-  return find_failing_clause(c, p).clause;
+  return find_failing_clause<Order::kProof>(WordFields{c}, p).clause;
+}
+
+SafeClause membership_exit_clause(Config c, const PlParams& p) {
+  return find_failing_clause<Order::kCost>(SpanFields{c}, p).clause;
+}
+
+SafeClause membership_exit_clause(const WordConfig& c, const PlParams& p) {
+  return find_failing_clause<Order::kCost>(WordFields{c}, p).clause;
 }
 
 SafetyVerdict check_safe(Config c, const PlParams& p) {
-  const SafeFinding f = find_failing_clause(c, p);
+  const SafeFinding f = find_failing_clause<Order::kProof>(SpanFields{c}, p);
   const std::string at = std::to_string(f.at);
   switch (f.clause) {
     case SafeClause::kLeaderCount:
@@ -325,7 +480,11 @@ SafetyVerdict check_safe(Config c, const PlParams& p) {
 }
 
 bool is_safe(Config c, const PlParams& p) {
-  return first_failing_clause(c, p) == SafeClause::kSafe;
+  return membership_exit_clause(c, p) == SafeClause::kSafe;
+}
+
+bool is_safe(const WordConfig& c, const PlParams& p) {
+  return membership_exit_clause(c, p) == SafeClause::kSafe;
 }
 
 }  // namespace ppsim::pl

@@ -9,11 +9,26 @@
 // These are measurement/verification tools of the harness, not part of the
 // protocol itself: convergence time is *defined* as first entry into S_PL.
 //
-// Every S_PL clause has one implementation, a template over a configuration
-// view (anything with size() and operator[](i) -> PlState) in invariants.cpp.
-// It is instantiated for spans of PlState and for core::WordRingView, the
-// word lane's view of a ring's u64 mirror, so convergence sweeps on that lane
-// check S_PL without unpacking the ring into a State block.
+// Every S_PL clause has one implementation, a template over a field reader
+// in invariants.cpp. It is instantiated for spans of PlState and for
+// core::WordRingView, the word lane's view of a ring's u64 mirror, which it
+// reads field by field (bit extractions, no PlState decode), so convergence
+// sweeps on that lane check S_PL without unpacking the ring.
+//
+// The check runs in cost order, not proof order: the leader count; then one
+// walk from the leader that checks the C_DL layout, peaceful bullets (a
+// running absence-signal flag) and the segment IDs; then the token clause,
+// the most expensive, last. It has two modes:
+//
+//   * membership (is_safe, SafePredicate, membership_exit_clause) returns
+//     at the first failure it meets. A near-safe ring that fails the
+//     segment IDs never pays for its ~n/3 tokens.
+//   * exact (first_failing_clause, check_safe) names the first clause in
+//     proof order (the SafeClause order below) and where it failed,
+//     whatever order the passes ran in.
+//
+// Both answer "is it in S_PL?" identically; they differ only in which
+// clause they name when several fail.
 #pragma once
 
 #include <cstdint>
@@ -95,12 +110,21 @@ enum class SafeClause : std::uint8_t {
 /// mirror).
 using WordConfig = core::WordRingView<PlProtocol>;
 
-/// The first S_PL clause the configuration fails, or kSafe. Allocation-free;
-/// the two overloads are the one clause template instantiated for spans and
-/// for word views, so they agree on every configuration both can hold.
+/// The first S_PL clause, in proof order, that the configuration fails, or
+/// kSafe. Allocation-free; the two overloads are the one clause template
+/// instantiated for spans and for word views, so they agree on every
+/// configuration both can hold.
 [[nodiscard]] SafeClause first_failing_clause(Config c, const PlParams& p);
 [[nodiscard]] SafeClause first_failing_clause(const WordConfig& c,
                                               const PlParams& p);
+
+/// The clause at which the membership check (cost order, early exit)
+/// stopped: kSafe iff first_failing_clause is kSafe, but when several
+/// clauses fail it names the first one the passes met, e.g. kSegmentIds on
+/// a ring that fails both the segment IDs and the tokens.
+[[nodiscard]] SafeClause membership_exit_clause(Config c, const PlParams& p);
+[[nodiscard]] SafeClause membership_exit_clause(const WordConfig& c,
+                                                const PlParams& p);
 
 /// Membership in the safe set S_PL (Def. 4.6) with the first failing clause
 /// and a human-readable reason on failure.
@@ -110,7 +134,10 @@ struct SafetyVerdict {
   std::string reason;
 };
 [[nodiscard]] SafetyVerdict check_safe(Config c, const PlParams& p);
+
+/// Membership in S_PL (membership mode: cheapest clause first, early exit).
 [[nodiscard]] bool is_safe(Config c, const PlParams& p);
+[[nodiscard]] bool is_safe(const WordConfig& c, const PlParams& p);
 
 /// Predicates in the shape core::Runner::run_until expects. SafePredicate
 /// also takes the word view, which EnsembleRunner::run_until_each prefers on
@@ -118,7 +145,7 @@ struct SafetyVerdict {
 struct SafePredicate {
   bool operator()(Config c, const PlParams& p) const { return is_safe(c, p); }
   bool operator()(const WordConfig& c, const PlParams& p) const {
-    return first_failing_clause(c, p) == SafeClause::kSafe;
+    return is_safe(c, p);
   }
 };
 struct UniqueLeaderPredicate {

@@ -113,6 +113,48 @@ struct PackedLayout {
     return l;
   }
 
+  // Single-field reads of a packed word: what unpack_word decodes, one field
+  // at a time, for readers that need only a few fields of each agent.
+  [[nodiscard]] static constexpr std::uint8_t leader(std::uint64_t w) noexcept {
+    return static_cast<std::uint8_t>(w & 1);
+  }
+  [[nodiscard]] static constexpr std::uint8_t b(std::uint64_t w) noexcept {
+    return static_cast<std::uint8_t>((w >> 1) & 1);
+  }
+  [[nodiscard]] static constexpr std::uint8_t last(std::uint64_t w) noexcept {
+    return static_cast<std::uint8_t>((w >> 2) & 1);
+  }
+  [[nodiscard]] static constexpr std::uint8_t shield(std::uint64_t w) noexcept {
+    return static_cast<std::uint8_t>((w >> 3) & 1);
+  }
+  [[nodiscard]] static constexpr std::uint8_t signal_b(
+      std::uint64_t w) noexcept {
+    return static_cast<std::uint8_t>((w >> 4) & 1);
+  }
+  [[nodiscard]] static constexpr std::uint8_t bullet(std::uint64_t w) noexcept {
+    return static_cast<std::uint8_t>((w >> 5) & 3);
+  }
+  [[nodiscard]] constexpr std::uint16_t dist(std::uint64_t w) const noexcept {
+    return static_cast<std::uint16_t>((w >> dist_shift) & dist_mask);
+  }
+  [[nodiscard]] constexpr Token token(std::uint64_t w,
+                                      bool black) const noexcept {
+    const std::uint64_t f = w >> (black ? tokb_shift : tokw_shift);
+    Token t;
+    t.pos = static_cast<std::int8_t>(static_cast<int>(f & dist_mask) -
+                                     (psi - 1));
+    t.value = static_cast<std::uint8_t>((f >> dist_bits) & 1);
+    t.carry = static_cast<std::uint8_t>((f >> (dist_bits + 1)) & 1);
+    return t;
+  }
+  /// Whether either token exists: a bot token stores biased pos psi - 1.
+  [[nodiscard]] constexpr bool has_token(std::uint64_t w) const noexcept {
+    const std::uint64_t pos_mask =
+        (dist_mask << tokb_shift) | (dist_mask << tokw_shift);
+    const auto bot = static_cast<std::uint64_t>(psi - 1);
+    return (w & pos_mask) != ((bot << tokb_shift) | (bot << tokw_shift));
+  }
+
  private:
   /// Bits needed to store values in [0, domain): ceil(log2 domain), min 1.
   [[nodiscard]] static constexpr unsigned bits_for(int domain) noexcept {
@@ -185,28 +227,20 @@ struct PackedLayout {
 /// Inverse of pack_word on in-domain states.
 [[nodiscard]] constexpr PlState unpack_word(std::uint64_t w,
                                             const PackedLayout& l) noexcept {
-  const auto unpack_token = [&](std::uint64_t f) {
-    Token t;
-    t.pos = static_cast<std::int8_t>(
-        static_cast<int>(f & l.dist_mask) - (l.psi - 1));
-    t.value = static_cast<std::uint8_t>((f >> l.dist_bits) & 1);
-    t.carry = static_cast<std::uint8_t>((f >> (l.dist_bits + 1)) & 1);
-    return t;
-  };
   PlState s;
-  s.leader = static_cast<std::uint8_t>(w & 1);
-  s.b = static_cast<std::uint8_t>((w >> 1) & 1);
-  s.last = static_cast<std::uint8_t>((w >> 2) & 1);
-  s.shield = static_cast<std::uint8_t>((w >> 3) & 1);
-  s.signal_b = static_cast<std::uint8_t>((w >> 4) & 1);
-  s.bullet = static_cast<std::uint8_t>((w >> 5) & 3);
-  s.dist = static_cast<std::uint16_t>((w >> l.dist_shift) & l.dist_mask);
+  s.leader = PackedLayout::leader(w);
+  s.b = PackedLayout::b(w);
+  s.last = PackedLayout::last(w);
+  s.shield = PackedLayout::shield(w);
+  s.signal_b = PackedLayout::signal_b(w);
+  s.bullet = PackedLayout::bullet(w);
+  s.dist = l.dist(w);
   s.hits = static_cast<std::uint8_t>((w >> l.hits_shift) & l.hits_mask);
   s.clock = static_cast<std::uint16_t>((w >> l.clock_shift) & l.clock_mask);
   s.signal_r =
       static_cast<std::uint16_t>((w >> l.sigr_shift) & l.clock_mask);
-  s.token_b = unpack_token(w >> l.tokb_shift);
-  s.token_w = unpack_token(w >> l.tokw_shift);
+  s.token_b = l.token(w, true);
+  s.token_w = l.token(w, false);
   return s;
 }
 

@@ -39,13 +39,17 @@ namespace detail {
 /// moving left. A token whose left leg has completed the trajectory lands on
 /// tau == psi and is therefore invalid — that is how lines 32-33 delete a
 /// token that reached its final destination (Def. 3.4).
+[[nodiscard]] constexpr bool in_valid_band(int tau, int pos,
+                                           const PlParams& p) noexcept {
+  if (pos > 0) return tau >= p.psi && tau <= p.two_psi() - 1;
+  return tau >= 1 && tau <= p.psi - 1;
+}
 [[nodiscard]] constexpr bool invalid_token(const PlState& v, const Token& t,
                                            int d,
                                            const PlParams& p) noexcept {
   if (!t.exists()) return false;
   const int tau = mod_2psi(static_cast<int>(v.dist) + t.pos + d, p.two_psi());
-  if (t.pos > 0) return !(tau >= p.psi && tau <= p.two_psi() - 1);
-  return !(tau >= 1 && tau <= p.psi - 1);
+  return !in_valid_band(tau, t.pos, p);
 }
 
 /// The Def.-3.4 completion signature: a token deleted by lines 32-33 right

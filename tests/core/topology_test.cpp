@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -217,6 +218,32 @@ TEST(TreeTopologyTest, HeapParentArcsAndTrivialGroup) {
     EXPECT_EQ(t.aut_count(true), 1u);
     EXPECT_EQ(t.aut_count(false), 1u);
   }
+}
+
+// ---- constructor checks: a bad n throws in every build type -------------
+
+TEST(TopologyCtorTest, RingRejectsNonPositiveN) {
+  EXPECT_THROW(RingTopology(0), std::invalid_argument);
+  EXPECT_THROW(RingTopology(-3), std::invalid_argument);
+  EXPECT_EQ(RingTopology(1).arc_count(true), 1);
+}
+
+TEST(TopologyCtorTest, LineRejectsNBelowTwo) {
+  EXPECT_THROW(LineTopology(1), std::invalid_argument);
+  EXPECT_THROW(LineTopology(0), std::invalid_argument);
+  EXPECT_EQ(LineTopology(2).arc_count(true), 1);
+}
+
+TEST(TopologyCtorTest, CliqueRejectsNBelowTwo) {
+  EXPECT_THROW(CliqueTopology(1), std::invalid_argument);
+  EXPECT_THROW(CliqueTopology(-1), std::invalid_argument);
+  EXPECT_EQ(CliqueTopology(2).arc_count(true), 2);
+}
+
+TEST(TopologyCtorTest, TreeRejectsNBelowTwo) {
+  EXPECT_THROW(TreeTopology(1), std::invalid_argument);
+  EXPECT_THROW(TreeTopology(0), std::invalid_argument);
+  EXPECT_EQ(TreeTopology(2).arc_count(true), 1);
 }
 
 }  // namespace

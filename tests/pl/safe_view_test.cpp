@@ -11,6 +11,12 @@
 //
 // and measure_convergence_parallel and measure_recovery must return the same
 // results whether their predicate reads the view or a materialized span.
+//
+// Membership (is_safe, SafePredicate) runs the clauses in cost order with an
+// early exit; first_failing_clause and check_safe report proof order. Both
+// must give the same verdict everywhere, including where the two orders name
+// different clauses, on tokens whose working pair would wrap past the leader
+// (the general-arithmetic fallback), and at every check of a convergence run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -56,6 +62,11 @@ SafeClause expect_view_agrees(std::span<const PlState> c, const PlParams& p,
   EXPECT_EQ(is_safe(c, p), v.safe) << what;
   EXPECT_EQ(first_failing_clause(view, p), clause) << what;
   EXPECT_EQ(SafePredicate{}(view, p), v.safe) << what;
+  EXPECT_EQ(SafePredicate{}(c, p), v.safe) << what;
+  EXPECT_EQ(is_safe(view, p), v.safe) << what;
+  const SafeClause exit = membership_exit_clause(c, p);
+  EXPECT_EQ(membership_exit_clause(view, p), exit) << what;
+  EXPECT_EQ(exit == SafeClause::kSafe, v.safe) << what;
   return clause;
 }
 
@@ -160,6 +171,27 @@ std::vector<std::pair<std::string, PlState>> perturbations(const PlState& s,
   return out;
 }
 
+/// Every live bullet peaceful, by the definition: walking left from the
+/// bullet, no agent up to and including the nearest leader carries a
+/// bullet-absence signal, and that leader is shielded. The reference for the
+/// running-flag walk S_PL uses.
+bool all_bullets_peaceful_by_left_walk(std::span<const PlState> c) {
+  const int n = static_cast<int>(c.size());
+  const auto peaceful = [&](int i) {
+    for (int j = 0, at = i; j < n; ++j, at = at == 0 ? n - 1 : at - 1) {
+      const PlState& s = c[static_cast<std::size_t>(at)];
+      if (s.signal_b != 0) return false;
+      if (s.leader == 1) return s.shield == 1;
+    }
+    return false;
+  };
+  for (int i = 0; i < n; ++i)
+    if (c[static_cast<std::size_t>(i)].bullet == common::kLiveBullet &&
+        !peaceful(i))
+      return false;
+  return true;
+}
+
 TEST(SafeView, SingleFieldPerturbationsAgreeAndNameTheirClause) {
   std::set<SafeClause> seen;
   for (int n : {2, 3, 5, 8, 16, 33}) {
@@ -185,8 +217,9 @@ TEST(SafeView, SingleFieldPerturbationsAgreeAndNameTheirClause) {
             EXPECT_EQ(clause, SafeClause::kSafe) << what;  // not in S_PL
           } else if (field == "shield" || field == "signal_b" ||
                      field == "bullet") {
-            EXPECT_TRUE(clause == SafeClause::kPeacefulBullets ||
-                        clause == SafeClause::kSafe)
+            EXPECT_EQ(clause, all_bullets_peaceful_by_left_walk(c)
+                                  ? SafeClause::kSafe
+                                  : SafeClause::kPeacefulBullets)
                 << what;
           } else {  // b, token
             EXPECT_TRUE(clause == SafeClause::kTokens ||
@@ -377,6 +410,152 @@ TEST(SafeView, ConvergenceHitsMatchTheMaterializingPath) {
       EXPECT_EQ(view.raw.size(), static_cast<std::size_t>(trials));
     }
   }
+}
+
+TEST(SafeView, MembershipExitsAtSegmentIdsWhereProofOrderNamesTokens) {
+  for (int n : {16, 64, 257}) {
+    const PlParams p = PlParams::make(n, 4);
+    ASSERT_GE(p.zeta(), 3) << "n=" << n;  // at least one segment-ID pair
+    for (int k : {0, n / 3, n - 1}) {
+      // Segment S_1's first bit flipped breaks pair 0, and a token that is
+      // invalid at its host (black, moving right, tau = 1) breaks the token
+      // clause: proof order names the tokens, the cost-ordered walk meets
+      // the segment IDs first and stops there.
+      auto c = make_safe_config(p, k, 3);
+      const auto at = [&](int rel) -> PlState& {
+        return c[static_cast<std::size_t>((k + rel) % n)];
+      };
+      at(p.psi).b ^= 1;
+      at(0).token_b = Token{1, 0, 0};
+      const std::string what = "n=" + std::to_string(n) +
+                               " k=" + std::to_string(k);
+      EXPECT_EQ(expect_view_agrees(c, p, what), SafeClause::kTokens) << what;
+      const SafetyVerdict v = check_safe(c, p);
+      EXPECT_EQ(v.reason, "black token invalid/incorrect at " +
+                              std::to_string(k))
+          << what;
+      EXPECT_EQ(membership_exit_clause(c, p), SafeClause::kSegmentIds) << what;
+
+      // The bad segment pair alone: both orders name it.
+      at(0).token_b = Token{};
+      EXPECT_EQ(expect_view_agrees(c, p, what + " ids only"),
+                SafeClause::kSegmentIds);
+      EXPECT_EQ(check_safe(c, p).reason,
+                "segment IDs not consecutive at pair 0")
+          << what;
+      EXPECT_EQ(membership_exit_clause(c, p), SafeClause::kSegmentIds) << what;
+    }
+  }
+}
+
+/// Whether the cost-ordered token check leaves its division-free geometry
+/// for the general arithmetic: the target r + pos, or the pair start
+/// r + pos - tau, falls outside [0, n) counted from the leader.
+bool pair_wraps(const PlParams& p, int r, const Token& t, int d) {
+  const int tau = detail::mod_2psi(r + t.pos + d, p.two_psi());
+  const int target = r + t.pos;
+  return target >= p.n || target - tau < 0;
+}
+
+TEST(SafeView, SingleTokensAgreeWithTokenCorrectIncludingWrappingPairs) {
+  // Every in-domain token, one at a time, at every host of a safe ring. The
+  // verdict must be exactly "outside the last segment and token_correct"
+  // (the general geometry), on rings from psi >= n up to several pairs.
+  int wrapped = 0;
+  int accepted = 0;
+  for (const auto& [n, slack] : {std::pair{2, 0}, {3, 1}, {4, 0}, {4, 2},
+                                 {5, 1}, {6, 1}, {7, 0}, {8, 2}, {12, 0},
+                                 {16, 0}, {33, 0}}) {
+    const PlParams p = PlParams::make(n, 4, slack);
+    for (int k : {0, n - 1}) {
+      const auto base = make_safe_config(p, k, 1);
+      for (int host = 0; host < n; ++host) {
+        const int r = (host - k + n) % n;
+        for (Token PlState::* tm : {&PlState::token_b, &PlState::token_w}) {
+          const bool black = tm == &PlState::token_b;
+          for (int pos = 1 - p.psi; pos <= p.psi; ++pos) {
+            if (pos == 0) continue;
+            for (int bits = 0; bits < 4; ++bits) {
+              auto c = base;
+              const Token t{static_cast<std::int8_t>(pos),
+                            static_cast<std::uint8_t>(bits & 1),
+                            static_cast<std::uint8_t>(bits >> 1)};
+              c[static_cast<std::size_t>(host)].*tm = t;
+              const bool expect_safe =
+                  c[static_cast<std::size_t>(host)].last == 0 &&
+                  token_correct(c, p, host, black, k);
+              const std::string what =
+                  "n=" + std::to_string(n) + " psi=" + std::to_string(p.psi) +
+                  " k=" + std::to_string(k) + " host=" +
+                  std::to_string(host) + (black ? " black" : " white") +
+                  " pos=" + std::to_string(pos) + " bits=" +
+                  std::to_string(bits);
+              const SafeClause clause = expect_view_agrees(c, p, what);
+              ASSERT_EQ(clause, expect_safe ? SafeClause::kSafe
+                                            : SafeClause::kTokens)
+                  << what;
+              if (c[static_cast<std::size_t>(host)].last == 0 &&
+                  pair_wraps(p, r, t, black ? 0 : p.psi))
+                ++wrapped;
+              if (expect_safe) ++accepted;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(wrapped, 0);   // the fallback geometry ran
+  EXPECT_GT(accepted, 0);  // and correct tokens were accepted
+}
+
+/// A predicate with both overloads that checks, at every call, the
+/// membership verdict against first_failing_clause == kSafe on the same
+/// configuration, and answers with the membership verdict.
+struct AgreementProbe {
+  std::atomic<std::uint64_t>* view_checks;
+  std::atomic<std::uint64_t>* span_checks;
+  std::atomic<std::uint64_t>* disagreements;
+
+  bool operator()(std::span<const PlState> c, const PlParams& p) const {
+    span_checks->fetch_add(1, std::memory_order_relaxed);
+    const bool safe = is_safe(c, p);
+    if (safe != (first_failing_clause(c, p) == SafeClause::kSafe) ||
+        safe != SafePredicate{}(c, p))
+      disagreements->fetch_add(1, std::memory_order_relaxed);
+    return safe;
+  }
+  bool operator()(const WordConfig& c, const PlParams& p) const {
+    view_checks->fetch_add(1, std::memory_order_relaxed);
+    const bool safe = SafePredicate{}(c, p);
+    if (safe != (first_failing_clause(c, p) == SafeClause::kSafe) ||
+        safe != is_safe(c, p))
+      disagreements->fetch_add(1, std::memory_order_relaxed);
+    return safe;
+  }
+};
+
+TEST(SafeView, EveryConvergenceCheckAgreesWithProofOrder) {
+  const PlParams p = PlParams::make(64, 4);
+  const auto gen = [&p](core::Xoshiro256pp& rng) {
+    return random_config(p, rng);
+  };
+  std::atomic<std::uint64_t> view_checks{0};
+  std::atomic<std::uint64_t> span_checks{0};
+  std::atomic<std::uint64_t> disagreements{0};
+  const AgreementProbe probe{&view_checks, &span_checks, &disagreements};
+  // One worker keeps each shard at >= 8 rings, so lockstep groups run and
+  // their word-owned rings are checked on the view.
+  constexpr int kTrials = 32;
+  const std::uint64_t budget = analysis::sweep_budget(p.n);
+  const auto probed = analysis::measure_convergence_parallel<PlProtocol>(
+      p, gen, probe, kTrials, budget, 91, 0x51E, 1);
+  const auto plain = analysis::measure_convergence_parallel<PlProtocol>(
+      p, gen, SafePredicate{}, kTrials, budget, 91, 0x51E, 1);
+  EXPECT_EQ(disagreements.load(), 0u);
+  EXPECT_GT(view_checks.load(), 0u);
+  EXPECT_GT(view_checks.load() + span_checks.load(), 1000u);
+  EXPECT_EQ(probed.raw, plain.raw);
+  EXPECT_EQ(probed.failures, plain.failures);
 }
 
 }  // namespace
