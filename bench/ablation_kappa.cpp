@@ -28,13 +28,13 @@ int main() {
   for (int c1 : {1, 2, 4, 8, 16, 32}) {
     const auto p = pl::PlParams::make(n, c1);
 
-    const auto conv = analysis::measure_convergence<pl::PlProtocol>(
+    const auto conv = analysis::measure_convergence_parallel<pl::PlProtocol>(
         p, [&](core::Xoshiro256pp& rng) { return pl::random_config(p, rng); },
         pl::SafePredicate{}, trials,
         200'000ULL * n_u * n_u + 100'000'000ULL, 51,
-        static_cast<unsigned>(c1));
+        static_cast<unsigned>(c1), /*threads=*/1);
 
-    const auto detect = analysis::measure_convergence<pl::PlProtocol>(
+    const auto detect = analysis::measure_convergence_parallel<pl::PlProtocol>(
         p,
         [&](core::Xoshiro256pp&) { return pl::leaderless_consistent(p, 0); },
         [](pl::Config c, const pl::PlParams& pp) {
@@ -42,7 +42,7 @@ int main() {
                  pl::AllDetectPredicate{}(c, pp);
         },
         trials, 200'000ULL * n_u * n_u + 100'000'000ULL, 52,
-        static_cast<unsigned>(c1));
+        static_cast<unsigned>(c1), /*threads=*/1);
 
     // False-detection probe: from a safe configuration, does any agent reach
     // Detect within a 2*kappa_max*n^2 window?

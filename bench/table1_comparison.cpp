@@ -33,7 +33,7 @@ struct RowResult {
 template <typename P, typename MakeParams, typename Gen, typename Pred>
 RowResult sweep(const std::vector<int>& ns, MakeParams&& mk, Gen&& gen,
                 Pred&& pred, int trials, std::uint64_t tag) {
-  // Trial-parallel engine; bit-identical to the serial driver for any
+  // Trial-parallel engine; bit-identical results for any
   // PPSIM_THREADS (analysis::measure_convergence_parallel). Note: the sweep
   // helper derives per-point tags as `tag << 32 | n` (the old harness used
   // `tag * 1000 + n`), so hitting times differ from pre-engine runs at the

@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
 
   {
     const auto p = pl::PlParams::make(n, 4);
-    const auto r = analysis::measure_convergence<pl::PlProtocol>(
+    const auto r = analysis::measure_convergence_parallel<pl::PlProtocol>(
         p, [&](core::Xoshiro256pp& rng) { return pl::random_config(p, rng); },
-        pl::SafePredicate{}, trials, budget, 1, 1);
+        pl::SafePredicate{}, trials, budget, 1, 1, /*threads=*/1);
     t.add_row({"P_PL (this paper)", "psi knowledge",
                core::fmt_double(r.steps.median, 4),
                core::fmt_double(r.steps.mean, 4),
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   }
   {
     const auto p = baselines::Y28Params::make(n);
-    const auto r = analysis::measure_convergence<baselines::Yokota28>(
+    const auto r = analysis::measure_convergence_parallel<baselines::Yokota28>(
         p,
         [&](core::Xoshiro256pp& rng) {
           return baselines::y28_random_config(p, rng);
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
            const baselines::Y28Params& pp) {
           return baselines::y28_is_safe(c, pp);
         },
-        trials, budget, 1, 2);
+        trials, budget, 1, 2, /*threads=*/1);
     t.add_row({"Yokota et al. [28]", "psi knowledge",
                core::fmt_double(r.steps.median, 4),
                core::fmt_double(r.steps.mean, 4),
@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
   }
   {
     const auto p = baselines::FjParams::make(n);
-    const auto r = analysis::measure_convergence<baselines::FischerJiang>(
+    using FJ = baselines::FischerJiang;
+    const auto r = analysis::measure_convergence_parallel<FJ>(
         p,
         [&](core::Xoshiro256pp& rng) {
           return baselines::fj_random_config(p, rng);
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
            const baselines::FjParams& pp) {
           return baselines::fj_is_safe(c, pp);
         },
-        trials, budget, 1, 3);
+        trials, budget, 1, 3, /*threads=*/1);
     t.add_row({"Fischer-Jiang [15]", "oracle Omega?",
                core::fmt_double(r.steps.median, 4),
                core::fmt_double(r.steps.mean, 4),
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
   {
     const int n_odd = n % 2 == 0 ? n + 1 : n;
     const auto p = baselines::ModkParams::make(n_odd, 2);
-    const auto r = analysis::measure_convergence<baselines::Modk>(
+    const auto r = analysis::measure_convergence_parallel<baselines::Modk>(
         p,
         [&](core::Xoshiro256pp& rng) {
           return baselines::modk_random_config(p, rng);
@@ -83,7 +84,7 @@ int main(int argc, char** argv) {
            const baselines::ModkParams& pp) {
           return baselines::modk_is_safe(c, pp);
         },
-        trials, budget, 1, 4);
+        trials, budget, 1, 4, /*threads=*/1);
     t.add_row({"AAFJ-style modk [5]", "n not multiple of k",
                core::fmt_double(r.steps.median, 4),
                core::fmt_double(r.steps.mean, 4),

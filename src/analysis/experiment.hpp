@@ -1,23 +1,20 @@
 // Experiment driver: repeated-trial convergence measurement with decorrelated
 // seeds, used by every bench harness and the integration tests.
 //
-// Two drivers share one seeding scheme (derive_seed(seed_base, tag, t) per
-// trial, config RNG seeded with stream_seed(seed, streams::kConfig) — the
-// stream-tag registry, core/stream_tags.hpp):
-//
-//  * measure_convergence          — the serial driver.
-//  * measure_convergence_parallel — fans work out over a core::ThreadPool.
-//
-// Both shard the trial index range into contiguous blocks and run each block
-// as one core::EnsembleRunner (struct-of-arrays state, blocked per-ring hot
-// loop — the campaign-throughput win measured in BENCH_ensemble.json). Because ring
-// t of a shard owns exactly the RNG streams a standalone Runner for trial t
-// would own and rings never interact, the returned ConvergenceStats —
-// including the raw hitting-time vector, in trial order — is bit-identical
-// to the historical per-trial Runner loop (kept as
-// detail::convergence_trial, pinned by tests/core/ensemble_test.cpp) and
-// identical for every thread count and shard width
-// (tests/analysis/analysis_test.cpp).
+// One driver, measure_convergence_parallel, seeds trial t with
+// derive_seed(seed_base, tag, t) and its config RNG with
+// stream_seed(seed, streams::kConfig) — the stream-tag registry,
+// core/stream_tags.hpp. It shards the trial index range into contiguous
+// blocks, runs each block as one core::EnsembleRunner (struct-of-arrays
+// state, blocked per-ring hot loop — the campaign-throughput win measured
+// in BENCH_ensemble.json) and fans the shards out over a core::ThreadPool;
+// `threads` = 1 runs every shard on the caller. Because ring t of a shard
+// owns exactly the RNG streams a standalone Runner for trial t would own
+// and rings never interact, the returned ConvergenceStats — including the
+// raw hitting-time vector, in trial order — is bit-identical to the
+// historical per-trial Runner loop (kept as detail::convergence_trial,
+// pinned by tests/core/ensemble_test.cpp) and identical for every thread
+// count and shard width (tests/analysis/analysis_test.cpp).
 //
 // `gen` and `pred` are invoked concurrently from pool threads and must be
 // safe to call in parallel (the stateless lambdas used by all harnesses are).
@@ -125,37 +122,13 @@ void ensemble_convergence_shard(const typename P::Params& params,
 }  // namespace detail
 
 /// Run `trials` executions of protocol P from configurations produced by
-/// `gen(rng)` until `pred(agents, params)` holds, collecting hitting times.
-/// Trials exceeding `max_steps` count as failures and are excluded from the
-/// summary. `check_every` is the predicate check granularity in steps
-/// (0 = every ~n steps): reported hitting times are quantized *up* to the
-/// first check at or after the true hit, so a coarser granularity trades
-/// precision for throughput.
-template <typename P, typename ConfigGen, typename Pred>
-[[nodiscard]] ConvergenceStats measure_convergence(
-    const typename P::Params& params, ConfigGen&& gen, Pred&& pred,
-    int trials, std::uint64_t max_steps, std::uint64_t seed_base,
-    std::uint64_t tag, std::uint64_t check_every = 0) {
-  // Negative counts degrade to zero trials (a negative PPSIM_TRIALS parses
-  // strictly — core/env.hpp — and means "no trials" here).
-  std::vector<std::uint64_t> hits(
-      static_cast<std::size_t>(std::max(trials, 0)));
-  const std::size_t shard = detail::ensemble_shard_rings(
-      static_cast<std::size_t>(params.n) * sizeof(typename P::State));
-  for (std::size_t first = 0; first < hits.size(); first += shard) {
-    detail::ensemble_convergence_shard<P>(
-        params, gen, pred, max_steps, seed_base, tag, check_every, first,
-        std::min(shard, hits.size() - first), hits);
-  }
-  return detail::fold_trials(hits);
-}
-
-/// Trial-parallel driver: same seeding, same results, `threads` workers
-/// (0 = PPSIM_THREADS / hardware concurrency). The pool distributes shard
-/// indices; each shard is one ensemble over a contiguous trial range, so
-/// results stay bit-identical to the serial driver (and to the per-trial
-/// reference) for every thread count. `check_every` as in
-/// measure_convergence.
+/// `gen(rng)` until `pred(agents, params)` holds, collecting hitting times,
+/// on `threads` workers (0 = PPSIM_THREADS / hardware concurrency). Trials
+/// exceeding `max_steps` count as failures and are excluded from the
+/// summary; a negative `trials` means none. `check_every` is the predicate
+/// check granularity in steps (0 = every ~n steps): reported hitting times
+/// are quantized *up* to the first check at or after the true hit, so a
+/// coarser granularity trades precision for throughput.
 template <typename P, typename ConfigGen, typename Pred>
 [[nodiscard]] ConvergenceStats measure_convergence_parallel(
     const typename P::Params& params, ConfigGen&& gen, Pred&& pred,

@@ -36,9 +36,10 @@ struct StateCount {
 
 [[nodiscard]] std::string format_state_count(const StateCount& c);
 
-/// Injective packing of a PlState into 64 bits (for the empirical
-/// state-usage audit: distinct states actually visited vs the declared
-/// |Q(n)|). Valid for psi <= 60 and kappa_max <= 2^16 - 1.
+/// Injective packing of a PlState into 64 bits, below the declared |Q(n)|
+/// for every in-domain state (tests/analysis/analysis_test.cpp checks both,
+/// so the declared domains cover what the generators produce). Valid for
+/// psi <= 60 and kappa_max <= 2^16 - 1.
 [[nodiscard]] std::uint64_t pack_pl_state(const pl::PlState& s,
                                           const pl::PlParams& p);
 

@@ -93,14 +93,11 @@ std::vector<Y28State> y28_leaderless(const Y28Params& p) {
 
 bool fj_is_safe(std::span<const FjState> c, const FjParams&) {
   if (count_leaders_of(c) != 1) return false;
-  const int n = static_cast<int>(c.size());
-  // Every live bullet's nearest left leader (the unique leader) is shielded.
-  for (int i = 0; i < n; ++i) {
-    if (c[static_cast<std::size_t>(i)].bullet != 2) continue;
-    const int k = sole_leader_of(c);
-    if (c[static_cast<std::size_t>(k)].shield != 1) return false;
-  }
-  return true;
+  // Every live bullet's nearest left leader is the unique leader, so any
+  // live bullet requires that leader to be shielded.
+  if (c[static_cast<std::size_t>(sole_leader_of(c))].shield == 1) return true;
+  return std::none_of(c.begin(), c.end(),
+                      [](const FjState& s) { return s.bullet == 2; });
 }
 
 FjState fj_random_state(const FjParams&, core::Xoshiro256pp& rng) {

@@ -803,13 +803,7 @@ class EnsembleRunner {
       packed[e.initiator] = en.pa;
       packed[e.responder] = en.pb;
       if constexpr (HasLeaderOutput<P>) {
-        clk.leader_count += en.d_leader;
-        if (en.leader_changed != 0) clk.last_leader_change = clk.steps + 1;
-        if (clk.leader_count > 0) {
-          clk.leaderless_since = RingClock::npos;
-        } else if (clk.leaderless_since == RingClock::npos) {
-          clk.leaderless_since = clk.steps + 1;
-        }
+        clk.note_leaders(en.d_leader, en.leader_changed != 0, clk.steps);
         if constexpr (HasTokenCensus<P>) clk.token_count += en.d_token;
       }
       ++clk.steps;

@@ -32,7 +32,7 @@ class LogHistogram {
   [[nodiscard]] std::uint64_t max() const noexcept { return max_; }
 
   /// Bucket-resolution quantile, with the endpoint and rank conventions
-  /// pinned (tests/core/histogram_timeseries_test.cpp):
+  /// pinned (tests/core/histogram_test.cpp):
   ///
   ///   * q <= 0 returns min() and q >= 1 returns max() — the exact sample
   ///     extremes, not bucket bounds. (Before the fix, q = 0 returned the

@@ -352,6 +352,25 @@ struct RingClock {
   std::uint64_t oracle_delay = 0;
   int leader_count = 0;
   int token_count = 0;
+
+  /// The one leader-census update, shared by every engine path: fold the
+  /// leader-count `delta` of the interaction with 0-based index `step`,
+  /// stamp last_leader_change when a leader bit `changed`, and keep the
+  /// invariant "leader_count == 0 iff leaderless_since is set". Both stamps
+  /// are step + 1, the step count once that interaction is done; a fault
+  /// injected between interactions passes steps - 1 so it stamps `steps`.
+  /// The + 1 stays inside the branches: computed up front, it becomes a
+  /// second induction variable in the engines' hot loops.
+  [[gnu::always_inline]] inline void note_leaders(int delta, bool changed,
+                                                  std::uint64_t step) noexcept {
+    leader_count += delta;
+    if (changed) last_leader_change = step + 1;
+    if (leader_count > 0) {
+      leaderless_since = npos;
+    } else if (leaderless_since == npos) {
+      leaderless_since = step + 1;
+    }
+  }
 };
 
 /// The per-interaction core of the engine, operating on a raw agent array and
@@ -408,14 +427,10 @@ struct InteractionEngine {
     if constexpr (HasLeaderOutput<P>) {
       const bool la2 = P::is_leader(a, params);
       const bool lb2 = P::is_leader(b, params);
-      clk.leader_count += static_cast<int>(la2) - static_cast<int>(la) +
-                          static_cast<int>(lb2) - static_cast<int>(lb);
-      if (la != la2 || lb != lb2) clk.last_leader_change = clk.steps + 1;
-      if (clk.leader_count > 0) {
-        clk.leaderless_since = RingClock::npos;
-      } else if (clk.leaderless_since == RingClock::npos) {
-        clk.leaderless_since = clk.steps + 1;
-      }
+      const int delta = static_cast<int>(la2) - static_cast<int>(la) +
+                        static_cast<int>(lb2) - static_cast<int>(lb);
+      const bool changed = la != la2 || lb != lb2;
+      clk.note_leaders(delta, changed, clk.steps);
       if constexpr (HasTokenCensus<P>) {
         clk.token_count += (P::has_token(a, params) ? 1 : 0) - ta +
                            (P::has_token(b, params) ? 1 : 0) - tb;
@@ -562,13 +577,8 @@ struct InteractionEngine {
     if constexpr (HasLeaderOutput<P>) {
       const bool was = P::is_leader(slot, params);
       const bool now = P::is_leader(s, params);
-      clk.leader_count += static_cast<int>(now) - static_cast<int>(was);
-      if (was != now) clk.last_leader_change = clk.steps;
-      if (clk.leader_count > 0) {
-        clk.leaderless_since = RingClock::npos;
-      } else if (clk.leaderless_since == RingClock::npos) {
-        clk.leaderless_since = clk.steps;
-      }
+      clk.note_leaders(static_cast<int>(now) - static_cast<int>(was),
+                       was != now, clk.steps - 1);
     }
     if constexpr (HasTokenCensus<P>) {
       clk.token_count += (P::has_token(s, params) ? 1 : 0) -
@@ -679,16 +689,9 @@ struct WordGroupDriver {
       RingClock& clk, std::uint64_t step) noexcept {
     if constexpr (HasLeaderOutput<P>) {
       if ((((wa ^ oa) | (wb ^ ob)) & 1) != 0) {
-        clk.leader_count += static_cast<int>(wa & 1) -
-                            static_cast<int>(oa & 1) +
-                            static_cast<int>(wb & 1) -
-                            static_cast<int>(ob & 1);
-        clk.last_leader_change = step + 1;
-        if (clk.leader_count > 0) {
-          clk.leaderless_since = RingClock::npos;
-        } else if (clk.leaderless_since == RingClock::npos) {
-          clk.leaderless_since = step + 1;
-        }
+        const int delta = static_cast<int>(wa & 1) - static_cast<int>(oa & 1) +
+                          static_cast<int>(wb & 1) - static_cast<int>(ob & 1);
+        clk.note_leaders(delta, true, step);
       }
     }
   }

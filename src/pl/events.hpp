@@ -4,8 +4,8 @@
 // the default NullSink compiles to nothing, while EventCounters records the
 // protocol's internal life: token trajectories (Def. 3.4), resetting-signal
 // births/absorptions/expiries (Lemma 3.11), clock advancement, bullet wars
-// and both leader-creation sites. bench/internals_stats derives the paper's
-// per-mechanism quantities from these counts.
+// and both leader-creation sites. tests/pl/events_test.cpp checks the
+// paper's per-mechanism accounting against these counts.
 #pragma once
 
 #include <cstdint>

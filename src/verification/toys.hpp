@@ -12,9 +12,9 @@
 namespace ppsim::verification {
 
 /// The equivariant leader-bit-vector spec (bit i = agent i's leader output)
-/// shared by the quotient tests, the checker bench and the state_space
-/// certification section — one definition, so the property the bench
-/// certifies is the property the tests pin against the unreduced checker.
+/// shared by the quotient tests and the checker bench — one definition, so
+/// the property the bench certifies is the property the tests pin against
+/// the unreduced checker.
 /// Equivariant: rotating a configuration rotates its output vector, the
 /// premise of the quotient checker's edge-local constancy argument.
 template <typename State>

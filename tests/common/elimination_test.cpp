@@ -205,14 +205,17 @@ TEST(EliminationDynamics, ReducesManyLeadersToOne) {
       s.shield = 1;
     }
     core::Runner<ElimProto> run(p, config, n);
+    bool ever_zero = false;
     const auto hit = run.run_until(
-        [](std::span<const ES> c, const ElimProto::Params&) {
+        [&](std::span<const ES> c, const ElimProto::Params&) {
           int k = 0;
           for (const ES& s : c) k += s.leader;
+          ever_zero = ever_zero || k == 0;
           return k == 1;
         },
         1'000'000ULL * static_cast<std::uint64_t>(n));
     ASSERT_TRUE(hit.has_value()) << "n=" << n;
+    EXPECT_FALSE(ever_zero) << "n=" << n;  // Lemma 4.11: never leaderless
     run.run(100'000);
     EXPECT_EQ(run.leader_count(), 1);  // and never dies thereafter
   }

@@ -620,26 +620,6 @@ TEST(EnsembleMisuse, TopologySizeMismatchThrows) {
 // ---------------------------------------------------------------------------
 // Migrated analysis drivers vs the retained per-trial reference paths.
 
-TEST(EnsembleMigration, MeasureConvergenceMatchesPerTrialReference) {
-  const auto p = pl::PlParams::make(8, 2);
-  auto gen = [&](core::Xoshiro256pp& r) { return pl::random_config(p, r); };
-  pl::SafePredicate pred{};
-  const int trials = 70;  // > shard width, exercises multi-shard folding
-  const std::uint64_t max_steps = 50'000'000, seed_base = 11, tag = 5;
-  std::vector<std::uint64_t> want(trials);
-  for (int t = 0; t < trials; ++t) {
-    want[static_cast<std::size_t>(t)] =
-        analysis::detail::convergence_trial<pl::PlProtocol>(
-            p, gen, pred, max_steps, seed_base, tag,
-            static_cast<std::uint64_t>(t), 0);
-  }
-  const auto stats = analysis::measure_convergence<pl::PlProtocol>(
-      p, gen, pred, trials, max_steps, seed_base, tag);
-  ASSERT_EQ(stats.trials, trials);
-  EXPECT_EQ(stats.failures, 0);
-  EXPECT_EQ(stats.raw, want);
-}
-
 TEST(EnsembleMigration, MeasureConvergenceParallelMatchesReferenceAllThreads) {
   const auto p = pl::PlParams::make(8, 2);
   auto gen = [&](core::Xoshiro256pp& r) { return pl::random_config(p, r); };

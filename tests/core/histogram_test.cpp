@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/histogram.hpp"
-#include "core/timeseries.hpp"
 
 namespace ppsim::core {
 namespace {
@@ -131,50 +130,6 @@ TEST(LogHistogram, RenderNonEmpty) {
   EXPECT_NE(r.find('#'), std::string::npos);
   LogHistogram empty;
   EXPECT_EQ(empty.render(), "(empty)\n");
-}
-
-TEST(TimeSeries, SettleStep) {
-  TimeSeries s("x", 10);
-  for (double v : {3.0, 2.0, 1.0, 1.0, 1.0}) s.record(v);
-  // Last differing sample is index 1 (value 2) -> settles at (1+1)*10 = 20.
-  EXPECT_EQ(s.settle_step(), 20u);
-}
-
-TEST(TimeSeries, SettleStepConstantSeriesIsZero) {
-  TimeSeries s("x", 10);
-  for (int i = 0; i < 5; ++i) s.record(7.0);
-  EXPECT_EQ(s.settle_step(), 0u);
-}
-
-TEST(TimeSeries, SparklineShape) {
-  TimeSeries s("x", 1);
-  for (int i = 0; i < 50; ++i) s.record(i);
-  const std::string sp = s.sparkline(50);  // width == samples: no resampling
-  EXPECT_EQ(sp.size(), 50u);
-  EXPECT_EQ(sp.front(), ' ');   // minimum level
-  EXPECT_EQ(sp.back(), '@');    // maximum level
-}
-
-TEST(TimeSeries, SparklineConstant) {
-  TimeSeries s("x", 1);
-  for (int i = 0; i < 10; ++i) s.record(5.0);
-  const std::string sp = s.sparkline(10);
-  EXPECT_EQ(sp, std::string(10, ' '));  // zero-span maps to the low level
-}
-
-TEST(Profile, RenderAlignsNames) {
-  Profile prof(100);
-  auto& a = prof.add("short");
-  auto& b = prof.add("a-much-longer-name");
-  for (int i = 0; i < 5; ++i) {
-    a.record(i);
-    b.record(5 - i);
-  }
-  const std::string r = prof.render(20);
-  EXPECT_NE(r.find("short"), std::string::npos);
-  EXPECT_NE(r.find("a-much-longer-name"), std::string::npos);
-  EXPECT_EQ(prof.series().size(), 2u);
-  EXPECT_EQ(prof.sample_every(), 100u);
 }
 
 }  // namespace

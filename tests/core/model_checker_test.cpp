@@ -66,8 +66,7 @@ TEST(ModelChecker, RejectsBrokenProtocolAndDecodesTheCounterexample) {
   // The counterexample is the absorbing zero-token configuration.
   const auto cfg = mc.decode(*res.counterexample);
   EXPECT_EQ(TokenMergeModel::count_tokens(cfg), 0);
-  // The decoded rendering names every agent's state — the actionable form
-  // (printed by the state_space bench too).
+  // The decoded rendering names every agent's state — the actionable form.
   const std::string pretty = mc.describe_counterexample(res);
   EXPECT_NE(pretty.find("bottom SCC with illegal output"), std::string::npos)
       << pretty;

@@ -87,8 +87,7 @@ TEST(Detection, LastFlagsClearWithoutLeader) {
 TEST(Detection, CreationTimeScalesQuadratically) {
   // Lemma 3.7 + §3.2: from the hardest leaderless start the creation takes
   // O(n^2 log n); sanity check that doubling n roughly quadruples the time
-  // (very generous bands; this is a smoke test, bench/mode_determination
-  // measures it properly).
+  // (very generous bands; this is a smoke test).
   std::vector<double> medians;
   for (int n : {16, 32, 64}) {
     const PlParams p = PlParams::make(n, 2);

@@ -72,6 +72,11 @@ TEST(Events, CompletionsDominateInSafeSteadyState) {
   EXPECT_EQ(ev.deaths_invalid[0] + ev.deaths_invalid[1], 0u);
   EXPECT_EQ(ev.created_via_dist + ev.created_via_token, 0u);
   EXPECT_EQ(ev.leaders_killed, 0u);
+  // Every completion walked a full Def. 3.4 trajectory; tokens that die on
+  // the way only add moves.
+  const auto len = static_cast<std::uint64_t>(p.trajectory_length());
+  for (int c : {0, 1})
+    EXPECT_GE(ev.token_moves[c], ev.completions[c] * len) << "black=" << c;
 }
 
 TEST(Events, SignalsBalanceAndKeepFlowing) {

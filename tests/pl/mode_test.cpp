@@ -150,6 +150,7 @@ TEST(ModeDynamics, LeaderKeepsPopulationInConstruction) {
       },
       window);
   EXPECT_FALSE(hit.has_value());
+  EXPECT_EQ(run.last_leader_change(), 0u);
 }
 
 }  // namespace

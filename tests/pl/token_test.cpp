@@ -106,7 +106,7 @@ TEST(TokenTrajectory, FollowsFigure2ZigZag) {
 }
 
 TEST(TokenTrajectory, MoveCountMatchesDefinition34) {
-  for (int n : {16, 32, 64}) {
+  for (int n : {8, 16, 32, 64, 128, 256, 512}) {  // psi = 3..9
     const PlParams p = PlParams::make(n);
     auto config = make_safe_config(p);
     core::Runner<PlProtocol> run(p, config, 1);

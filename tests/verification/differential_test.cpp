@@ -392,8 +392,8 @@ TEST(Differential, SameSeedReproducesBitIdenticalReports) {
 TEST(Differential, CheckpointGranularityDoesNotChangeTheTrajectory) {
   // Without storms, checkpoints only *read* state, so the configuration
   // after k interactions must not depend on check_every — the quantized
-  // hitting-time contract that lets run_until / measure_convergence pick
-  // their granularity freely.
+  // hitting-time contract that lets run_until and
+  // measure_convergence_parallel pick their granularity freely.
   const auto p = baselines::FjParams::make(8);
   std::vector<std::uint64_t> final_digests;
   for (const std::uint64_t check_every : {1ull, 7ull, 64ull, 1000ull}) {
