@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -28,14 +30,23 @@ void banner(const std::string& title, const std::string& paper_ref);
 
 /// Median-of-`repeats` interactions/sec of `body()`, which executes
 /// `steps` interactions per call. `repeats` must be at least 1.
+///
+/// The body returns a digest of what it ran (e.g. steps + leader_count +
+/// last_leader_change of each engine it advanced), folded into a volatile
+/// sink. A body whose engine is never read afterwards lets the compiler
+/// delete every store nothing reads: a discarded per-trial Runner once lost
+/// its whole leader census from the timed loop that way.
 template <typename Body>
+  requires std::same_as<std::invoke_result_t<Body&>, std::uint64_t>
 double median_ips(Body&& body, std::uint64_t steps, int repeats) {
+  static volatile std::uint64_t sink = 0;
   std::vector<double> ips;
   ips.reserve(static_cast<std::size_t>(repeats));
   for (int r = 0; r < repeats; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    body();
+    const std::uint64_t digest = body();
     const auto t1 = std::chrono::steady_clock::now();
+    sink = sink + digest;
     const double sec = std::chrono::duration<double>(t1 - t0).count();
     // Guard against a zero-resolution clock reading (tiny step counts).
     ips.push_back(sec > 0.0 ? static_cast<double>(steps) / sec : 0.0);

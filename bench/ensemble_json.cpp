@@ -87,11 +87,15 @@ Row measure_cell(const char* name, const typename P::Params& params,
 
   row.per_trial_ips = bench::median_ips(
       [&] {
+        std::uint64_t digest = 0;
         for (int t = 0; t < trials; ++t) {
           core::Runner<P> runner(params, inits[static_cast<std::size_t>(t)],
                                  seeds[static_cast<std::size_t>(t)]);
           runner.run(steps_per_ring);
+          digest += runner.steps() + runner.last_leader_change() +
+                    static_cast<std::uint64_t>(runner.leader_count());
         }
+        return digest;
       },
       total, repeats);
   row.ensemble_ips = bench::median_ips(
@@ -101,6 +105,11 @@ Row measure_cell(const char* name, const typename P::Params& params,
           ensemble.add_ring(inits[static_cast<std::size_t>(t)],
                             seeds[static_cast<std::size_t>(t)]);
         ensemble.run(steps_per_ring);
+        std::uint64_t digest = 0;
+        for (int t = 0; t < trials; ++t)
+          digest += ensemble.steps(t) + ensemble.last_leader_change(t) +
+                    static_cast<std::uint64_t>(ensemble.leader_count(t));
+        return digest;
       },
       total, repeats);
   {

@@ -30,6 +30,7 @@ void BM_PlSteps(benchmark::State& state) {
   run.add_ring(pl::make_safe_config(p), 1);
   for (auto _ : state) {
     run.run(1024);
+    benchmark::DoNotOptimize(run);
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
@@ -41,7 +42,10 @@ void BM_Yokota28Steps(benchmark::State& state) {
   core::Xoshiro256pp rng(1);
   core::Runner<baselines::Yokota28> run(
       p, baselines::y28_random_config(p, rng), 1);
-  for (auto _ : state) run.run(1024);
+  for (auto _ : state) {
+    run.run(1024);
+    benchmark::DoNotOptimize(run);
+  }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_Yokota28Steps)->Arg(1024);
@@ -52,7 +56,10 @@ void BM_FischerJiangSteps(benchmark::State& state) {
   core::Xoshiro256pp rng(1);
   core::Runner<baselines::FischerJiang> run(
       p, baselines::fj_random_config(p, rng), 1);
-  for (auto _ : state) run.run(1024);
+  for (auto _ : state) {
+    run.run(1024);
+    benchmark::DoNotOptimize(run);
+  }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_FischerJiangSteps)->Arg(1024);
@@ -63,7 +70,10 @@ void BM_ModkSteps(benchmark::State& state) {
   core::Xoshiro256pp rng(1);
   core::Runner<baselines::Modk> run(p, baselines::modk_random_config(p, rng),
                                     1);
-  for (auto _ : state) run.run(1024);
+  for (auto _ : state) {
+    run.run(1024);
+    benchmark::DoNotOptimize(run);
+  }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_ModkSteps)->Arg(1025);
@@ -73,7 +83,10 @@ void BM_PorSteps(benchmark::State& state) {
   const auto p = orient::OrParams::make(n);
   core::Xoshiro256pp rng(1);
   core::Runner<orient::Por> run(p, orient::or_config(p, rng, true), 1);
-  for (auto _ : state) run.run(1024);
+  for (auto _ : state) {
+    run.run(1024);
+    benchmark::DoNotOptimize(run);
+  }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_PorSteps)->Arg(1024);

@@ -55,6 +55,13 @@ struct Row {
   }
 };
 
+/// What a timed Runner body ran, for bench::median_ips's sink.
+template <typename P>
+std::uint64_t digest(const core::Runner<P>& r) {
+  return r.steps() + r.last_leader_change() +
+         static_cast<std::uint64_t>(r.leader_count());
+}
+
 /// BM_PlSteps-equivalent workload for one protocol/config: warm up, then
 /// time run_unbatched(k), run(k) and (word-kernel protocols) the one-ring
 /// ensemble's run(k) from the same warmed configuration.
@@ -76,8 +83,13 @@ Row measure_protocol(const char* name, const typename P::Params& params,
     word.run(warmup);
     if (word.word_kernel_mode()) {
       row.has_packed = true;
-      row.packed_ips =
-          bench::median_ips([&] { word.run(steps); }, steps, repeats);
+      row.packed_ips = bench::median_ips(
+          [&] {
+            word.run(steps);
+            return word.steps(0) + word.last_leader_change(0) +
+                   static_cast<std::uint64_t>(word.leader_count(0));
+          },
+          steps, repeats);
     }
   }
   core::Runner<P> warmed(params, std::move(init), /*seed=*/1);
@@ -85,12 +97,20 @@ Row measure_protocol(const char* name, const typename P::Params& params,
   {
     core::Runner<P> runner = warmed;
     row.unbatched_ips = bench::median_ips(
-        [&] { runner.run_unbatched(steps); }, steps, repeats);
+        [&] {
+          runner.run_unbatched(steps);
+          return digest(runner);
+        },
+        steps, repeats);
   }
   {
     core::Runner<P> runner = warmed;
-    row.batched_ips =
-        bench::median_ips([&] { runner.run(steps); }, steps, repeats);
+    row.batched_ips = bench::median_ips(
+        [&] {
+          runner.run(steps);
+          return digest(runner);
+        },
+        steps, repeats);
   }
   return row;
 }
