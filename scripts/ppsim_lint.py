@@ -76,7 +76,7 @@ UNORDERED_TYPES = re.compile(
 # without this rule.
 COLD_REGISTRY = {
     "src/core/rng.hpp": ["redraw_rejected"],
-    "src/core/runner.hpp": [
+    "src/core/word_driver.hpp": [
         "census_replay",
         "census_replay_rings",
         "run_group_conflicted",

@@ -1,66 +1,45 @@
 // Trial-batched simulation: R independent rings of the same Params advanced
 // in one engine, for the campaign workloads the SS-LE evaluation lives on
-// (thousands of trials per (protocol, n, fault-schedule) cell).
+// (thousands of trials per (protocol, n, fault-schedule) cell). Runner
+// (core/runner.hpp) is ring 0 of an EnsembleRunner built ScalarOnly, so the
+// per-trial reference path and the campaign lanes share one RNG, loss
+// stream, fault model, census, index check and run-until.
 //
-// Why: a per-trial Runner pays the full dispatch loop per trial, and at small
-// n — exactly where tail statistics need the most trials — per-trial overhead
-// dominates. EnsembleRunner keeps all R rings' agent states in one contiguous
-// struct-of-arrays block (ring r occupies slots [r*n, (r+1)*n)), one
-// RingClock and one Xoshiro256pp stream per ring in parallel arrays, and
-// advances rings in blocks with the ring's RNG and clock copied into locals
-// (register-resident across the block — going through the stored arrays
-// measured ~1.6x slower; the compiler cannot keep pointer-indirected RNG
-// state in registers).
+// All R rings' agent states sit in one struct-of-arrays block (ring r at
+// slots [r*n, (r+1)*n)), with one RingClock and one Xoshiro256pp stream per
+// ring in parallel arrays. A ring advances in blocks with its RNG and clock
+// copied into locals: through the stored arrays it measured ~1.6x slower.
 //
-// The campaign win is the *packed-state mode*: protocols that expose a
-// canonical O(1) enumeration of their per-agent state space
-// (num_states / pack_state / unpack_state — the modk baseline does) and take
-// no oracle input get their entire pair-transition function precomputed into
-// a lookup table at construction: one 8-byte entry per (initiator,
-// responder) state pair holding the packed successor states and the census
-// deltas (leader delta, token delta, leader-set-changed bit). The hot loop
-// then runs on a parallel array of 16-bit packed states — one L1 load
-// replaces the branchy transition and all census predicate evaluations, and
-// the branch-misprediction cost of random-scheduler transitions (the
-// dominant per-step cost: a modk step is ~8 ns branchy vs ~1.4 ns of RNG)
-// disappears. Measured ~2x campaign throughput over the per-trial Runner
-// path on small-n modk cells (BENCH_ensemble.json). Full State objects are
-// materialized lazily (the mirror contract below) when a predicate or
-// accessor needs them. A ring-interleaved variant of both kernels was tried
-// and rejected: on the reference container register pressure beats the ILP
-// win from overlapping independent RNG chains (0.9-1.1x, vs 2x+ for the
-// packed mode).
+// Three lanes, all bit-identical per ring to the scalar loop:
 //
-// Determinism contract: ring r owns *exactly* the RNG stream a standalone
-// Runner<P> constructed with the same seed would own, rings never interact,
-// and every interaction either goes through the shared InteractionEngine<P>
-// fast path or through a table entry precomputed *by that same code path* —
-// so each ring's trajectory, census and clock are bit-identical to the
-// single-ring engine (tests/core/ensemble_test.cpp). The packed mode
-// additionally self-validates: at construction every enumerated state must
-// round-trip pack/unpack and every transition must stay inside the
-// enumerated space, and every state entering the ensemble (add_ring,
-// set_agent) must round-trip — any violation permanently drops the ensemble
-// to the generic path, never to a wrong trajectory. This is what lets
-// analysis::measure_convergence / measure_convergence_parallel /
-// measure_recovery shard their trials into ensembles without changing a
-// single published number.
+//  * generic — InteractionEngine::run_block, the loop Runner::run runs.
+//  * LUT (packed-state mode) — protocols with a canonical O(1) enumeration
+//    of their state space (num_states / pack_state / unpack_state, e.g.
+//    modk) and no oracle input get their pair-transition function
+//    precomputed at construction, by the generic code path: one 8-byte
+//    entry per state pair holding both successors and the census deltas.
+//    The hot loop runs on 16-bit codes, and one L1 load replaces the
+//    branchy transition and its mispredictions (modk: ~8 ns branchy vs
+//    ~1.4 ns of RNG per step), ~2x over per-trial Runners on small-n cells
+//    (BENCH_ensemble.json).
+//  * word kernel (core::HasWordKernel — P_PL) — states too many for the
+//    LUT but bit-sliced into one uint64_t run the branchless SIMD kernel
+//    (core/word_driver.hpp) on a u64 mirror. run(k) advances rings in
+//    cross-ring lockstep, one SIMD lane per ring, and run_until_each
+//    batches the rings still owed a full check_every block. A ring that
+//    advances alone (run_ring, a near-deadline ring, a lockstep leftover)
+//    runs the single-ring grouped driver only from kWordCrossoverN up, and
+//    the scalar loop on its States below it.
 //
-// The third engine lane is the *word-kernel lane* (core::HasWordKernel —
-// P_PL): protocols whose state space is far too large for the LUT but
-// whose whole variable block bit-slices into one uint64_t run the
-// branchless SIMD kernel (core::WordGroupDriver) on a u64 mirror, with the
-// same delta census and round-trip fallback contract the LUT lane has.
-// run(k) advances rings in *cross-ring lockstep* — one SIMD lane per ring,
-// no disjointness proofs, effective at any n — and run_until_each batches
-// the rings still owed a full check_every block. This is the repo's only
-// accelerated engine for such protocols (Runner is scalar). A ring that
-// advances alone (run_ring, a near-deadline ring, the nrings % G leftovers
-// of a lockstep batch of G-ring groups) runs the single-ring grouped
-// driver, WordGroupDriver::run_block, only from kWordCrossoverN up. Below
-// it that driver loses to the scalar loop, so such a ring runs the shared
-// scalar loop on its State block instead. Every path draws the ring's
-// stream in the same order, so the choice never shows in a trajectory.
+// A ring-interleaved variant of the kernels was tried and rejected: register
+// pressure beat the ILP win (0.9-1.1x). The accelerated lanes self-validate:
+// every enumerated state must round-trip its packing and every transition
+// stay in the domain, and every state entering the ensemble (add_ring,
+// set_agent) must round-trip. Any violation drops the ensemble to the
+// generic path for good, never to a wrong trajectory
+// (tests/core/ensemble_test.cpp). This is what lets
+// analysis::measure_convergence_parallel and measure_recovery shard their
+// trials into ensembles without changing a published number.
 //
 // Mirror contract: every ring has exactly one authoritative copy, recorded
 // in a per-ring RingOwner (ring_owner(r)):
@@ -70,20 +49,17 @@
 //   kStates  the State block owns the ring; the u64 words are stale (word
 //            lane only: a ring that ran the scalar loop)
 // sync_ring unpacks a kMirror ring (kMirror -> kBoth) for agents() and span
-// predicates. A kStates ring re-packs its words only when it rejoins a
-// lockstep batch. The batch puts State-owning rings last, so they are the
-// ones left over, and ownership stays sticky: a re-pack costs ~30 ns per
-// agent. set_agent writes whichever copy owns the ring and decodes only the
-// overwritten slot for the census delta.
+// predicates. A kStates ring re-packs its words (~30 ns per agent) only when
+// it rejoins a lockstep batch, which puts State-owning rings last so they
+// are the leftovers. set_agent writes whichever copy owns the ring and
+// decodes only the overwritten slot for the census delta.
 //
-// run_until_each mirrors Runner::run_until per ring (pre-check, then blocks
-// of check_every against a per-ring deadline); converged or timed-out rings
-// retire from a compacted active index array so a few slow rings never pay
-// for the fast majority. A check reads whichever copy the ring owns: a
-// predicate that accepts a WordRingView reads a word-owned ring's u64
-// mirror in place (pl::SafePredicate, and analysis::RecoveryPredicate when
-// it carries a view overload); every other check reads the State block,
-// unpacking it first only if the mirror owns the ring.
+// run_until_each retires converged or timed-out rings from a compacted
+// active index array, so a few slow rings never pay for the fast majority.
+// A check reads whichever copy the ring owns: a predicate that accepts a
+// WordRingView reads a word-owned ring's u64 mirror in place
+// (pl::SafePredicate, and analysis::RecoveryPredicate when it carries a view
+// overload); every other check reads the State block.
 #pragma once
 
 #include <algorithm>
@@ -96,11 +72,15 @@
 #include <utility>
 #include <vector>
 
+#include "core/interaction.hpp"
 #include "core/ring.hpp"
 #include "core/rng.hpp"
-#include "core/runner.hpp"
+#include "core/word_driver.hpp"
 
 namespace ppsim::core {
+
+template <typename P, typename Topo>
+class Runner;  // core/runner.hpp: ring 0 of a ScalarOnly EnsembleRunner
 
 /// Protocols with a canonical enumeration of their per-agent state space:
 /// pack_state is injective on the domain, unpack_state is its inverse, and
@@ -153,9 +133,18 @@ enum class RingOwner : std::uint8_t {
   kStates,  ///< the States own the ring; the word mirror is stale
 };
 
+/// Constructor tag: every ring runs the shared scalar loop, and no LUT or
+/// word layout is built. Runner is ring 0 of such an ensemble; differential
+/// lane C and the lane-equivalence tests use it as the generic reference.
+struct ScalarOnly {
+  explicit ScalarOnly() = default;
+};
+inline constexpr ScalarOnly kScalarOnly{};
+
 template <typename P, typename Topo = RingTopology>
 class EnsembleRunner {
   static_assert(TopologyLike<Topo>);
+  friend class Runner<P, Topo>;
 
  public:
   using State = typename P::State;
@@ -183,8 +172,8 @@ class EnsembleRunner {
   /// are ring math); the LUT lane, by contrast, is topology-generic.
   static constexpr bool kWordable =
       WordKernelRunnable<P> && std::is_same_v<Topo, RingTopology>;
-  using WordLayout = typename detail::WordLayoutOf<P>::type;
-  using WordConsts = typename detail::WordConstsOf<P>::type;
+  using WordLayout = typename detail::WordTypesOf<P>::Layout;
+  using WordConsts = typename detail::WordTypesOf<P>::Consts;
 
   /// Pair-space cap for the transition table: 2^16 pairs = 512 KiB of
   /// entries. Above that the table thrashes the cache and the branchy
@@ -203,23 +192,25 @@ class EnsembleRunner {
   static constexpr int kWordCrossoverN = 512;
 
   explicit EnsembleRunner(Params params, int reserve_rings = 0)
-      : params_(std::move(params)),
-        topo_(params_.n),
-        bound_(static_cast<std::uint64_t>(topo_.arc_count(P::directed))),
-        threshold_(Xoshiro256pp::rejection_threshold(bound_)) {
-    init_modes(reserve_rings);
+      : params_(std::move(params)), topo_(params_.n) {
+    init_modes(reserve_rings, true);
   }
 
   /// Explicit-topology constructor (topologies that carry more than n).
   /// Throws std::invalid_argument unless topo.n() == params.n.
   EnsembleRunner(Topo topo, Params params, int reserve_rings = 0)
-      : params_(std::move(params)),
-        topo_(std::move(topo)),
-        bound_(static_cast<std::uint64_t>(topo_.arc_count(P::directed))),
-        threshold_(Xoshiro256pp::rejection_threshold(bound_)) {
-    if (topo_.n() != params_.n)
-      throw std::invalid_argument("EnsembleRunner: topology n != params.n");
-    init_modes(reserve_rings);
+      : params_(std::move(params)), topo_(std::move(topo)) {
+    init_modes(reserve_rings, true);
+  }
+
+  /// The ScalarOnly forms of the two constructors above.
+  EnsembleRunner(ScalarOnly, Params params, int reserve_rings = 0)
+      : params_(std::move(params)), topo_(params_.n) {
+    init_modes(reserve_rings, false);
+  }
+  EnsembleRunner(ScalarOnly, Topo topo, Params params, int reserve_rings = 0)
+      : params_(std::move(params)), topo_(std::move(topo)) {
+    init_modes(reserve_rings, false);
   }
 
   /// Append one ring initialized from `initial`, seeded exactly like
@@ -315,19 +306,18 @@ class EnsembleRunner {
 
   [[nodiscard]] const Topo& topology() const noexcept { return topo_; }
 
-  /// Oracle delay for every ring, current and future (mirrors
-  /// Runner::set_oracle_delay).
+  /// Oracle delay for every ring, current and future: steps of
+  /// uninterrupted leaderlessness before Omega? reports absence. 0 =
+  /// immediate reporting, the paper's Table-1 regime.
   void set_oracle_delay(std::uint64_t d) noexcept {
     oracle_delay_ = d;
     for (RingClock& c : clocks_) c.oracle_delay = d;
   }
 
   /// Configure the scheduler fault models for every ring, current and
-  /// future (see core::SchedulerFaults and Runner::set_scheduler_faults).
-  /// Every ring's loss stream is (re)derived as stream_seed(ring_seed,
-  /// kLossStreamTag),
-  /// so ring r's faulted trajectory stays bit-identical to a standalone
-  /// Runner constructed with the same seed and faults. Active faults
+  /// future (see core::SchedulerFaults). Every ring's loss stream is
+  /// (re)derived as stream_seed(ring_seed, kLossStreamTag), so configuring
+  /// faults then running is deterministic per seed. Active faults
   /// permanently drop the ensemble to the generic path (the accelerated
   /// lanes assume the clean uniform scheduler). Invalid inputs throw
   /// std::invalid_argument (SchedulerFaults::validate).
@@ -339,7 +329,10 @@ class EnsembleRunner {
     sched_active_ = loss_threshold_ != 0 || !bias_.empty();
     for (std::size_t r = 0; r < seeds_.size(); ++r)
       loss_rngs_[r] = Xoshiro256pp(stream_seed(seeds_[r], kLossStreamTag));
-    if (sched_active_) force_generic_path();
+    if (sched_active_) {
+      deactivate_lut();
+      deactivate_word();
+    }
   }
 
   /// True when a scheduler fault model (loss or bias) is configured.
@@ -347,25 +340,17 @@ class EnsembleRunner {
     return sched_active_;
   }
 
-  /// Permanently leave every accelerated mode (LUT and word kernel; no-op
-  /// when already generic): every subsequent interaction goes through the
-  /// shared InteractionEngine fast path. Trajectories are bit-identical
-  /// either way — this exists so the differential fuzz harness
-  /// (src/verification/differential.hpp) can drive the generic and
-  /// accelerated kernels side by side on protocols where the accelerator
-  /// would otherwise always win.
-  void force_generic_path() {
-    deactivate_lut();
-    deactivate_word();
-  }
-
-  /// Fault injection into ring r, delta-census, identical to
-  /// Runner::set_agent. The ring is never unpacked: a mirror-owned ring
-  /// decodes only the overwritten slot for the census delta and takes the
-  /// packed value (its States stay stale); otherwise the State is written.
-  /// On an accelerated lane the injected state must round-trip the packing;
-  /// otherwise the ensemble drops to the generic path (still exact, just
-  /// slower).
+  /// Fault injection into ring r, delta-census: O(1), no recount. The
+  /// injection counts as a change of the leader set at the current step
+  /// when it flips the agent's leader output. Injecting into an
+  /// already-leaderless ring does not restart the Omega? leaderless clock,
+  /// and injecting the last leader away starts it at the current step,
+  /// exactly as a transition would. The ring is never unpacked: a
+  /// mirror-owned ring decodes only the overwritten slot for the census
+  /// delta and takes the packed value (its States stay stale); otherwise
+  /// the State is written. On an accelerated lane the injected state must
+  /// round-trip the packing; otherwise the ensemble drops to the generic
+  /// path (still exact, just slower).
   void set_agent(int r, int i, const State& s) {
     check_agent(i);
     const std::size_t slot =
@@ -424,13 +409,13 @@ class EnsembleRunner {
   /// injection at a precise step).
   void run_ring(int r, std::uint64_t k) { advance_ring(check_ring(r), k); }
 
-  /// Per-ring Runner::run_until over the whole ensemble: for every ring,
-  /// check `pred` up front, then run blocks of `check_every` (0 = every ~n)
-  /// against a per-ring deadline of `max_steps` further interactions
-  /// (saturating at npos), retiring rings from a compacted active set as
-  /// they hit the predicate or the deadline. Returns, per ring, the step
-  /// count at the first satisfied check (exactly Runner::run_until's value)
-  /// or npos on timeout. A predicate invocable with a WordRingView<P> is
+  /// Run-until over the whole ensemble: for every ring, check `pred` up
+  /// front, then run blocks of `check_every` (0 = every ~n) against a
+  /// per-ring deadline of `max_steps` further interactions (saturating at
+  /// npos), retiring rings from a compacted active set as they hit the
+  /// predicate or the deadline. Returns, per ring, the step count at the
+  /// first satisfied check or npos on timeout (Runner::run_until is ring 0
+  /// of this). A predicate invocable with a WordRingView<P> is
   /// handed a word-owned ring's u64 mirror instead of agents(r) (satisfied).
   template <typename Pred>
   [[nodiscard]] std::vector<std::uint64_t> run_until_each(
@@ -476,6 +461,7 @@ class EnsembleRunner {
         hits[ri] = clocks_[ri].steps;
         continue;
       }
+      if (max_steps == 0) continue;  // no budget: timeout, no second check
       deadline[ri] = detail::run_until_deadline(clocks_[ri].steps, max_steps);
       rings[w++] = r;
     }
@@ -525,15 +511,19 @@ class EnsembleRunner {
   }
 
  private:
-  /// Shared constructor tail: storage reservation and accelerator-mode
-  /// probing (LUT, then the ring-only word lanes).
-  void init_modes(int reserve_rings) {
+  /// Shared constructor tail: topology check, storage reservation and, when
+  /// `accelerate`, accelerator-mode probing (LUT, then the ring-only word
+  /// lanes).
+  void init_modes(int reserve_rings, bool accelerate) {
+    if (topo_.n() != params_.n)
+      throw std::invalid_argument("EnsembleRunner: topology n != params.n");
     if (reserve_rings > 0) {
       const auto r = static_cast<std::size_t>(reserve_rings);
       states_.reserve(r * static_cast<std::size_t>(params_.n));
       clocks_.reserve(r);
       rngs_.reserve(r);
     }
+    if (!accelerate) return;
     if constexpr (kPackable) build_lut();
     if constexpr (kWordable) {
       if (!lut_active_) {
@@ -676,6 +666,18 @@ class EnsembleRunner {
     }
     lut_states_ = S;
     lut_active_ = true;
+  }
+
+  /// Runner's reference path (step, run_unbatched, apply_arc): one
+  /// `bounded` draw from ring r's stream, and InteractionEngine::apply_arc on
+  /// its States, which only a ScalarOnly ensemble keeps authoritative.
+  [[nodiscard]] int draw_arc(int r) {
+    const auto ri = static_cast<std::size_t>(r);
+    return static_cast<int>(rngs_[ri].bounded(bound_));
+  }
+  void apply_arc(int r, int arc) {
+    Engine::apply_arc(states_.data() + ring_offset(r), topo_.endpoints(arc),
+                      params_, clocks_[static_cast<std::size_t>(r)]);
   }
 
   /// Leave packed mode permanently: materialize every mirror-owned ring's
@@ -891,8 +893,9 @@ class EnsembleRunner {
 
   Params params_;
   Topo topo_;  ///< after params_: the (Params, int) ctor builds it from .n
-  std::uint64_t bound_;
-  std::uint64_t threshold_;
+  std::uint64_t bound_ =
+      static_cast<std::uint64_t>(topo_.arc_count(P::directed));
+  std::uint64_t threshold_ = Xoshiro256pp::rejection_threshold(bound_);
   std::uint64_t oracle_delay_ = 0;
   std::vector<std::uint64_t> seeds_;     ///< per-ring origin seeds
   std::vector<Xoshiro256pp> loss_rngs_;  ///< per-ring omission streams
@@ -919,45 +922,36 @@ class EnsembleRunner {
   bool word_active_ = false;        ///< word-kernel lane drives the hot loop
 };
 
-/// Mutable view of one *running* ring — the engine-agnostic surface fault
-/// injectors need (analysis/scenario.hpp's ScenarioSpec::inject). Wraps
-/// either a standalone Runner or one ring of an EnsembleRunner, so the same
-/// injection code serves both the per-trial reference path and the
-/// trial-batched campaign path. Two pointers wide; pass by value.
+/// Mutable view of one *running* ring of an EnsembleRunner — the surface
+/// fault injectors need (analysis/scenario.hpp's ScenarioSpec::inject). A
+/// Runner is viewed as its ensemble's ring 0, so one injector serves the
+/// per-trial reference path and the campaign path. Pass by value.
 template <typename P, typename Topo = RingTopology>
 class RingView {
  public:
   using State = typename P::State;
   using Params = typename P::Params;
 
-  explicit RingView(Runner<P, Topo>& runner) noexcept : runner_(&runner) {}
+  explicit RingView(Runner<P, Topo>& runner) noexcept
+      : RingView(runner.ring_, 0) {}
   RingView(EnsembleRunner<P, Topo>& ensemble, int ring) noexcept
       : ensemble_(&ensemble), ring_(ring) {}
 
   [[nodiscard]] const Params& params() const noexcept {
-    return runner_ != nullptr ? runner_->params() : ensemble_->params();
+    return ensemble_->params();
   }
   [[nodiscard]] int n() const noexcept { return params().n; }
   [[nodiscard]] std::span<const State> agents() const {
-    return runner_ != nullptr ? runner_->agents() : ensemble_->agents(ring_);
+    return ensemble_->agents(ring_);
   }
-  [[nodiscard]] std::uint64_t steps() const {
-    return runner_ != nullptr ? runner_->steps() : ensemble_->steps(ring_);
-  }
+  [[nodiscard]] std::uint64_t steps() const { return ensemble_->steps(ring_); }
 
-  /// Fault injection (delta census in both engines).
-  void set_agent(int i, const State& s) {
-    if (runner_ != nullptr) {
-      runner_->set_agent(i, s);
-    } else {
-      ensemble_->set_agent(ring_, i, s);
-    }
-  }
+  /// Fault injection (delta census).
+  void set_agent(int i, const State& s) { ensemble_->set_agent(ring_, i, s); }
 
  private:
-  Runner<P, Topo>* runner_ = nullptr;
-  EnsembleRunner<P, Topo>* ensemble_ = nullptr;
-  int ring_ = 0;
+  EnsembleRunner<P, Topo>* ensemble_;
+  int ring_;
 };
 
 }  // namespace ppsim::core

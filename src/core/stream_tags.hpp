@@ -52,7 +52,7 @@ inline constexpr std::uint64_t kFaults = 0xFA5EEDULL;
 
 /// Omission / message-loss stream: an engine seeded with `seed` draws its
 /// loss events from Xoshiro256pp(stream_seed(seed, kLoss)) so enabling loss
-/// never perturbs the arc-draw stream (core/runner.hpp kLossStreamTag,
+/// never perturbs the arc-draw stream (core/interaction.hpp kLossStreamTag,
 /// core/ensemble.hpp, the differential mirror).
 inline constexpr std::uint64_t kLoss = 0x1055ULL;
 

@@ -1,5 +1,5 @@
 // Lane abstraction for word-packed transition kernels (see
-// pl/packed_protocol.hpp and the WordGroupDriver in core/runner.hpp).
+// pl/packed_protocol.hpp and the WordGroupDriver in core/word_driver.hpp).
 //
 // A branchless word kernel is pure dataflow over 64-bit words, so the same
 // source can execute one interaction per call (lane type = uint64_t) or

@@ -5,8 +5,9 @@
 // per step for the same (params, initial configuration, seed):
 //
 //   A  Runner::run_unbatched   — the reference scheduler path
-//   B  Runner::run             — the fused scalar fast path (delta census)
-//   C  EnsembleRunner, generic — the shared InteractionEngine loop
+//   B  Runner::run             — the fused scalar fast path: the ensemble's
+//                                scalar loop on Runner's ScalarOnly ring 0
+//   C  EnsembleRunner, generic — the same loop, built core::kScalarOnly
 //   D  EnsembleRunner, packed  — the accelerated ensemble lane: the
 //                                pair-transition LUT (HasPackedStates) or
 //                                the word-kernel lane (core::HasWordKernel,
@@ -209,8 +210,7 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
   // Lanes A-D.
   core::Runner<P, Topo> lane_a(params, initial, cfg.seed);
   core::Runner<P, Topo> lane_b(params, initial, cfg.seed);
-  core::EnsembleRunner<P, Topo> lane_c(params, 1);
-  lane_c.force_generic_path();
+  core::EnsembleRunner<P, Topo> lane_c(core::kScalarOnly, params, 1);
   lane_c.add_ring(initial, cfg.seed);
   core::EnsembleRunner<P, Topo> lane_d(params, 1);
   lane_d.add_ring(initial, cfg.seed);

@@ -312,6 +312,28 @@ TEST(EnsembleRunner, PackedModeDrivesModkBitIdentically) {
   }
 }
 
+TEST(EnsembleRunner, ScalarOnlyBuildsNoLutAndTracksThePackedLane) {
+  // kScalarOnly (Runner's ring 0, differential lane C) never builds the
+  // LUT, its ring owns its States, and it tracks the packed lane step for
+  // step. tests/core/word_kernel_test.cpp covers the word lane.
+  const auto p = baselines::ModkParams::make(17, 2);
+  core::Xoshiro256pp rng(17);
+  const auto init = baselines::modk_random_config(p, rng);
+  EnsembleRunner<baselines::Modk> packed(p, 1);
+  EnsembleRunner<baselines::Modk> scalar(kScalarOnly, p, 1);
+  packed.add_ring(init, 5);
+  scalar.add_ring(init, 5);
+  ASSERT_TRUE(packed.packed_mode());
+  ASSERT_FALSE(scalar.packed_mode());
+  packed.run(3000);
+  scalar.run(3000);
+  EXPECT_EQ(scalar.ring_owner(0), RingOwner::kStates);
+  EXPECT_EQ(scalar.leader_count(0), packed.leader_count(0));
+  EXPECT_EQ(scalar.last_leader_change(0), packed.last_leader_change(0));
+  for (int i = 0; i < p.n; ++i)
+    ASSERT_EQ(scalar.agent(0, i), packed.agent(0, i)) << "agent " << i;
+}
+
 TEST(EnsembleRunner, OutOfDomainFaultFallsBackToGenericPathExactly) {
   // A state outside the canonical enumeration (lab >= k) cannot be packed;
   // the ensemble must drop to the generic path — permanently — and keep

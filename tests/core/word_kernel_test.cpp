@@ -172,8 +172,7 @@ TEST(WordKernelEnsemble, KernelLaneMatchesGenericLaneAndRunner) {
     const int R = 11;  // not a multiple of the lane width: leftover rings
                        // (on the scalar loop at these n)
     EnsembleRunner<PlProtocol> word(p, R);
-    EnsembleRunner<PlProtocol> generic(p, R);
-    generic.force_generic_path();
+    EnsembleRunner<PlProtocol> generic(core::kScalarOnly, p, R);
     std::vector<Runner<PlProtocol>> refs;
     for (int t = 0; t < R; ++t) {
       core::Xoshiro256pp cfg(50 + t);
