@@ -296,6 +296,21 @@ void inject_random_faults(core::Runner<P, Topo>& runner, int faults,
   inject_random_faults(core::RingView<P, Topo>(runner), faults, rng);
 }
 
+/// The default recovery predicate of make_recovery_scenario: membership in
+/// Adversary<P>'s safe set. Generic over the configuration type, so it
+/// carries the word-view overload exactly when Adversary<P> has one (P_PL).
+/// Every study safe set opens with "exactly one leader", which
+/// unique_leader() declares (core::requires_unique_leader).
+template <typename P>
+struct InSafeSet {
+  static constexpr bool unique_leader() noexcept { return true; }
+  template <typename Config>
+  auto operator()(const Config& c, const typename P::Params& p) const
+      -> decltype(Adversary<P>::recovered(c, p)) {
+    return Adversary<P>::recovered(c, p);
+  }
+};
+
 /// The standard recovery scenario for protocol P: stabilize from a converged
 /// configuration (leader at a random position), run `schedule`, recover to
 /// the protocol's safe set. `name` should identify the schedule shape
@@ -316,12 +331,7 @@ template <typename P, typename Topo = core::RingTopology>
                    core::Xoshiro256pp& rng) {
     inject_random_faults(r, faults, rng);
   };
-  // Generic over the configuration type, so the predicate carries the
-  // word-view overload exactly when Adversary<P> has one (P_PL).
-  spec.recovered = [](const auto& c, const typename P::Params& p)
-      -> decltype(Adversary<P>::recovered(c, p)) {
-    return Adversary<P>::recovered(c, p);
-  };
+  spec.recovered = InSafeSet<P>{};
   spec.plan = plan;
   return spec;
 }

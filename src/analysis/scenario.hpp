@@ -44,10 +44,16 @@
 // (the way pl::SafePredicate carries both). A span-only lambda assigns to
 // it unchanged. Given a view overload, a check on a ring whose u64 words
 // own it reads them in place (EnsembleRunner::run_until_each); otherwise it
-// reads the ring's States. make_recovery_scenario's default predicate
-// carries the view for P_PL. measure_recovery and recovery_trial reject an
-// empty `initial` or `recovered`, or an empty `inject` with a non-empty
-// schedule, with std::invalid_argument before any trial runs.
+// reads the ring's States. It also carries the unique-leader trait of the
+// callable it was built from: when that callable declares unique_leader(),
+// a check on a ring whose leader census is not 1 fails in O(1), before any
+// unpack or walk. make_recovery_scenario's default predicate (InSafeSet)
+// declares the trait for all four protocols and carries the view for P_PL;
+// a lambda, or a wrapper around the default, carries neither unless it
+// forwards them, and is called on every check. measure_recovery and
+// recovery_trial reject an empty `initial` or `recovered`, or an empty
+// `inject` with a non-empty schedule, with std::invalid_argument before any
+// trial runs.
 //
 // Quantization: both run_until phases check the predicate every
 // `plan.check_every` steps (0 = every ~n), so stabilization and recovery
@@ -146,7 +152,11 @@ struct TrialPlan {
 /// (span, params); the view slot is filled when that callable is also
 /// invocable with (view, params), so a span-only lambda assigns unchanged
 /// and simply carries no view. Protocols without a word kernel have no view
-/// slot at all.
+/// slot at all. The unique-leader trait is carried the same way: built
+/// from a callable that declares unique_leader() (pl::SafePredicate,
+/// InSafeSet), the predicate reports the callable's value, so
+/// run_until_each can reject a ring from its leader census; built from
+/// anything else, it reports false and every check calls it.
 template <typename P>
 class RecoveryPredicate {
  public:
@@ -168,6 +178,7 @@ class RecoveryPredicate {
                                           const Params&>)
         view_ = f;
     }
+    unique_leader_ = core::requires_unique_leader(f);
     span_ = std::forward<F>(f);
   }
 
@@ -183,6 +194,10 @@ class RecoveryPredicate {
     }
   }
 
+  /// True when the callable it was built from declares unique_leader()
+  /// (core::requires_unique_leader reads this).
+  [[nodiscard]] bool unique_leader() const noexcept { return unique_leader_; }
+
   bool operator()(Span c, const Params& p) const { return span_(c, p); }
   /// Requires has_view().
   bool operator()(const View& c, const Params& p) const
@@ -197,6 +212,7 @@ class RecoveryPredicate {
   [[no_unique_address]] std::conditional_t<
       kHasViewSlot, std::function<bool(const View&, const Params&)>, NoView>
       view_;
+  bool unique_leader_ = false;
 };
 
 /// Declarative recovery scenario for protocol P. `initial` draws the

@@ -56,13 +56,20 @@
 //
 // run_until_each retires converged or timed-out rings from a compacted
 // active index array, so a few slow rings never pay for the fast majority.
-// A check reads whichever copy the ring owns: a predicate that accepts a
-// WordRingView reads a word-owned ring's u64 mirror in place
+// A check first consults the ring's leader census: a predicate that
+// declares unique_leader() (requires_unique_leader: pl::SafePredicate,
+// pl::UniqueLeaderPredicate, make_recovery_scenario's default) is rejected
+// in O(1) when that count is not 1, with no unpack and no walk. Every study
+// safe set opens with that clause, so most failing checks end there (modk:
+// 99.9% of recovery_mix's). A lambda or wrapper without the member is never
+// gated. Any other check reads whichever copy the ring owns: a predicate
+// that accepts a WordRingView reads a word-owned ring's u64 mirror in place
 // (pl::SafePredicate, and analysis::RecoveryPredicate when it carries a view
 // overload); every other check reads the State block.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <concepts>
 #include <cstdint>
 #include <limits>
@@ -81,6 +88,24 @@ namespace ppsim::core {
 
 template <typename P, typename Topo>
 class Runner;  // core/runner.hpp: ring 0 of a ScalarOnly EnsembleRunner
+
+/// Whether `pred` declares the unique-leader clause: it has a
+/// unique_leader() member that returns true, a promise that it accepts no
+/// configuration whose P::is_leader count is not exactly 1
+/// (pl::SafePredicate, analysis::RecoveryPredicate built from such a
+/// callable). run_until_each then rejects a ring from its leader census
+/// alone. A predicate without the member (any lambda, any wrapper that does
+/// not forward it) is never gated.
+template <typename Pred>
+[[nodiscard]] bool requires_unique_leader(const Pred& pred) noexcept {
+  if constexpr (requires {
+                  { pred.unique_leader() } -> std::convertible_to<bool>;
+                }) {
+    return pred.unique_leader();
+  } else {
+    return false;
+  }
+}
 
 /// Protocols with a canonical enumeration of their per-agent state space:
 /// pack_state is injective on the domain, unpack_state is its inverse, and
@@ -415,8 +440,10 @@ class EnsembleRunner {
   /// npos), retiring rings from a compacted active set as they hit the
   /// predicate or the deadline. Returns, per ring, the step count at the
   /// first satisfied check or npos on timeout (Runner::run_until is ring 0
-  /// of this). A predicate invocable with a WordRingView<P> is
-  /// handed a word-owned ring's u64 mirror instead of agents(r) (satisfied).
+  /// of this). A predicate that declares unique_leader() fails without
+  /// being called while the ring's leader census is not 1; a predicate
+  /// invocable with a WordRingView<P> is handed a word-owned ring's u64
+  /// mirror instead of agents(r) (satisfied).
   template <typename Pred>
   [[nodiscard]] std::vector<std::uint64_t> run_until_each(
       Pred&& pred, std::uint64_t max_steps, std::uint64_t check_every = 0) {
@@ -572,12 +599,23 @@ class EnsembleRunner {
     return clocks_[static_cast<std::size_t>(check_ring(r))];
   }
 
-  /// One run_until_each check of ring r, on whichever copy owns it: a
+  /// One run_until_each check of ring r. A predicate that declares
+  /// unique_leader() (requires_unique_leader) is rejected from the ring's
+  /// leader census when that count is not 1, before any copy is read; in
+  /// Debug builds an assert confirms the full predicate rejects the ring
+  /// too. Otherwise the check runs on whichever copy owns the ring: a
   /// word-owned ring hands a predicate that takes a WordRingView its u64
   /// mirror in place, and its State block stays unsynced. Every other check
   /// gets agents(r), which unpacks only a mirror-owned ring.
   template <typename Pred>
   [[nodiscard]] bool satisfied(Pred& pred, int r) const {
+    if constexpr (HasLeaderOutput<P>) {
+      if (clocks_[static_cast<std::size_t>(r)].leader_count != 1 &&
+          requires_unique_leader(pred)) {
+        assert(!pred(std::span<const State>(states_copy(r)), params_));
+        return false;
+      }
+    }
     if constexpr (kWordable) {
       if constexpr (std::is_invocable_r_v<bool, Pred&,
                                           const WordRingView<P>&,
@@ -709,21 +747,44 @@ class EnsembleRunner {
     if constexpr (kPackable || kWordable) {
       const auto ri = static_cast<std::size_t>(r);
       if (owner_[ri] != RingOwner::kMirror) return;
-      const std::size_t off = ring_offset(r);
-      for (int i = 0; i < params_.n; ++i) {
-        const std::size_t slot = off + static_cast<std::size_t>(i);
-        if constexpr (kPackable) {
-          if (lut_active_) {
-            states_[slot] = P::unpack_state(packed_[slot], params_);
-            continue;
-          }
-        }
-        if constexpr (kWordable) {
-          states_[slot] = P::unpack_word(words_[slot], layout_);
-        }
-      }
+      decode_ring(r, states_.data() + ring_offset(r));
       owner_[ri] = RingOwner::kBoth;
     }
+  }
+
+  /// Decode ring r's n agents from the active mirror into `out`.
+  void decode_ring(int r, State* out) const
+    requires(kPackable || kWordable)
+  {
+    const std::size_t off = ring_offset(r);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(params_.n); ++i) {
+      if constexpr (kPackable) {
+        if (lut_active_) {
+          out[i] = P::unpack_state(packed_[off + i], params_);
+          continue;
+        }
+      }
+      if constexpr (kWordable) {
+        out[i] = P::unpack_word(words_[off + i], layout_);
+      }
+    }
+  }
+
+  /// Ring r's States for a Debug-only check, without the kMirror -> kBoth
+  /// transition agents(r) would make: a mirror-owned ring is decoded into a
+  /// copy, so Debug builds keep the owner transitions Release builds take.
+  [[nodiscard]] std::vector<State> states_copy(int r) const {
+    const auto n = static_cast<std::size_t>(params_.n);
+    if constexpr (kPackable || kWordable) {
+      if (owner_[static_cast<std::size_t>(r)] == RingOwner::kMirror) {
+        std::vector<State> out(n);
+        decode_ring(r, out.data());
+        return out;
+      }
+    }
+    const auto first = states_.begin() +
+                       static_cast<std::ptrdiff_t>(ring_offset(r));
+    return {first, first + static_cast<std::ptrdiff_t>(n)};
   }
 
   /// Census delta and State write of one injection into `slot` of ring r,

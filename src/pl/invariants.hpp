@@ -141,14 +141,19 @@ struct SafetyVerdict {
 
 /// Predicates in the shape core::Runner::run_until expects. SafePredicate
 /// also takes the word view, which EnsembleRunner::run_until_each prefers on
-/// its word lane (no sync_ring unpack per check).
+/// its word lane (no sync_ring unpack per check). Both predicates below
+/// accept only configurations with exactly one leader and say so with
+/// unique_leader(), so run_until_each rejects a ring whose leader census is
+/// not 1 without calling them (core::requires_unique_leader).
 struct SafePredicate {
+  static constexpr bool unique_leader() noexcept { return true; }
   bool operator()(Config c, const PlParams& p) const { return is_safe(c, p); }
   bool operator()(const WordConfig& c, const PlParams& p) const {
     return is_safe(c, p);
   }
 };
 struct UniqueLeaderPredicate {
+  static constexpr bool unique_leader() noexcept { return true; }
   bool operator()(Config c, const PlParams&) const {
     return count_leaders(c) == 1;
   }

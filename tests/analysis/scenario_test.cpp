@@ -1,16 +1,23 @@
 // Scenario campaign engine: determinism across thread counts, recovery
 // semantics of the phase diagram (stabilize -> inject -> recover), the
-// protocol-agnostic adversary layer, the campaign driver, and the release
-// checks on a spec's callbacks.
+// protocol-agnostic adversary layer, the campaign driver, the release
+// checks on a spec's callbacks, and the unique-leader census gate.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "analysis/adversary.hpp"
 #include "analysis/scenario.hpp"
+#include "pl/packed_state.hpp"
 #include "pl/params.hpp"
 #include "pl/protocol.hpp"
 
@@ -333,6 +340,258 @@ TEST(Adversary, InjectRandomFaultsKeepsCensusConsistent) {
                                   runner.agents().end()),
       1);
   EXPECT_EQ(runner.leader_count(), fresh.leader_count());
+}
+
+// --- The unique-leader trait (core::requires_unique_leader) ---------------
+//
+// A predicate that declares unique_leader() is rejected from the ring's
+// leader census, without being called, whenever that count is not 1. The
+// trait must be honest (no declaring predicate accepts such a ring), the
+// gate must not change a result, and predicates without the member must
+// stay ungated.
+
+template <typename P>
+int leaders_of(std::span<const typename P::State> c,
+               const typename P::Params& p) {
+  int k = 0;
+  for (const auto& s : c) k += P::is_leader(s, p) ? 1 : 0;
+  return k;
+}
+
+/// Applies every predicate of P that declares unique_leader() to `c`; none
+/// may accept it when its leader count is not 1. Returns whether it was such
+/// a configuration.
+template <typename P>
+bool expect_trait_honest(const std::vector<typename P::State>& config,
+                         const typename P::Params& p,
+                         const std::string& what) {
+  const std::span<const typename P::State> c(config);
+  if (leaders_of<P>(c, p) == 1) return false;
+  const RecoveryPredicate<P> recovered =
+      make_recovery_scenario<P>("trait", {}, TrialPlan{}).recovered;
+  EXPECT_TRUE(recovered.unique_leader());
+  EXPECT_FALSE(recovered(c, p)) << what;
+  EXPECT_FALSE(InSafeSet<P>{}(c, p)) << what;
+  if constexpr (std::is_same_v<P, pl::PlProtocol>) {
+    const pl::PackedLayout l = pl::PackedLayout::make(p);
+    std::vector<std::uint64_t> words;
+    for (const pl::PlState& s : c) words.push_back(pl::pack_word(s, l));
+    const pl::WordConfig view(words, l);
+    EXPECT_FALSE(recovered(view, p)) << what;
+    EXPECT_FALSE(InSafeSet<P>{}(view, p)) << what;
+    EXPECT_FALSE(pl::SafePredicate{}(c, p)) << what;
+    EXPECT_FALSE(pl::SafePredicate{}(view, p)) << what;
+    EXPECT_FALSE(pl::UniqueLeaderPredicate{}(c, p)) << what;
+  }
+  return true;
+}
+
+/// Every family, 1000 random configurations and 4 x 250 safe
+/// configurations corrupted with 1-4 faults, at n = p.n.
+template <typename P>
+void expect_trait_honest_at(const typename P::Params& p) {
+  const std::string at = " n=" + std::to_string(p.n);
+  int gated = 0;
+  for (const auto& fam : Adversary<P>::families()) {
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+      core::Xoshiro256pp rng(seed);
+      gated += expect_trait_honest<P>(fam.make(p, rng), p, fam.name + at);
+    }
+  }
+  core::Xoshiro256pp rng(31);
+  for (int i = 0; i < 1000; ++i)
+    gated += expect_trait_honest<P>(Adversary<P>::random_config(p, rng), p,
+                                    "random " + std::to_string(i) + at);
+  int corrupted = 0;
+  for (int faults = 1; faults <= 4; ++faults) {
+    for (int i = 0; i < 250; ++i) {
+      auto c = Adversary<P>::safe_config(p, rng);
+      corrupt_config<P>(c, p, faults, rng);
+      corrupted += expect_trait_honest<P>(
+          c, p, "safe + " + std::to_string(faults) + " faults" + at);
+    }
+  }
+  // Not vacuous: most random rings and some corrupted ones are gated.
+  EXPECT_GT(gated, 900) << at;
+  EXPECT_GT(corrupted, 0) << at;
+}
+
+TEST(UniqueLeaderTrait, DeclaringPredicatesRejectEveryOtherLeaderCount) {
+  static_assert(pl::SafePredicate::unique_leader());
+  static_assert(pl::UniqueLeaderPredicate::unique_leader());
+  for (int n : {16, 64}) {
+    expect_trait_honest_at<pl::PlProtocol>(pl::PlParams::make(n, 4));
+    expect_trait_honest_at<baselines::Modk>(baselines::ModkParams::make(n, 3));
+    expect_trait_honest_at<baselines::Yokota28>(baselines::Y28Params::make(n));
+    expect_trait_honest_at<baselines::FischerJiang>(
+        baselines::FjParams::make(n));
+  }
+}
+
+/// `spec` with make_recovery_scenario's default predicate behind a
+/// span-only lambda: no view, no trait, called on every check.
+template <typename P>
+ScenarioSpec<P> stripped(ScenarioSpec<P> spec) {
+  spec.recovered = [](std::span<const typename P::State> c,
+                      const typename P::Params& p) {
+    return Adversary<P>::recovered(c, p);
+  };
+  return spec;
+}
+
+void expect_same_stats(const RecoveryStats& a, const RecoveryStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.trials, b.trials) << what;
+  EXPECT_EQ(a.stabilization_failures, b.stabilization_failures) << what;
+  EXPECT_EQ(a.recovery_failures, b.recovery_failures) << what;
+  EXPECT_EQ(a.raw, b.raw) << what;
+  for (const auto& [x, y] : {std::pair{a.recovery, b.recovery},
+                             {a.stabilization, b.stabilization}}) {
+    EXPECT_EQ(x.count, y.count) << what;
+    EXPECT_EQ(x.mean, y.mean) << what;
+    EXPECT_EQ(x.median, y.median) << what;
+    EXPECT_EQ(x.max, y.max) << what;
+  }
+}
+
+/// The gated default spec and its stripped twin give identical
+/// RecoveryStats at 1 and 3 threads, clean and under scheduler loss (the
+/// generic lane's faulted census), and identical per-trial reference runs.
+template <typename P>
+void expect_gate_invisible(const typename P::Params& params,
+                           std::uint64_t max_steps, std::uint64_t tag_base) {
+  for (const double loss : {0.0, 0.1}) {
+    for (int threads : {1, 3}) {
+      TrialPlan plan;
+      plan.trials = 12;
+      plan.max_steps = max_steps;
+      plan.seed_base = 21;
+      plan.tag = campaign_tag(tag_base, params.n, 4);
+      plan.threads = threads;
+      auto spec = make_recovery_scenario<P>(
+          "storm", storm_schedule(4, static_cast<std::uint64_t>(params.n)),
+          plan);
+      spec.sched_faults.loss_p = loss;
+      const auto plain = stripped(spec);
+      ASSERT_TRUE(spec.recovered.unique_leader());
+      ASSERT_FALSE(plain.recovered.unique_leader());
+      const std::string what = "n=" + std::to_string(params.n) +
+                               " loss=" + std::to_string(loss) +
+                               " threads=" + std::to_string(threads);
+      const auto gated = measure_recovery<P>(params, spec);
+      EXPECT_EQ(gated.stabilization_failures, 0) << what;
+      EXPECT_FALSE(gated.raw.empty()) << what;
+      expect_same_stats(gated, measure_recovery<P>(params, plain), what);
+      if (threads != 1) continue;
+      for (std::uint64_t t = 0; t < 3; ++t) {
+        const auto a = detail::recovery_trial<P>(params, spec, t);
+        const auto b = detail::recovery_trial<P>(params, plain, t);
+        EXPECT_EQ(a.stabilized, b.stabilized) << what;
+        EXPECT_EQ(a.healed, b.healed) << what;
+        EXPECT_EQ(a.stabilize_steps, b.stabilize_steps) << what;
+        EXPECT_EQ(a.recovery_steps, b.recovery_steps) << what;
+      }
+    }
+  }
+}
+
+TEST(UniqueLeaderTrait, GateLeavesRecoveryStatsUnchanged) {
+  const auto pl_p = pl::PlParams::make(16, 4);
+  expect_gate_invisible<pl::PlProtocol>(pl_p, budget(pl_p.n, pl_p.kappa_max),
+                                        11);
+  expect_gate_invisible<baselines::Modk>(baselines::ModkParams::make(15, 2),
+                                         50'000'000, 12);
+  expect_gate_invisible<baselines::Yokota28>(baselines::Y28Params::make(16),
+                                             50'000'000, 13);
+  expect_gate_invisible<baselines::FischerJiang>(
+      baselines::FjParams::make(16), 50'000'000, 14);
+}
+
+/// Forwards to Adversary<Modk>::recovered and counts its calls; declares
+/// the trait when `kDeclares`.
+template <bool kDeclares>
+struct CountedModk {
+  std::atomic<std::uint64_t>* calls;
+  static constexpr bool unique_leader() noexcept { return kDeclares; }
+  bool operator()(std::span<const baselines::ModkState> c,
+                  const baselines::ModkParams& p) const {
+    calls->fetch_add(1, std::memory_order_relaxed);
+    return Adversary<baselines::Modk>::recovered(c, p);
+  }
+};
+
+TEST(UniqueLeaderTrait, GateSkipsMostModkChecks) {
+  const auto p = baselines::ModkParams::make(63, 2);
+  TrialPlan plan;
+  plan.trials = 16;
+  plan.max_steps = 50'000'000;
+  plan.seed_base = 22;
+  plan.tag = campaign_tag(15, p.n, 4);
+  plan.threads = 1;
+  auto spec = make_recovery_scenario<baselines::Modk>("burst",
+                                                      burst_schedule(4), plan);
+  std::atomic<std::uint64_t> gated_calls{0};
+  std::atomic<std::uint64_t> plain_calls{0};
+  spec.recovered = CountedModk<true>{&gated_calls};
+  ASSERT_TRUE(spec.recovered.unique_leader());
+  const auto gated = measure_recovery<baselines::Modk>(p, spec);
+  spec.recovered = CountedModk<false>{&plain_calls};
+  ASSERT_FALSE(spec.recovered.unique_leader());
+  const auto plain = measure_recovery<baselines::Modk>(p, spec);
+  expect_same_stats(gated, plain, "modk n=63");
+  EXPECT_EQ(gated.recovery_failures, 0);
+  EXPECT_GT(gated_calls.load(), 0u);
+#ifdef NDEBUG
+  EXPECT_GT(plain_calls.load(), 10 * gated_calls.load())
+      << plain_calls.load() << " vs " << gated_calls.load();
+#else
+  // Debug builds cross-check every census exit with one full call, so the
+  // gated predicate is called exactly as often as the ungated one.
+  EXPECT_EQ(plain_calls.load(), gated_calls.load());
+#endif
+}
+
+/// A span-only lambda that accepts a leaderless ring, and a
+/// RecoveryPredicate built from it, carry no trait: from a leaderless start
+/// both hit at step 0 through Runner::run_until and run_until_each.
+template <typename P>
+void expect_leaderless_hits_at_zero(const typename P::Params& p,
+                                    const std::vector<typename P::State>& c) {
+  ASSERT_EQ(leaders_of<P>(std::span<const typename P::State>(c), p), 0);
+  const auto leaderless = [](std::span<const typename P::State> a,
+                             const typename P::Params& q) {
+    return leaders_of<P>(a, q) == 0;
+  };
+  const RecoveryPredicate<P> erased = leaderless;
+  EXPECT_FALSE(core::requires_unique_leader(leaderless));
+  EXPECT_FALSE(core::requires_unique_leader(erased));
+  EXPECT_FALSE(erased.unique_leader());
+  const auto check = [&](const auto& pred) {
+    core::Runner<P> runner(p, c, 3);
+    EXPECT_EQ(runner.run_until(pred, 1000), std::optional<std::uint64_t>(0));
+    core::EnsembleRunner<P> ensemble(p, 9);
+    for (std::uint64_t r = 0; r < 9; ++r) ensemble.add_ring(c, 40 + r);
+    for (const std::uint64_t hit : ensemble.run_until_each(pred, 1000))
+      EXPECT_EQ(hit, 0u);
+  };
+  check(leaderless);
+  check(erased);
+}
+
+TEST(UniqueLeaderTrait, PredicatesWithoutTheTraitStayUngated) {
+  const auto pl_p = pl::PlParams::make(16, 4);
+  expect_leaderless_hits_at_zero<pl::PlProtocol>(
+      pl_p, pl::leaderless_consistent(pl_p, 0));
+  const auto modk_p = baselines::ModkParams::make(15, 2);
+  expect_leaderless_hits_at_zero<baselines::Modk>(
+      modk_p,
+      std::vector<baselines::ModkState>(static_cast<std::size_t>(modk_p.n)));
+  // The declaring predicates are gated: the default recovery predicate
+  // reports the trait through RecoveryPredicate.
+  EXPECT_TRUE(core::requires_unique_leader(pl::SafePredicate{}));
+  EXPECT_TRUE(core::requires_unique_leader(
+      make_recovery_scenario<baselines::Modk>("t", {}, TrialPlan{})
+          .recovered));
 }
 
 }  // namespace
