@@ -1,18 +1,14 @@
-// E11 — engineering micro-benchmarks (google-benchmark): interactions per
-// second of each protocol's transition in the simulation hot loop, plus the
-// cost of the S_PL safety predicate.
+// Engineering micro-benchmarks (google-benchmark): the per-call cost of the
+// S_PL safety predicate on spans and on the word view, P_OR interactions
+// per second, and the bounded RNG draw. The other protocols' step loops are
+// timed by bench_throughput_json (BENCH_throughput.json).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "baselines/fischer_jiang.hpp"
-#include "baselines/modk.hpp"
-#include "baselines/yokota28.hpp"
-#include "core/ensemble.hpp"
 #include "core/runner.hpp"
 #include "orientation/por.hpp"
-#include "pl/adversary.hpp"
 #include "pl/invariants.hpp"
 #include "pl/packed_state.hpp"
 #include "pl/safe_config.hpp"
@@ -21,63 +17,7 @@ namespace {
 
 using namespace ppsim;
 
-// P_PL on its accelerated engine: a one-ring ensemble (the single-ring
-// grouped word driver).
-void BM_PlSteps(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto p = pl::PlParams::make(n, 4);
-  core::EnsembleRunner<pl::PlProtocol> run(p, 1);
-  run.add_ring(pl::make_safe_config(p), 1);
-  for (auto _ : state) {
-    run.run(1024);
-    benchmark::DoNotOptimize(run);
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_PlSteps)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_Yokota28Steps(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto p = baselines::Y28Params::make(n);
-  core::Xoshiro256pp rng(1);
-  core::Runner<baselines::Yokota28> run(
-      p, baselines::y28_random_config(p, rng), 1);
-  for (auto _ : state) {
-    run.run(1024);
-    benchmark::DoNotOptimize(run);
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_Yokota28Steps)->Arg(1024);
-
-void BM_FischerJiangSteps(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto p = baselines::FjParams::make(n);
-  core::Xoshiro256pp rng(1);
-  core::Runner<baselines::FischerJiang> run(
-      p, baselines::fj_random_config(p, rng), 1);
-  for (auto _ : state) {
-    run.run(1024);
-    benchmark::DoNotOptimize(run);
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_FischerJiangSteps)->Arg(1024);
-
-void BM_ModkSteps(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto p = baselines::ModkParams::make(n, 2);
-  core::Xoshiro256pp rng(1);
-  core::Runner<baselines::Modk> run(p, baselines::modk_random_config(p, rng),
-                                    1);
-  for (auto _ : state) {
-    run.run(1024);
-    benchmark::DoNotOptimize(run);
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_ModkSteps)->Arg(1025);
-
+// P_OR steps on Runner: no other harness times P_OR's transition.
 void BM_PorSteps(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto p = orient::OrParams::make(n);

@@ -62,7 +62,7 @@ std::uint64_t digest(const core::Runner<P>& r) {
          static_cast<std::uint64_t>(r.leader_count());
 }
 
-/// BM_PlSteps-equivalent workload for one protocol/config: warm up, then
+/// The fixed-step loop of one protocol/config: warm up, then
 /// time run_unbatched(k), run(k) and (word-kernel protocols) the one-ring
 /// ensemble's run(k) from the same warmed configuration.
 template <typename P>

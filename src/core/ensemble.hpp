@@ -159,8 +159,8 @@ enum class RingOwner : std::uint8_t {
 };
 
 /// Constructor tag: every ring runs the shared scalar loop, and no LUT or
-/// word layout is built. Runner is ring 0 of such an ensemble; differential
-/// lane C and the lane-equivalence tests use it as the generic reference.
+/// word layout is built. Runner is ring 0 of such an ensemble, so it is the
+/// generic reference that differential lanes A and B run on.
 struct ScalarOnly {
   explicit ScalarOnly() = default;
 };

@@ -1,13 +1,12 @@
 // Cross-engine differential fuzzing: replay one seed-determined execution
 // through every engine the repo has and assert they never disagree.
 //
-// The repo's determinism contract says these six lanes are bit-identical
+// The repo's determinism contract says these five lanes are bit-identical
 // per step for the same (params, initial configuration, seed):
 //
 //   A  Runner::run_unbatched   — the reference scheduler path
 //   B  Runner::run             — the fused scalar fast path: the ensemble's
 //                                scalar loop on Runner's ScalarOnly ring 0
-//   C  EnsembleRunner, generic — the same loop, built core::kScalarOnly
 //   D  EnsembleRunner, packed  — the accelerated ensemble lane: the
 //                                pair-transition LUT (HasPackedStates) or
 //                                the word-kernel lane (core::HasWordKernel,
@@ -34,8 +33,8 @@
 //                                scalar-stream-r RNG contract against
 //                                every scalar lane above
 //
-// There is no lane F: lane letters stay fixed so divergence messages keep
-// their meaning.
+// There is no lane C or F: lane letters stay fixed so divergence messages
+// keep their meaning.
 //
 // The harness advances all lanes in blocks of `check_every` interactions
 // and, at every checkpoint, compares full configurations (operator==),
@@ -207,17 +206,15 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
   [[maybe_unused]] const auto arc_count =
       static_cast<std::uint64_t>(topo.arc_count(P::directed));
 
-  // Lanes A-D.
+  // Lanes A, B, D.
   core::Runner<P, Topo> lane_a(params, initial, cfg.seed);
   core::Runner<P, Topo> lane_b(params, initial, cfg.seed);
-  core::EnsembleRunner<P, Topo> lane_c(core::kScalarOnly, params, 1);
-  lane_c.add_ring(initial, cfg.seed);
   core::EnsembleRunner<P, Topo> lane_d(params, 1);
   lane_d.add_ring(initial, cfg.seed);
   // Lane G: ring 0 shares the lanes' seed and initial configuration; the
   // decoys exist only to fill a full SIMD group so ring 0 is advanced as a
   // vector column of the cross-ring driver (word-kernel protocols only —
-  // for everything else run() degenerates to lane C's per-ring loop).
+  // for everything else run() degenerates to lane B's per-ring loop).
   constexpr bool kHaveLaneG = core::EnsembleRunner<P, Topo>::kWordable;
   constexpr int kLockstepRings = 8;  // >= widest cross-ring group (WordVec8)
   std::optional<core::EnsembleRunner<P, Topo>> lane_g;
@@ -234,7 +231,7 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
   // Scheduler faults: identical in every engine lane (same loss stream,
   // same bias table), replicated by hand in the mirror below. Applied
   // BEFORE have_lane_d is measured — active faults force the generic path,
-  // at which point lane D would only duplicate lane C.
+  // at which point lane D would only duplicate lane B.
   core::SchedulerFaults sched;
   sched.loss_p = cfg.loss_p;
   sched.arc_weights = cfg.arc_bias;
@@ -242,12 +239,11 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
   if (have_sched) {
     lane_a.set_scheduler_faults(sched);
     lane_b.set_scheduler_faults(sched);
-    lane_c.set_scheduler_faults(sched);
     lane_d.set_scheduler_faults(sched);
     if constexpr (kHaveLaneG) lane_g->set_scheduler_faults(sched);
   }
   const bool have_lane_d =
-      lane_d.packed_mode() || lane_d.word_kernel_mode();  // else duplicates C
+      lane_d.packed_mode() || lane_d.word_kernel_mode();  // else duplicates B
 
   // Lane E: the checker mirror. Under scheduler faults it replays the exact
   // engine semantics: one (possibly biased) arc draw from the main stream
@@ -325,86 +321,38 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
       return false;
     };
 
-    if (!compare_span("B(run)", lane_b.agents())) return false;
-    if (!compare_u64("B(run)", "steps", lane_b.steps(), lane_a.steps()))
-      return false;
-    if (!compare_span("C(ensemble-generic)", lane_c.agents(0))) return false;
-    if (!compare_u64("C(ensemble-generic)", "steps", lane_c.steps(0),
-                     lane_a.steps()))
-      return false;
-    if (have_lane_d) {
-      if (!compare_span("D(ensemble-packed)", lane_d.agents(0))) return false;
-      if (!compare_u64("D(ensemble-packed)", "steps", lane_d.steps(0),
-                       lane_a.steps()))
+    // One lane against A: configuration, step counter, censuses, clock.
+    // `ring` is empty for a Runner and 0 for an ensemble lane's ring 0.
+    const auto compare_lane = [&](const std::string& lane, const auto& eng,
+                                  auto... ring) {
+      if (!compare_span(lane, eng.agents(ring...))) return false;
+      if (!compare_u64(lane, "steps", eng.steps(ring...), lane_a.steps()))
         return false;
-    }
-    if constexpr (kHaveLaneG) {
-      if (!compare_span("G(ensemble-lockstep)", lane_g->agents(0)))
-        return false;
-      if (!compare_u64("G(ensemble-lockstep)", "steps", lane_g->steps(0),
-                       lane_a.steps()))
-        return false;
-    }
-    if constexpr (core::HasLeaderOutput<P>) {
-      const auto want_l = static_cast<std::uint64_t>(lane_a.leader_count());
-      if (!compare_u64("B(run)", "leader_count",
-                       static_cast<std::uint64_t>(lane_b.leader_count()),
-                       want_l))
-        return false;
-      if (!compare_u64("C(ensemble-generic)", "leader_count",
-                       static_cast<std::uint64_t>(lane_c.leader_count(0)),
-                       want_l))
-        return false;
-      if (have_lane_d &&
-          !compare_u64("D(ensemble-packed)", "leader_count",
-                       static_cast<std::uint64_t>(lane_d.leader_count(0)),
-                       want_l))
-        return false;
-      if constexpr (kHaveLaneG) {
-        if (!compare_u64("G(ensemble-lockstep)", "leader_count",
-                         static_cast<std::uint64_t>(lane_g->leader_count(0)),
-                         want_l))
+      if constexpr (core::HasLeaderOutput<P>) {
+        if (!compare_u64(
+                lane, "leader_count",
+                static_cast<std::uint64_t>(eng.leader_count(ring...)),
+                static_cast<std::uint64_t>(lane_a.leader_count())))
           return false;
-        if (!compare_u64("G(ensemble-lockstep)", "last_leader_change",
-                         lane_g->last_leader_change(0),
+        if (!compare_u64(lane, "last_leader_change",
+                         eng.last_leader_change(ring...),
                          lane_a.last_leader_change()))
           return false;
       }
-      if (!compare_u64("B(run)", "last_leader_change",
-                       lane_b.last_leader_change(),
-                       lane_a.last_leader_change()))
-        return false;
-      if (!compare_u64("C(ensemble-generic)", "last_leader_change",
-                       lane_c.last_leader_change(0),
-                       lane_a.last_leader_change()))
-        return false;
-      if (have_lane_d &&
-          !compare_u64("D(ensemble-packed)", "last_leader_change",
-                       lane_d.last_leader_change(0),
-                       lane_a.last_leader_change()))
-        return false;
-    }
-    if constexpr (core::HasTokenCensus<P>) {
-      const auto want_t = static_cast<std::uint64_t>(lane_a.token_count());
-      if (!compare_u64("B(run)", "token_count",
-                       static_cast<std::uint64_t>(lane_b.token_count()),
-                       want_t))
-        return false;
-      if (!compare_u64("C(ensemble-generic)", "token_count",
-                       static_cast<std::uint64_t>(lane_c.token_count(0)),
-                       want_t))
-        return false;
-      if (have_lane_d &&
-          !compare_u64("D(ensemble-packed)", "token_count",
-                       static_cast<std::uint64_t>(lane_d.token_count(0)),
-                       want_t))
-        return false;
-      if constexpr (kHaveLaneG) {
-        if (!compare_u64("G(ensemble-lockstep)", "token_count",
-                         static_cast<std::uint64_t>(lane_g->token_count(0)),
-                         want_t))
+      if constexpr (core::HasTokenCensus<P>) {
+        if (!compare_u64(lane, "token_count",
+                         static_cast<std::uint64_t>(eng.token_count(ring...)),
+                         static_cast<std::uint64_t>(lane_a.token_count())))
           return false;
       }
+      return true;
+    };
+
+    if (!compare_lane("B(run)", lane_b)) return false;
+    if (have_lane_d && !compare_lane("D(ensemble-packed)", lane_d, 0))
+      return false;
+    if constexpr (kHaveLaneG) {
+      if (!compare_lane("G(ensemble-lockstep)", *lane_g, 0)) return false;
     }
     // Ground truth: the incremental censuses must equal a from-scratch
     // recount of the reference configuration.
@@ -457,7 +405,6 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
             fault_state(params, fault_rng, lane_a.agent(idx), idx);
         lane_a.set_agent(idx, payload);
         lane_b.set_agent(idx, payload);
-        lane_c.set_agent(0, idx, payload);
         if (have_lane_d) lane_d.set_agent(0, idx, payload);
         if constexpr (kHaveLaneG) lane_g->set_agent(0, idx, payload);
         if constexpr (kMirrorable) {
@@ -486,7 +433,6 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
     const std::uint64_t block = std::min(check_every, cfg.steps - done);
     lane_a.run_unbatched(block);
     lane_b.run(block);
-    lane_c.run_ring(0, block);
     if (have_lane_d) lane_d.run_ring(0, block);
     if constexpr (kHaveLaneG) lane_g->run(block);  // every ring, lockstep
     if constexpr (kMirrorable) {

@@ -1,8 +1,9 @@
 // Scheduler-fault models (omission + biased arc draws) and non-ring
 // campaigns: determinism contracts first — same seed ⇒ bit-identical
-// trajectories, standalone Runner ⇒ ensemble ring bit-identity, thread-count
-// invariance of faulted campaigns — then semantic sanity (loss_p = 1 freezes
-// state while steps advance; a zero-weight arc never fires), then full
+// trajectories, thread-count invariance of faulted campaigns (standalone
+// Runner ⇒ faulted ensemble ring bit-identity, on the clique too, is pinned
+// in tests/core/stream_tags_test.cpp) — then semantic sanity (loss_p = 1
+// freezes state while steps advance; a zero-weight arc never fires), then full
 // recovery campaigns through measure_recovery / run_campaign off the ring.
 // Invalid fault configurations throw std::invalid_argument in both engines.
 #include "analysis/scenario.hpp"
@@ -157,37 +158,6 @@ TEST(SchedulerFaults, RejectsAllZeroWeights) {
   auto f = uniform_weights(8);
   for (double& w : f.arc_weights) w = 0.0;
   expect_rejected_by_both_engines(f);
-}
-
-TEST(SchedulerFaults, EnsembleRingBitIdenticalToRunnerUnderFaults) {
-  // Per-ring loss streams re-derive from each ring's own seed, so ring r
-  // under faults is the standalone Runner with the same seed, bit for bit.
-  const auto p = pl::PlParams::make(10, 4);
-  const core::CliqueTopology topo(p.n);
-  const auto faults =
-      lossy_biased(0.2, topo.arc_count(pl::PlProtocol::directed));
-
-  core::EnsembleRunner<pl::PlProtocol, core::CliqueTopology> ensemble(p, 3);
-  std::vector<std::vector<pl::PlState>> inits;
-  for (int r = 0; r < 3; ++r) {
-    core::Xoshiro256pp cfg_rng(100 + static_cast<std::uint64_t>(r));
-    inits.push_back(pl::random_config(p, cfg_rng));
-    ensemble.add_ring(inits.back(), 500 + static_cast<std::uint64_t>(r));
-  }
-  ensemble.set_scheduler_faults(faults);
-  ensemble.run(4000);
-  for (int r = 0; r < 3; ++r) {
-    core::Runner<pl::PlProtocol, core::CliqueTopology> solo(
-        p, inits[static_cast<std::size_t>(r)],
-        500 + static_cast<std::uint64_t>(r));
-    solo.set_scheduler_faults(faults);
-    solo.run(4000);
-    ASSERT_EQ(ensemble.steps(r), solo.steps());
-    const auto a = ensemble.agents(r);
-    const auto b = solo.agents();
-    for (std::size_t i = 0; i < a.size(); ++i)
-      EXPECT_TRUE(a[i] == b[i]) << "ring " << r << " agent " << i;
-  }
 }
 
 // ---- recovery campaigns off the ring -------------------------------------

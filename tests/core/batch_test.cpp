@@ -2,20 +2,18 @@
 // delta census) must produce bit-identical trajectories and census values to
 // Runner::run_unbatched (the per-step reference path) — same RNG stream, same
 // agent states, same leader/token bookkeeping — for every census shape the
-// engine specializes on: no outputs, leader output only, leader + token
-// census with the oracle, and the real protocols of the study.
+// engine specializes on: no outputs, leader output only, and leader + token
+// census with the oracle, with and without oracle delay; plus step() on the
+// shared stream. The study protocols get the same comparison (lanes A and B)
+// with fault storms in tests/verification/differential_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "baselines/fischer_jiang.hpp"
-#include "baselines/modk.hpp"
-#include "baselines/yokota28.hpp"
 #include "core/runner.hpp"
 #include "pl/adversary.hpp"
 #include "pl/protocol.hpp"
-#include "pl/safe_config.hpp"
 
 namespace ppsim::core {
 namespace {
@@ -152,54 +150,6 @@ TEST(BatchedRunner, OracleDelayIdentical) {
       });
 }
 
-TEST(BatchedRunner, PlProtocolIdenticalOver100kSteps) {
-  const auto p = pl::PlParams::make(32, 4);
-  core::Xoshiro256pp rng(5);
-  expect_equivalent(
-      Runner<pl::PlProtocol>(p, pl::random_config(p, rng), 1), 100'000,
-      [](const pl::PlState& x, const pl::PlState& y) { return x == y; });
-}
-
-TEST(BatchedRunner, PlProtocolFromSafeConfigIdentical) {
-  const auto p = pl::PlParams::make(64, 4);
-  expect_equivalent(
-      Runner<pl::PlProtocol>(p, pl::make_safe_config(p), 8), 100'000,
-      [](const pl::PlState& x, const pl::PlState& y) { return x == y; });
-}
-
-TEST(BatchedRunner, FischerJiangIdenticalOver100kSteps) {
-  const auto p = baselines::FjParams::make(24);
-  core::Xoshiro256pp rng(2);
-  expect_equivalent(
-      Runner<baselines::FischerJiang>(p, baselines::fj_random_config(p, rng),
-                                      4),
-      100'000, [](const baselines::FjState& x, const baselines::FjState& y) {
-        return x == y;
-      });
-}
-
-TEST(BatchedRunner, ModkIdenticalOver100kSteps) {
-  const auto p = baselines::ModkParams::make(25, 2);
-  core::Xoshiro256pp rng(6);
-  expect_equivalent(
-      Runner<baselines::Modk>(p, baselines::modk_random_config(p, rng), 8),
-      100'000,
-      [](const baselines::ModkState& x, const baselines::ModkState& y) {
-        return x == y;
-      });
-}
-
-TEST(BatchedRunner, Yokota28IdenticalOver100kSteps) {
-  const auto p = baselines::Y28Params::make(24);
-  core::Xoshiro256pp rng(8);
-  expect_equivalent(
-      Runner<baselines::Yokota28>(p, baselines::y28_random_config(p, rng), 9),
-      100'000,
-      [](const baselines::Y28State& x, const baselines::Y28State& y) {
-        return x == y;
-      });
-}
-
 /// Mid-run fault-injection equivalence: drive mirrored runners (unbatched vs
 /// batched) through uneven chunks with identical `set_agent` storms at every
 /// sync point. Both paths must agree on the full trajectory, the incremental
@@ -284,41 +234,6 @@ TEST(BatchedRunnerFaults, OracleDelayIdenticalUnderInjections) {
       },
       [](const OracleTokenProto::State& x, const OracleTokenProto::State& y) {
         return x.leader == y.leader && x.token == y.token;
-      });
-}
-
-TEST(BatchedRunnerFaults, FischerJiangIdenticalUnderInjections) {
-  const auto p = baselines::FjParams::make(24);
-  core::Xoshiro256pp rng(3);
-  expect_equivalent_under_faults(
-      Runner<baselines::FischerJiang>(p, baselines::fj_random_config(p, rng),
-                                      14),
-      50'000,
-      [&](Xoshiro256pp& frng) { return baselines::fj_random_state(p, frng); },
-      [](const baselines::FjState& x, const baselines::FjState& y) {
-        return x == y;
-      });
-}
-
-TEST(BatchedRunnerFaults, PlProtocolIdenticalUnderInjections) {
-  const auto p = pl::PlParams::make(32, 4);
-  expect_equivalent_under_faults(
-      Runner<pl::PlProtocol>(p, pl::make_safe_config(p), 11), 50'000,
-      [&](Xoshiro256pp& frng) { return pl::random_state(p, frng); },
-      [](const pl::PlState& x, const pl::PlState& y) { return x == y; });
-}
-
-TEST(BatchedRunnerFaults, ModkIdenticalUnderInjections) {
-  const auto p = baselines::ModkParams::make(25, 2);
-  core::Xoshiro256pp rng(16);
-  expect_equivalent_under_faults(
-      Runner<baselines::Modk>(p, baselines::modk_random_config(p, rng), 17),
-      50'000,
-      [&](Xoshiro256pp& frng) {
-        return baselines::modk_random_state(p, frng);
-      },
-      [](const baselines::ModkState& x, const baselines::ModkState& y) {
-        return x == y;
       });
 }
 

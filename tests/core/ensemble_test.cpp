@@ -3,13 +3,16 @@
 // initial configuration and seed — trajectory, steps, leader/token census,
 // last_leader_change, oracle reports (via oracle-protocol transitions) and
 // run_until_each hitting steps — for every census shape the engine
-// specializes on, on directed and undirected rings, and for the four study
-// protocols. On top of the engine-level checks, the migrated analysis
-// drivers (measure_convergence / measure_convergence_parallel /
-// measure_recovery) are compared trial-for-trial against the retained
-// per-trial reference paths (detail::convergence_trial /
-// detail::recovery_trial) across thread counts — the acceptance bar for the
-// trial-batched campaign engine is "not a single published number changes".
+// specializes on, on directed and undirected rings, and on modk's packed
+// LUT lane. The study protocols' one-ring lanes are compared against Runner
+// in tests/verification/differential_test.cpp, and P_PL's multi-ring word
+// lane in tests/core/word_kernel_test.cpp. On top of the engine-level
+// checks, the migrated analysis drivers (measure_convergence /
+// measure_convergence_parallel / measure_recovery) are compared
+// trial-for-trial against the retained per-trial reference paths
+// (detail::convergence_trial / detail::recovery_trial) across thread counts
+// — the acceptance bar for the trial-batched campaign engine is "not a
+// single published number changes".
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,7 +25,6 @@
 #include "analysis/adversary.hpp"
 #include "analysis/experiment.hpp"
 #include "analysis/scenario.hpp"
-#include "baselines/fischer_jiang.hpp"
 #include "baselines/modk.hpp"
 #include "baselines/yokota28.hpp"
 #include "core/ensemble.hpp"
@@ -184,54 +186,6 @@ TEST(EnsembleRunner, OracleTokenRingsMatchWithOracleDelay) {
       /*oracle_delay=*/37);
 }
 
-TEST(EnsembleRunner, StudyProtocolRingsMatchStandaloneRunners) {
-  {
-    const auto p = pl::PlParams::make(16, 4);
-    core::Xoshiro256pp rng(5);
-    std::vector<std::vector<pl::PlState>> inits;
-    for (int r = 0; r < 5; ++r) inits.push_back(pl::random_config(p, rng));
-    expect_rings_equivalent<pl::PlProtocol>(
-        p, std::move(inits), 20'000,
-        [](const pl::PlState& x, const pl::PlState& y) { return x == y; });
-  }
-  {
-    const auto p = baselines::FjParams::make(14);
-    core::Xoshiro256pp rng(6);
-    std::vector<std::vector<baselines::FjState>> inits;
-    for (int r = 0; r < 5; ++r)
-      inits.push_back(baselines::fj_random_config(p, rng));
-    expect_rings_equivalent<baselines::FischerJiang>(
-        p, std::move(inits), 20'000,
-        [](const baselines::FjState& x, const baselines::FjState& y) {
-          return x == y;
-        });
-  }
-  {
-    const auto p = baselines::ModkParams::make(15, 2);
-    core::Xoshiro256pp rng(7);
-    std::vector<std::vector<baselines::ModkState>> inits;
-    for (int r = 0; r < 5; ++r)
-      inits.push_back(baselines::modk_random_config(p, rng));
-    expect_rings_equivalent<baselines::Modk>(
-        p, std::move(inits), 20'000,
-        [](const baselines::ModkState& x, const baselines::ModkState& y) {
-          return x == y;
-        });
-  }
-  {
-    const auto p = baselines::Y28Params::make(12);
-    core::Xoshiro256pp rng(8);
-    std::vector<std::vector<baselines::Y28State>> inits;
-    for (int r = 0; r < 5; ++r)
-      inits.push_back(baselines::y28_random_config(p, rng));
-    expect_rings_equivalent<baselines::Yokota28>(
-        p, std::move(inits), 20'000,
-        [](const baselines::Y28State& x, const baselines::Y28State& y) {
-          return x == y;
-        });
-  }
-}
-
 TEST(EnsembleRunner, RunRingAndSetAgentMatchStandaloneRunner) {
   // Ragged per-ring advancement (run_ring) interleaved with fault injection
   // through both set_agent surfaces — the exact-offset scheduling the
@@ -313,9 +267,9 @@ TEST(EnsembleRunner, PackedModeDrivesModkBitIdentically) {
 }
 
 TEST(EnsembleRunner, ScalarOnlyBuildsNoLutAndTracksThePackedLane) {
-  // kScalarOnly (Runner's ring 0, differential lane C) never builds the
-  // LUT, its ring owns its States, and it tracks the packed lane step for
-  // step. tests/core/word_kernel_test.cpp covers the word lane.
+  // kScalarOnly (Runner's ring 0, differential lanes A and B) never builds
+  // the LUT, its ring owns its States, and it tracks the packed lane step
+  // for step. tests/core/word_kernel_test.cpp covers the word lane.
   const auto p = baselines::ModkParams::make(17, 2);
   core::Xoshiro256pp rng(17);
   const auto init = baselines::modk_random_config(p, rng);

@@ -18,6 +18,7 @@
 #include "core/rng.hpp"
 #include "core/runner.hpp"
 #include "core/stream_tags.hpp"
+#include "pl/adversary.hpp"
 #include "pl/protocol.hpp"
 
 namespace {
@@ -98,18 +99,16 @@ TEST(StreamTags, FirstDrawsOfEachTrialStreamArePinned) {
 // the stream can be (re)established: at construction, via
 // set_scheduler_faults before stepping, and via set_scheduler_faults after
 // rings already exist. A divergence in any path shows up as different
-// faulted trajectories on the same seeds.
+// faulted trajectories on the same seeds. `faults` defaults to loss only;
+// any topology and bias table go through the same derivation.
 
-template <typename P>
-void expect_cross_engine_fault_identity(const typename P::Params& params,
-                                        std::span<const typename P::State>
-                                            initial,
-                                        std::uint64_t steps) {
-  SchedulerFaults faults;
-  faults.loss_p = 0.25;
-
+template <typename P, typename Topo = RingTopology>
+void expect_cross_engine_fault_identity(
+    const typename P::Params& params,
+    std::span<const typename P::State> initial, std::uint64_t steps,
+    const SchedulerFaults& faults = {.loss_p = 0.25, .arc_weights = {}}) {
   constexpr int kRings = 3;
-  EnsembleRunner<P> ensemble(params, kRings);
+  EnsembleRunner<P, Topo> ensemble(params, kRings);
   std::vector<std::uint64_t> seeds;
   for (int r = 0; r < kRings; ++r) {
     const auto seed = derive_seed(99, streams::kDifferentialTrial,
@@ -121,10 +120,10 @@ void expect_cross_engine_fault_identity(const typename P::Params& params,
   ensemble.set_scheduler_faults(faults);
 
   for (int r = 0; r < kRings; ++r) {
-    Runner<P> runner(params,
-                     std::vector<typename P::State>(initial.begin(),
-                                                    initial.end()),
-                     seeds[static_cast<std::size_t>(r)]);
+    Runner<P, Topo> runner(params,
+                           std::vector<typename P::State>(initial.begin(),
+                                                          initial.end()),
+                           seeds[static_cast<std::size_t>(r)]);
     runner.set_scheduler_faults(faults);
     runner.run(steps);
     ensemble.run_ring(r, steps);
@@ -159,6 +158,18 @@ TEST(StreamTags, CrossEngineFaultStreamBitIdentityPl) {
   std::vector<pl::PlProtocol::State> initial(
       static_cast<std::size_t>(params.n));
   expect_cross_engine_fault_identity<pl::PlProtocol>(params, initial, 4096);
+
+  // Off the ring, with loss and a biased arc table (zero-weight arcs
+  // included), from a random configuration.
+  const auto clique_params = pl::PlParams::make(10, 4);
+  const CliqueTopology clique(clique_params.n);
+  SchedulerFaults biased;
+  biased.loss_p = 0.2;
+  for (int a = 0; a < clique.arc_count(pl::PlProtocol::directed); ++a)
+    biased.arc_weights.push_back(a % 4 == 0 ? 0.0 : 1.0 + a % 3);
+  const auto random_initial = pl::random_config(clique_params, rng);
+  expect_cross_engine_fault_identity<pl::PlProtocol, CliqueTopology>(
+      clique_params, random_initial, 4000, biased);
 }
 
 }  // namespace

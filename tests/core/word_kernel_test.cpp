@@ -1,10 +1,11 @@
 // The word-kernel engine lanes (core::WordGroupDriver wired into
-// EnsembleRunner, the only accelerated engine): bit-identity of the
-// single-ring and cross-ring lockstep lanes against Runner's scalar
-// reference paths, fault-storm behavior (in-domain fast path and the
-// documented fall-back-to-generic on out-of-domain states), capacity-probe
-// gating, and thread-count byte-identity of the differential campaign
-// driver.
+// EnsembleRunner, the only accelerated engine) against Runner's scalar
+// reference path: one ring and eleven rings (lockstep groups plus
+// leftovers) across the crossover and the small-c1 layouts, fault storms
+// (in-domain fast path and the documented fall-back-to-generic on
+// out-of-domain states), capacity-probe gating, run_until_each, and
+// thread-count byte-identity of the differential campaign driver. The
+// differential harness (lanes D and G) fuzzes the same lanes per seed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -54,11 +55,15 @@ TEST(WordKernelEnsemble, WordPathMatchesUnbatchedReference) {
   // set_agent's word-owned path (States stay stale) and State-owned path
   // both run. The multi-ring variant ends with an out-of-domain injection
   // into a word-owned ring while leftover rings own their States: the lane
-  // drops without overwriting them.
+  // drops without overwriting them. The small-c1 layouts (16, 3) and
+  // (64, 1) pack into at most 32 bits and run on the same u64 word lane.
   constexpr int kCrossover = EnsembleRunner<PlProtocol>::kWordCrossoverN;
-  for (const int n : {4, 16, 64, 257, kCrossover - 1, kCrossover, 1024}) {
+  for (const auto& [n, c1] :
+       {std::pair{4, 4}, std::pair{16, 4}, std::pair{16, 3}, std::pair{64, 4},
+        std::pair{64, 1}, std::pair{257, 4}, std::pair{kCrossover - 1, 4},
+        std::pair{kCrossover, 4}, std::pair{1024, 4}}) {
     for (const int rings : {1, 11}) {
-      const auto p = PlParams::make(n, 4);
+      const auto p = PlParams::make(n, c1);
       std::vector<Runner<PlProtocol>> refs;  // scalar reference per ring
       EnsembleRunner<PlProtocol> word(p, rings);
       for (int r = 0; r < rings; ++r) {
@@ -68,8 +73,9 @@ TEST(WordKernelEnsemble, WordPathMatchesUnbatchedReference) {
         word.add_ring(init, 42 + static_cast<std::uint64_t>(r));
       }
       ASSERT_TRUE(word.word_kernel_mode());
-      const std::string what =
-          "n=" + std::to_string(n) + " rings=" + std::to_string(rings);
+      const std::string what = "n=" + std::to_string(n) +
+                               " c1=" + std::to_string(c1) +
+                               " rings=" + std::to_string(rings);
       core::Xoshiro256pp faults(77);
       int mirror_faults = 0;
       int state_faults = 0;
@@ -157,101 +163,6 @@ TEST(WordKernelEnsemble, CapacityExceededKeepsScalarPath) {
   ASSERT_EQ(r.leader_count(), ref.leader_count());
   ASSERT_EQ(r.last_leader_change(), ref.last_leader_change());
   for (int i = 0; i < p.n; ++i) ASSERT_EQ(r.agent(i), ref.agent(i));
-}
-
-TEST(WordKernelEnsemble, KernelLaneMatchesGenericLaneAndRunner) {
-  // Trajectory/census/last_leader_change equivalence vs the generic lane
-  // for P_PL at n in {4, 16, 64}, mid-run set_agent storms included. The
-  // small-c1 regimes (16, 3) and (64, 1) pack into at most 32 bits and run
-  // on the same u64 word lane. The ensemble run() path is the cross-ring
-  // lockstep driver.
-  for (const auto [n, c1] : {std::pair{4, 4}, std::pair{16, 4},
-                             std::pair{64, 4}, std::pair{16, 3},
-                             std::pair{64, 1}}) {
-    const auto p = PlParams::make(n, c1);
-    const int R = 11;  // not a multiple of the lane width: leftover rings
-                       // (on the scalar loop at these n)
-    EnsembleRunner<PlProtocol> word(p, R);
-    EnsembleRunner<PlProtocol> generic(core::kScalarOnly, p, R);
-    std::vector<Runner<PlProtocol>> refs;
-    for (int t = 0; t < R; ++t) {
-      core::Xoshiro256pp cfg(50 + t);
-      const auto init = pl::random_config(p, cfg);
-      word.add_ring(init, 500 + t);
-      generic.add_ring(init, 500 + t);
-      refs.emplace_back(p, init, 500 + t);
-    }
-    ASSERT_TRUE(word.word_kernel_mode());
-    ASSERT_FALSE(generic.word_kernel_mode());
-    core::Xoshiro256pp faults(123);
-    for (int round = 0; round < 4; ++round) {
-      const std::uint64_t k = 400 + 91 * round;
-      word.run(k);
-      generic.run(k);
-      for (auto& ref : refs) ref.run_unbatched(k);
-      for (int t = 0; t < R; ++t) {
-        expect_ring_same(refs[t], word, t, "word lane");
-        expect_ring_same(refs[t], generic, t, "generic lane");
-      }
-      // Storm: same faults into every engine.
-      for (int f = 0; f < 4; ++f) {
-        const int t = static_cast<int>(
-            faults.bounded(static_cast<std::uint64_t>(R)));
-        const int idx = static_cast<int>(
-            faults.bounded(static_cast<std::uint64_t>(n)));
-        const PlState s = pl::random_state(p, faults);
-        word.set_agent(t, idx, s);
-        generic.set_agent(t, idx, s);
-        refs[static_cast<std::size_t>(t)].set_agent(idx, s);
-      }
-    }
-    EXPECT_TRUE(word.word_kernel_mode());
-  }
-}
-
-TEST(WordKernelEnsemble, CrossRingLockstepMatchesPerRingAdvancement) {
-  const auto p = PlParams::make(16, 4);
-  const int R = 9;
-  EnsembleRunner<PlProtocol> lockstep(p, R);
-  EnsembleRunner<PlProtocol> per_ring(p, R);
-  for (int t = 0; t < R; ++t) {
-    core::Xoshiro256pp cfg(70 + t);
-    const auto init = pl::random_config(p, cfg);
-    lockstep.add_ring(init, 900 + t);
-    per_ring.add_ring(init, 900 + t);
-  }
-  lockstep.run(3000);  // cross-ring lanes
-  for (int t = 0; t < R; ++t) per_ring.run_ring(t, 3000);  // one at a time
-  for (int t = 0; t < R; ++t) {
-    ASSERT_EQ(lockstep.steps(t), per_ring.steps(t));
-    ASSERT_EQ(lockstep.leader_count(t), per_ring.leader_count(t));
-    ASSERT_EQ(lockstep.last_leader_change(t), per_ring.last_leader_change(t));
-    const auto sa = lockstep.agents(t);
-    const auto sb = per_ring.agents(t);
-    for (int i = 0; i < p.n; ++i) ASSERT_EQ(sa[i], sb[i]);
-  }
-}
-
-TEST(WordKernelEnsemble, OutOfDomainInjectionDropsLaneNotTrajectory) {
-  const auto p = PlParams::make(16, 4);
-  EnsembleRunner<PlProtocol> ens(p, 2);
-  std::vector<Runner<PlProtocol>> refs;
-  for (int t = 0; t < 2; ++t) {
-    core::Xoshiro256pp cfg(5 + t);
-    const auto init = pl::random_config(p, cfg);
-    ens.add_ring(init, 40 + t);
-    refs.emplace_back(p, init, 40 + t);
-  }
-  ens.run(500);
-  for (auto& r : refs) r.run_unbatched(500);
-  PlState bad;
-  bad.token_b = pl::Token{1, 7, 0};  // value outside {0, 1}
-  ens.set_agent(1, 3, bad);
-  refs[1].set_agent(3, bad);
-  EXPECT_FALSE(ens.word_kernel_mode());
-  ens.run(500);
-  for (auto& r : refs) r.run_unbatched(500);
-  for (int t = 0; t < 2; ++t) expect_ring_same(refs[t], ens, t, "fallback");
 }
 
 TEST(WordKernelEnsemble, RunUntilEachMatchesRunnerRunUntil) {

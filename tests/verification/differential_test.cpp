@@ -1,8 +1,10 @@
 // Cross-engine differential fuzzing: the four runnable Table-1 protocols
 // plus the elimination subsystem and the undirected P_OR, replayed through
-// Runner::run_unbatched / Runner::run / EnsembleRunner (generic + packed) /
-// the checker-adapter mirror, with mid-run set_agent fault storms — zero
-// divergences allowed. The bounded smoke below runs in the normal ctest
+// Runner::run_unbatched / Runner::run / the one-ring accelerated
+// EnsembleRunner / the cross-ring lockstep lane (P_PL) / the checker-adapter
+// mirror, with mid-run set_agent fault storms — zero divergences allowed.
+// This is the one place the study protocols' engine lanes are compared
+// against each other. The bounded smoke below runs in the normal ctest
 // matrix (label `fuzz`); DifferentialFuzzLong.* self-skips unless
 // PPSIM_FUZZ_LONG is set (the nightly-style run, see README).
 #include "verification/differential.hpp"
@@ -23,6 +25,7 @@
 #include "orientation/por.hpp"
 #include "pl/adversary.hpp"
 #include "pl/protocol.hpp"
+#include "pl/safe_config.hpp"
 
 namespace ppsim::verification {
 namespace {
@@ -118,7 +121,7 @@ TEST(Differential, ModkAllFiveLanesWithFaultStorms) {
 
 TEST(Differential, FischerJiangOracleLanes) {
   // Oracle protocol: no packed table (the oracle context is part of the
-  // transition input) and no checker adapter — lanes A/B/C still must agree
+  // transition input) and no checker adapter — lanes A and B still must agree
   // on every interaction, census and oracle clock.
   const auto p = baselines::FjParams::make(6);
   core::Xoshiro256pp cfg_rng(23);
@@ -161,9 +164,8 @@ TEST(Differential, PlProtocolLanes) {
   const auto rep = run_differential<pl::PlProtocol>(
       p, pl::random_config(p, cfg_rng), cfg, pl_fault);
   EXPECT_TRUE(rep.ok) << rep.divergence;
-  // P_PL's one-ring word lane (lane D, the single-ring grouped driver)
-  // replays the bit-sliced kernel against the scalar reference; in-domain
-  // fault storms keep it active.
+  // Lane D holds the word lane (in-domain storms keep it active), but at
+  // n = 6, below kWordCrossoverN, its one ring advances on the scalar loop.
   EXPECT_TRUE(rep.packed_lane);
   // Lane G: ring 0 advanced as a column of the cross-ring vector-RNG
   // driver, lockstep with decoy rings, still bit-identical to lane A.
@@ -177,10 +179,15 @@ TEST(Differential, PlPackedLanesAtLargerRingsWithStorms) {
   // drawn pairs are disjoint: at the crossover (the smallest n where it
   // still runs) conflicted groups and run_group_conflicted mix in often,
   // and at n = 1024 most 8-draw groups (~0.9) are disjoint, so the
-  // vectorized clean path dominates lane D there. Storms on.
+  // vectorized clean path dominates lane D there. Storms on. The safe
+  // starts (pl::make_safe_config) cover the converged regime, where the
+  // leader census holds at 1 until a storm breaks it.
   constexpr int kCrossover =
       core::EnsembleRunner<pl::PlProtocol>::kWordCrossoverN;
-  for (const int n : {16, 64, 257, kCrossover, 1024}) {
+  for (const auto& [n, safe] :
+       {std::pair{16, false}, std::pair{64, false}, std::pair{257, false},
+        std::pair{kCrossover, false}, std::pair{1024, false},
+        std::pair{32, true}, std::pair{64, true}}) {
     const auto p = pl::PlParams::make(n, 4);
     core::Xoshiro256pp cfg_rng(600 + n);
     FuzzConfig cfg;
@@ -190,8 +197,10 @@ TEST(Differential, PlPackedLanesAtLargerRingsWithStorms) {
     cfg.fault_storms = 3;
     cfg.faults_per_storm = 2;
     const auto rep = run_differential<pl::PlProtocol>(
-        p, pl::random_config(p, cfg_rng), cfg, pl_fault);
-    EXPECT_TRUE(rep.ok) << "n=" << n << ": " << rep.divergence;
+        p, safe ? pl::make_safe_config(p) : pl::random_config(p, cfg_rng),
+        cfg, pl_fault);
+    EXPECT_TRUE(rep.ok) << "n=" << n << " safe=" << safe << ": "
+                        << rep.divergence;
     EXPECT_TRUE(rep.packed_lane) << n;
     EXPECT_TRUE(rep.lockstep_lane) << n;
   }
@@ -246,7 +255,7 @@ TEST(Differential, BrokenWordKernelIsDetected) {
     }
   };
   static_assert(core::EnsembleRunner<BrokenWordPl>::kWordable);
-  // The scalar lanes A/B/C are the truth. Below kWordCrossoverN the one-ring
+  // The scalar lanes A and B are the truth. Below kWordCrossoverN the one-ring
   // lane D runs the scalar loop too, so only the lockstep lane G runs the
   // broken kernel and the divergence names it. From the crossover up the
   // kernel drives lanes D and G, and lane D is compared first.
@@ -495,6 +504,17 @@ TEST(DifferentialFuzzLong, NightlySweep) {
                 },
                 pl_fault),
             "P_PL");
+  // At the crossover lane D runs the single-ring word driver
+  // (WordGroupDriver::run_block); at n = 12 it runs the scalar loop.
+  check_all(run_differential_campaign<pl::PlProtocol>(
+                pl::PlParams::make(
+                    core::EnsembleRunner<pl::PlProtocol>::kWordCrossoverN, 4),
+                base, trials, 0,
+                [](const pl::PlParams& pp, core::Xoshiro256pp& rng) {
+                  return pl::random_config(pp, rng);
+                },
+                pl_fault),
+            "P_PL at the word crossover");
   check_all(
       run_differential_campaign<common::EliminationProtocol,
                                 common::EliminationProtocol>(
