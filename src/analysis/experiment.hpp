@@ -78,17 +78,24 @@ template <typename P, typename ConfigGen, typename Pred>
 
 /// Shard width for the *pool-parallel* drivers: the cache-capped width
 /// above, further split so every worker sees several shards (per-trial
-/// durations vary wildly across trials). Shard boundaries cannot affect any
-/// result — trials are seeded by global index and rings never interact — so
-/// this balancing knob is output-invisible. Shared by
-/// measure_convergence_parallel and measure_recovery so the two drivers'
-/// sharding cannot drift.
+/// durations vary wildly across trials). `lanes` is the width of the
+/// ensemble's cross-ring lockstep groups (EnsembleRunner::lockstep_lanes(),
+/// 1 = no lockstep): when every worker has at least `lanes`
+/// trials, the width rounds up to a multiple of it, so shards fill whole
+/// lockstep groups instead of leaving rings to the scalar loop (P_PL
+/// n = 256, 16 trials, 2 workers: 2 shards of 8 rather than 6 of 3). Shard
+/// boundaries cannot affect any result — trials are seeded by global index
+/// and rings never interact — so this balancing knob is output-invisible.
+/// Shared by measure_convergence_parallel and measure_recovery so the two
+/// drivers' sharding cannot drift.
 [[nodiscard]] constexpr std::size_t balanced_shard_width(
-    std::size_t ring_state_bytes, std::size_t work_items,
-    std::size_t workers) noexcept {
+    std::size_t ring_state_bytes, std::size_t work_items, std::size_t workers,
+    std::size_t lanes = 1) noexcept {
   const std::size_t cap = ensemble_shard_rings(ring_state_bytes);
   const std::size_t per_worker = work_items / (4 * workers) + 1;
-  return std::max<std::size_t>(1, std::min(cap, per_worker));
+  const std::size_t width = std::max<std::size_t>(1, std::min(cap, per_worker));
+  if (lanes <= 1 || work_items < lanes * workers) return width;
+  return (width + lanes - 1) / lanes * lanes;
 }
 
 /// Run trials [first, first + count) as one ensemble, writing each trial's
@@ -139,7 +146,8 @@ template <typename P, typename ConfigGen, typename Pred>
   core::ThreadPool pool(threads);
   const std::size_t shard = detail::balanced_shard_width(
       static_cast<std::size_t>(params.n) * sizeof(typename P::State),
-      hits.size(), static_cast<std::size_t>(pool.size()));
+      hits.size(), static_cast<std::size_t>(pool.size()),
+      static_cast<std::size_t>(core::EnsembleRunner<P>::lockstep_lanes()));
   const std::size_t shards = (hits.size() + shard - 1) / shard;
   pool.for_index(shards, [&](std::size_t s) {
     const std::size_t first = s * shard;

@@ -427,11 +427,14 @@ template <typename P, typename Topo = core::RingTopology>
   std::vector<RecoveryTrial> trials(
       static_cast<std::size_t>(std::max<std::int64_t>(spec.plan.trials, 0)));
   core::ThreadPool pool(spec.plan.threads);
-  // Same cache-capped, load-balanced sharding as the convergence drivers;
-  // output-invisible (trials are seeded by global index).
+  // Same cache-capped, load-balanced, lane-multiple sharding as the
+  // convergence drivers; output-invisible (trials are seeded by global
+  // index).
   const std::size_t shard = analysis::detail::balanced_shard_width(
       static_cast<std::size_t>(params.n) * sizeof(typename P::State),
-      trials.size(), static_cast<std::size_t>(pool.size()));
+      trials.size(), static_cast<std::size_t>(pool.size()),
+      static_cast<std::size_t>(
+          core::EnsembleRunner<P, Topo>::lockstep_lanes()));
   const std::size_t shards = (trials.size() + shard - 1) / shard;
   pool.for_index(shards, [&](std::size_t s) {
     const std::size_t first = s * shard;

@@ -26,10 +26,15 @@
 //    LUT but bit-sliced into one uint64_t run the branchless SIMD kernel
 //    (core/word_driver.hpp) on a u64 mirror. run(k) advances rings in
 //    cross-ring lockstep, one SIMD lane per ring, and run_until_each
-//    batches the rings still owed a full check_every block. A ring that
-//    advances alone (run_ring, a near-deadline ring, a lockstep leftover)
-//    runs the single-ring grouped driver only from kWordCrossoverN up, and
-//    the scalar loop on its States below it.
+//    batches the rings still owed a full check_every block. A batch's last
+//    group runs in lockstep too when its rings fill at least half the
+//    lanes: the empty lanes are padded onto a scratch ring (pad_words_)
+//    with throwaway RNG and clock copies, so they touch no ring. A ring
+//    that advances alone (run_ring, a near-deadline ring, a remainder
+//    below half a group) runs the single-ring grouped driver only from
+//    kWordCrossoverN up, and the scalar loop on its States below it. The
+//    analysis drivers size their shards in whole lockstep groups
+//    (analysis::detail::balanced_shard_width), so few rings are left over.
 //
 // A ring-interleaved variant of the kernels was tried and rejected: register
 // pressure beat the ILP win (0.9-1.1x). The accelerated lanes self-validate:
@@ -215,6 +220,17 @@ class EnsembleRunner {
   /// one-ring P_PL rows of BENCH_throughput.json (packed_speedup) at
   /// n = 16, 64, 256 and 512 record both sides of the gate.
   static constexpr int kWordCrossoverN = 512;
+
+  /// Rings per cross-ring lockstep group on the word lane at this process's
+  /// ISA level (WordGroupDriver::lockstep_lanes()), 1 for an ensemble type
+  /// without that lane. The analysis drivers size shards in multiples of it.
+  [[nodiscard]] static int lockstep_lanes() {
+    if constexpr (kWordable) {
+      return WordGroupDriver<P>::lockstep_lanes();
+    } else {
+      return 1;
+    }
+  }
 
   explicit EnsembleRunner(Params params, int reserve_rings = 0)
       : params_(std::move(params)), topo_(params_.n) {
@@ -411,9 +427,9 @@ class EnsembleRunner {
 
   /// Advance every ring `k` interactions (each through its own stream). In
   /// word-kernel mode the rings advance in lockstep — one SIMD lane per
-  /// ring (WordGroupDriver::run_rings_block), leftovers alone (see
-  /// advance_rings_word); per-ring trajectories are bit-identical to
-  /// per-ring advancement, rings share nothing.
+  /// ring (WordGroupDriver::run_rings_block), a remainder below half a
+  /// group alone (see advance_rings_word); per-ring trajectories are
+  /// bit-identical to per-ring advancement, rings share nothing.
   void run(std::uint64_t k) {
     if constexpr (kWordable) {
       if (word_active_ && k > 0 && ring_count() > 0) {
@@ -918,21 +934,25 @@ class EnsembleRunner {
     owner_[ri] = RingOwner::kMirror;
   }
 
-  /// Advance the listed rings `k` interactions each: full groups of
-  /// lockstep_lanes() rings in cross-ring lockstep, one SIMD lane per ring
-  /// (no disjointness proofs — rings share nothing), and the leftovers
-  /// alone through advance_ring. Rings that own their States go last, so
-  /// they are the leftovers and rarely re-pack; the order never shows in a
-  /// trajectory. Bit-identical per ring to advance_ring.
+  /// Advance the listed rings `k` interactions each in cross-ring lockstep,
+  /// one SIMD lane per ring (no disjointness proofs — rings share nothing):
+  /// every full group of lockstep_lanes() rings, plus the last partial
+  /// group when at least half its lanes hold rings, padded with lanes that
+  /// run on the scratch ring pad_words_ (WordGroupDriver::rings_impl). A
+  /// smaller remainder advances alone through advance_ring. Rings that own
+  /// their States go last, so they are the leftovers and rarely re-pack;
+  /// the order never shows in a trajectory. Bit-identical per ring to
+  /// advance_ring.
   void advance_rings_word(std::vector<int>& rings, std::uint64_t k)
     requires(kWordable)
   {
     std::partition(rings.begin(), rings.end(), [&](int r) {
       return owner_[static_cast<std::size_t>(r)] != RingOwner::kStates;
     });
-    const int G = WordGroupDriver<P>::lockstep_lanes();
+    const int G = lockstep_lanes();
     const int nrings = static_cast<int>(rings.size());
-    const int grouped = nrings - nrings % G;
+    const int rest = nrings % G;
+    const int grouped = 2 * rest >= G ? nrings : nrings - rest;
     for (int i = 0; i < grouped; ++i) {
       if (!pack_ring(rings[static_cast<std::size_t>(i)])) {
         for (int r : rings) advance_ring_generic(r, k);
@@ -940,10 +960,12 @@ class EnsembleRunner {
       }
     }
     if (grouped > 0) {
+      if (grouped % G != 0)  // a padded group: allocate its scratch ring
+        pad_words_.resize(static_cast<std::size_t>(params_.n));
       WordGroupDriver<P>::run_rings_block(
           words_.data(), static_cast<std::size_t>(params_.n), rings.data(),
-          grouped, params_.n, bound_, threshold_, rngs_.data(),
-          clocks_.data(), consts_, k);
+          grouped, pad_words_.data(), params_.n, bound_, threshold_,
+          rngs_.data(), clocks_.data(), consts_, k);
       for (int i = 0; i < grouped; ++i)
         owner_[static_cast<std::size_t>(rings[static_cast<std::size_t>(i)])] =
             RingOwner::kMirror;
@@ -980,6 +1002,9 @@ class EnsembleRunner {
   WordConsts consts_{};             ///< kernel constants (word-kernel mode)
   std::vector<std::uint64_t> words_;  ///< u64 mirror of states_, same layout
   std::vector<int> all_rings_;      ///< reusable permutation of ring ids
+  /// Scratch ring of a padded lockstep group's empty lanes (allocated on
+  /// first use; its contents never reach any ring).
+  std::vector<std::uint64_t> pad_words_;
   bool word_active_ = false;        ///< word-kernel lane drives the hot loop
 };
 

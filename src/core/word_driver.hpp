@@ -198,6 +198,21 @@ struct WordGroupDriver {
     }
   }
 
+  /// The kernel constants, read from memory at every use. An empty asm
+  /// launders the pointer once per call, so the compiler cannot prove the
+  /// constants loop-invariant: each of the ~40 is a load (or an embedded
+  /// broadcast operand) inside the step instead of a vector register held
+  /// across the whole loop. Hoisted, those broadcasts outnumber the
+  /// registers the kernel's own temporaries need and the loop spills (see
+  /// rings_impl).
+  [[gnu::always_inline]] static inline const Consts& consts_from_memory(
+      const Consts* kc) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+    asm volatile("" : "+r"(kc));
+#endif
+    return *kc;
+  }
+
   /// OR-fold of all lanes (leader-bit change probe).
   template <typename VW>
   [[gnu::always_inline]] static inline std::uint64_t orfold(const VW& v) {
@@ -361,10 +376,14 @@ struct WordGroupDriver {
       const Consts& kc0, std::uint64_t k) {
     Xoshiro256pp rng = rng0;
     RingClock clk = clk0;
-    // By-value copy: stores through `words` (u64) may alias a *referenced*
-    // Consts under TBAA, which would force every kernel constant (and its
-    // SIMD broadcast) to reload per group; a local whose address never
-    // escapes cannot alias, so the broadcasts hoist out of the loop.
+    // By-value copy: a local whose address never escapes is provably
+    // loop-invariant, so the constants' broadcasts hoist into registers for
+    // the whole loop. Hoisting is not free: in the cross-ring lockstep loop
+    // the broadcasts outnumbered the vector registers and spilled the
+    // kernel, so rings_impl reads them from memory (consts_from_memory).
+    // This loop keeps the copy: read from memory, its AVX-512 clone's loop
+    // stayed the same size (666 vs 667 instructions, 108 vs 120 stack
+    // references, GCC 12) with no speedup measurable above noise.
     const Consts kc = kc0;
     constexpr int G = kLanesOf<VW>;
     int ia[G] = {};  // zero-init: k < G legitimately skips the prologue draw
@@ -445,27 +464,45 @@ struct WordGroupDriver {
   /// instead of serializing. Per-ring trajectories are bit-identical to
   /// the single-ring engines by construction (each ring consumes exactly
   /// its own stream in order; lockstep only changes the interleaving
-  /// *between* rings, which share nothing). `nrings` must be a multiple of
-  /// lockstep_lanes(): the caller advances the leftover rings itself.
+  /// *between* rings, which share nothing).
+  ///
+  /// When `nrings` is not a multiple of G, the last group is padded: its
+  /// missing lanes run on `pad` (n scratch words the caller owns, contents
+  /// irrelevant) with copies of lane 0's RNG and clock, which are never
+  /// stored back, and a lane mask keeps them out of the census probe. Pad
+  /// lanes therefore touch no ring, no stream and no clock.
+  ///
+  /// The kernel constants are read from memory every step
+  /// (consts_from_memory): held in registers across the loop, their ~40
+  /// broadcasts spilled the AVX-512 clone's hot loop to 972 instructions
+  /// with 188 stack references (549 and 60 read from memory; GCC 12).
   template <typename VW>
   [[gnu::always_inline]] static inline void rings_impl(
       std::uint64_t* words_base, std::size_t ring_stride, const int* rings,
-      int nrings, int n, std::uint64_t bound, std::uint64_t threshold,
-      Xoshiro256pp* rngs, RingClock* clks, const Consts& kc0,
-      std::uint64_t k) {
-    const Consts kc = kc0;
+      int nrings, std::uint64_t* pad, int n, std::uint64_t bound,
+      std::uint64_t threshold, Xoshiro256pp* rngs, RingClock* clks,
+      const Consts& kc, std::uint64_t k) {
     constexpr int G = kLanesOf<VW>;
-    for (int i = 0; i + G <= nrings; i += G) {
+    for (int i = 0; i < nrings; i += G) {
       const int* rg = rings + i;
+      const int real = nrings - i < G ? nrings - i : G;
       std::uint64_t* base[G];
       Xoshiro256pp rng[G];
       RingClock clk[G];
       std::uint64_t step0[G];
+      VW live{};  // all-ones in the lanes of real rings
       for (int j = 0; j < G; ++j) {
-        const int r = rg[j];
-        base[j] = words_base + ring_stride * static_cast<std::size_t>(r);
-        rng[j] = rngs[r];
-        clk[j] = clks[r];
+        if (j < real) {
+          const int r = rg[j];
+          base[j] = words_base + ring_stride * static_cast<std::size_t>(r);
+          rng[j] = rngs[r];
+          clk[j] = clks[r];
+          live[j] = ~std::uint64_t{0};
+        } else {
+          base[j] = pad;
+          rng[j] = rng[0];
+          clk[j] = clk[0];
+        }
         step0[j] = clk[j].steps;
       }
       XoshiroLanes<VW> lanes;
@@ -522,11 +559,11 @@ struct WordGroupDriver {
           if (more) draw_vec(nva, nvb);
           const VW oa = wa;
           const VW ob = wb;
-          P::apply_word_x8(wa, wb, kc);
+          P::apply_word_x8(wa, wb, consts_from_memory(&kc));
           scatter8_addr(aa, wa);
           scatter8_addr(ab, wb);
           if constexpr (HasLeaderOutput<P>) {
-            const VW dl = (wa ^ oa) | (wb ^ ob);
+            const VW dl = ((wa ^ oa) | (wb ^ ob)) & live;
             if ((orfold(dl) & 1) != 0) [[unlikely]] {
               census_replay_rings<VW>(oa, ob, wa, wb, clk, step0, s);
             }
@@ -565,13 +602,13 @@ struct WordGroupDriver {
           if (more) draw(na, nb);
           const VW oa = wa;
           const VW ob = wb;
-          P::apply_word_x4(wa, wb, kc);
+          P::apply_word_x4(wa, wb, consts_from_memory(&kc));
           for (int j = 0; j < G; ++j) {
             base[j][ia[j]] = wa[j];
             base[j][ib[j]] = wb[j];
           }
           if constexpr (HasLeaderOutput<P>) {
-            const VW dl = (wa ^ oa) | (wb ^ ob);
+            const VW dl = ((wa ^ oa) | (wb ^ ob)) & live;
             if ((orfold(dl) & 1) != 0) [[unlikely]] {
               census_replay_rings<VW>(oa, ob, wa, wb, clk, step0, s);
             }
@@ -585,7 +622,7 @@ struct WordGroupDriver {
         }
       }
       lanes.store(rng);
-      for (int j = 0; j < G; ++j) {
+      for (int j = 0; j < real; ++j) {
         const int r = rg[j];
         clk[j].steps = step0[j] + k;
         rngs[r] = rng[j];
@@ -595,28 +632,29 @@ struct WordGroupDriver {
   }
 
  public:
-  /// Entry point for the cross-ring lockstep block (see rings_impl; nrings
-  /// is a multiple of lockstep_lanes()).
+  /// Entry point for the cross-ring lockstep block (see rings_impl). `pad`
+  /// is n scratch words for the lanes a partial last group leaves empty;
+  /// it may be null when nrings is a multiple of lockstep_lanes().
   static void run_rings_block(std::uint64_t* words_base,
                               std::size_t ring_stride, const int* rings,
-                              int nrings, int n, std::uint64_t bound,
-                              std::uint64_t threshold, Xoshiro256pp* rngs,
-                              RingClock* clks, const Consts& kc,
-                              std::uint64_t k) {
+                              int nrings, std::uint64_t* pad, int n,
+                              std::uint64_t bound, std::uint64_t threshold,
+                              Xoshiro256pp* rngs, RingClock* clks,
+                              const Consts& kc, std::uint64_t k) {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
     const int isa = isa_level();
     if (isa == 2) {
-      rings_avx512(words_base, ring_stride, rings, nrings, n, bound,
+      rings_avx512(words_base, ring_stride, rings, nrings, pad, n, bound,
                    threshold, rngs, clks, kc, k);
       return;
     }
     if (isa == 1) {
-      rings_avx2(words_base, ring_stride, rings, nrings, n, bound, threshold,
-                 rngs, clks, kc, k);
+      rings_avx2(words_base, ring_stride, rings, nrings, pad, n, bound,
+                 threshold, rngs, clks, kc, k);
       return;
     }
 #endif
-    rings_impl<WordVec>(words_base, ring_stride, rings, nrings, n, bound,
+    rings_impl<WordVec>(words_base, ring_stride, rings, nrings, pad, n, bound,
                         threshold, rngs, clks, kc, k);
   }
 
@@ -624,18 +662,19 @@ struct WordGroupDriver {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl"))) static void
   rings_avx512(std::uint64_t* words_base, std::size_t ring_stride,
-               const int* rings, int nrings, int n, std::uint64_t bound,
-               std::uint64_t threshold, Xoshiro256pp* rngs, RingClock* clks,
-               const Consts& kc, std::uint64_t k) {
-    rings_impl<WordVec8>(words_base, ring_stride, rings, nrings, n, bound,
-                         threshold, rngs, clks, kc, k);
+               const int* rings, int nrings, std::uint64_t* pad, int n,
+               std::uint64_t bound, std::uint64_t threshold,
+               Xoshiro256pp* rngs, RingClock* clks, const Consts& kc,
+               std::uint64_t k) {
+    rings_impl<WordVec8>(words_base, ring_stride, rings, nrings, pad, n,
+                         bound, threshold, rngs, clks, kc, k);
   }
   __attribute__((target("avx2"))) static void rings_avx2(
       std::uint64_t* words_base, std::size_t ring_stride, const int* rings,
-      int nrings, int n, std::uint64_t bound, std::uint64_t threshold,
-      Xoshiro256pp* rngs, RingClock* clks, const Consts& kc,
-      std::uint64_t k) {
-    rings_impl<WordVec>(words_base, ring_stride, rings, nrings, n, bound,
+      int nrings, std::uint64_t* pad, int n, std::uint64_t bound,
+      std::uint64_t threshold, Xoshiro256pp* rngs, RingClock* clks,
+      const Consts& kc, std::uint64_t k) {
+    rings_impl<WordVec>(words_base, ring_stride, rings, nrings, pad, n, bound,
                         threshold, rngs, clks, kc, k);
   }
   // The single-ring clones stay out of line (noinline) so run_impl is

@@ -26,7 +26,9 @@
 //                                cross-checked against the protocol proper
 //   G  EnsembleRunner lockstep  — only for word-kernel protocols: ring 0
 //                                (the lanes' seed + initial) plus decoy
-//                                rings advanced together through run(), so
+//                                rings (six in all, which leaves a padded
+//                                partial group at every lockstep width)
+//                                advanced together through run(), so
 //                                ring 0 is carried by the cross-ring
 //                                grouped driver and its lane-parallel
 //                                vector RNG — certifying the column-r ==
@@ -212,11 +214,13 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
   core::EnsembleRunner<P, Topo> lane_d(params, 1);
   lane_d.add_ring(initial, cfg.seed);
   // Lane G: ring 0 shares the lanes' seed and initial configuration; the
-  // decoys exist only to fill a full SIMD group so ring 0 is advanced as a
-  // vector column of the cross-ring driver (word-kernel protocols only —
-  // for everything else run() degenerates to lane B's per-ring loop).
+  // decoys fill SIMD lanes so ring 0 is advanced as a vector column of the
+  // cross-ring driver (word-kernel protocols only — for everything else
+  // run() degenerates to lane B's per-ring loop). Six rings leave a padded
+  // partial group at both lockstep widths (6 of 8 lanes; 4 + 2 of 4), so
+  // the pad lanes run under every fuzz seed.
   constexpr bool kHaveLaneG = core::EnsembleRunner<P, Topo>::kWordable;
-  constexpr int kLockstepRings = 8;  // >= widest cross-ring group (WordVec8)
+  constexpr int kLockstepRings = 6;
   std::optional<core::EnsembleRunner<P, Topo>> lane_g;
   if constexpr (kHaveLaneG) {
     lane_g.emplace(params, kLockstepRings);

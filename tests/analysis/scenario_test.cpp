@@ -73,6 +73,59 @@ TEST(Scenario, MeasureRecoveryBitIdenticalAcrossThreads) {
   }
 }
 
+// Lane-multiple shard widths: the 3-argument form keeps its width, and a
+// width rounds up to whole lockstep groups only when every worker has at
+// least one group's worth of trials.
+static_assert(detail::balanced_shard_width(256 * 22, 16, 2) == 3);
+static_assert(detail::balanced_shard_width(256 * 22, 16, 2, 8) == 8);
+static_assert(detail::balanced_shard_width(256 * 22, 15, 2, 8) == 2);
+static_assert(detail::balanced_shard_width(256 * 22, 200, 2, 8) == 32);
+static_assert(detail::balanced_shard_width(16384 * 22, 64, 1, 8) == 8);
+
+TEST(Scenario, LaneMultipleShardsDoNotShowInTheOutput) {
+  // Trial counts straddle lockstep_lanes() x workers at 1-3 workers, so the
+  // shard width is rounded up to whole lockstep groups at some thread
+  // counts and not at others; both drivers' raw vectors must not move.
+  const auto p = pl::PlParams::make(16, 4);
+  const auto gen = [&](core::Xoshiro256pp& rng) {
+    return pl::random_config(p, rng);
+  };
+  for (const int trials : {7, 8, 15, 16, 17, 24}) {
+    const auto converge = [&](int threads) {
+      return measure_convergence_parallel<pl::PlProtocol>(
+          p, gen, pl::SafePredicate{}, trials, sweep_budget(p.n), 3, 7,
+          threads);
+    };
+    const auto recover = [&](int threads) {
+      TrialPlan plan;
+      plan.trials = trials;
+      plan.max_steps = budget(p.n, p.kappa_max);
+      plan.seed_base = 8;
+      plan.tag = campaign_tag(4, p.n, 2);
+      plan.threads = threads;
+      return measure_recovery<pl::PlProtocol>(
+          p, make_recovery_scenario<pl::PlProtocol>(
+                 "storm", storm_schedule(2, 50), plan));
+    };
+    const auto conv1 = converge(1);
+    const auto rec1 = recover(1);
+    ASSERT_EQ(conv1.raw.size(), static_cast<std::size_t>(trials));
+    ASSERT_EQ(rec1.raw.size(), static_cast<std::size_t>(trials));
+    for (const int threads : {2, 3}) {
+      const auto conv = converge(threads);
+      const auto rec = recover(threads);
+      EXPECT_EQ(conv.raw, conv1.raw)
+          << "trials=" << trials << " threads=" << threads;
+      EXPECT_EQ(conv.failures, conv1.failures)
+          << "trials=" << trials << " threads=" << threads;
+      EXPECT_EQ(rec.raw, rec1.raw)
+          << "trials=" << trials << " threads=" << threads;
+      EXPECT_EQ(rec.stabilization_failures, rec1.stabilization_failures);
+      EXPECT_EQ(rec.recovery_failures, rec1.recovery_failures);
+    }
+  }
+}
+
 TEST(Scenario, SeedsDecorrelateTrials) {
   const auto p = pl::PlParams::make(12, 4);
   TrialPlan plan;

@@ -369,9 +369,10 @@ TEST(EnsembleRunner, RunUntilEachMatchesPerRingRunUntil) {
 TEST(EnsembleRunner, RunUntilEachStaggeredRetirementsMatchRunners) {
   // P_PL at n = 16 is below kWordCrossoverN: as rings retire one by one the
   // active set regroups every pass, so rings leave a lockstep group for the
-  // scalar loop (their States take over) and rejoin one later (re-packed).
-  // Widths 9..17 cover one to two full groups plus every leftover count at
-  // both lockstep widths. Every ring must still equal its per-trial Runner.
+  // scalar loop (their States take over) and rejoin one later (re-packed),
+  // or fill a padded partial group. Widths 9..17 cover one to two full
+  // groups plus every remainder at both lockstep widths. Every ring must
+  // still equal its per-trial Runner.
   static_assert(16 < EnsembleRunner<pl::PlProtocol>::kWordCrossoverN);
   const auto p = pl::PlParams::make(16, 4);
   constexpr std::uint64_t npos = Runner<pl::PlProtocol>::npos;

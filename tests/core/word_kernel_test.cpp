@@ -1,7 +1,8 @@
 // The word-kernel engine lanes (core::WordGroupDriver wired into
 // EnsembleRunner, the only accelerated engine) against Runner's scalar
-// reference path: one ring and eleven rings (lockstep groups plus
-// leftovers) across the crossover and the small-c1 layouts, fault storms
+// reference path: one ring and nine rings (lockstep groups plus a leftover
+// ring) across the crossover and the small-c1 layouts, padded partial
+// lockstep groups at every ring count up to 17, fault storms
 // (in-domain fast path and the documented fall-back-to-generic on
 // out-of-domain states), capacity-probe gating, run_until_each, and
 // thread-count byte-identity of the differential campaign driver. The
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +48,14 @@ void expect_ring_same(const Runner<PlProtocol>& ref,
     ASSERT_EQ(sa[i], sb[i]) << what << " ring " << r << " agent " << i;
 }
 
+/// A span-only predicate (no census gate, no word view): every check
+/// reads agents(r).
+bool unique_leader(std::span<const PlState> c, const PlParams&) {
+  int leaders = 0;
+  for (const auto& s : c) leaders += s.leader == 1 ? 1 : 0;
+  return leaders == 1;
+}
+
 TEST(WordKernelEnsemble, WordPathMatchesUnbatchedReference) {
   // A ring that advances alone (one ring, or a leftover of run()'s lockstep
   // groups) runs the scalar loop on its States below kWordCrossoverN and
@@ -62,7 +72,9 @@ TEST(WordKernelEnsemble, WordPathMatchesUnbatchedReference) {
        {std::pair{4, 4}, std::pair{16, 4}, std::pair{16, 3}, std::pair{64, 4},
         std::pair{64, 1}, std::pair{257, 4}, std::pair{kCrossover - 1, 4},
         std::pair{kCrossover, 4}, std::pair{1024, 4}}) {
-    for (const int rings : {1, 11}) {
+    // Nine rings leave one leftover at both lockstep widths (8 + 1 and
+    // 4 + 4 + 1): too few for a padded group, so it advances alone.
+    for (const int rings : {1, 9}) {
       const auto p = PlParams::make(n, c1);
       std::vector<Runner<PlProtocol>> refs;  // scalar reference per ring
       EnsembleRunner<PlProtocol> word(p, rings);
@@ -141,6 +153,78 @@ TEST(WordKernelEnsemble, WordPathMatchesUnbatchedReference) {
   }
 }
 
+TEST(WordKernelEnsemble, PaddedPartialGroupsMatchRunners) {
+  // Ring counts 1..17 leave every remainder modulo both lockstep widths:
+  // a last group at least half full runs padded in lockstep (its rings end
+  // word-owned), a smaller one runs the scalar loop at these n (its rings
+  // end State-owned). Every ring must equal its per-trial Runner through
+  // run(k), run_until_each and set_agent storms between them.
+  const int G = core::WordGroupDriver<PlProtocol>::lockstep_lanes();
+  static_assert(64 < EnsembleRunner<PlProtocol>::kWordCrossoverN);
+  for (const int n : {16, 64}) {
+    const auto p = PlParams::make(n, 4);
+    for (int rings = 1; rings <= 17; ++rings) {
+      const std::string what =
+          "n=" + std::to_string(n) + " rings=" + std::to_string(rings);
+      std::vector<Runner<PlProtocol>> refs;
+      EnsembleRunner<PlProtocol> ens(p, rings);
+      for (int r = 0; r < rings; ++r) {
+        core::Xoshiro256pp cfg(7000 + 97 * n + r);
+        const auto init = pl::random_config(p, cfg);
+        const auto seed = static_cast<std::uint64_t>(500 * n + r);
+        refs.emplace_back(p, init, seed);
+        ens.add_ring(init, seed);
+      }
+      const int rest = rings % G;
+      const int scalar_rings = 2 * rest >= G ? 0 : rest;
+      core::Xoshiro256pp faults(31 + static_cast<std::uint64_t>(rings));
+      const auto storm = [&] {
+        for (int f = 0; f < 2 * rings; ++f) {
+          const int r = static_cast<int>(
+              faults.bounded(static_cast<std::uint64_t>(rings)));
+          const int idx = static_cast<int>(
+              faults.bounded(static_cast<std::uint64_t>(n)));
+          const PlState s = pl::random_state(p, faults);
+          refs[static_cast<std::size_t>(r)].set_agent(idx, s);
+          ens.set_agent(r, idx, s);
+        }
+      };
+      const auto expect_all_same = [&](const char* when) {
+        for (int r = 0; r < rings; ++r)
+          expect_ring_same(refs[static_cast<std::size_t>(r)], ens, r,
+                           (what + " " + when).c_str());
+      };
+      for (int round = 0; round < 3; ++round) {
+        const std::uint64_t k = 301 + 53 * static_cast<std::uint64_t>(round);
+        for (auto& ref : refs) ref.run(k);
+        ens.run(k);
+        int state_owned = 0;
+        for (int r = 0; r < rings; ++r)
+          state_owned += ens.ring_owner(r) == core::RingOwner::kStates;
+        EXPECT_EQ(state_owned, scalar_rings) << what;
+        storm();
+        expect_all_same("run");
+      }
+      for (int round = 0; round < 2; ++round) {
+        const std::uint64_t max_steps = 6000;
+        const std::uint64_t check_every = 40;
+        const auto hits = ens.run_until_each(unique_leader, max_steps,
+                                             check_every);
+        for (int r = 0; r < rings; ++r) {
+          const auto want = refs[static_cast<std::size_t>(r)].run_until(
+              unique_leader, max_steps, check_every);
+          ASSERT_EQ(hits[static_cast<std::size_t>(r)],
+                    want.value_or(EnsembleRunner<PlProtocol>::npos))
+              << what << " ring " << r;
+        }
+        storm();
+        expect_all_same("run_until_each");
+      }
+      EXPECT_TRUE(ens.word_kernel_mode()) << what;
+    }
+  }
+}
+
 TEST(WordKernelEnsemble, CapacityExceededKeepsScalarPath) {
   // psi_slack blows the 64-bit layout; the capacity probe must refuse and
   // the ensemble must never activate the word lane (and still be exact).
@@ -176,11 +260,6 @@ TEST(WordKernelEnsemble, RunUntilEachMatchesRunnerRunUntil) {
     ens.add_ring(init, 4000 + t);
     refs.emplace_back(p, init, 4000 + t);
   }
-  const auto unique_leader = [](std::span<const PlState> c, const PlParams&) {
-    int leaders = 0;
-    for (const auto& s : c) leaders += s.leader == 1 ? 1 : 0;
-    return leaders == 1;
-  };
   const std::uint64_t max_steps = 200000;
   const auto hits = ens.run_until_each(unique_leader, max_steps, 64);
   for (int t = 0; t < R; ++t) {

@@ -260,9 +260,10 @@ struct Probe {
 TEST(SafeView, EnsembleFaultStormSamplesAgree) {
   const PlParams p = PlParams::make(12, 4);
   const auto n = static_cast<std::uint64_t>(p.n);
-  // 11 rings: one or two full lockstep groups (word-owned rings, checked on
-  // the view) plus leftovers that run the scalar loop at this n (State-owned
-  // rings, checked on the span).
+  // 11 rings: lockstep groups (word-owned rings, checked on the view) plus,
+  // at 8 lanes, three leftovers that run the scalar loop at this n
+  // (State-owned rings, checked on the span; at 4 lanes they form a padded
+  // group). Once the lane drops, every ring is checked on the span.
   constexpr int kRings = 11;
   core::EnsembleRunner<PlProtocol> ens(p, kRings);
   core::Xoshiro256pp rng(0x570F);

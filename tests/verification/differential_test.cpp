@@ -281,9 +281,9 @@ TEST(Differential, BrokenWordKernelIsDetected) {
 TEST(Differential, BrokenLockstepVectorLaneIsDetected) {
   // The canary for the lane-parallel (vector-RNG) cross-ring driver. At
   // n = 7 lane D (one ring, below kWordCrossoverN) runs the scalar loop,
-  // and lane G — 8 rings in lockstep — is the only caller of the vector
-  // entries, at every ISA level (x4 groups on baseline/AVX2, one x8 group
-  // on AVX-512). A bit of drift in those
+  // and lane G — 6 rings in lockstep — is the only caller of the vector
+  // entries, at every ISA level (a full and a padded x4 group on
+  // baseline/AVX2, one padded x8 group on AVX-512). A bit of drift in those
   // entries must be caught at the first checkpoint and named as the
   // lockstep lane. This is the flipped-bit canary for the whole
   // draw-pack-kernel column: any desync between a vector column and its
