@@ -1,7 +1,9 @@
 // Engineering micro-benchmarks (google-benchmark): the per-call cost of the
 // S_PL safety predicate on spans and on the word view, P_OR interactions
-// per second, and the bounded RNG draw. The other protocols' step loops are
-// timed by bench_throughput_json (BENCH_throughput.json).
+// per second, and the bounded RNG draw. CI runs all of them as a smoke step;
+// BM_PorSteps is the only timing of P_OR and BM_RngBounded the only isolated
+// RNG draw timing. The other protocols' step loops are timed by
+// bench_throughput_json (BENCH_throughput.json).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

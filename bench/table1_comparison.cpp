@@ -3,8 +3,8 @@
 // For each runnable protocol, measures steps to its safe certificate from
 // uniformly random initial configurations over a ring-size sweep, fits the
 // scaling exponent, and reports the per-agent state count. The Chen-Chen [11]
-// row is carried as theory (see DESIGN.md §2.4); its detection substrate is
-// exercised by tests/baselines/thue_morse_test.cpp and examples/tm_cube_demo.
+// row is carried as theory: its O(1)-state protocol takes exponential time,
+// so it is not simulated.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -146,7 +146,7 @@ int main() {
               exp_of(fj_row),
               analysis::format_state_count(analysis::fj_state_count())});
   t1.add_row({"[11] Chen-Chen", "none", "exponential",
-              "(theory; substrate demo only)", "O(1)"});
+              "(theory)", "O(1)"});
   t1.add_row({"[28] Yokota et al.", "psi = ceil(log n)+O(1)", "Theta(n^2)",
               exp_of(y28_row),
               analysis::format_state_count(analysis::y28_state_count(128))});
@@ -157,7 +157,7 @@ int main() {
   t1.print(std::cout);
   std::printf(
       "* reconstructions (original pseudocode not in this paper); see "
-      "DESIGN.md section 2.4.\n"
+      "README.md, Fidelity notes.\n"
       "Note: measured exponents for [5]/[15] reflect our reconstructions'\n"
       "behaviour from random initial configurations, which is typically\n"
       "faster than the papers' worst-case bounds.\n");

@@ -19,7 +19,7 @@
 //                                   families for scenario diversity
 //
 // corrupt_config / inject_random_faults implement the shared k-distinct-agent
-// corruption on top (the latter through Runner::set_agent, whose census is
+// corruption on top (the latter through RingView::set_agent, whose census is
 // delta-maintained, so a fault storm costs O(faults), not O(faults * n)).
 #pragma once
 
@@ -286,14 +286,6 @@ void inject_random_faults(core::RingView<P, Topo> ring, int faults,
                           core::Xoshiro256pp& rng) {
   for (int idx : detail::distinct_targets(ring.n(), faults, rng))
     ring.set_agent(idx, Adversary<P>::random_state(ring.params(), rng));
-}
-
-/// Convenience overload for a standalone Runner (template deduction cannot
-/// see through the RingView conversion).
-template <typename P, typename Topo>
-void inject_random_faults(core::Runner<P, Topo>& runner, int faults,
-                          core::Xoshiro256pp& rng) {
-  inject_random_faults(core::RingView<P, Topo>(runner), faults, rng);
 }
 
 /// The default recovery predicate of make_recovery_scenario: membership in

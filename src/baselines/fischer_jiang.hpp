@@ -2,11 +2,12 @@
 // leader detector Omega?, O(1) states, Theta(n^3) expected steps (Table 1;
 // bound stated for an immediately-reporting oracle).
 //
-// Reconstruction note (DESIGN.md §2.4): the original pseudocode is not in
-// this paper. We implement the structure the paper describes: bullets and
-// shields (first introduced by [15]) with *fire-on-absorb* discipline — a
-// leader re-arms when the previous bullet is absorbed, with the live/dummy +
-// shield coin extracted from the scheduler — plus the oracle:
+// Reconstruction note (README.md, Fidelity note 5): the original pseudocode
+// is not in this paper. We implement the structure the paper describes:
+// bullets and shields (first introduced by [15]) with *fire-on-absorb*
+// discipline — a leader re-arms when the previous bullet is absorbed, with
+// the live/dummy + shield coin extracted from the scheduler — plus the
+// oracle:
 //   * Omega?[leader]: while the population is leaderless, interacting
 //     responders promote themselves;
 //   * Omega?[bullet]: while no bullet exists, leaders re-arm (this breaks the

@@ -1,9 +1,9 @@
 // Baseline [5]: Angluin, Aspnes, Fischer, Jiang (2008) — SS-LE with O(1)
 // states on rings whose size n is *not* a multiple of a given k.
 //
-// Reconstruction (DESIGN.md §2.4; the original pseudocode is not in this
-// paper). It keeps [5]'s impossibility-breaking invariant: every agent
-// carries a label lab in Z_k with the intended relation
+// Reconstruction (README.md, Fidelity note 5; the original pseudocode is not
+// in this paper). It keeps [5]'s impossibility-breaking invariant: every
+// agent carries a label lab in Z_k with the intended relation
 //     lab(u_{i+1}) = lab(u_i) + 1 (mod k),   lab(leader) = 0.
 // A leaderless ring cannot satisfy this everywhere (the labels would have to
 // gain n ≢ 0 (mod k) around the ring), so *some* violating pair always

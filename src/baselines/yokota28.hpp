@@ -2,13 +2,13 @@
 // with Theta(n^2) expected convergence and O(n) states, given knowledge
 // N = n + O(n).
 //
-// Reconstruction note (DESIGN.md §2.4): the elimination half is Algorithm 5
-// of this paper verbatim (the paper imports it from [28] unchanged); the
-// creation half is the mechanism §3.1 attributes to [28]: every agent
-// computes the exact distance from its nearest left leader and a responder
-// that would reach distance N concludes no leader exists within the horizon
-// and promotes itself. N = 2^psi in [n, 2n), i.e. the same knowledge
-// psi = ceil(log2 n) + O(1) this paper assumes.
+// Reconstruction note (README.md, Fidelity note 5): the elimination half is
+// Algorithm 5 of this paper verbatim (the paper imports it from [28]
+// unchanged); the creation half is the mechanism §3.1 attributes to [28]:
+// every agent computes the exact distance from its nearest left leader and a
+// responder that would reach distance N concludes no leader exists within
+// the horizon and promotes itself. N = 2^psi in [n, 2n), i.e. the same
+// knowledge psi = ceil(log2 n) + O(1) this paper assumes.
 #pragma once
 
 #include <cstdint>

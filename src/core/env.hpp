@@ -1,12 +1,13 @@
-// Strict environment-variable parsing shared by every PPSIM_* knob.
+// Strict integer parsing shared by every PPSIM_* knob and by the numeric
+// arguments of ppsim_campaignd.
 //
 // The historical parsers were raw std::atoi: a typo like PPSIM_TRIALS=1O0
 // (letter O) silently became 1, and PPSIM_THREADS=x became 0 — both then
 // drove a real campaign with a silently-wrong plan. Here a malformed value
 // is a hard error: the full string must parse as a base-10 integer
 // (strtoll, no trailing garbage, no overflow), and anything else prints the
-// offending variable and exits with status 2 — a mis-typed knob can never
-// masquerade as a small trial count.
+// offending variable or argument and exits with status 2 — a mis-typed knob
+// can never masquerade as a small trial count.
 //
 // Negative-value semantics are deliberate and documented at each call site:
 // env_int/env_int64 *return* negatives verbatim (they parsed correctly —
@@ -22,38 +23,50 @@
 
 namespace ppsim::core {
 
-/// Strict integer environment override: returns `fallback` when `name` is
-/// unset or empty, the parsed value when the whole string is a base-10
-/// integer, and exits(2) with a diagnostic on anything else (trailing
-/// garbage, overflow). Negatives are returned verbatim — see header comment.
-[[nodiscard]] inline std::int64_t env_int64(const char* name,
-                                            std::int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
+/// The strict parse: the whole of `text` must be a base-10 integer; anything
+/// else (empty, trailing garbage, overflow) prints `name` and `text` and
+/// exits(2). Negatives are returned verbatim — see header comment.
+[[nodiscard]] inline std::int64_t parse_int64(const char* name,
+                                              const char* text) {
   char* end = nullptr;
   errno = 0;
-  const long long parsed = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE) {
+  const long long parsed = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) {
     std::fprintf(stderr,
                  "ppsim: %s='%s' is not an integer (strict parse; "
                  "refusing to run with a garbled knob)\n",
-                 name, v);
+                 name, text);
     std::exit(2);
   }
   return static_cast<std::int64_t>(parsed);
 }
 
-/// env_int64 narrowed to int; values outside int's range are rejected with
+/// parse_int64 narrowed to int; values outside int's range are rejected with
 /// the same hard error as garbage (a 64-bit count fed to an int knob is a
 /// plan the caller cannot represent, not a value to truncate).
-[[nodiscard]] inline int env_int(const char* name, int fallback) {
-  const std::int64_t v = env_int64(name, fallback);
+[[nodiscard]] inline int parse_int(const char* name, const char* text) {
+  const std::int64_t v = parse_int64(name, text);
   if (v < INT32_MIN || v > INT32_MAX) {
     std::fprintf(stderr, "ppsim: %s=%lld does not fit a 32-bit knob\n", name,
                  static_cast<long long>(v));
     std::exit(2);
   }
   return static_cast<int>(v);
+}
+
+/// Strict integer environment override: `fallback` when `name` is unset or
+/// empty, parse_int64 of its value otherwise.
+[[nodiscard]] inline std::int64_t env_int64(const char* name,
+                                            std::int64_t fallback) {
+  const char* v = std::getenv(name);
+  return v == nullptr || *v == '\0' ? fallback : parse_int64(name, v);
+}
+
+/// env_int64 for an int knob: the value goes through parse_int's range
+/// check.
+[[nodiscard]] inline int env_int(const char* name, int fallback) {
+  const char* v = std::getenv(name);
+  return v == nullptr || *v == '\0' ? fallback : parse_int(name, v);
 }
 
 }  // namespace ppsim::core

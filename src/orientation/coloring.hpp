@@ -3,10 +3,11 @@
 // Algorithm 6 declares color, c1, c2 as *input variables*: the orientation
 // protocol consumes a proper two-hop coloring (u_i.color != u_{i+2}.color)
 // plus each agent's knowledge of its two neighbors' colors. The paper obtains
-// the coloring from the self-stabilizing protocol of [24]; per DESIGN.md §2.4
-// our harness supplies it (a greedy proper coloring), and the "memorize the
-// two most recently observed distinct colors" warm-up the paper sketches for
-// c1/c2 is implemented inside the composed stack (oriented_stack.hpp).
+// the coloring from the self-stabilizing protocol of [24]; per README.md,
+// Fidelity note 6, our harness supplies it (a greedy proper coloring), and
+// the "memorize the two most recently observed distinct colors" warm-up the
+// paper sketches for c1/c2 is implemented inside the composed stack
+// (oriented_stack.hpp).
 #pragma once
 
 #include <cstdint>

@@ -6,11 +6,11 @@
 // heads, ties go to the initiator, and the winner's strength moves to the
 // fresh head (the flipped loser). Non-head strong agents turn weak.
 //
-// One fidelity note (DESIGN.md §2.4): Definition 5.1 quantifies over all
-// configurations, but the printed guards only fire when dir points at one of
-// the agent's neighbors; a garbage dir (not a neighbor color) would be
-// frozen forever. We add the minimal sanitization — dir values outside
-// {c1, c2} are reset to the partner's color on interaction.
+// One fidelity note (README.md, Fidelity note 7): Definition 5.1 quantifies
+// over all configurations, but the printed guards only fire when dir points
+// at one of the agent's neighbors; a garbage dir (not a neighbor color)
+// would be frozen forever. We add the minimal sanitization — dir values
+// outside {c1, c2} are reset to the partner's color on interaction.
 #pragma once
 
 #include <cstdint>

@@ -251,7 +251,8 @@ bool resolve_geometry_cdl(int n, const PlParams& p, int host, int r,
 ///   value = b_x XOR carry_x,   carry-field = carry_{x+1},
 /// with j the index of the first 0 bit of S_i (psi if all ones),
 /// carry_x = [x <= j] and carry_{x+1} = [x < j]. (Def. 4.3 with the
-/// carry-phase fix; forced by lines 13 and 27, see DESIGN.md §2.1(5).)
+/// carry-phase fix; forced by lines 13 and 27, see README.md, Fidelity
+/// note 4.)
 /// Bits b_0..b_x decide it: x <= j iff none of b_0..b_{x-1} is 0, and
 /// x < j iff b_x is not 0 either.
 template <typename F>

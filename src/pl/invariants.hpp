@@ -74,11 +74,12 @@ struct SegmentView {
 /// configuration without a leader is never perfect.
 [[nodiscard]] bool is_perfect(Config c, const PlParams& p);
 
-/// Token validity (Def. 3.3, interval sense per DESIGN.md §2.1(1)).
+/// Token validity (Def. 3.3, interval sense per README.md, Fidelity note 1).
 [[nodiscard]] bool token_valid(const PlState& host, const Token& t, int d,
                                const PlParams& p);
 
-/// Token correctness (Def. 4.3, carry-phase fix per DESIGN.md §2.1(5)).
+/// Token correctness (Def. 4.3, carry-phase fix per README.md, Fidelity
+/// note 4).
 /// Defined relative to the C_DL layout anchored at `leader_pos`; returns
 /// false when the token's working-pair geometry is broken.
 [[nodiscard]] bool token_correct(Config c, const PlParams& p, int host,

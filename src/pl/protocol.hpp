@@ -4,8 +4,9 @@
 //
 // Line-number comments refer to the paper's pseudocode. Two transcription
 // fixes relative to the raw arXiv text are applied and documented in
-// DESIGN.md §2.1: the InvalidToken interval sense (Def. 3.3) and the payload
-// in line 30. `mode` is derived from `clock` (DESIGN.md §2.1(3)).
+// README.md, Fidelity notes 1 and 2: the InvalidToken interval sense
+// (Def. 3.3) and the payload in line 30. `mode` is derived from `clock`
+// (Fidelity note 3).
 //
 // Every transition is templated on an event sink (see events.hpp); the
 // default NullSink makes the hooks vanish, so the uninstrumented hot path is
@@ -32,7 +33,7 @@ namespace detail {
 }
 
 /// Definition 3.3 (with the interval sense forced by the Fig.-2 trajectory;
-/// see DESIGN.md §2.1(1)). A token at agent `v` with color offset `d`
+/// see README.md, Fidelity note 1). A token at agent `v` with color offset `d`
 /// (0 = black, psi = white) is valid iff its shifted target
 /// tau = (v.dist + token.pos + d) mod 2psi lies in the rightward band
 /// [psi, 2psi-1] when moving right, or the leftward band [1, psi-1] when
@@ -123,7 +124,7 @@ inline void move_token(PlState& l, PlState& r, Token PlState::* tm, int d,
     sink.token_moved(black);
   } else if (rt.exists() && rt.pos <= -2) {
     // Lines 29-31: move left. (Line 30's payload travels with the token;
-    // DESIGN.md §2.1(2).)
+    // README.md, Fidelity note 2.)
     lt = Token{static_cast<std::int8_t>(rt.pos + 1), rt.value, rt.carry};
     rt.clear();
     sink.token_moved(black);
@@ -190,7 +191,7 @@ inline void determine_mode(PlState& l, PlState& r, const PlParams& p,
     sink.clock_advanced();
     if (static_cast<int>(r.clock) == p.kappa_max) sink.entered_detect();
   }
-  // Lines 49-50: mode is derived from clock (DESIGN.md §2.1(3)).
+  // Lines 49-50: mode is derived from clock (README.md, Fidelity note 3).
 }
 
 /// CreateLeader() — Algorithm 2.

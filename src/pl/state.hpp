@@ -9,7 +9,7 @@
 // `mode` is derived, not stored: DetermineMode() (lines 49-50) recomputes
 // mode from clock for both interaction partners before any read of mode in
 // Algorithms 2-3, so mode == Detect <=> clock == kappa_max at every read.
-// See DESIGN.md §2.1(3).
+// See README.md, Fidelity note 3.
 #pragma once
 
 #include <compare>

@@ -387,7 +387,7 @@ TEST(Adversary, InjectRandomFaultsKeepsCensusConsistent) {
   const auto p = pl::PlParams::make(16, 4);
   core::Runner<pl::PlProtocol> runner(p, pl::make_safe_config(p), 13);
   core::Xoshiro256pp rng(14);
-  inject_random_faults(runner, 8, rng);
+  inject_random_faults(core::RingView<pl::PlProtocol>(runner), 8, rng);
   core::Runner<pl::PlProtocol> fresh(
       p, std::vector<pl::PlState>(runner.agents().begin(),
                                   runner.agents().end()),

@@ -1,8 +1,9 @@
 // Closure of S_PL (Lemma 4.7): executions started inside S_PL never change
 // any output and never leave S_PL. This is the end-to-end validation of both
 // the transition implementation and the Def.-3.3/4.3 interpretation
-// (DESIGN.md §2.1): a wrong interval or carry phase would either delete/flag
-// legitimate tokens or let an "incorrect" token slip through and flip a bit.
+// (README.md, Fidelity notes 1 and 4): a wrong interval or carry phase would
+// either delete/flag legitimate tokens or let an "incorrect" token slip
+// through and flip a bit.
 #include <gtest/gtest.h>
 
 #include <tuple>

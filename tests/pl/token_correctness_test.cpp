@@ -1,6 +1,6 @@
-// Token correctness (Def. 4.3 with the carry-phase fix, DESIGN.md §2.1(5))
-// and Lemma 4.4/4.5 properties, for black and white tokens, both directions,
-// every round.
+// Token correctness (Def. 4.3 with the carry-phase fix, README.md, Fidelity
+// note 4) and Lemma 4.4/4.5 properties, for black and white tokens, both
+// directions, every round.
 #include <gtest/gtest.h>
 
 #include "core/ring.hpp"

@@ -1,7 +1,8 @@
 // MoveToken (Algorithm 3): the Figure-2 trajectory, the ripple-carry
 // increment semantics, collision rules, last-segment destruction and invalid
 // token cleanup. These tests pin down the InvalidToken interpretation
-// (DESIGN.md §2.1(1)): a wrong interval sense would break every one of them.
+// (README.md, Fidelity note 1): a wrong interval sense would break every one
+// of them.
 #include <gtest/gtest.h>
 
 #include <optional>
