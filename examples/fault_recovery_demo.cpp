@@ -4,9 +4,9 @@
 //
 //   $ ./fault_recovery_demo [n] [seed]
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "core/env.hpp"
 #include "core/runner.hpp"
 #include "pl/adversary.hpp"
 #include "pl/invariants.hpp"
@@ -26,9 +26,9 @@ std::uint64_t heal(core::Runner<pl::PlProtocol>& runner) {
 
 int main(int argc, char** argv) {
   using namespace ppsim;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 64;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                      : 7;
+  const int n = argc > 1 ? core::parse_int("[n]", argv[1]) : 64;
+  const auto seed = static_cast<std::uint64_t>(
+      argc > 2 ? core::parse_int64("[seed]", argv[2]) : 7);
   const auto p = pl::PlParams::make(n, 8);
   core::Xoshiro256pp rng(seed);
 

@@ -6,8 +6,8 @@
 // Walks through the library's core API: parameters, adversarial initial
 // configuration, the runner, milestone predicates and the S_PL certificate.
 #include <cstdio>
-#include <cstdlib>
 
+#include "core/env.hpp"
 #include "core/runner.hpp"
 #include "pl/adversary.hpp"
 #include "pl/invariants.hpp"
@@ -15,9 +15,9 @@
 int main(int argc, char** argv) {
   using namespace ppsim;
 
-  const int n = argc > 1 ? std::atoi(argv[1]) : 100;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                      : 2023;
+  const int n = argc > 1 ? core::parse_int("[n]", argv[1]) : 100;
+  const auto seed = static_cast<std::uint64_t>(
+      argc > 2 ? core::parse_int64("[seed]", argv[2]) : 2023);
 
   // 1. Protocol parameters: the common knowledge psi = ceil(log2 n) + O(1).
   //    (c1 scales kappa_max; the paper's proofs use c1 >= 32, smaller values

@@ -10,11 +10,11 @@
 //
 //   $ ./example_scenario_campaign_demo [n] [trials]
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "analysis/adversary.hpp"
 #include "analysis/scenario.hpp"
+#include "core/env.hpp"
 #include "pl/params.hpp"
 #include "pl/protocol.hpp"
 
@@ -65,8 +65,8 @@ void report(const char* protocol, const typename P::Params& params,
 
 int main(int argc, char** argv) {
   using namespace ppsim;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 32;
-  const int trials = argc > 2 ? std::atoi(argv[2]) : 5;
+  const int n = argc > 1 ? core::parse_int("[n]", argv[1]) : 32;
+  const int trials = argc > 2 ? core::parse_int("[trials]", argv[2]) : 5;
 
   std::printf("recovery campaigns: burst (all faults at once) vs storm "
               "(spaced n steps)\n\n");

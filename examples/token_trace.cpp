@@ -4,8 +4,8 @@
 //
 //   $ ./token_trace [n] [frames] [steps_per_frame]
 #include <cstdio>
-#include <cstdlib>
 
+#include "core/env.hpp"
 #include "core/runner.hpp"
 #include "pl/invariants.hpp"
 #include "pl/safe_config.hpp"
@@ -57,12 +57,12 @@ void render(const core::Runner<pl::PlProtocol>& run) {
 
 int main(int argc, char** argv) {
   using namespace ppsim;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 32;
-  const int frames = argc > 2 ? std::atoi(argv[2]) : 6;
+  const int n = argc > 1 ? core::parse_int("[n]", argv[1]) : 32;
+  const int frames = argc > 2 ? core::parse_int("[frames]", argv[2]) : 6;
   const auto p = pl::PlParams::make(n, 4);
-  const std::uint64_t per_frame =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10)
-               : static_cast<std::uint64_t>(n) * n;
+  const std::uint64_t per_frame = static_cast<std::uint64_t>(
+      argc > 3 ? core::parse_int64("[steps_per_frame]", argv[3])
+               : std::int64_t{n} * n);
 
   core::Runner<pl::PlProtocol> run(p, pl::make_fresh_config(p), 3);
   std::printf("P_PL internals, n=%d psi=%d (fresh single-leader start)\n"

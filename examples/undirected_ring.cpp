@@ -4,16 +4,16 @@
 //
 //   $ ./undirected_ring [n] [seed]
 #include <cstdio>
-#include <cstdlib>
 
+#include "core/env.hpp"
 #include "core/runner.hpp"
 #include "orientation/oriented_stack.hpp"
 
 int main(int argc, char** argv) {
   using namespace ppsim;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 48;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                      : 11;
+  const int n = argc > 1 ? core::parse_int("[n]", argv[1]) : 48;
+  const auto seed = static_cast<std::uint64_t>(
+      argc > 2 ? core::parse_int64("[seed]", argv[2]) : 11);
 
   const auto p = orient::StackParams::make(n, /*c1=*/8);
   core::Xoshiro256pp rng(seed);

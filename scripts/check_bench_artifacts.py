@@ -39,7 +39,6 @@ KNOWN_SCHEMA_VERSIONS = {
     "ensemble": 2,
     "recovery": 1,
     "throughput": 2,
-    "topology": 1,
 }
 
 

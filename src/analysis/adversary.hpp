@@ -279,10 +279,9 @@ void corrupt_config(std::vector<typename P::State>& config,
 /// Corrupt `faults` distinct agents of a *running* ring through
 /// RingView::set_agent (census stays incremental; the standard `inject` of a
 /// ScenarioSpec). The view form serves a standalone Runner and one ring of
-/// an EnsembleRunner identically — and any topology, since fault targets
-/// are agents, not arcs.
-template <typename P, typename Topo>
-void inject_random_faults(core::RingView<P, Topo> ring, int faults,
+/// an EnsembleRunner identically.
+template <typename P>
+void inject_random_faults(core::RingView<P> ring, int faults,
                           core::Xoshiro256pp& rng) {
   for (int idx : detail::distinct_targets(ring.n(), faults, rng))
     ring.set_agent(idx, Adversary<P>::random_state(ring.params(), rng));
@@ -306,20 +305,17 @@ struct InSafeSet {
 /// The standard recovery scenario for protocol P: stabilize from a converged
 /// configuration (leader at a random position), run `schedule`, recover to
 /// the protocol's safe set. `name` should identify the schedule shape
-/// ("burst_4", "storm_8", ...). Topo defaults to the ring; on other
-/// topologies note that the study protocols' safe sets are ring-structured,
-/// so stabilization may never occur — the campaign reports that honestly as
-/// stabilization_failures rather than hanging (max_steps bounds the wait).
-template <typename P, typename Topo = core::RingTopology>
-[[nodiscard]] ScenarioSpec<P, Topo> make_recovery_scenario(
+/// ("burst_4", "storm_8", ...).
+template <typename P>
+[[nodiscard]] ScenarioSpec<P> make_recovery_scenario(
     std::string name, std::vector<FaultEvent> schedule, TrialPlan plan) {
-  ScenarioSpec<P, Topo> spec;
+  ScenarioSpec<P> spec;
   spec.name = std::move(name);
   spec.initial = [](const typename P::Params& p, core::Xoshiro256pp& rng) {
     return Adversary<P>::safe_config(p, rng);
   };
   spec.schedule = std::move(schedule);
-  spec.inject = [](core::RingView<P, Topo> r, int faults,
+  spec.inject = [](core::RingView<P> r, int faults,
                    core::Xoshiro256pp& rng) {
     inject_random_faults(r, faults, rng);
   };

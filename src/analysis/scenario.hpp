@@ -60,16 +60,13 @@
 // hitting times are quantized up to that granularity; fault injections
 // themselves land at exact offsets.
 //
-// Topology and scheduler faults: ScenarioSpec is templated on a
-// core::Topology (ring by default — existing campaigns are untouched) and
-// carries an optional core::SchedulerFaults (omission probability and/or
-// biased arc distribution). Faults are applied identically to the
-// standalone-Runner reference path and to every ensemble ring, and the
-// loss stream is derived per trial from the trial seed
+// Scheduler faults: ScenarioSpec carries an optional core::SchedulerFaults
+// (omission probability and/or biased arc distribution). Faults are applied
+// identically to the standalone-Runner reference path and to every ensemble
+// ring, and the loss stream is derived per trial from the trial seed
 // (stream_seed(seed, core::streams::kLoss)), so the bit-identity and
-// thread-count-invariance
-// contracts above carry over verbatim to faulted campaigns
-// (tests/analysis/topology_campaign_test.cpp).
+// thread-count-invariance contracts above carry over verbatim to faulted
+// campaigns (tests/analysis/scheduler_faults_test.cpp).
 #pragma once
 
 #include <algorithm>
@@ -92,7 +89,6 @@
 #include "core/runner.hpp"
 #include "core/statistics.hpp"
 #include "core/stream_tags.hpp"
-#include "core/topology.hpp"
 
 namespace ppsim::analysis {
 
@@ -223,11 +219,10 @@ class RecoveryPredicate {
 /// predicate (for the study protocols: membership in the safe set; see
 /// RecoveryPredicate). analysis/adversary.hpp builds the standard
 /// instances.
-template <typename P, typename Topo = core::RingTopology>
+template <typename P>
 struct ScenarioSpec {
   using Params = typename P::Params;
   using State = typename P::State;
-  using Topology = Topo;
 
   std::string name;
   std::function<std::vector<State>(const Params&, core::Xoshiro256pp&)>
@@ -235,8 +230,7 @@ struct ScenarioSpec {
   /// Executed in at_step order (stably sorted per trial; same-step events
   /// keep their declared order).
   std::vector<FaultEvent> schedule;
-  std::function<void(core::RingView<P, Topo>, int, core::Xoshiro256pp&)>
-      inject;
+  std::function<void(core::RingView<P>, int, core::Xoshiro256pp&)> inject;
   /// Assign any (span, params) -> bool callable; one that also takes a
   /// core::WordRingView lets word-owned rings skip the unpack per check.
   RecoveryPredicate<P> recovered;
@@ -278,8 +272,8 @@ namespace detail {
 /// Reject a spec whose callbacks cannot run, with std::invalid_argument
 /// naming the field: an empty `initial` or `recovered`, or an empty
 /// `inject` while the schedule has events.
-template <typename P, typename Topo>
-void check_callbacks(const ScenarioSpec<P, Topo>& spec) {
+template <typename P>
+void check_callbacks(const ScenarioSpec<P>& spec) {
   const auto reject = [&](const char* why) {
     throw std::invalid_argument("ScenarioSpec '" + spec.name + "': " + why);
   };
@@ -291,9 +285,9 @@ void check_callbacks(const ScenarioSpec<P, Topo>& spec) {
 
 /// `spec.schedule` stably sorted by at_step (same-step events keep their
 /// declared order) — the execution order of every trial.
-template <typename P, typename Topo>
+template <typename P>
 [[nodiscard]] std::vector<FaultEvent> sorted_schedule(
-    const ScenarioSpec<P, Topo>& spec) {
+    const ScenarioSpec<P>& spec) {
   std::vector<FaultEvent> schedule = spec.schedule;
   std::stable_sort(schedule.begin(), schedule.end(),
                    [](const FaultEvent& a, const FaultEvent& b) {
@@ -307,9 +301,9 @@ template <typename P, typename Topo>
 /// driver (tests/core/ensemble_test.cpp compares the two trial for trial).
 /// See the header comment for the phase diagram. Throws
 /// std::invalid_argument on unusable callbacks (check_callbacks).
-template <typename P, typename Topo = core::RingTopology>
+template <typename P>
 [[nodiscard]] RecoveryTrial recovery_trial(const typename P::Params& params,
-                                           const ScenarioSpec<P, Topo>& spec,
+                                           const ScenarioSpec<P>& spec,
                                            std::uint64_t t) {
   check_callbacks(spec);
   const TrialPlan& plan = spec.plan;
@@ -317,7 +311,7 @@ template <typename P, typename Topo = core::RingTopology>
   core::Xoshiro256pp cfg_rng(core::stream_seed(seed, core::streams::kConfig));
   core::Xoshiro256pp fault_rng(
       core::stream_seed(seed, core::streams::kFaults));
-  core::Runner<P, Topo> runner(params, spec.initial(params, cfg_rng), seed);
+  core::Runner<P> runner(params, spec.initial(params, cfg_rng), seed);
   if (spec.sched_faults.active()) runner.set_scheduler_faults(spec.sched_faults);
 
   RecoveryTrial out;
@@ -332,7 +326,7 @@ template <typename P, typename Topo = core::RingTopology>
   for (const FaultEvent& ev : sorted_schedule(spec)) {
     const std::uint64_t target = epoch + ev.at_step;
     if (target > runner.steps()) runner.run(target - runner.steps());
-    spec.inject(core::RingView<P, Topo>(runner), ev.faults, fault_rng);
+    spec.inject(core::RingView<P>(runner), ev.faults, fault_rng);
     last_injection = runner.steps();
   }
 
@@ -349,14 +343,13 @@ template <typename P, typename Topo = core::RingTopology>
 /// recovery_trial's: stabilize (run_until_each), inject at exact offsets
 /// (run_ring + RingView), recover (run_until_each over the stabilized
 /// subset, others frozen).
-template <typename P, typename Topo = core::RingTopology>
+template <typename P>
 void ensemble_recovery_shard(const typename P::Params& params,
-                             const ScenarioSpec<P, Topo>& spec,
-                             std::size_t first, std::size_t count,
-                             std::span<RecoveryTrial> out) {
-  constexpr std::uint64_t npos = core::EnsembleRunner<P, Topo>::npos;
+                             const ScenarioSpec<P>& spec, std::size_t first,
+                             std::size_t count, std::span<RecoveryTrial> out) {
+  constexpr std::uint64_t npos = core::EnsembleRunner<P>::npos;
   const TrialPlan& plan = spec.plan;
-  core::EnsembleRunner<P, Topo> ensemble(params, static_cast<int>(count));
+  core::EnsembleRunner<P> ensemble(params, static_cast<int>(count));
   std::vector<core::Xoshiro256pp> fault_rngs;
   fault_rngs.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -390,8 +383,7 @@ void ensemble_recovery_shard(const typename P::Params& params,
       const std::uint64_t target = epoch + ev.at_step;
       if (target > ensemble.steps(r))
         ensemble.run_ring(r, target - ensemble.steps(r));
-      spec.inject(core::RingView<P, Topo>(ensemble, r), ev.faults,
-                  fault_rngs[i]);
+      spec.inject(core::RingView<P>(ensemble, r), ev.faults, fault_rngs[i]);
       last = ensemble.steps(r);
     }
     last_injection[i] = last;
@@ -420,9 +412,9 @@ void ensemble_recovery_shard(const typename P::Params& params,
 /// and to the per-trial reference path (indices only; see header comment).
 /// Throws std::invalid_argument on unusable callbacks before any shard
 /// runs (detail::check_callbacks).
-template <typename P, typename Topo = core::RingTopology>
+template <typename P>
 [[nodiscard]] RecoveryStats measure_recovery(
-    const typename P::Params& params, const ScenarioSpec<P, Topo>& spec) {
+    const typename P::Params& params, const ScenarioSpec<P>& spec) {
   detail::check_callbacks(spec);
   std::vector<RecoveryTrial> trials(
       static_cast<std::size_t>(std::max<std::int64_t>(spec.plan.trials, 0)));
@@ -434,11 +426,11 @@ template <typename P, typename Topo = core::RingTopology>
       static_cast<std::size_t>(params.n) * sizeof(typename P::State),
       trials.size(), static_cast<std::size_t>(pool.size()),
       static_cast<std::size_t>(
-          core::EnsembleRunner<P, Topo>::lockstep_lanes()));
+          core::EnsembleRunner<P>::lockstep_lanes()));
   const std::size_t shards = (trials.size() + shard - 1) / shard;
   pool.for_index(shards, [&](std::size_t s) {
     const std::size_t first = s * shard;
-    detail::ensemble_recovery_shard<P, Topo>(
+    detail::ensemble_recovery_shard<P>(
         params, spec, first, std::min(shard, trials.size() - first), trials);
   });
   return detail::fold_recovery(trials);
@@ -456,10 +448,9 @@ struct CampaignResult {
 /// Give each cell a distinct plan.tag — campaign_tag below is collision-free
 /// for n < 2^20 and faults < 2^12 — so cells stay decorrelated and
 /// reproducible independent of campaign order.
-template <typename P, typename Topo = core::RingTopology>
+template <typename P>
 [[nodiscard]] std::vector<CampaignResult> run_campaign(
-    std::span<const std::pair<typename P::Params, ScenarioSpec<P, Topo>>>
-        cells) {
+    std::span<const std::pair<typename P::Params, ScenarioSpec<P>>> cells) {
   std::vector<CampaignResult> out;
   out.reserve(cells.size());
   for (const auto& [params, spec] : cells) {
@@ -467,7 +458,7 @@ template <typename P, typename Topo = core::RingTopology>
     r.scenario = spec.name;
     r.n = params.n;
     r.faults = total_faults(spec.schedule);
-    r.stats = measure_recovery<P, Topo>(params, spec);
+    r.stats = measure_recovery<P>(params, spec);
     out.push_back(std::move(r));
   }
   return out;

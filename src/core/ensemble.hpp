@@ -91,8 +91,14 @@
 
 namespace ppsim::core {
 
-template <typename P, typename Topo>
+template <typename P>
 class Runner;  // core/runner.hpp: ring 0 of a ScalarOnly EnsembleRunner
+
+/// The ring, the only topology. EnsembleRunner keeps a second template
+/// parameter, defaulted to this tag and asserted to be it, only because
+/// perfbench's lane_of deduces EnsembleRunner<P, Topo>; drop the two
+/// together when the benchmark next changes.
+struct RingTopology {};
 
 /// Whether `pred` declares the unique-leader clause: it has a
 /// unique_leader() member that returns true, a promise that it accepts no
@@ -173,13 +179,13 @@ inline constexpr ScalarOnly kScalarOnly{};
 
 template <typename P, typename Topo = RingTopology>
 class EnsembleRunner {
-  static_assert(TopologyLike<Topo>);
-  friend class Runner<P, Topo>;
+  static_assert(std::is_same_v<Topo, RingTopology>,
+                "the ring is the only topology");
+  friend class Runner<P>;
 
  public:
   using State = typename P::State;
   using Params = typename P::Params;
-  using Topology = Topo;
   using Engine = InteractionEngine<P>;
 
   static constexpr std::uint64_t npos =
@@ -198,10 +204,7 @@ class EnsembleRunner {
   /// delta census and fallback contract the LUT lane has: any state that
   /// fails the pack/unpack round trip (out of the declared domain) drops
   /// the ensemble to the generic path, never to a wrong trajectory.
-  /// Ring-only (the driver's endpoint arithmetic and disjointness proofs
-  /// are ring math); the LUT lane, by contrast, is topology-generic.
-  static constexpr bool kWordable =
-      WordKernelRunnable<P> && std::is_same_v<Topo, RingTopology>;
+  static constexpr bool kWordable = WordKernelRunnable<P>;
   using WordLayout = typename detail::WordTypesOf<P>::Layout;
   using WordConsts = typename detail::WordTypesOf<P>::Consts;
 
@@ -232,25 +235,16 @@ class EnsembleRunner {
     }
   }
 
+  /// Throws std::invalid_argument unless params.n >= 1, in every build
+  /// type.
   explicit EnsembleRunner(Params params, int reserve_rings = 0)
-      : params_(std::move(params)), topo_(params_.n) {
+      : params_(std::move(params)) {
     init_modes(reserve_rings, true);
   }
 
-  /// Explicit-topology constructor (topologies that carry more than n).
-  /// Throws std::invalid_argument unless topo.n() == params.n.
-  EnsembleRunner(Topo topo, Params params, int reserve_rings = 0)
-      : params_(std::move(params)), topo_(std::move(topo)) {
-    init_modes(reserve_rings, true);
-  }
-
-  /// The ScalarOnly forms of the two constructors above.
+  /// The ScalarOnly form of the constructor above.
   EnsembleRunner(ScalarOnly, Params params, int reserve_rings = 0)
-      : params_(std::move(params)), topo_(params_.n) {
-    init_modes(reserve_rings, false);
-  }
-  EnsembleRunner(ScalarOnly, Topo topo, Params params, int reserve_rings = 0)
-      : params_(std::move(params)), topo_(std::move(topo)) {
+      : params_(std::move(params)) {
     init_modes(reserve_rings, false);
   }
 
@@ -344,8 +338,6 @@ class EnsembleRunner {
   [[nodiscard]] std::uint64_t last_leader_change(int r) const {
     return clock(r).last_leader_change;
   }
-
-  [[nodiscard]] const Topo& topology() const noexcept { return topo_; }
 
   /// Oracle delay for every ring, current and future: steps of
   /// uninterrupted leaderlessness before Omega? reports absence. 0 =
@@ -554,12 +546,9 @@ class EnsembleRunner {
   }
 
  private:
-  /// Shared constructor tail: topology check, storage reservation and, when
-  /// `accelerate`, accelerator-mode probing (LUT, then the ring-only word
-  /// lanes).
+  /// Shared constructor tail: storage reservation and, when `accelerate`,
+  /// accelerator-mode probing (LUT, then the word lanes).
   void init_modes(int reserve_rings, bool accelerate) {
-    if (topo_.n() != params_.n)
-      throw std::invalid_argument("EnsembleRunner: topology n != params.n");
     if (reserve_rings > 0) {
       const auto r = static_cast<std::size_t>(reserve_rings);
       states_.reserve(r * static_cast<std::size_t>(params_.n));
@@ -730,8 +719,9 @@ class EnsembleRunner {
     return static_cast<int>(rngs_[ri].bounded(bound_));
   }
   void apply_arc(int r, int arc) {
-    Engine::apply_arc(states_.data() + ring_offset(r), topo_.endpoints(arc),
-                      params_, clocks_[static_cast<std::size_t>(r)]);
+    Engine::apply_arc(states_.data() + ring_offset(r),
+                      arc_endpoints(arc, params_.n), params_,
+                      clocks_[static_cast<std::size_t>(r)]);
   }
 
   /// Leave packed mode permanently: materialize every mirror-owned ring's
@@ -847,10 +837,10 @@ class EnsembleRunner {
     State* const agents = states_.data() + ring_offset(r);
     const auto ri = static_cast<std::size_t>(r);
     if (!sched_active_) {
-      Engine::run_block(agents, topo_, bound_, threshold_, params_, rngs_[ri],
-                        clocks_[ri], k);
+      Engine::run_block(agents, params_.n, bound_, threshold_, params_,
+                        rngs_[ri], clocks_[ri], k);
     } else {
-      Engine::run_block_faulted(agents, topo_, bound_, threshold_, params_,
+      Engine::run_block_faulted(agents, params_.n, bound_, threshold_, params_,
                                 bias_, loss_threshold_, rngs_[ri],
                                 loss_rngs_[ri], clocks_[ri], k);
     }
@@ -871,11 +861,11 @@ class EnsembleRunner {
     const std::uint64_t threshold = threshold_;
     Xoshiro256pp rng = rngs_[ri];
     RingClock clk = clocks_[ri];
-    const Topo topo = topo_;
+    const int n = params_.n;
     for (std::uint64_t i = 0; i < k; ++i) {
       const int arc =
           static_cast<int>(rng.bounded_with_threshold(bound, threshold));
-      const ArcEndpoints e = topo.endpoints(arc);
+      const ArcEndpoints e = arc_endpoints(arc, n);
       const std::size_t pa = packed[e.initiator];
       const std::size_t pb = packed[e.responder];
       const LutEntry& en = lut[pa * S + pb];
@@ -975,9 +965,10 @@ class EnsembleRunner {
   }
 
   Params params_;
-  Topo topo_;  ///< after params_: the (Params, int) ctor builds it from .n
-  std::uint64_t bound_ =
-      static_cast<std::uint64_t>(topo_.arc_count(P::directed));
+  /// After params_: its initializer rejects n < 1 before the rejection
+  /// threshold below divides by the arc count.
+  std::uint64_t bound_ = static_cast<std::uint64_t>(arc_count(
+      checked_ring_size(params_.n, "EnsembleRunner"), P::directed));
   std::uint64_t threshold_ = Xoshiro256pp::rejection_threshold(bound_);
   std::uint64_t oracle_delay_ = 0;
   std::vector<std::uint64_t> seeds_;     ///< per-ring origin seeds
@@ -1012,15 +1003,15 @@ class EnsembleRunner {
 /// fault injectors need (analysis/scenario.hpp's ScenarioSpec::inject). A
 /// Runner is viewed as its ensemble's ring 0, so one injector serves the
 /// per-trial reference path and the campaign path. Pass by value.
-template <typename P, typename Topo = RingTopology>
+template <typename P>
 class RingView {
  public:
   using State = typename P::State;
   using Params = typename P::Params;
 
-  explicit RingView(Runner<P, Topo>& runner) noexcept
+  explicit RingView(Runner<P>& runner) noexcept
       : RingView(runner.ring_, 0) {}
-  RingView(EnsembleRunner<P, Topo>& ensemble, int ring) noexcept
+  RingView(EnsembleRunner<P>& ensemble, int ring) noexcept
       : ensemble_(&ensemble), ring_(ring) {}
 
   [[nodiscard]] const Params& params() const noexcept {
@@ -1036,7 +1027,7 @@ class RingView {
   void set_agent(int i, const State& s) { ensemble_->set_agent(ring_, i, s); }
 
  private:
-  EnsembleRunner<P, Topo>* ensemble_;
+  EnsembleRunner<P>* ensemble_;
   int ring_;
 };
 

@@ -22,11 +22,9 @@
 // (u_i, u_{i+1}) — the *left* agent is the initiator, matching the paper's
 // "l is the initiator and r is the responder". On the undirected ring there
 // are 2n arcs: e_i and its reverse (u_{i+1}, u_i), each with probability 1/2n.
-// The mapping lives behind the Topology interface (core/topology.hpp): the
-// engines draw arc ids and resolve them through Topo::endpoints, with
-// RingTopology (the default) forwarding to core/ring.hpp's `arc_endpoints`.
-// The exhaustive ModelChecker reads the same interface; per-topology
-// engine/checker agreement is pinned by tests/core/topology_drift_test.cpp.
+// The engines draw arc ids and resolve them through core/ring.hpp's
+// `arc_endpoints`, the function the exhaustive ModelChecker reads too;
+// tests/core/topology_drift_test.cpp pins the two against each other.
 //
 // Two interaction bodies share one RNG stream and are bit-identical:
 // `apply_arc`, the reference path (Runner::step / run_unbatched: one
@@ -56,7 +54,6 @@
 #include "core/ring.hpp"
 #include "core/rng.hpp"
 #include "core/stream_tags.hpp"
-#include "core/topology.hpp"
 #include "core/wordlane.hpp"
 
 namespace ppsim::core {
@@ -190,7 +187,7 @@ struct SchedulerFaults {
     if (arc_weights.size() != static_cast<std::size_t>(arc_count)) {
       throw std::invalid_argument(
           "SchedulerFaults: arc_weights has " +
-          std::to_string(arc_weights.size()) + " entries, the topology " +
+          std::to_string(arc_weights.size()) + " entries, the ring " +
           std::to_string(arc_count) + " arcs");
     }
     double total = 0.0;
@@ -388,8 +385,7 @@ struct InteractionEngine {
 
   /// One interaction of the reference path: unconditional before/after
   /// census. `agents` is the contiguous state array of params.n slots; the
-  /// caller resolves the drawn arc id to endpoints through its Topology
-  /// (the engine core is topology-agnostic).
+  /// caller resolves the drawn arc id to endpoints (core::arc_endpoints).
   static void apply_arc(State* agents, ArcEndpoints e, const Params& params,
                         RingClock& clk) {
     State& a = agents[e.initiator];
@@ -442,30 +438,27 @@ struct InteractionEngine {
 
   /// The random-scheduler scalar loop: `k` uniform draws from `rng`, each
   /// through apply_arc_batched — the one per-ring loop behind Runner::run
-  /// and EnsembleRunner's generic lane. The RNG, clock and topology are
-  /// copied into locals for the block and stored back at its end: the
-  /// compiler keeps them in registers, while through the caller's storage
+  /// and EnsembleRunner's generic lane. The RNG and clock are copied into
+  /// locals for the block and stored back at its end: the compiler keeps
+  /// them in registers, while through the caller's storage
   /// every byte-sized state store (which may alias anything) would force
   /// them to reload per step. [[gnu::flatten]] pins the full inlining of
   /// apply_arc_batched and the RNG regardless of translation-unit size: in
   /// a TU that instantiates several protocols' engines
   /// (bench/ensemble_json.cpp) GCC's unit-growth budget otherwise stops
   /// inlining here.
-  template <typename Topo>
-  [[gnu::flatten]] static void run_block(State* agents, const Topo& topo0,
+  [[gnu::flatten]] static void run_block(State* agents, int n,
                                          std::uint64_t bound,
                                          std::uint64_t threshold,
                                          const Params& params,
                                          Xoshiro256pp& rng0, RingClock& clk0,
                                          std::uint64_t k) {
-    const Topo topo = topo0;
     Xoshiro256pp rng = rng0;
     RingClock clk = clk0;
     for (std::uint64_t i = 0; i < k; ++i) {
-      apply_arc_batched(agents,
-                        topo.endpoints(static_cast<int>(
-                            rng.bounded_with_threshold(bound, threshold))),
-                        params, clk);
+      const int arc =
+          static_cast<int>(rng.bounded_with_threshold(bound, threshold));
+      apply_arc_batched(agents, arc_endpoints(arc, n), params, clk);
     }
     rng0 = rng;
     clk0 = clk;
@@ -476,14 +469,12 @@ struct InteractionEngine {
   /// one biased draw of the main stream; with `loss_threshold` != 0 every
   /// draw then consumes one value of `loss_rng0`, and a lost draw counts the
   /// step without firing a transition (see SchedulerFaults).
-  template <typename Topo>
   [[gnu::flatten]] static void run_block_faulted(
-      State* agents, const Topo& topo0, std::uint64_t bound,
+      State* agents, int n, std::uint64_t bound,
       std::uint64_t threshold, const Params& params,
       const detail::BiasTable& bias, std::uint64_t loss_threshold,
       Xoshiro256pp& rng0, Xoshiro256pp& loss_rng0, RingClock& clk0,
       std::uint64_t k) {
-    const Topo topo = topo0;
     Xoshiro256pp rng = rng0;
     Xoshiro256pp loss_rng = loss_rng0;
     RingClock clk = clk0;
@@ -496,7 +487,7 @@ struct InteractionEngine {
         ++clk.steps;
         continue;
       }
-      apply_arc_batched(agents, topo.endpoints(arc), params, clk);
+      apply_arc_batched(agents, arc_endpoints(arc, n), params, clk);
     }
     rng0 = rng;
     loss_rng0 = loss_rng;

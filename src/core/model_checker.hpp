@@ -25,7 +25,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "core/ring.hpp"
-#include "core/topology.hpp"
 
 namespace ppsim::core {
 
@@ -81,14 +79,11 @@ struct CheckResult {
   std::string reason;
 };
 
-template <typename M, typename Topo = RingTopology>
+template <typename M>
 class ModelChecker {
-  static_assert(TopologyLike<Topo>);
-
  public:
   using State = typename M::State;
   using Params = typename M::Params;
-  using Topology = Topo;
 
   /// Largest configuration count the checker accepts: ids and components are
   /// packed into uint32 arrays with 0xFFFFFFFF reserved as the unset marker.
@@ -111,25 +106,12 @@ class ModelChecker {
   /// `node_budget` caps the number of configurations the checker will hold
   /// in its index arrays (12 bytes per configuration): exceeding it is a
   /// capacity failure up front, never an OOM mid-check. The structural
-  /// kMaxConfigurations cap always applies on top.
+  /// kMaxConfigurations cap always applies on top. Throws
+  /// std::invalid_argument unless params.n >= 1, in every build type.
   explicit ModelChecker(Params params,
                         std::uint64_t node_budget = kMaxConfigurations)
-      : params_(std::move(params)), topo_(params_.n) {
-    init_capacity(node_budget);
-  }
-
-  /// Explicit-topology constructor (topologies that carry more than n).
-  ModelChecker(Topo topo, Params params,
-               std::uint64_t node_budget = kMaxConfigurations)
-      : params_(std::move(params)), topo_(std::move(topo)) {
-    assert(topo_.n() == params_.n);
-    init_capacity(node_budget);
-  }
-
-  [[nodiscard]] const Topo& topology() const noexcept { return topo_; }
-
- private:
-  void init_capacity(std::uint64_t node_budget) {
+      : params_(std::move(params)) {
+    checked_ring_size(params_.n, "ModelChecker");
     per_agent_ = M::num_states(params_);
     // per_agent^n with explicit overflow detection: a silent uint64 wrap
     // would make the checker "verify" a garbage state space. The uint32
@@ -158,7 +140,6 @@ class ModelChecker {
     if (capacity_exceeded_) total_ = 0;  // never a plausible-looking wrap
   }
 
- public:
   /// Configuration count, or 0 when the state space exceeds capacity (see
   /// capacity_exceeded()).
   [[nodiscard]] std::uint64_t num_configurations() const noexcept {
@@ -221,15 +202,12 @@ class ModelChecker {
   }
 
   /// Successor configuration under arc `arc`. The initiator/responder
-  /// mapping is Topo::endpoints — the same interface the Runner's scheduler
-  /// draws through (RingTopology forwards to core::arc_endpoints). Reading
-  /// one interface keeps the two aligned by construction on the ring, but
-  /// is not by itself a proof for every topology — per-topology
-  /// engine/checker agreement is pinned by
-  /// tests/core/topology_drift_test.cpp.
+  /// mapping is core::arc_endpoints, the function the engines' schedulers
+  /// draw through; tests/core/topology_drift_test.cpp pins the two against
+  /// each other exhaustively at small n.
   [[nodiscard]] std::uint64_t successor(std::uint64_t id, int arc) const {
     std::vector<State> config = decode(id);
-    const ArcEndpoints e = topo_.endpoints(arc);
+    const ArcEndpoints e = arc_endpoints(arc, params_.n);
     M::apply(config[static_cast<std::size_t>(e.initiator)],
              config[static_cast<std::size_t>(e.responder)], params_);
     return encode(config);
@@ -247,7 +225,7 @@ class ModelChecker {
       return res;
     }
     res.num_configurations = total_;
-    const int arcs = topo_.arc_count(M::directed);
+    const int arcs = arc_count(params_.n, M::directed);
 
     // Iterative Tarjan SCC; successors computed on the fly (memory-light).
     // SCCs pop in reverse topological order, so when an SCC is emitted every
@@ -343,7 +321,6 @@ class ModelChecker {
 
  private:
   Params params_;
-  Topo topo_;  ///< after params_: the default ctor builds it from params_.n
   std::uint64_t per_agent_ = 0;
   std::uint64_t total_ = 0;
   bool capacity_exceeded_ = false;

@@ -7,6 +7,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace ppsim::core {
@@ -33,12 +35,12 @@ struct ArcEndpoints {
   int responder = 0;
 };
 
-/// The initiator/responder arc mapping of the *ring* scheduler, shared by
-/// Runner, EnsembleRunner and ModelChecker (via core::RingTopology) so the
-/// random scheduler and the exhaustive checker read one definition. Sharing
-/// a function does not by itself prevent drift on other topologies — each
-/// Topology supplies its own endpoints(), and engine/checker agreement is
-/// pinned per topology by tests/core/topology_drift_test.cpp.
+/// The initiator/responder arc mapping of the ring scheduler: Runner,
+/// EnsembleRunner (every lane), ModelChecker and QuotientChecker all resolve
+/// arcs through this one function, so the random scheduler and the
+/// exhaustive checker read one definition. tests/core/topology_drift_test.cpp
+/// pins the engine against ModelChecker::successor exhaustively at small n,
+/// in both orientations.
 ///
 /// Arcs [0, n) are the directed arcs e_i = (u_i, u_{i+1 mod n}): the *left*
 /// agent is the initiator, matching the paper's "l is the initiator and r is
@@ -51,6 +53,23 @@ struct ArcEndpoints {
   }
   const int resp = arc - n;
   return {resp + 1 == n ? 0 : resp + 1, resp};
+}
+
+/// Number of arcs the uniform scheduler draws from: n on the directed ring,
+/// 2n on the undirected one.
+[[nodiscard]] constexpr int arc_count(int n, bool directed) noexcept {
+  return directed ? n : 2 * n;
+}
+
+/// `n` when it is a ring size (n >= 1). Otherwise throws
+/// std::invalid_argument naming `who`, in every build type: with no agents
+/// the scheduler has no arcs and its rejection threshold divides by zero.
+/// The engines and the exhaustive checker call this in their constructors.
+inline int checked_ring_size(int n, const char* who) {
+  if (n < 1)
+    throw std::invalid_argument(std::string(who) + ": n must be >= 1, got " +
+                                std::to_string(n));
+  return n;
 }
 
 /// Arc id of `arc` after rotating every agent index by `delta` (the ring

@@ -1,5 +1,5 @@
-// Runner: the scalar engine for one ring — the per-trial reference path,
-// deterministic scheduling and every topology. A Runner is ring 0 of a
+// Runner: the scalar engine for one ring — the per-trial reference path
+// and deterministic scheduling. A Runner is ring 0 of a
 // ScalarOnly EnsembleRunner (core/ensemble.hpp), its only data member, so
 // the RNG, loss stream, fault model, census, index checks and run-until are
 // the ensemble's, and every interaction runs an InteractionEngine body
@@ -16,45 +16,32 @@
 
 #include "core/ensemble.hpp"
 #include "core/interaction.hpp"
-#include "core/topology.hpp"
+#include "core/ring.hpp"
 
 namespace ppsim::core {
 
 /// Simulation runner: one ring on the scalar engine. Copyable (snapshot =
-/// copy). `Topo` selects the interaction topology (core/topology.hpp); the
-/// default RingTopology reproduces the historical ring engine bit for bit.
-template <typename P, typename Topo = RingTopology>
+/// copy).
+template <typename P>
 class Runner {
-  friend class RingView<P, Topo>;
+  friend class RingView<P>;
 
  public:
   using State = typename P::State;
   using Params = typename P::Params;
-  using Topology = Topo;
   using Engine = InteractionEngine<P>;
 
-  static constexpr std::uint64_t npos = EnsembleRunner<P, Topo>::npos;
+  static constexpr std::uint64_t npos = EnsembleRunner<P>::npos;
 
-  /// `initial` must hold exactly params.n states (std::invalid_argument
-  /// otherwise, in every build type).
+  /// params.n must be at least 1 and `initial` must hold exactly params.n
+  /// states (std::invalid_argument otherwise, in every build type).
   Runner(Params params, std::vector<State> initial, std::uint64_t seed)
       : ring_(kScalarOnly, std::move(params), 1) {
     ring_.add_ring(initial, seed);
   }
 
-  /// Explicit-topology constructor (topologies that carry more than n).
-  /// Throws std::invalid_argument unless topo.n() == params.n.
-  Runner(Topo topo, Params params, std::vector<State> initial,
-         std::uint64_t seed)
-      : ring_(kScalarOnly, std::move(topo), std::move(params), 1) {
-    ring_.add_ring(initial, seed);
-  }
-
   [[nodiscard]] const Params& params() const noexcept {
     return ring_.params();
-  }
-  [[nodiscard]] const Topo& topology() const noexcept {
-    return ring_.topology();
   }
   [[nodiscard]] std::span<const State> agents() const noexcept {
     return ring_.agents(0);
@@ -67,7 +54,7 @@ class Runner {
   /// Number of arcs (= number of equally likely interactions per step under
   /// the clean uniform scheduler).
   [[nodiscard]] int arc_count() const noexcept {
-    return topology().arc_count(P::directed);
+    return core::arc_count(n(), P::directed);
   }
 
   /// Leader census (maintained incrementally; only meaningful when the
@@ -133,9 +120,7 @@ class Runner {
 
   /// Execute the interaction identified by `arc` (deterministic scheduling;
   /// always bypasses scheduler faults). For directed protocols arc in
-  /// [0, F); for undirected, arcs in [F, 2F) are the endpoint-swapped pairs
-  /// (F = topology().forward_arcs(); on the ring F = n and arc n + i
-  /// reverses e_i).
+  /// [0, n); for undirected, arc n + i in [n, 2n) reverses e_i.
   void apply_arc(int arc) { ring_.apply_arc(0, arc); }
 
   /// Apply a whole deterministic interaction sequence (arc ids).
@@ -164,7 +149,7 @@ class Runner {
   }
 
  private:
-  EnsembleRunner<P, Topo> ring_;  ///< one ring, ScalarOnly
+  EnsembleRunner<P> ring_;  ///< one ring, ScalarOnly
 };
 
 }  // namespace ppsim::core

@@ -383,11 +383,11 @@ struct RunReport {
   std::uint64_t frame_bytes = 0;   ///< frame-sink offset after this run()
 };
 
-template <typename P, typename Topo = core::RingTopology>
+template <typename P>
 class CampaignService {
  public:
   using Params = typename P::Params;
-  using Spec = analysis::ScenarioSpec<P, Topo>;
+  using Spec = analysis::ScenarioSpec<P>;
   using Cell = std::pair<Params, Spec>;
 
   explicit CampaignService(std::vector<Cell> cells, CampaignOptions opts = {})
@@ -563,7 +563,7 @@ class CampaignService {
   void run_shard(std::uint32_t cell, std::uint64_t shard) {
     const auto& [params, spec] = cells_[cell];
     CellProgress& p = progress_[cell];
-    analysis::detail::ensemble_recovery_shard<P, Topo>(
+    analysis::detail::ensemble_recovery_shard<P>(
         params, spec, static_cast<std::size_t>(p.shard_first(shard)),
         static_cast<std::size_t>(p.shard_count(shard)),
         std::span<analysis::RecoveryTrial>(p.results));

@@ -59,14 +59,9 @@
 // contract of analysis/experiment.hpp, pinned by
 // tests/verification/differential_test.cpp.
 //
-// Topology and scheduler faults. The whole matrix is templated on a
-// core::Topology (ring by default, bit-identical to the pre-topology
-// harness): engines draw arcs from Topo::endpoints and the mirror from
-// ModelChecker<M, MirrorTopo>::successor, so a single mis-mapped arc in
-// either shows up as a named lane divergence at the next checkpoint.
-// FuzzConfig::loss_p / arc_bias put the scheduler-fault loops themselves
-// under differential fire — every engine lane gets the same
-// core::SchedulerFaults and the mirror independently replays the
+// Scheduler faults. FuzzConfig::loss_p / arc_bias put the scheduler-fault
+// loops themselves under differential fire — every engine lane gets the
+// same core::SchedulerFaults and the mirror independently replays the
 // loss-stream/bias-draw contract (see run_differential).
 #pragma once
 
@@ -84,7 +79,6 @@
 #include "core/rng.hpp"
 #include "core/runner.hpp"
 #include "core/stream_tags.hpp"
-#include "core/topology.hpp"
 
 namespace ppsim::verification {
 
@@ -187,12 +181,7 @@ template <typename P>
 /// protocols (P_OR's coloring) corrupt only their writable variables.
 /// M names a checker adapter to mirror (void = no mirror lane; the mirror
 /// also drops out when the adapter's state space exceeds id capacity).
-/// Topo selects the interaction topology for every engine lane; MirrorTopo
-/// (defaulting to Topo) is the mirror's — letting the canary test prove a
-/// deliberately mis-mapped topology is caught and named as a lane E
-/// divergence (tests/verification/topology_differential_test.cpp).
-template <typename P, typename M = void, typename Topo = core::RingTopology,
-          typename MirrorTopo = Topo, typename FaultState>
+template <typename P, typename M = void, typename FaultState>
 [[nodiscard]] FuzzReport run_differential(
     const typename P::Params& params,
     const std::vector<typename P::State>& initial, const FuzzConfig& cfg,
@@ -204,14 +193,13 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
 
   FuzzReport rep;
   const int n = params.n;
-  const Topo topo(n);
   [[maybe_unused]] const auto arc_count =
-      static_cast<std::uint64_t>(topo.arc_count(P::directed));
+      static_cast<std::uint64_t>(core::arc_count(n, P::directed));
 
   // Lanes A, B, D.
-  core::Runner<P, Topo> lane_a(params, initial, cfg.seed);
-  core::Runner<P, Topo> lane_b(params, initial, cfg.seed);
-  core::EnsembleRunner<P, Topo> lane_d(params, 1);
+  core::Runner<P> lane_a(params, initial, cfg.seed);
+  core::Runner<P> lane_b(params, initial, cfg.seed);
+  core::EnsembleRunner<P> lane_d(params, 1);
   lane_d.add_ring(initial, cfg.seed);
   // Lane G: ring 0 shares the lanes' seed and initial configuration; the
   // decoys fill SIMD lanes so ring 0 is advanced as a vector column of the
@@ -219,9 +207,9 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
   // run() degenerates to lane B's per-ring loop). Six rings leave a padded
   // partial group at both lockstep widths (6 of 8 lanes; 4 + 2 of 4), so
   // the pad lanes run under every fuzz seed.
-  constexpr bool kHaveLaneG = core::EnsembleRunner<P, Topo>::kWordable;
+  constexpr bool kHaveLaneG = core::EnsembleRunner<P>::kWordable;
   constexpr int kLockstepRings = 6;
-  std::optional<core::EnsembleRunner<P, Topo>> lane_g;
+  std::optional<core::EnsembleRunner<P>> lane_g;
   if constexpr (kHaveLaneG) {
     lane_g.emplace(params, kLockstepRings);
     lane_g->add_ring(initial, cfg.seed);
@@ -265,7 +253,7 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
           : core::detail::BiasTable(std::span<const double>(cfg.arc_bias));
   [[maybe_unused]] auto make_mirror = [&]() {
     if constexpr (kMirrorable) {
-      return core::ModelChecker<M, MirrorTopo>(params);
+      return core::ModelChecker<M>(params);
     } else {
       return 0;
     }
@@ -491,8 +479,8 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
 /// bit-identical for every thread count (the scheduler-replay determinism
 /// contract). make_init and fault_state are invoked concurrently and must
 /// be stateless or const.
-template <typename P, typename M = void, typename Topo = core::RingTopology,
-          typename MirrorTopo = Topo, typename MakeInit, typename FaultState>
+template <typename P, typename M = void, typename MakeInit,
+          typename FaultState>
 [[nodiscard]] std::vector<FuzzReport> run_differential_campaign(
     const typename P::Params& params, const FuzzConfig& base, int trials,
     int threads, MakeInit&& make_init, FaultState&& fault_state,
@@ -506,8 +494,8 @@ template <typename P, typename M = void, typename Topo = core::RingTopology,
     core::Xoshiro256pp cfg_rng(
         core::stream_seed(cfg.seed, core::streams::kConfig));
     const auto initial = make_init(params, cfg_rng);
-    reports[t] = run_differential<P, M, Topo, MirrorTopo>(params, initial,
-                                                          cfg, fault_state);
+    reports[t] =
+        run_differential<P, M>(params, initial, cfg, fault_state);
   });
   return reports;
 }

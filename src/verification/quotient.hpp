@@ -35,19 +35,6 @@
 // is only *scanned* (O(total) cheap canonicalization tests) to seed Tarjan
 // roots, never stored. Exceeding the budget mid-exploration aborts with
 // capacity_exceeded — never a partial "ok".
-//
-// Topologies. On the default RingTopology the group is the measured
-// rotation/reflection subgroup and canonicalization is Booth's least
-// rotation (canonical.hpp) — that path is untouched and stays bit-identical
-// to the pre-topology checker. On any other topology the group is supplied
-// by the topology itself (Topo::aut_count/aut_agent, core/topology.hpp):
-// each enumerated automorphism is validated against the adapter with the
-// same position-independence probe shift_valid uses (validated, never
-// assumed — the valid subset is a subgroup, so orbit-stabilizer still
-// applies), the canonical representative is the minimum configuration id
-// over the valid permutations, and groups too large to enumerate (clique's
-// S_n beyond kMaxEnumeratedAuts) degrade to the trivial group — sound,
-// merely unreduced.
 #pragma once
 
 #include <algorithm>
@@ -58,13 +45,11 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "core/model_checker.hpp"
 #include "core/ring.hpp"
-#include "core/topology.hpp"
 #include "verification/canonical.hpp"
 
 namespace ppsim::verification {
@@ -100,30 +85,22 @@ struct QuotientResult {
   }
 };
 
-template <typename M, typename Topo = core::RingTopology>
+template <typename M>
   requires std::equality_comparable<typename M::State>
 class QuotientChecker {
  public:
   using State = typename M::State;
   using Params = typename M::Params;
-  using Topology = Topo;
-
-  static constexpr bool kRing = std::is_same_v<Topo, core::RingTopology>;
 
   static constexpr std::uint64_t kMaxOrbits =
-      core::ModelChecker<M, Topo>::kMaxConfigurations;
-
-  /// Largest non-ring automorphism group the checker will enumerate (8! —
-  /// clique groups beyond this degrade to the trivial group: sound, merely
-  /// unreduced).
-  static constexpr std::uint64_t kMaxEnumeratedAuts = 40320;
+      core::ModelChecker<M>::kMaxConfigurations;
 
   /// `node_budget` caps the number of *orbits* stored (the analog of the
-  /// unreduced checker's configuration budget).
+  /// unreduced checker's configuration budget). Throws
+  /// std::invalid_argument unless params.n >= 1 (via the ModelChecker).
   explicit QuotientChecker(Params params,
                            std::uint64_t node_budget = kMaxOrbits)
-      : mc_(params), params_(std::move(params)), topo_(params_.n),
-        node_budget_(node_budget) {
+      : mc_(params), params_(std::move(params)), node_budget_(node_budget) {
     per_agent_ = M::num_states(params_);
     if (const auto total = core::detail::checked_pow(per_agent_, params_.n)) {
       total_ = *total;
@@ -139,14 +116,7 @@ class QuotientChecker {
           "state space capacity exceeded: per-agent state count does not fit "
           "the 16-bit canonicalization digits";
     }
-    if constexpr (kRing) {
-      group_ = detect_group();
-    } else {
-      group_.n = params_.n;
-      group_.rotation_period = params_.n;  // Booth machinery unused off-ring
-      group_.reflection = false;
-      build_perms();
-    }
+    group_ = detect_group();
   }
 
   [[nodiscard]] std::uint64_t num_configurations() const noexcept {
@@ -156,22 +126,16 @@ class QuotientChecker {
     return capacity_exceeded_;
   }
 
-  /// The symmetry group in force (ring path only): rotation period 1 for
+  /// The symmetry group in force: rotation period 1 for
   /// position-independent adapters (full reduction), q for q-periodic ones,
   /// n for fully position-dependent ones (no reduction); reflection only on
-  /// undirected rings with a position-independent adapter. Off-ring the
-  /// Booth machinery is unused — see group_order() instead.
+  /// undirected rings with a position-independent adapter.
   [[nodiscard]] const SymmetryGroup& symmetry() const noexcept {
     return group_;
   }
 
-  /// Order of the group actually quotiented by: the measured
-  /// rotation/reflection subgroup on the ring, the validated topology
-  /// automorphisms elsewhere.
-  [[nodiscard]] int group_order() const noexcept {
-    if constexpr (kRing) return group_.order();
-    return static_cast<int>(perms_.size());
-  }
+  /// Order of the group actually quotiented by.
+  [[nodiscard]] int group_order() const noexcept { return group_.order(); }
 
   /// Canonical representative of `id`'s orbit (also usable to compare an
   /// unreduced counterexample against a quotient one).
@@ -215,7 +179,7 @@ class QuotientChecker {
     }
     res.num_configurations = total_;
 
-    const int arcs = topo_.arc_count(M::directed);
+    const int arcs = core::arc_count(params_.n, M::directed);
     constexpr std::uint32_t kUnset = 0xFFFFFFFFu;
     const std::uint64_t budget = std::min(node_budget_, kMaxOrbits);
 
@@ -325,11 +289,7 @@ class QuotientChecker {
         for (std::size_t mi = 0; mi < scc.size(); ++mi) {
           const std::uint64_t mid = ids[scc[mi]];
           to_digits(mid, digits);
-          if constexpr (kRing) {
-            res.num_bottom_configs += orbit_size(digits, group_);
-          } else {
-            res.num_bottom_configs += orbit_size_generic(digits);
-          }
+          res.num_bottom_configs += orbit_size(digits, group_);
           const auto cfg = mc_.decode(mid);
           const auto out = spec(std::span<const State>(cfg), params_);
           if (!legal(out)) {
@@ -394,93 +354,10 @@ class QuotientChecker {
   [[nodiscard]] std::uint64_t canon(std::uint64_t id,
                                     std::vector<std::uint16_t>& digits,
                                     CanonicalScratch& scratch) const {
-    if constexpr (kRing) {
-      if (group_.order() == 1) return id;
-      to_digits(id, digits);
-      canonicalize(digits, group_, scratch);
-      return from_digits(digits);
-    } else {
-      (void)scratch;  // Booth scratch is ring-only
-      if (perms_.size() <= 1) return id;
-      to_digits(id, digits);
-      // Minimum configuration id over the valid automorphisms, each acting
-      // as digits'[g(i)] = digits[i]. The valid set is a group, so this is
-      // a genuine orbit representative and the root scan's fixed-point test
-      // (canon(id) == id) seeds every orbit exactly once.
-      std::uint64_t best = id;
-      perm_buf_.resize(digits.size());
-      for (std::size_t p = 1; p < perms_.size(); ++p) {
-        const auto& perm = perms_[p];
-        for (std::size_t i = 0; i < digits.size(); ++i)
-          perm_buf_[static_cast<std::size_t>(perm[i])] = digits[i];
-        best = std::min(best, from_digits(perm_buf_));
-      }
-      return best;
-    }
-  }
-
-  /// |orbit| = |G| / |stabilizer| for the validated automorphism group
-  /// (orbit-stabilizer; the non-ring analog of canonical.hpp's orbit_size).
-  [[nodiscard]] std::uint64_t orbit_size_generic(
-      std::span<const std::uint16_t> digits) const {
-    std::uint64_t stab = 0;
-    for (const auto& perm : perms_) {
-      bool fixes = true;
-      for (std::size_t i = 0; i < digits.size() && fixes; ++i)
-        fixes = digits[static_cast<std::size_t>(perm[i])] == digits[i];
-      stab += fixes ? 1 : 0;
-    }
-    assert(stab > 0);  // the identity always fixes
-    return static_cast<std::uint64_t>(perms_.size()) / stab;
-  }
-
-  /// Enumerate the topology's declared automorphisms and keep those the
-  /// adapter is invariant under (the same probe shift_valid uses, applied
-  /// to an arbitrary permutation). Both the topology group and the
-  /// adapter-invariant permutations are closed under composition and
-  /// inverse, so the kept set is a subgroup — orbit-stabilizer and the
-  /// lex-min canon stay sound.
-  void build_perms() {
-    perms_.clear();
-    if (capacity_exceeded_) {
-      perms_.push_back(identity_perm());
-      return;
-    }
-    const std::uint64_t count = topo_.aut_count(M::directed);
-    if (count > kMaxEnumeratedAuts) {
-      perms_.push_back(identity_perm());
-      return;
-    }
-    std::vector<int> perm(static_cast<std::size_t>(params_.n));
-    for (std::uint64_t g = 0; g < count; ++g) {
-      for (int v = 0; v < params_.n; ++v)
-        perm[static_cast<std::size_t>(v)] = topo_.aut_agent(g, v);
-      if (perm_valid(perm)) perms_.push_back(perm);
-    }
-    assert(!perms_.empty());  // g = 0 is the identity, always valid
-  }
-
-  [[nodiscard]] std::vector<int> identity_perm() const {
-    std::vector<int> perm(static_cast<std::size_t>(params_.n));
-    for (int v = 0; v < params_.n; ++v) perm[static_cast<std::size_t>(v)] = v;
-    return perm;
-  }
-
-  /// Adapter invariance under an arbitrary agent permutation — the
-  /// generalization of shift_valid from i -> i+d to i -> perm[i].
-  [[nodiscard]] bool perm_valid(const std::vector<int>& perm) const {
-    for (int i = 0; i < params_.n; ++i) {
-      const int j = perm[static_cast<std::size_t>(i)];
-      if (j == i) continue;
-      for (std::uint64_t v = 0; v < per_agent_; ++v) {
-        const State a = M::unpack(static_cast<std::size_t>(v), params_, i);
-        const State b = M::unpack(static_cast<std::size_t>(v), params_, j);
-        if (!(a == b)) return false;
-        if (M::pack(a, params_, j) != static_cast<std::size_t>(v))
-          return false;
-      }
-    }
-    return true;
+    if (group_.order() == 1) return id;
+    to_digits(id, digits);
+    canonicalize(digits, group_, scratch);
+    return from_digits(digits);
   }
 
   /// Measure the adapter's position (in)dependence instead of assuming it:
@@ -521,19 +398,14 @@ class QuotientChecker {
   }
 
   /// decode/encode/successor (capacity-agnostic)
-  core::ModelChecker<M, Topo> mc_;
+  core::ModelChecker<M> mc_;
   Params params_;
-  Topo topo_;
   std::uint64_t node_budget_;
   std::uint64_t per_agent_ = 0;
   std::uint64_t total_ = 0;
   bool capacity_exceeded_ = false;
   std::string capacity_reason_;
   SymmetryGroup group_;
-  /// Validated automorphism group as agent permutations (non-ring path;
-  /// empty on the ring). perm_buf_ is scratch for the const canon().
-  std::vector<std::vector<int>> perms_;
-  mutable std::vector<std::uint16_t> perm_buf_;
 };
 
 }  // namespace ppsim::verification

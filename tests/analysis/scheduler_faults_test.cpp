@@ -1,11 +1,11 @@
-// Scheduler-fault models (omission + biased arc draws) and non-ring
-// campaigns: determinism contracts first — same seed ⇒ bit-identical
-// trajectories, thread-count invariance of faulted campaigns (standalone
-// Runner ⇒ faulted ensemble ring bit-identity, on the clique too, is pinned
-// in tests/core/stream_tags_test.cpp) — then semantic sanity (loss_p = 1
-// freezes state while steps advance; a zero-weight arc never fires), then full
-// recovery campaigns through measure_recovery / run_campaign off the ring.
-// Invalid fault configurations throw std::invalid_argument in both engines.
+// Scheduler-fault models (omission + biased arc draws) on the ring:
+// determinism contracts first — same seed ⇒ bit-identical trajectories,
+// thread-count invariance of faulted campaigns (standalone Runner ⇒ faulted
+// ensemble ring bit-identity is pinned in tests/core/stream_tags_test.cpp) —
+// then semantic sanity (loss_p = 1 freezes state while steps advance; a
+// zero-weight arc never fires), then full recovery campaigns under faults
+// through measure_recovery / run_campaign. Invalid fault configurations
+// throw std::invalid_argument in both engines.
 #include "analysis/scenario.hpp"
 
 #include <gtest/gtest.h>
@@ -19,8 +19,8 @@
 
 #include "analysis/adversary.hpp"
 #include "core/ensemble.hpp"
+#include "core/ring.hpp"
 #include "core/runner.hpp"
-#include "core/topology.hpp"
 #include "pl/adversary.hpp"
 #include "pl/protocol.hpp"
 #include "verification/toys.hpp"
@@ -30,9 +30,8 @@ namespace {
 
 using verification::TokenMergeModel;
 
-template <typename P, typename Topo>
-void expect_same_config(const core::Runner<P, Topo>& a,
-                        const core::Runner<P, Topo>& b) {
+template <typename P>
+void expect_same_config(const core::Runner<P>& a, const core::Runner<P>& b) {
   ASSERT_EQ(a.steps(), b.steps());
   const auto sa = a.agents();
   const auto sb = b.agents();
@@ -54,12 +53,11 @@ TEST(SchedulerFaults, SameSeedSameTrajectory) {
   const auto p = pl::PlParams::make(12, 4);
   core::Xoshiro256pp cfg_rng(3);
   const auto init = pl::random_config(p, cfg_rng);
-  const core::LineTopology topo(p.n);
   const auto faults =
-      lossy_biased(0.3, topo.arc_count(pl::PlProtocol::directed));
+      lossy_biased(0.3, core::arc_count(p.n, pl::PlProtocol::directed));
 
-  core::Runner<pl::PlProtocol, core::LineTopology> r1(p, init, 42);
-  core::Runner<pl::PlProtocol, core::LineTopology> r2(p, init, 42);
+  core::Runner<pl::PlProtocol> r1(p, init, 42);
+  core::Runner<pl::PlProtocol> r2(p, init, 42);
   r1.set_scheduler_faults(faults);
   r2.set_scheduler_faults(faults);
   r1.run(5000);
@@ -74,7 +72,7 @@ TEST(SchedulerFaults, FullLossFreezesStateButAdvancesClock) {
   const auto init = pl::random_config(p, cfg_rng);
   core::SchedulerFaults faults;
   faults.loss_p = 1.0;
-  core::Runner<pl::PlProtocol, core::CliqueTopology> runner(p, init, 9);
+  core::Runner<pl::PlProtocol> runner(p, init, 9);
   runner.set_scheduler_faults(faults);
   runner.run(1000);
   EXPECT_EQ(runner.steps(), 1000u);  // lost draws still count as steps
@@ -84,14 +82,15 @@ TEST(SchedulerFaults, FullLossFreezesStateButAdvancesClock) {
 }
 
 TEST(SchedulerFaults, ZeroWeightArcNeverFires) {
-  // Line of 3 with bias {1, 0}: arc 1 = (1, 2) never drawn, so the token
-  // can reach agent 1 but never agent 2.
+  // Ring of 3 with bias {1, 0, 1}: arc 1 = (1, 2) is never drawn, so the
+  // token can reach agent 1 but never agent 2 (arc 2 = (2, 0) only moves a
+  // token agent 2 already holds).
   const TokenMergeModel::Params p{3};
   std::vector<TokenMergeModel::State> init(3);
   init[0].tok = 1;
   core::SchedulerFaults faults;
-  faults.arc_weights = {1.0, 0.0};
-  core::Runner<TokenMergeModel, core::LineTopology> runner(p, init, 11);
+  faults.arc_weights = {1.0, 0.0, 1.0};
+  core::Runner<TokenMergeModel> runner(p, init, 11);
   runner.set_scheduler_faults(faults);
   for (int k = 0; k < 64; ++k) {
     runner.run(16);
@@ -123,7 +122,7 @@ core::SchedulerFaults uniform_weights(int arcs) {
 
 TEST(SchedulerFaults, RejectsWeightTableOfWrongSize) {
   // P_PL on a ring of 8 is directed: 8 arcs. A longer table would let
-  // BiasTable::draw return arc ids past the topology.
+  // BiasTable::draw return arc ids past the ring.
   expect_rejected_by_both_engines(uniform_weights(9));
   expect_rejected_by_both_engines(uniform_weights(7));
 }
@@ -160,15 +159,14 @@ TEST(SchedulerFaults, RejectsAllZeroWeights) {
   expect_rejected_by_both_engines(f);
 }
 
-// ---- recovery campaigns off the ring -------------------------------------
+// ---- recovery campaigns under scheduler faults ---------------------------
 
-/// Token-merge recovery scenario on a line: tokens walk right and merge, so
+/// Token-merge recovery scenario: tokens walk clockwise and merge, so
 /// "exactly one token" is reached from any >= 1-token configuration; faults
 /// drop extra tokens in; recovery = re-merging down to one.
-ScenarioSpec<TokenMergeModel, core::LineTopology> toy_line_scenario(
-    TrialPlan plan, double loss_p) {
-  ScenarioSpec<TokenMergeModel, core::LineTopology> spec;
-  spec.name = "toy_line";
+ScenarioSpec<TokenMergeModel> toy_scenario(TrialPlan plan, double loss_p) {
+  ScenarioSpec<TokenMergeModel> spec;
+  spec.name = "toy_merge";
   spec.initial = [](const TokenMergeModel::Params& p,
                     core::Xoshiro256pp& rng) {
     std::vector<TokenMergeModel::State> c(static_cast<std::size_t>(p.n));
@@ -177,8 +175,8 @@ ScenarioSpec<TokenMergeModel, core::LineTopology> toy_line_scenario(
     return c;
   };
   spec.schedule = burst_schedule(2);
-  spec.inject = [](core::RingView<TokenMergeModel, core::LineTopology> r,
-                   int faults, core::Xoshiro256pp& rng) {
+  spec.inject = [](core::RingView<TokenMergeModel> r, int faults,
+                   core::Xoshiro256pp& rng) {
     for (int f = 0; f < faults; ++f) {
       const int idx = static_cast<int>(
           rng.bounded(static_cast<std::uint64_t>(r.n())));
@@ -194,7 +192,7 @@ ScenarioSpec<TokenMergeModel, core::LineTopology> toy_line_scenario(
   return spec;
 }
 
-TEST(TopologyCampaign, LineRecoveryUnderOmissionThreadInvariant) {
+TEST(FaultedCampaign, RecoveryUnderOmissionThreadInvariant) {
   TrialPlan plan;
   plan.trials = 12;
   plan.max_steps = 200'000;
@@ -204,23 +202,23 @@ TEST(TopologyCampaign, LineRecoveryUnderOmissionThreadInvariant) {
   const TokenMergeModel::Params p{8};
 
   plan.threads = 1;
-  const auto serial = measure_recovery<TokenMergeModel, core::LineTopology>(
-      p, toy_line_scenario(plan, 0.2));
+  const auto serial =
+      measure_recovery<TokenMergeModel>(p, toy_scenario(plan, 0.2));
   EXPECT_EQ(serial.trials, 12);
   EXPECT_EQ(serial.stabilization_failures, 0);
   EXPECT_EQ(serial.recovery_failures, 0);
 
   for (const int threads : {2, 4}) {
     plan.threads = threads;
-    const auto par = measure_recovery<TokenMergeModel, core::LineTopology>(
-        p, toy_line_scenario(plan, 0.2));
+    const auto par =
+        measure_recovery<TokenMergeModel>(p, toy_scenario(plan, 0.2));
     EXPECT_EQ(par.raw, serial.raw) << "threads=" << threads;
     EXPECT_EQ(par.stabilization_failures, serial.stabilization_failures);
     EXPECT_EQ(par.recovery_failures, serial.recovery_failures);
   }
 }
 
-TEST(TopologyCampaign, EnsembleShardsMatchPerTrialReferenceUnderFaults) {
+TEST(FaultedCampaign, EnsembleShardsMatchPerTrialReferenceUnderFaults) {
   // measure_recovery (ensemble-sharded) against the standalone-Runner
   // reference path, trial for trial, with omission faults active.
   TrialPlan plan;
@@ -231,14 +229,12 @@ TEST(TopologyCampaign, EnsembleShardsMatchPerTrialReferenceUnderFaults) {
   plan.check_every = 16;
   plan.threads = 2;
   const TokenMergeModel::Params p{8};
-  const auto spec = toy_line_scenario(plan, 0.25);
+  const auto spec = toy_scenario(plan, 0.25);
 
-  const auto stats =
-      measure_recovery<TokenMergeModel, core::LineTopology>(p, spec);
+  const auto stats = measure_recovery<TokenMergeModel>(p, spec);
   std::vector<RecoveryTrial> reference;
   for (int t = 0; t < plan.trials; ++t)
-    reference.push_back(detail::recovery_trial<TokenMergeModel,
-                                               core::LineTopology>(
+    reference.push_back(detail::recovery_trial<TokenMergeModel>(
         p, spec, static_cast<std::uint64_t>(t)));
   const auto folded = detail::fold_recovery(reference);
   EXPECT_EQ(stats.raw, folded.raw);
@@ -246,9 +242,9 @@ TEST(TopologyCampaign, EnsembleShardsMatchPerTrialReferenceUnderFaults) {
   EXPECT_EQ(stats.recovery_failures, folded.recovery_failures);
 }
 
-TEST(TopologyCampaign, RunCampaignAcrossTopologyFaultCells) {
-  // run_campaign end-to-end on a non-ring topology with both fault models
-  // mixed: cells stay decorrelated (distinct tags) and reproducible.
+TEST(FaultedCampaign, RunCampaignAcrossFaultCells) {
+  // run_campaign end-to-end with both fault models mixed: cells stay
+  // decorrelated (distinct tags) and reproducible.
   TrialPlan plan;
   plan.trials = 6;
   plan.max_steps = 150'000;
@@ -258,27 +254,24 @@ TEST(TopologyCampaign, RunCampaignAcrossTopologyFaultCells) {
   const TokenMergeModel::Params p{6};
 
   std::vector<std::pair<TokenMergeModel::Params,
-                        ScenarioSpec<TokenMergeModel, core::LineTopology>>>
+                        ScenarioSpec<TokenMergeModel>>>
       cells;
   for (const double loss : {0.0, 0.2}) {
     plan.tag = campaign_tag(loss > 0.0 ? 2 : 1, p.n, 2);
-    auto spec = toy_line_scenario(plan, loss);
+    auto spec = toy_scenario(plan, loss);
     // The second cell additionally biases the draw (never disabling an
     // arc entirely, so the safe set stays reachable).
     if (loss > 0.0) {
-      const core::LineTopology topo(p.n);
-      const int arcs = topo.arc_count(TokenMergeModel::directed);
+      const int arcs = core::arc_count(p.n, TokenMergeModel::directed);
       spec.sched_faults.arc_weights.assign(static_cast<std::size_t>(arcs),
                                            1.0);
       spec.sched_faults.arc_weights[0] = 3.0;
     }
     cells.emplace_back(p, std::move(spec));
   }
-  const auto results =
-      run_campaign<TokenMergeModel, core::LineTopology>(
-          std::span<const std::pair<
-              TokenMergeModel::Params,
-              ScenarioSpec<TokenMergeModel, core::LineTopology>>>(cells));
+  const auto results = run_campaign<TokenMergeModel>(
+      std::span<const std::pair<TokenMergeModel::Params,
+                                ScenarioSpec<TokenMergeModel>>>(cells));
   ASSERT_EQ(results.size(), 2u);
   for (const auto& r : results) {
     EXPECT_EQ(r.stats.trials, plan.trials);
@@ -288,7 +281,7 @@ TEST(TopologyCampaign, RunCampaignAcrossTopologyFaultCells) {
   }
 }
 
-TEST(TopologyCampaign, RingDefaultUnchangedByFaultMember) {
+TEST(FaultedCampaign, DefaultFaultMemberIsInactive) {
   // A default-constructed sched_faults is inactive: the existing ring
   // campaign path must produce the exact same numbers as a spec without
   // the member ever touched (guard against accidental activation).

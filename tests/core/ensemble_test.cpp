@@ -588,10 +588,16 @@ TEST(EnsembleMisuse, RunUntilEachDuplicateRingThrowsOnEveryLane) {
       py, baselines::y28_random_config(py, rng), 0);
 }
 
-TEST(EnsembleMisuse, TopologySizeMismatchThrows) {
-  EXPECT_THROW(EnsembleRunner<LeaderProto>(RingTopology(8),
-                                           LeaderProto::Params{4}),
-               std::invalid_argument);
+TEST(EnsembleMisuse, RingSizeBelowOneThrows) {
+  for (const int n : {0, -3}) {
+    EXPECT_THROW(EnsembleRunner<LeaderProto>(LeaderProto::Params{n}),
+                 std::invalid_argument)
+        << "n=" << n;
+    EXPECT_THROW(
+        EnsembleRunner<LeaderProto>(kScalarOnly, LeaderProto::Params{n}),
+        std::invalid_argument)
+        << "n=" << n;
+  }
 }
 
 // ---------------------------------------------------------------------------

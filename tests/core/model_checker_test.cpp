@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <stdexcept>
 
 #include "verification/toys.hpp"
 
@@ -217,6 +218,12 @@ struct PositionModel {
   }
   static void apply(State&, State&, const Params&) {}
 };
+
+TEST(ModelChecker, RingSizeBelowOneThrows) {
+  for (const int n : {0, -3})
+    EXPECT_THROW(ModelChecker<TokenMergeModel>({n}), std::invalid_argument)
+        << "n=" << n;
+}
 
 TEST(ModelChecker, PositionAwarePacking) {
   ModelChecker<PositionModel> mc({3});

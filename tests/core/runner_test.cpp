@@ -208,10 +208,12 @@ TEST(Runner, InitialConfigurationOfWrongSizeThrows) {
                std::invalid_argument);
 }
 
-TEST(Runner, TopologySizeMismatchThrows) {
-  EXPECT_THROW(Runner<CountProto>(RingTopology(8), {4},
-                                  std::vector<CountProto::State>(4), 1),
-               std::invalid_argument);
+TEST(Runner, RingSizeBelowOneThrows) {
+  for (const int n : {0, -3}) {
+    EXPECT_THROW(Runner<CountProto>({n}, std::vector<CountProto::State>(), 1),
+                 std::invalid_argument)
+        << "n=" << n;
+  }
 }
 
 TEST(Runner, AgentIndexOutOfRangeThrows) {

@@ -15,6 +15,7 @@
 
 #include "baselines/modk.hpp"
 #include "core/ensemble.hpp"
+#include "core/ring.hpp"
 #include "core/rng.hpp"
 #include "core/runner.hpp"
 #include "core/stream_tags.hpp"
@@ -63,8 +64,8 @@ TEST(StreamTags, PairwiseDistinctAndHammingFloor) {
 // --- Derivation scheme golden values --------------------------------------
 
 TEST(StreamTags, StreamSeedIsTheHistoricalXor) {
-  // stream_seed must stay a plain XOR: the committed recovery/topology
-  // artifacts and every golden trajectory were produced under seed ^ tag.
+  // stream_seed must stay a plain XOR: the committed recovery artifacts
+  // and every golden trajectory were produced under seed ^ tag.
   constexpr std::uint64_t s = 0x0123456789ABCDEFULL;
   static_assert(stream_seed(s, streams::kConfig) == (s ^ 0xC0FFEEULL));
   EXPECT_EQ(stream_seed(s, streams::kFaults), s ^ 0xFA5EEDULL);
@@ -100,15 +101,15 @@ TEST(StreamTags, FirstDrawsOfEachTrialStreamArePinned) {
 // set_scheduler_faults before stepping, and via set_scheduler_faults after
 // rings already exist. A divergence in any path shows up as different
 // faulted trajectories on the same seeds. `faults` defaults to loss only;
-// any topology and bias table go through the same derivation.
+// a bias table goes through the same derivation.
 
-template <typename P, typename Topo = RingTopology>
+template <typename P>
 void expect_cross_engine_fault_identity(
     const typename P::Params& params,
     std::span<const typename P::State> initial, std::uint64_t steps,
     const SchedulerFaults& faults = {.loss_p = 0.25, .arc_weights = {}}) {
   constexpr int kRings = 3;
-  EnsembleRunner<P, Topo> ensemble(params, kRings);
+  EnsembleRunner<P> ensemble(params, kRings);
   std::vector<std::uint64_t> seeds;
   for (int r = 0; r < kRings; ++r) {
     const auto seed = derive_seed(99, streams::kDifferentialTrial,
@@ -120,7 +121,7 @@ void expect_cross_engine_fault_identity(
   ensemble.set_scheduler_faults(faults);
 
   for (int r = 0; r < kRings; ++r) {
-    Runner<P, Topo> runner(params,
+    Runner<P> runner(params,
                            std::vector<typename P::State>(initial.begin(),
                                                           initial.end()),
                            seeds[static_cast<std::size_t>(r)]);
@@ -159,17 +160,17 @@ TEST(StreamTags, CrossEngineFaultStreamBitIdentityPl) {
       static_cast<std::size_t>(params.n));
   expect_cross_engine_fault_identity<pl::PlProtocol>(params, initial, 4096);
 
-  // Off the ring, with loss and a biased arc table (zero-weight arcs
-  // included), from a random configuration.
-  const auto clique_params = pl::PlParams::make(10, 4);
-  const CliqueTopology clique(clique_params.n);
+  // Loss plus a biased arc table (zero-weight arcs included), from a
+  // random configuration.
+  const auto biased_params = pl::PlParams::make(10, 4);
   SchedulerFaults biased;
   biased.loss_p = 0.2;
-  for (int a = 0; a < clique.arc_count(pl::PlProtocol::directed); ++a)
+  for (int a = 0; a < arc_count(biased_params.n, pl::PlProtocol::directed);
+       ++a)
     biased.arc_weights.push_back(a % 4 == 0 ? 0.0 : 1.0 + a % 3);
-  const auto random_initial = pl::random_config(clique_params, rng);
-  expect_cross_engine_fault_identity<pl::PlProtocol, CliqueTopology>(
-      clique_params, random_initial, 4000, biased);
+  const auto random_initial = pl::random_config(biased_params, rng);
+  expect_cross_engine_fault_identity<pl::PlProtocol>(
+      biased_params, random_initial, 4000, biased);
 }
 
 }  // namespace

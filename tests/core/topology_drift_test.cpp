@@ -1,10 +1,11 @@
-// Engine/checker arc-mapping agreement, per topology (the test the ring
-// used to get implicitly from sharing core::arc_endpoints): for every
-// configuration and every drawable arc at n <= 6, a Runner<P, Topo> step
-// through that arc must produce exactly the configuration
-// ModelChecker<P, Topo>::successor predicts. A single transposed endpoint
-// pair in either layer fails here by construction — this is the pin the
-// "shared definition" wording in core/ring.hpp and README now defers to.
+// Engine/checker arc-mapping agreement on the ring: for every configuration
+// and every drawable arc at n <= 6, a Runner step through that arc must
+// produce exactly the configuration ModelChecker::successor predicts, on
+// the directed ring (n arcs) and the undirected one (2n arcs, arc n + i
+// reversing e_i). Both layers call core::arc_endpoints, but through
+// different code (InteractionEngine::apply_arc on a State array vs decode /
+// M::apply / encode on a configuration id); a transposed endpoint pair or an
+// off-by-one in either fails here by construction.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,8 +13,8 @@
 
 #include "core/ensemble.hpp"
 #include "core/model_checker.hpp"
+#include "core/ring.hpp"
 #include "core/runner.hpp"
-#include "core/topology.hpp"
 #include "verification/toys.hpp"
 
 namespace ppsim::core {
@@ -21,67 +22,56 @@ namespace {
 
 using verification::TokenMergeModel;
 
+/// TokenMergeModel on the undirected ring: the scheduler draws all 2n arcs.
+struct UndirectedTokenMerge : TokenMergeModel {
+  static constexpr bool directed = false;
+};
+
 /// TokenMergeModel is deliberately asymmetric in (initiator, responder) —
 /// a lone token moves initiator -> responder — so any endpoint swap or
 /// off-by-one in either layer changes the successor configuration.
-template <typename Topo>
+template <typename M>
 void drift_check(int n) {
-  const typename TokenMergeModel::Params p{n};
-  const ModelChecker<TokenMergeModel, Topo> mc(p);
+  const typename M::Params p{n};
+  const ModelChecker<M> mc(p);
   ASSERT_FALSE(mc.capacity_exceeded());
-  const Topo topo(n);
-  const int arcs = topo.arc_count(TokenMergeModel::directed);
+  const int arcs = arc_count(n, M::directed);
   for (std::uint64_t id = 0; id < mc.num_configurations(); ++id) {
     const auto cfg = mc.decode(id);
     for (int a = 0; a < arcs; ++a) {
-      Runner<TokenMergeModel, Topo> runner(p, cfg, /*seed=*/1);
+      Runner<M> runner(p, cfg, /*seed=*/1);
       runner.apply_arc(a);
       const auto got = runner.agents();
       const auto want = mc.decode(mc.successor(id, a));
       for (int i = 0; i < n; ++i) {
         EXPECT_EQ(got[static_cast<std::size_t>(i)].tok,
                   want[static_cast<std::size_t>(i)].tok)
-            << Topo::kName << " n=" << n << " id=" << id << " arc=" << a
-            << " agent=" << i;
+            << "directed=" << M::directed << " n=" << n << " id=" << id
+            << " arc=" << a << " agent=" << i;
       }
     }
   }
 }
 
-template <typename Topo>
-void drift_sweep() {
-  for (int n = 2; n <= 6; ++n) drift_check<Topo>(n);
-}
-
 TEST(TopologyDrift, RingEngineMatchesChecker) {
-  drift_sweep<RingTopology>();
+  for (int n = 2; n <= 6; ++n) drift_check<TokenMergeModel>(n);
 }
 
-TEST(TopologyDrift, LineEngineMatchesChecker) {
-  drift_sweep<LineTopology>();
+TEST(TopologyDrift, UndirectedRingEngineMatchesChecker) {
+  for (int n = 2; n <= 6; ++n) drift_check<UndirectedTokenMerge>(n);
 }
 
-TEST(TopologyDrift, CliqueEngineMatchesChecker) {
-  drift_sweep<CliqueTopology>();
-}
-
-TEST(TopologyDrift, TreeEngineMatchesChecker) {
-  drift_sweep<TreeTopology>();
-}
-
-// The ensemble's scalar lane resolves arcs through the same Topo member,
-// but pin it independently: EnsembleRunner ring 0 after one forced arc via
-// set_agent-free stepping is out of reach (no apply_arc), so compare a
-// short scheduled run instead — Runner and EnsembleRunner ring 0 share the
-// seed, so they draw identical arcs over any topology.
-template <typename Topo>
+// The ensemble's generic lane resolves arcs in its own loop
+// (InteractionEngine::run_block); Runner and EnsembleRunner ring 0 share
+// the seed, so a short scheduled run must draw and apply identical arcs.
+template <typename M>
 void ensemble_agrees(int n, std::uint64_t steps) {
-  const typename TokenMergeModel::Params p{n};
-  std::vector<TokenMergeModel::State> init(static_cast<std::size_t>(n));
+  const typename M::Params p{n};
+  std::vector<typename M::State> init(static_cast<std::size_t>(n));
   init[0].tok = 1;
   if (n > 2) init[static_cast<std::size_t>(n / 2)].tok = 1;
-  Runner<TokenMergeModel, Topo> runner(p, init, /*seed=*/99);
-  EnsembleRunner<TokenMergeModel, Topo> ensemble(p, 1);
+  Runner<M> runner(p, init, /*seed=*/99);
+  EnsembleRunner<M> ensemble(p, 1);
   ensemble.add_ring(init, /*seed=*/99);
   runner.run(steps);
   ensemble.run_ring(0, steps);
@@ -91,15 +81,13 @@ void ensemble_agrees(int n, std::uint64_t steps) {
   for (int i = 0; i < n; ++i)
     EXPECT_EQ(a[static_cast<std::size_t>(i)].tok,
               b[static_cast<std::size_t>(i)].tok)
-        << Topo::kName << " n=" << n << " agent=" << i;
+        << "directed=" << M::directed << " n=" << n << " agent=" << i;
 }
 
-TEST(TopologyDrift, EnsembleMatchesRunnerPerTopology) {
+TEST(TopologyDrift, EnsembleMatchesRunner) {
   for (int n = 2; n <= 6; ++n) {
-    ensemble_agrees<RingTopology>(n, 512);
-    ensemble_agrees<LineTopology>(n, 512);
-    ensemble_agrees<CliqueTopology>(n, 512);
-    ensemble_agrees<TreeTopology>(n, 512);
+    ensemble_agrees<TokenMergeModel>(n, 512);
+    ensemble_agrees<UndirectedTokenMerge>(n, 512);
   }
 }
 

@@ -20,6 +20,7 @@
 #include "baselines/modk.hpp"
 #include "baselines/yokota28.hpp"
 #include "common/elimination.hpp"
+#include "core/env.hpp"
 #include "core/rng.hpp"
 #include "orientation/coloring.hpp"
 #include "orientation/por.hpp"
@@ -30,10 +31,10 @@
 namespace ppsim::verification {
 namespace {
 
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  const int parsed = std::atoi(v);
+/// A fuzz-size knob: core::env_int's strict parse (a garbled value exits
+/// 2), and `fallback` for a value below 1.
+int positive_knob(const char* name, int fallback) {
+  const int parsed = core::env_int(name, fallback);
   return parsed > 0 ? parsed : fallback;
 }
 
@@ -458,9 +459,9 @@ TEST(DifferentialFuzzLong, NightlySweep) {
     GTEST_SKIP() << "set PPSIM_FUZZ_LONG=1 (and optionally "
                     "PPSIM_FUZZ_TRIALS / PPSIM_FUZZ_STEPS) for the long run";
   }
-  const int trials = env_int("PPSIM_FUZZ_TRIALS", 16);
+  const int trials = positive_knob("PPSIM_FUZZ_TRIALS", 16);
   const auto steps =
-      static_cast<std::uint64_t>(env_int("PPSIM_FUZZ_STEPS", 1 << 18));
+      static_cast<std::uint64_t>(positive_knob("PPSIM_FUZZ_STEPS", 1 << 18));
   FuzzConfig base;
   base.seed = 0xF0221;
   base.steps = steps;

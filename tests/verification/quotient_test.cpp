@@ -253,70 +253,5 @@ TEST(Quotient, Uint64OverflowIsACapacityError) {
   EXPECT_NE(res.reason.find("capacity"), std::string::npos) << res.reason;
 }
 
-// ---- non-ring topologies: the validated-permutation path -----------------
-
-TEST(QuotientTopology, CliqueQuotientsByTheFullSymmetricGroup) {
-  // TokenMergeModel is position independent, so every element of the
-  // clique's S_n validates; the quotient must agree with the unreduced
-  // checker on the same topology and reduce orbits to multisets (necklaces
-  // without the cyclic restriction): n + 1 token-count classes for a binary
-  // state space.
-  for (int n = 2; n <= 5; ++n) {
-    core::ModelChecker<TokenMergeModel, core::CliqueTopology> mc({n});
-    QuotientChecker<TokenMergeModel, core::CliqueTopology> qc({n});
-    std::uint64_t fact = 1;
-    for (int i = 2; i <= n; ++i) fact *= static_cast<std::uint64_t>(i);
-    EXPECT_EQ(qc.group_order(), static_cast<int>(fact)) << "n=" << n;
-    const auto full =
-        mc.check(TokenCountSpec{}, [](int tokens) { return tokens <= 1; });
-    const auto quot =
-        qc.check(TokenCountSpec{}, [](int tokens) { return tokens <= 1; });
-    ASSERT_TRUE(full.ok) << "n=" << n << ": " << full.reason;
-    EXPECT_TRUE(quot.ok) << "n=" << n << ": " << quot.reason;
-    EXPECT_EQ(quot.num_configurations, full.num_configurations);
-    EXPECT_EQ(quot.num_bottom_configs, full.num_bottom_configs) << "n=" << n;
-    // Under S_n a binary configuration's orbit is its token count: n + 1
-    // orbits total.
-    EXPECT_EQ(quot.num_orbits, static_cast<std::uint64_t>(n + 1))
-        << "n=" << n;
-  }
-}
-
-TEST(QuotientTopology, DirectedLineHasTrivialGroupAndMatchesUnreduced) {
-  for (int n = 2; n <= 5; ++n) {
-    core::ModelChecker<TokenMergeModel, core::LineTopology> mc({n});
-    QuotientChecker<TokenMergeModel, core::LineTopology> qc({n});
-    EXPECT_EQ(qc.group_order(), 1) << "n=" << n;  // reflection is
-                                                  // orientation-reversing
-    // On a line tokens pile up at the right end: "<= 1 token" still holds
-    // in every bottom SCC, and the trivial quotient is the unreduced
-    // graph node for node.
-    const auto full =
-        mc.check(TokenCountSpec{}, [](int tokens) { return tokens <= 1; });
-    const auto quot =
-        qc.check(TokenCountSpec{}, [](int tokens) { return tokens <= 1; });
-    ASSERT_TRUE(full.ok) << "n=" << n << ": " << full.reason;
-    EXPECT_TRUE(quot.ok) << "n=" << n << ": " << quot.reason;
-    EXPECT_EQ(quot.num_orbits, full.num_configurations) << "n=" << n;
-    EXPECT_EQ(quot.num_bottom_configs, full.num_bottom_configs) << "n=" << n;
-    EXPECT_EQ(quot.num_bottom_sccs, full.num_bottom_sccs) << "n=" << n;
-  }
-}
-
-TEST(QuotientTopology, BrokenModelCaughtOnEveryTopology) {
-  // The leaked-token bug must be found by the generic path too, with the
-  // same canonical counterexample (all-zero is fixed by every perm).
-  const auto run = [](auto qc) {
-    const auto res =
-        qc.check(TokenCountSpec{}, [](int tokens) { return tokens == 1; });
-    EXPECT_FALSE(res.ok);
-    ASSERT_TRUE(res.counterexample.has_value());
-    EXPECT_EQ(*res.counterexample, 0u);
-  };
-  run(QuotientChecker<BrokenMergeModel, core::LineTopology>({5}));
-  run(QuotientChecker<BrokenMergeModel, core::CliqueTopology>({5}));
-  run(QuotientChecker<BrokenMergeModel, core::TreeTopology>({5}));
-}
-
 }  // namespace
 }  // namespace ppsim::verification
