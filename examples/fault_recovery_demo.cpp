@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const int n = argc > 1 ? core::parse_int("[n]", argv[1]) : 64;
   const auto seed = static_cast<std::uint64_t>(
       argc > 2 ? core::parse_int64("[seed]", argv[2]) : 7);
-  const auto p = pl::PlParams::make(n, 8);
+  const auto p = core::checked_args([n] { return pl::PlParams::make(n, 8); });
   core::Xoshiro256pp rng(seed);
 
   core::Runner<pl::PlProtocol> runner(p, pl::make_safe_config(p), seed);

@@ -100,7 +100,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "failpoints: %d site(s) armed via PPSIM_FAILPOINTS\n",
                    armed);
 
-    service::CampaignService<pl::PlProtocol> svc(make_cells(n, trials), opts);
+    service::CampaignService<pl::PlProtocol> svc(
+        core::checked_args([&] { return make_cells(n, trials); }), opts);
     service::FileFrameSink frames(frames_path);
     std::printf("campaign %s: %llu/%llu shards done, resuming\n",
                 service::digest_hex(svc.digest()).c_str(),

@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
   // 1. Protocol parameters: the common knowledge psi = ceil(log2 n) + O(1).
   //    (c1 scales kappa_max; the paper's proofs use c1 >= 32, smaller values
   //    run faster and work fine in practice.)
-  const pl::PlParams params = pl::PlParams::make(n, /*c1=*/8);
+  const pl::PlParams params =
+      core::checked_args([n] { return pl::PlParams::make(n, /*c1=*/8); });
   std::printf("ring size n=%d, psi=%d, kappa_max=%d, 2^psi=%lld\n", n,
               params.psi, params.kappa_max, params.id_modulus());
 

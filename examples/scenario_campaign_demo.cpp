@@ -70,9 +70,12 @@ int main(int argc, char** argv) {
 
   std::printf("recovery campaigns: burst (all faults at once) vs storm "
               "(spaced n steps)\n\n");
-  report<pl::PlProtocol>("P_PL", pl::PlParams::make(n, 4), trials);
-  report<baselines::Yokota28>("yokota28", baselines::Y28Params::make(n),
-                              trials);
+  const auto pl_params =
+      core::checked_args([n] { return pl::PlParams::make(n, 4); });
+  const auto y28_params =
+      core::checked_args([n] { return baselines::Y28Params::make(n); });
+  report<pl::PlProtocol>("P_PL", pl_params, trials);
+  report<baselines::Yokota28>("yokota28", y28_params, trials);
   std::printf("\nboth protocols re-enter their safe sets after every "
               "schedule; see\nBENCH_recovery.json (bench_recovery_json) for "
               "the tracked trajectory\n");

@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(
       argc > 2 ? core::parse_int64("[seed]", argv[2]) : 11);
 
-  const auto p = orient::StackParams::make(n, /*c1=*/8);
+  const auto p = core::checked_args(
+      [n] { return orient::StackParams::make(n, /*c1=*/8); });
   core::Xoshiro256pp rng(seed);
   core::Runner<orient::OrientedStack> runner(
       p, orient::stack_random_config(p, rng), seed);

@@ -79,7 +79,6 @@ COLD_REGISTRY = {
     "src/core/word_driver.hpp": [
         "census_replay",
         "census_replay_rings",
-        "run_group_conflicted",
     ],
 }
 

@@ -217,12 +217,19 @@ class EnsembleRunner {
   /// near-deadline ring, a lockstep leftover) runs the single-ring grouped
   /// word driver; a smaller ring runs the scalar loop on its State block.
   /// Ungated, that driver measured against Runner::run on one ring (4 vCPU
-  /// reference VM, 4 M steps, best of 3): 0.33-0.49x at n = 16-64 (0.354x
-  /// in BENCH_throughput.json before this gate), 0.59-0.79x at 256,
-  /// 0.80-1.03x at 384, 0.91-1.43x at 512 and above 1x from 704 up. The
-  /// one-ring P_PL rows of BENCH_throughput.json (packed_speedup) at
-  /// n = 16, 64, 256 and 512 record both sides of the gate.
-  static constexpr int kWordCrossoverN = 512;
+  /// AVX-512 reference VM, GCC 12 -O3, blocks of n steps from a random
+  /// configuration, median of 11 runs of 1 M steps, CPU time), as the
+  /// scalar loop's time over the driver's:
+  ///
+  ///   n             16    32    64    96   128   256   512  1024
+  ///   AVX-512 x8  0.88  1.08  1.19  1.31  1.55  1.55  1.60  1.62
+  ///   AVX2 x4     0.74  0.91  1.00  0.99  1.01  1.01  1.04  1.07
+  ///
+  /// (the AVX2 row is the 4-lane clone on the same machine, via
+  /// cap_isa_level). From 128 up both clones at least match the scalar
+  /// loop. bench_throughput_json's one-ring P_PL rows (packed_speedup) at
+  /// n = 16, 256 and the crossover time both sides of the gate.
+  static constexpr int kWordCrossoverN = 128;
 
   /// Rings per cross-ring lockstep group on the word lane at this process's
   /// ISA level (WordGroupDriver::lockstep_lanes()), 1 for an ensemble type
@@ -920,7 +927,7 @@ class EnsembleRunner {
     const auto ri = static_cast<std::size_t>(r);
     WordGroupDriver<P>::run_block(words_.data() + ring_offset(r), params_.n,
                                   bound_, threshold_, rngs_[ri], clocks_[ri],
-                                  consts_, k);
+                                  consts_, k, run_stamps_);
     owner_[ri] = RingOwner::kMirror;
   }
 
@@ -996,6 +1003,9 @@ class EnsembleRunner {
   /// Scratch ring of a padded lockstep group's empty lanes (allocated on
   /// first use; its contents never reach any ring).
   std::vector<std::uint64_t> pad_words_;
+  /// Run-cut scratch of the single-ring word driver (allocated on first
+  /// use; any contents are safe).
+  RunStamps run_stamps_;
   bool word_active_ = false;        ///< word-kernel lane drives the hot loop
 };
 

@@ -1,5 +1,6 @@
 // Strict integer parsing shared by every PPSIM_* knob and by the numeric
-// arguments of ppsim_campaignd.
+// arguments of ppsim_campaignd and the demos, and the range check of what
+// those arguments build (checked_args).
 //
 // The historical parsers were raw std::atoi: a typo like PPSIM_TRIALS=1O0
 // (letter O) silently became 1, and PPSIM_THREADS=x became 0 — both then
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace ppsim::core {
 
@@ -67,6 +69,21 @@ namespace ppsim::core {
 [[nodiscard]] inline int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
   return v == nullptr || *v == '\0' ? fallback : parse_int(name, v);
+}
+
+/// `make()` — building a program's parameters from its parsed arguments —
+/// with the std::invalid_argument a constructor throws on a well-formed but
+/// out-of-range value (PlParams' n < 2, say) reported like a garbled
+/// argument: the message on stderr and exit status 2, not an uncaught
+/// exception.
+template <typename Make>
+[[nodiscard]] auto checked_args(Make&& make) -> decltype(make()) {
+  try {
+    return make();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "ppsim: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
 }  // namespace ppsim::core

@@ -251,7 +251,6 @@ concept HasWordKernel =
       {
         P::make_word_consts(lay)
       } -> std::convertible_to<typename P::WordKernelConsts>;
-      P::apply_word_one(w, w, kc);
       P::apply_word_x4(v, v, kc);
       P::apply_word_x8(v8, v8, kc);
     };

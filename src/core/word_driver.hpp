@@ -4,7 +4,10 @@
 // ring 0 of a scalar-only EnsembleRunner.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -23,77 +26,123 @@
 
 namespace ppsim::core {
 
+namespace detail {
+
+/// The word-kernel ISA level the CPU supports: 2 = AVX-512 (F+DQ+BW+VL,
+/// the clones' target set), 1 = AVX2, 0 = baseline. Probed once per
+/// process.
+[[nodiscard]] inline int probed_isa_level() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  static const int kIsa =
+      (__builtin_cpu_supports("avx512dq") != 0 &&
+       __builtin_cpu_supports("avx512bw") != 0 &&
+       __builtin_cpu_supports("avx512vl") != 0)  ? 2
+      : __builtin_cpu_supports("avx2") != 0 ? 1
+                                            : 0;
+  return kIsa;
+#else
+  return 0;
+#endif
+}
+
+/// Upper bound on the level the word driver dispatches to (cap_isa_level).
+inline std::atomic<int> isa_cap{2};
+
+}  // namespace detail
+
+/// The ISA level WordGroupDriver dispatches to: the probed level, lowered
+/// to the cap_isa_level cap.
+[[nodiscard]] inline int word_isa_level() {
+  const int cap = detail::isa_cap.load(std::memory_order_relaxed);
+  const int hw = detail::probed_isa_level();
+  return cap < hw ? cap : hw;
+}
+
+/// Test hook: run the word driver's clones at ISA level `level` (2 =
+/// AVX-512, 1 = AVX2, 0 = baseline) or below. It lowers the level and never
+/// raises it above what the CPU supports; returns the level now in effect.
+/// Call it before building any ensemble: lockstep_lanes() sizes shards and
+/// lockstep groups. The drivers read it once per block, outside their loops.
+inline int cap_isa_level(int level) {
+  detail::isa_cap.store(level, std::memory_order_relaxed);
+  return word_isa_level();
+}
+
+/// Run-cut scratch of the single-ring driver, owned by the caller and
+/// reused across blocks: per agent, the id of the last run that touched it,
+/// and the last id issued. Any contents are safe; a stale id that happens
+/// to equal the current one only cuts a run early.
+struct RunStamps {
+  std::vector<std::uint32_t> agent;
+  std::uint32_t last = 0;
+};
+
 /// The blocked hot loops of EnsembleRunner's word-kernel lane. The
-/// single-ring grouped driver has exactly one entry, run_block: per group
-/// of kWordLanes scheduler draws it proves the agent pairs disjoint (a ~2%
-/// event at n = 1024, ~0.1% at 16384) and then runs
-/// the protocol's branchless vector kernel on all four interactions at
-/// once — legal because disjoint interactions commute state-wise, and the
-/// RNG draw order is untouched, so the trajectory is bit-identical to the
-/// one-at-a-time scalar path (conflicting groups and the k % 4 tail take
-/// exactly that path via apply_word_one).
+/// single-ring grouped driver has exactly one entry, run_block: it draws
+/// the schedule in groups of G = lanes(VW) arcs (8 under AVX-512, else 4)
+/// and cuts each group, in draw order, into runs of pairwise-disjoint
+/// interactions. Each run is one G-lane kernel call whose lane mask keeps
+/// the lanes outside the run unloaded and unstored. Disjoint interactions
+/// commute state-wise, runs execute in draw order and the RNG draw order is
+/// untouched, so the trajectory is bit-identical to one-at-a-time
+/// execution. A group cuts when two of its draws share an agent, which any
+/// two draws on neighbouring edges do: at 8 lanes that is 7.9% of groups
+/// at n = 1024 (1.08 runs per group) and half of them at n = 128 (1.56).
+/// The k % G tail is one short group.
 ///
 /// Census: only the leader bit matters (WordKernelRunnable excludes token
-/// censuses), and when no word in the group changed its leader bit the
+/// censuses), and when no live lane of a run changed its leader bit the
 /// whole census update is a provable no-op (leader_count unchanged, and
 /// the RingClock invariant "leader_count == 0 iff leaderless_since is set"
 /// makes the leaderless bookkeeping idempotent) — the common case once
-/// converged. Otherwise the four updates replay sequentially in draw
-/// order, reproducing census_after step for step.
+/// converged. Otherwise the run's updates replay per lane in draw order,
+/// reproducing census_after step for step.
 ///
-/// The vector kernel body is compiled twice on x86-64 — once for the
-/// baseline ISA, once under target("avx2") — and dispatched once per
-/// process via __builtin_cpu_supports, so the packaged binary needs no
-/// special -m flags and still uses 4-wide execution where the hardware
-/// has it.
+/// The vector kernel body is compiled three times on x86-64 — baseline,
+/// target("avx2") and the AVX-512 set — and dispatched once per block on
+/// word_isa_level(), so the packaged binary needs no special -m flags and
+/// still uses 4- or 8-wide execution where the hardware has it. Everything
+/// a clone runs per group is inlined into it; only the census replays are
+/// outlined, cold and scalar.
 template <typename P>
   requires WordKernelRunnable<P>
 struct WordGroupDriver {
   using Consts = typename P::WordKernelConsts;
 
-  /// 2 = AVX-512 (F+DQ+BW+VL, the clones' target set), 1 = AVX2,
-  /// 0 = baseline. Probed once per process.
-  [[nodiscard]] static int isa_level() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    static const int kIsa =
-        (__builtin_cpu_supports("avx512dq") != 0 &&
-         __builtin_cpu_supports("avx512bw") != 0 &&
-         __builtin_cpu_supports("avx512vl") != 0)  ? 2
-        : __builtin_cpu_supports("avx2") != 0 ? 1
-                                              : 0;
-    return kIsa;
-#else
-    return 0;
-#endif
-  }
-
   /// Rings per cross-ring lockstep group at this process's ISA level (the
   /// vector width run_rings_block runs): 8 under AVX-512, else 4.
   [[nodiscard]] static int lockstep_lanes() {
-    return isa_level() == 2 ? kLanesOf<WordVec8> : kLanesOf<WordVec>;
+    return word_isa_level() == 2 ? kLanesOf<WordVec8> : kLanesOf<WordVec>;
   }
 
   /// The one single-ring word block: advance the ring stored at `words`
   /// `k` interactions through the grouped driver (run_impl), compiled once
-  /// per ISA in the out-of-line clones below. EnsembleRunner sends a ring
-  /// that advances alone here (run_ring, a near-deadline ring, a lockstep
+  /// per ISA in the out-of-line clones below. `stamps` is the caller's
+  /// run-cut scratch (sized to n here). EnsembleRunner sends a ring that
+  /// advances alone here (run_ring, a near-deadline ring, a lockstep
   /// leftover) only at n >= its kWordCrossoverN; smaller rings run the
   /// scalar loop instead.
   static void run_block(std::uint64_t* words, int n, std::uint64_t bound,
                         std::uint64_t threshold, Xoshiro256pp& rng,
-                        RingClock& clk, const Consts& kc, std::uint64_t k) {
+                        RingClock& clk, const Consts& kc, std::uint64_t k,
+                        RunStamps& stamps) {
+    if (stamps.agent.size() < static_cast<std::size_t>(n))
+      stamps.agent.resize(static_cast<std::size_t>(n));
+    std::uint32_t* const stamp = stamps.agent.data();
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    const int isa = isa_level();
+    const int isa = word_isa_level();
     if (isa == 2) {
-      run_avx512(words, n, bound, threshold, rng, clk, kc, k);
+      run_avx512(words, n, bound, threshold, rng, clk, kc, k, stamp,
+                 stamps.last);
       return;
     }
     if (isa == 1) {
-      run_avx2(words, n, bound, threshold, rng, clk, kc, k);
+      run_avx2(words, n, bound, threshold, rng, clk, kc, k, stamp,
+               stamps.last);
       return;
     }
 #endif
-    run_base(words, n, bound, threshold, rng, clk, kc, k);
+    run_base(words, n, bound, threshold, rng, clk, kc, k, stamp, stamps.last);
   }
 
  private:
@@ -114,21 +163,6 @@ struct WordGroupDriver {
     }
   }
 
-  [[gnu::always_inline]] static inline void step_one(std::uint64_t* words,
-                                                     int i, int j,
-                                                     const Consts& kc,
-                                                     RingClock& clk) {
-    std::uint64_t wa = words[i];
-    std::uint64_t wb = words[j];
-    const std::uint64_t oa = wa;
-    const std::uint64_t ob = wb;
-    P::apply_word_one(wa, wb, kc);
-    words[i] = wa;
-    words[j] = wb;
-    census_leader_change(oa, ob, wa, wb, clk, clk.steps);
-    ++clk.steps;
-  }
-
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   /// Hardware gather/scatter for the 8-lane clones: one instruction each
   /// instead of a per-lane insert/extract chain (the chain costs ~20 front
@@ -139,21 +173,34 @@ struct WordGroupDriver {
   /// them into the avx512 clones where the attributes match. Only 8-lane
   /// instantiations reach them (guarded by if constexpr), and those only
   /// ever execute inside the avx512 clones. The scatters are safe by
-  /// construction: indices within one scatter are pairwise distinct
-  /// (disjoint group members, or one agent per disjoint ring).
+  /// construction: the live indices of one scatter are pairwise distinct
+  /// (one run's agents, or one agent per disjoint ring).
+  ///
+  /// Masked forms for the single ring: only the lanes set in `live` load
+  /// (the others read as 0) and store.
   __attribute__((
       target("avx512f,avx512dq,avx512bw,avx512vl"))) static inline WordVec8
-  gather8(const std::uint64_t* words, const int* idx) {
+  gather8(const std::uint64_t* words, const int* idx, unsigned live) {
     const __m256i vi =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return (WordVec8)_mm512_i32gather_epi64(vi, words, 8);
+    return (WordVec8)_mm512_mask_i32gather_epi64(
+        _mm512_setzero_si512(), static_cast<__mmask8>(live), vi, words, 8);
   }
   __attribute__((
       target("avx512f,avx512dq,avx512bw,avx512vl"))) static inline void
-  scatter8(std::uint64_t* words, const int* idx, const WordVec8& v) {
+  scatter8(std::uint64_t* words, const int* idx, const WordVec8& v,
+           unsigned live) {
     const __m256i vi =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    _mm512_i32scatter_epi64(words, vi, (__m512i)v, 8);
+    _mm512_mask_i32scatter_epi64(words, static_cast<__mmask8>(live), vi,
+                                 (__m512i)v, 8);
+  }
+  /// Lanes of `live` with bit 0 of `v` set, as a lane bitmask.
+  __attribute__((
+      target("avx512f,avx512dq,avx512bw,avx512vl"))) static inline unsigned
+  test8(const WordVec8& v, unsigned live) {
+    return _mm512_mask_test_epi64_mask(static_cast<__mmask8>(live), (__m512i)v,
+                                       _mm512_set1_epi64(1));
   }
   /// Absolute-address forms for the cross-ring lockstep lane, where every
   /// lane reads a different ring's array: the address vector is
@@ -173,28 +220,52 @@ struct WordGroupDriver {
   static constexpr bool kHaveHwGather = false;
 #endif
 
-  /// Gather/scatter one group's operand words (G = lanes of VW). WordVec8
-  /// is only instantiated inside the AVX-512 clones, so its lanes always
-  /// move through the hardware gather/scatter.
+  /// Gather/scatter the live lanes of one run's operand words (lanes of VW:
+  /// G). WordVec8 is only instantiated inside the AVX-512 clones, so its
+  /// lanes always move through the masked hardware gather/scatter; the
+  /// 4-lane clones load and store lane by lane.
   template <typename VW>
   [[gnu::always_inline]] static inline VW gather(const std::uint64_t* words,
-                                                 const int* idx) {
+                                                 const int* idx,
+                                                 unsigned live) {
     if constexpr (kLanesOf<VW> == 4) {
-      return VW{words[idx[0]], words[idx[1]], words[idx[2]], words[idx[3]]};
+      VW v{};
+      for (int j = 0; j < 4; ++j) {
+        if ((live >> j) & 1) v[j] = words[idx[j]];
+      }
+      return v;
     } else {
       static_assert(kHaveHwGather && kLanesOf<VW> == 8,
                     "8-lane groups run only in the AVX-512 clones");
-      return gather8(words, idx);
+      return gather8(words, idx, live);
     }
   }
   template <typename VW>
   [[gnu::always_inline]] static inline void scatter(std::uint64_t* words,
                                                     const int* idx,
-                                                    const VW& v) {
+                                                    const VW& v,
+                                                    unsigned live) {
     if constexpr (kLanesOf<VW> == 8 && kHaveHwGather) {
-      scatter8(words, idx, v);
+      scatter8(words, idx, v, live);
     } else {
-      for (int j = 0; j < kLanesOf<VW>; ++j) words[idx[j]] = v[j];
+      for (int j = 0; j < kLanesOf<VW>; ++j) {
+        if ((live >> j) & 1) words[idx[j]] = v[j];
+      }
+    }
+  }
+
+  /// Lanes of `live` with bit 0 of `v` set (leader bits, or leader-bit
+  /// flips of an xor), as a lane bitmask.
+  template <typename VW>
+  [[gnu::always_inline]] static inline unsigned leader_bits(const VW& v,
+                                                            unsigned live) {
+    if constexpr (kLanesOf<VW> == 8 && kHaveHwGather) {
+      return test8(v, live);
+    } else {
+      unsigned bits = 0;
+      for (int j = 0; j < kLanesOf<VW>; ++j)
+        bits |= static_cast<unsigned>(v[j] & 1) << j;
+      return bits & live;
     }
   }
 
@@ -204,7 +275,9 @@ struct WordGroupDriver {
   /// broadcast operand) inside the step instead of a vector register held
   /// across the whole loop. Hoisted, those broadcasts outnumber the
   /// registers the kernel's own temporaries need and the loop spills (see
-  /// rings_impl).
+  /// rings_impl; the single-ring AVX-512 clone, from a by-value copy, held
+  /// 579 stack references in ~1,230 instructions against 173 in ~980, GCC
+  /// 12).
   [[gnu::always_inline]] static inline const Consts& consts_from_memory(
       const Consts* kc) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
@@ -213,240 +286,152 @@ struct WordGroupDriver {
     return *kc;
   }
 
-  /// OR-fold of all lanes (leader-bit change probe).
+  /// One run: lanes [s, e) of a group, pairwise disjoint, through one G-lane
+  /// kernel call — gather, kernel, scatter, leader-bit delta census
+  /// (sequential replay in draw order only when some live lane changed a
+  /// leader bit; otherwise the whole update is a provable no-op, see the
+  /// class comment). Dead lanes compute on junk that is never stored and
+  /// never reaches the census.
   template <typename VW>
-  [[gnu::always_inline]] static inline std::uint64_t orfold(const VW& v) {
-    if constexpr (kLanesOf<VW> == 4) {
-      return v[0] | v[1] | v[2] | v[3];
-    } else {
-      return (v[0] | v[1] | v[2] | v[3]) | (v[4] | v[5] | v[6] | v[7]);
-    }
-  }
-
-  /// One vectorized group of `lanes(VW)` mutually disjoint interactions:
-  /// gather, kernel, scatter, leader-bit delta census (sequential replay in
-  /// draw order only when some lane changed a leader bit — otherwise the
-  /// whole update is a provable no-op, see the class comment).
-  template <typename VW>
-  [[gnu::always_inline]] static inline void run_group(std::uint64_t* words,
+  [[gnu::always_inline]] static inline void run_lanes(std::uint64_t* words,
                                                       const int* ia,
-                                                      const int* ib,
-                                                      const Consts& kc,
+                                                      const int* ib, int s,
+                                                      int e, const Consts& kc,
                                                       RingClock& clk) {
-    constexpr int G = kLanesOf<VW>;
-    VW wa = gather<VW>(words, ia);
-    VW wb = gather<VW>(words, ib);
+    const unsigned live = (1u << e) - (1u << s);
+    VW wa = gather<VW>(words, ia, live);
+    VW wb = gather<VW>(words, ib, live);
     const VW oa = wa;
     const VW ob = wb;
-    if constexpr (G == 4) {
-      P::apply_word_x4(wa, wb, kc);
+    if constexpr (kLanesOf<VW> == 4) {
+      P::apply_word_x4(wa, wb, consts_from_memory(&kc));
     } else {
-      P::apply_word_x8(wa, wb, kc);
+      P::apply_word_x8(wa, wb, consts_from_memory(&kc));
     }
-    scatter(words, ia, wa);
-    scatter(words, ib, wb);
+    scatter(words, ia, wa, live);
+    scatter(words, ib, wb, live);
     if constexpr (HasLeaderOutput<P>) {
-      const VW dl = (wa ^ oa) | (wb ^ ob);
-      if ((orfold(dl) & 1) == 0) [[likely]] {
-        clk.steps += static_cast<std::uint64_t>(G);
-      } else {
-        census_replay<VW>(oa, ob, wa, wb, clk);
+      if (leader_bits<VW>((wa ^ oa) | (wb ^ ob), live) != 0) [[unlikely]] {
+        census_replay(leader_bits(oa, live), leader_bits(ob, live),
+                      leader_bits(wa, live), leader_bits(wb, live), s, e,
+                      clk);
+        return;
       }
-    } else {
-      clk.steps += static_cast<std::uint64_t>(G);
     }
+    clk.steps += static_cast<std::uint64_t>(e - s);
   }
 
-  /// Per-lane census replay of one group whose update flipped some leader
-  /// bit. Rare at steady state, so outlined cold: inlining it would keep a
-  /// second copy of the group's operands live across the hot loop and push
-  /// the register allocator into spilling the kernel's temporaries.
-  template <typename VW>
-  [[gnu::cold, gnu::noinline]] static void census_replay(const VW& oa,
-                                                         const VW& ob,
-                                                         const VW& wa,
-                                                         const VW& wb,
-                                                         RingClock& clk) {
-    for (int j = 0; j < kLanesOf<VW>; ++j) {
-      census_leader_change(oa[j], ob[j], wa[j], wb[j], clk, clk.steps);
+  /// Per-lane census replay of lanes [s, e) of a run whose update flipped
+  /// some leader bit, from the lane bitmasks of the leader bits before
+  /// (`oa`, `ob`) and after (`wa`, `wb`). Rare at steady state, so outlined
+  /// cold; the bitmasks are built only on this path, so the hot loop never
+  /// stores the run's operands for it.
+  [[gnu::cold, gnu::noinline]] static void census_replay(
+      unsigned oa, unsigned ob, unsigned wa, unsigned wb, int s, int e,
+      RingClock& clk) {
+    for (int j = s; j < e; ++j) {
+      census_leader_change((oa >> j) & 1, (ob >> j) & 1, (wa >> j) & 1,
+                           (wb >> j) & 1, clk, clk.steps);
       ++clk.steps;
     }
   }
 
   /// Cold outlined per-lane census replay for the cross-ring lockstep
-  /// blocks (frozen-clock contract: the running step rides as step0[j]+s).
-  template <typename V>
+  /// blocks, from the same leader-bit lane bitmasks (frozen-clock contract:
+  /// the running step rides as step0[j] + s).
   [[gnu::cold, gnu::noinline]] static void census_replay_rings(
-      const V& oa, const V& ob, const V& wa, const V& wb, RingClock* clk,
-      const std::uint64_t* step0, std::uint64_t s) {
-    for (int j = 0; j < kLanesOf<V>; ++j) {
-      census_leader_change(oa[j], ob[j], wa[j], wb[j], clk[j], step0[j] + s);
-    }
-  }
-
-  /// Conflicted-group fallback, outlined cold for the same register-pressure
-  /// reason as census_replay: an overlap inside a half degrades the group to
-  /// exact one-at-a-time scalar steps; a cross-half-only overlap (G == 8)
-  /// runs the two halves as sequential half-width groups (first half's
-  /// stores land before the second half's loads).
-  template <typename VW>
-  [[gnu::cold, gnu::noinline]] static void run_group_conflicted(
-      std::uint64_t* words, const int* ia, const int* ib, int in_half,
-      const Consts& kc, RingClock& clk) {
-    constexpr int G = kLanesOf<VW>;
-    if (in_half != 0) {
-      for (int j = 0; j < G; ++j) step_one(words, ia[j], ib[j], kc, clk);
-    } else if constexpr (G == 8) {
-      run_group<WordVec>(words, ia, ib, kc, clk);
-      run_group<WordVec>(words, ia + 4, ib + 4, kc, clk);
-    }
-  }
-
-  /// Vectorized pairwise-overlap classification of one group of G arcs.
-  ///
-  /// Every arc's endpoint set is {m, m+1 mod n} for m = arc mod n — the
-  /// forward and reversed arcs of an edge share endpoints (core/ring.hpp
-  /// arc_endpoints) — so two arcs overlap iff their m-values differ by
-  /// 0, 1, or n-1 (mod n). That collapses the O(G^2) four-way equality
-  /// scan (112 scalar compares at G = 8) into G-lane difference probes
-  /// against lane rotations: rotation r compares lane i with lane
-  /// (i+r) mod G, and rotations 1..G/2 cover every unordered pair. The
-  /// common case (no overlap anywhere: ~99.3% of groups at n = 16384)
-  /// folds the rotation hits into one OR and returns without ever
-  /// materializing the in-half/cross split.
-  template <int G>
-  [[gnu::always_inline]] static inline void classify_group(const int* pm,
-                                                           int n,
-                                                           int& half_conf,
-                                                           int& cross_conf) {
-    static_assert(G == 4 || G == 8);
-    if constexpr (G == 8) {
-      HalfVec8S a;
-      __builtin_memcpy(&a, pm, sizeof(a));
-      const HalfVec8S vn = vbroadcast<HalfVec8S>(static_cast<std::uint64_t>(n));
-      const HalfVec8S v1 = vbroadcast<HalfVec8S>(1);
-      const HalfVec8S vn1 = vn - v1;
-      const auto probe = [&](HalfVec8S rot) __attribute__((always_inline)) {
-        HalfVec8S t = a - rot;        // in [-(n-1), n-1]
-        t += vn & (t >> 31);          // mod n, in [0, n-1]
-        return (t == HalfVec8S{}) | (t == v1) | (t == vn1);
-      };
-      const HalfVec8S h1 = probe(__builtin_shufflevector(a, a, 1, 2, 3, 4, 5, 6, 7, 0));
-      const HalfVec8S h2 = probe(__builtin_shufflevector(a, a, 2, 3, 4, 5, 6, 7, 0, 1));
-      const HalfVec8S h3 = probe(__builtin_shufflevector(a, a, 3, 4, 5, 6, 7, 0, 1, 2));
-      const HalfVec8S h4 = probe(__builtin_shufflevector(a, a, 4, 5, 6, 7, 0, 1, 2, 3));
-      if (orfold((WordVec)(h1 | h2) | (WordVec)(h3 | h4)) == 0) [[likely]] {
-        half_conf = 0;
-        cross_conf = 0;
-        return;
-      }
-      // Rotation r pairs lane i with lane (i+r) mod 8; the pair crosses
-      // the half boundary iff exactly one of the two lane ids is >= 4.
-      constexpr HalfVec8S kIH1 = {-1, -1, -1, 0, -1, -1, -1, 0};
-      constexpr HalfVec8S kIH2 = {-1, -1, 0, 0, -1, -1, 0, 0};
-      constexpr HalfVec8S kIH3 = {-1, 0, 0, 0, -1, 0, 0, 0};
-      const HalfVec8S ih = (h1 & kIH1) | (h2 & kIH2) | (h3 & kIH3);
-      const HalfVec8S cr = (h1 & ~kIH1) | (h2 & ~kIH2) | (h3 & ~kIH3) | h4;
-      half_conf = orfold((WordVec)ih) != 0;
-      cross_conf = orfold((WordVec)cr) != 0;
-    } else {
-      HalfVec4S a;
-      __builtin_memcpy(&a, pm, sizeof(a));
-      const HalfVec4S vn = vbroadcast<HalfVec4S>(static_cast<std::uint64_t>(n));
-      const HalfVec4S v1 = vbroadcast<HalfVec4S>(1);
-      const HalfVec4S vn1 = vn - v1;
-      const auto probe = [&](HalfVec4S rot) __attribute__((always_inline)) {
-        HalfVec4S t = a - rot;
-        t += vn & (t >> 31);
-        return (t == HalfVec4S{}) | (t == v1) | (t == vn1);
-      };
-      const HalfVec4S h1 = probe(__builtin_shufflevector(a, a, 1, 2, 3, 0));
-      const HalfVec4S h2 = probe(__builtin_shufflevector(a, a, 2, 3, 0, 1));
-      const HalfVec4S any = h1 | h2;
-      half_conf = (any[0] | any[1] | any[2] | any[3]) != 0;
-      cross_conf = 0;  // no half split at G == 4 (see run_impl)
+      unsigned oa, unsigned ob, unsigned wa, unsigned wb, int lanes,
+      RingClock* clk, const std::uint64_t* step0, std::uint64_t s) {
+    for (int j = 0; j < lanes; ++j) {
+      census_leader_change((oa >> j) & 1, (ob >> j) & 1, (wa >> j) & 1,
+                           (wb >> j) & 1, clk[j], step0[j] + s);
     }
   }
 
   /// The block loop at vector width VW (instantiated per ISA clone).
+  ///
+  /// Run cuts: every group opens a fresh run id; each draw checks both of
+  /// its agents' stamps against the current id, starts a new run (a new id)
+  /// on a match, and stamps both agents with the id of the run it joins.
+  /// An agent touched earlier in the current run carries the current id,
+  /// so no run ever holds two interactions on one agent, whatever the
+  /// stamps held before. A group's cuts come back as `ends`: bit e set
+  /// means a run ends before lane e, and the top set bit is the group size.
   template <typename VW>
   [[gnu::always_inline]] static inline void run_impl(
       std::uint64_t* words, int n, std::uint64_t bound,
       std::uint64_t threshold, Xoshiro256pp& rng0, RingClock& clk0,
-      const Consts& kc0, std::uint64_t k) {
+      const Consts& kc, std::uint64_t k, std::uint32_t* stamp,
+      std::uint32_t& id0) {
     Xoshiro256pp rng = rng0;
     RingClock clk = clk0;
-    // By-value copy: a local whose address never escapes is provably
-    // loop-invariant, so the constants' broadcasts hoist into registers for
-    // the whole loop. Hoisting is not free: in the cross-ring lockstep loop
-    // the broadcasts outnumbered the vector registers and spilled the
-    // kernel, so rings_impl reads them from memory (consts_from_memory).
-    // This loop keeps the copy: read from memory, its AVX-512 clone's loop
-    // stayed the same size (666 vs 667 instructions, 108 vs 120 stack
-    // references, GCC 12) with no speedup measurable above noise.
-    const Consts kc = kc0;
+    std::uint32_t id = id0;
     constexpr int G = kLanesOf<VW>;
-    int ia[G] = {};  // zero-init: k < G legitimately skips the prologue draw
-    int ib[G] = {};
-    int in_half = 0;
-    int cross = 0;
-    // Draw one group's arcs and run the pairwise-overlap classification
-    // (vectorized, see classify_group). At G == 8 the cross-half overlaps
-    // are tracked separately: the two halves
-    // can still run vectorized, just sequentially (first half's stores land
-    // before the second half's loads). Overlap *inside* a half degrades the
-    // whole group to exact one-at-a-time scalar steps.
-    const auto draw_group = [&](int* pa, int* pb, int& half_conf,
-                                int& cross_conf) __attribute__((
+    // Two index buffers, swapped per group: a group's initiators in lanes
+    // [0, G), its responders in [G, 2G). Zero-initialized: a short tail
+    // group leaves its upper lanes as they were, always valid agents.
+    int idx[2][2 * G] = {};
+    int* cur = idx[0];
+    int* next = idx[1];
+    // Draw g arcs into `pab`, then cut them into runs. Two passes keep
+    // each one's live registers few (the serial RNG chain, then the stamp
+    // chain); the second reads what the first just stored.
+    const auto draw_group = [&](int* pab, int g) __attribute__((
         always_inline)) {
-      int pm[G];
-      for (int j = 0; j < G; ++j) {
+      for (int j = 0; j < g; ++j) {
         const int arc =
             static_cast<int>(rng.bounded_with_threshold(bound, threshold));
         const ArcEndpoints e = arc_endpoints(arc, n);
-        pa[j] = e.initiator;
-        pb[j] = e.responder;
-        pm[j] = arc < n ? arc : arc - n;  // edge id shared by both arc dirs
+        pab[j] = e.initiator;
+        pab[G + j] = e.responder;
       }
-      classify_group<G>(pm, n, half_conf, cross_conf);
+      unsigned ends = 1u << g;
+      std::uint32_t run = id + 1;  // a register copy: stamp stores may alias id
+      for (int j = 0; j < g; ++j) {
+        const int a = pab[j];
+        const int b = pab[G + j];
+        const bool cut = (stamp[a] == run) | (stamp[b] == run);
+        run += cut ? 1u : 0u;
+        ends |= static_cast<unsigned>(cut) << j;
+        stamp[a] = run;
+        stamp[b] = run;
+      }
+      id = run;
+      return ends & ~1u;  // a stale match at lane 0 cuts nothing
     };
-    if (k >= static_cast<std::uint64_t>(G)) draw_group(ia, ib, in_half, cross);
-    while (k >= static_cast<std::uint64_t>(G)) {
+    const auto group_size = [&](std::uint64_t left) __attribute__((
+        always_inline)) {
+      return left < static_cast<std::uint64_t>(G) ? static_cast<int>(left)
+                                                   : G;
+    };
+    int g = group_size(k);
+    unsigned ends = g > 0 ? draw_group(cur, g) : 0;
+    while (g > 0) {
+      k -= static_cast<std::uint64_t>(g);
       // Software pipeline: the next group's serial draw chain (one scalar
       // stream — inherently sequential) issues ahead of this group's
       // kernel, so the two overlap in the out-of-order window instead of
-      // serializing. Draws depend only on RNG state, never on words, so
-      // the stream order is untouched.
-      int na[G];
-      int nb[G];
-      int nih = 0;
-      int ncr = 0;
-      const bool more = k >= 2 * static_cast<std::uint64_t>(G);
-      if (more) draw_group(na, nb, nih, ncr);
-      if ((in_half | cross) != 0) [[unlikely]] {
-        run_group_conflicted<VW>(words, ia, ib, in_half, kc, clk);
-      } else {
-        run_group<VW>(words, ia, ib, kc, clk);
-      }
-      k -= static_cast<std::uint64_t>(G);
-      if (more) {
-        for (int j = 0; j < G; ++j) {
-          ia[j] = na[j];
-          ib[j] = nb[j];
-        }
-        in_half = nih;
-        cross = ncr;
-      }
-    }
-    while (k > 0) {
-      const int arc =
-          static_cast<int>(rng.bounded_with_threshold(bound, threshold));
-      const ArcEndpoints e = arc_endpoints(arc, n);
-      step_one(words, e.initiator, e.responder, kc, clk);
-      --k;
+      // serializing. Draws and cuts depend only on RNG state and stamps,
+      // never on words, so the stream order is untouched.
+      const int ng = group_size(k);
+      // A full group's draw gets a constant trip count, which unrolls.
+      const unsigned nends = ng == G  ? draw_group(next, G)
+                             : ng > 0 ? draw_group(next, ng)
+                                      : 0;
+      int s = 0;
+      do {
+        const int e = __builtin_ctz(ends);
+        ends &= ends - 1;
+        run_lanes<VW>(words, cur, cur + G, s, e, kc, clk);
+        s = e;
+      } while (ends != 0);
+      std::swap(cur, next);
+      ends = nends;
+      g = ng;
     }
     rng0 = rng;
     clk0 = clk;
+    id0 = id;
   }
 
   /// Cross-ring lockstep block (the ensemble kernel lane's main engine):
@@ -490,14 +475,13 @@ struct WordGroupDriver {
       Xoshiro256pp rng[G];
       RingClock clk[G];
       std::uint64_t step0[G];
-      VW live{};  // all-ones in the lanes of real rings
+      const unsigned live = (1u << real) - 1;  // the lanes of real rings
       for (int j = 0; j < G; ++j) {
         if (j < real) {
           const int r = rg[j];
           base[j] = words_base + ring_stride * static_cast<std::size_t>(r);
           rng[j] = rngs[r];
           clk[j] = clks[r];
-          live[j] = ~std::uint64_t{0};
         } else {
           base[j] = pad;
           rng[j] = rng[0];
@@ -563,9 +547,11 @@ struct WordGroupDriver {
           scatter8_addr(aa, wa);
           scatter8_addr(ab, wb);
           if constexpr (HasLeaderOutput<P>) {
-            const VW dl = ((wa ^ oa) | (wb ^ ob)) & live;
-            if ((orfold(dl) & 1) != 0) [[unlikely]] {
-              census_replay_rings<VW>(oa, ob, wa, wb, clk, step0, s);
+            if (leader_bits<VW>((wa ^ oa) | (wb ^ ob), live) != 0)
+                [[unlikely]] {
+              census_replay_rings(leader_bits(oa, live), leader_bits(ob, live),
+                                  leader_bits(wa, live), leader_bits(wb, live),
+                                  G, clk, step0, s);
             }
           }
           if (more) {
@@ -608,9 +594,11 @@ struct WordGroupDriver {
             base[j][ib[j]] = wb[j];
           }
           if constexpr (HasLeaderOutput<P>) {
-            const VW dl = ((wa ^ oa) | (wb ^ ob)) & live;
-            if ((orfold(dl) & 1) != 0) [[unlikely]] {
-              census_replay_rings<VW>(oa, ob, wa, wb, clk, step0, s);
+            if (leader_bits<VW>((wa ^ oa) | (wb ^ ob), live) != 0)
+                [[unlikely]] {
+              census_replay_rings(leader_bits(oa, live), leader_bits(ob, live),
+                                  leader_bits(wa, live), leader_bits(wb, live),
+                                  G, clk, step0, s);
             }
           }
           if (more) {
@@ -642,7 +630,7 @@ struct WordGroupDriver {
                               Xoshiro256pp* rngs, RingClock* clks,
                               const Consts& kc, std::uint64_t k) {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    const int isa = isa_level();
+    const int isa = word_isa_level();
     if (isa == 2) {
       rings_avx512(words_base, ring_stride, rings, nrings, pad, n, bound,
                    threshold, rngs, clks, kc, k);
@@ -683,22 +671,27 @@ struct WordGroupDriver {
                  noinline)) static void
   run_avx512(std::uint64_t* words, int n, std::uint64_t bound,
              std::uint64_t threshold, Xoshiro256pp& rng, RingClock& clk,
-             const Consts& kc, std::uint64_t k) {
-    run_impl<WordVec8>(words, n, bound, threshold, rng, clk, kc, k);
+             const Consts& kc, std::uint64_t k, std::uint32_t* stamp,
+             std::uint32_t& id) {
+    run_impl<WordVec8>(words, n, bound, threshold, rng, clk, kc, k, stamp,
+                       id);
   }
   __attribute__((target("avx2"), noinline)) static void run_avx2(
       std::uint64_t* words, int n, std::uint64_t bound,
       std::uint64_t threshold, Xoshiro256pp& rng, RingClock& clk,
-      const Consts& kc, std::uint64_t k) {
-    run_impl<WordVec>(words, n, bound, threshold, rng, clk, kc, k);
+      const Consts& kc, std::uint64_t k, std::uint32_t* stamp,
+      std::uint32_t& id) {
+    run_impl<WordVec>(words, n, bound, threshold, rng, clk, kc, k, stamp, id);
   }
 #endif
   [[gnu::noinline]] static void run_base(std::uint64_t* words, int n,
                                         std::uint64_t bound,
                                         std::uint64_t threshold,
                                         Xoshiro256pp& rng, RingClock& clk,
-                                        const Consts& kc, std::uint64_t k) {
-    run_impl<WordVec>(words, n, bound, threshold, rng, clk, kc, k);
+                                        const Consts& kc, std::uint64_t k,
+                                        std::uint32_t* stamp,
+                                        std::uint32_t& id) {
+    run_impl<WordVec>(words, n, bound, threshold, rng, clk, kc, k, stamp, id);
   }
 };
 

@@ -37,11 +37,6 @@ typedef std::int64_t WordVecS __attribute__((vector_size(32)));
 typedef std::uint64_t WordVec8 __attribute__((vector_size(64)));
 typedef std::int64_t WordVec8S __attribute__((vector_size(64)));
 
-// Eight / four i32 lanes (one YMM / XMM register): edge-id vectors for the
-// grouped scheduler's arc-overlap classification at WordVec8 / WordVec width.
-typedef std::int32_t HalfVec8S __attribute__((vector_size(32)));
-typedef std::int32_t HalfVec4S __attribute__((vector_size(16)));
-
 /// Element type and lane count of a lane type (scalar integrals count as one
 /// lane of themselves).
 template <typename V>

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -50,8 +51,13 @@ struct StackParams {
   int xi = 3;
   pl::PlParams pl;
 
+  /// Throws std::invalid_argument below n = 3, where no proper two-hop
+  /// coloring (and so no orientation) exists, as OrParams does.
   [[nodiscard]] static StackParams make(int n, int c1 = 32,
                                         int psi_slack = 0) {
+    if (n < 3)
+      throw std::invalid_argument(
+          "StackParams: orientation requires n >= 3");
     StackParams p;
     p.n = n;
     p.xi = 3;

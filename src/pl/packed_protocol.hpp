@@ -4,9 +4,9 @@
 //
 // One call = one interaction per lane: the scalar instantiation
 // (V = uint64_t) executes a single (initiator, responder) pair; the vector
-// instantiation (V = core::WordVec) executes four *scheduler-independent*
-// interactions at once — the grouped engine driver (core::WordGroupDriver)
-// proves the independence (disjoint agent pairs) before invoking it, so
+// instantiations (V = core::WordVec, core::WordVec8) execute four or eight
+// *scheduler-independent* interactions at once — the grouped engine driver
+// (core::WordGroupDriver) hands it only runs of disjoint agent pairs, so
 // lane-parallel execution is bit-identical to sequential execution by
 // construction.
 //
@@ -431,15 +431,15 @@ template <typename V>
 
 /// One interaction on two packed words (the V = uint64_t instantiation,
 /// with the constants derived on the spot — engine hot loops precompute
-/// PlKernelConsts once per block and call apply_word_one/apply_word_x4).
+/// PlKernelConsts once per block and call apply_word_x4/apply_word_x8).
 inline void apply_word(std::uint64_t& wl, std::uint64_t& wr,
                        const PackedLayout& lay) noexcept {
   const PlKernelConsts k = PlKernelConsts::make(lay);
   packed_detail::apply_word_lanes<std::uint64_t>(wl, wr, k);
 }
 
-/// One interaction with precomputed constants (group-driver tail/conflict
-/// path).
+/// One interaction with precomputed constants: the one-at-a-time reference
+/// the engines' vector runs are tested against.
 inline void apply_word_one(std::uint64_t& wl, std::uint64_t& wr,
                            const PlKernelConsts& k) noexcept {
   packed_detail::apply_word_lanes<std::uint64_t>(wl, wr, k);

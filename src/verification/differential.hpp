@@ -15,7 +15,9 @@
 //                                packed kernel rather than assuming it).
 //                                One ring, so for P_PL this is the
 //                                single-ring grouped driver
-//                                (WordGroupDriver::run_block) from
+//                                (WordGroupDriver::run_block: each group
+//                                of draws cut into masked runs of disjoint
+//                                interactions) from
 //                                EnsembleRunner::kWordCrossoverN up; below
 //                                it the ring advances alone on the scalar
 //                                loop, and only lane G runs the kernel

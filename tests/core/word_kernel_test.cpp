@@ -5,10 +5,13 @@
 // lockstep groups at every ring count up to 17, fault storms
 // (in-domain fast path and the documented fall-back-to-generic on
 // out-of-domain states), capacity-probe gating, run_until_each, and
-// thread-count byte-identity of the differential campaign driver. The
-// differential harness (lanes D and G) fuzzes the same lanes per seed.
+// thread-count byte-identity of the differential campaign driver; and the
+// single-ring driver's run cuts against one-at-a-time apply_word_one. Every
+// word-lane test runs at each ISA level the CPU supports (isa_levels.hpp).
+// The differential harness (lanes D and G) fuzzes the same lanes per seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -21,6 +24,8 @@
 #include "pl/adversary.hpp"
 #include "pl/protocol.hpp"
 #include "verification/differential.hpp"
+
+#include "../isa_levels.hpp"
 
 namespace ppsim {
 namespace {
@@ -48,6 +53,9 @@ void expect_ring_same(const Runner<PlProtocol>& ref,
     ASSERT_EQ(sa[i], sb[i]) << what << " ring " << r << " agent " << i;
 }
 
+using WordKernelIsa = testing_isa::IsaLevelTest;
+PPSIM_INSTANTIATE_ISA_LEVELS(WordKernelIsa);
+
 /// A span-only predicate (no census gate, no word view): every check
 /// reads agents(r).
 bool unique_leader(std::span<const PlState> c, const PlParams&) {
@@ -56,7 +64,7 @@ bool unique_leader(std::span<const PlState> c, const PlParams&) {
   return leaders == 1;
 }
 
-TEST(WordKernelEnsemble, WordPathMatchesUnbatchedReference) {
+TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
   // A ring that advances alone (one ring, or a leftover of run()'s lockstep
   // groups) runs the scalar loop on its States below kWordCrossoverN and
   // the grouped driver's one entry, WordGroupDriver::run_block, on its
@@ -153,7 +161,7 @@ TEST(WordKernelEnsemble, WordPathMatchesUnbatchedReference) {
   }
 }
 
-TEST(WordKernelEnsemble, PaddedPartialGroupsMatchRunners) {
+TEST_P(WordKernelIsa, PaddedPartialGroupsMatchRunners) {
   // Ring counts 1..17 leave every remainder modulo both lockstep widths:
   // a last group at least half full runs padded in lockstep (its rings end
   // word-owned), a smaller one runs the scalar loop at these n (its rings
@@ -249,7 +257,7 @@ TEST(WordKernelEnsemble, CapacityExceededKeepsScalarPath) {
   for (int i = 0; i < p.n; ++i) ASSERT_EQ(r.agent(i), ref.agent(i));
 }
 
-TEST(WordKernelEnsemble, RunUntilEachMatchesRunnerRunUntil) {
+TEST_P(WordKernelIsa, RunUntilEachMatchesRunnerRunUntil) {
   const auto p = PlParams::make(16, 4);
   const int R = 10;
   EnsembleRunner<PlProtocol> ens(p, R);
@@ -275,7 +283,7 @@ TEST(WordKernelEnsemble, RunUntilEachMatchesRunnerRunUntil) {
   }
 }
 
-TEST(WordKernelCampaign, DifferentialReportsByteIdenticalAcrossThreads) {
+TEST_P(WordKernelIsa, DifferentialReportsByteIdenticalAcrossThreads) {
   const auto p = PlParams::make(24, 4);
   verification::FuzzConfig cfg;
   cfg.steps = 2048;
@@ -300,6 +308,95 @@ TEST(WordKernelCampaign, DifferentialReportsByteIdenticalAcrossThreads) {
     EXPECT_EQ(one[t].final_digest, four[t].final_digest);
     EXPECT_TRUE(one[t].packed_lane);  // one-ring word lane stayed active
     EXPECT_TRUE(one[t].lockstep_lane);  // lane G rode the vector-RNG driver
+  }
+}
+
+TEST(WordKernelIsaCap, LowersButNeverRaises) {
+  const int cpu = core::cap_isa_level(testing_isa::kTopIsaLevel);
+  EXPECT_EQ(core::word_isa_level(), cpu);
+  for (int level = 0; level <= testing_isa::kTopIsaLevel; ++level) {
+    EXPECT_EQ(core::cap_isa_level(level), std::min(level, cpu));
+    EXPECT_EQ(EnsembleRunner<PlProtocol>::lockstep_lanes(),
+              std::min(level, cpu) == 2 ? 8 : 4);
+  }
+  EXPECT_EQ(core::cap_isa_level(testing_isa::kTopIsaLevel), cpu);
+}
+
+/// One interaction at a time through apply_word_one, with the leader
+/// census every engine path keeps: the trajectory the single-ring driver's
+/// runs must reproduce.
+void one_at_a_time(std::vector<std::uint64_t>& words, std::uint64_t bound,
+                   std::uint64_t threshold, core::Xoshiro256pp& rng,
+                   core::RingClock& clk,
+                   const PlProtocol::WordKernelConsts& kc, std::uint64_t k) {
+  const int n = static_cast<int>(words.size());
+  for (std::uint64_t s = 0; s < k; ++s) {
+    const core::ArcEndpoints e = core::arc_endpoints(
+        static_cast<int>(rng.bounded_with_threshold(bound, threshold)), n);
+    std::uint64_t& wa = words[static_cast<std::size_t>(e.initiator)];
+    std::uint64_t& wb = words[static_cast<std::size_t>(e.responder)];
+    const std::uint64_t oa = wa;
+    const std::uint64_t ob = wb;
+    PlProtocol::apply_word_one(wa, wb, kc);
+    if ((((wa ^ oa) | (wb ^ ob)) & 1) != 0) {
+      clk.note_leaders(static_cast<int>(wa & 1) + static_cast<int>(wb & 1) -
+                           static_cast<int>(oa & 1) - static_cast<int>(ob & 1),
+                       true, clk.steps);
+    }
+    ++clk.steps;
+  }
+}
+
+TEST_P(WordKernelIsa, RunBlockCutsRunsLikeOneAtATime) {
+  // WordGroupDriver::run_block against one-at-a-time apply_word_one from a
+  // cloned RNG. Rings of 2 to 17 agents cut most groups, so runs of every
+  // length and offset occur; k from 1 to 17 leaves every tail length at
+  // both lane widths, and k = 1024 runs many groups. The blocks run back
+  // to back on one ring and one stamp buffer, which starts as garbage;
+  // before every other block it is flooded with the id the next group
+  // will take, so that group's first draw matches a stale stamp.
+  std::vector<std::uint64_t> ks;
+  for (std::uint64_t k = 1; k <= 17; ++k) ks.push_back(k);
+  ks.push_back(1024);
+  for (int n = 2; n <= 17; ++n) {
+    const auto p = PlParams::make(n, 4);
+    const auto layout = PlProtocol::word_layout(p);
+    const auto kc = PlProtocol::make_word_consts(layout);
+    const auto bound = static_cast<std::uint64_t>(n);
+    const std::uint64_t threshold =
+        core::Xoshiro256pp::rejection_threshold(bound);
+    core::Xoshiro256pp cfg(3000 + n);
+    std::vector<std::uint64_t> words;
+    for (const PlState& s : pl::random_config(p, cfg))
+      words.push_back(PlProtocol::pack_word(s, layout));
+    std::vector<std::uint64_t> want = words;
+    core::RingClock clk;
+    clk.steps = 5;
+    for (const std::uint64_t w : words) clk.leader_count += (w & 1) != 0;
+    if (clk.leader_count == 0) clk.leaderless_since = clk.steps;
+    core::RingClock want_clk = clk;
+    core::Xoshiro256pp rng(40 + n);
+    core::Xoshiro256pp want_rng = rng;
+    core::RunStamps stamps;
+    for (int i = 0; i < n; ++i)
+      stamps.agent.push_back(static_cast<std::uint32_t>(cfg()));
+    stamps.last = static_cast<std::uint32_t>(cfg());
+    for (std::size_t b = 0; b < ks.size(); ++b) {
+      const std::uint64_t k = ks[b];
+      if (b % 2 == 1)
+        std::fill(stamps.agent.begin(), stamps.agent.end(), stamps.last + 1);
+      core::WordGroupDriver<PlProtocol>::run_block(
+          words.data(), n, bound, threshold, rng, clk, kc, k, stamps);
+      one_at_a_time(want, bound, threshold, want_rng, want_clk, kc, k);
+      const std::string what =
+          "n=" + std::to_string(n) + " k=" + std::to_string(k);
+      ASSERT_EQ(words, want) << what;
+      ASSERT_EQ(rng.state(), want_rng.state()) << what;
+      ASSERT_EQ(clk.steps, want_clk.steps) << what;
+      ASSERT_EQ(clk.leader_count, want_clk.leader_count) << what;
+      ASSERT_EQ(clk.last_leader_change, want_clk.last_leader_change) << what;
+      ASSERT_EQ(clk.leaderless_since, want_clk.leaderless_since) << what;
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 // colors + P_OR + P_PL.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/runner.hpp"
 #include "orientation/coloring.hpp"
 #include "orientation/oriented_stack.hpp"
@@ -15,6 +17,14 @@ std::uint64_t budget(const StackParams& p) {
   const auto n = static_cast<std::uint64_t>(p.n);
   return 1200ULL * n * n * static_cast<std::uint64_t>(p.pl.kappa_max) +
          4'000'000;
+}
+
+TEST(Stack, RingsBelowThreeThrow) {
+  // No proper two-hop coloring exists below n = 3; the parameters refuse
+  // such a ring in every build type instead of the config builder.
+  for (const int n : {2, 1, 0, -3})
+    EXPECT_THROW((void)StackParams::make(n, kC1), std::invalid_argument) << n;
+  EXPECT_NO_THROW((void)StackParams::make(3, kC1));
 }
 
 TEST(Stack, LearningConvergesToNeighborColors) {

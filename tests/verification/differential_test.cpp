@@ -28,6 +28,8 @@
 #include "pl/protocol.hpp"
 #include "pl/safe_config.hpp"
 
+#include "../isa_levels.hpp"
+
 namespace ppsim::verification {
 namespace {
 
@@ -153,7 +155,12 @@ TEST(Differential, Yokota28Lanes) {
   EXPECT_TRUE(rep.ok) << rep.divergence;
 }
 
-TEST(Differential, PlProtocolLanes) {
+// The P_PL word lanes (D and G) and their canaries run at every ISA level
+// the CPU supports, so each clone of both word loops is fuzzed here.
+using DifferentialWordLanes = testing_isa::IsaLevelTest;
+PPSIM_INSTANTIATE_ISA_LEVELS(DifferentialWordLanes);
+
+TEST_P(DifferentialWordLanes, PlProtocolLanes) {
   const auto p = pl::PlParams::make(6, 4);
   core::Xoshiro256pp cfg_rng(31);
   FuzzConfig cfg;
@@ -173,21 +180,21 @@ TEST(Differential, PlProtocolLanes) {
   EXPECT_TRUE(rep.lockstep_lane);
 }
 
-TEST(Differential, PlPackedLanesAtLargerRingsWithStorms) {
+TEST_P(DifferentialWordLanes, PlPackedLanesAtLargerRingsWithStorms) {
   // Lane D (one ring) runs the grouped SIMD driver from kWordCrossoverN up
   // and the scalar loop below it; lane G runs cross-ring lockstep at every
-  // n. The grouped driver's no-conflict fast path only engages when the
-  // drawn pairs are disjoint: at the crossover (the smallest n where it
-  // still runs) conflicted groups and run_group_conflicted mix in often,
-  // and at n = 1024 most 8-draw groups (~0.9) are disjoint, so the
-  // vectorized clean path dominates lane D there. Storms on. The safe
-  // starts (pl::make_safe_config) cover the converged regime, where the
-  // leader census holds at 1 until a storm breaks it.
+  // n. The grouped driver cuts a group into several masked runs whenever
+  // two of its draws share an agent: at the crossover (the smallest n
+  // where it runs) half the 8-draw groups cut, at n = 257 29% do, and at
+  // n = 1024 92% run as one full-width run. Storms on. The
+  // safe starts (pl::make_safe_config) cover the converged regime, where
+  // the leader census holds at 1 until a storm breaks it.
   constexpr int kCrossover =
       core::EnsembleRunner<pl::PlProtocol>::kWordCrossoverN;
   for (const auto& [n, safe] :
-       {std::pair{16, false}, std::pair{64, false}, std::pair{257, false},
-        std::pair{kCrossover, false}, std::pair{1024, false},
+       {std::pair{16, false}, std::pair{64, false},
+        std::pair{kCrossover, false}, std::pair{257, false},
+        std::pair{1024, false},
         std::pair{32, true}, std::pair{64, true}}) {
     const auto p = pl::PlParams::make(n, 4);
     core::Xoshiro256pp cfg_rng(600 + n);
@@ -233,17 +240,16 @@ TEST(Differential, PlOutOfDomainFaultDropsPackedLanesExactly) {
   EXPECT_FALSE(rep.lockstep_lane);  // same for the lockstep lane
 }
 
-TEST(Differential, BrokenWordKernelIsDetected) {
-  // The canary for the packed fast path itself: a kernel that drifts from
-  // the scalar transition by a single bit must be caught at the first
-  // checkpoint — equivalence is certified, not assumed.
+TEST_P(DifferentialWordLanes, BrokenWordKernelIsDetected) {
+  // The canary for the packed fast path itself: vector kernel entries
+  // (x4, x8: every engine lane's only kernel calls) that drift from the
+  // scalar transition by a single bit must be caught at the first
+  // checkpoint — equivalence is certified, not assumed. At n = 8 lane G's
+  // six rings are a full and a padded x4 group, or one padded x8 group, so
+  // any desync between a vector column and its scalar stream (RNG
+  // included) surfaces there too.
   struct BrokenWordPl : pl::PlProtocol {
     static void sabotage(std::uint64_t& wr) { wr ^= 0x2; }  // flip r.b
-    static void apply_word_one(std::uint64_t& l, std::uint64_t& r,
-                               const WordKernelConsts& k) noexcept {
-      pl::apply_word_one(l, r, k);
-      sabotage(r);
-    }
     static void apply_word_x4(core::WordVec& l, core::WordVec& r,
                               const WordKernelConsts& k) noexcept {
       pl::apply_word_x4(l, r, k);
@@ -277,42 +283,6 @@ TEST(Differential, BrokenWordKernelIsDetected) {
     EXPECT_NE(rep.divergence.find(lane), std::string::npos)
         << "n=" << n << ": " << rep.divergence;
   }
-}
-
-TEST(Differential, BrokenLockstepVectorLaneIsDetected) {
-  // The canary for the lane-parallel (vector-RNG) cross-ring driver. At
-  // n = 7 lane D (one ring, below kWordCrossoverN) runs the scalar loop,
-  // and lane G — 6 rings in lockstep — is the only caller of the vector
-  // entries, at every ISA level (a full and a padded x4 group on
-  // baseline/AVX2, one padded x8 group on AVX-512). A bit of drift in those
-  // entries must be caught at the first checkpoint and named as the
-  // lockstep lane. This is the flipped-bit canary for the whole
-  // draw-pack-kernel column: any desync between a vector column and its
-  // scalar stream (RNG included) surfaces exactly here.
-  struct BrokenVectorPl : pl::PlProtocol {
-    static void apply_word_x4(core::WordVec& l, core::WordVec& r,
-                              const WordKernelConsts& k) noexcept {
-      pl::apply_word_x4(l, r, k);
-      for (int j = 0; j < 4; ++j) r[j] ^= 0x2;  // flip r.b per column
-    }
-    static void apply_word_x8(core::WordVec8& l, core::WordVec8& r,
-                              const WordKernelConsts& k) noexcept {
-      pl::apply_word_x8(l, r, k);
-      for (int j = 0; j < 8; ++j) r[j] ^= 0x2;
-    }
-  };
-  static_assert(core::EnsembleRunner<BrokenVectorPl>::kWordable);
-  const auto p = pl::PlParams::make(7, 4);
-  core::Xoshiro256pp cfg_rng(6);
-  FuzzConfig cfg;
-  cfg.seed = 17;
-  cfg.steps = 2048;
-  cfg.check_every = 32;
-  const auto rep = run_differential<BrokenVectorPl>(
-      p, pl::random_config(p, cfg_rng), cfg, pl_fault);
-  EXPECT_FALSE(rep.ok);
-  EXPECT_NE(rep.divergence.find("G(ensemble-lockstep)"), std::string::npos)
-      << rep.divergence;
 }
 
 TEST(Differential, EliminationPackedAndMirrorLanes) {
