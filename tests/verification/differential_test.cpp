@@ -155,7 +155,7 @@ TEST(Differential, Yokota28Lanes) {
   EXPECT_TRUE(rep.ok) << rep.divergence;
 }
 
-// The P_PL word lanes (D and G) and their canaries run at every ISA level
+// The P_PL word lanes (D and G) and their canary run at every ISA level
 // the CPU supports, so each clone of both word loops is fuzzed here.
 using DifferentialWordLanes = testing_isa::IsaLevelTest;
 PPSIM_INSTANTIATE_ISA_LEVELS(DifferentialWordLanes);
