@@ -11,9 +11,10 @@
 // `speedup` cell stays comparable; `packed_ips`/`packed_speedup` (packed vs
 // scalar batched) are the word-kernel cells, 0 for protocols without a
 // kernel. A one-ring EnsembleRunner runs the single-ring grouped word driver
-// from kWordCrossoverN up and the scalar loop below it, so the P_PL rows on
-// either side of the constant are its evidence: about 1x below it (same
-// loop as Runner::run), and at or above 1x from it up.
+// from kWordCrossoverN up on an AVX2 or AVX-512 CPU and the scalar loop
+// otherwise (EnsembleRunner::runs_word_driver), so the P_PL rows on either
+// side of the constant are its evidence: about 1x below it (same loop as
+// Runner::run), and at or above 1x from it up.
 //
 // Writes BENCH_throughput.json (fields: its write_artifact call) so the perf
 // trajectory of the simulation engine is tracked from PR 1 onward. Knobs:

@@ -32,9 +32,10 @@
 //    with throwaway RNG and clock copies, so they touch no ring. A ring
 //    that advances alone (run_ring, a near-deadline ring, a remainder
 //    below half a group) runs the single-ring grouped driver only from
-//    kWordCrossoverN up, and the scalar loop on its States below it. The
-//    analysis drivers size their shards in whole lockstep groups
-//    (analysis::detail::balanced_shard_width), so few rings are left over.
+//    kWordCrossoverN up on an AVX2 or AVX-512 CPU, and the scalar loop on
+//    its States otherwise. The analysis drivers size their shards in whole
+//    lockstep groups (analysis::detail::balanced_shard_width), so few
+//    rings are left over.
 //
 // A ring-interleaved variant of the kernels was tried and rejected: register
 // pressure beat the ILP win (0.9-1.1x). The accelerated lanes self-validate:
@@ -215,21 +216,34 @@ class EnsembleRunner {
 
   /// Smallest n at which a word-lane ring that advances alone (run_ring, a
   /// near-deadline ring, a lockstep leftover) runs the single-ring grouped
-  /// word driver; a smaller ring runs the scalar loop on its State block.
-  /// Ungated, that driver measured against Runner::run on one ring (4 vCPU
-  /// AVX-512 reference VM, GCC 12 -O3, blocks of n steps from a random
+  /// word driver on an AVX2 or AVX-512 CPU (see runs_word_driver); a
+  /// smaller ring runs the scalar loop on its State block. Ungated, that
+  /// driver measured against Runner::run on one ring (4 vCPU AVX-512
+  /// reference VM, GCC 12 -O3, blocks of n steps from a random
   /// configuration, median of 11 runs of 1 M steps, CPU time), as the
-  /// scalar loop's time over the driver's:
+  /// scalar loop's time over the driver's, per clone (the lower two via
+  /// cap_isa_level on the same machine):
   ///
-  ///   n             16    32    64    96   128   256   512  1024
-  ///   AVX-512 x8  0.88  1.08  1.19  1.31  1.55  1.55  1.60  1.62
-  ///   AVX2 x4     0.74  0.91  1.00  0.99  1.01  1.01  1.04  1.07
+  ///   n              16    32    64    96   128   256   512  1024
+  ///   AVX-512 x8   0.91  1.09  1.16  1.31  1.39  1.54  1.80  1.83
+  ///   AVX2 x4      0.83  1.05  1.06  1.04  1.07  1.19  1.20  1.21
+  ///   baseline x4  0.24  0.19  0.20  0.27  0.27  0.28  0.28  0.36
   ///
-  /// (the AVX2 row is the 4-lane clone on the same machine, via
-  /// cap_isa_level). From 128 up both clones at least match the scalar
-  /// loop. bench_throughput_json's one-ring P_PL rows (packed_speedup) at
-  /// n = 16, 256 and the crossover time both sides of the gate.
+  /// Both AVX clones pass the scalar loop near n = 32, the AVX2 one only
+  /// within noise below 256; from 128 up the AVX-512 clone is clearly
+  /// ahead and the AVX2 one is not behind. The baseline clone (SSE2 on
+  /// x86-64) never passes it, so at that level a lone ring always runs the
+  /// scalar loop. bench_throughput_json's one-ring P_PL rows
+  /// (packed_speedup) at n = 16, 256 and the crossover time both sides of
+  /// the gate.
   static constexpr int kWordCrossoverN = 128;
+
+  /// Whether a word-lane ring of n agents that advances alone runs the
+  /// single-ring word driver (else the scalar loop): from kWordCrossoverN
+  /// up, at word ISA level 1 or 2 (core::word_isa_level(), read per block).
+  [[nodiscard]] static bool runs_word_driver(int n) {
+    return n >= kWordCrossoverN && word_isa_level() > 0;
+  }
 
   /// Rings per cross-ring lockstep group on the word lane at this process's
   /// ISA level (WordGroupDriver::lockstep_lanes()), 1 for an ensemble type
@@ -825,7 +839,7 @@ class EnsembleRunner {
     }
     if constexpr (kWordable) {
       if (word_active_) {
-        if (params_.n >= kWordCrossoverN) {
+        if (runs_word_driver(params_.n)) {
           advance_ring_word(r, k);
         } else {
           sync_ring(r);
@@ -913,7 +927,7 @@ class EnsembleRunner {
     return true;
   }
 
-  /// Kernel-lane block (n >= kWordCrossoverN): the single-ring grouped
+  /// Kernel-lane block (runs_word_driver(n)): the single-ring grouped
   /// word-kernel driver on this ring's slice of the u64 mirror, re-packed
   /// first if the ring owns its States. States go stale until the next
   /// sync_ring.

@@ -82,7 +82,7 @@ struct RunStamps {
 /// the schedule in groups of G = lanes(VW) arcs (8 under AVX-512, else 4)
 /// and cuts each group, in draw order, into runs of pairwise-disjoint
 /// interactions. Each run is one G-lane kernel call whose lane mask keeps
-/// the lanes outside the run unloaded and unstored. Disjoint interactions
+/// the lanes outside the run unstored. Disjoint interactions
 /// commute state-wise, runs execute in draw order and the RNG draw order is
 /// untouched, so the trajectory is bit-identical to one-at-a-time
 /// execution. A group cuts when two of its draws share an agent, which any
@@ -103,7 +103,9 @@ struct RunStamps {
 /// word_isa_level(), so the packaged binary needs no special -m flags and
 /// still uses 4- or 8-wide execution where the hardware has it. Everything
 /// a clone runs per group is inlined into it; only the census replays are
-/// outlined, cold and scalar.
+/// outlined, cold and scalar. The baseline clone (SSE2 on x86-64) runs
+/// 3-5x slower than the scalar loop on one ring, so EnsembleRunner sends
+/// it no lone ring (runs_word_driver).
 template <typename P>
   requires WordKernelRunnable<P>
 struct WordGroupDriver {
@@ -120,8 +122,8 @@ struct WordGroupDriver {
   /// per ISA in the out-of-line clones below. `stamps` is the caller's
   /// run-cut scratch (sized to n here). EnsembleRunner sends a ring that
   /// advances alone here (run_ring, a near-deadline ring, a lockstep
-  /// leftover) only at n >= its kWordCrossoverN; smaller rings run the
-  /// scalar loop instead.
+  /// leftover) only where its runs_word_driver(n) holds (n >=
+  /// kWordCrossoverN at level 1 or 2); other rings run the scalar loop.
   static void run_block(std::uint64_t* words, int n, std::uint64_t bound,
                         std::uint64_t threshold, Xoshiro256pp& rng,
                         RingClock& clk, const Consts& kc, std::uint64_t k,
@@ -223,17 +225,16 @@ struct WordGroupDriver {
   /// Gather/scatter the live lanes of one run's operand words (lanes of VW:
   /// G). WordVec8 is only instantiated inside the AVX-512 clones, so its
   /// lanes always move through the masked hardware gather/scatter; the
-  /// 4-lane clones load and store lane by lane.
+  /// 4-lane clones store lane by lane, live lanes only, but load all four
+  /// lanes: every index slot holds an agent (run_impl), so a dead lane's
+  /// load is safe, and a conditional load per lane ran the AVX2 clone
+  /// 10-15% slower at n = 512 and 1024.
   template <typename VW>
   [[gnu::always_inline]] static inline VW gather(const std::uint64_t* words,
                                                  const int* idx,
                                                  unsigned live) {
     if constexpr (kLanesOf<VW> == 4) {
-      VW v{};
-      for (int j = 0; j < 4; ++j) {
-        if ((live >> j) & 1) v[j] = words[idx[j]];
-      }
-      return v;
+      return VW{words[idx[0]], words[idx[1]], words[idx[2]], words[idx[3]]};
     } else {
       static_assert(kHaveHwGather && kLanesOf<VW> == 8,
                     "8-lane groups run only in the AVX-512 clones");

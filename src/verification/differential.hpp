@@ -17,10 +17,12 @@
 //                                single-ring grouped driver
 //                                (WordGroupDriver::run_block: each group
 //                                of draws cut into masked runs of disjoint
-//                                interactions) from
-//                                EnsembleRunner::kWordCrossoverN up; below
-//                                it the ring advances alone on the scalar
-//                                loop, and only lane G runs the kernel
+//                                interactions) where
+//                                EnsembleRunner::runs_word_driver(n)
+//                                holds (from kWordCrossoverN up, AVX2 or
+//                                AVX-512); otherwise the ring advances
+//                                alone on the scalar loop, and only lane G
+//                                runs the kernel
 //   E  checker mirror          — ModelChecker<M>::successor driven by a
 //                                cloned RNG stream: every step decodes,
 //                                applies M::apply, re-encodes, so the
@@ -116,8 +118,9 @@ struct FuzzReport {
   std::uint64_t final_digest = 0;
   bool packed_lane = false;  ///< lane D ran in (and stayed in) an
                              ///< accelerated mode (LUT or word kernel;
-                             ///< a word-lane ring below kWordCrossoverN
-                             ///< still advances on the scalar loop)
+                             ///< a word-lane ring that fails
+                             ///< runs_word_driver(n) still advances on
+                             ///< the scalar loop)
   bool mirror_lane = false;  ///< lane E (checker adapter) participated
   bool lockstep_lane = false;  ///< lane G ran (and stayed) in word-kernel
                                ///< mode, i.e. ring 0 went through the

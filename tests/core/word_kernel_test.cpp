@@ -66,9 +66,10 @@ bool unique_leader(std::span<const PlState> c, const PlParams&) {
 
 TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
   // A ring that advances alone (one ring, or a leftover of run()'s lockstep
-  // groups) runs the scalar loop on its States below kWordCrossoverN and
-  // the grouped driver's one entry, WordGroupDriver::run_block, on its
-  // words from there up; lockstep rings always own their words. Faults go
+  // groups) runs the grouped driver's one entry, WordGroupDriver::run_block,
+  // on its words where runs_word_driver(n) holds (from kWordCrossoverN up,
+  // not at the baseline level) and the scalar loop on its States otherwise;
+  // lockstep rings always own their words. Faults go
   // into whichever copy owns the ring, before anything unpacks it, so
   // set_agent's word-owned path (States stay stale) and State-owned path
   // both run. The multi-ring variant ends with an out-of-domain injection
@@ -80,6 +81,7 @@ TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
        {std::pair{4, 4}, std::pair{16, 4}, std::pair{16, 3}, std::pair{64, 4},
         std::pair{64, 1}, std::pair{257, 4}, std::pair{kCrossover - 1, 4},
         std::pair{kCrossover, 4}, std::pair{1024, 4}}) {
+    const bool alone_on_words = EnsembleRunner<PlProtocol>::runs_word_driver(n);
     // Nine rings leave one leftover at both lockstep widths (8 + 1 and
     // 4 + 4 + 1): too few for a padded group, so it advances alone.
     for (const int rings : {1, 9}) {
@@ -104,7 +106,7 @@ TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
         for (auto& ref : refs) ref.run_unbatched(k);
         word.run(k);
         if (rings == 1) {
-          EXPECT_EQ(word.ring_owner(0), n >= kCrossover
+          EXPECT_EQ(word.ring_owner(0), alone_on_words
                                             ? core::RingOwner::kMirror
                                             : core::RingOwner::kStates)
               << what;
@@ -126,15 +128,15 @@ TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
                            what.c_str());
       }
       EXPECT_TRUE(word.word_kernel_mode()) << what;  // in-domain storms
-      if (rings > 1 || n >= kCrossover) {
+      if (rings > 1 || alone_on_words) {
         EXPECT_GT(mirror_faults, 0) << what;
       }
-      if (n < kCrossover) {
+      if (!alone_on_words) {
         EXPECT_GT(state_faults, 0) << what;
       }
       if (rings == 1) continue;
       // Out of the word domain, into a word-owned ring while the leftovers
-      // own their States (n < kCrossover).
+      // own their States (!alone_on_words).
       for (auto& ref : refs) ref.run_unbatched(300);
       word.run(300);
       int target = -1;
@@ -144,7 +146,7 @@ TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
         if (word.ring_owner(r) == core::RingOwner::kStates) ++state_owned;
       }
       ASSERT_GE(target, 0) << what;
-      if (n < kCrossover) {
+      if (!alone_on_words) {
         EXPECT_GT(state_owned, 0) << what;
       }
       PlState bad;

@@ -181,9 +181,10 @@ TEST_P(DifferentialWordLanes, PlProtocolLanes) {
 }
 
 TEST_P(DifferentialWordLanes, PlPackedLanesAtLargerRingsWithStorms) {
-  // Lane D (one ring) runs the grouped SIMD driver from kWordCrossoverN up
-  // and the scalar loop below it; lane G runs cross-ring lockstep at every
-  // n. The grouped driver cuts a group into several masked runs whenever
+  // Lane D (one ring) runs the grouped SIMD driver where runs_word_driver(n)
+  // holds (from kWordCrossoverN up, at /avx512 and /avx2) and the scalar
+  // loop otherwise; lane G runs cross-ring lockstep at every n and level.
+  // The grouped driver cuts a group into several masked runs whenever
   // two of its draws share an agent: at the crossover (the smallest n
   // where it runs) half the 8-draw groups cut, at n = 257 29% do, and at
   // n = 1024 92% run as one full-width run. Storms on. The
@@ -244,10 +245,11 @@ TEST_P(DifferentialWordLanes, BrokenWordKernelIsDetected) {
   // The canary for the packed fast path itself: vector kernel entries
   // (x4, x8: every engine lane's only kernel calls) that drift from the
   // scalar transition by a single bit must be caught at the first
-  // checkpoint — equivalence is certified, not assumed. At n = 8 lane G's
-  // six rings are a full and a padded x4 group, or one padded x8 group, so
-  // any desync between a vector column and its scalar stream (RNG
-  // included) surfaces there too.
+  // checkpoint — equivalence is certified, not assumed. It is also the
+  // canary for the lane-parallel (vector-RNG) cross-ring driver: at n = 7
+  // and 8 lane G's six rings are a full and a padded x4 group, or one
+  // padded x8 group, so any desync between a vector column and its scalar
+  // stream (RNG included) surfaces there and is named as the lockstep lane.
   struct BrokenWordPl : pl::PlProtocol {
     static void sabotage(std::uint64_t& wr) { wr ^= 0x2; }  // flip r.b
     static void apply_word_x4(core::WordVec& l, core::WordVec& r,
@@ -262,26 +264,37 @@ TEST_P(DifferentialWordLanes, BrokenWordKernelIsDetected) {
     }
   };
   static_assert(core::EnsembleRunner<BrokenWordPl>::kWordable);
-  // The scalar lanes A and B are the truth. Below kWordCrossoverN the one-ring
+  // The scalar lanes A and B are the truth. Where runs_word_driver(n) fails
+  // (below kWordCrossoverN, or any n at the baseline level) the one-ring
   // lane D runs the scalar loop too, so only the lockstep lane G runs the
-  // broken kernel and the divergence names it. From the crossover up the
-  // kernel drives lanes D and G, and lane D is compared first.
+  // broken kernel and the divergence names it. Otherwise the kernel drives
+  // lanes D and G, and lane D is compared first.
   constexpr int kCrossover =
       core::EnsembleRunner<BrokenWordPl>::kWordCrossoverN;
-  for (const auto& [n, lane] :
-       {std::pair{8, "G(ensemble-lockstep)"},
-        std::pair{kCrossover, "D(ensemble-packed)"}}) {
-    const auto p = pl::PlParams::make(n, 4);
-    core::Xoshiro256pp cfg_rng(5);
+  const char* const at_crossover =
+      core::EnsembleRunner<BrokenWordPl>::runs_word_driver(kCrossover)
+          ? "D(ensemble-packed)"
+          : "G(ensemble-lockstep)";
+  struct Case {
+    int n;
+    std::uint64_t config_seed;
+    std::uint64_t fuzz_seed;
+    const char* lane;
+  };
+  for (const Case& c : {Case{7, 6, 17, "G(ensemble-lockstep)"},
+                        Case{8, 5, 13, "G(ensemble-lockstep)"},
+                        Case{kCrossover, 5, 13, at_crossover}}) {
+    const auto p = pl::PlParams::make(c.n, 4);
+    core::Xoshiro256pp cfg_rng(c.config_seed);
     FuzzConfig cfg;
-    cfg.seed = 13;
+    cfg.seed = c.fuzz_seed;
     cfg.steps = 2048;
     cfg.check_every = 32;
     const auto rep = run_differential<BrokenWordPl>(
         p, pl::random_config(p, cfg_rng), cfg, pl_fault);
-    EXPECT_FALSE(rep.ok) << "n=" << n;
-    EXPECT_NE(rep.divergence.find(lane), std::string::npos)
-        << "n=" << n << ": " << rep.divergence;
+    EXPECT_FALSE(rep.ok) << "n=" << c.n;
+    EXPECT_NE(rep.divergence.find(c.lane), std::string::npos)
+        << "n=" << c.n << ": " << rep.divergence;
   }
 }
 
@@ -476,7 +489,8 @@ TEST(DifferentialFuzzLong, NightlySweep) {
                 pl_fault),
             "P_PL");
   // At the crossover lane D runs the single-ring word driver
-  // (WordGroupDriver::run_block); at n = 12 it runs the scalar loop.
+  // (WordGroupDriver::run_block) on an AVX2 or AVX-512 CPU; at n = 12 it
+  // runs the scalar loop.
   check_all(run_differential_campaign<pl::PlProtocol>(
                 pl::PlParams::make(
                     core::EnsembleRunner<pl::PlProtocol>::kWordCrossoverN, 4),
