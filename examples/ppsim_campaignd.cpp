@@ -15,9 +15,9 @@
 //
 // Exit codes: 0 = campaign complete (results written), 1 = usage error or
 // results file not written, 2 = a garbled [n] or [trials] (strict parse,
-// core/env.hpp), or refused a corrupt/foreign checkpoint or inconsistent
-// frame file, 3 = paused (PPSIM_CAMPAIGN_STOP shards ran; rerun to
-// continue), 4 = degraded (every shard settled but some are
+// core/env.hpp), a [trials] below 1, or refused a corrupt/foreign
+// checkpoint or inconsistent frame file, 3 = paused (PPSIM_CAMPAIGN_STOP
+// shards ran; rerun to continue), 4 = degraded (every shard settled but some are
 // quarantined after persistent failure — recorded in the checkpoint;
 // results withheld).
 // Env: PPSIM_THREADS (worker count; never changes any output byte),
@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
   const std::string ckpt = argv[1];
   const std::string frames_path = argv[2];
   const int n = argc > 3 ? core::parse_int("[n]", argv[3]) : 16;
-  const std::int64_t trials =
-      argc > 4 ? core::parse_int64("[trials]", argv[4]) : 256;
+  const std::int64_t trials = core::at_least(
+      "[trials]", argc > 4 ? core::parse_int64("[trials]", argv[4]) : 256, 1);
 
   service::CampaignOptions opts;
   opts.checkpoint_path = ckpt;

@@ -66,7 +66,8 @@ void report(const char* protocol, const typename P::Params& params,
 int main(int argc, char** argv) {
   using namespace ppsim;
   const int n = argc > 1 ? core::parse_int("[n]", argv[1]) : 32;
-  const int trials = argc > 2 ? core::parse_int("[trials]", argv[2]) : 5;
+  const int trials = core::at_least(
+      "[trials]", argc > 2 ? core::parse_int("[trials]", argv[2]) : 5, 1);
 
   std::printf("recovery campaigns: burst (all faults at once) vs storm "
               "(spaced n steps)\n\n");

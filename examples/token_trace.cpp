@@ -60,15 +60,12 @@ int main(int argc, char** argv) {
   const int n = argc > 1 ? core::parse_int("[n]", argv[1]) : 32;
   const int frames = argc > 2 ? core::parse_int("[frames]", argv[2]) : 6;
   const auto p = core::checked_args([n] { return pl::PlParams::make(n, 4); });
-  const std::int64_t steps_arg =
+  // A negative step count would wrap to ~2^64 steps.
+  const auto per_frame = static_cast<std::uint64_t>(core::at_least(
+      "[steps_per_frame]",
       argc > 3 ? core::parse_int64("[steps_per_frame]", argv[3])
-               : std::int64_t{n} * n;
-  if (steps_arg < 0) {  // as a step count it would wrap to ~2^64 steps
-    std::fprintf(stderr, "ppsim: [steps_per_frame]=%lld must be >= 0\n",
-                 static_cast<long long>(steps_arg));
-    return 2;
-  }
-  const auto per_frame = static_cast<std::uint64_t>(steps_arg);
+               : std::int64_t{n} * n,
+      0));
 
   core::Runner<pl::PlProtocol> run(p, pl::make_fresh_config(p), 3);
   std::printf("P_PL internals, n=%d psi=%d (fresh single-leader start)\n"

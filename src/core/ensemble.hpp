@@ -24,16 +24,17 @@
 //    (BENCH_ensemble.json).
 //  * word kernel (core::HasWordKernel — P_PL) — states too many for the
 //    LUT but bit-sliced into one uint64_t run the branchless SIMD kernel
-//    (core/word_driver.hpp) on a u64 mirror. run(k) advances rings in
-//    cross-ring lockstep, one SIMD lane per ring, and run_until_each
-//    batches the rings still owed a full check_every block. A batch's last
-//    group runs in lockstep too when its rings fill at least half the
-//    lanes: the empty lanes are padded onto a scratch ring (pad_words_)
-//    with throwaway RNG and clock copies, so they touch no ring. A ring
-//    that advances alone (run_ring, a near-deadline ring, a remainder
-//    below half a group) runs the single-ring grouped driver only from
-//    kWordCrossoverN up on an AVX2 or AVX-512 CPU, and the scalar loop on
-//    its States otherwise. The analysis drivers size their shards in whole
+//    (core/word_driver.hpp) on a u64 mirror, on an AVX2 or AVX-512 CPU
+//    only (word_lane_engaged()); elsewhere every ring runs the scalar loop
+//    on its States. run(k) advances rings in cross-ring lockstep, one SIMD
+//    lane per ring, and run_until_each batches the rings still owed a full
+//    check_every block. A batch's last group runs in lockstep too when its
+//    rings fill at least half the lanes: the empty lanes are padded onto a
+//    scratch ring (pad_words_) with throwaway RNG and clock copies, so they
+//    touch no ring. A ring that advances alone (run_ring, a near-deadline
+//    ring, a remainder below half a group) runs the single-ring grouped
+//    driver only from kWordCrossoverN up, and the scalar loop on its
+//    States otherwise. The analysis drivers size their shards in whole
 //    lockstep groups (analysis::detail::balanced_shard_width), so few
 //    rings are left over.
 //
@@ -221,39 +222,45 @@ class EnsembleRunner {
   /// driver measured against Runner::run on one ring (4 vCPU AVX-512
   /// reference VM, GCC 12 -O3, blocks of n steps from a random
   /// configuration, median of 11 runs of 1 M steps, CPU time), as the
-  /// scalar loop's time over the driver's, per clone (the lower two via
+  /// scalar loop's time over the driver's, per clone (the AVX2 row via
   /// cap_isa_level on the same machine):
   ///
   ///   n              16    32    64    96   128   256   512  1024
   ///   AVX-512 x8   0.91  1.09  1.16  1.31  1.39  1.54  1.80  1.83
   ///   AVX2 x4      0.83  1.05  1.06  1.04  1.07  1.19  1.20  1.21
-  ///   baseline x4  0.24  0.19  0.20  0.27  0.27  0.28  0.28  0.36
   ///
-  /// Both AVX clones pass the scalar loop near n = 32, the AVX2 one only
+  /// Both clones pass the scalar loop near n = 32, the AVX2 one only
   /// within noise below 256; from 128 up the AVX-512 clone is clearly
-  /// ahead and the AVX2 one is not behind. The baseline clone (SSE2 on
-  /// x86-64) never passes it, so at that level a lone ring always runs the
-  /// scalar loop. bench_throughput_json's one-ring P_PL rows
-  /// (packed_speedup) at n = 16, 256 and the crossover time both sides of
-  /// the gate.
+  /// ahead and the AVX2 one is not behind. bench_throughput_json's one-ring
+  /// P_PL rows (packed_speedup) at n = 16, 256 and the crossover time both
+  /// sides of the gate.
   static constexpr int kWordCrossoverN = 128;
+
+  /// Whether the word lane is engaged: word ISA level 1 (AVX2) or 2
+  /// (AVX-512). Read per block, because cap_isa_level can lower the level
+  /// mid-process. At level 0 no word loop runs and every ring of a word-mode
+  /// ensemble advances on the scalar loop: a word loop compiled without AVX
+  /// measured 0.19-0.48x of the scalar loop at every n and ring count.
+  [[nodiscard]] static bool word_lane_engaged() {
+    return kWordable && word_isa_level() >= 1;
+  }
 
   /// Whether a word-lane ring of n agents that advances alone runs the
   /// single-ring word driver (else the scalar loop): from kWordCrossoverN
-  /// up, at word ISA level 1 or 2 (core::word_isa_level(), read per block).
+  /// up, while the word lane is engaged.
   [[nodiscard]] static bool runs_word_driver(int n) {
-    return n >= kWordCrossoverN && word_isa_level() > 0;
+    return n >= kWordCrossoverN && word_lane_engaged();
   }
 
   /// Rings per cross-ring lockstep group on the word lane at this process's
-  /// ISA level (WordGroupDriver::lockstep_lanes()), 1 for an ensemble type
-  /// without that lane. The analysis drivers size shards in multiples of it.
+  /// ISA level (WordGroupDriver::lockstep_lanes()); 1 while the lane is not
+  /// engaged, and for an ensemble type without it. The analysis drivers
+  /// size shards in multiples of it.
   [[nodiscard]] static int lockstep_lanes() {
     if constexpr (kWordable) {
-      return WordGroupDriver<P>::lockstep_lanes();
-    } else {
-      return 1;
+      if (word_lane_engaged()) return WordGroupDriver<P>::lockstep_lanes();
     }
+    return 1;
   }
 
   /// Throws std::invalid_argument unless params.n >= 1, in every build
@@ -439,13 +446,14 @@ class EnsembleRunner {
   }
 
   /// Advance every ring `k` interactions (each through its own stream). In
-  /// word-kernel mode the rings advance in lockstep — one SIMD lane per
-  /// ring (WordGroupDriver::run_rings_block), a remainder below half a
-  /// group alone (see advance_rings_word); per-ring trajectories are
-  /// bit-identical to per-ring advancement, rings share nothing.
+  /// word-kernel mode, while the word lane is engaged, the rings advance in
+  /// lockstep — one SIMD lane per ring (WordGroupDriver::run_rings_block),
+  /// a remainder below half a group alone (see advance_rings_word);
+  /// per-ring trajectories are bit-identical to per-ring advancement, rings
+  /// share nothing.
   void run(std::uint64_t k) {
     if constexpr (kWordable) {
-      if (word_active_ && k > 0 && ring_count() > 0) {
+      if (word_active_ && word_lane_engaged() && k > 0 && ring_count() > 0) {
         // Reusable list of the ring ids [0, ring_count), in the order
         // advance_rings_word last left it — grown, never shrunk, so
         // campaigns interleaving many small run(k) blocks with faults pay
@@ -526,13 +534,14 @@ class EnsembleRunner {
     [[maybe_unused]] std::vector<int> batch;  // word lane: full-size blocks
     while (!rings.empty()) {
       // One pass: advance every active ring by min(check_every, remaining)
-      // interactions, check, retire, compact. In word-kernel mode the rings
-      // still owed a full check_every block (the common case away from
-      // deadlines) advance in one cross-ring lockstep batch; everything
-      // else goes through the one shared per-ring loop.
+      // interactions, check, retire, compact. In word-kernel mode, while
+      // the word lane is engaged, the rings still owed a full check_every
+      // block (the common case away from deadlines) advance in one
+      // cross-ring lockstep batch; everything else goes through the one
+      // shared per-ring loop.
       bool advanced = false;
       if constexpr (kWordable) {
-        if (word_active_) {
+        if (word_active_ && word_lane_engaged()) {
           batch.clear();
           for (int r : rings) {
             const auto ri = static_cast<std::size_t>(r);

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <type_traits>
 
 namespace ppsim::core {
 
@@ -54,6 +55,20 @@ namespace ppsim::core {
     std::exit(2);
   }
   return static_cast<int>(v);
+}
+
+/// A parsed argument that must be at least `min` (a trial or step count):
+/// the value itself, or "<name>=<value> must be >= <min>" on stderr and
+/// exit(2), like a garbled one.
+template <typename Int>
+[[nodiscard]] Int at_least(const char* name, Int value,
+                           std::type_identity_t<Int> min) {
+  if (value < min) {
+    std::fprintf(stderr, "ppsim: %s=%lld must be >= %lld\n", name,
+                 static_cast<long long>(value), static_cast<long long>(min));
+    std::exit(2);
+  }
+  return value;
 }
 
 /// Strict integer environment override: `fallback` when `name` is unset or

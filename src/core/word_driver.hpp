@@ -5,13 +5,10 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#endif
 
 #include "core/interaction.hpp"
 #include "core/ring.hpp"
@@ -24,15 +21,28 @@
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wpsabi"
 
+// The one place that decides whether the word lane's ISA clones (AVX2 and
+// AVX-512) are compiled: x86-64 under GCC or Clang. Elsewhere the word
+// lane is compiled out: word_isa_level() is 0, so every ring runs the
+// scalar loop and the entries below, which then have nothing to dispatch
+// to, are never called.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define PPSIM_WORD_CLONES 1
+#include <immintrin.h>
+#else
+#define PPSIM_WORD_CLONES 0
+#pragma GCC diagnostic ignored "-Wunused-parameter"
+#endif
+
 namespace ppsim::core {
 
 namespace detail {
 
 /// The word-kernel ISA level the CPU supports: 2 = AVX-512 (F+DQ+BW+VL,
-/// the clones' target set), 1 = AVX2, 0 = baseline. Probed once per
-/// process.
+/// the clones' target set), 1 = AVX2, 0 = neither (no word lane). Probed
+/// once per process.
 [[nodiscard]] inline int probed_isa_level() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#if PPSIM_WORD_CLONES
   static const int kIsa =
       (__builtin_cpu_supports("avx512dq") != 0 &&
        __builtin_cpu_supports("avx512bw") != 0 &&
@@ -59,8 +69,9 @@ inline std::atomic<int> isa_cap{2};
 }
 
 /// Test hook: run the word driver's clones at ISA level `level` (2 =
-/// AVX-512, 1 = AVX2, 0 = baseline) or below. It lowers the level and never
-/// raises it above what the CPU supports; returns the level now in effect.
+/// AVX-512, 1 = AVX2, 0 = word lane off) or below. It lowers the level and
+/// never raises it above what the CPU supports; returns the level now in
+/// effect.
 /// Call it before building any ensemble: lockstep_lanes() sizes shards and
 /// lockstep groups. The drivers read it once per block, outside their loops.
 inline int cap_isa_level(int level) {
@@ -98,21 +109,21 @@ struct RunStamps {
 /// converged. Otherwise the run's updates replay per lane in draw order,
 /// reproducing census_after step for step.
 ///
-/// The vector kernel body is compiled three times on x86-64 — baseline,
-/// target("avx2") and the AVX-512 set — and dispatched once per block on
+/// The vector kernel body is compiled twice, as a target("avx2") clone and
+/// an AVX-512 one (PPSIM_WORD_CLONES), and dispatched once per block on
 /// word_isa_level(), so the packaged binary needs no special -m flags and
 /// still uses 4- or 8-wide execution where the hardware has it. Everything
 /// a clone runs per group is inlined into it; only the census replays are
-/// outlined, cold and scalar. The baseline clone (SSE2 on x86-64) runs
-/// 3-5x slower than the scalar loop on one ring, so EnsembleRunner sends
-/// it no lone ring (runs_word_driver).
+/// outlined, cold and scalar. Both entries require word ISA level 1 or 2:
+/// below that the word lane is off (EnsembleRunner::word_lane_engaged) and
+/// every ring runs the scalar loop on its States.
 template <typename P>
   requires WordKernelRunnable<P>
 struct WordGroupDriver {
   using Consts = typename P::WordKernelConsts;
 
   /// Rings per cross-ring lockstep group at this process's ISA level (the
-  /// vector width run_rings_block runs): 8 under AVX-512, else 4.
+  /// vector width run_rings_block runs): 8 under AVX-512, 4 under AVX2.
   [[nodiscard]] static int lockstep_lanes() {
     return word_isa_level() == 2 ? kLanesOf<WordVec8> : kLanesOf<WordVec>;
   }
@@ -128,25 +139,44 @@ struct WordGroupDriver {
                         std::uint64_t threshold, Xoshiro256pp& rng,
                         RingClock& clk, const Consts& kc, std::uint64_t k,
                         RunStamps& stamps) {
+    assert(word_isa_level() >= 1 && "the word lane is off");
     if (stamps.agent.size() < static_cast<std::size_t>(n))
       stamps.agent.resize(static_cast<std::size_t>(n));
+#if PPSIM_WORD_CLONES
     std::uint32_t* const stamp = stamps.agent.data();
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    const int isa = word_isa_level();
-    if (isa == 2) {
+    if (word_isa_level() == 2) {
       run_avx512(words, n, bound, threshold, rng, clk, kc, k, stamp,
                  stamps.last);
-      return;
-    }
-    if (isa == 1) {
+    } else {
       run_avx2(words, n, bound, threshold, rng, clk, kc, k, stamp,
                stamps.last);
-      return;
     }
 #endif
-    run_base(words, n, bound, threshold, rng, clk, kc, k, stamp, stamps.last);
   }
 
+  /// Entry point for the cross-ring lockstep block (see rings_impl), at
+  /// word ISA level 1 or 2 only. `pad` is n scratch words for the lanes a
+  /// partial last group leaves empty; it may be null when nrings is a
+  /// multiple of lockstep_lanes().
+  static void run_rings_block(std::uint64_t* words_base,
+                              std::size_t ring_stride, const int* rings,
+                              int nrings, std::uint64_t* pad, int n,
+                              std::uint64_t bound, std::uint64_t threshold,
+                              Xoshiro256pp* rngs, RingClock* clks,
+                              const Consts& kc, std::uint64_t k) {
+    assert(word_isa_level() >= 1 && "the word lane is off");
+#if PPSIM_WORD_CLONES
+    if (word_isa_level() == 2) {
+      rings_avx512(words_base, ring_stride, rings, nrings, pad, n, bound,
+                   threshold, rngs, clks, kc, k);
+    } else {
+      rings_avx2(words_base, ring_stride, rings, nrings, pad, n, bound,
+                 threshold, rngs, clks, kc, k);
+    }
+#endif
+  }
+
+#if PPSIM_WORD_CLONES
  private:
   /// Leader-census delta for one interaction's before/after words; only a
   /// changed leader bit has any effect (the no-change case is a no-op by
@@ -165,7 +195,6 @@ struct WordGroupDriver {
     }
   }
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   /// Hardware gather/scatter for the 8-lane clones: one instruction each
   /// instead of a per-lane insert/extract chain (the chain costs ~20 front
   /// end uops per vector and a stack round-trip). Deliberately NOT
@@ -217,10 +246,6 @@ struct WordGroupDriver {
   scatter8_addr(const WordVec8& addr, const WordVec8& v) {
     _mm512_i64scatter_epi64(nullptr, (__m512i)addr, (__m512i)v, 1);
   }
-  static constexpr bool kHaveHwGather = true;
-#else
-  static constexpr bool kHaveHwGather = false;
-#endif
 
   /// Gather/scatter the live lanes of one run's operand words (lanes of VW:
   /// G). WordVec8 is only instantiated inside the AVX-512 clones, so its
@@ -236,8 +261,6 @@ struct WordGroupDriver {
     if constexpr (kLanesOf<VW> == 4) {
       return VW{words[idx[0]], words[idx[1]], words[idx[2]], words[idx[3]]};
     } else {
-      static_assert(kHaveHwGather && kLanesOf<VW> == 8,
-                    "8-lane groups run only in the AVX-512 clones");
       return gather8(words, idx, live);
     }
   }
@@ -246,7 +269,7 @@ struct WordGroupDriver {
                                                     const int* idx,
                                                     const VW& v,
                                                     unsigned live) {
-    if constexpr (kLanesOf<VW> == 8 && kHaveHwGather) {
+    if constexpr (kLanesOf<VW> == 8) {
       scatter8(words, idx, v, live);
     } else {
       for (int j = 0; j < kLanesOf<VW>; ++j) {
@@ -260,7 +283,7 @@ struct WordGroupDriver {
   template <typename VW>
   [[gnu::always_inline]] static inline unsigned leader_bits(const VW& v,
                                                             unsigned live) {
-    if constexpr (kLanesOf<VW> == 8 && kHaveHwGather) {
+    if constexpr (kLanesOf<VW> == 8) {
       return test8(v, live);
     } else {
       unsigned bits = 0;
@@ -496,8 +519,6 @@ struct WordGroupDriver {
       // exactly k), so the rare census path takes the running step as an
       // argument and the hot loop never touches the clocks.
       if constexpr (G == 8) {
-        static_assert(kHaveHwGather && G == 8,
-                      "8-lane groups run only in the AVX-512 clones");
         // Fully vectorized lane: endpoints stay SIMD columns end to end.
         // Each lane's operand address is ring-base + agent*8, so one
         // absolute-address hardware gather/scatter per operand replaces
@@ -561,7 +582,7 @@ struct WordGroupDriver {
           }
         }
       } else {
-        // 4 lanes (AVX2 or baseline): per-lane extract and insert.
+        // 4 lanes (AVX2): per-lane extract and insert.
         int ia[G] = {};  // zero-init: k == 0 legitimately skips the prologue
         int ib[G] = {};
         const auto draw = [&](int* pa, int* pb) __attribute__((
@@ -620,35 +641,6 @@ struct WordGroupDriver {
     }
   }
 
- public:
-  /// Entry point for the cross-ring lockstep block (see rings_impl). `pad`
-  /// is n scratch words for the lanes a partial last group leaves empty;
-  /// it may be null when nrings is a multiple of lockstep_lanes().
-  static void run_rings_block(std::uint64_t* words_base,
-                              std::size_t ring_stride, const int* rings,
-                              int nrings, std::uint64_t* pad, int n,
-                              std::uint64_t bound, std::uint64_t threshold,
-                              Xoshiro256pp* rngs, RingClock* clks,
-                              const Consts& kc, std::uint64_t k) {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    const int isa = word_isa_level();
-    if (isa == 2) {
-      rings_avx512(words_base, ring_stride, rings, nrings, pad, n, bound,
-                   threshold, rngs, clks, kc, k);
-      return;
-    }
-    if (isa == 1) {
-      rings_avx2(words_base, ring_stride, rings, nrings, pad, n, bound,
-                 threshold, rngs, clks, kc, k);
-      return;
-    }
-#endif
-    rings_impl<WordVec>(words_base, ring_stride, rings, nrings, pad, n, bound,
-                        threshold, rngs, clks, kc, k);
-  }
-
- private:
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl"))) static void
   rings_avx512(std::uint64_t* words_base, std::size_t ring_stride,
                const int* rings, int nrings, std::uint64_t* pad, int n,
@@ -684,16 +676,7 @@ struct WordGroupDriver {
       std::uint32_t& id) {
     run_impl<WordVec>(words, n, bound, threshold, rng, clk, kc, k, stamp, id);
   }
-#endif
-  [[gnu::noinline]] static void run_base(std::uint64_t* words, int n,
-                                        std::uint64_t bound,
-                                        std::uint64_t threshold,
-                                        Xoshiro256pp& rng, RingClock& clk,
-                                        const Consts& kc, std::uint64_t k,
-                                        std::uint32_t* stamp,
-                                        std::uint32_t& id) {
-    run_impl<WordVec>(words, n, bound, threshold, rng, clk, kc, k, stamp, id);
-  }
+#endif  // PPSIM_WORD_CLONES
 };
 
 }  // namespace ppsim::core

@@ -3,10 +3,10 @@
 //
 // A branchless word kernel is pure dataflow over 64-bit words, so the same
 // source can execute one interaction per call (lane type = uint64_t) or
-// four scheduler-independent interactions at once (lane type = WordVec, a
-// GCC/Clang generic vector of 4 x u64 that lowers to AVX2 on capable x86,
-// SSE2 pairs otherwise, NEON on arm). Kernels are written against the tiny
-// helper set below:
+// four or eight scheduler-independent interactions at once (lane types
+// WordVec and WordVec8, GCC/Clang generic vectors of 4 and 8 x u64, run
+// only inside the word driver's AVX2 and AVX-512 clones). Kernels are
+// written against the tiny helper set below:
 //
 //   vbroadcast<V>(x)  splat a scalar into every lane
 //   veq / vgt         lane-wise compare producing a FULL-WIDTH mask

@@ -288,7 +288,7 @@ struct PlProtocol {
     pl::apply_word_one(l, r, k);
   }
   // always_inline so the vector bodies compile inside the ISA-dispatched
-  // driver clones (core::WordGroupDriver) rather than at baseline ISA.
+  // driver clones (core::WordGroupDriver), at the clone's ISA.
   [[gnu::always_inline]] static inline void apply_word_x4(
       core::WordVec& l, core::WordVec& r,
       const WordKernelConsts& k) noexcept {

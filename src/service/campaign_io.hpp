@@ -17,7 +17,7 @@
 //    shard) and either the trial records or the quarantine reason — plus
 //    the frame-sink cursor they cover, behind a checked length header and
 //    sealed by its own FNV-1a checksum. Loading folds the records into the
-//    snapshot, in file order. A v2 file is a snapshot with no records.
+//    snapshot, in file order.
 //
 //  * A checkpoint is either valid or refused. A bad snapshot checksum, a
 //    bad record header or a complete record with a bad checksum is
@@ -160,9 +160,6 @@ class ShardBitmap {
 /// v3: the snapshot carries its own length and is followed by appended
 /// records (the file-header comment has the layout).
 inline constexpr std::uint64_t kCheckpointFormat = 3;
-/// The last snapshot-only format. Such a file still loads — as a snapshot
-/// with no records — and the resume's compaction rewrites it as v3.
-inline constexpr std::uint64_t kSnapshotOnlyFormat = 2;
 /// "PPCKPT01" as little-endian bytes.
 inline constexpr std::uint64_t kCheckpointMagic = 0x3130'5450'4B43'5050ULL;
 
@@ -407,11 +404,11 @@ inline constexpr std::size_t kRecordHeader = 16;
 }  // namespace detail
 
 /// Serialize a snapshot: magic, format, body length, body, then an FNV-1a
-/// checksum over everything before it. The body — spec digest, frame
-/// cursor, then per cell its shard decomposition, both bitmaps, the
-/// quarantine reasons and the trial records of done shards — is laid out
-/// as in v2. `cells` is read only where a shard is settled, so it may be
-/// live progress with shards in flight.
+/// checksum over everything before it. The body holds the spec digest,
+/// the frame cursor, then per cell its shard decomposition, both bitmaps,
+/// the quarantine reasons and the trial records of done shards. `cells` is
+/// read only where a shard is settled, so it may be live progress with
+/// shards in flight.
 [[nodiscard]] inline std::vector<unsigned char> encode_snapshot(
     std::uint64_t spec_digest, std::uint64_t frame_bytes,
     std::span<const CellProgress> cells) {
@@ -508,18 +505,16 @@ inline constexpr std::size_t kRecordHeader = 16;
     out.error = "bad magic (not a ppsim campaign checkpoint)";
     return out;
   }
-  std::size_t snapshot_end = len;  // v2: the whole file
-  if (const std::uint64_t fmt = head.u64(); fmt == kCheckpointFormat) {
-    const std::uint64_t body = head.u64();
-    if (body > len - 32) {
-      out.error = "snapshot runs past the end of the file";
-      return out;
-    }
-    snapshot_end = static_cast<std::size_t>(32 + body);
-  } else if (fmt != kSnapshotOnlyFormat) {
+  if (const std::uint64_t fmt = head.u64(); fmt != kCheckpointFormat) {
     out.error = "unsupported checkpoint format version " + std::to_string(fmt);
     return out;
   }
+  const std::uint64_t body = head.u64();
+  if (body > len - 32) {
+    out.error = "snapshot runs past the end of the file";
+    return out;
+  }
+  const auto snapshot_end = static_cast<std::size_t>(32 + body);
   {  // Checksum first: everything else assumes intact bytes.
     Digest sum;
     sum.bytes(data, snapshot_end - 8);

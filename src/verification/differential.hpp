@@ -21,8 +21,7 @@
 //                                EnsembleRunner::runs_word_driver(n)
 //                                holds (from kWordCrossoverN up, AVX2 or
 //                                AVX-512); otherwise the ring advances
-//                                alone on the scalar loop, and only lane G
-//                                runs the kernel
+//                                alone on the scalar loop
 //   E  checker mirror          — ModelChecker<M>::successor driven by a
 //                                cloned RNG stream: every step decodes,
 //                                applies M::apply, re-encodes, so the
@@ -37,7 +36,10 @@
 //                                grouped driver and its lane-parallel
 //                                vector RNG — certifying the column-r ==
 //                                scalar-stream-r RNG contract against
-//                                every scalar lane above
+//                                every scalar lane above. Without AVX2
+//                                (word ISA level 0) the word lane is not
+//                                engaged and all six rings run the scalar
+//                                loop, so no kernel runs in lanes D or G
 //
 // There is no lane C or F: lane letters stay fixed so divergence messages
 // keep their meaning.
@@ -123,8 +125,10 @@ struct FuzzReport {
                              ///< the scalar loop)
   bool mirror_lane = false;  ///< lane E (checker adapter) participated
   bool lockstep_lane = false;  ///< lane G ran (and stayed) in word-kernel
-                               ///< mode, i.e. ring 0 went through the
-                               ///< cross-ring vector-RNG driver
+                               ///< mode with the word lane engaged
+                               ///< (lockstep_lanes() > 1), i.e. ring 0
+                               ///< went through the cross-ring
+                               ///< vector-RNG driver
   std::string divergence;    ///< first mismatch, human readable; empty if ok
 };
 
@@ -462,7 +466,10 @@ template <typename P, typename M = void, typename FaultState>
 
   rep.packed_lane =
       have_lane_d && (lane_d.packed_mode() || lane_d.word_kernel_mode());
-  if constexpr (kHaveLaneG) rep.lockstep_lane = lane_g->word_kernel_mode();
+  if constexpr (kHaveLaneG) {
+    rep.lockstep_lane = lane_g->word_kernel_mode() &&
+                        core::EnsembleRunner<P>::lockstep_lanes() > 1;
+  }
   std::uint64_t h = detail::mix64(core::streams::kDigest, lane_a.steps());
   if constexpr (core::HasLeaderOutput<P>) {
     h = detail::mix64(h, static_cast<std::uint64_t>(lane_a.leader_count()));

@@ -68,11 +68,11 @@ TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
   // A ring that advances alone (one ring, or a leftover of run()'s lockstep
   // groups) runs the grouped driver's one entry, WordGroupDriver::run_block,
   // on its words where runs_word_driver(n) holds (from kWordCrossoverN up,
-  // not at the baseline level) and the scalar loop on its States otherwise;
-  // lockstep rings always own their words. Faults go
-  // into whichever copy owns the ring, before anything unpacks it, so
-  // set_agent's word-owned path (States stay stale) and State-owned path
-  // both run. The multi-ring variant ends with an out-of-domain injection
+  // not at level 0) and the scalar loop on its States otherwise;
+  // lockstep rings always own their words. At level 0 the word lane is off:
+  // no ring ever ends word-owned. Faults go into whichever copy owns the
+  // ring, before anything unpacks it, so set_agent's word-owned path
+  // (States stay stale) and State-owned path both run. The multi-ring variant ends with an out-of-domain injection
   // into a word-owned ring while leftover rings own their States: the lane
   // drops without overwriting them. The small-c1 layouts (16, 3) and
   // (64, 1) pack into at most 32 bits and run on the same u64 word lane.
@@ -81,6 +81,7 @@ TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
        {std::pair{4, 4}, std::pair{16, 4}, std::pair{16, 3}, std::pair{64, 4},
         std::pair{64, 1}, std::pair{257, 4}, std::pair{kCrossover - 1, 4},
         std::pair{kCrossover, 4}, std::pair{1024, 4}}) {
+    const bool engaged = EnsembleRunner<PlProtocol>::word_lane_engaged();
     const bool alone_on_words = EnsembleRunner<PlProtocol>::runs_word_driver(n);
     // Nine rings leave one leftover at both lockstep widths (8 + 1 and
     // 4 + 4 + 1): too few for a padded group, so it advances alone.
@@ -111,6 +112,10 @@ TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
                                             : core::RingOwner::kStates)
               << what;
         }
+        if (!engaged) {
+          for (int r = 0; r < rings; ++r)
+            EXPECT_NE(word.ring_owner(r), core::RingOwner::kMirror) << what;
+        }
         // In-domain fault storm through both engines' set_agent.
         for (int f = 0; f < 3 * rings; ++f) {
           const int r = static_cast<int>(
@@ -128,7 +133,7 @@ TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
                            what.c_str());
       }
       EXPECT_TRUE(word.word_kernel_mode()) << what;  // in-domain storms
-      if (rings > 1 || alone_on_words) {
+      if (engaged && (rings > 1 || alone_on_words)) {
         EXPECT_GT(mirror_faults, 0) << what;
       }
       if (!alone_on_words) {
@@ -136,10 +141,11 @@ TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
       }
       if (rings == 1) continue;
       // Out of the word domain, into a word-owned ring while the leftovers
-      // own their States (!alone_on_words).
+      // own their States (!alone_on_words); at level 0 every ring owns its
+      // States, and the injection goes into ring 0.
       for (auto& ref : refs) ref.run_unbatched(300);
       word.run(300);
-      int target = -1;
+      int target = engaged ? -1 : 0;
       int state_owned = 0;
       for (int r = 0; r < rings; ++r) {
         if (word.ring_owner(r) == core::RingOwner::kMirror) target = r;
@@ -167,9 +173,11 @@ TEST_P(WordKernelIsa, PaddedPartialGroupsMatchRunners) {
   // Ring counts 1..17 leave every remainder modulo both lockstep widths:
   // a last group at least half full runs padded in lockstep (its rings end
   // word-owned), a smaller one runs the scalar loop at these n (its rings
-  // end State-owned). Every ring must equal its per-trial Runner through
-  // run(k), run_until_each and set_agent storms between them.
-  const int G = core::WordGroupDriver<PlProtocol>::lockstep_lanes();
+  // end State-owned). At level 0 every ring runs the scalar loop. Every
+  // ring must equal its per-trial Runner through run(k), run_until_each
+  // and set_agent storms between them.
+  const bool engaged = EnsembleRunner<PlProtocol>::word_lane_engaged();
+  const int G = EnsembleRunner<PlProtocol>::lockstep_lanes();
   static_assert(64 < EnsembleRunner<PlProtocol>::kWordCrossoverN);
   for (const int n : {16, 64}) {
     const auto p = PlParams::make(n, 4);
@@ -186,7 +194,7 @@ TEST_P(WordKernelIsa, PaddedPartialGroupsMatchRunners) {
         ens.add_ring(init, seed);
       }
       const int rest = rings % G;
-      const int scalar_rings = 2 * rest >= G ? 0 : rest;
+      const int scalar_rings = !engaged ? rings : 2 * rest >= G ? 0 : rest;
       core::Xoshiro256pp faults(31 + static_cast<std::uint64_t>(rings));
       const auto storm = [&] {
         for (int f = 0; f < 2 * rings; ++f) {
@@ -309,7 +317,10 @@ TEST_P(WordKernelIsa, DifferentialReportsByteIdenticalAcrossThreads) {
     EXPECT_EQ(one[t].digest, four[t].digest);
     EXPECT_EQ(one[t].final_digest, four[t].final_digest);
     EXPECT_TRUE(one[t].packed_lane);  // one-ring word lane stayed active
-    EXPECT_TRUE(one[t].lockstep_lane);  // lane G rode the vector-RNG driver
+    // Lane G rode the vector-RNG driver, except at level 0, where it ran
+    // the scalar loop.
+    EXPECT_EQ(one[t].lockstep_lane,
+              EnsembleRunner<PlProtocol>::word_lane_engaged());
   }
 }
 
@@ -318,8 +329,9 @@ TEST(WordKernelIsaCap, LowersButNeverRaises) {
   EXPECT_EQ(core::word_isa_level(), cpu);
   for (int level = 0; level <= testing_isa::kTopIsaLevel; ++level) {
     EXPECT_EQ(core::cap_isa_level(level), std::min(level, cpu));
+    const int lanes[] = {1, 4, 8};  // level 0: no lockstep
     EXPECT_EQ(EnsembleRunner<PlProtocol>::lockstep_lanes(),
-              std::min(level, cpu) == 2 ? 8 : 4);
+              lanes[std::min(level, cpu)]);
   }
   EXPECT_EQ(core::cap_isa_level(testing_isa::kTopIsaLevel), cpu);
 }
@@ -351,12 +363,15 @@ void one_at_a_time(std::vector<std::uint64_t>& words, std::uint64_t bound,
 
 TEST_P(WordKernelIsa, RunBlockCutsRunsLikeOneAtATime) {
   // WordGroupDriver::run_block against one-at-a-time apply_word_one from a
-  // cloned RNG. Rings of 2 to 17 agents cut most groups, so runs of every
-  // length and offset occur; k from 1 to 17 leaves every tail length at
-  // both lane widths, and k = 1024 runs many groups. The blocks run back
+  // cloned RNG, at the levels that have a run_block clone. Rings of 2 to 17
+  // agents cut most groups, so runs of every length and offset occur; k
+  // from 1 to 17 leaves every tail length at both lane widths, and
+  // k = 1024 runs many groups. The blocks run back
   // to back on one ring and one stamp buffer, which starts as garbage;
   // before every other block it is flooded with the id the next group
   // will take, so that group's first draw matches a stale stamp.
+  if (!EnsembleRunner<PlProtocol>::word_lane_engaged())
+    GTEST_SKIP() << "no run_block clone at level 0";
   std::vector<std::uint64_t> ks;
   for (std::uint64_t k = 1; k <= 17; ++k) ks.push_back(k);
   ks.push_back(1024);

@@ -1,9 +1,11 @@
 // Runs a parameterized test once per word-kernel ISA level (2 = AVX-512,
-// 1 = AVX2, 0 = baseline) through core::cap_isa_level, so every clone of the
-// word driver's loops runs under test on one machine, not only the one the
-// CPU selects. A level above the CPU's is skipped; each test restores the
-// CPU's own level. The cap must be set before the test builds an ensemble
-// (lockstep_lanes() sizes its groups), which SetUp guarantees.
+// 1 = AVX2, 0 = word lane off) through core::cap_isa_level, so both clones
+// of the word driver's loops run under test on one machine, not only the
+// one the CPU selects, and so does level 0, where every ring of a word-mode
+// ensemble runs the scalar loop. A level above the CPU's is skipped; each
+// test restores the CPU's own level. The cap must be set before the test
+// builds an ensemble (lockstep_lanes() sizes its groups), which SetUp
+// guarantees.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -26,7 +28,7 @@ class IsaLevelTest : public ::testing::TestWithParam<int> {
 };
 
 inline std::string isa_level_name(const ::testing::TestParamInfo<int>& info) {
-  return info.param == 2 ? "avx512" : info.param == 1 ? "avx2" : "baseline";
+  return info.param == 2 ? "avx512" : info.param == 1 ? "avx2" : "scalar";
 }
 
 }  // namespace ppsim::testing_isa

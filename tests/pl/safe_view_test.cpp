@@ -263,7 +263,9 @@ TEST(SafeView, EnsembleFaultStormSamplesAgree) {
   // 11 rings: lockstep groups (word-owned rings, checked on the view) plus,
   // at 8 lanes, three leftovers that run the scalar loop at this n
   // (State-owned rings, checked on the span; at 4 lanes they form a padded
-  // group). Once the lane drops, every ring is checked on the span.
+  // group). Once the lane drops, every ring is checked on the span. Without
+  // AVX2 the word lane is not engaged: no ring is ever word-owned, and every
+  // check reads the span.
   constexpr int kRings = 11;
   core::EnsembleRunner<PlProtocol> ens(p, kRings);
   core::Xoshiro256pp rng(0x570F);
@@ -308,7 +310,8 @@ TEST(SafeView, EnsembleFaultStormSamplesAgree) {
       seen.insert(probe.clause);
     }
   }
-  EXPECT_GT(view_checks, 0);
+  EXPECT_EQ(view_checks > 0,
+            core::EnsembleRunner<PlProtocol>::word_lane_engaged());
   EXPECT_GT(span_checks, 0);
   EXPECT_TRUE(seen.count(SafeClause::kSafe) == 1);
   EXPECT_GE(seen.size(), 3u);
@@ -340,7 +343,9 @@ TEST(SafeView, RecoveryStatsMatchTheMaterializingPath) {
   // a span-only lambda in the same spec must give identical RecoveryStats.
   // At n = 16 a counting wrapper around the default proves the view path
   // ran: one worker keeps every shard at >= 8 rings, so lockstep groups run
-  // and their word-owned rings are checked on the view.
+  // and their word-owned rings are checked on the view (without AVX2 the
+  // word lane is not engaged, and the view never runs).
+  const bool engaged = core::EnsembleRunner<PlProtocol>::word_lane_engaged();
   for (const auto& [n, trials] : {std::pair{16, 40}, {256, 4}}) {
     const PlParams p = PlParams::make(n, 4);
     for (const bool storm : {false, true}) {
@@ -382,8 +387,8 @@ TEST(SafeView, RecoveryStatsMatchTheMaterializingPath) {
         const auto counted =
             analysis::measure_recovery<PlProtocol>(p, counted_spec);
         expect_same_stats(counted, span, what);
-        if (threads == 1) {
-          EXPECT_GT(view_calls.load(), 0u) << what;
+        if (threads == 1 || !engaged) {
+          EXPECT_EQ(view_calls.load() > 0, engaged) << what;
         }
       }
     }
@@ -545,7 +550,8 @@ TEST(SafeView, EveryConvergenceCheckAgreesWithProofOrder) {
   std::atomic<std::uint64_t> disagreements{0};
   const AgreementProbe probe{&view_checks, &span_checks, &disagreements};
   // One worker keeps each shard at >= 8 rings, so lockstep groups run and
-  // their word-owned rings are checked on the view.
+  // their word-owned rings are checked on the view, wherever the word lane
+  // is engaged (AVX2 or AVX-512).
   constexpr int kTrials = 32;
   const std::uint64_t budget = analysis::sweep_budget(p.n);
   const auto probed = analysis::measure_convergence_parallel<PlProtocol>(
@@ -553,7 +559,8 @@ TEST(SafeView, EveryConvergenceCheckAgreesWithProofOrder) {
   const auto plain = analysis::measure_convergence_parallel<PlProtocol>(
       p, gen, SafePredicate{}, kTrials, budget, 91, 0x51E, 1);
   EXPECT_EQ(disagreements.load(), 0u);
-  EXPECT_GT(view_checks.load(), 0u);
+  EXPECT_EQ(view_checks.load() > 0,
+            core::EnsembleRunner<PlProtocol>::word_lane_engaged());
   EXPECT_GT(view_checks.load() + span_checks.load(), 1000u);
   EXPECT_EQ(probed.raw, plain.raw);
   EXPECT_EQ(probed.failures, plain.failures);

@@ -131,46 +131,6 @@ LoadResult decode(const std::string& bytes, std::size_t len) {
       reference_digest());
 }
 
-/// The v2 (snapshot-only) layout, written field by field: magic, format 2,
-/// digest, frame cursor, cells, then an FNV-1a checksum of all of it.
-std::string encode_v2(const Checkpoint& ckpt) {
-  std::string out;
-  auto u64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-  };
-  u64(0x3130'5450'4B43'5050ULL);  // "PPCKPT01"
-  u64(2);
-  u64(ckpt.spec_digest);
-  u64(ckpt.frame_bytes);
-  u64(ckpt.cells.size());
-  for (const CellProgress& cell : ckpt.cells) {
-    u64(cell.trials);
-    u64(cell.shard_trials);
-    u64(cell.shards());
-    for (std::uint64_t w : cell.done.words()) u64(w);
-    for (std::uint64_t w : cell.quarantined.words()) u64(w);
-    for (std::uint64_t sh = 0; sh < cell.shards(); ++sh) {
-      if (!cell.quarantined.test(sh)) continue;
-      u64(cell.quarantine_reasons[sh].size());
-      out += cell.quarantine_reasons[sh];
-    }
-    for (std::uint64_t sh = 0; sh < cell.shards(); ++sh) {
-      if (!cell.done.test(sh)) continue;
-      for (std::uint64_t i = 0; i < cell.shard_count(sh); ++i) {
-        const auto& t = cell.results[cell.shard_first(sh) + i];
-        out.push_back(static_cast<char>((t.stabilized ? 1 : 0) |
-                                        (t.healed ? 2 : 0)));
-        u64(t.stabilize_steps);
-        u64(t.recovery_steps);
-      }
-    }
-  }
-  Digest sum;
-  sum.bytes(out.data(), out.size());
-  u64(sum.value());
-  return out;
-}
-
 TEST(ShardBitmapTest, SetTestCountAll) {
   ShardBitmap b(70);  // spans two words
   EXPECT_EQ(b.size(), 70u);
@@ -605,48 +565,20 @@ TEST(CheckpointJournalTest, FlippedByteAnywhereIsCorrupt) {
       << "a refused checkpoint must be left as found";
 }
 
-TEST(CheckpointJournalTest, SnapshotOnlyV2FileLoadsAndIsRewrittenAsV3) {
-  // A tiny hand-built v2 document: one cell of 3 trials in 2 shards, the
-  // first done.
-  Checkpoint small;
-  small.spec_digest = reference_digest();
-  small.frame_bytes = 7;
-  CellProgress cell;
-  cell.trials = 3;
-  cell.shard_trials = 2;
-  cell.done = ShardBitmap(2);
-  cell.quarantined = ShardBitmap(2);
-  cell.quarantine_reasons.resize(2);
-  cell.results.resize(3);
-  cell.done.set(0);
-  cell.results[0] = {true, true, 11, 12};
-  cell.results[1] = {true, false, 21, 0};
-  small.cells.push_back(cell);
-  const std::string fixture = encode_v2(small);
-  ASSERT_EQ(fixture.size(), 8u * 10 + 2 * 17 + 8);
-  const LoadResult lr = decode(fixture, fixture.size());
-  ASSERT_EQ(lr.status, LoadStatus::kLoaded) << lr.error;
-  EXPECT_EQ(lr.checkpoint.frame_bytes, 7u);
-  EXPECT_TRUE(lr.checkpoint.cells[0].done.test(0));
-  EXPECT_FALSE(lr.checkpoint.cells[0].done.test(1));
-  EXPECT_EQ(lr.checkpoint.cells[0].results[0].recovery_steps, 12u);
-  EXPECT_EQ(lr.checkpoint.cells[0].results[1].stabilize_steps, 21u);
-  EXPECT_FALSE(lr.checkpoint.cells[0].results[1].healed);
-
-  // A real campaign's progress written as v2 resumes byte-identically, and
-  // the resume's compaction rewrites the file in the current format.
-  const std::string two = paused_checkpoint("v2", 2);
-  const LoadResult paused = decode(two, two.size());
-  ASSERT_EQ(paused.status, LoadStatus::kLoaded) << paused.error;
+TEST(CheckpointJournalTest, FormatTwoFileIsRefused) {
+  // Only the current format loads: a file that claims format 2 (a snapshot
+  // with no records) is refused like any unknown version, and left as
+  // found.
+  std::string two = paused_checkpoint("v2", 2);
+  ASSERT_GE(two.size(), 16u);
+  two[8] = 2;  // the format field, little-endian
+  const LoadResult lr = decode(two, two.size());
+  EXPECT_EQ(lr.status, LoadStatus::kCorrupt);
+  EXPECT_EQ(lr.error, "unsupported checkpoint format version 2");
   const std::string ckpt = testing::TempDir() + "ppsim_v2.ckpt";
-  write_file(ckpt, encode_v2(paused.checkpoint));
-  EXPECT_EQ(resume("v2"), RunStatus::kComplete);
-  EXPECT_EQ(read_file(testing::TempDir() + "ppsim_v2.ndjson"),
-            reference_frames());
-  const std::string rewritten = read_file(ckpt);
-  ASSERT_GE(rewritten.size(), 16u);
-  EXPECT_EQ(static_cast<unsigned char>(rewritten[8]), kCheckpointFormat);
-  EXPECT_EQ(decode(rewritten, rewritten.size()).status, LoadStatus::kLoaded);
+  write_file(ckpt, two);
+  EXPECT_THROW(resume("v2"), CheckpointError);
+  EXPECT_EQ(read_file(ckpt), two);
 }
 
 TEST(CheckpointJournalTest, CrashBetweenCompactionAndFirstAppendResumes) {

@@ -176,14 +176,17 @@ TEST_P(DifferentialWordLanes, PlProtocolLanes) {
   // n = 6, below kWordCrossoverN, its one ring advances on the scalar loop.
   EXPECT_TRUE(rep.packed_lane);
   // Lane G: ring 0 advanced as a column of the cross-ring vector-RNG
-  // driver, lockstep with decoy rings, still bit-identical to lane A.
-  EXPECT_TRUE(rep.lockstep_lane);
+  // driver, lockstep with decoy rings, still bit-identical to lane A. At
+  // level 0 every ring ran the scalar loop and still matched lane A.
+  EXPECT_EQ(rep.lockstep_lane,
+            core::EnsembleRunner<pl::PlProtocol>::word_lane_engaged());
 }
 
 TEST_P(DifferentialWordLanes, PlPackedLanesAtLargerRingsWithStorms) {
   // Lane D (one ring) runs the grouped SIMD driver where runs_word_driver(n)
   // holds (from kWordCrossoverN up, at /avx512 and /avx2) and the scalar
-  // loop otherwise; lane G runs cross-ring lockstep at every n and level.
+  // loop otherwise; lane G runs cross-ring lockstep at every n at /avx512
+  // and /avx2, and the scalar loop at /scalar.
   // The grouped driver cuts a group into several masked runs whenever
   // two of its draws share an agent: at the crossover (the smallest n
   // where it runs) half the 8-draw groups cut, at n = 257 29% do, and at
@@ -211,7 +214,9 @@ TEST_P(DifferentialWordLanes, PlPackedLanesAtLargerRingsWithStorms) {
     EXPECT_TRUE(rep.ok) << "n=" << n << " safe=" << safe << ": "
                         << rep.divergence;
     EXPECT_TRUE(rep.packed_lane) << n;
-    EXPECT_TRUE(rep.lockstep_lane) << n;
+    EXPECT_EQ(rep.lockstep_lane,
+              core::EnsembleRunner<pl::PlProtocol>::word_lane_engaged())
+        << n;
   }
 }
 
@@ -265,10 +270,12 @@ TEST_P(DifferentialWordLanes, BrokenWordKernelIsDetected) {
   };
   static_assert(core::EnsembleRunner<BrokenWordPl>::kWordable);
   // The scalar lanes A and B are the truth. Where runs_word_driver(n) fails
-  // (below kWordCrossoverN, or any n at the baseline level) the one-ring
-  // lane D runs the scalar loop too, so only the lockstep lane G runs the
-  // broken kernel and the divergence names it. Otherwise the kernel drives
-  // lanes D and G, and lane D is compared first.
+  // (below kWordCrossoverN) the one-ring lane D runs the scalar loop too,
+  // so only the lockstep lane G runs the broken kernel and the divergence
+  // names it. Otherwise the kernel drives lanes D and G, and lane D is
+  // compared first. At level 0 no word kernel runs in any lane, so there
+  // is nothing to detect: every lane runs the scalar loop and must agree.
+  const bool engaged = core::EnsembleRunner<BrokenWordPl>::word_lane_engaged();
   constexpr int kCrossover =
       core::EnsembleRunner<BrokenWordPl>::kWordCrossoverN;
   const char* const at_crossover =
@@ -292,6 +299,11 @@ TEST_P(DifferentialWordLanes, BrokenWordKernelIsDetected) {
     cfg.check_every = 32;
     const auto rep = run_differential<BrokenWordPl>(
         p, pl::random_config(p, cfg_rng), cfg, pl_fault);
+    if (!engaged) {
+      EXPECT_TRUE(rep.ok) << "n=" << c.n << ": " << rep.divergence;
+      EXPECT_FALSE(rep.lockstep_lane) << "n=" << c.n;
+      continue;
+    }
     EXPECT_FALSE(rep.ok) << "n=" << c.n;
     EXPECT_NE(rep.divergence.find(c.lane), std::string::npos)
         << "n=" << c.n << ": " << rep.divergence;
