@@ -28,13 +28,9 @@ checks:
                       path; the designation lives in COLD_REGISTRY below
                       and in-file `// ppsim-lint-cold: <name>` markers.
 
-Engines: `--engine clang` tokenizes with libclang (exact comment/string/
-literal classification, macro awareness) when the python bindings and a
-loadable libclang are present; `--engine token` uses the built-in lexer;
-the default `auto` prefers libclang and falls back silently. Both engines
-feed the same rule implementations, so the fallback is a strict superset
-of environments at slightly coarser tokenization — CI runs whichever the
-runner has.
+Tokenization: a built-in lexer (comments, string and numeric literals,
+identifiers, punctuation) with no dependency beyond the standard library,
+so every environment lints the same tokens.
 
 Suppression: append `// ppsim-lint: allow(<rule-id>)` on the offending
 line or the line above. Suppressions are for justified exceptions and
@@ -156,37 +152,6 @@ def _builtin_lex(text: str) -> tuple[list[Token], list[tuple[int, str]]]:
             else:
                 tokens.append(Token("punct", c, line))
                 i += 1
-    return tokens, comments
-
-
-def _load_libclang():
-    try:
-        from clang import cindex  # type: ignore
-        index = cindex.Index.create()
-        return cindex, index
-    except Exception:
-        return None
-
-
-def _clang_lex(path: pathlib.Path, cindex, index):
-    tu = index.parse(
-        str(path),
-        args=["-std=c++20", f"-I{REPO / 'src'}", "-fparse-all-comments"],
-    )
-    tokens: list[Token] = []
-    comments: list[tuple[int, str]] = []
-    kinds = cindex.TokenKind
-    for t in tu.get_tokens(extent=tu.cursor.extent):
-        line = t.location.line
-        if t.kind == kinds.COMMENT:
-            comments.append((line, t.spelling))
-        elif t.kind in (kinds.IDENTIFIER, kinds.KEYWORD):
-            tokens.append(Token("id", t.spelling, line))
-        elif t.kind == kinds.LITERAL:
-            kind = "str" if t.spelling[:1] in "\"'" else "num"
-            tokens.append(Token(kind, t.spelling, line))
-        else:
-            tokens.append(Token("punct", t.spelling, line))
     return tokens, comments
 
 
@@ -418,16 +383,13 @@ _EXPECT = re.compile(r"ppsim-lint-expect:\s*([\w-]+)")
 _COLD_MARK = re.compile(r"ppsim-lint-cold:\s*(\w+)")
 
 
-def lint_file(path: pathlib.Path, engine) -> list[Violation]:
+def lint_file(path: pathlib.Path) -> list[Violation]:
     try:
         rel = str(path.resolve().relative_to(REPO))
     except ValueError:
         rel = str(path)
-    if engine is not None:
-        tokens, comments = _clang_lex(path, *engine)
-    else:
-        tokens, comments = _builtin_lex(
-            path.read_text(encoding="utf-8", errors="replace"))
+    tokens, comments = _builtin_lex(
+        path.read_text(encoding="utf-8", errors="replace"))
 
     allowed: dict[int, set[str]] = {}
     cold_names: list[str] = []
@@ -465,13 +427,13 @@ def collect_sources(roots: list[pathlib.Path]) -> list[pathlib.Path]:
     return files
 
 
-def self_test(engine) -> int:
+def self_test() -> int:
     fixtures = REPO / "tests" / "lint" / "fixtures"
     failures: list[str] = []
     proven: set[str] = set()
 
     for path in sorted((fixtures / "must_pass").glob("*.cpp")):
-        got = lint_file(path, engine)
+        got = lint_file(path)
         if got:
             failures.append(f"{path.name}: expected clean, got:\n  " +
                             "\n  ".join(v.render() for v in got))
@@ -482,7 +444,7 @@ def self_test(engine) -> int:
         if not expected:
             failures.append(f"{path.name}: no ppsim-lint-expect marker")
             continue
-        got = {v.rule for v in lint_file(path, engine)}
+        got = {v.rule for v in lint_file(path)}
         if got != expected:
             failures.append(
                 f"{path.name}: expected rules {sorted(expected)}, "
@@ -508,31 +470,18 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("paths", nargs="*", type=pathlib.Path,
                     help="files or directories to lint (default: src/)")
-    ap.add_argument("--engine", choices=("auto", "token", "clang"),
-                    default="auto")
     ap.add_argument("--self-test", action="store_true",
                     help="run the fixture corpus instead of linting")
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
 
-    engine = None
-    if args.engine in ("auto", "clang"):
-        engine = _load_libclang()
-        if engine is None and args.engine == "clang":
-            print("ppsim_lint: --engine clang requested but libclang "
-                  "python bindings are unavailable", file=sys.stderr)
-            return 2
-    if args.verbose:
-        print(f"ppsim_lint: engine = "
-              f"{'libclang' if engine else 'builtin token lexer'}")
-
     if args.self_test:
-        return self_test(engine)
+        return self_test()
 
     roots = args.paths or [REPO / "src"]
     violations: list[Violation] = []
     for path in collect_sources(roots):
-        violations.extend(lint_file(path, engine))
+        violations.extend(lint_file(path))
     for v in violations:
         print(v.render())
     if violations:

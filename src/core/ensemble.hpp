@@ -10,55 +10,56 @@
 // ring in parallel arrays. A ring advances in blocks with its RNG and clock
 // copied into locals: through the stored arrays it measured ~1.6x slower.
 //
-// Three lanes, all bit-identical per ring to the scalar loop:
+// The scalar loop (InteractionEngine::run_block, the loop Runner::run
+// runs) plus at most one accelerator per protocol type, bit-identical per
+// ring to it and switched on once, by the constructor:
 //
-//  * generic — InteractionEngine::run_block, the loop Runner::run runs.
-//  * LUT (packed-state mode) — protocols with a canonical O(1) enumeration
-//    of their state space (num_states / pack_state / unpack_state, e.g.
+//  * LUT (kPackable) — protocols with a canonical O(1) enumeration of
+//    their state space (num_states / pack_state / unpack_state, e.g.
 //    modk) and no oracle input get their pair-transition function
-//    precomputed at construction, by the generic code path: one 8-byte
-//    entry per state pair holding both successors and the census deltas.
-//    The hot loop runs on 16-bit codes, and one L1 load replaces the
-//    branchy transition and its mispredictions (modk: ~8 ns branchy vs
-//    ~1.4 ns of RNG per step), ~2x over per-trial Runners on small-n cells
-//    (BENCH_ensemble.json).
-//  * word kernel (core::HasWordKernel — P_PL) — states too many for the
-//    LUT but bit-sliced into one uint64_t run the branchless SIMD kernel
-//    (core/word_driver.hpp) on a u64 mirror, on an AVX2 or AVX-512 CPU
-//    only (word_lane_engaged()); elsewhere every ring runs the scalar loop
-//    on its States. run(k) advances rings in cross-ring lockstep, one SIMD
-//    lane per ring, and run_until_each batches the rings still owed a full
-//    check_every block. A batch's last group runs in lockstep too when its
-//    rings fill at least half the lanes: the empty lanes are padded onto a
-//    scratch ring (pad_words_) with throwaway RNG and clock copies, so they
-//    touch no ring. A ring that advances alone (run_ring, a near-deadline
-//    ring, a remainder below half a group) runs the single-ring grouped
-//    driver only from kWordCrossoverN up, and the scalar loop on its
+//    precomputed, by the generic code path: one 8-byte entry per state
+//    pair holding both successors and the census deltas. The hot loop runs
+//    on 16-bit codes, and one L1 load replaces the branchy transition and
+//    its mispredictions (modk: ~8 ns branchy vs ~1.4 ns of RNG per step),
+//    ~2x over per-trial Runners on small-n cells (BENCH_ensemble.json).
+//  * word kernel (kWordable, P_PL) — states too many for the LUT but
+//    bit-sliced into one uint64_t run the branchless SIMD kernel
+//    (core/word_driver.hpp) on u64 words, only at word ISA level 1 (AVX2)
+//    or 2 (AVX-512): a word loop compiled without AVX measured 0.19-0.48x
+//    of the scalar loop. The constructor records the level, so
+//    cap_isa_level changes only ensembles built after it. run(k) advances
+//    rings in cross-ring lockstep, one SIMD lane per ring, and
+//    run_until_each batches the rings still owed a full check_every block.
+//    A batch's last group runs in lockstep too when its rings fill at
+//    least half the lanes: the empty lanes are padded onto a scratch ring
+//    (pad_words_) with throwaway RNG and clock copies, so they touch no
+//    ring. A ring that advances alone (run_ring, a near-deadline ring, a
+//    smaller remainder) runs the single-ring grouped driver only from
+//    kWordCrossoverN up (runs_word_driver), and the scalar loop on its
 //    States otherwise. The analysis drivers size their shards in whole
-//    lockstep groups (analysis::detail::balanced_shard_width), so few
-//    rings are left over.
+//    lockstep groups (analysis::detail::balanced_shard_width).
 //
 // A ring-interleaved variant of the kernels was tried and rejected: register
-// pressure beat the ILP win (0.9-1.1x). The accelerated lanes self-validate:
+// pressure beat the ILP win (0.9-1.1x). The accelerator self-validates:
 // every enumerated state must round-trip its packing and every transition
 // stay in the domain, and every state entering the ensemble (add_ring,
-// set_agent) must round-trip. Any violation drops the ensemble to the
-// generic path for good, never to a wrong trajectory
-// (tests/core/ensemble_test.cpp). This is what lets
-// analysis::measure_convergence_parallel and measure_recovery shard their
-// trials into ensembles without changing a published number.
+// set_agent) must round-trip. Any violation, like scheduler faults, drops
+// the mirror (drop_mirror) and leaves the ensemble on the generic path for
+// good, never on a wrong trajectory (tests/core/ensemble_test.cpp). This is
+// what lets analysis::measure_convergence_parallel and measure_recovery
+// shard their trials into ensembles without changing a published number.
 //
-// Mirror contract: every ring has exactly one authoritative copy, recorded
-// in a per-ring RingOwner (ring_owner(r)):
-//   kMirror  the accelerator mirror (u16 LUT codes or u64 words) owns the
-//            ring; its State block is stale
+// Mirror contract: the accelerator keeps one Code per agent (u16 LUT codes
+// or u64 words) beside the State block, and every ring has exactly one
+// authoritative copy, recorded in a per-ring RingOwner (ring_owner(r)):
+//   kMirror  the mirror owns the ring; its State block is stale
 //   kBoth    the mirror and the State block are both current
-//   kStates  the State block owns the ring; the u64 words are stale (word
-//            lane only: a ring that ran the scalar loop)
-// sync_ring unpacks a kMirror ring (kMirror -> kBoth) for agents() and span
-// predicates. A kStates ring re-packs its words (~30 ns per agent) only when
-// it rejoins a lockstep batch, which puts State-owning rings last so they
-// are the leftovers. set_agent writes whichever copy owns the ring and
+//   kStates  the State block owns the ring; its mirror codes are stale
+//            (word kernel only: a ring that ran the scalar loop)
+// sync_ring decodes a kMirror ring (kMirror -> kBoth) for agents() and span
+// predicates. A kStates ring re-encodes its codes (~30 ns per agent) only
+// when it rejoins a lockstep batch, which puts State-owning rings last so
+// they are the leftovers. set_agent writes whichever copy owns the ring and
 // decodes only the overwritten slot for the census delta.
 //
 // run_until_each retires converged or timed-out rings from a compacted
@@ -201,14 +202,13 @@ class EnsembleRunner {
 
   /// Word-kernel mode (the *kernel lane*): protocols exposing a 64-bit
   /// bit-sliced transition kernel (core::HasWordKernel — P_PL) whose state
-  /// space is far too large for the pair-transition LUT. The hot loop runs
-  /// apply_word on a u64 mirror with the same lazy State materialization,
-  /// delta census and fallback contract the LUT lane has: any state that
-  /// fails the pack/unpack round trip (out of the declared domain) drops
-  /// the ensemble to the generic path, never to a wrong trajectory.
-  static constexpr bool kWordable = WordKernelRunnable<P>;
-  using WordLayout = typename detail::WordTypesOf<P>::Layout;
-  using WordConsts = typename detail::WordTypesOf<P>::Consts;
+  /// space is far too large for the pair-transition LUT. A type gets at
+  /// most one accelerator, with one mirror and one fallback contract.
+  static constexpr bool kWordable = WordKernelRunnable<P> && !kPackable;
+  /// One mirror slot: a u16 LUT code or a u64 word.
+  using Code =
+      std::conditional_t<kPackable, std::uint16_t, std::uint64_t>;
+  static constexpr bool kAccelerable = kPackable || kWordable;
 
   /// Pair-space cap for the transition table: 2^16 pairs = 512 KiB of
   /// entries. Above that the table thrashes the cache and the branchy
@@ -217,13 +217,12 @@ class EnsembleRunner {
 
   /// Smallest n at which a word-lane ring that advances alone (run_ring, a
   /// near-deadline ring, a lockstep leftover) runs the single-ring grouped
-  /// word driver on an AVX2 or AVX-512 CPU (see runs_word_driver); a
-  /// smaller ring runs the scalar loop on its State block. Ungated, that
-  /// driver measured against Runner::run on one ring (4 vCPU AVX-512
-  /// reference VM, GCC 12 -O3, blocks of n steps from a random
-  /// configuration, median of 11 runs of 1 M steps, CPU time), as the
-  /// scalar loop's time over the driver's, per clone (the AVX2 row via
-  /// cap_isa_level on the same machine):
+  /// word driver (see runs_word_driver); a smaller ring runs the scalar
+  /// loop on its State block. Ungated, that driver measured against
+  /// Runner::run on one ring (4 vCPU AVX-512 reference VM, GCC 12 -O3,
+  /// blocks of n steps from a random configuration, median of 11 runs of
+  /// 1 M steps, CPU time), as the scalar loop's time over the driver's, per
+  /// clone (the AVX2 row via cap_isa_level on the same machine):
   ///
   ///   n              16    32    64    96   128   256   512  1024
   ///   AVX-512 x8   0.91  1.09  1.16  1.31  1.39  1.54  1.80  1.83
@@ -236,29 +235,14 @@ class EnsembleRunner {
   /// sides of the gate.
   static constexpr int kWordCrossoverN = 128;
 
-  /// Whether the word lane is engaged: word ISA level 1 (AVX2) or 2
-  /// (AVX-512). Read per block, because cap_isa_level can lower the level
-  /// mid-process. At level 0 no word loop runs and every ring of a word-mode
-  /// ensemble advances on the scalar loop: a word loop compiled without AVX
-  /// measured 0.19-0.48x of the scalar loop at every n and ring count.
-  [[nodiscard]] static bool word_lane_engaged() {
-    return kWordable && word_isa_level() >= 1;
-  }
-
-  /// Whether a word-lane ring of n agents that advances alone runs the
-  /// single-ring word driver (else the scalar loop): from kWordCrossoverN
-  /// up, while the word lane is engaged.
-  [[nodiscard]] static bool runs_word_driver(int n) {
-    return n >= kWordCrossoverN && word_lane_engaged();
-  }
-
-  /// Rings per cross-ring lockstep group on the word lane at this process's
-  /// ISA level (WordGroupDriver::lockstep_lanes()); 1 while the lane is not
-  /// engaged, and for an ensemble type without it. The analysis drivers
-  /// size shards in multiples of it.
+  /// Rings per cross-ring lockstep group of a word-lane ensemble built now,
+  /// at this process's word ISA level (WordGroupDriver::lockstep_lanes); 1
+  /// at level 0, and for an ensemble type without the word lane. The
+  /// analysis drivers size shards in multiples of it.
   [[nodiscard]] static int lockstep_lanes() {
     if constexpr (kWordable) {
-      if (word_lane_engaged()) return WordGroupDriver<P>::lockstep_lanes();
+      if (const int level = word_isa_level(); level >= 1)
+        return WordGroupDriver<P>::lockstep_lanes(level);
     }
     return 1;
   }
@@ -291,34 +275,15 @@ class EnsembleRunner {
     clk.oracle_delay = oracle_delay_;
     Engine::recount(initial, params_, clk);
     clocks_.push_back(clk);
-    owner_.push_back(lut_active_ || word_active_ ? RingOwner::kBoth
-                                                 : RingOwner::kStates);
-    if constexpr (kPackable) {
-      if (lut_active_) {
-        for (const State& s : initial) {
-          const std::size_t ps = P::pack_state(s, params_);
-          if (ps >= lut_states_ ||
-              !(P::unpack_state(ps, params_) == s)) {
-            deactivate_lut();  // out-of-domain state: generic path, forever
-            break;
-          }
-          packed_.push_back(static_cast<std::uint16_t>(ps));
-        }
+    owner_.push_back(RingOwner::kStates);
+    const int r = static_cast<int>(clocks_.size()) - 1;
+    if constexpr (kAccelerable) {
+      if (accel_) {
+        mirror_.resize(mirror_.size() + initial.size());
+        (void)pack_ring(r);  // an out-of-domain state drops the mirror
       }
     }
-    if constexpr (kWordable) {
-      if (word_active_) {
-        for (const State& s : initial) {
-          const std::uint64_t w = P::pack_word(s, layout_);
-          if (!(P::unpack_word(w, layout_) == s)) {
-            deactivate_word();  // out-of-domain state: generic path, forever
-            break;
-          }
-          words_.push_back(w);
-        }
-      }
-    }
-    return static_cast<int>(clocks_.size()) - 1;
+    return r;
   }
 
   [[nodiscard]] const Params& params() const noexcept { return params_; }
@@ -330,13 +295,22 @@ class EnsembleRunner {
   /// True while the precomputed pair-transition table drives the hot loop
   /// (introspection for tests and benches; trajectories are identical either
   /// way).
-  [[nodiscard]] bool packed_mode() const noexcept { return lut_active_; }
+  [[nodiscard]] bool packed_mode() const noexcept {
+    return kPackable && accel_;
+  }
 
   /// True while the word-packed kernel lane drives the hot loop (P_PL's
   /// bit-sliced apply_word; introspection only — trajectories are identical
-  /// to the generic path).
+  /// to the generic path). Never at word ISA level 0.
   [[nodiscard]] bool word_kernel_mode() const noexcept {
-    return word_active_;
+    return kWordable && accel_;
+  }
+
+  /// Whether a ring that advances alone (run_ring, a near-deadline ring, a
+  /// lockstep leftover) runs the single-ring word driver, else the scalar
+  /// loop on its States: in word-kernel mode, from kWordCrossoverN up.
+  [[nodiscard]] bool runs_word_driver() const noexcept {
+    return word_kernel_mode() && params_.n >= kWordCrossoverN;
   }
 
   /// Which copy of ring r is authoritative (introspection for tests; see
@@ -390,10 +364,7 @@ class EnsembleRunner {
     sched_active_ = loss_threshold_ != 0 || !bias_.empty();
     for (std::size_t r = 0; r < seeds_.size(); ++r)
       loss_rngs_[r] = Xoshiro256pp(stream_seed(seeds_[r], kLossStreamTag));
-    if (sched_active_) {
-      deactivate_lut();
-      deactivate_word();
-    }
+    if (sched_active_) drop_mirror();
   }
 
   /// True when a scheduler fault model (loss or bias) is configured.
@@ -408,52 +379,38 @@ class EnsembleRunner {
   /// and injecting the last leader away starts it at the current step,
   /// exactly as a transition would. The ring is never unpacked: a
   /// mirror-owned ring decodes only the overwritten slot for the census
-  /// delta and takes the packed value (its States stay stale); otherwise
-  /// the State is written. On an accelerated lane the injected state must
-  /// round-trip the packing; otherwise the ensemble drops to the generic
-  /// path (still exact, just slower).
+  /// delta and takes the new code (its States stay stale); otherwise the
+  /// State is written. A state that fails the encoding's round trip drops
+  /// the mirror (still exact, just slower).
   void set_agent(int r, int i, const State& s) {
     check_agent(i);
-    const std::size_t slot =
-        ring_offset(check_ring(r)) + static_cast<std::size_t>(i);
-    if constexpr (kPackable) {
-      if (lut_active_) {
-        const std::size_t ps = P::pack_state(s, params_);
-        if (ps < lut_states_ && P::unpack_state(ps, params_) == s) {
-          inject(r, slot, s, [&] {
-            return P::unpack_state(packed_[slot], params_);
-          });
-          packed_[slot] = static_cast<std::uint16_t>(ps);
+    const auto ri = static_cast<std::size_t>(check_ring(r));
+    const std::size_t slot = ring_offset(r) + static_cast<std::size_t>(i);
+    if constexpr (kAccelerable) {
+      if (accel_) {
+        Code c{};
+        if (!encode(s, c)) {
+          drop_mirror();  // out-of-domain state: generic path, forever
+        } else if (owner_[ri] == RingOwner::kMirror) {
+          State old = decode(std::exchange(mirror_[slot], c));
+          Engine::set_agent(old, s, params_, clocks_[ri]);
           return;
+        } else {
+          mirror_[slot] = c;  // current on kBoth, stale (harmless) on kStates
         }
-        deactivate_lut();
       }
     }
-    if constexpr (kWordable) {
-      if (word_active_) {
-        const std::uint64_t w = P::pack_word(s, layout_);
-        if (P::unpack_word(w, layout_) == s) {
-          inject(r, slot, s,
-                 [&] { return P::unpack_word(words_[slot], layout_); });
-          words_[slot] = w;  // stale, hence harmless, on a kStates ring
-          return;
-        }
-        deactivate_word();
-      }
-    }
-    Engine::set_agent(states_[slot], s, params_,
-                      clocks_[static_cast<std::size_t>(r)]);
+    Engine::set_agent(states_[slot], s, params_, clocks_[ri]);
   }
 
   /// Advance every ring `k` interactions (each through its own stream). In
-  /// word-kernel mode, while the word lane is engaged, the rings advance in
-  /// lockstep — one SIMD lane per ring (WordGroupDriver::run_rings_block),
-  /// a remainder below half a group alone (see advance_rings_word);
-  /// per-ring trajectories are bit-identical to per-ring advancement, rings
-  /// share nothing.
+  /// word-kernel mode the rings advance in lockstep — one SIMD lane per
+  /// ring (WordGroupDriver::run_rings_block), a remainder below half a
+  /// group alone (see advance_rings_word); per-ring trajectories are
+  /// bit-identical to per-ring advancement, rings share nothing.
   void run(std::uint64_t k) {
     if constexpr (kWordable) {
-      if (word_active_ && word_lane_engaged() && k > 0 && ring_count() > 0) {
+      if (accel_ && k > 0 && ring_count() > 0) {
         // Reusable list of the ring ids [0, ring_count), in the order
         // advance_rings_word last left it — grown, never shrunk, so
         // campaigns interleaving many small run(k) blocks with faults pay
@@ -531,35 +488,25 @@ class EnsembleRunner {
     }
     rings.resize(w);
 
-    [[maybe_unused]] std::vector<int> batch;  // word lane: full-size blocks
+    std::vector<int> batch;  // word lane: full-size blocks
     while (!rings.empty()) {
       // One pass: advance every active ring by min(check_every, remaining)
-      // interactions, check, retire, compact. In word-kernel mode, while
-      // the word lane is engaged, the rings still owed a full check_every
-      // block (the common case away from deadlines) advance in one
-      // cross-ring lockstep batch; everything else goes through the one
-      // shared per-ring loop.
-      bool advanced = false;
-      if constexpr (kWordable) {
-        if (word_active_ && word_lane_engaged()) {
-          batch.clear();
-          for (int r : rings) {
-            const auto ri = static_cast<std::size_t>(r);
-            if (deadline[ri] - clocks_[ri].steps >= check_every)
-              batch.push_back(r);
-            else
-              advance_ring(r, deadline[ri] - clocks_[ri].steps);
-          }
-          if (!batch.empty()) advance_rings_word(batch, check_every);
-          advanced = true;
-        }
+      // interactions, check, retire, compact. In word-kernel mode the rings
+      // still owed a full check_every block (the common case away from
+      // deadlines) advance in one cross-ring lockstep batch; everything
+      // else goes through the one shared per-ring loop.
+      const bool lockstep = word_kernel_mode();
+      batch.clear();
+      for (int r : rings) {
+        const auto ri = static_cast<std::size_t>(r);
+        const std::uint64_t left = deadline[ri] - clocks_[ri].steps;
+        if (lockstep && left >= check_every)
+          batch.push_back(r);
+        else
+          advance_ring(r, std::min(check_every, left));
       }
-      if (!advanced) {
-        for (int r : rings) {
-          const auto ri = static_cast<std::size_t>(r);
-          advance_ring(r, std::min<std::uint64_t>(
-                              check_every, deadline[ri] - clocks_[ri].steps));
-        }
+      if constexpr (kWordable) {
+        if (!batch.empty()) advance_rings_word(batch, check_every);
       }
       w = 0;
       for (int r : rings) {
@@ -577,7 +524,8 @@ class EnsembleRunner {
 
  private:
   /// Shared constructor tail: storage reservation and, when `accelerate`,
-  /// accelerator-mode probing (LUT, then the word lanes).
+  /// the one decision whether the accelerator is on (for the word kernel
+  /// at the word ISA level read here, which the ensemble keeps).
   void init_modes(int reserve_rings, bool accelerate) {
     if (reserve_rings > 0) {
       const auto r = static_cast<std::size_t>(reserve_rings);
@@ -586,18 +534,18 @@ class EnsembleRunner {
       rngs_.reserve(r);
     }
     if (!accelerate) return;
-    if constexpr (kPackable) build_lut();
+    if constexpr (kPackable) accel_ = build_lut();
     if constexpr (kWordable) {
-      if (!lut_active_) {
-        layout_ = P::word_layout(params_);
-        // The grouped driver reads the leader output off bit 0 of the word;
-        // probe that word_leader really is that bit, so a layout with the
-        // flag elsewhere keeps the generic path instead of corrupting the
-        // census.
-        word_active_ = layout_.fits() && P::word_leader(1, layout_) &&
-                       !P::word_leader(0, layout_);
-        if (word_active_) consts_ = P::make_word_consts(layout_);
-      }
+      isa_level_ = word_isa_level();
+      if (isa_level_ < 1) return;  // no word loop below AVX2
+      layout_ = P::word_layout(params_);
+      // The grouped driver reads the leader output off bit 0 of the word;
+      // probe that word_leader really is that bit, so a layout with the
+      // flag elsewhere keeps the generic path instead of corrupting the
+      // census.
+      accel_ = layout_.fits() && P::word_leader(1, layout_) &&
+               !P::word_leader(0, layout_);
+      if (accel_) consts_ = P::make_word_consts(layout_);
     }
   }
 
@@ -655,10 +603,9 @@ class EnsembleRunner {
       if constexpr (std::is_invocable_r_v<bool, Pred&,
                                           const WordRingView<P>&,
                                           const Params&>) {
-        if (word_active_ &&
-            owner_[static_cast<std::size_t>(r)] == RingOwner::kMirror &&
+        if (owner_[static_cast<std::size_t>(r)] == RingOwner::kMirror &&
             reads_view(pred)) {
-          return pred(WordRingView<P>({words_.data() + ring_offset(r),
+          return pred(WordRingView<P>({mirror_.data() + ring_offset(r),
                                        static_cast<std::size_t>(params_.n)},
                                       layout_),
                       params_);
@@ -685,16 +632,17 @@ class EnsembleRunner {
   /// Enumerate the pair-transition table through the same P::apply and
   /// census predicates the generic path runs, validating that every state
   /// round-trips the packing and every transition stays in the enumerated
-  /// domain. Any violation leaves the ensemble on the generic path.
-  void build_lut()
+  /// domain. Any violation leaves the ensemble on the generic path
+  /// (false).
+  [[nodiscard]] bool build_lut()
     requires(kPackable)
   {
     const std::size_t S = P::num_states(params_);
-    if (S == 0 || S > 0xFFFF || S * S > kMaxLutPairs) return;
+    if (S == 0 || S > 0xFFFF || S * S > kMaxLutPairs) return false;
     std::vector<State> domain(S);
     for (std::size_t v = 0; v < S; ++v) {
       domain[v] = P::unpack_state(v, params_);
-      if (P::pack_state(domain[v], params_) != v) return;  // not canonical
+      if (P::pack_state(domain[v], params_) != v) return false;  // not 1:1
     }
     lut_.resize(S * S);
     for (std::size_t sa = 0; sa < S; ++sa) {
@@ -717,7 +665,7 @@ class EnsembleRunner {
         if (pa >= S || pb >= S || !(P::unpack_state(pa, params_) == a) ||
             !(P::unpack_state(pb, params_) == b)) {
           lut_.clear();  // domain not closed under apply
-          return;
+          return false;
         }
         LutEntry& e = lut_[sa * S + sb];
         e.pa = static_cast<std::uint16_t>(pa);
@@ -738,7 +686,7 @@ class EnsembleRunner {
       }
     }
     lut_states_ = S;
-    lut_active_ = true;
+    return true;
   }
 
   /// Runner's reference path (step, run_unbatched, apply_arc): one
@@ -754,33 +702,46 @@ class EnsembleRunner {
                       clocks_[static_cast<std::size_t>(r)]);
   }
 
-  /// Leave packed mode permanently: materialize every mirror-owned ring's
-  /// states, then drop the packed mirror. Trajectories continue on the
+  /// One state's mirror code, with the round trip every state entering
+  /// the mirror must pass: false for a state outside the encoded domain.
+  [[nodiscard]] bool encode(const State& s, Code& c) const
+    requires(kAccelerable)
+  {
+    if constexpr (kPackable) {
+      const std::size_t ps = P::pack_state(s, params_);
+      c = static_cast<Code>(ps);
+      return ps < lut_states_ && P::unpack_state(ps, params_) == s;
+    } else {
+      c = P::pack_word(s, layout_);
+      return P::unpack_word(c, layout_) == s;
+    }
+  }
+  [[nodiscard]] State decode(Code c) const
+    requires(kAccelerable)
+  {
+    if constexpr (kPackable) {
+      return P::unpack_state(c, params_);
+    } else {
+      return P::unpack_word(c, layout_);
+    }
+  }
+
+  /// Leave the accelerator permanently: materialize every mirror-owned
+  /// ring's States (a ring that owns its States is never overwritten by
+  /// its stale codes), then drop the mirror. Trajectories continue on the
   /// generic path.
-  void deactivate_lut() {
+  void drop_mirror() {
     for (int r = 0; r < ring_count(); ++r) sync_ring(r);
-    lut_active_ = false;
+    accel_ = false;
     std::fill(owner_.begin(), owner_.end(), RingOwner::kStates);
-    packed_.clear();
-    packed_.shrink_to_fit();
+    mirror_.clear();
+    mirror_.shrink_to_fit();
   }
 
-  /// Leave the word-kernel lane permanently, same contract as
-  /// deactivate_lut: only word-owned rings unpack, so a ring that owns its
-  /// States is never overwritten by its stale words.
-  void deactivate_word() {
-    for (int r = 0; r < ring_count(); ++r) sync_ring(r);
-    word_active_ = false;
-    std::fill(owner_.begin(), owner_.end(), RingOwner::kStates);
-    words_.clear();
-    words_.shrink_to_fit();
-  }
-
-  /// Materialize ring r's State block from the accelerator mirror if the
-  /// mirror owns the ring (kMirror -> kBoth). Only one accelerated lane is
-  /// ever active, so it holds the ring's source of truth.
+  /// Materialize ring r's State block from the mirror if the mirror owns
+  /// the ring (kMirror -> kBoth).
   void sync_ring(int r) const {
-    if constexpr (kPackable || kWordable) {
+    if constexpr (kAccelerable) {
       const auto ri = static_cast<std::size_t>(r);
       if (owner_[ri] != RingOwner::kMirror) return;
       decode_ring(r, states_.data() + ring_offset(r));
@@ -788,75 +749,63 @@ class EnsembleRunner {
     }
   }
 
-  /// Decode ring r's n agents from the active mirror into `out`.
+  /// Decode ring r's n agents from the mirror into `out`.
   void decode_ring(int r, State* out) const
-    requires(kPackable || kWordable)
+    requires(kAccelerable)
   {
-    const std::size_t off = ring_offset(r);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(params_.n); ++i) {
-      if constexpr (kPackable) {
-        if (lut_active_) {
-          out[i] = P::unpack_state(packed_[off + i], params_);
-          continue;
-        }
-      }
-      if constexpr (kWordable) {
-        out[i] = P::unpack_word(words_[off + i], layout_);
-      }
-    }
+    const Code* const codes = mirror_.data() + ring_offset(r);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(params_.n); ++i)
+      out[i] = decode(codes[i]);
   }
 
   /// Ring r's States for a Debug-only check, without the kMirror -> kBoth
   /// transition agents(r) would make: a mirror-owned ring is decoded into a
   /// copy, so Debug builds keep the owner transitions Release builds take.
   [[nodiscard]] std::vector<State> states_copy(int r) const {
-    const auto n = static_cast<std::size_t>(params_.n);
-    if constexpr (kPackable || kWordable) {
-      if (owner_[static_cast<std::size_t>(r)] == RingOwner::kMirror) {
-        std::vector<State> out(n);
+    const State* const first = states_.data() + ring_offset(r);
+    std::vector<State> out(first, first + params_.n);
+    if constexpr (kAccelerable) {
+      if (owner_[static_cast<std::size_t>(r)] == RingOwner::kMirror)
         decode_ring(r, out.data());
-        return out;
-      }
     }
-    const auto first = states_.begin() +
-                       static_cast<std::ptrdiff_t>(ring_offset(r));
-    return {first, first + static_cast<std::ptrdiff_t>(n)};
+    return out;
   }
 
-  /// Census delta and State write of one injection into `slot` of ring r,
-  /// whose mirror slot the caller overwrites next. A mirror-owned ring
-  /// decodes only the old slot (`decode_old`) for Engine::set_agent's
-  /// bookkeeping, and its States stay stale.
-  template <typename Decode>
-  void inject(int r, std::size_t slot, const State& s, Decode&& decode_old) {
+  /// Make ring r's mirror codes current (kStates -> kBoth): re-encode its
+  /// State block with the round-trip check. A failed round trip drops the
+  /// mirror (drop_mirror); false whenever the accelerator is off.
+  [[nodiscard]] bool pack_ring(int r)
+    requires(kAccelerable)
+  {
+    if (!accel_) return false;
     const auto ri = static_cast<std::size_t>(r);
-    if (owner_[ri] == RingOwner::kMirror) {
-      State old = decode_old();
-      Engine::set_agent(old, s, params_, clocks_[ri]);
-    } else {
-      Engine::set_agent(states_[slot], s, params_, clocks_[ri]);
+    if (owner_[ri] != RingOwner::kStates) return true;
+    const std::size_t off = ring_offset(r);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(params_.n); ++i) {
+      if (!encode(states_[off + i], mirror_[off + i])) {
+        drop_mirror();
+        return false;
+      }
     }
+    owner_[ri] = RingOwner::kBoth;
+    return true;
   }
 
   void advance_ring(int r, std::uint64_t k) {
     if (k == 0) return;
     if constexpr (kPackable) {
-      if (lut_active_) {
+      if (accel_) {
         advance_ring_packed(r, k);
         return;
       }
     }
     if constexpr (kWordable) {
-      if (word_active_) {
-        if (runs_word_driver(params_.n)) {
-          advance_ring_word(r, k);
-        } else {
-          sync_ring(r);
-          owner_[static_cast<std::size_t>(r)] = RingOwner::kStates;
-          advance_ring_generic(r, k);
-        }
+      if (runs_word_driver()) {
+        advance_ring_word(r, k);
         return;
       }
+      sync_ring(r);
+      owner_[static_cast<std::size_t>(r)] = RingOwner::kStates;
     }
     advance_ring_generic(r, k);
   }
@@ -884,7 +833,7 @@ class EnsembleRunner {
     requires(kPackable)
   {
     const auto ri = static_cast<std::size_t>(r);
-    std::uint16_t* const packed = packed_.data() + ring_offset(r);
+    std::uint16_t* const packed = mirror_.data() + ring_offset(r);
     const LutEntry* const lut = lut_.data();
     const std::size_t S = lut_states_;
     const std::uint64_t bound = bound_;
@@ -912,31 +861,7 @@ class EnsembleRunner {
     owner_[ri] = RingOwner::kMirror;
   }
 
-  /// Make ring r's u64 words current (kStates -> kBoth): re-pack its State
-  /// block with the round-trip check. A failed round trip drops the
-  /// ensemble to the generic path (deactivate_word); false whenever the
-  /// word lane is off.
-  [[nodiscard]] bool pack_ring(int r)
-    requires(kWordable)
-  {
-    if (!word_active_) return false;
-    const auto ri = static_cast<std::size_t>(r);
-    if (owner_[ri] != RingOwner::kStates) return true;
-    const std::size_t off = ring_offset(r);
-    for (int i = 0; i < params_.n; ++i) {
-      const std::size_t slot = off + static_cast<std::size_t>(i);
-      const std::uint64_t w = P::pack_word(states_[slot], layout_);
-      if (!(P::unpack_word(w, layout_) == states_[slot])) {
-        deactivate_word();
-        return false;
-      }
-      words_[slot] = w;
-    }
-    owner_[ri] = RingOwner::kBoth;
-    return true;
-  }
-
-  /// Kernel-lane block (runs_word_driver(n)): the single-ring grouped
+  /// Kernel-lane block (runs_word_driver()): the single-ring grouped
   /// word-kernel driver on this ring's slice of the u64 mirror, re-packed
   /// first if the ring owns its States. States go stale until the next
   /// sync_ring.
@@ -948,28 +873,28 @@ class EnsembleRunner {
       return;
     }
     const auto ri = static_cast<std::size_t>(r);
-    WordGroupDriver<P>::run_block(words_.data() + ring_offset(r), params_.n,
-                                  bound_, threshold_, rngs_[ri], clocks_[ri],
-                                  consts_, k, run_stamps_);
+    WordGroupDriver<P>::run_block(isa_level_, mirror_.data() + ring_offset(r),
+                                  params_.n, bound_, threshold_, rngs_[ri],
+                                  clocks_[ri], consts_, k, run_stamps_);
     owner_[ri] = RingOwner::kMirror;
   }
 
   /// Advance the listed rings `k` interactions each in cross-ring lockstep,
   /// one SIMD lane per ring (no disjointness proofs — rings share nothing):
-  /// every full group of lockstep_lanes() rings, plus the last partial
-  /// group when at least half its lanes hold rings, padded with lanes that
-  /// run on the scratch ring pad_words_ (WordGroupDriver::rings_impl). A
-  /// smaller remainder advances alone through advance_ring. Rings that own
-  /// their States go last, so they are the leftovers and rarely re-pack;
-  /// the order never shows in a trajectory. Bit-identical per ring to
-  /// advance_ring.
+  /// every full group of the ensemble's lockstep width, plus the last
+  /// partial group when at least half its lanes hold rings, padded with
+  /// lanes that run on the scratch ring pad_words_
+  /// (WordGroupDriver::rings_impl). A smaller remainder advances alone
+  /// through advance_ring. Rings that own their States go last, so they are
+  /// the leftovers and rarely re-pack; the order never shows in a
+  /// trajectory. Bit-identical per ring to advance_ring.
   void advance_rings_word(std::vector<int>& rings, std::uint64_t k)
     requires(kWordable)
   {
     std::partition(rings.begin(), rings.end(), [&](int r) {
       return owner_[static_cast<std::size_t>(r)] != RingOwner::kStates;
     });
-    const int G = lockstep_lanes();
+    const int G = WordGroupDriver<P>::lockstep_lanes(isa_level_);
     const int nrings = static_cast<int>(rings.size());
     const int rest = nrings % G;
     const int grouped = 2 * rest >= G ? nrings : nrings - rest;
@@ -983,9 +908,9 @@ class EnsembleRunner {
       if (grouped % G != 0)  // a padded group: allocate its scratch ring
         pad_words_.resize(static_cast<std::size_t>(params_.n));
       WordGroupDriver<P>::run_rings_block(
-          words_.data(), static_cast<std::size_t>(params_.n), rings.data(),
-          grouped, pad_words_.data(), params_.n, bound_, threshold_,
-          rngs_.data(), clocks_.data(), consts_, k);
+          isa_level_, mirror_.data(), static_cast<std::size_t>(params_.n),
+          rings.data(), grouped, pad_words_.data(), params_.n, bound_,
+          threshold_, rngs_.data(), clocks_.data(), consts_, k);
       for (int i = 0; i < grouped; ++i)
         owner_[static_cast<std::size_t>(rings[static_cast<std::size_t>(i)])] =
             RingOwner::kMirror;
@@ -1006,22 +931,27 @@ class EnsembleRunner {
   detail::BiasTable bias_;               ///< non-empty = biased distribution
   std::uint64_t loss_threshold_ = 0;     ///< 0 = omission model off
   bool sched_active_ = false;            ///< any scheduler fault model on
-  /// Ring r's states at [r*n, (r+1)*n). On an accelerated lane this block
-  /// is lazily refreshed from the mirror that owns the ring (see `owner_`),
-  /// hence mutable: accessors are logically const.
+  /// Ring r's states at [r*n, (r+1)*n). With the accelerator on, this
+  /// block is lazily refreshed from the mirror that owns the ring (see
+  /// `owner_`), hence mutable: accessors are logically const.
   mutable std::vector<State> states_;
   std::vector<RingClock> clocks_;   ///< parallel to rings
   std::vector<Xoshiro256pp> rngs_;  ///< parallel to rings
   /// Per ring: which copy is authoritative (the mirror contract). Mutable:
   /// sync_ring turns kMirror into kBoth from const accessors.
   mutable std::vector<RingOwner> owner_;
+  /// The accelerator is on: set once by the constructor, cleared for good
+  /// by drop_mirror.
+  bool accel_ = false;
+  /// Word ISA level fixed at construction: the clone every word block of
+  /// this ensemble runs (0 without the word lane).
+  int isa_level_ = 0;
+  std::vector<Code> mirror_;        ///< mirror of states_, same layout
   std::vector<LutEntry> lut_;       ///< S*S pair table (packed mode)
-  std::vector<std::uint16_t> packed_;  ///< u16 mirror of states_, same layout
   std::size_t lut_states_ = 0;
-  bool lut_active_ = false;
-  WordLayout layout_{};             ///< valid only in word-kernel mode
-  WordConsts consts_{};             ///< kernel constants (word-kernel mode)
-  std::vector<std::uint64_t> words_;  ///< u64 mirror of states_, same layout
+  /// Word layout and kernel constants (valid only in word-kernel mode).
+  typename detail::WordTypesOf<P>::Layout layout_{};
+  typename detail::WordTypesOf<P>::Consts consts_{};
   std::vector<int> all_rings_;      ///< reusable permutation of ring ids
   /// Scratch ring of a padded lockstep group's empty lanes (allocated on
   /// first use; its contents never reach any ring).
@@ -1029,7 +959,6 @@ class EnsembleRunner {
   /// Run-cut scratch of the single-ring word driver (allocated on first
   /// use; any contents are safe).
   RunStamps run_stamps_;
-  bool word_active_ = false;        ///< word-kernel lane drives the hot loop
 };
 
 /// Mutable view of one *running* ring of an EnsembleRunner — the surface

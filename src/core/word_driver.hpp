@@ -71,9 +71,8 @@ inline std::atomic<int> isa_cap{2};
 /// Test hook: run the word driver's clones at ISA level `level` (2 =
 /// AVX-512, 1 = AVX2, 0 = word lane off) or below. It lowers the level and
 /// never raises it above what the CPU supports; returns the level now in
-/// effect.
-/// Call it before building any ensemble: lockstep_lanes() sizes shards and
-/// lockstep groups. The drivers read it once per block, outside their loops.
+/// effect. It applies to ensembles built afterwards: an EnsembleRunner
+/// reads the level once, in its constructor, and keeps it.
 inline int cap_isa_level(int level) {
   detail::isa_cap.store(level, std::memory_order_relaxed);
   return word_isa_level();
@@ -111,40 +110,40 @@ struct RunStamps {
 ///
 /// The vector kernel body is compiled twice, as a target("avx2") clone and
 /// an AVX-512 one (PPSIM_WORD_CLONES), and dispatched once per block on
-/// word_isa_level(), so the packaged binary needs no special -m flags and
+/// the caller's ISA level (the one its EnsembleRunner recorded at
+/// construction), so the packaged binary needs no special -m flags and
 /// still uses 4- or 8-wide execution where the hardware has it. Everything
 /// a clone runs per group is inlined into it; only the census replays are
 /// outlined, cold and scalar. Both entries require word ISA level 1 or 2:
-/// below that the word lane is off (EnsembleRunner::word_lane_engaged) and
-/// every ring runs the scalar loop on its States.
+/// below that an EnsembleRunner has no word lane and every ring runs the
+/// scalar loop on its States.
 template <typename P>
   requires WordKernelRunnable<P>
 struct WordGroupDriver {
   using Consts = typename P::WordKernelConsts;
 
-  /// Rings per cross-ring lockstep group at this process's ISA level (the
+  /// Rings per cross-ring lockstep group at ISA level `isa_level` (the
   /// vector width run_rings_block runs): 8 under AVX-512, 4 under AVX2.
-  [[nodiscard]] static int lockstep_lanes() {
-    return word_isa_level() == 2 ? kLanesOf<WordVec8> : kLanesOf<WordVec>;
+  [[nodiscard]] static constexpr int lockstep_lanes(int isa_level) {
+    return isa_level == 2 ? kLanesOf<WordVec8> : kLanesOf<WordVec>;
   }
 
   /// The one single-ring word block: advance the ring stored at `words`
   /// `k` interactions through the grouped driver (run_impl), compiled once
-  /// per ISA in the out-of-line clones below. `stamps` is the caller's
-  /// run-cut scratch (sized to n here). EnsembleRunner sends a ring that
-  /// advances alone here (run_ring, a near-deadline ring, a lockstep
-  /// leftover) only where its runs_word_driver(n) holds (n >=
-  /// kWordCrossoverN at level 1 or 2); other rings run the scalar loop.
-  static void run_block(std::uint64_t* words, int n, std::uint64_t bound,
-                        std::uint64_t threshold, Xoshiro256pp& rng,
-                        RingClock& clk, const Consts& kc, std::uint64_t k,
-                        RunStamps& stamps) {
-    assert(word_isa_level() >= 1 && "the word lane is off");
+  /// per ISA in the out-of-line clones below; `isa_level` (1 or 2, at most
+  /// the CPU's) picks the clone. `stamps` is the caller's run-cut scratch
+  /// (sized to n here). EnsembleRunner sends a ring that advances alone
+  /// here only where its runs_word_driver() holds.
+  static void run_block(int isa_level, std::uint64_t* words, int n,
+                        std::uint64_t bound, std::uint64_t threshold,
+                        Xoshiro256pp& rng, RingClock& clk, const Consts& kc,
+                        std::uint64_t k, RunStamps& stamps) {
+    assert(isa_level >= 1 && isa_level <= detail::probed_isa_level());
     if (stamps.agent.size() < static_cast<std::size_t>(n))
       stamps.agent.resize(static_cast<std::size_t>(n));
 #if PPSIM_WORD_CLONES
     std::uint32_t* const stamp = stamps.agent.data();
-    if (word_isa_level() == 2) {
+    if (isa_level == 2) {
       run_avx512(words, n, bound, threshold, rng, clk, kc, k, stamp,
                  stamps.last);
     } else {
@@ -155,18 +154,18 @@ struct WordGroupDriver {
   }
 
   /// Entry point for the cross-ring lockstep block (see rings_impl), at
-  /// word ISA level 1 or 2 only. `pad` is n scratch words for the lanes a
-  /// partial last group leaves empty; it may be null when nrings is a
-  /// multiple of lockstep_lanes().
-  static void run_rings_block(std::uint64_t* words_base,
+  /// word ISA level `isa_level` (1 or 2, at most the CPU's). `pad` is n
+  /// scratch words for the lanes a partial last group leaves empty; it may
+  /// be null when nrings is a multiple of lockstep_lanes(isa_level).
+  static void run_rings_block(int isa_level, std::uint64_t* words_base,
                               std::size_t ring_stride, const int* rings,
                               int nrings, std::uint64_t* pad, int n,
                               std::uint64_t bound, std::uint64_t threshold,
                               Xoshiro256pp* rngs, RingClock* clks,
                               const Consts& kc, std::uint64_t k) {
-    assert(word_isa_level() >= 1 && "the word lane is off");
+    assert(isa_level >= 1 && isa_level <= detail::probed_isa_level());
 #if PPSIM_WORD_CLONES
-    if (word_isa_level() == 2) {
+    if (isa_level == 2) {
       rings_avx512(words_base, ring_stride, rings, nrings, pad, n, bound,
                    threshold, rngs, clks, kc, k);
     } else {

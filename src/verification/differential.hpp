@@ -18,10 +18,11 @@
 //                                (WordGroupDriver::run_block: each group
 //                                of draws cut into masked runs of disjoint
 //                                interactions) where
-//                                EnsembleRunner::runs_word_driver(n)
-//                                holds (from kWordCrossoverN up, AVX2 or
-//                                AVX-512); otherwise the ring advances
-//                                alone on the scalar loop
+//                                EnsembleRunner::runs_word_driver()
+//                                holds (from kWordCrossoverN up); otherwise
+//                                the ring advances alone on the scalar
+//                                loop. Without an accelerator (P_PL
+//                                below AVX2) lane D duplicates B: skipped
 //   E  checker mirror          — ModelChecker<M>::successor driven by a
 //                                cloned RNG stream: every step decodes,
 //                                applies M::apply, re-encodes, so the
@@ -36,10 +37,9 @@
 //                                grouped driver and its lane-parallel
 //                                vector RNG — certifying the column-r ==
 //                                scalar-stream-r RNG contract against
-//                                every scalar lane above. Without AVX2
-//                                (word ISA level 0) the word lane is not
-//                                engaged and all six rings run the scalar
-//                                loop, so no kernel runs in lanes D or G
+//                                every scalar lane above. At word ISA
+//                                level 0 all six rings run the scalar
+//                                loop, so no kernel runs in lane G
 //
 // There is no lane C or F: lane letters stay fixed so divergence messages
 // keep their meaning.
@@ -121,14 +121,12 @@ struct FuzzReport {
   bool packed_lane = false;  ///< lane D ran in (and stayed in) an
                              ///< accelerated mode (LUT or word kernel;
                              ///< a word-lane ring that fails
-                             ///< runs_word_driver(n) still advances on
+                             ///< runs_word_driver() still advances on
                              ///< the scalar loop)
   bool mirror_lane = false;  ///< lane E (checker adapter) participated
   bool lockstep_lane = false;  ///< lane G ran (and stayed) in word-kernel
-                               ///< mode with the word lane engaged
-                               ///< (lockstep_lanes() > 1), i.e. ring 0
-                               ///< went through the cross-ring
-                               ///< vector-RNG driver
+                               ///< mode, i.e. ring 0 went through the
+                               ///< cross-ring vector-RNG driver
   std::string divergence;    ///< first mismatch, human readable; empty if ok
 };
 
@@ -467,8 +465,7 @@ template <typename P, typename M = void, typename FaultState>
   rep.packed_lane =
       have_lane_d && (lane_d.packed_mode() || lane_d.word_kernel_mode());
   if constexpr (kHaveLaneG) {
-    rep.lockstep_lane = lane_g->word_kernel_mode() &&
-                        core::EnsembleRunner<P>::lockstep_lanes() > 1;
+    rep.lockstep_lane = lane_g->word_kernel_mode();
   }
   std::uint64_t h = detail::mix64(core::streams::kDigest, lane_a.steps());
   if constexpr (core::HasLeaderOutput<P>) {

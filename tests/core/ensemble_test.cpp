@@ -225,101 +225,131 @@ TEST(EnsembleRunner, RunRingAndSetAgentMatchStandaloneRunner) {
   }
 }
 
-TEST(EnsembleRunner, PackedModeDrivesModkBitIdentically) {
-  // modk exposes the canonical state enumeration, so the ensemble runs it
-  // through the precomputed pair-transition table. Trajectories, censuses
-  // and last_leader_change must still match standalone Runners exactly —
-  // including across in-domain set_agent faults, which keep packed mode on.
-  const auto p = baselines::ModkParams::make(17, 2);
-  core::Xoshiro256pp rng(9);
-  EnsembleRunner<baselines::Modk> ensemble(p, 4);
-  ASSERT_TRUE(ensemble.packed_mode());  // table built at construction
-  std::vector<Runner<baselines::Modk>> runners;
-  for (int r = 0; r < 4; ++r) {
-    auto init = baselines::modk_random_config(p, rng);
-    ensemble.add_ring(init, 600 + static_cast<std::uint64_t>(r));
-    runners.emplace_back(p, std::move(init),
-                         600 + static_cast<std::uint64_t>(r));
-  }
-  EXPECT_TRUE(ensemble.packed_mode());
-  Xoshiro256pp fault_rng(0xF00D);
-  for (int round = 0; round < 30; ++round) {
-    const std::uint64_t k = 1 + fault_rng.bounded(800);
-    ensemble.run(k);
-    for (int r = 0; r < 4; ++r) runners[static_cast<std::size_t>(r)].run(k);
-    // One in-domain fault per round into a rotating ring.
-    const int r = round % 4;
-    const int idx = static_cast<int>(fault_rng.bounded(17));
-    const auto s = baselines::modk_random_state(p, fault_rng);
-    ensemble.set_agent(r, idx, s);
-    runners[static_cast<std::size_t>(r)].set_agent(idx, s);
-    ASSERT_TRUE(ensemble.packed_mode());
-    for (int q = 0; q < 4; ++q) {
-      auto& rn = runners[static_cast<std::size_t>(q)];
-      ASSERT_EQ(ensemble.steps(q), rn.steps());
-      ASSERT_EQ(ensemble.leader_count(q), rn.leader_count());
-      ASSERT_EQ(ensemble.last_leader_change(q), rn.last_leader_change());
-      for (int i = 0; i < p.n; ++i)
-        ASSERT_EQ(ensemble.agent(q, i), rn.agent(i))
-            << "ring " << q << " agent " << i;
-    }
-  }
-}
-
-TEST(EnsembleRunner, ScalarOnlyBuildsNoLutAndTracksThePackedLane) {
+TEST(EnsembleRunner, ScalarOnlyBuildsNoLut) {
   // kScalarOnly (Runner's ring 0, differential lanes A and B) never builds
-  // the LUT, its ring owns its States, and it tracks the packed lane step
-  // for step. tests/core/word_kernel_test.cpp covers the word lane.
+  // the LUT and its ring owns its States. The packed-lane tests below
+  // compare against Runners, so they check it tracks that lane exactly.
   const auto p = baselines::ModkParams::make(17, 2);
   core::Xoshiro256pp rng(17);
-  const auto init = baselines::modk_random_config(p, rng);
-  EnsembleRunner<baselines::Modk> packed(p, 1);
   EnsembleRunner<baselines::Modk> scalar(kScalarOnly, p, 1);
-  packed.add_ring(init, 5);
-  scalar.add_ring(init, 5);
-  ASSERT_TRUE(packed.packed_mode());
-  ASSERT_FALSE(scalar.packed_mode());
-  packed.run(3000);
+  scalar.add_ring(baselines::modk_random_config(p, rng), 5);
+  EXPECT_FALSE(scalar.packed_mode());
   scalar.run(3000);
   EXPECT_EQ(scalar.ring_owner(0), RingOwner::kStates);
-  EXPECT_EQ(scalar.leader_count(0), packed.leader_count(0));
-  EXPECT_EQ(scalar.last_leader_change(0), packed.last_leader_change(0));
-  for (int i = 0; i < p.n; ++i)
-    ASSERT_EQ(scalar.agent(0, i), packed.agent(0, i)) << "agent " << i;
+}
+
+/// The three callers of the one drop_mirror both accelerators share.
+enum class MirrorDrop { kSetAgent, kAddRing, kSchedulerFaults };
+
+/// Run `inits` on an ensemble beside per-ring Runners through rounds of
+/// run() and in-domain faults into mirror-owned rings (`random_state`),
+/// which keep the accelerator on; then, while run() has left every ring
+/// mirror-owned, drop the mirror through `drop` (`bad` is outside the
+/// encoded domain) and run on. Every ring must match its Runner throughout.
+template <typename P, typename RandomState>
+void expect_mirror_drop_exact(
+    const typename P::Params& p,
+    const std::vector<std::vector<typename P::State>>& inits,
+    RandomState random_state, const typename P::State& bad, MirrorDrop drop) {
+  EnsembleRunner<P> ens(p);
+  std::vector<Runner<P>> runners;
+  const auto add = [&](const std::vector<typename P::State>& init) {
+    const auto seed = 600 + static_cast<std::uint64_t>(runners.size());
+    ens.add_ring(init, seed);
+    runners.emplace_back(p, init, seed);
+  };
+  const auto run = [&](std::uint64_t k) {
+    ens.run(k);
+    for (auto& rn : runners) rn.run(k);
+  };
+  const auto expect_same = [&] {
+    for (int r = 0; r < ens.ring_count(); ++r) {
+      const auto& rn = runners[static_cast<std::size_t>(r)];
+      ASSERT_EQ(ens.steps(r), rn.steps()) << "ring " << r;
+      ASSERT_EQ(ens.leader_count(r), rn.leader_count()) << "ring " << r;
+      ASSERT_EQ(ens.last_leader_change(r), rn.last_leader_change());
+      for (int i = 0; i < p.n; ++i)
+        ASSERT_EQ(ens.agent(r, i), rn.agent(i)) << "ring " << r << " " << i;
+    }
+  };
+  const auto accelerated = [&] {
+    return ens.packed_mode() || ens.word_kernel_mode();
+  };
+  for (const auto& init : inits) add(init);
+  // The LUT is built on every CPU; the word lane needs AVX2.
+  const bool on = EnsembleRunner<P>::kPackable || word_isa_level() >= 1;
+  Xoshiro256pp fault_rng(0xF00D);
+  for (int round = 0; round < 20; ++round) {
+    run(1 + fault_rng.bounded(800));
+    const int r = round % ens.ring_count();
+    const int idx = static_cast<int>(fault_rng.bounded(p.n));
+    const auto s = random_state(p, fault_rng);
+    ens.set_agent(r, idx, s);
+    runners[static_cast<std::size_t>(r)].set_agent(idx, s);
+    ASSERT_EQ(accelerated(), on);
+    expect_same();
+  }
+  run(777);
+  for (int r = 0; on && r < ens.ring_count(); ++r)
+    ASSERT_EQ(ens.ring_owner(r), RingOwner::kMirror) << "ring " << r;
+  if (drop == MirrorDrop::kSetAgent) {
+    ens.set_agent(0, 3, bad);
+    runners[0].set_agent(3, bad);
+  } else if (drop == MirrorDrop::kAddRing) {
+    auto init = inits[0];
+    init[3] = bad;
+    add(init);
+  } else {
+    const SchedulerFaults faults{.loss_p = 0.25, .arc_weights = {}};
+    ens.set_scheduler_faults(faults);
+    for (auto& rn : runners) rn.set_scheduler_faults(faults);
+  }
+  EXPECT_FALSE(accelerated());
+  for (int r = 0; r < ens.ring_count(); ++r)
+    EXPECT_EQ(ens.ring_owner(r), RingOwner::kStates) << "ring " << r;
+  run(2'000);
+  expect_same();
 }
 
 TEST(EnsembleRunner, OutOfDomainFaultFallsBackToGenericPathExactly) {
-  // A state outside the canonical enumeration (lab >= k) cannot be packed;
-  // the ensemble must drop to the generic path — permanently — and keep
-  // producing exactly the Runner trajectory, not a corrupted table lookup.
-  const auto p = baselines::ModkParams::make(9, 2);
-  EnsembleRunner<baselines::Modk> ensemble(p, 2);
-  std::vector<Runner<baselines::Modk>> runners;
-  for (int r = 0; r < 2; ++r) {
-    std::vector<baselines::ModkState> init(9);
-    ensemble.add_ring(init, 80 + static_cast<std::uint64_t>(r));
-    runners.emplace_back(p, std::move(init),
-                         80 + static_cast<std::uint64_t>(r));
+  // In-domain faults keep an accelerator on. A state outside the encoded
+  // domain cannot enter the mirror, and scheduler faults leave the clean
+  // uniform scheduler the accelerators assume: either way the ensemble
+  // must drop to the generic path — permanently — and keep producing
+  // exactly the Runner trajectories, not a corrupted table lookup or a
+  // stale mirror. Both accelerators share the one drop: modk's LUT lane
+  // (lab >= k cannot be packed) and P_PL's word lane (a token value
+  // outside {0, 1}), eight rings each, so that P_PL's run() leaves every
+  // ring word-owned at both lockstep widths.
+  const auto modk = baselines::ModkParams::make(17, 2);
+  const auto plp = pl::PlParams::make(16, 4);
+  Xoshiro256pp cfg(9);
+  std::vector<std::vector<baselines::ModkState>> modk_inits;
+  std::vector<std::vector<pl::PlState>> pl_inits;
+  for (int r = 0; r < 8; ++r) {
+    modk_inits.push_back(baselines::modk_random_config(modk, cfg));
+    pl_inits.push_back(pl::random_config(plp, cfg));
   }
-  EXPECT_TRUE(ensemble.packed_mode());
-  ensemble.run(777);
-  for (auto& rn : runners) rn.run(777);
-
   baselines::ModkState weird;
   weird.lab = 7;  // out of Z_2
   weird.leader = 1;
-  ensemble.set_agent(0, 3, weird);
-  runners[0].set_agent(3, weird);
-  EXPECT_FALSE(ensemble.packed_mode());
-
-  ensemble.run(2'000);
-  for (int r = 0; r < 2; ++r) {
-    auto& rn = runners[static_cast<std::size_t>(r)];
-    rn.run(2'000);
-    ASSERT_EQ(ensemble.leader_count(r), rn.leader_count());
-    ASSERT_EQ(ensemble.last_leader_change(r), rn.last_leader_change());
-    for (int i = 0; i < p.n; ++i)
-      ASSERT_EQ(ensemble.agent(r, i), rn.agent(i)) << "ring " << r;
+  pl::PlState bad;
+  bad.token_b = pl::Token{1, 7, 0};  // value outside {0, 1}
+  for (const MirrorDrop drop : {MirrorDrop::kSetAgent, MirrorDrop::kAddRing,
+                                MirrorDrop::kSchedulerFaults}) {
+    SCOPED_TRACE(static_cast<int>(drop));
+    expect_mirror_drop_exact<baselines::Modk>(
+        modk, modk_inits,
+        [](const auto& q, Xoshiro256pp& rng) {
+          return baselines::modk_random_state(q, rng);
+        },
+        weird, drop);
+    expect_mirror_drop_exact<pl::PlProtocol>(
+        plp, pl_inits,
+        [](const auto& q, Xoshiro256pp& rng) {
+          return pl::random_state(q, rng);
+        },
+        bad, drop);
   }
 }
 
@@ -455,7 +485,7 @@ void expect_unbounded_budget_agrees(const typename P::Params& p,
   EnsembleRunner<P> ensemble(p, 1);
   ensemble.add_ring(init, 99);
   EXPECT_EQ(ensemble.packed_mode(), lane == 1);
-  EXPECT_EQ(ensemble.word_kernel_mode(), lane == 2);
+  EXPECT_EQ(ensemble.word_kernel_mode(), lane == 2 && word_isa_level() >= 1);
   Runner<P> runner(p, std::move(init), 99);
   ensemble.run(kWarm);
   runner.run(kWarm);
@@ -559,7 +589,7 @@ void expect_duplicate_ring_throws(const typename P::Params& p,
   EnsembleRunner<P> ens(p, 3);
   for (std::uint64_t s = 0; s < 3; ++s) ens.add_ring(init, 40 + s);
   EXPECT_EQ(ens.packed_mode(), lane == 1);
-  EXPECT_EQ(ens.word_kernel_mode(), lane == 2);
+  EXPECT_EQ(ens.word_kernel_mode(), lane == 2 && word_isa_level() >= 1);
   const auto none = [](std::span<const typename P::State>,
                        const typename P::Params&) { return false; };
   std::vector<std::uint64_t> hits(3, EnsembleRunner<P>::npos);

@@ -2,7 +2,8 @@
 // EnsembleRunner, the only accelerated engine) against Runner's scalar
 // reference path: one ring and nine rings (lockstep groups plus a leftover
 // ring) across the crossover and the small-c1 layouts, padded partial
-// lockstep groups at every ring count up to 17, fault storms
+// lockstep groups at every ring count up to 17, the ISA level an ensemble
+// keeps from its construction, fault storms
 // (in-domain fast path and the documented fall-back-to-generic on
 // out-of-domain states), capacity-probe gating, run_until_each, and
 // thread-count byte-identity of the differential campaign driver; and the
@@ -67,22 +68,23 @@ bool unique_leader(std::span<const PlState> c, const PlParams&) {
 TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
   // A ring that advances alone (one ring, or a leftover of run()'s lockstep
   // groups) runs the grouped driver's one entry, WordGroupDriver::run_block,
-  // on its words where runs_word_driver(n) holds (from kWordCrossoverN up,
-  // not at level 0) and the scalar loop on its States otherwise;
-  // lockstep rings always own their words. At level 0 the word lane is off:
-  // no ring ever ends word-owned. Faults go into whichever copy owns the
-  // ring, before anything unpacks it, so set_agent's word-owned path
-  // (States stay stale) and State-owned path both run. The multi-ring variant ends with an out-of-domain injection
-  // into a word-owned ring while leftover rings own their States: the lane
-  // drops without overwriting them. The small-c1 layouts (16, 3) and
-  // (64, 1) pack into at most 32 bits and run on the same u64 word lane.
+  // on its words where runs_word_driver() holds (from kWordCrossoverN up)
+  // and the scalar loop on its States otherwise; lockstep rings always own
+  // their words. At level 0 there is no word lane: no ring ever leaves
+  // kStates. Faults go into whichever copy owns the ring, before anything
+  // unpacks it, so set_agent's word-owned path (States stay stale) and
+  // State-owned path both run. The multi-ring variant ends with an
+  // out-of-domain injection into a word-owned ring while leftover rings
+  // own their States: the lane drops without overwriting them. The
+  // small-c1 layouts (16, 3) and (64, 1) pack into at most 32 bits and run
+  // on the same u64 word lane.
   constexpr int kCrossover = EnsembleRunner<PlProtocol>::kWordCrossoverN;
   for (const auto& [n, c1] :
        {std::pair{4, 4}, std::pair{16, 4}, std::pair{16, 3}, std::pair{64, 4},
         std::pair{64, 1}, std::pair{257, 4}, std::pair{kCrossover - 1, 4},
         std::pair{kCrossover, 4}, std::pair{1024, 4}}) {
-    const bool engaged = EnsembleRunner<PlProtocol>::word_lane_engaged();
-    const bool alone_on_words = EnsembleRunner<PlProtocol>::runs_word_driver(n);
+    const bool engaged = core::word_isa_level() >= 1;
+    const bool alone_on_words = engaged && n >= kCrossover;
     // Nine rings leave one leftover at both lockstep widths (8 + 1 and
     // 4 + 4 + 1): too few for a padded group, so it advances alone.
     for (const int rings : {1, 9}) {
@@ -95,7 +97,8 @@ TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
         refs.emplace_back(p, init, 42 + r);
         word.add_ring(init, 42 + static_cast<std::uint64_t>(r));
       }
-      ASSERT_TRUE(word.word_kernel_mode());
+      ASSERT_EQ(word.word_kernel_mode(), engaged);
+      ASSERT_EQ(word.runs_word_driver(), alone_on_words);
       const std::string what = "n=" + std::to_string(n) +
                                " c1=" + std::to_string(c1) +
                                " rings=" + std::to_string(rings);
@@ -114,7 +117,7 @@ TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
         }
         if (!engaged) {
           for (int r = 0; r < rings; ++r)
-            EXPECT_NE(word.ring_owner(r), core::RingOwner::kMirror) << what;
+            EXPECT_EQ(word.ring_owner(r), core::RingOwner::kStates) << what;
         }
         // In-domain fault storm through both engines' set_agent.
         for (int f = 0; f < 3 * rings; ++f) {
@@ -132,7 +135,7 @@ TEST_P(WordKernelIsa, WordPathMatchesUnbatchedReference) {
           expect_ring_same(refs[static_cast<std::size_t>(r)], word, r,
                            what.c_str());
       }
-      EXPECT_TRUE(word.word_kernel_mode()) << what;  // in-domain storms
+      EXPECT_EQ(word.word_kernel_mode(), engaged) << what;  // in-domain
       if (engaged && (rings > 1 || alone_on_words)) {
         EXPECT_GT(mirror_faults, 0) << what;
       }
@@ -176,7 +179,7 @@ TEST_P(WordKernelIsa, PaddedPartialGroupsMatchRunners) {
   // end State-owned). At level 0 every ring runs the scalar loop. Every
   // ring must equal its per-trial Runner through run(k), run_until_each
   // and set_agent storms between them.
-  const bool engaged = EnsembleRunner<PlProtocol>::word_lane_engaged();
+  const bool engaged = core::word_isa_level() >= 1;
   const int G = EnsembleRunner<PlProtocol>::lockstep_lanes();
   static_assert(64 < EnsembleRunner<PlProtocol>::kWordCrossoverN);
   for (const int n : {16, 64}) {
@@ -238,8 +241,49 @@ TEST_P(WordKernelIsa, PaddedPartialGroupsMatchRunners) {
         storm();
         expect_all_same("run_until_each");
       }
-      EXPECT_TRUE(ens.word_kernel_mode()) << what;
+      EXPECT_EQ(ens.word_kernel_mode(), engaged) << what;
     }
+  }
+}
+
+TEST_P(WordKernelIsa, EnsembleKeepsTheLevelItWasBuiltAt) {
+  // The word ISA level belongs to the ensemble: its constructor reads it
+  // once, and cap_isa_level afterwards changes nothing the ensemble runs.
+  // Built at this test's level and run at level 0, then built at level 0
+  // and run at the CPU's own level. Five rings at n = 16 tell the lockstep
+  // widths apart: one padded group of 8 lanes (no ring State-owned), or a
+  // group of 4 plus a leftover on the scalar loop (one), or no word lane
+  // (all five).
+  const int level = GetParam();
+  const auto p = PlParams::make(16, 4);
+  constexpr int kRings = 5;
+  for (const auto& [built_at, run_at] :
+       {std::pair{level, 0}, std::pair{0, testing_isa::kTopIsaLevel}}) {
+    core::cap_isa_level(built_at);
+    std::vector<Runner<PlProtocol>> refs;
+    EnsembleRunner<PlProtocol> ens(p, kRings);
+    for (int r = 0; r < kRings; ++r) {
+      core::Xoshiro256pp cfg(8100 + r);
+      const auto init = pl::random_config(p, cfg);
+      refs.emplace_back(p, init, 61 + r);
+      ens.add_ring(init, 61 + static_cast<std::uint64_t>(r));
+    }
+    core::cap_isa_level(run_at);
+    const std::string what = "built at level " + std::to_string(built_at);
+    for (int round = 0; round < 3; ++round) {
+      const std::uint64_t k = 211 + 29 * static_cast<std::uint64_t>(round);
+      for (auto& ref : refs) ref.run(k);
+      ens.run(k);
+      int state_owned = 0;
+      for (int r = 0; r < kRings; ++r)
+        state_owned += ens.ring_owner(r) == core::RingOwner::kStates;
+      EXPECT_EQ(state_owned, built_at == 2 ? 0 : built_at == 1 ? 1 : kRings)
+          << what;
+      for (int r = 0; r < kRings; ++r)
+        expect_ring_same(refs[static_cast<std::size_t>(r)], ens, r,
+                         what.c_str());
+    }
+    EXPECT_EQ(ens.word_kernel_mode(), built_at >= 1) << what;
   }
 }
 
@@ -316,11 +360,11 @@ TEST_P(WordKernelIsa, DifferentialReportsByteIdenticalAcrossThreads) {
     EXPECT_TRUE(one[t].ok) << one[t].divergence;
     EXPECT_EQ(one[t].digest, four[t].digest);
     EXPECT_EQ(one[t].final_digest, four[t].final_digest);
-    EXPECT_TRUE(one[t].packed_lane);  // one-ring word lane stayed active
-    // Lane G rode the vector-RNG driver, except at level 0, where it ran
-    // the scalar loop.
-    EXPECT_EQ(one[t].lockstep_lane,
-              EnsembleRunner<PlProtocol>::word_lane_engaged());
+    // The one-ring word lane (D) stayed active and lane G rode the
+    // vector-RNG driver, except at level 0, where there is no word lane.
+    const bool engaged = core::word_isa_level() >= 1;
+    EXPECT_EQ(one[t].packed_lane, engaged);
+    EXPECT_EQ(one[t].lockstep_lane, engaged);
   }
 }
 
@@ -370,8 +414,8 @@ TEST_P(WordKernelIsa, RunBlockCutsRunsLikeOneAtATime) {
   // to back on one ring and one stamp buffer, which starts as garbage;
   // before every other block it is flooded with the id the next group
   // will take, so that group's first draw matches a stale stamp.
-  if (!EnsembleRunner<PlProtocol>::word_lane_engaged())
-    GTEST_SKIP() << "no run_block clone at level 0";
+  const int level = core::word_isa_level();
+  if (level < 1) GTEST_SKIP() << "no run_block clone at level 0";
   std::vector<std::uint64_t> ks;
   for (std::uint64_t k = 1; k <= 17; ++k) ks.push_back(k);
   ks.push_back(1024);
@@ -403,7 +447,7 @@ TEST_P(WordKernelIsa, RunBlockCutsRunsLikeOneAtATime) {
       if (b % 2 == 1)
         std::fill(stamps.agent.begin(), stamps.agent.end(), stamps.last + 1);
       core::WordGroupDriver<PlProtocol>::run_block(
-          words.data(), n, bound, threshold, rng, clk, kc, k, stamps);
+          level, words.data(), n, bound, threshold, rng, clk, kc, k, stamps);
       one_at_a_time(want, bound, threshold, want_rng, want_clk, kc, k);
       const std::string what =
           "n=" + std::to_string(n) + " k=" + std::to_string(k);

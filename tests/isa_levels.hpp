@@ -1,11 +1,11 @@
 // Runs a parameterized test once per word-kernel ISA level (2 = AVX-512,
 // 1 = AVX2, 0 = word lane off) through core::cap_isa_level, so both clones
 // of the word driver's loops run under test on one machine, not only the
-// one the CPU selects, and so does level 0, where every ring of a word-mode
-// ensemble runs the scalar loop. A level above the CPU's is skipped; each
-// test restores the CPU's own level. The cap must be set before the test
-// builds an ensemble (lockstep_lanes() sizes its groups), which SetUp
-// guarantees.
+// one the CPU selects, and so does level 0, where a P_PL ensemble has no
+// word lane and every ring runs the scalar loop. A level above the CPU's
+// is skipped; each test restores the CPU's own level. An ensemble reads
+// the level once, in its constructor, so SetUp sets the cap before the
+// test builds any.
 #pragma once
 
 #include <gtest/gtest.h>

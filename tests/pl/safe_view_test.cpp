@@ -264,8 +264,8 @@ TEST(SafeView, EnsembleFaultStormSamplesAgree) {
   // at 8 lanes, three leftovers that run the scalar loop at this n
   // (State-owned rings, checked on the span; at 4 lanes they form a padded
   // group). Once the lane drops, every ring is checked on the span. Without
-  // AVX2 the word lane is not engaged: no ring is ever word-owned, and every
-  // check reads the span.
+  // AVX2 there is no word lane: no ring is ever word-owned, and every check
+  // reads the span.
   constexpr int kRings = 11;
   core::EnsembleRunner<PlProtocol> ens(p, kRings);
   core::Xoshiro256pp rng(0x570F);
@@ -273,7 +273,8 @@ TEST(SafeView, EnsembleFaultStormSamplesAgree) {
     ens.add_ring(r % 2 == 0 ? make_safe_config(p, r) : random_config(p, rng),
                  900 + static_cast<std::uint64_t>(r));
   }
-  ASSERT_TRUE(ens.word_kernel_mode());
+  const bool engaged = core::word_isa_level() >= 1;
+  ASSERT_EQ(ens.word_kernel_mode(), engaged);
   std::set<SafeClause> seen;
   int view_checks = 0;
   int span_checks = 0;
@@ -310,8 +311,7 @@ TEST(SafeView, EnsembleFaultStormSamplesAgree) {
       seen.insert(probe.clause);
     }
   }
-  EXPECT_EQ(view_checks > 0,
-            core::EnsembleRunner<PlProtocol>::word_lane_engaged());
+  EXPECT_EQ(view_checks > 0, engaged);
   EXPECT_GT(span_checks, 0);
   EXPECT_TRUE(seen.count(SafeClause::kSafe) == 1);
   EXPECT_GE(seen.size(), 3u);
@@ -343,9 +343,9 @@ TEST(SafeView, RecoveryStatsMatchTheMaterializingPath) {
   // a span-only lambda in the same spec must give identical RecoveryStats.
   // At n = 16 a counting wrapper around the default proves the view path
   // ran: one worker keeps every shard at >= 8 rings, so lockstep groups run
-  // and their word-owned rings are checked on the view (without AVX2 the
-  // word lane is not engaged, and the view never runs).
-  const bool engaged = core::EnsembleRunner<PlProtocol>::word_lane_engaged();
+  // and their word-owned rings are checked on the view (without AVX2 there
+  // is no word lane, and the view never runs).
+  const bool engaged = core::word_isa_level() >= 1;
   for (const auto& [n, trials] : {std::pair{16, 40}, {256, 4}}) {
     const PlParams p = PlParams::make(n, 4);
     for (const bool storm : {false, true}) {
@@ -550,8 +550,8 @@ TEST(SafeView, EveryConvergenceCheckAgreesWithProofOrder) {
   std::atomic<std::uint64_t> disagreements{0};
   const AgreementProbe probe{&view_checks, &span_checks, &disagreements};
   // One worker keeps each shard at >= 8 rings, so lockstep groups run and
-  // their word-owned rings are checked on the view, wherever the word lane
-  // is engaged (AVX2 or AVX-512).
+  // their word-owned rings are checked on the view, wherever there is a
+  // word lane (AVX2 or AVX-512).
   constexpr int kTrials = 32;
   const std::uint64_t budget = analysis::sweep_budget(p.n);
   const auto probed = analysis::measure_convergence_parallel<PlProtocol>(
@@ -559,8 +559,7 @@ TEST(SafeView, EveryConvergenceCheckAgreesWithProofOrder) {
   const auto plain = analysis::measure_convergence_parallel<PlProtocol>(
       p, gen, SafePredicate{}, kTrials, budget, 91, 0x51E, 1);
   EXPECT_EQ(disagreements.load(), 0u);
-  EXPECT_EQ(view_checks.load() > 0,
-            core::EnsembleRunner<PlProtocol>::word_lane_engaged());
+  EXPECT_EQ(view_checks.load() > 0, core::word_isa_level() >= 1);
   EXPECT_GT(view_checks.load() + span_checks.load(), 1000u);
   EXPECT_EQ(probed.raw, plain.raw);
   EXPECT_EQ(probed.failures, plain.failures);

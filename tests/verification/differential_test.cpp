@@ -174,19 +174,21 @@ TEST_P(DifferentialWordLanes, PlProtocolLanes) {
   EXPECT_TRUE(rep.ok) << rep.divergence;
   // Lane D holds the word lane (in-domain storms keep it active), but at
   // n = 6, below kWordCrossoverN, its one ring advances on the scalar loop.
-  EXPECT_TRUE(rep.packed_lane);
   // Lane G: ring 0 advanced as a column of the cross-ring vector-RNG
   // driver, lockstep with decoy rings, still bit-identical to lane A. At
-  // level 0 every ring ran the scalar loop and still matched lane A.
-  EXPECT_EQ(rep.lockstep_lane,
-            core::EnsembleRunner<pl::PlProtocol>::word_lane_engaged());
+  // level 0 there is no word lane: lane D is skipped as a duplicate of B,
+  // and lane G ran the scalar loop and still matched lane A.
+  const bool engaged = core::word_isa_level() >= 1;
+  EXPECT_EQ(rep.packed_lane, engaged);
+  EXPECT_EQ(rep.lockstep_lane, engaged);
 }
 
 TEST_P(DifferentialWordLanes, PlPackedLanesAtLargerRingsWithStorms) {
-  // Lane D (one ring) runs the grouped SIMD driver where runs_word_driver(n)
+  // Lane D (one ring) runs the grouped SIMD driver where runs_word_driver()
   // holds (from kWordCrossoverN up, at /avx512 and /avx2) and the scalar
   // loop otherwise; lane G runs cross-ring lockstep at every n at /avx512
-  // and /avx2, and the scalar loop at /scalar.
+  // and /avx2. At /scalar neither has a word lane: D is skipped and G runs
+  // the scalar loop.
   // The grouped driver cuts a group into several masked runs whenever
   // two of its draws share an agent: at the crossover (the smallest n
   // where it runs) half the 8-draw groups cut, at n = 257 29% do, and at
@@ -213,10 +215,9 @@ TEST_P(DifferentialWordLanes, PlPackedLanesAtLargerRingsWithStorms) {
         cfg, pl_fault);
     EXPECT_TRUE(rep.ok) << "n=" << n << " safe=" << safe << ": "
                         << rep.divergence;
-    EXPECT_TRUE(rep.packed_lane) << n;
-    EXPECT_EQ(rep.lockstep_lane,
-              core::EnsembleRunner<pl::PlProtocol>::word_lane_engaged())
-        << n;
+    const bool engaged = core::word_isa_level() >= 1;
+    EXPECT_EQ(rep.packed_lane, engaged) << n;
+    EXPECT_EQ(rep.lockstep_lane, engaged) << n;
   }
 }
 
@@ -269,19 +270,15 @@ TEST_P(DifferentialWordLanes, BrokenWordKernelIsDetected) {
     }
   };
   static_assert(core::EnsembleRunner<BrokenWordPl>::kWordable);
-  // The scalar lanes A and B are the truth. Where runs_word_driver(n) fails
+  // The scalar lanes A and B are the truth. Where runs_word_driver() fails
   // (below kWordCrossoverN) the one-ring lane D runs the scalar loop too,
   // so only the lockstep lane G runs the broken kernel and the divergence
   // names it. Otherwise the kernel drives lanes D and G, and lane D is
   // compared first. At level 0 no word kernel runs in any lane, so there
   // is nothing to detect: every lane runs the scalar loop and must agree.
-  const bool engaged = core::EnsembleRunner<BrokenWordPl>::word_lane_engaged();
+  const bool engaged = core::word_isa_level() >= 1;
   constexpr int kCrossover =
       core::EnsembleRunner<BrokenWordPl>::kWordCrossoverN;
-  const char* const at_crossover =
-      core::EnsembleRunner<BrokenWordPl>::runs_word_driver(kCrossover)
-          ? "D(ensemble-packed)"
-          : "G(ensemble-lockstep)";
   struct Case {
     int n;
     std::uint64_t config_seed;
@@ -290,7 +287,7 @@ TEST_P(DifferentialWordLanes, BrokenWordKernelIsDetected) {
   };
   for (const Case& c : {Case{7, 6, 17, "G(ensemble-lockstep)"},
                         Case{8, 5, 13, "G(ensemble-lockstep)"},
-                        Case{kCrossover, 5, 13, at_crossover}}) {
+                        Case{kCrossover, 5, 13, "D(ensemble-packed)"}}) {
     const auto p = pl::PlParams::make(c.n, 4);
     core::Xoshiro256pp cfg_rng(c.config_seed);
     FuzzConfig cfg;
