@@ -59,17 +59,24 @@ run_leg() {
   fi
 }
 
+same_as_ref() {
+  # same_as_ref <name> <failpoints>: the victim's stream and results are
+  # byte-identical to the fault-free reference.
+  local name=$1 spec=$2
+  cmp "$DIR/ref.ndjson" "$DIR/victim.ndjson" || {
+    echo "FAIL[$name]: frame stream diverged under '$spec'" >&2; exit 1; }
+  cmp "$DIR/ref.ndjson.results.json" "$DIR/victim.ndjson.results.json" || {
+    echo "FAIL[$name]: results diverged under '$spec'" >&2; exit 1; }
+  echo "OK[$name]: healed '$spec' byte-identically"
+}
+
 heal_leg() {
   # A schedule the service must absorb completely: exit 0, stream and
   # results byte-identical to the fault-free reference.
   local name=$1 spec=$2 threads=$3
   rm -f "$DIR"/victim.*
   run_leg "$name" "$spec" "$threads" 0
-  cmp "$DIR/ref.ndjson" "$DIR/victim.ndjson" || {
-    echo "FAIL[$name]: frame stream diverged under '$spec'" >&2; exit 1; }
-  cmp "$DIR/ref.ndjson.results.json" "$DIR/victim.ndjson.results.json" || {
-    echo "FAIL[$name]: results diverged under '$spec'" >&2; exit 1; }
-  echo "OK[$name]: healed '$spec' byte-identically"
+  same_as_ref "$name" "$spec"
 }
 
 # --- Healed schedules: transient faults must be invisible in the output ----
@@ -112,6 +119,18 @@ cmp "$DIR/ref.ndjson" "$DIR/victim.ndjson"
 
 # 7. EINTR on the fdatasync that makes each appended record durable.
 heal_leg ckpt_datasync_eintr "service.ckpt.datasync=2xeintr" 2
+
+# 8. The sites only a resume reaches: pause the campaign after a few
+#    shards (exit 3), then resume under EINTR at the checkpoint load's
+#    reads, the sink's truncate and flush, and the compacting snapshot's
+#    open and directory fsync, plus an EAGAIN on the flush that backs off.
+rm -f "$DIR"/victim.*
+PPSIM_CAMPAIGN_STOP=3 run_leg resume_sites_pause "" 2 3
+resume_spec="service.file_sink.flush=eintr+eagain;service.file_sink.truncate=eintr"
+resume_spec+=";service.ckpt.open=eintr;service.ckpt.dir_fsync=eintr"
+resume_spec+=";service.ckpt.read=2xeintr"
+run_leg resume_sites "$resume_spec" 2 0
+same_as_ref resume_sites "$resume_spec"
 
 # --- Abort-class fault: documented exit, clean rerun resumes identically ---
 

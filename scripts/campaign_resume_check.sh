@@ -25,6 +25,7 @@ BIN=${1:?usage: campaign_resume_check.sh <path-to-example_ppsim_campaignd> [work
 DIR=${2:-$(mktemp -d)}
 N=${PPSIM_CAMPAIGN_N:-32}
 TRIALS=${PPSIM_CAMPAIGN_TRIALS:-1024}
+mkdir -p "$DIR"
 
 echo "campaign_resume_check: workdir $DIR (n=$N, trials=$TRIALS per cell)"
 

@@ -7,10 +7,12 @@
 // relaxed atomic load (nothing armed -> no lock, no lookup, no outcome);
 // arming a site attaches a *schedule* that decides, hit by hit, whether the
 // site reports an injected failure to its caller. The caller — not this
-// file — translates the outcome into its own failure idiom (a negative
-// ::write with errno set, a short fwrite, a thrown TransientError), so the
-// recovery code under test runs exactly the branch a real kernel failure
-// would take.
+// file — translates the outcome into its own failure idiom: for every I/O
+// site that is the one guard in service/campaign_io.hpp (detail::io_call,
+// detail::io_transfer: a failed call with errno set, a capped transfer, a
+// thrown CheckpointError), and for the shard worker a thrown
+// TransientError. So the recovery code under test runs exactly the branch
+// a real kernel failure would take.
 //
 // Schedules are deterministic: counted units fire an exact number of times
 // in declaration order, and the probabilistic unit draws from a dedicated
@@ -74,7 +76,7 @@ namespace failpoints {
 
 // --- Site-name registry (append new sites here AND in kAll) ---------------
 
-/// FileFrameSink::write's fwrite call (service/campaign.hpp).
+/// FileFrameSink::write's fwrite call (service/campaign_io.hpp).
 inline constexpr const char* kFileSinkWrite = "service.file_sink.write";
 /// FileFrameSink::flush's fflush call.
 inline constexpr const char* kFileSinkFlush = "service.file_sink.flush";

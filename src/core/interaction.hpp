@@ -420,8 +420,8 @@ struct InteractionEngine {
       dispatch(a, b, params, clk);
       if (state_image(a) != image_a || state_image(b) != image_b) {
         State oa, ob;
-        std::memcpy(&oa, &image_a, sizeof(State));
-        std::memcpy(&ob, &image_b, sizeof(State));
+        std::memcpy(static_cast<void*>(&oa), &image_a, sizeof(State));
+        std::memcpy(static_cast<void*>(&ob), &image_b, sizeof(State));
         // The snapshot supplies the "before" predicate values.
         const bool la = P::is_leader(oa, params);
         const bool lb = P::is_leader(ob, params);

@@ -238,7 +238,8 @@ struct WordGroupDriver {
   __attribute__((
       target("avx512f,avx512dq,avx512bw,avx512vl"))) static inline WordVec8
   gather8_addr(const WordVec8& addr) {
-    return (WordVec8)_mm512_i64gather_epi64((__m512i)addr, nullptr, 1);
+    return (WordVec8)_mm512_mask_i64gather_epi64(
+        _mm512_setzero_si512(), 0xFF, (__m512i)addr, nullptr, 1);
   }
   __attribute__((
       target("avx512f,avx512dq,avx512bw,avx512vl"))) static inline void

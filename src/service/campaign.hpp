@@ -1,5 +1,5 @@
 // Sharded, checkpoint/resume campaign service — simulation as
-// infrastructure (ROADMAP item 2).
+// infrastructure.
 //
 // Every bench/campaign used to be a run-to-completion process: preemption
 // at trial 999,999 of a million-trial sweep lost all work. CampaignService
@@ -48,12 +48,10 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -61,12 +59,9 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
-
-#include <unistd.h>
 
 #include "analysis/experiment.hpp"
 #include "analysis/scenario.hpp"
@@ -78,8 +73,8 @@
 
 namespace ppsim::service {
 
-// CheckpointError lives in service/campaign_io.hpp (the codec throws it on
-// injected non-transient failures); re-exported here via the include.
+// CheckpointError and the frame sinks live in service/campaign_io.hpp with
+// the rest of the file I/O; re-exported here via the include.
 
 /// First word of every spec digest. Frozen at 2, the checkpoint format the
 /// digest folded when frames first carried it: the digest is stamped into
@@ -90,172 +85,6 @@ inline constexpr std::uint64_t kSpecDigestSalt = 2;
 /// Frame-stream version, stamped into every frame. Bump on any change to
 /// the frame schema (README "Campaign service").
 inline constexpr int kFrameSchemaVersion = 1;
-
-// --- Frame sinks -----------------------------------------------------------
-
-/// Byte sink for the NDJSON frame stream. write() is always called from
-/// under the emitter lock, in frame order — implementations need no
-/// internal synchronization. truncate_to() is the resume hook: it must cut
-/// the stream back to exactly `offset` bytes (or throw when the stream is
-/// shorter), which is what makes resumed frame streams byte-identical.
-class FrameSink {
- public:
-  virtual ~FrameSink() = default;
-  virtual void write(const char* data, std::size_t len) = 0;
-  virtual void flush() {}
-  virtual void truncate_to(std::uint64_t offset) = 0;
-  [[nodiscard]] virtual std::uint64_t offset() const = 0;
-};
-
-/// In-memory sink (tests, in-process pause/resume).
-class MemoryFrameSink final : public FrameSink {
- public:
-  void write(const char* data, std::size_t len) override {
-    data_.append(data, len);
-  }
-  void truncate_to(std::uint64_t offset) override {
-    if (offset > data_.size())
-      throw CheckpointError(
-          "frame sink shorter than the checkpoint's frame offset — the "
-          "frame buffer does not belong to this checkpoint");
-    data_.resize(static_cast<std::size_t>(offset));
-  }
-  [[nodiscard]] std::uint64_t offset() const override { return data_.size(); }
-  [[nodiscard]] const std::string& str() const noexcept { return data_; }
-
- private:
-  std::string data_;
-};
-
-/// Regular-file sink with true truncation — the exactly-once resume path.
-/// The file is opened without truncation so a resume keeps the
-/// already-emitted prefix; truncate_to() then trims any frames written
-/// after the last checkpoint (including a torn final line from kill -9).
-///
-/// Self-healing: every fwrite/fflush/ftruncate retries EINTR in place
-/// (bounded by kEintrStormLimit), resumes short writes at the moved
-/// cursor, and backs off on transient_errno failures under `retry` before
-/// throwing CheckpointError. Failpoint sites: service.file_sink.{write,
-/// flush,truncate}.
-class FileFrameSink final : public FrameSink {
- public:
-  explicit FileFrameSink(const std::string& path, RetryPolicy retry = {})
-      : retry_(retry) {
-    f_ = std::fopen(path.c_str(), "r+b");
-    if (f_ == nullptr) f_ = std::fopen(path.c_str(), "w+b");
-    if (f_ == nullptr)
-      throw CheckpointError("cannot open frame file " + path);
-    std::fseek(f_, 0, SEEK_END);
-    off_ = static_cast<std::uint64_t>(std::ftell(f_));
-  }
-  FileFrameSink(const FileFrameSink&) = delete;
-  FileFrameSink& operator=(const FileFrameSink&) = delete;
-  ~FileFrameSink() override {
-    if (f_ != nullptr) std::fclose(f_);
-  }
-
-  void write(const char* data, std::size_t len) override {
-    RetryState retry(retry_);
-    int spins = 0;
-    while (len > 0) {
-      std::size_t want = len;
-      const core::FailOutcome fo =
-          core::failpoint(core::failpoints::kFileSinkWrite);
-      if (fo.action == core::FailAction::kThrow)
-        throw CheckpointError("failpoint: frame file write aborted");
-      errno = 0;
-      std::size_t put = 0;
-      if (fo.action == core::FailAction::kErrno) {
-        errno = fo.err;
-      } else {
-        if (fo.action == core::FailAction::kShortWrite)
-          want = std::max<std::size_t>(
-              1,
-              std::min<std::size_t>(want, static_cast<std::size_t>(fo.arg)));
-        put = std::fwrite(data, 1, want, f_);
-      }
-      if (put > 0) {
-        data += put;
-        len -= put;
-        off_ += put;
-        spins = 0;
-        retry.reset();
-        continue;
-      }
-      std::clearerr(f_);
-      if (errno == EINTR && ++spins < kEintrStormLimit) continue;
-      if (transient_errno(errno) && retry.backoff()) continue;
-      throw CheckpointError(std::string("frame file write failed: ") +
-                            std::strerror(errno));
-    }
-  }
-  void flush() override {
-    RetryState retry(retry_);
-    int spins = 0;
-    for (;;) {
-      const core::FailOutcome fo =
-          core::failpoint(core::failpoints::kFileSinkFlush);
-      if (fo.action == core::FailAction::kThrow)
-        throw CheckpointError("failpoint: frame file flush aborted");
-      errno = 0;
-      int r = 0;
-      if (fo.action == core::FailAction::kErrno) {
-        errno = fo.err;
-        r = EOF;
-      } else {
-        r = std::fflush(f_);
-      }
-      if (r == 0) return;
-      std::clearerr(f_);
-      if (errno == EINTR && ++spins < kEintrStormLimit) continue;
-      if (transient_errno(errno) && retry.backoff()) {
-        spins = 0;
-        continue;
-      }
-      throw CheckpointError(std::string("frame file flush failed: ") +
-                            std::strerror(errno));
-    }
-  }
-  void truncate_to(std::uint64_t offset) override {
-    flush();
-    if (off_ < offset)
-      throw CheckpointError(
-          "frame file shorter than the checkpoint's frame offset — the "
-          "frame file does not belong to this checkpoint");
-    RetryState retry(retry_);
-    int spins = 0;
-    for (;;) {
-      const core::FailOutcome fo =
-          core::failpoint(core::failpoints::kFileSinkTruncate);
-      if (fo.action == core::FailAction::kThrow)
-        throw CheckpointError("failpoint: frame file truncate aborted");
-      errno = 0;
-      int r = 0;
-      if (fo.action == core::FailAction::kErrno) {
-        errno = fo.err;
-        r = -1;
-      } else {
-        r = ::ftruncate(fileno(f_), static_cast<off_t>(offset));
-      }
-      if (r == 0) break;
-      if (errno == EINTR && ++spins < kEintrStormLimit) continue;
-      if (transient_errno(errno) && retry.backoff()) {
-        spins = 0;
-        continue;
-      }
-      throw CheckpointError(std::string("ftruncate on frame file failed: ") +
-                            std::strerror(errno));
-    }
-    std::fseek(f_, static_cast<long>(offset), SEEK_SET);
-    off_ = offset;
-  }
-  [[nodiscard]] std::uint64_t offset() const override { return off_; }
-
- private:
-  std::FILE* f_ = nullptr;
-  std::uint64_t off_ = 0;
-  RetryPolicy retry_;
-};
 
 // --- In-order frame emission with bounded in-flight window ----------------
 

@@ -43,9 +43,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -573,7 +576,82 @@ inline constexpr std::size_t kRecordHeader = 16;
   return out;
 }
 
+// --- The I/O guard ---------------------------------------------------------
+
 namespace detail {
+
+/// What io_transfer moved: `bytes` before it stopped, and `ok` false when
+/// it stopped on a failed call (errno says why). `ok` with fewer bytes than
+/// asked for means the op reported end of file.
+struct Transfer {
+  std::size_t bytes = 0;
+  bool ok = true;
+};
+
+/// The guard around a chunked transfer of up to `len` bytes at `site`, and
+/// the only code in the service that turns a core::FailOutcome into
+/// behaviour. `op(at, want)` moves at most `want` bytes starting `at` bytes
+/// in and returns how many it moved, 0 at end of file, or -1 with errno
+/// set. Each op call is one attempt and evaluates `site` once (null: no
+/// failpoint covers the call): kThrow throws CheckpointError, kErrno fails
+/// the attempt with that errno without running the op, kShortWrite caps
+/// the attempt at its byte count (at least 1), and kDelay (already slept)
+/// and kNone run it as asked. The next attempt resumes at the moved
+/// cursor. EINTR, real or injected, re-runs the attempt in place, at most
+/// kEintrStormLimit times in a row without progress; any other failure
+/// stops the transfer, and the caller decides between retrying the whole
+/// operation and giving up (service/retry.hpp).
+template <typename Op>
+[[nodiscard]] Transfer io_transfer(const char* site, std::size_t len,
+                                   Op&& op) {
+  using core::FailAction;
+  Transfer t;
+  for (int spins = 0; t.bytes < len;) {
+    const core::FailOutcome fo =
+        site == nullptr ? core::FailOutcome{} : core::failpoint(site);
+    if (fo.action == FailAction::kThrow)
+      throw CheckpointError(
+          std::string("failpoint: non-transient I/O failure injected at ") +
+          site);
+    std::size_t want = len - t.bytes;
+    if (fo.action == FailAction::kShortWrite)
+      want = std::max<std::size_t>(
+          1, std::min<std::size_t>(want, static_cast<std::size_t>(fo.arg)));
+    errno = fo.action == FailAction::kErrno ? fo.err : 0;
+    const std::ptrdiff_t got =
+        fo.action == FailAction::kErrno ? -1 : op(t.bytes, want);
+    if (got > 0) {
+      t.bytes += static_cast<std::size_t>(got);
+      spins = 0;
+    } else if (got == 0) {
+      break;
+    } else if (errno != EINTR || ++spins >= kEintrStormLimit) {
+      t.ok = false;
+      break;
+    }
+  }
+  return t;
+}
+
+/// The guard around one syscall: io_transfer with `op()` as its one
+/// attempt, which returns true on success and sets errno on failure.
+/// Returns false with errno set when the call failed.
+template <typename Op>
+[[nodiscard]] bool io_call(const char* site, Op&& op) {
+  return io_transfer(site, 1, [&](std::size_t, std::size_t) {
+           return op() ? std::ptrdiff_t{1} : std::ptrdiff_t{-1};
+         }).ok;
+}
+
+/// std::fwrite as an io_transfer op: the bytes it wrote, or -1 with the
+/// stream's error flag cleared for the next attempt.
+[[nodiscard]] inline std::ptrdiff_t fwrite_op(std::FILE* f, const void* data,
+                                              std::size_t want) {
+  const std::size_t put = std::fwrite(data, 1, want, f);
+  if (put > 0) return static_cast<std::ptrdiff_t>(put);
+  std::clearerr(f);
+  return -1;
+}
 
 /// Directory component of `path` for the post-rename directory fsync
 /// ("" and bare filenames live in ".").
@@ -583,166 +661,191 @@ namespace detail {
   return slash == 0 ? "/" : path.substr(0, slash);
 }
 
-/// fsync (or `sync` = ::fdatasync) with an EINTR spin bounded by
-/// kEintrStormLimit (hang prevention under an adversarial `*xeintr`
-/// schedule; see service/retry.hpp).
-[[nodiscard]] inline bool fsync_eintr(int fd, int (*sync)(int) = ::fsync) {
-  for (int spins = 0; spins < kEintrStormLimit; ++spins) {
-    if (sync(fd) == 0) return true;
-    if (errno != EINTR) return false;
-  }
-  return false;
-}
-
-/// Evaluate a checkpoint-site failpoint, consuming injected EINTRs in
-/// place (bounded) — EINTR is always retry-for-free, even when injected at
-/// a site whose real syscall loops internally. Returns the first
-/// non-EINTR outcome.
-[[nodiscard]] inline core::FailOutcome ckpt_failpoint(const char* site) {
-  for (int spins = 0;; ++spins) {
-    const core::FailOutcome fo = core::failpoint(site);
-    if (fo.action == core::FailAction::kErrno && fo.err == EINTR &&
-        spins < kEintrStormLimit)
-      continue;
-    return fo;
-  }
-}
-
 }  // namespace detail
+
+// --- Frame sinks -----------------------------------------------------------
+
+/// Byte sink for the NDJSON frame stream. write() is always called from
+/// under the emitter lock, in frame order — implementations need no
+/// internal synchronization. truncate_to() is the resume hook: it must cut
+/// the stream back to exactly `offset` bytes (or throw when the stream is
+/// shorter), which is what makes resumed frame streams byte-identical.
+class FrameSink {
+ public:
+  virtual ~FrameSink() = default;
+  virtual void write(const char* data, std::size_t len) = 0;
+  virtual void flush() {}
+  virtual void truncate_to(std::uint64_t offset) = 0;
+  [[nodiscard]] virtual std::uint64_t offset() const = 0;
+};
+
+/// In-memory sink (tests, in-process pause/resume).
+class MemoryFrameSink final : public FrameSink {
+ public:
+  void write(const char* data, std::size_t len) override {
+    data_.append(data, len);
+  }
+  void truncate_to(std::uint64_t offset) override {
+    if (offset > data_.size())
+      throw CheckpointError(
+          "frame sink shorter than the checkpoint's frame offset — the "
+          "frame buffer does not belong to this checkpoint");
+    data_.resize(static_cast<std::size_t>(offset));
+  }
+  [[nodiscard]] std::uint64_t offset() const override { return data_.size(); }
+  [[nodiscard]] const std::string& str() const noexcept { return data_; }
+
+ private:
+  std::string data_;
+};
+
+/// Regular-file sink with true truncation — the exactly-once resume path.
+/// The file is opened without truncation so a resume keeps the
+/// already-emitted prefix; truncate_to() then trims any frames written
+/// after the last checkpoint (including a torn final line from kill -9).
+///
+/// Self-healing: fwrite, fflush and ftruncate run under the I/O guard
+/// (EINTR in place, short writes resumed at the moved cursor), and a
+/// transient_errno failure backs off under `retry` and tries again before
+/// throwing CheckpointError. Failpoint sites: service.file_sink.{write,
+/// flush,truncate}.
+class FileFrameSink final : public FrameSink {
+ public:
+  explicit FileFrameSink(const std::string& path, RetryPolicy retry = {})
+      : retry_(retry) {
+    f_ = std::fopen(path.c_str(), "r+b");
+    if (f_ == nullptr) f_ = std::fopen(path.c_str(), "w+b");
+    if (f_ == nullptr)
+      throw CheckpointError("cannot open frame file " + path);
+    std::fseek(f_, 0, SEEK_END);
+    off_ = static_cast<std::uint64_t>(std::ftell(f_));
+  }
+  FileFrameSink(const FileFrameSink&) = delete;
+  FileFrameSink& operator=(const FileFrameSink&) = delete;
+  ~FileFrameSink() override {
+    if (f_ != nullptr) std::fclose(f_);
+  }
+
+  void write(const char* data, std::size_t len) override {
+    RetryState retry(retry_);
+    for (;;) {
+      const detail::Transfer t = detail::io_transfer(
+          core::failpoints::kFileSinkWrite, len,
+          [&](std::size_t at, std::size_t want) {
+            return detail::fwrite_op(f_, data + at, want);
+          });
+      data += t.bytes;
+      len -= t.bytes;
+      off_ += t.bytes;
+      if (len == 0) return;
+      if (t.bytes > 0) retry.reset();
+      backoff_or_throw(retry, "write");
+    }
+  }
+  void flush() override {
+    RetryState retry(retry_);
+    while (!detail::io_call(core::failpoints::kFileSinkFlush, [&] {
+      if (std::fflush(f_) == 0) return true;
+      std::clearerr(f_);
+      return false;
+    }))
+      backoff_or_throw(retry, "flush");
+  }
+  void truncate_to(std::uint64_t offset) override {
+    flush();
+    if (off_ < offset)
+      throw CheckpointError(
+          "frame file shorter than the checkpoint's frame offset — the "
+          "frame file does not belong to this checkpoint");
+    RetryState retry(retry_);
+    while (!detail::io_call(core::failpoints::kFileSinkTruncate, [&] {
+      return ::ftruncate(fileno(f_), static_cast<off_t>(offset)) == 0;
+    }))
+      backoff_or_throw(retry, "truncate");
+    std::fseek(f_, static_cast<long>(offset), SEEK_SET);
+    off_ = offset;
+  }
+  [[nodiscard]] std::uint64_t offset() const override { return off_; }
+
+ private:
+  /// After a failed guarded call: back off and return when errno is
+  /// transient and attempts remain, else throw.
+  static void backoff_or_throw(RetryState& retry, const char* op) {
+    const int err = errno;
+    if (transient_errno(err) && retry.backoff()) return;
+    throw CheckpointError(std::string("frame file ") + op +
+                          " failed: " + std::strerror(err));
+  }
+
+  std::FILE* f_ = nullptr;
+  std::uint64_t off_ = 0;
+  RetryPolicy retry_;
+};
+
+// --- Checkpoint file I/O ---------------------------------------------------
 
 /// Durable atomic whole-file write of an encoded snapshot: write
 /// `<path>.tmp`, fflush + fsync the file, rename over `path`, then fsync
 /// the parent directory — so a *committed* snapshot survives power loss,
 /// not just process death (rename alone orders the replacement but does
-/// not persist the directory entry). Returns false (with the OS error on
-/// stderr) when any step fails; EINTR is retried in place and never
-/// surfaces as a failure. Safe to retry wholesale — every step is
-/// idempotent. A kThrow failpoint outcome at any site throws
-/// CheckpointError (the non-transient injection class).
+/// not persist the directory entry). Every syscall runs under the I/O
+/// guard. Returns false (with the OS error on stderr) when any step fails;
+/// safe to retry wholesale — every step is idempotent. Until the rename,
+/// every failing or throwing exit closes and removes `<path>.tmp`.
 [[nodiscard]] inline bool save_snapshot(const std::string& path,
                                         const std::vector<unsigned char>& bytes) {
-  const std::string tmp = path + ".tmp";
-
-  std::FILE* f = nullptr;
-  if (const core::FailOutcome fo = core::failpoint(core::failpoints::kCkptOpen);
-      fo.fired() && fo.action != core::FailAction::kDelay) {
-    if (fo.action == core::FailAction::kThrow)
-      throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
-    errno = fo.err != 0 ? fo.err : EIO;
-  } else {
-    f = std::fopen(tmp.c_str(), "wb");
-  }
-  if (f == nullptr) {
-    std::perror(("campaign checkpoint: fopen " + tmp).c_str());
+  struct TmpFile {
+    std::string name;
+    std::FILE* f = nullptr;
+    bool renamed = false;
+    ~TmpFile() {
+      if (f != nullptr) std::fclose(f);
+      if (!renamed) std::remove(name.c_str());
+    }
+  } tmp{path + ".tmp"};
+  const auto fail = [](const std::string& what) {
+    std::perror(("campaign checkpoint: " + what).c_str());
     return false;
-  }
+  };
 
-  // Write loop: EINTR retried in place, injected short writes resume at
-  // the moved cursor, any other failure abandons the tmp file (the caller
-  // owns backoff/retry of the whole save).
-  bool ok = true;
-  std::size_t put = 0;
-  int spins = 0;
-  while (put < bytes.size()) {
-    std::size_t want = bytes.size() - put;
-    const core::FailOutcome fo =
-        core::failpoint(core::failpoints::kCkptWrite);
-    if (fo.action == core::FailAction::kThrow) {
-      std::fclose(f);
-      std::remove(tmp.c_str());
-      throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
-    }
-    errno = 0;
-    std::size_t got = 0;
-    if (fo.action == core::FailAction::kErrno) {
-      errno = fo.err;
-    } else {
-      if (fo.action == core::FailAction::kShortWrite)
-        want = std::max<std::size_t>(
-            1, std::min<std::size_t>(want, static_cast<std::size_t>(fo.arg)));
-      got = std::fwrite(bytes.data() + put, 1, want, f);
-    }
-    if (got > 0) {
-      put += got;
-      spins = 0;
-      continue;
-    }
-    std::clearerr(f);
-    if (errno == EINTR && ++spins < kEintrStormLimit) continue;
-    ok = false;
-    break;
-  }
-
+  if (!detail::io_call(core::failpoints::kCkptOpen, [&] {
+        return (tmp.f = std::fopen(tmp.name.c_str(), "wb")) != nullptr;
+      }))
+    return fail("fopen " + tmp.name);
+  const detail::Transfer put = detail::io_transfer(
+      core::failpoints::kCkptWrite, bytes.size(),
+      [&](std::size_t at, std::size_t want) {
+        return detail::fwrite_op(tmp.f, bytes.data() + at, want);
+      });
   // Durability barrier: libc buffer -> page cache (fflush), page cache ->
   // storage (fsync), BEFORE the rename makes the file the checkpoint.
-  if (ok && std::fflush(f) != 0) ok = false;
-  if (ok) {
-    const core::FailOutcome fo =
-        detail::ckpt_failpoint(core::failpoints::kCkptFsync);
-    if (fo.action == core::FailAction::kThrow) {
-      std::fclose(f);
-      std::remove(tmp.c_str());
-      throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
-    }
-    if (fo.action == core::FailAction::kErrno) {
-      errno = fo.err;
-      ok = false;
-    } else {
-      ok = detail::fsync_eintr(fileno(f));
-    }
-  }
-  std::fclose(f);
-  if (!ok) {
-    std::perror(("campaign checkpoint: write " + tmp).c_str());
-    std::remove(tmp.c_str());
-    return false;
-  }
+  if (put.bytes != bytes.size() || std::fflush(tmp.f) != 0 ||
+      !detail::io_call(core::failpoints::kCkptFsync,
+                       [&] { return ::fsync(fileno(tmp.f)) == 0; }))
+    return fail("write " + tmp.name);
+  std::fclose(tmp.f);
+  tmp.f = nullptr;
 
-  {
-    const core::FailOutcome fo =
-        detail::ckpt_failpoint(core::failpoints::kCkptRename);
-    if (fo.action == core::FailAction::kThrow) {
-      std::remove(tmp.c_str());
-      throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
-    }
-    if (fo.action == core::FailAction::kErrno) {
-      errno = fo.err;
-      ok = false;
-    } else {
-      int spins2 = 0;
-      while ((ok = std::rename(tmp.c_str(), path.c_str()) == 0) == false &&
-             errno == EINTR && ++spins2 < kEintrStormLimit) {
-      }
-    }
-    if (!ok) {
-      std::perror(("campaign checkpoint: commit " + path).c_str());
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
+  if (!detail::io_call(core::failpoints::kCkptRename, [&] {
+        return std::rename(tmp.name.c_str(), path.c_str()) == 0;
+      }))
+    return fail("commit " + path);
+  tmp.renamed = true;
 
   // The rename is only durable once the parent directory's entry is on
   // storage. A failure here fails the save; the retry re-runs the whole
   // (idempotent) sequence.
-  {
-    const core::FailOutcome fo =
-        detail::ckpt_failpoint(core::failpoints::kCkptDirFsync);
-    if (fo.action == core::FailAction::kThrow)
-      throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
-    if (fo.action == core::FailAction::kErrno) {
-      errno = fo.err;
-      ok = false;
-    } else {
-      const std::string dir = detail::parent_dir(path);
-      const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-      ok = dfd >= 0 && detail::fsync_eintr(dfd);
-      if (dfd >= 0) ::close(dfd);
-    }
-    if (!ok) {
-      std::perror(("campaign checkpoint: fsync dir of " + path).c_str());
-      return false;
-    }
-  }
+  const std::string dir = detail::parent_dir(path);
+  if (!detail::io_call(core::failpoints::kCkptDirFsync, [&] {
+        const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+        if (dfd < 0) return false;
+        const bool synced = ::fsync(dfd) == 0;
+        const int err = errno;
+        ::close(dfd);
+        errno = err;
+        return synced;
+      }))
+    return fail("fsync dir of " + path);
   return true;
 }
 
@@ -776,66 +879,29 @@ class CheckpointJournal {
   CheckpointJournal& operator=(const CheckpointJournal&) = delete;
   ~CheckpointJournal() { ::close(fd_); }
 
-  /// Append `record` (an encode_record result) and fdatasync it. EINTR is
-  /// retried in place and short writes resume at the moved cursor. Any
-  /// other failure returns false (with the OS error on stderr) after
-  /// cutting the file back to the committed length, so the caller may
-  /// retry wholesale and no partial record is ever followed by another.
-  /// Throws CheckpointError on a kThrow failpoint outcome, or when the cut
-  /// itself fails (the file then ends in a torn record, which the next
-  /// load drops).
+  /// Append `record` (an encode_record result) and fdatasync it, both under
+  /// the I/O guard. Any failure returns false (with the OS error on stderr)
+  /// after cutting the file back to the committed length, so the caller
+  /// may retry wholesale and no partial record is ever followed by
+  /// another. Throws CheckpointError on a kThrow failpoint outcome, or when
+  /// the cut itself fails (the file then ends in a torn record, which the
+  /// next load drops).
   [[nodiscard]] bool append(const std::vector<unsigned char>& record) {
-    bool ok = true;
-    std::size_t put = 0;
-    int spins = 0;
-    while (put < record.size()) {
-      std::size_t want = record.size() - put;
-      const core::FailOutcome fo =
-          core::failpoint(core::failpoints::kCkptAppend);
-      if (fo.action == core::FailAction::kThrow)
-        throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
-      errno = 0;
-      ssize_t got = -1;
-      if (fo.action == core::FailAction::kErrno) {
-        errno = fo.err;
-      } else {
-        if (fo.action == core::FailAction::kShortWrite)
-          want = std::max<std::size_t>(
-              1, std::min<std::size_t>(want, static_cast<std::size_t>(fo.arg)));
-        got = ::write(fd_, record.data() + put, want);
-      }
-      if (got > 0) {
-        put += static_cast<std::size_t>(got);
-        spins = 0;
-        continue;
-      }
-      if (errno == EINTR && ++spins < kEintrStormLimit) continue;
-      ok = false;
-      break;
-    }
-    if (ok) {
-      const core::FailOutcome fo =
-          detail::ckpt_failpoint(core::failpoints::kCkptDatasync);
-      if (fo.action == core::FailAction::kThrow)
-        throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
-      if (fo.action == core::FailAction::kErrno) {
-        errno = fo.err;
-        ok = false;
-      } else {
-        ok = detail::fsync_eintr(fd_, ::fdatasync);
-      }
-    }
-    if (ok) {
+    const detail::Transfer put = detail::io_transfer(
+        core::failpoints::kCkptAppend, record.size(),
+        [&](std::size_t at, std::size_t want) {
+          return ::write(fd_, record.data() + at, want);
+        });
+    if (put.bytes == record.size() &&
+        detail::io_call(core::failpoints::kCkptDatasync,
+                        [&] { return ::fdatasync(fd_) == 0; })) {
       committed_ += record.size();
       return true;
     }
     std::perror(("campaign checkpoint: append to " + path_).c_str());
-    int r = -1;
-    for (int cut = 0; cut < kEintrStormLimit; ++cut) {
-      r = ::ftruncate(fd_, static_cast<off_t>(committed_));
-      if (r == 0 || errno != EINTR) break;
-    }
-    if (r != 0)
+    if (!detail::io_call(nullptr, [&] {
+          return ::ftruncate(fd_, static_cast<off_t>(committed_)) == 0;
+        }))
       throw CheckpointError("cannot cut a failed append off checkpoint " +
                             path_ + ": " + std::strerror(errno));
     return false;
@@ -848,58 +914,39 @@ class CheckpointJournal {
 };
 
 /// Load a checkpoint file. A missing file is kAbsent (fresh campaign); a
-/// mid-file read error (std::ferror — NOT a short file, which the codec
-/// judges) is kIoError so the caller can retry instead of refusing a file
-/// that is merely behind a flaky disk; every other failure mode is a
-/// refusal with a reason. EINTR is retried in place.
+/// read error (std::ferror or an injected errno — NOT a short file, which
+/// the codec judges) is kIoError so the caller can retry instead of
+/// refusing a file that is merely behind a flaky disk; every other failure
+/// mode is a refusal with a reason. The reads run under the I/O guard.
 [[nodiscard]] inline LoadResult load_checkpoint(
     const std::string& path, std::uint64_t expected_digest) {
   LoadResult out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
   if (f == nullptr) {
     out.status = LoadStatus::kAbsent;
     return out;
   }
   std::vector<unsigned char> bytes;
-  unsigned char buf[4096];
-  int spins = 0;
-  for (;;) {
-    const core::FailOutcome fo = core::failpoint(core::failpoints::kCkptRead);
-    if (fo.action == core::FailAction::kThrow) {
-      std::fclose(f);
-      throw CheckpointError("failpoint: non-transient checkpoint I/O failure injected");
-    }
-    errno = 0;
-    std::size_t want = sizeof buf;
-    std::size_t got = 0;
-    bool injected = false;
-    if (fo.action == core::FailAction::kErrno) {
-      errno = fo.err;
-      injected = true;
-    } else {
-      if (fo.action == core::FailAction::kShortWrite)
-        want = std::max<std::size_t>(
-            1, std::min<std::size_t>(want, static_cast<std::size_t>(fo.arg)));
-      got = std::fread(buf, 1, want, f);
-    }
-    if (got > 0) {
-      bytes.insert(bytes.end(), buf, buf + got);
-      spins = 0;
-      continue;
-    }
-    if (injected || std::ferror(f) != 0) {
-      std::clearerr(f);
-      if (errno == EINTR && ++spins < kEintrStormLimit) continue;
-      out.status = LoadStatus::kIoError;
-      out.error = "read error on checkpoint file (errno " +
-                  std::to_string(errno) +
-                  ") — an I/O failure, not a corruption verdict";
-      std::fclose(f);
-      return out;
-    }
-    break;  // clean EOF
+  const detail::Transfer got = detail::io_transfer(
+      core::failpoints::kCkptRead, std::numeric_limits<std::size_t>::max(),
+      [&](std::size_t, std::size_t want) -> std::ptrdiff_t {
+        unsigned char buf[4096];
+        const std::size_t r =
+            std::fread(buf, 1, std::min(want, sizeof buf), f.get());
+        bytes.insert(bytes.end(), buf, buf + r);
+        if (r > 0 || std::ferror(f.get()) == 0)
+          return static_cast<std::ptrdiff_t>(r);
+        std::clearerr(f.get());
+        return -1;
+      });
+  if (!got.ok) {
+    out.status = LoadStatus::kIoError;
+    out.error = "read error on checkpoint file (errno " +
+                std::to_string(errno) +
+                ") — an I/O failure, not a corruption verdict";
+    return out;
   }
-  std::fclose(f);
   return decode_checkpoint(bytes.data(), bytes.size(), expected_digest);
 }
 

@@ -1,5 +1,6 @@
 // Retry/backoff policy for the campaign service's self-healing I/O paths
-// (src/service/campaign.hpp, src/service/campaign_io.hpp).
+// (the I/O guard in src/service/campaign_io.hpp, and the shard workers of
+// src/service/campaign.hpp).
 //
 // Failure taxonomy, applied uniformly across sinks, checkpoints and shard
 // workers:

@@ -16,8 +16,8 @@
 //    checkpoint while the rest of the campaign completes; the run reports
 //    kDegraded, results() refuses, and a resume sees the quarantine
 //    without re-running the shard.
-//  * An adversarial forever-EINTR schedule produces a loud CheckpointError
-//    (storm bound), never a hang.
+//  * An adversarial forever-EINTR schedule at any I/O site produces that
+//    site's loud failure (storm bound), never a hang.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -119,7 +120,7 @@ class SelfHealingTest : public ::testing::Test {
   std::string dir_;
 };
 
-// --- FileFrameSink: transient healing and the storm bound ------------------
+// --- FileFrameSink: transient healing --------------------------------------
 
 TEST_F(SelfHealingTest, FileSinkHealsTransientsByteExactly) {
   const std::string p = path("frames.bin");
@@ -132,19 +133,6 @@ TEST_F(SelfHealingTest, FileSinkHealsTransientsByteExactly) {
     sink.flush();
   }
   EXPECT_EQ(read_file(p), payload);
-}
-
-TEST_F(SelfHealingTest, EintrStormIsALoudErrorNeverAHang) {
-  const std::string p = path("frames.bin");
-  FileFrameSink sink(p, fast_retry());
-  reg().arm(fp::kFileSinkWrite, "*xeintr");
-  // kEintrStormLimit consecutive no-progress EINTRs must surface as a
-  // CheckpointError (the no-hang guarantee under adversarial schedules).
-  EXPECT_THROW(sink.write("x", 1), CheckpointError);
-  reg().disarm_all();
-
-  reg().arm(fp::kFileSinkTruncate, "*xeintr");
-  EXPECT_THROW(sink.truncate_to(0), CheckpointError);
 }
 
 TEST_F(SelfHealingTest, FileSinkExhaustedTransientRetriesThrow) {
@@ -177,6 +165,7 @@ Checkpoint small_checkpoint() {
 TEST_F(SelfHealingTest, SaveHealsEintrAndShortWritesInPlace) {
   const std::string p = path("ckpt.bin");
   const Checkpoint ckpt = small_checkpoint();
+  reg().arm(fp::kCkptOpen, "eintr");
   reg().arm(fp::kCkptWrite, "2xeintr+short:9+eintr");
   reg().arm(fp::kCkptFsync, "2xeintr");
   reg().arm(fp::kCkptRename, "eintr");
@@ -218,6 +207,49 @@ TEST_F(SelfHealingTest, KThrowAtCheckpointSitesIsAbortClass) {
     reg().disarm_all();
     reg().arm(site, "throw");
     EXPECT_THROW((void)save_checkpoint(p, ckpt), CheckpointError) << site;
+  }
+}
+
+TEST_F(SelfHealingTest, EintrStormIsALoudErrorNeverAHang) {
+  // kEintrStormLimit consecutive no-progress EINTRs at any I/O site must
+  // surface as that site's loud failure (the no-hang guarantee under
+  // adversarial schedules): a CheckpointError from the frame sink, false
+  // from a checkpoint save or append with the committed file intact, and
+  // kIoError from a load.
+  const std::string p = path("ckpt.bin");
+  const Checkpoint ckpt = small_checkpoint();
+  ASSERT_TRUE(save_checkpoint(p, ckpt));
+  const std::string committed = read_file(p);
+  const ShardId settled[] = {{0, 0}};
+  Checkpoint next = ckpt;
+  next.cells[0].done.set(0);
+  const std::vector<unsigned char> record =
+      encode_record(next.cells, settled, 150);
+  FileFrameSink sink(path("frames.bin"), fast_retry());
+
+  for (const char* site : fp::kAll) {
+    const std::string_view s = site;
+    if (s == fp::kWorkerShard) continue;
+    SCOPED_TRACE(site);
+    reg().disarm_all();
+    reg().arm(site, "*xeintr");
+    if (s == fp::kFileSinkWrite) {
+      EXPECT_THROW(sink.write("x", 1), CheckpointError);
+    } else if (s == fp::kFileSinkFlush) {
+      EXPECT_THROW(sink.flush(), CheckpointError);
+    } else if (s == fp::kFileSinkTruncate) {
+      EXPECT_THROW(sink.truncate_to(0), CheckpointError);
+    } else if (s == fp::kCkptRead) {
+      EXPECT_EQ(load_checkpoint(p, ckpt.spec_digest).status,
+                LoadStatus::kIoError);
+    } else if (s == fp::kCkptAppend || s == fp::kCkptDatasync) {
+      CheckpointJournal journal(p);
+      EXPECT_FALSE(journal.append(record));
+    } else {
+      EXPECT_FALSE(save_checkpoint(p, ckpt));
+    }
+    EXPECT_EQ(reg().fired(site), static_cast<std::uint64_t>(kEintrStormLimit));
+    EXPECT_EQ(read_file(p), committed);
   }
 }
 
