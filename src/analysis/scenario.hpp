@@ -51,22 +51,14 @@
 // declares the trait for all four protocols and carries the view for P_PL;
 // a lambda, or a wrapper around the default, carries neither unless it
 // forwards them, and is called on every check. measure_recovery and
-// recovery_trial reject an empty `initial` or `recovered`, or an empty
-// `inject` with a non-empty schedule, with std::invalid_argument before any
-// trial runs.
+// recovery_trial reject an empty `initial` or `recovered`, an empty
+// `inject` with a non-empty schedule, and a negative `plan.trials` or
+// `plan.threads`, with std::invalid_argument before any trial runs.
 //
 // Quantization: both run_until phases check the predicate every
 // `plan.check_every` steps (0 = every ~n), so stabilization and recovery
 // hitting times are quantized up to that granularity; fault injections
 // themselves land at exact offsets.
-//
-// Scheduler faults: ScenarioSpec carries an optional core::SchedulerFaults
-// (omission probability and/or biased arc distribution). Faults are applied
-// identically to the standalone-Runner reference path and to every ensemble
-// ring, and the loss stream is derived per trial from the trial seed
-// (stream_seed(seed, core::streams::kLoss)), so the bit-identity and
-// thread-count-invariance contracts above carry over verbatim to faulted
-// campaigns (tests/analysis/scheduler_faults_test.cpp).
 #pragma once
 
 #include <algorithm>
@@ -131,7 +123,7 @@ struct FaultEvent {
 /// stabilization phase and the recovery phase separately. `trials` is
 /// 64-bit: the resumable campaign service (src/service/campaign.hpp) plans
 /// up to 1e9-trial cells, which must not overflow the plan or the folded
-/// counters (negative values degrade to zero trials).
+/// counters. Negative `trials` or `threads` are rejected (check_spec).
 struct TrialPlan {
   std::int64_t trials = 8;
   std::uint64_t max_steps = 100'000'000;
@@ -235,10 +227,6 @@ struct ScenarioSpec {
   /// core::WordRingView lets word-owned rings skip the unpack per check.
   RecoveryPredicate<P> recovered;
   TrialPlan plan;
-  /// Scheduler faults active for the *whole* trial (stabilization and
-  /// recovery phases alike): omission probability and/or biased arc
-  /// distribution. Default-inactive — the clean fast paths stay engaged.
-  core::SchedulerFaults sched_faults;
 };
 
 /// Outcome of one trial.
@@ -269,11 +257,11 @@ void write_recovery_summary(core::JsonWriter& w, const RecoveryStats& s);
 
 namespace detail {
 
-/// Reject a spec whose callbacks cannot run, with std::invalid_argument
-/// naming the field: an empty `initial` or `recovered`, or an empty
-/// `inject` while the schedule has events.
+/// Reject a spec that cannot run, with std::invalid_argument naming the
+/// field: an empty `initial` or `recovered`, an empty `inject` while the
+/// schedule has events, or a negative `plan.trials` or `plan.threads`.
 template <typename P>
-void check_callbacks(const ScenarioSpec<P>& spec) {
+void check_spec(const ScenarioSpec<P>& spec) {
   const auto reject = [&](const char* why) {
     throw std::invalid_argument("ScenarioSpec '" + spec.name + "': " + why);
   };
@@ -281,6 +269,8 @@ void check_callbacks(const ScenarioSpec<P>& spec) {
   if (!spec.recovered) reject("recovered is empty");
   if (!spec.inject && !spec.schedule.empty())
     reject("inject is empty but the schedule is not");
+  if (spec.plan.trials < 0) reject("plan.trials is negative");
+  if (spec.plan.threads < 0) reject("plan.threads is negative");
 }
 
 /// `spec.schedule` stably sorted by at_step (same-step events keep their
@@ -300,19 +290,18 @@ template <typename P>
 /// path, kept as the byte-identity reference for the ensemble-sharded
 /// driver (tests/core/ensemble_test.cpp compares the two trial for trial).
 /// See the header comment for the phase diagram. Throws
-/// std::invalid_argument on unusable callbacks (check_callbacks).
+/// std::invalid_argument on an unusable spec (check_spec).
 template <typename P>
 [[nodiscard]] RecoveryTrial recovery_trial(const typename P::Params& params,
                                            const ScenarioSpec<P>& spec,
                                            std::uint64_t t) {
-  check_callbacks(spec);
+  check_spec(spec);
   const TrialPlan& plan = spec.plan;
   const std::uint64_t seed = core::derive_seed(plan.seed_base, plan.tag, t);
   core::Xoshiro256pp cfg_rng(core::stream_seed(seed, core::streams::kConfig));
   core::Xoshiro256pp fault_rng(
       core::stream_seed(seed, core::streams::kFaults));
   core::Runner<P> runner(params, spec.initial(params, cfg_rng), seed);
-  if (spec.sched_faults.active()) runner.set_scheduler_faults(spec.sched_faults);
 
   RecoveryTrial out;
   const auto stab =
@@ -360,10 +349,6 @@ void ensemble_recovery_shard(const typename P::Params& params,
     const auto initial = spec.initial(params, cfg_rng);
     ensemble.add_ring(initial, seed);
   }
-  // After the rings exist: per-ring loss streams re-derive from each ring's
-  // seed, so trial i is bit-identical to recovery_trial's standalone Runner.
-  if (spec.sched_faults.active())
-    ensemble.set_scheduler_faults(spec.sched_faults);
 
   const auto stab =
       ensemble.run_until_each(spec.recovered, plan.max_steps,
@@ -410,14 +395,13 @@ void ensemble_recovery_shard(const typename P::Params& params,
 /// Execute one scenario: `plan.trials` trials sharded into contiguous
 /// ensembles fanned over a ThreadPool, bit-identical for any thread count
 /// and to the per-trial reference path (indices only; see header comment).
-/// Throws std::invalid_argument on unusable callbacks before any shard
-/// runs (detail::check_callbacks).
+/// Throws std::invalid_argument on an unusable spec before any shard runs
+/// (detail::check_spec).
 template <typename P>
 [[nodiscard]] RecoveryStats measure_recovery(
     const typename P::Params& params, const ScenarioSpec<P>& spec) {
-  detail::check_callbacks(spec);
-  std::vector<RecoveryTrial> trials(
-      static_cast<std::size_t>(std::max<std::int64_t>(spec.plan.trials, 0)));
+  detail::check_spec(spec);
+  std::vector<RecoveryTrial> trials(static_cast<std::size_t>(spec.plan.trials));
   core::ThreadPool pool(spec.plan.threads);
   // Same cache-capped, load-balanced, lane-multiple sharding as the
   // convergence drivers; output-invisible (trials are seeded by global

@@ -2,8 +2,8 @@
 // in one engine, for the campaign workloads the SS-LE evaluation lives on
 // (thousands of trials per (protocol, n, fault-schedule) cell). Runner
 // (core/runner.hpp) is ring 0 of an EnsembleRunner built ScalarOnly, so the
-// per-trial reference path and the campaign lanes share one RNG, loss
-// stream, fault model, census, index check and run-until.
+// per-trial reference path and the campaign lanes share one RNG, census,
+// fault injection, index check and run-until.
 //
 // All R rings' agent states sit in one struct-of-arrays block (ring r at
 // slots [r*n, (r+1)*n)), with one RingClock and one Xoshiro256pp stream per
@@ -43,11 +43,11 @@
 // pressure beat the ILP win (0.9-1.1x). The accelerator self-validates:
 // every enumerated state must round-trip its packing and every transition
 // stay in the domain, and every state entering the ensemble (add_ring,
-// set_agent) must round-trip. Any violation, like scheduler faults, drops
-// the mirror (drop_mirror) and leaves the ensemble on the generic path for
-// good, never on a wrong trajectory (tests/core/ensemble_test.cpp). This is
-// what lets analysis::measure_convergence_parallel and measure_recovery
-// shard their trials into ensembles without changing a published number.
+// set_agent) must round-trip. Any violation drops the mirror (drop_mirror)
+// and leaves the ensemble on the generic path for good, never on a wrong
+// trajectory (tests/core/ensemble_test.cpp). This is what lets
+// analysis::measure_convergence_parallel and measure_recovery shard their
+// trials into ensembles without changing a published number.
 //
 // Mirror contract: the accelerator keeps one Code per agent (u16 LUT codes
 // or u64 words) beside the State block, and every ring has exactly one
@@ -269,10 +269,7 @@ class EnsembleRunner {
       throw std::invalid_argument("EnsembleRunner::add_ring: size != n");
     states_.insert(states_.end(), initial.begin(), initial.end());
     rngs_.emplace_back(seed);
-    seeds_.push_back(seed);
-    loss_rngs_.emplace_back(stream_seed(seed, kLossStreamTag));
     RingClock clk;
-    clk.oracle_delay = oracle_delay_;
     Engine::recount(initial, params_, clk);
     clocks_.push_back(clk);
     owner_.push_back(RingOwner::kStates);
@@ -341,43 +338,10 @@ class EnsembleRunner {
     return clock(r).last_leader_change;
   }
 
-  /// Oracle delay for every ring, current and future: steps of
-  /// uninterrupted leaderlessness before Omega? reports absence. 0 =
-  /// immediate reporting, the paper's Table-1 regime.
-  void set_oracle_delay(std::uint64_t d) noexcept {
-    oracle_delay_ = d;
-    for (RingClock& c : clocks_) c.oracle_delay = d;
-  }
-
-  /// Configure the scheduler fault models for every ring, current and
-  /// future (see core::SchedulerFaults). Every ring's loss stream is
-  /// (re)derived as stream_seed(ring_seed, kLossStreamTag), so configuring
-  /// faults then running is deterministic per seed. Active faults
-  /// permanently drop the ensemble to the generic path (the accelerated
-  /// lanes assume the clean uniform scheduler). Invalid inputs throw
-  /// std::invalid_argument (SchedulerFaults::validate).
-  void set_scheduler_faults(const SchedulerFaults& f) {
-    f.validate(static_cast<int>(bound_));
-    loss_threshold_ = detail::probability_threshold(f.loss_p);
-    bias_ = f.arc_weights.empty() ? detail::BiasTable{}
-                                  : detail::BiasTable(f.arc_weights);
-    sched_active_ = loss_threshold_ != 0 || !bias_.empty();
-    for (std::size_t r = 0; r < seeds_.size(); ++r)
-      loss_rngs_[r] = Xoshiro256pp(stream_seed(seeds_[r], kLossStreamTag));
-    if (sched_active_) drop_mirror();
-  }
-
-  /// True when a scheduler fault model (loss or bias) is configured.
-  [[nodiscard]] bool scheduler_faults_active() const noexcept {
-    return sched_active_;
-  }
-
   /// Fault injection into ring r, delta-census: O(1), no recount. The
   /// injection counts as a change of the leader set at the current step
-  /// when it flips the agent's leader output. Injecting into an
-  /// already-leaderless ring does not restart the Omega? leaderless clock,
-  /// and injecting the last leader away starts it at the current step,
-  /// exactly as a transition would. The ring is never unpacked: a
+  /// when it flips the agent's leader output; the Omega? oracle reads the
+  /// new leader count at the very next step. The ring is never unpacked: a
   /// mirror-owned ring decodes only the overwritten slot for the census
   /// delta and takes the new code (its States stay stale); otherwise the
   /// State is written. A state that fails the encoding's round trip drops
@@ -815,14 +779,8 @@ class EnsembleRunner {
   void advance_ring_generic(int r, std::uint64_t k) {
     State* const agents = states_.data() + ring_offset(r);
     const auto ri = static_cast<std::size_t>(r);
-    if (!sched_active_) {
-      Engine::run_block(agents, params_.n, bound_, threshold_, params_,
-                        rngs_[ri], clocks_[ri], k);
-    } else {
-      Engine::run_block_faulted(agents, params_.n, bound_, threshold_, params_,
-                                bias_, loss_threshold_, rngs_[ri],
-                                loss_rngs_[ri], clocks_[ri], k);
-    }
+    Engine::run_block(agents, params_.n, bound_, threshold_, params_,
+                      rngs_[ri], clocks_[ri], k);
   }
 
   /// Packed block: one table load per interaction on the u16 mirror; the
@@ -925,12 +883,6 @@ class EnsembleRunner {
   std::uint64_t bound_ = static_cast<std::uint64_t>(arc_count(
       checked_ring_size(params_.n, "EnsembleRunner"), P::directed));
   std::uint64_t threshold_ = Xoshiro256pp::rejection_threshold(bound_);
-  std::uint64_t oracle_delay_ = 0;
-  std::vector<std::uint64_t> seeds_;     ///< per-ring origin seeds
-  std::vector<Xoshiro256pp> loss_rngs_;  ///< per-ring omission streams
-  detail::BiasTable bias_;               ///< non-empty = biased distribution
-  std::uint64_t loss_threshold_ = 0;     ///< 0 = omission model off
-  bool sched_active_ = false;            ///< any scheduler fault model on
   /// Ring r's states at [r*n, (r+1)*n). With the accelerator on, this
   /// block is lazily refreshed from the mirror that owns the ring (see
   /// `owner_`), hence mutable: accessors are logically const.

@@ -1,9 +1,9 @@
 // The engine core every scheduler frontend shares: the protocol concepts,
-// the scheduler fault models, the per-ring RingClock and InteractionEngine<P>
-// (transition dispatch, census, fault injection and the random-scheduler
-// scalar loop over a raw agent array). EnsembleRunner (core/ensemble.hpp)
-// runs it per ring, and Runner (core/runner.hpp) is ring 0 of a scalar-only
-// EnsembleRunner, so every engine executes literally the same loop.
+// the per-ring RingClock and InteractionEngine<P> (transition dispatch,
+// census, fault injection and the uniform random-scheduler scalar loop over
+// a raw agent array). EnsembleRunner (core/ensemble.hpp) runs it per ring,
+// and Runner (core/runner.hpp) is ring 0 of a scalar-only EnsembleRunner, so
+// every engine executes literally the same loop.
 //
 // Protocol concept (checked via `requires`):
 //
@@ -38,42 +38,29 @@
 // (tests/core/batch_test.cpp; the README's "Delta-census invariant").
 #pragma once
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <type_traits>
-#include <vector>
 
 #include "core/ring.hpp"
 #include "core/rng.hpp"
-#include "core/stream_tags.hpp"
 #include "core/wordlane.hpp"
 
 namespace ppsim::core {
 
 /// Per-interaction environment information for oracle-assisted protocols
 /// (Fischer–Jiang's Omega?). `no_leader` is the oracle's report: true iff the
-/// population has been leaderless for at least `oracle_delay` steps.
+/// population has no leader right now (immediate reporting, the paper's
+/// Table-1 regime; always false for a protocol without leader output).
 /// `no_token` reports the absence of any token (protocols opt in by exposing
-/// `has_token`), with immediate reporting.
+/// `has_token`), also immediately.
 struct InteractionContext {
   bool no_leader = false;
   bool no_token = false;
 };
-
-/// Stream-derivation tag for the omission/message-loss stream: a runner
-/// seeded with `seed` draws its loss events from
-/// Xoshiro256pp(stream_seed(seed, kLossStreamTag)), decorrelated from the
-/// arc-draw stream. The value lives in the stream-tag registry
-/// (core/stream_tags.hpp); this alias keeps the historical name.
-inline constexpr std::uint64_t kLossStreamTag = streams::kLoss;
 
 namespace detail {
 
@@ -87,123 +74,7 @@ namespace detail {
   return max_steps > npos - steps ? npos : steps + max_steps;
 }
 
-/// 64-bit acceptance threshold for an event of probability p: the event
-/// fires iff next() < threshold. p >= 1 maps to an all-ones threshold
-/// (miss probability 2^-64 — indistinguishable from certain at any budget).
-[[nodiscard]] inline std::uint64_t probability_threshold(double p) noexcept {
-  if (p <= 0.0) return 0;
-  if (p >= 1.0) return std::numeric_limits<std::uint64_t>::max();
-  return static_cast<std::uint64_t>(static_cast<long double>(p) *
-                                    18446744073709551616.0L);
-}
-
-/// Cumulative-threshold table for biased (non-uniform) arc draws: arc i is
-/// selected when the raw 64-bit draw falls in [cum[i-1], cum[i]). One raw
-/// next() of the *main* scheduler stream per draw, resolved by binary
-/// search, so every engine lane and the differential checker mirror that
-/// builds the table from the same weights consumes the same stream and
-/// draws the same arcs — the bias determinism contract.
-class BiasTable {
- public:
-  BiasTable() = default;
-  explicit BiasTable(std::span<const double> weights) {
-    assert(!weights.empty());
-    long double total = 0.0L;
-    for (const double w : weights) {
-      assert(w >= 0.0);
-      total += static_cast<long double>(w);
-    }
-    assert(total > 0.0L);
-    cum_.resize(weights.size());
-    long double acc = 0.0L;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-      acc += static_cast<long double>(weights[i]);
-      const long double frac = acc / total;
-      cum_[i] = frac >= 1.0L
-                    ? std::numeric_limits<std::uint64_t>::max()
-                    : static_cast<std::uint64_t>(frac *
-                                                 18446744073709551616.0L);
-    }
-    // Pin the last bucket so no draw can fall off the table's end.
-    cum_.back() = std::numeric_limits<std::uint64_t>::max();
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return cum_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return cum_.size(); }
-
-  [[nodiscard]] int draw(Xoshiro256pp& rng) const noexcept {
-    const std::uint64_t x = rng();
-    const auto it = std::upper_bound(cum_.begin(), cum_.end(), x);
-    // x == 2^64-1 compares equal to the pinned last bucket; clamp it there.
-    const auto idx = it == cum_.end() ? cum_.size() - 1
-                                      : static_cast<std::size_t>(
-                                            it - cum_.begin());
-    return static_cast<int>(idx);
-  }
-
- private:
-  std::vector<std::uint64_t> cum_;
-};
-
 }  // namespace detail
-
-/// Scheduler fault models (ROADMAP item 3), configured per engine via
-/// `set_scheduler_faults`:
-///
-///  * Omission / message loss: each drawn interaction is lost (the step
-///    counts, the clock advances, but no transition fires) with probability
-///    `loss_p`. Loss events come from a dedicated stream (seed ^
-///    kLossStreamTag), so enabling loss does not perturb the arc-draw
-///    stream: the surviving interactions are exactly a subsequence of the
-///    clean schedule, and per-trial determinism (same seed, same faulted
-///    trajectory, any thread count) is preserved.
-///  * Biased arc distribution: `arc_weights[arc]` proportional to the draw
-///    probability (size must equal the engine's arc_count; empty keeps the
-///    uniform scheduler). Biased draws consume exactly one raw 64-bit value
-///    of the main stream per interaction (see detail::BiasTable).
-///
-/// Active faults pin EnsembleRunner to its generic path — its accelerated
-/// lanes (LUT, word kernel) assume the clean uniform scheduler.
-/// Deterministic scheduling entry points (apply_arc, apply_sequence) always
-/// bypass faults.
-struct SchedulerFaults {
-  double loss_p = 0.0;
-  std::vector<double> arc_weights;
-
-  [[nodiscard]] bool active() const noexcept {
-    return loss_p > 0.0 || !arc_weights.empty();
-  }
-
-  /// Reject inputs the engines cannot run, in every build type: `loss_p`
-  /// outside [0, 1] or NaN, an `arc_weights` table whose size is neither 0
-  /// nor `arc_count`, and weights that are negative, non-finite or all zero.
-  /// Throws std::invalid_argument. EnsembleRunner::set_scheduler_faults
-  /// calls this first.
-  void validate(int arc_count) const {
-    if (!(loss_p >= 0.0 && loss_p <= 1.0)) {
-      throw std::invalid_argument("SchedulerFaults: loss_p must be in [0, 1]");
-    }
-    if (arc_weights.empty()) return;
-    if (arc_weights.size() != static_cast<std::size_t>(arc_count)) {
-      throw std::invalid_argument(
-          "SchedulerFaults: arc_weights has " +
-          std::to_string(arc_weights.size()) + " entries, the ring " +
-          std::to_string(arc_count) + " arcs");
-    }
-    double total = 0.0;
-    for (const double w : arc_weights) {
-      if (!(w >= 0.0 && std::isfinite(w))) {
-        throw std::invalid_argument(
-            "SchedulerFaults: arc weights must be finite and non-negative");
-      }
-      total += w;
-    }
-    if (!(total > 0.0 && std::isfinite(total))) {
-      throw std::invalid_argument(
-          "SchedulerFaults: arc weights must have a finite positive sum");
-    }
-  }
-};
 
 template <typename P>
 concept HasLeaderOutput = requires(const typename P::State& s,
@@ -282,37 +153,26 @@ struct WordTypesOf<P> {
 };
 }  // namespace detail
 
-/// Per-ring scheduler bookkeeping: step counter, incremental leader/token
-/// census, the Omega? leaderless clock and the oracle delay. One per ring of
-/// an EnsembleRunner (stored as a contiguous array there).
+/// Per-ring scheduler bookkeeping: step counter and incremental
+/// leader/token census. One per ring of an EnsembleRunner (stored as a
+/// contiguous array there).
 struct RingClock {
-  static constexpr std::uint64_t npos =
-      std::numeric_limits<std::uint64_t>::max();
-
   std::uint64_t steps = 0;
   std::uint64_t last_leader_change = 0;
-  std::uint64_t leaderless_since = npos;
-  std::uint64_t oracle_delay = 0;
   int leader_count = 0;
   int token_count = 0;
 
   /// The one leader-census update, shared by every engine path: fold the
-  /// leader-count `delta` of the interaction with 0-based index `step`,
-  /// stamp last_leader_change when a leader bit `changed`, and keep the
-  /// invariant "leader_count == 0 iff leaderless_since is set". Both stamps
-  /// are step + 1, the step count once that interaction is done; a fault
+  /// leader-count `delta` of the interaction with 0-based index `step`, and
+  /// stamp last_leader_change when a leader bit `changed`. The stamp is
+  /// step + 1, the step count once that interaction is done; a fault
   /// injected between interactions passes steps - 1 so it stamps `steps`.
-  /// The + 1 stays inside the branches: computed up front, it becomes a
+  /// The + 1 stays inside the branch: computed up front, it becomes a
   /// second induction variable in the engines' hot loops.
   [[gnu::always_inline]] inline void note_leaders(int delta, bool changed,
                                                   std::uint64_t step) noexcept {
     leader_count += delta;
     if (changed) last_leader_change = step + 1;
-    if (leader_count > 0) {
-      leaderless_since = npos;
-    } else if (leaderless_since == npos) {
-      leaderless_since = step + 1;
-    }
   }
 };
 
@@ -354,8 +214,7 @@ struct InteractionEngine {
                        const RingClock& clk) {
     if constexpr (WantsOracle<P>) {
       InteractionContext ctx;
-      ctx.no_leader = clk.leaderless_since != RingClock::npos &&
-                      clk.steps - clk.leaderless_since >= clk.oracle_delay;
+      ctx.no_leader = HasLeaderOutput<P> && clk.leader_count == 0;
       ctx.no_token = clk.token_count == 0;
       P::apply(a, b, params, ctx);
     } else {
@@ -463,39 +322,9 @@ struct InteractionEngine {
     clk0 = clk;
   }
 
-  /// run_block under scheduler faults, kept separate so the clean loop's
-  /// codegen is untouched. A non-empty `bias` replaces the uniform draw by
-  /// one biased draw of the main stream; with `loss_threshold` != 0 every
-  /// draw then consumes one value of `loss_rng0`, and a lost draw counts the
-  /// step without firing a transition (see SchedulerFaults).
-  [[gnu::flatten]] static void run_block_faulted(
-      State* agents, int n, std::uint64_t bound,
-      std::uint64_t threshold, const Params& params,
-      const detail::BiasTable& bias, std::uint64_t loss_threshold,
-      Xoshiro256pp& rng0, Xoshiro256pp& loss_rng0, RingClock& clk0,
-      std::uint64_t k) {
-    Xoshiro256pp rng = rng0;
-    Xoshiro256pp loss_rng = loss_rng0;
-    RingClock clk = clk0;
-    for (std::uint64_t i = 0; i < k; ++i) {
-      const int arc =
-          bias.empty()
-              ? static_cast<int>(rng.bounded_with_threshold(bound, threshold))
-              : bias.draw(rng);
-      if (loss_threshold != 0 && loss_rng() < loss_threshold) {
-        ++clk.steps;
-        continue;
-      }
-      apply_arc_batched(agents, arc_endpoints(arc, n), params, clk);
-    }
-    rng0 = rng;
-    loss_rng0 = loss_rng;
-    clk0 = clk;
-  }
-
   /// Overwrite one agent slot (fault injection): census updated by the delta
-  /// of the touched agent's predicates, O(1) per fault. See
-  /// EnsembleRunner::set_agent for the oracle-clock semantics.
+  /// of the touched agent's predicates, O(1) per fault (see
+  /// EnsembleRunner::set_agent).
   static void set_agent(State& slot, const State& s, const Params& params,
                         RingClock& clk) {
     if constexpr (HasLeaderOutput<P>) {
@@ -518,8 +347,6 @@ struct InteractionEngine {
       clk.leader_count = 0;
       for (const State& s : agents)
         clk.leader_count += P::is_leader(s, params) ? 1 : 0;
-      clk.leaderless_since =
-          clk.leader_count == 0 ? clk.steps : RingClock::npos;
     }
     if constexpr (HasTokenCensus<P>) {
       clk.token_count = 0;

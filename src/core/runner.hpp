@@ -1,8 +1,8 @@
 // Runner: the scalar engine for one ring — the per-trial reference path
 // and deterministic scheduling. A Runner is ring 0 of a
 // ScalarOnly EnsembleRunner (core/ensemble.hpp), its only data member, so
-// the RNG, loss stream, fault model, census, index checks and run-until are
-// the ensemble's, and every interaction runs an InteractionEngine body
+// the RNG, census, fault injection, index checks and run-until are the
+// ensemble's, and every interaction runs an InteractionEngine body
 // (core/interaction.hpp) on the ring's States. It never builds a LUT or a
 // word layout: P_PL's word kernel runs only on a non-ScalarOnly
 // EnsembleRunner, fuzzed against Runner by src/verification/differential.hpp.
@@ -52,7 +52,7 @@ class Runner {
   [[nodiscard]] std::uint64_t steps() const noexcept { return ring_.steps(0); }
 
   /// Number of arcs (= number of equally likely interactions per step under
-  /// the clean uniform scheduler).
+  /// the uniform scheduler).
   [[nodiscard]] int arc_count() const noexcept {
     return core::arc_count(n(), P::directed);
   }
@@ -74,40 +74,16 @@ class Runner {
     return ring_.last_leader_change(0);
   }
 
-  /// Oracle delay (see EnsembleRunner::set_oracle_delay).
-  void set_oracle_delay(std::uint64_t d) noexcept { ring_.set_oracle_delay(d); }
-
   /// Overwrite one agent's state (fault injection / adversarial setup) with
   /// an O(1) delta census; see EnsembleRunner::set_agent for how it stamps
-  /// last_leader_change and the Omega? clock. Throws std::out_of_range for
-  /// i outside [0, n).
+  /// last_leader_change. Throws std::out_of_range for i outside [0, n).
   void set_agent(int i, const State& s) { ring_.set_agent(0, i, s); }
 
-  /// Configure the scheduler fault models (see SchedulerFaults and
-  /// EnsembleRunner::set_scheduler_faults): the loss stream restarts at
-  /// stream_seed(seed, kLossStreamTag). Invalid inputs throw
-  /// std::invalid_argument.
-  void set_scheduler_faults(const SchedulerFaults& f) {
-    ring_.set_scheduler_faults(f);
-  }
-
-  /// True when a scheduler fault model (loss or bias) is configured.
-  [[nodiscard]] bool scheduler_faults_active() const noexcept {
-    return ring_.scheduler_faults_active();
-  }
-
   /// Execute a single uniformly random interaction.
-  void step() {
-    if (ring_.scheduler_faults_active()) {
-      run(1);
-      return;
-    }
-    apply_arc(ring_.draw_arc(0));
-  }
+  void step() { apply_arc(ring_.draw_arc(0)); }
 
   /// Execute `k` uniformly random interactions through the fused fast path:
-  /// the shared scalar loop, clean or faulted (InteractionEngine::run_block
-  /// / run_block_faulted).
+  /// the shared scalar loop (InteractionEngine::run_block).
   void run(std::uint64_t k) { ring_.run_ring(0, k); }
 
   /// Execute `k` uniformly random interactions one draw at a time with the
@@ -118,9 +94,9 @@ class Runner {
     for (std::uint64_t i = 0; i < k; ++i) step();
   }
 
-  /// Execute the interaction identified by `arc` (deterministic scheduling;
-  /// always bypasses scheduler faults). For directed protocols arc in
-  /// [0, n); for undirected, arc n + i in [n, 2n) reverses e_i.
+  /// Execute the interaction identified by `arc` (deterministic
+  /// scheduling). For directed protocols arc in [0, n); for undirected,
+  /// arc n + i in [n, 2n) reverses e_i.
   void apply_arc(int arc) { ring_.apply_arc(0, arc); }
 
   /// Apply a whole deterministic interaction sequence (arc ids).

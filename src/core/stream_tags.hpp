@@ -6,7 +6,7 @@
 // via exactly one of two blessed operations,
 //
 //   * stream_seed(seed, tag)        — a per-trial side stream (config
-//     drawing, fault injection, omission loss), decorrelated from the main
+//     drawing, fault injection), decorrelated from the main
 //     scheduler stream by a registered XOR tag;
 //   * derive_seed(base, tag, index) — an indexed seed *family* (trial t of
 //     an experiment, decoy ring r of a lockstep lane), mixed through
@@ -50,12 +50,6 @@ inline constexpr std::uint64_t kConfig = 0xC0FFEEULL;
 /// (analysis/scenario.hpp, verification/differential.hpp).
 inline constexpr std::uint64_t kFaults = 0xFA5EEDULL;
 
-/// Omission / message-loss stream: an engine seeded with `seed` draws its
-/// loss events from Xoshiro256pp(stream_seed(seed, kLoss)) so enabling loss
-/// never perturbs the arc-draw stream (core/interaction.hpp kLossStreamTag,
-/// core/ensemble.hpp, the differential mirror).
-inline constexpr std::uint64_t kLoss = 0x1055ULL;
-
 /// derive_seed tag for the lockstep lane's decoy rings: differential lane G
 /// seeds ring r > 0 with derive_seed(trial_seed, kLockstepDecoy, r)
 /// (verification/differential.hpp).
@@ -86,17 +80,18 @@ inline constexpr std::uint64_t kRetryJitter = 0xB0FFULL;
 /// Every registered tag, for the structural checks below and for the
 /// runtime mirror in tests/core/stream_tags_test.cpp. Append new tags here.
 inline constexpr std::uint64_t kAll[] = {
-    kConfig,        kFaults,    kLoss,        kLockstepDecoy,
-    kDifferentialTrial, kDigest, kFailpoint, kRetryJitter,
+    kConfig, kFaults,    kLockstepDecoy, kDifferentialTrial,
+    kDigest, kFailpoint, kRetryJitter,
 };
 inline constexpr int kCount = static_cast<int>(sizeof(kAll) / sizeof(kAll[0]));
 
 /// Floor on the pairwise Hamming distance of registered tags. The closest
-/// pair today is kLoss/kLockstepDecoy at distance 2 (0x1055 ^ 0x10C5 =
-/// 0x90); raising a tag's distance retroactively would re-seed committed
-/// trajectories, so the floor documents the real minimum instead of an
-/// aspirational one — new tags must clear it against every existing tag.
-inline constexpr int kMinTagHammingDistance = 2;
+/// pair today is kDifferentialTrial/kRetryJitter at distance 3 (0xD1FF ^
+/// 0xB0FF = 0x6100); raising a tag's distance retroactively would re-seed
+/// committed trajectories, so the floor documents the real minimum instead
+/// of an aspirational one — new tags must clear it against every existing
+/// tag.
+inline constexpr int kMinTagHammingDistance = 3;
 
 namespace detail {
 
@@ -132,9 +127,9 @@ static_assert(detail::all_distinct(),
               "stream-tag registry: two registered tags collide — the "
               "streams they derive would be identical");
 static_assert(detail::min_pairwise_hamming() >= kMinTagHammingDistance,
-              "stream-tag registry: a pair of tags is within Hamming "
-              "distance 1 — near-miss tags are one typo away from aliasing "
-              "two streams");
+              "stream-tag registry: a pair of tags is closer than "
+              "kMinTagHammingDistance — near-miss tags are a typo or two "
+              "away from aliasing two streams");
 static_assert(detail::popcount64(0) == 0 && detail::popcount64(0x90) == 2,
               "popcount64 self-check");
 

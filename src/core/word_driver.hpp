@@ -102,11 +102,10 @@ struct RunStamps {
 ///
 /// Census: only the leader bit matters (WordKernelRunnable excludes token
 /// censuses), and when no live lane of a run changed its leader bit the
-/// whole census update is a provable no-op (leader_count unchanged, and
-/// the RingClock invariant "leader_count == 0 iff leaderless_since is set"
-/// makes the leaderless bookkeeping idempotent) — the common case once
-/// converged. Otherwise the run's updates replay per lane in draw order,
-/// reproducing census_after step for step.
+/// whole census update is a provable no-op (leader_count and
+/// last_leader_change unchanged) — the common case once converged.
+/// Otherwise the run's updates replay per lane in draw order, reproducing
+/// census_after step for step.
 ///
 /// The vector kernel body is compiled twice, as a target("avx2") clone and
 /// an AVX-512 one (PPSIM_WORD_CLONES), and dispatched once per block on
@@ -178,10 +177,10 @@ struct WordGroupDriver {
 #if PPSIM_WORD_CLONES
  private:
   /// Leader-census delta for one interaction's before/after words; only a
-  /// changed leader bit has any effect (the no-change case is a no-op by
-  /// the RingClock invariant). `step` is the interaction's 0-based index —
-  /// cross-ring blocks keep clk.steps frozen until the block ends, so the
-  /// current step rides as an argument.
+  /// changed leader bit has any effect (the no-change case is a no-op).
+  /// `step` is the interaction's 0-based index — cross-ring blocks keep
+  /// clk.steps frozen until the block ends, so the current step rides as
+  /// an argument.
   [[gnu::always_inline]] static inline void census_leader_change(
       std::uint64_t oa, std::uint64_t ob, std::uint64_t wa, std::uint64_t wb,
       RingClock& clk, std::uint64_t step) noexcept {

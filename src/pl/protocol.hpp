@@ -310,8 +310,16 @@ struct PlProtocol {
   static std::string describe(const State& s, const Params&) {
     const auto token = [](const Token& t) {
       if (!t.exists()) return std::string("bot");
-      return "(" + std::to_string(t.pos) + "," + std::to_string(t.value) +
-             "," + std::to_string(t.carry) + ")";
+      // append, not a "(" + ... chain: the chain trips GCC 12's -Wrestrict
+      // false positive in libstdc++'s operator+.
+      std::string out("(");
+      out.append(std::to_string(t.pos))
+          .append(",")
+          .append(std::to_string(t.value))
+          .append(",")
+          .append(std::to_string(t.carry))
+          .append(")");
+      return out;
     };
     return "{leader=" + std::to_string(s.leader) +
            " b=" + std::to_string(s.b) + " dist=" + std::to_string(s.dist) +

@@ -223,10 +223,9 @@ class CampaignService {
       : cells_(std::move(cells)), opts_(std::move(opts)) {
     progress_.reserve(cells_.size());
     for (const auto& [params, spec] : cells_) {
-      analysis::detail::check_callbacks(spec);  // before any shard runs
+      analysis::detail::check_spec(spec);  // before any shard runs
       CellProgress p;
-      p.trials = static_cast<std::uint64_t>(
-          std::max<std::int64_t>(spec.plan.trials, 0));
+      p.trials = static_cast<std::uint64_t>(spec.plan.trials);
       // Cache-capped and thread-count-INDEPENDENT: determinism piece 1.
       p.shard_trials = analysis::detail::ensemble_shard_rings(
           static_cast<std::size_t>(params.n) * sizeof(typename P::State));
@@ -597,9 +596,11 @@ class CampaignService {
         d.u64(ev.at_step);
         d.i64(ev.faults);
       }
-      d.f64(spec.sched_faults.loss_p);
-      d.u64(spec.sched_faults.arc_weights.size());
-      for (double wgt : spec.sched_faults.arc_weights) d.f64(wgt);
+      // The retired scheduler fault models (loss probability, then the
+      // arc-weight count) always held 0 here; folding those constants
+      // keeps every campaign digest, and so every checkpoint, unchanged.
+      d.f64(0.0);
+      d.u64(0);
       d.u64(progress_[c].shard_trials);
     }
     return d.value();

@@ -64,11 +64,6 @@
 // check_every (checkpoints only read state) — the quantized-hitting-time
 // contract of analysis/experiment.hpp, pinned by
 // tests/verification/differential_test.cpp.
-//
-// Scheduler faults. FuzzConfig::loss_p / arc_bias put the scheduler-fault
-// loops themselves under differential fire — every engine lane gets the
-// same core::SchedulerFaults and the mirror independently replays the
-// loss-stream/bias-draw contract (see run_differential).
 #pragma once
 
 #include <cstdint>
@@ -94,16 +89,6 @@ struct FuzzConfig {
   std::uint64_t check_every = 64;  ///< checkpoint (and storm) granularity
   int fault_storms = 0;            ///< storms at random checkpoints
   int faults_per_storm = 0;        ///< set_agent calls per storm
-  /// Scheduler faults (core::SchedulerFaults), applied to every engine lane
-  /// AND replicated in the checker mirror: omission probability per drawn
-  /// interaction (dedicated loss stream, seed ^ core::kLossStreamTag) and
-  /// an optional non-uniform arc distribution (one raw main-stream draw per
-  /// interaction). Active faults force every engine onto its scalar/generic
-  /// path, so the accelerated lanes (D packed, G) drop out of the matrix —
-  /// what remains is still a full cross-check of the faulted scalar loops
-  /// against the mirror's independent replay.
-  double loss_p = 0.0;
-  std::vector<double> arc_bias;  ///< empty = uniform; else one weight/arc
 };
 
 struct FuzzReport {
@@ -227,37 +212,13 @@ template <typename P, typename M = void, typename FaultState>
                                          static_cast<std::uint64_t>(r)));
   }
 
-  // Scheduler faults: identical in every engine lane (same loss stream,
-  // same bias table), replicated by hand in the mirror below. Applied
-  // BEFORE have_lane_d is measured — active faults force the generic path,
-  // at which point lane D would only duplicate lane B.
-  core::SchedulerFaults sched;
-  sched.loss_p = cfg.loss_p;
-  sched.arc_weights = cfg.arc_bias;
-  const bool have_sched = sched.active();
-  if (have_sched) {
-    lane_a.set_scheduler_faults(sched);
-    lane_b.set_scheduler_faults(sched);
-    lane_d.set_scheduler_faults(sched);
-    if constexpr (kHaveLaneG) lane_g->set_scheduler_faults(sched);
-  }
   const bool have_lane_d =
       lane_d.packed_mode() || lane_d.word_kernel_mode();  // else duplicates B
 
-  // Lane E: the checker mirror. Under scheduler faults it replays the exact
-  // engine semantics: one (possibly biased) arc draw from the main stream
-  // per interaction, then one loss draw from the dedicated stream — a lost
-  // interaction is a no-op that still advances the step count.
+  // Lane E: the checker mirror, one uniform arc draw from its cloned stream
+  // per interaction.
   [[maybe_unused]] std::uint64_t mirror_id = 0;
   [[maybe_unused]] core::Xoshiro256pp mirror_rng(cfg.seed);
-  [[maybe_unused]] core::Xoshiro256pp mirror_loss_rng(
-      core::stream_seed(cfg.seed, core::streams::kLoss));
-  [[maybe_unused]] const std::uint64_t mirror_loss_threshold =
-      have_sched ? core::detail::probability_threshold(cfg.loss_p) : 0;
-  [[maybe_unused]] const core::detail::BiasTable mirror_bias =
-      cfg.arc_bias.empty()
-          ? core::detail::BiasTable()
-          : core::detail::BiasTable(std::span<const double>(cfg.arc_bias));
   [[maybe_unused]] auto make_mirror = [&]() {
     if constexpr (kMirrorable) {
       return core::ModelChecker<M>(params);
@@ -437,13 +398,7 @@ template <typename P, typename M = void, typename FaultState>
     if constexpr (kMirrorable) {
       if (rep.mirror_lane) {
         for (std::uint64_t k = 0; k < block; ++k) {
-          const int arc =
-              mirror_bias.empty()
-                  ? static_cast<int>(mirror_rng.bounded(arc_count))
-                  : mirror_bias.draw(mirror_rng);
-          if (mirror_loss_threshold != 0 &&
-              mirror_loss_rng() < mirror_loss_threshold)
-            continue;  // lost interaction: a no-op, exactly as in the engines
+          const int arc = static_cast<int>(mirror_rng.bounded(arc_count));
           mirror_id = mirror.successor(mirror_id, arc);
         }
       }

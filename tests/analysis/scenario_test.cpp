@@ -20,6 +20,7 @@
 #include "pl/packed_state.hpp"
 #include "pl/params.hpp"
 #include "pl/protocol.hpp"
+#include "service/campaign.hpp"
 
 namespace ppsim::analysis {
 namespace {
@@ -206,20 +207,22 @@ TEST(Scenario, StabilizationFailuresAreNotRecoveryFailures) {
   EXPECT_TRUE(stats.raw.empty());
 }
 
-/// Both entry points reject `spec` before running any trial, with an
-/// std::invalid_argument whose message names `field`.
+/// Every entry point (measure_recovery, the per-trial reference path and
+/// the CampaignService constructor) rejects `spec` before running any
+/// trial, with an std::invalid_argument whose message names `field`.
 void expect_rejected(const ScenarioSpec<pl::PlProtocol>& spec,
                      const std::string& field) {
   const auto p = pl::PlParams::make(8, 2);
-  for (const bool ensemble : {true, false}) {
+  for (const int entry : {0, 1, 2}) {
     try {
-      if (ensemble) {
+      if (entry == 0) {
         (void)measure_recovery<pl::PlProtocol>(p, spec);
-      } else {
+      } else if (entry == 1) {
         (void)detail::recovery_trial<pl::PlProtocol>(p, spec, 0);
+      } else {
+        service::CampaignService<pl::PlProtocol> svc({{p, spec}});
       }
-      ADD_FAILURE() << field << ": no exception (ensemble=" << ensemble
-                    << ")";
+      ADD_FAILURE() << field << ": no exception (entry " << entry << ")";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
           << e.what();
@@ -259,6 +262,18 @@ TEST(ScenarioMisuse, EmptyInjectWithScheduleThrows) {
       measure_recovery<pl::PlProtocol>(pl::PlParams::make(8, 2), spec);
   EXPECT_EQ(stats.trials, 5);
   EXPECT_EQ(stats.stabilization_failures, 0);
+}
+
+TEST(ScenarioMisuse, NegativeTrialsThrows) {
+  auto spec = runnable_spec();
+  spec.plan.trials = -1;
+  expect_rejected(spec, "plan.trials");
+}
+
+TEST(ScenarioMisuse, NegativeThreadsThrows) {
+  auto spec = runnable_spec();
+  spec.plan.threads = -2;
+  expect_rejected(spec, "plan.threads");
 }
 
 /// All four covered protocols heal from a mid-run fault burst.
@@ -508,42 +523,38 @@ void expect_same_stats(const RecoveryStats& a, const RecoveryStats& b,
 }
 
 /// The gated default spec and its stripped twin give identical
-/// RecoveryStats at 1 and 3 threads, clean and under scheduler loss (the
-/// generic lane's faulted census), and identical per-trial reference runs.
+/// RecoveryStats at 1 and 3 threads, and identical per-trial reference
+/// runs.
 template <typename P>
 void expect_gate_invisible(const typename P::Params& params,
                            std::uint64_t max_steps, std::uint64_t tag_base) {
-  for (const double loss : {0.0, 0.1}) {
-    for (int threads : {1, 3}) {
-      TrialPlan plan;
-      plan.trials = 12;
-      plan.max_steps = max_steps;
-      plan.seed_base = 21;
-      plan.tag = campaign_tag(tag_base, params.n, 4);
-      plan.threads = threads;
-      auto spec = make_recovery_scenario<P>(
-          "storm", storm_schedule(4, static_cast<std::uint64_t>(params.n)),
-          plan);
-      spec.sched_faults.loss_p = loss;
-      const auto plain = stripped(spec);
-      ASSERT_TRUE(spec.recovered.unique_leader());
-      ASSERT_FALSE(plain.recovered.unique_leader());
-      const std::string what = "n=" + std::to_string(params.n) +
-                               " loss=" + std::to_string(loss) +
-                               " threads=" + std::to_string(threads);
-      const auto gated = measure_recovery<P>(params, spec);
-      EXPECT_EQ(gated.stabilization_failures, 0) << what;
-      EXPECT_FALSE(gated.raw.empty()) << what;
-      expect_same_stats(gated, measure_recovery<P>(params, plain), what);
-      if (threads != 1) continue;
-      for (std::uint64_t t = 0; t < 3; ++t) {
-        const auto a = detail::recovery_trial<P>(params, spec, t);
-        const auto b = detail::recovery_trial<P>(params, plain, t);
-        EXPECT_EQ(a.stabilized, b.stabilized) << what;
-        EXPECT_EQ(a.healed, b.healed) << what;
-        EXPECT_EQ(a.stabilize_steps, b.stabilize_steps) << what;
-        EXPECT_EQ(a.recovery_steps, b.recovery_steps) << what;
-      }
+  for (int threads : {1, 3}) {
+    TrialPlan plan;
+    plan.trials = 12;
+    plan.max_steps = max_steps;
+    plan.seed_base = 21;
+    plan.tag = campaign_tag(tag_base, params.n, 4);
+    plan.threads = threads;
+    const auto spec = make_recovery_scenario<P>(
+        "storm", storm_schedule(4, static_cast<std::uint64_t>(params.n)),
+        plan);
+    const auto plain = stripped(spec);
+    ASSERT_TRUE(spec.recovered.unique_leader());
+    ASSERT_FALSE(plain.recovered.unique_leader());
+    const std::string what = "n=" + std::to_string(params.n) +
+                             " threads=" + std::to_string(threads);
+    const auto gated = measure_recovery<P>(params, spec);
+    EXPECT_EQ(gated.stabilization_failures, 0) << what;
+    EXPECT_FALSE(gated.raw.empty()) << what;
+    expect_same_stats(gated, measure_recovery<P>(params, plain), what);
+    if (threads != 1) continue;
+    for (std::uint64_t t = 0; t < 3; ++t) {
+      const auto a = detail::recovery_trial<P>(params, spec, t);
+      const auto b = detail::recovery_trial<P>(params, plain, t);
+      EXPECT_EQ(a.stabilized, b.stabilized) << what;
+      EXPECT_EQ(a.healed, b.healed) << what;
+      EXPECT_EQ(a.stabilize_steps, b.stabilize_steps) << what;
+      EXPECT_EQ(a.recovery_steps, b.recovery_steps) << what;
     }
   }
 }

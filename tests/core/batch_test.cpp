@@ -3,9 +3,9 @@
 // Runner::run_unbatched (the per-step reference path) — same RNG stream, same
 // agent states, same leader/token bookkeeping — for every census shape the
 // engine specializes on: no outputs, leader output only, and leader + token
-// census with the oracle, with and without oracle delay; plus step() on the
-// shared stream. The study protocols get the same comparison (lanes A and B)
-// with fault storms in tests/verification/differential_test.cpp.
+// census with the oracle; plus step() on the shared stream. The study
+// protocols get the same comparison (lanes A and B) with fault storms in
+// tests/verification/differential_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -139,17 +139,6 @@ TEST(BatchedRunner, OracleTokenCensusIdenticalOver100kSteps) {
       });
 }
 
-TEST(BatchedRunner, OracleDelayIdentical) {
-  std::vector<OracleTokenProto::State> init(8);
-  Runner<OracleTokenProto> r({8}, init, 3);
-  r.set_oracle_delay(50);
-  expect_equivalent(
-      std::move(r), 20'000,
-      [](const OracleTokenProto::State& x, const OracleTokenProto::State& y) {
-        return x.leader == y.leader && x.token == y.token;
-      });
-}
-
 /// Mid-run fault-injection equivalence: drive mirrored runners (unbatched vs
 /// batched) through uneven chunks with identical `set_agent` storms at every
 /// sync point. Both paths must agree on the full trajectory, the incremental
@@ -220,43 +209,26 @@ TEST(BatchedRunnerFaults, OracleTokenCensusIdenticalUnderInjections) {
       });
 }
 
-TEST(BatchedRunnerFaults, OracleDelayIdenticalUnderInjections) {
-  std::vector<OracleTokenProto::State> init(8);
-  Runner<OracleTokenProto> r({8}, init, 5);
-  r.set_oracle_delay(64);
-  expect_equivalent_under_faults(
-      std::move(r), 20'000,
-      [](Xoshiro256pp& rng) {
-        OracleTokenProto::State s;
-        s.leader = static_cast<std::uint8_t>(rng.bounded(2));
-        s.token = static_cast<std::uint8_t>(rng.bounded(2));
-        return s;
-      },
-      [](const OracleTokenProto::State& x, const OracleTokenProto::State& y) {
-        return x.leader == y.leader && x.token == y.token;
-      });
-}
-
-TEST(BatchedRunnerFaults, InjectionDoesNotResetOracleLeaderlessClock) {
-  // A leaderless population since step 0 with oracle delay 10: the first
-  // interaction at steps >= 10 sees no_leader and promotes a leader, i.e.
-  // leader_count flips from 0 to 1 at step 11 exactly. A non-leader fault
-  // injected at step 5 must not reset the oracle's leaderless clock (the
-  // delay counts from the original onset of leaderlessness).
+TEST(BatchedRunnerFaults, InjectionIntoLeaderlessRingReportsAtOnce) {
+  // Omega? reports at once: after every leader is injected away mid-run, a
+  // non-leader fault into the leaderless ring leaves no_leader true, so the
+  // very next interaction promotes a leader on both paths.
   std::vector<OracleTokenProto::State> init(4);
   Runner<OracleTokenProto> r({4}, init, 9);
-  r.set_oracle_delay(10);
   r.run(5);
+  for (int i = 0; i < 4; ++i) r.set_agent(i, OracleTokenProto::State{});
   OracleTokenProto::State fault;
   fault.token = 1;  // flips the token census but not the leader census
   r.set_agent(0, fault);
   ASSERT_EQ(r.leader_count(), 0);
   ASSERT_EQ(r.token_count(), 1);
-  r.run(5);  // steps 6..10: oracle still reports presence until step 10
-  EXPECT_EQ(r.leader_count(), 0);
-  r.run(1);  // the interaction at steps_ == 10 promotes
-  EXPECT_EQ(r.leader_count(), 1);
-  EXPECT_EQ(r.last_leader_change(), 11u);
+  Runner<OracleTokenProto> unbatched = r;
+  r.run(1);
+  unbatched.run_unbatched(1);
+  for (const auto* rn : {&r, &unbatched}) {
+    EXPECT_EQ(rn->leader_count(), 1);
+    EXPECT_EQ(rn->last_leader_change(), 6u);
+  }
 }
 
 TEST(BatchedRunner, MixedPathsShareOneStream) {

@@ -102,8 +102,7 @@ struct OracleTokenProto {
 template <typename P, typename Eq>
 void expect_rings_equivalent(const typename P::Params& params,
                              std::vector<std::vector<typename P::State>> inits,
-                             std::uint64_t total_steps, Eq&& eq,
-                             std::uint64_t oracle_delay = 0) {
+                             std::uint64_t total_steps, Eq&& eq) {
   const int R = static_cast<int>(inits.size());
   EnsembleRunner<P> ensemble(params, R);
   std::vector<Runner<P>> runners;
@@ -111,10 +110,6 @@ void expect_rings_equivalent(const typename P::Params& params,
     const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(r) * 77;
     ensemble.add_ring(inits[static_cast<std::size_t>(r)], seed);
     runners.emplace_back(params, inits[static_cast<std::size_t>(r)], seed);
-  }
-  if (oracle_delay != 0) {
-    ensemble.set_oracle_delay(oracle_delay);
-    for (auto& rn : runners) rn.set_oracle_delay(oracle_delay);
   }
   ASSERT_EQ(ensemble.ring_count(), R);
 
@@ -174,7 +169,7 @@ TEST(EnsembleRunner, UndirectedRingsMatchStandaloneRunners) {
       });
 }
 
-TEST(EnsembleRunner, OracleTokenRingsMatchWithOracleDelay) {
+TEST(EnsembleRunner, OracleTokenRingsMatchStandaloneRunners) {
   const OracleTokenProto::Params p{10};
   std::vector<std::vector<OracleTokenProto::State>> inits(
       6, std::vector<OracleTokenProto::State>(10));
@@ -182,8 +177,7 @@ TEST(EnsembleRunner, OracleTokenRingsMatchWithOracleDelay) {
       p, std::move(inits), 25'000,
       [](const OracleTokenProto::State& x, const OracleTokenProto::State& y) {
         return x.leader == y.leader && x.token == y.token;
-      },
-      /*oracle_delay=*/37);
+      });
 }
 
 TEST(EnsembleRunner, RunRingAndSetAgentMatchStandaloneRunner) {
@@ -238,8 +232,8 @@ TEST(EnsembleRunner, ScalarOnlyBuildsNoLut) {
   EXPECT_EQ(scalar.ring_owner(0), RingOwner::kStates);
 }
 
-/// The three callers of the one drop_mirror both accelerators share.
-enum class MirrorDrop { kSetAgent, kAddRing, kSchedulerFaults };
+/// The two callers of the one drop_mirror both accelerators share.
+enum class MirrorDrop { kSetAgent, kAddRing };
 
 /// Run `inits` on an ensemble beside per-ring Runners through rounds of
 /// run() and in-domain faults into mirror-owned rings (`random_state`),
@@ -295,14 +289,10 @@ void expect_mirror_drop_exact(
   if (drop == MirrorDrop::kSetAgent) {
     ens.set_agent(0, 3, bad);
     runners[0].set_agent(3, bad);
-  } else if (drop == MirrorDrop::kAddRing) {
+  } else {
     auto init = inits[0];
     init[3] = bad;
     add(init);
-  } else {
-    const SchedulerFaults faults{.loss_p = 0.25, .arc_weights = {}};
-    ens.set_scheduler_faults(faults);
-    for (auto& rn : runners) rn.set_scheduler_faults(faults);
   }
   EXPECT_FALSE(accelerated());
   for (int r = 0; r < ens.ring_count(); ++r)
@@ -313,14 +303,13 @@ void expect_mirror_drop_exact(
 
 TEST(EnsembleRunner, OutOfDomainFaultFallsBackToGenericPathExactly) {
   // In-domain faults keep an accelerator on. A state outside the encoded
-  // domain cannot enter the mirror, and scheduler faults leave the clean
-  // uniform scheduler the accelerators assume: either way the ensemble
-  // must drop to the generic path — permanently — and keep producing
-  // exactly the Runner trajectories, not a corrupted table lookup or a
-  // stale mirror. Both accelerators share the one drop: modk's LUT lane
-  // (lab >= k cannot be packed) and P_PL's word lane (a token value
-  // outside {0, 1}), eight rings each, so that P_PL's run() leaves every
-  // ring word-owned at both lockstep widths.
+  // domain cannot enter the mirror, whether injected or added with a ring:
+  // either way the ensemble must drop to the generic path — permanently —
+  // and keep producing exactly the Runner trajectories, not a corrupted
+  // table lookup or a stale mirror. Both accelerators share the one drop:
+  // modk's LUT lane (lab >= k cannot be packed) and P_PL's word lane (a
+  // token value outside {0, 1}), eight rings each, so that P_PL's run()
+  // leaves every ring word-owned at both lockstep widths.
   const auto modk = baselines::ModkParams::make(17, 2);
   const auto plp = pl::PlParams::make(16, 4);
   Xoshiro256pp cfg(9);
@@ -335,8 +324,7 @@ TEST(EnsembleRunner, OutOfDomainFaultFallsBackToGenericPathExactly) {
   weird.leader = 1;
   pl::PlState bad;
   bad.token_b = pl::Token{1, 7, 0};  // value outside {0, 1}
-  for (const MirrorDrop drop : {MirrorDrop::kSetAgent, MirrorDrop::kAddRing,
-                                MirrorDrop::kSchedulerFaults}) {
+  for (const MirrorDrop drop : {MirrorDrop::kSetAgent, MirrorDrop::kAddRing}) {
     SCOPED_TRACE(static_cast<int>(drop));
     expect_mirror_drop_exact<baselines::Modk>(
         modk, modk_inits,

@@ -98,18 +98,9 @@ TEST(Runner, OracleReportsAbsence) {
   Runner<OracleProto> run({4}, std::vector<OracleProto::State>(4), 1);
   EXPECT_EQ(run.leader_count(), 0);
   run.apply_arc(0);
-  EXPECT_EQ(run.leader_count(), 1);  // oracle fired immediately (delay 0)
+  EXPECT_EQ(run.leader_count(), 1);  // oracle fired immediately
   run.apply_arc(1);
   EXPECT_EQ(run.leader_count(), 1);  // leader exists: oracle silent
-}
-
-TEST(Runner, OracleDelayPostponesReport) {
-  Runner<OracleProto> run({4}, std::vector<OracleProto::State>(4), 1);
-  run.set_oracle_delay(10);
-  for (int i = 0; i < 10; ++i) run.apply_arc(i % 4);
-  EXPECT_EQ(run.leader_count(), 0);  // not yet: leaderless_since = 0, need 10
-  run.run(100);
-  EXPECT_EQ(run.leader_count(), 1);
 }
 
 TEST(Runner, RunUntilReportsHittingStep) {
@@ -180,17 +171,20 @@ TEST(Runner, SetAgentUpdatesLeaderCensusAndChangeStep) {
   EXPECT_EQ(run.last_leader_change(), 150u);
 }
 
-TEST(Runner, SetAgentPreservesLeaderlessClock) {
-  // Injecting a state into an already-leaderless population must not reset
-  // Omega?'s leaderless clock: the oracle delay counts from the original
-  // onset of leaderlessness, not from the injection.
+TEST(Runner, SetAgentIntoLeaderlessRingKeepsOracleReport) {
+  // Omega? reports at once: a non-leader fault into a leaderless ring
+  // leaves no_leader true at the very next step, and so does injecting the
+  // last leader away.
   Runner<OracleProto> run({4}, std::vector<OracleProto::State>(4), 1);
-  run.set_oracle_delay(10);
-  for (int i = 0; i < 5; ++i) run.apply_arc(i % 4);
-  EXPECT_EQ(run.leader_count(), 0);
   run.set_agent(0, OracleProto::State{});  // fault injection, still leaderless
-  for (int i = 0; i < 6; ++i) run.apply_arc(i % 4);  // reaches step 11 > 10
-  EXPECT_EQ(run.leader_count(), 1);  // fires at onset+10, not injection+10
+  run.apply_arc(0);
+  EXPECT_EQ(run.leader_count(), 1);  // agent 1 promoted at step 1
+  run.set_agent(1, OracleProto::State{});  // the last leader injected away
+  EXPECT_EQ(run.leader_count(), 0);
+  EXPECT_EQ(run.last_leader_change(), 1u);
+  run.apply_arc(2);
+  EXPECT_EQ(run.leader_count(), 1);  // agent 3 promoted at step 2
+  EXPECT_EQ(run.last_leader_change(), 2u);
 }
 
 TEST(Runner, SnapshotViaCopy) {

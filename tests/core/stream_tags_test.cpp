@@ -8,19 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <span>
-#include <vector>
 
-#include "baselines/modk.hpp"
-#include "core/ensemble.hpp"
-#include "core/ring.hpp"
 #include "core/rng.hpp"
-#include "core/runner.hpp"
 #include "core/stream_tags.hpp"
-#include "pl/adversary.hpp"
-#include "pl/protocol.hpp"
 
 namespace {
 
@@ -34,14 +27,12 @@ TEST(StreamTags, RegisteredValuesArePinned) {
   // registry header documents the blast radius. This is the golden copy.
   EXPECT_EQ(streams::kConfig, 0xC0FFEEULL);
   EXPECT_EQ(streams::kFaults, 0xFA5EEDULL);
-  EXPECT_EQ(streams::kLoss, 0x1055ULL);
   EXPECT_EQ(streams::kLockstepDecoy, 0x10C5ULL);
   EXPECT_EQ(streams::kDifferentialTrial, 0xD1FFULL);
   EXPECT_EQ(streams::kDigest, 0x5EEDEDULL);
   EXPECT_EQ(streams::kFailpoint, 0xFA17ULL);
   EXPECT_EQ(streams::kRetryJitter, 0xB0FFULL);
-  EXPECT_EQ(streams::kCount, 8);
-  EXPECT_EQ(kLossStreamTag, streams::kLoss);
+  EXPECT_EQ(streams::kCount, 7);
 }
 
 TEST(StreamTags, PairwiseDistinctAndHammingFloor) {
@@ -56,8 +47,9 @@ TEST(StreamTags, PairwiseDistinctAndHammingFloor) {
     }
   }
   EXPECT_GE(min_distance, streams::kMinTagHammingDistance);
-  // The floor is the *real* minimum, not slack: kLoss/kLockstepDecoy sit
-  // exactly on it. If this fails the floor can (and should) be raised.
+  // The floor is the *real* minimum, not slack: kDifferentialTrial and
+  // kRetryJitter sit exactly on it. If this fails the floor can (and
+  // should) be raised.
   EXPECT_EQ(min_distance, streams::kMinTagHammingDistance);
 }
 
@@ -69,7 +61,7 @@ TEST(StreamTags, StreamSeedIsTheHistoricalXor) {
   constexpr std::uint64_t s = 0x0123456789ABCDEFULL;
   static_assert(stream_seed(s, streams::kConfig) == (s ^ 0xC0FFEEULL));
   EXPECT_EQ(stream_seed(s, streams::kFaults), s ^ 0xFA5EEDULL);
-  EXPECT_EQ(stream_seed(0, streams::kLoss), 0x1055ULL);
+  EXPECT_EQ(stream_seed(0, streams::kRetryJitter), 0xB0FFULL);
 }
 
 TEST(StreamTags, DeriveSeedGoldenValues) {
@@ -89,88 +81,6 @@ TEST(StreamTags, FirstDrawsOfEachTrialStreamArePinned) {
             0x3b5cf3c2aa93a23eULL);
   EXPECT_EQ(Xoshiro256pp(stream_seed(trial, streams::kFaults))(),
             0x116957d6b9d234edULL);
-  EXPECT_EQ(Xoshiro256pp(stream_seed(trial, streams::kLoss))(),
-            0x2ed8b61ac5cf5f6bULL);
-}
-
-// --- Cross-engine fault-stream normalization (satellite regression) -------
-//
-// Runner and EnsembleRunner must derive the omission-loss stream of a ring
-// seeded `s` identically — stream_seed(s, streams::kLoss) — for every way
-// the stream can be (re)established: at construction, via
-// set_scheduler_faults before stepping, and via set_scheduler_faults after
-// rings already exist. A divergence in any path shows up as different
-// faulted trajectories on the same seeds. `faults` defaults to loss only;
-// a bias table goes through the same derivation.
-
-template <typename P>
-void expect_cross_engine_fault_identity(
-    const typename P::Params& params,
-    std::span<const typename P::State> initial, std::uint64_t steps,
-    const SchedulerFaults& faults = {.loss_p = 0.25, .arc_weights = {}}) {
-  constexpr int kRings = 3;
-  EnsembleRunner<P> ensemble(params, kRings);
-  std::vector<std::uint64_t> seeds;
-  for (int r = 0; r < kRings; ++r) {
-    const auto seed = derive_seed(99, streams::kDifferentialTrial,
-                                  static_cast<std::uint64_t>(r));
-    seeds.push_back(seed);
-    ensemble.add_ring(initial, seed);
-  }
-  // Re-derivation path: faults configured AFTER the rings exist.
-  ensemble.set_scheduler_faults(faults);
-
-  for (int r = 0; r < kRings; ++r) {
-    Runner<P> runner(params,
-                           std::vector<typename P::State>(initial.begin(),
-                                                          initial.end()),
-                           seeds[static_cast<std::size_t>(r)]);
-    runner.set_scheduler_faults(faults);
-    runner.run(steps);
-    ensemble.run_ring(r, steps);
-    const auto ring = ensemble.agents(r);
-    ASSERT_EQ(ring.size(), runner.agents().size());
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-      ASSERT_TRUE(ring[i] == runner.agents()[i])
-          << "ring " << r << " agent " << i
-          << ": faulted trajectories diverged — loss-stream derivation is "
-             "not normalized across engines";
-    }
-    EXPECT_EQ(ensemble.steps(r), runner.steps());
-  }
-}
-
-TEST(StreamTags, CrossEngineFaultStreamBitIdentityModk) {
-  const auto params = baselines::ModkParams::make(12, 5);
-  Xoshiro256pp rng(stream_seed(derive_seed(7, 3, 0), streams::kConfig));
-  std::vector<baselines::Modk::State> initial(
-      static_cast<std::size_t>(params.n));
-  for (auto& s : initial) {
-    s.leader = static_cast<std::uint8_t>(rng.bounded(2));
-    s.lab = static_cast<std::uint8_t>(
-        rng.bounded(static_cast<std::uint64_t>(params.k)));
-  }
-  expect_cross_engine_fault_identity<baselines::Modk>(params, initial, 4096);
-}
-
-TEST(StreamTags, CrossEngineFaultStreamBitIdentityPl) {
-  const auto params = pl::PlParams::make(8, 2);
-  Xoshiro256pp rng(stream_seed(derive_seed(7, 3, 1), streams::kConfig));
-  std::vector<pl::PlProtocol::State> initial(
-      static_cast<std::size_t>(params.n));
-  expect_cross_engine_fault_identity<pl::PlProtocol>(params, initial, 4096);
-
-  // Loss plus a biased arc table (zero-weight arcs included), from a
-  // random configuration.
-  const auto biased_params = pl::PlParams::make(10, 4);
-  SchedulerFaults biased;
-  biased.loss_p = 0.2;
-  for (int a = 0; a < arc_count(biased_params.n, pl::PlProtocol::directed);
-       ++a)
-    biased.arc_weights.push_back(a % 4 == 0 ? 0.0 : 1.0 + a % 3);
-  const auto random_initial = pl::random_config(biased_params, rng);
-  expect_cross_engine_fault_identity<pl::PlProtocol>(
-      biased_params, random_initial, 4000, biased);
 }
 
 }  // namespace

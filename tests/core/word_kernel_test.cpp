@@ -434,7 +434,6 @@ TEST_P(WordKernelIsa, RunBlockCutsRunsLikeOneAtATime) {
     core::RingClock clk;
     clk.steps = 5;
     for (const std::uint64_t w : words) clk.leader_count += (w & 1) != 0;
-    if (clk.leader_count == 0) clk.leaderless_since = clk.steps;
     core::RingClock want_clk = clk;
     core::Xoshiro256pp rng(40 + n);
     core::Xoshiro256pp want_rng = rng;
@@ -456,7 +455,6 @@ TEST_P(WordKernelIsa, RunBlockCutsRunsLikeOneAtATime) {
       ASSERT_EQ(clk.steps, want_clk.steps) << what;
       ASSERT_EQ(clk.leader_count, want_clk.leader_count) << what;
       ASSERT_EQ(clk.last_leader_change, want_clk.last_leader_change) << what;
-      ASSERT_EQ(clk.leaderless_since, want_clk.leaderless_since) << what;
     }
   }
 }
