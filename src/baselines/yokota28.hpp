@@ -37,13 +37,19 @@ struct Y28Params {
   int n = 0;
   int cap = 0;  ///< N = 2^psi
 
+  /// Throws when n < 2, psi_slack < 0 or cap > 2^16: Y28State::dist is 16
+  /// bits wide, and dist + 1 must be able to reach cap.
   [[nodiscard]] static Y28Params make(int n, int psi_slack = 0) {
     if (n < 2) throw std::invalid_argument("Y28Params: n must be >= 2");
+    if (psi_slack < 0)
+      throw std::invalid_argument("Y28Params: psi_slack must be >= 0");
+    const int psi =
+        std::max(2, core::ceil_log2(static_cast<std::uint64_t>(n)));
+    if (psi_slack > 16 - psi)
+      throw std::invalid_argument("Y28Params: cap must be <= 65536");
     Y28Params p;
     p.n = n;
-    p.cap = 1 << (std::max(2, core::ceil_log2(
-                                  static_cast<std::uint64_t>(n))) +
-                  psi_slack);
+    p.cap = 1 << (psi + psi_slack);
     return p;
   }
 };

@@ -104,7 +104,9 @@ concept WantsOracle =
 /// the leader output read straight off the word — the engines' grouped
 /// driver requires word_leader to BE bit 0 of the word (it probes exactly
 /// that at activation and keeps the scalar path otherwise, so a layout
-/// with the leader flag elsewhere degrades, never corrupts). It serves
+/// with the leader flag elsewhere degrades, never corrupts). The 4- and
+/// 8-lane entries take the caller's broadcast policy for the kernel
+/// constants (core/wordlane.hpp). It serves
 /// states far too many for EnsembleRunner's pair-transition LUT (P_PL packs
 /// into ~45-51 bits against the LUT's 2^16-pair budget) that still fit one
 /// machine word — the payoff of the paper's poly-logarithmic state bound.
@@ -122,8 +124,8 @@ concept HasWordKernel =
       {
         P::make_word_consts(lay)
       } -> std::convertible_to<typename P::WordKernelConsts>;
-      P::apply_word_x4(v, v, kc);
-      P::apply_word_x8(v8, v8, kc);
+      P::apply_word_x4(v, v, kc, SplatBroadcast{});
+      P::apply_word_x8(v8, v8, kc, SplatBroadcast{});
     };
 
 /// A word kernel is runnable by EnsembleRunner when the protocol

@@ -294,20 +294,34 @@ struct WordGroupDriver {
 
   /// The kernel constants, read from memory at every use. An empty asm
   /// launders the pointer once per call, so the compiler cannot prove the
-  /// constants loop-invariant: each of the ~40 is a load (or an embedded
-  /// broadcast operand) inside the step instead of a vector register held
-  /// across the whole loop. Hoisted, those broadcasts outnumber the
-  /// registers the kernel's own temporaries need and the loop spills (see
-  /// rings_impl; the single-ring AVX-512 clone, from a by-value copy, held
-  /// 579 stack references in ~1,230 instructions against 173 in ~980, GCC
-  /// 12).
+  /// constants loop-invariant: each of the ~40 is a broadcast load inside
+  /// the step instead of a vector register held across the whole loop.
+  /// Hoisted, those broadcasts outnumber the registers the kernel's own
+  /// temporaries need and the loop spills (see rings_impl; the single-ring
+  /// AVX-512 clone, from a by-value copy, held 579 stack references in
+  /// ~1,230 instructions against 173 in ~980, GCC 12).
   [[gnu::always_inline]] static inline const Consts& consts_from_memory(
       const Consts* kc) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
     asm volatile("" : "+r"(kc));
-#endif
     return *kc;
   }
+
+  /// The clones' broadcast policy for the kernel constants
+  /// (core/wordlane.hpp): one vpbroadcastq from the constant's own field,
+  /// a load-port uop. Splatted values instead let GCC load neighbouring
+  /// fields as one vector and permute each lane out (vpermq on the shuffle
+  /// port, 28-31 per step in every clone, GCC 12). The asm only compiles
+  /// where the lane type lives in a vector register, i.e. inside a clone;
+  /// scripts/check_word_loops.py keeps the permutes out.
+  struct MemoryBroadcast {
+    template <typename V>
+    [[nodiscard, gnu::always_inline]] static inline V from(
+        const std::uint64_t& field) noexcept {
+      V v;
+      asm("vpbroadcastq {%1, %0|%0, %1}" : "=v"(v) : "m"(field));
+      return v;
+    }
+  };
 
   /// One run: lanes [s, e) of a group, pairwise disjoint, through one G-lane
   /// kernel call — gather, kernel, scatter, leader-bit delta census
@@ -327,9 +341,9 @@ struct WordGroupDriver {
     const VW oa = wa;
     const VW ob = wb;
     if constexpr (kLanesOf<VW> == 4) {
-      P::apply_word_x4(wa, wb, consts_from_memory(&kc));
+      P::apply_word_x4(wa, wb, consts_from_memory(&kc), MemoryBroadcast{});
     } else {
-      P::apply_word_x8(wa, wb, consts_from_memory(&kc));
+      P::apply_word_x8(wa, wb, consts_from_memory(&kc), MemoryBroadcast{});
     }
     scatter(words, ia, wa, live);
     scatter(words, ib, wb, live);
@@ -564,7 +578,8 @@ struct WordGroupDriver {
           if (more) draw_vec(nva, nvb);
           const VW oa = wa;
           const VW ob = wb;
-          P::apply_word_x8(wa, wb, consts_from_memory(&kc));
+          P::apply_word_x8(wa, wb, consts_from_memory(&kc),
+                           MemoryBroadcast{});
           scatter8_addr(aa, wa);
           scatter8_addr(ab, wb);
           if constexpr (HasLeaderOutput<P>) {
@@ -609,7 +624,8 @@ struct WordGroupDriver {
           if (more) draw(na, nb);
           const VW oa = wa;
           const VW ob = wb;
-          P::apply_word_x4(wa, wb, consts_from_memory(&kc));
+          P::apply_word_x4(wa, wb, consts_from_memory(&kc),
+                           MemoryBroadcast{});
           for (int j = 0; j < G; ++j) {
             base[j][ia[j]] = wa[j];
             base[j][ib[j]] = wb[j];

@@ -19,6 +19,12 @@
 //
 // Shift-by-scalar, +, -, &, |, ^, ~ come straight from the vector
 // extension (and work identically on the uint64_t instantiation).
+//
+// A kernel reads its precomputed constants through a broadcast policy B,
+// `B::template from<V>(field)`, chosen by its caller. SplatBroadcast below
+// is vbroadcast and compiles anywhere; the word driver's ISA clones pass
+// their own policy, which broadcasts each constant straight from memory
+// (core/word_driver.hpp).
 #pragma once
 
 #include <cstdint>
@@ -95,6 +101,16 @@ template <typename V>
                                                       WordVec8 b) noexcept {
   return (WordVec8)((WordVec8S)a > (WordVec8S)b);
 }
+/// The broadcast policy that splats a constant's value: any lane type, any
+/// ISA, the instruction left to the compiler.
+struct SplatBroadcast {
+  template <typename V>
+  [[nodiscard, gnu::always_inline]] static inline V from(
+      const std::uint64_t& field) noexcept {
+    return vbroadcast<V>(field);
+  }
+};
+
 template <typename V>
 [[nodiscard, gnu::always_inline]] inline V vsel(V m, V a, V b) noexcept {
   return b ^ ((a ^ b) & m);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "core/ring.hpp"
 
@@ -285,22 +286,29 @@ enum class Order : std::uint8_t {
   kProof,  ///< the first failing clause in proof order, and where it failed
 };
 
-/// S_PL in three passes, cheapest first:
+/// S_PL in passes, cheapest first:
 ///   1. the leader count;
-///   2. one walk from the leader over C_DL, peaceful bullets (PeaceWalk)
-///      and the segment IDs S_0..S_{zeta-2} (consecutive for the pairs
-///      i in [0, zeta-3]);
-///   3. the token clause, whose per-token geometry and bit reads make it
-///      the most expensive, last.
-/// kCost returns at the first failure. kProof still reports what proof
-/// order would: a C_DL failure anywhere returns at once (it precedes the
-/// clauses checked beside it), the smallest non-peaceful bullet index and
-/// the first bad segment pair are held back until the clauses before them
-/// have passed, and pass 3 walks in index order.
+///   2. kCost only: the segment IDs S_0..S_{zeta-2}, each read at its C_DL
+///      offset from the leader, pairs compared from the far end back;
+///   3. one walk from the leader over C_DL and peaceful bullets (PeaceWalk);
+///   4. the token clause, whose per-token geometry and bit reads make it
+///      the most expensive;
+///   5. kProof only: the segment IDs, pairs in index order.
+/// kCost returns at the first failure. Reading the IDs before the walk has
+/// checked C_DL cannot change its verdict: IDs read at the C_DL offsets
+/// that are not consecutive put the ring outside S_PL whether C_DL holds
+/// or not. The ripple-carry increments fix the IDs outward from the
+/// leader, so on the way into S_PL the bad pair is usually the last one,
+/// and the far-end-first pass exits after two IDs. kProof reports what
+/// proof order would: a C_DL failure anywhere returns at once, the
+/// smallest non-peaceful bullet index is held back until C_DL has passed,
+/// pass 4 walks in index order, and pass 5 names the first bad pair.
 template <Order O, typename F>
 SafeFinding find_failing_clause(const F& f, const PlParams& p) {
   constexpr bool kProofOrder = O == Order::kProof;
   const int n = f.size();
+  if (n != p.n)
+    throw std::invalid_argument("S_PL: configuration size != PlParams::n");
   int leaders = 0;
   int k = 0;
   for (int i = 0; i < n; ++i) {
@@ -314,50 +322,39 @@ SafeFinding find_failing_clause(const F& f, const PlParams& p) {
   }
   if (leaders != 1) return {SafeClause::kLeaderCount, leaders};
 
-  const int last_from = p.psi * (p.zeta() - 1);
-  const int id_end = p.zeta() > 2 ? last_from : 0;  // S_0..S_{zeta-2}
+  // Segment S_seg of C_DL holds the psi agents from seg * psi right of the
+  // leader; pair i is (S_i, S_{i+1}), for i in [0, zeta-3].
+  const int id_pairs = std::max(0, p.zeta() - 2);
   const auto id_mask = static_cast<unsigned long long>(p.id_modulus()) - 1;
+  const auto segment_id = [&](int seg) {
+    int at = k + seg * p.psi;  // < k + n: seg <= zeta - 2
+    if (at >= n) at -= n;
+    unsigned long long id = 0;
+    for (int bit = 0; bit < p.psi; ++bit) {
+      id |= static_cast<unsigned long long>(f.b(at)) << bit;
+      if (++at == n) at = 0;
+    }
+    return id;
+  };
+  const auto ids_consecutive = [&](int pair) {
+    return segment_id(pair + 1) == ((segment_id(pair) + 1) & id_mask);
+  };
+  if constexpr (!kProofOrder) {
+    for (int pair = id_pairs - 1; pair >= 0; --pair)
+      if (!ids_consecutive(pair)) return {SafeClause::kSegmentIds, pair};
+  }
+
+  const int last_from = p.psi * (p.zeta() - 1);
   PeaceWalk peace;
   int bullet_at = n;  // kProof: the smallest non-peaceful live bullet
-  int id_pair = -1;   // kProof: the first pair with non-consecutive IDs
-  int idx = k;        // the agent the walk is at
-  SafeFinding stop;
-  // C_DL and the bullet at idx, then one step right; false when the walk
-  // must return `stop`.
-  const auto visit = [&](int dist, bool last) {
-    if (!cdl_at(f, idx, dist, last)) {
-      stop = {SafeClause::kCdlLayout, k};
-      return false;
-    }
+  for (int i = 0, idx = k, dist = 0; i < n; ++i) {
+    if (!cdl_at(f, idx, dist, i >= last_from))
+      return {SafeClause::kCdlLayout, k};
     if (!peace.step(f, idx) && f.bullet(idx) == common::kLiveBullet) {
-      if constexpr (!kProofOrder) {
-        stop = {SafeClause::kPeacefulBullets, idx};
-        return false;
-      }
+      if constexpr (!kProofOrder) return {SafeClause::kPeacefulBullets, idx};
       bullet_at = std::min(bullet_at, idx);
     }
     if (++idx == n) idx = 0;
-    return true;
-  };
-  // S_0..S_{zeta-2} lie before the last segment, so last == 0 throughout;
-  // segment `seg` starts at dist 0 or psi by its parity.
-  int seg = 0;
-  unsigned long long prev_id = 0;
-  for (; seg * p.psi < id_end; ++seg) {
-    const int dist = seg % 2 == 0 ? 0 : p.psi;
-    unsigned long long id = 0;
-    for (int bit = 0; bit < p.psi; ++bit) {
-      id += static_cast<unsigned long long>(f.b(idx)) << bit;
-      if (!visit(dist + bit, false)) return stop;
-    }
-    if (seg > 0 && id_pair < 0 && id != ((prev_id + 1) & id_mask)) {
-      if constexpr (!kProofOrder) return {SafeClause::kSegmentIds, seg - 1};
-      id_pair = seg - 1;
-    }
-    prev_id = id;
-  }
-  for (int i = seg * p.psi, dist = seg % 2 == 0 ? 0 : p.psi; i < n; ++i) {
-    if (!visit(dist, i >= last_from)) return stop;
     if (++dist == p.two_psi()) dist = 0;
   }
   if (bullet_at < n) return {SafeClause::kPeacefulBullets, bullet_at};
@@ -380,7 +377,10 @@ SafeFinding find_failing_clause(const F& f, const PlParams& p) {
     }
     if (++r == n) r = 0;
   }
-  if (id_pair >= 0) return {SafeClause::kSegmentIds, id_pair};
+  if constexpr (kProofOrder) {
+    for (int pair = 0; pair < id_pairs; ++pair)
+      if (!ids_consecutive(pair)) return {SafeClause::kSegmentIds, pair};
+  }
   return {SafeClause::kSafe, 0};
 }
 

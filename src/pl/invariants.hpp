@@ -15,20 +15,24 @@
 // reads field by field (bit extractions, no PlState decode), so convergence
 // sweeps on that lane check S_PL without unpacking the ring.
 //
-// The check runs in cost order, not proof order: the leader count; then one
-// walk from the leader that checks the C_DL layout, peaceful bullets (a
-// running absence-signal flag) and the segment IDs; then the token clause,
-// the most expensive, last. It has two modes:
+// The check runs in cost order, not proof order. It has two modes:
 //
-//   * membership (is_safe, SafePredicate, membership_exit_clause) returns
-//     at the first failure it meets. A near-safe ring that fails the
-//     segment IDs never pays for its ~n/3 tokens.
-//   * exact (first_failing_clause, check_safe) names the first clause in
-//     proof order (the SafeClause order below) and where it failed,
-//     whatever order the passes ran in.
+//   * membership (is_safe, SafePredicate, membership_exit_clause): the
+//     leader count; then the segment IDs, each read at its C_DL offset
+//     from the leader, pairs compared from the far end back; then one walk
+//     from the leader over the C_DL layout and peaceful bullets (a running
+//     absence-signal flag); then the token clause, the most expensive,
+//     last. It returns at the first failure it meets. A ring on its way
+//     into S_PL almost always fails at its far-end segment pair, after two
+//     IDs, and never pays for the walk or its ~n/3 tokens.
+//   * exact (first_failing_clause, check_safe): the leader count, the walk,
+//     the tokens, then the segment IDs in index order. It names the first
+//     clause in proof order (the SafeClause order below) and where it
+//     failed, whatever order the passes ran in.
 //
 // Both answer "is it in S_PL?" identically; they differ only in which
-// clause they name when several fail.
+// clause they name when several fail. Every entry point throws
+// std::invalid_argument on a configuration whose size is not p.n.
 #pragma once
 
 #include <cstdint>
@@ -122,7 +126,7 @@ using WordConfig = core::WordRingView<PlProtocol>;
 /// The clause at which the membership check (cost order, early exit)
 /// stopped: kSafe iff first_failing_clause is kSafe, but when several
 /// clauses fail it names the first one the passes met, e.g. kSegmentIds on
-/// a ring that fails both the segment IDs and the tokens.
+/// a ring that fails the segment IDs and C_DL or the tokens.
 [[nodiscard]] SafeClause membership_exit_clause(Config c, const PlParams& p);
 [[nodiscard]] SafeClause membership_exit_clause(const WordConfig& c,
                                                 const PlParams& p);

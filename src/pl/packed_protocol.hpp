@@ -20,7 +20,12 @@
 //  * Fields stay IN PLACE inside the word wherever possible and are
 //    compared/updated against field-position constants precomputed in
 //    PlKernelConsts (one_in_field, psi_in_field, ...), so almost no
-//    variable shifts or cross-position moves are needed.
+//    variable shifts or cross-position moves are needed. Each constant
+//    reaches the lanes through the caller's broadcast policy B
+//    (core/wordlane.hpp): left to the compiler, the vector clones built
+//    them from neighbouring fields loaded as one register and permuted
+//    (vpermq, ~30 per step on the shuffle port), so the clones broadcast
+//    each one from memory instead.
 //  * Every conditional is an arithmetic select (core::vsel: mask-and-xor
 //    over full-width compare masks — immune to the compiler
 //    re-introducing branches, which -O2 does to plain ternaries here).
@@ -177,7 +182,7 @@ namespace packed_detail {
 /// pos-0 copies ld0/rd0 for the Definition-3.3 target arithmetic, l_last
 /// (post-line-9, as mask), r_last, detect (r's mode, fixed after
 /// Algorithm 4) and l_b.
-template <int color, typename V>
+template <int color, typename V, typename B>
 [[gnu::always_inline]] inline void move_token_lane(
     V& lt, V& rt, V& r_b_m, V& promote_m, const V& l_dist_ip,
     const V& l_last_m, const V& r_last_m, const V& detect_m, const V& l_b_m,
@@ -188,18 +193,18 @@ template <int color, typename V>
   using core::vsel;
   const V zero = core::vbroadcast<V>(0);
   const V one = core::vbroadcast<V>(1);
-  const V pos_mask = core::vbroadcast<V>(K.pos_mask);
-  const V bot = core::vbroadcast<V>(K.bot);
-  const V bot_p1 = core::vbroadcast<V>(K.bot_p1);
-  const V bot_m1 = core::vbroadcast<V>(K.bot_m1);
-  const V bit_value = core::vbroadcast<V>(K.bit_value);
-  const V bit_carry = core::vbroadcast<V>(K.bit_carry);
-  const V psi_bias = core::vbroadcast<V>(K.psi_bias);
-  const V d_ip = core::vbroadcast<V>(K.d_ip[color]);
-  const V dbias = core::vbroadcast<V>(K.dbias[color]);
-  const V psi_p0 = core::vbroadcast<V>(K.psi_p0);
-  const V psim1_p0 = core::vbroadcast<V>(K.psim1_p0);
-  const V two_psi_p0 = core::vbroadcast<V>(K.two_psi_p0);
+  const V pos_mask = B::template from<V>(K.pos_mask);
+  const V bot = B::template from<V>(K.bot);
+  const V bot_p1 = B::template from<V>(K.bot_p1);
+  const V bot_m1 = B::template from<V>(K.bot_m1);
+  const V bit_value = B::template from<V>(K.bit_value);
+  const V bit_carry = B::template from<V>(K.bit_carry);
+  const V psi_bias = B::template from<V>(K.psi_bias);
+  const V d_ip = B::template from<V>(K.d_ip[color]);
+  const V dbias = B::template from<V>(K.dbias[color]);
+  const V psi_p0 = B::template from<V>(K.psi_p0);
+  const V psim1_p0 = B::template from<V>(K.psim1_p0);
+  const V two_psi_p0 = B::template from<V>(K.two_psi_p0);
 
   // Lines 12-13: a border agent outside the last segment (re)creates a
   // token initialized for round 0 of the ripple-carry increment:
@@ -279,7 +284,7 @@ template <int color, typename V>
 /// every field value is OR-folded into wl/wr the moment it is final, so
 /// its register dies early instead of staying live until a monolithic
 /// repack (the difference is ~2x in spill traffic at 8 lanes).
-template <typename V>
+template <typename V, typename B>
 [[gnu::always_inline]] inline void apply_word_lanes(
     V& wl, V& wr, const PlKernelConsts& K) noexcept {
   using core::veq;
@@ -293,23 +298,23 @@ template <typename V>
   const V l_b_m = vmask(wl, 1);
   const V r_leader_m = vmask(wr, 0);
   const V r_last_m = vmask(wr, 2);
-  const V dist_f = core::vbroadcast<V>(K.dist_f);
+  const V dist_f = B::template from<V>(K.dist_f);
   const V l_dist_ip = wl & dist_f;
-  V l_clock_ip = wl & core::vbroadcast<V>(K.clock_f);
-  V l_sigr_ip = wl & core::vbroadcast<V>(K.sigr_f);
+  V l_clock_ip = wl & B::template from<V>(K.clock_f);
+  V l_sigr_ip = wl & B::template from<V>(K.sigr_f);
   const V r_dist_ip0 = wr & dist_f;
-  V r_hits_ip = wr & core::vbroadcast<V>(K.hits_f);
-  V r_clock_ip = wr & core::vbroadcast<V>(K.clock_f);
-  V r_sigr_ip = wr & core::vbroadcast<V>(K.sigr_f);
+  V r_hits_ip = wr & B::template from<V>(K.hits_f);
+  V r_clock_ip = wr & B::template from<V>(K.clock_f);
+  V r_sigr_ip = wr & B::template from<V>(K.sigr_f);
 
   // --- DetermineMode() — Algorithm 4 (lines 34-48) ---
-  const V psi_h = core::vbroadcast<V>(K.psi_h);
-  l_sigr_ip = vsel(l_leader_m, core::vbroadcast<V>(K.kmax_s),
+  const V psi_h = B::template from<V>(K.psi_h);
+  l_sigr_ip = vsel(l_leader_m, B::template from<V>(K.kmax_s),
                    l_sigr_ip);                              // lines 34-35
   // Lines 36-37: min(hits + 1, psi); hits <= psi in domain, so the clamp
   // is an equality test.
   r_hits_ip = vsel(veq(r_hits_ip, psi_h), psi_h,
-                   r_hits_ip + core::vbroadcast<V>(K.one_h));
+                   r_hits_ip + B::template from<V>(K.one_h));
   const V sig_m = ~veq(l_sigr_ip | r_sigr_ip, zero);        // line 38
   // Signal branch (lines 39-45):
   const V absorb_m =
@@ -318,14 +323,14 @@ template <typename V>
   const V sigr_s0 =
       vsel(vgt(l_sigr_ip, r_sigr_ip), l_sigr_ip, r_sigr_ip);  // line 42
   const V win_s_m = veq(hits_s0, psi_h);                    // lines 43-45
-  const V sigr_s = sigr_s0 - (win_s_m & core::vbroadcast<V>(K.one_s));
+  const V sigr_s = sigr_s0 - (win_s_m & B::template from<V>(K.one_s));
   const V hits_s = hits_s0 & ~win_s_m;
   // No-signal branch (lines 46-48): min(clock + 1, kappa_max) on a win.
   const V win_n_m = veq(r_hits_ip, psi_h);
-  V clock_n = r_clock_ip + (win_n_m & core::vbroadcast<V>(K.one_c));
-  const V kmax_c = core::vbroadcast<V>(K.kmax_c);
+  V clock_n = r_clock_ip + (win_n_m & B::template from<V>(K.one_c));
+  const V kmax_c = B::template from<V>(K.kmax_c);
   clock_n =
-      vsel(veq(clock_n, core::vbroadcast<V>(K.kmax_p1_c)), kmax_c, clock_n);
+      vsel(veq(clock_n, B::template from<V>(K.kmax_p1_c)), kmax_c, clock_n);
   const V hits_n = r_hits_ip & ~win_n_m;
   // Merge:
   l_clock_ip = l_clock_ip & ~sig_m;
@@ -335,8 +340,8 @@ template <typename V>
   l_sigr_ip = l_sigr_ip & ~sig_m;
 
   // --- CreateLeader() — Algorithm 2 (lines 4-9) ---
-  V tmp_ip = l_dist_ip + core::vbroadcast<V>(K.one_d);      // line 4
-  tmp_ip = tmp_ip & ~veq(tmp_ip, core::vbroadcast<V>(K.twopsi_d));
+  V tmp_ip = l_dist_ip + B::template from<V>(K.one_d);      // line 4
+  tmp_ip = tmp_ip & ~veq(tmp_ip, B::template from<V>(K.twopsi_d));
   tmp_ip = tmp_ip & ~r_leader_m;
   const V detect_m = veq(r_clock_ip, kmax_c);
   V promote_m = detect_m & ~veq(tmp_ip, r_dist_ip0);        // lines 5-6
@@ -344,7 +349,7 @@ template <typename V>
   const V r_dist_ip = vsel(detect_m, r_dist_ip0, tmp_ip);   // lines 7-8
   // Line 9: does l belong to the last segment?
   const V border_m =
-      veq(r_dist_ip, zero) | veq(r_dist_ip, core::vbroadcast<V>(K.psi_d));
+      veq(r_dist_ip, zero) | veq(r_dist_ip, B::template from<V>(K.psi_d));
   const V l_last_m = r_leader9_m | (r_last_m & ~border_m);
 
   // Lines 10-11: both color lanes through the one shared code path (black:
@@ -357,18 +362,18 @@ template <typename V>
   // move_token_lane body (the peak-pressure cut that lets two kernel
   // instances share the register file; only r_b_m and promote_m carry
   // between the color lanes).
-  const V tok_mask = core::vbroadcast<V>(K.tok_mask);
+  const V tok_mask = B::template from<V>(K.tok_mask);
   const V ld0 = l_dist_ip >> K.dist_shift;
   const V rd0 = r_dist_ip >> K.dist_shift;
   V r_b_m = vmask(wr, 1);
-  V wl_acc = (wl & core::vbroadcast<V>(K.keep_l)) | l_clock_ip | l_sigr_ip |
+  V wl_acc = (wl & B::template from<V>(K.keep_l)) | l_clock_ip | l_sigr_ip |
              (l_last_m & core::vbroadcast<V>(0x4));
-  V wr_acc = (wr & core::vbroadcast<V>(K.keep_r)) | r_dist_ip | r_hits_ip |
+  V wr_acc = (wr & B::template from<V>(K.keep_r)) | r_dist_ip | r_hits_ip |
              r_clock_ip | r_sigr_ip;
   {
     V ltb = (wl >> K.tokb_shift) & tok_mask;
     V rtb = (wr >> K.tokb_shift) & tok_mask;
-    move_token_lane<0>(ltb, rtb, r_b_m, promote_m, l_dist_ip, l_last_m,
+    move_token_lane<0, V, B>(ltb, rtb, r_b_m, promote_m, l_dist_ip, l_last_m,
                        r_last_m, detect_m, l_b_m, ld0, rd0, K);
     wl_acc = wl_acc | (ltb << K.tokb_shift);
     wr_acc = wr_acc | (rtb << K.tokb_shift);
@@ -376,7 +381,7 @@ template <typename V>
   {
     V ltw = (wl >> K.tokw_shift) & tok_mask;
     V rtw = (wr >> K.tokw_shift) & tok_mask;
-    move_token_lane<1>(ltw, rtw, r_b_m, promote_m, l_dist_ip, l_last_m,
+    move_token_lane<1, V, B>(ltw, rtw, r_b_m, promote_m, l_dist_ip, l_last_m,
                        r_last_m, detect_m, l_b_m, ld0, rd0, K);
     wl_acc = wl_acc | (ltw << K.tokw_shift);
     wr_acc = wr_acc | (rtw << K.tokw_shift);
@@ -435,29 +440,39 @@ template <typename V>
 inline void apply_word(std::uint64_t& wl, std::uint64_t& wr,
                        const PackedLayout& lay) noexcept {
   const PlKernelConsts k = PlKernelConsts::make(lay);
-  packed_detail::apply_word_lanes<std::uint64_t>(wl, wr, k);
+  packed_detail::apply_word_lanes<std::uint64_t, core::SplatBroadcast>(wl, wr,
+                                                                       k);
 }
 
 /// One interaction with precomputed constants: the one-at-a-time reference
 /// the engines' vector runs are tested against.
 inline void apply_word_one(std::uint64_t& wl, std::uint64_t& wr,
                            const PlKernelConsts& k) noexcept {
-  packed_detail::apply_word_lanes<std::uint64_t>(wl, wr, k);
+  packed_detail::apply_word_lanes<std::uint64_t, core::SplatBroadcast>(wl, wr,
+                                                                       k);
 }
 
 /// Four scheduler-independent interactions at once (the core::WordVec
 /// instantiation; the caller guarantees the four agent pairs are disjoint).
-[[gnu::always_inline]] inline void apply_word_x4(
-    core::WordVec& wl, core::WordVec& wr, const PlKernelConsts& k) noexcept {
-  packed_detail::apply_word_lanes<core::WordVec>(wl, wr, k);
+/// B is the broadcast policy of the constants (core/wordlane.hpp): the word
+/// driver's ISA clones broadcast them from memory, code outside a clone
+/// passes core::SplatBroadcast.
+template <typename B>
+[[gnu::always_inline]] inline void apply_word_x4(core::WordVec& wl,
+                                                 core::WordVec& wr,
+                                                 const PlKernelConsts& k,
+                                                 B) noexcept {
+  packed_detail::apply_word_lanes<core::WordVec, B>(wl, wr, k);
 }
 
 /// Eight scheduler-independent interactions at once (the core::WordVec8
 /// instantiation — one AVX-512 register per side where the ISA has it).
-[[gnu::always_inline]] inline void apply_word_x8(
-    core::WordVec8& wl, core::WordVec8& wr,
-    const PlKernelConsts& k) noexcept {
-  packed_detail::apply_word_lanes<core::WordVec8>(wl, wr, k);
+template <typename B>
+[[gnu::always_inline]] inline void apply_word_x8(core::WordVec8& wl,
+                                                 core::WordVec8& wr,
+                                                 const PlKernelConsts& k,
+                                                 B) noexcept {
+  packed_detail::apply_word_lanes<core::WordVec8, B>(wl, wr, k);
 }
 
 /// Leader output read straight off the packed word (bit 0 of the layout).

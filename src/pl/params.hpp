@@ -19,20 +19,31 @@ struct PlParams {
   int psi = 2;        ///< knowledge, >= 2 and 2^psi >= n
   int kappa_max = 64; ///< c1 * psi
 
+  /// Largest psi: id_modulus() is 2^psi in a signed 64-bit integer.
+  static constexpr int kMaxPsi = 62;
+  /// Largest kappa_max: PlState::clock and signal_r are 16 bits wide.
+  static constexpr int kMaxKappa = 65535;
+
   /// Paper-faithful construction: psi = max(2, ceil(log2 n)) + psi_slack,
   /// kappa_max = c1 * psi. constexpr so parameter regimes can be certified
   /// at compile time (pl/packed_certify.hpp static_asserts the committed
-  /// bench regimes clamp-free).
+  /// bench regimes clamp-free). Throws on a regime the state cannot hold:
+  /// psi > kMaxPsi or kappa_max > kMaxKappa.
   [[nodiscard]] static constexpr PlParams make(int n, int c1 = 32,
                                                int psi_slack = 0) {
     if (n < 2) throw std::invalid_argument("PlParams: n must be >= 2");
     if (c1 < 1) throw std::invalid_argument("PlParams: c1 must be >= 1");
     if (psi_slack < 0)
       throw std::invalid_argument("PlParams: psi_slack must be >= 0");
+    const int base =
+        std::max(2, core::ceil_log2(static_cast<std::uint64_t>(n)));
+    if (psi_slack > kMaxPsi - base)
+      throw std::invalid_argument("PlParams: psi must be <= 62");
     PlParams p;
     p.n = n;
-    p.psi = std::max(2, core::ceil_log2(static_cast<std::uint64_t>(n))) +
-            psi_slack;
+    p.psi = base + psi_slack;
+    if (static_cast<long long>(c1) * p.psi > kMaxKappa)
+      throw std::invalid_argument("PlParams: kappa_max must be <= 65535");
     p.kappa_max = c1 * p.psi;
     return p;
   }

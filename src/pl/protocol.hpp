@@ -288,16 +288,19 @@ struct PlProtocol {
     pl::apply_word_one(l, r, k);
   }
   // always_inline so the vector bodies compile inside the ISA-dispatched
-  // driver clones (core::WordGroupDriver), at the clone's ISA.
+  // driver clones (core::WordGroupDriver), at the clone's ISA; `bcast` is
+  // the clone's broadcast policy for the constants (core/wordlane.hpp).
+  template <typename B>
   [[gnu::always_inline]] static inline void apply_word_x4(
-      core::WordVec& l, core::WordVec& r,
-      const WordKernelConsts& k) noexcept {
-    pl::apply_word_x4(l, r, k);
+      core::WordVec& l, core::WordVec& r, const WordKernelConsts& k,
+      B bcast) noexcept {
+    pl::apply_word_x4(l, r, k, bcast);
   }
+  template <typename B>
   [[gnu::always_inline]] static inline void apply_word_x8(
-      core::WordVec8& l, core::WordVec8& r,
-      const WordKernelConsts& k) noexcept {
-    pl::apply_word_x8(l, r, k);
+      core::WordVec8& l, core::WordVec8& r, const WordKernelConsts& k,
+      B bcast) noexcept {
+    pl::apply_word_x8(l, r, k, bcast);
   }
   [[nodiscard]] static bool word_leader(std::uint64_t w,
                                         const WordLayout& l) noexcept {

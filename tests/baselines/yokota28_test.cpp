@@ -1,6 +1,8 @@
 // Baseline [28]: distance-counting creation + Algorithm-5 elimination.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "baselines/yokota28.hpp"
 #include "core/runner.hpp"
 
@@ -16,6 +18,19 @@ TEST(Y28Params, CapIsBetweenNAnd2N) {
     EXPECT_LT(p.cap, 2 * std::max(n, 2) + 1);
   }
   EXPECT_THROW((void)Y28Params::make(1), std::invalid_argument);
+}
+
+TEST(Y28Params, CapFitsTheSixteenBitDistance) {
+  // dist is 16 bits: dist + 1 reaches at most 65,536, so a larger cap
+  // would never create a leader.
+  EXPECT_EQ(Y28Params::make(65536).cap, 65536);
+  EXPECT_EQ(Y28Params::make(8, 13).cap, 65536);
+  EXPECT_THROW((void)Y28Params::make(65537), std::invalid_argument);
+  EXPECT_THROW((void)Y28Params::make(100000), std::invalid_argument);
+  EXPECT_THROW((void)Y28Params::make(8, 14), std::invalid_argument);
+  EXPECT_THROW((void)Y28Params::make(8, std::numeric_limits<int>::max()),
+               std::invalid_argument);
+  EXPECT_THROW((void)Y28Params::make(8, -1), std::invalid_argument);
 }
 
 TEST(Y28, DistancePropagates) {

@@ -288,13 +288,14 @@ TEST_P(WordKernelIsa, EnsembleKeepsTheLevelItWasBuiltAt) {
 }
 
 TEST(WordKernelEnsemble, CapacityExceededKeepsScalarPath) {
-  // psi_slack blows the 64-bit layout; the capacity probe must refuse and
-  // the ensemble must never activate the word lane (and still be exact).
-  const auto p = PlParams::make(8, 32, /*psi_slack=*/5000);
+  // The largest legal psi (62) and a kappa_max near the 16-bit cap
+  // (62,000) blow the 64-bit layout (70 bits); the capacity probe must
+  // refuse and the ensemble must never activate the word lane (and still
+  // be exact).
+  const auto p = PlParams::make(8, 1000, /*psi_slack=*/59);
+  ASSERT_EQ(p.psi, PlParams::kMaxPsi);
   EXPECT_FALSE(pl::PackedLayout::make(p).fits());
-  // All-zero initial configuration: make_safe_config's segment-ID modulus
-  // (1 << psi) has no 64-bit representation at this psi, and the protocol
-  // accepts any configuration anyway.
+  // All-zero initial configuration: the protocol accepts any configuration.
   const std::vector<PlState> init(static_cast<std::size_t>(p.n));
   EnsembleRunner<PlProtocol> ens(p, 1);
   ens.add_ring(init, 1);

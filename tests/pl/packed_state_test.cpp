@@ -259,8 +259,8 @@ TEST(PackedKernel, VectorLanesMatchScalarKernel) {
         vr4[j] = wr[j];
       }
     }
-    apply_word_x8(vl8, vr8, kc);
-    apply_word_x4(vl4, vr4, kc);
+    apply_word_x8(vl8, vr8, kc, core::SplatBroadcast{});
+    apply_word_x4(vl4, vr4, kc, core::SplatBroadcast{});
     for (int j = 0; j < 8; ++j) {
       std::uint64_t sl = wl[j];
       std::uint64_t sr = wr[j];

@@ -24,6 +24,7 @@
 #include <functional>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -451,6 +452,132 @@ TEST(SafeView, MembershipExitsAtSegmentIdsWhereProofOrderNamesTokens) {
           << what;
       EXPECT_EQ(membership_exit_clause(c, p), SafeClause::kSegmentIds) << what;
     }
+  }
+}
+
+/// Writes `id` (mod 2^psi) into segment S_seg of a C_DL ring whose leader
+/// is at `k`: bit j to the agent seg * psi + j right of the leader.
+void set_segment_id(std::vector<PlState>& c, const PlParams& p, int k,
+                    int seg, long long id) {
+  for (int bit = 0; bit < p.psi; ++bit)
+    c[static_cast<std::size_t>((k + seg * p.psi + bit) % p.n)].b =
+        static_cast<std::uint8_t>((id >> bit) & 1);
+}
+
+TEST(SafeView, MembershipFindsTheOneBadSegmentPairWhereverItIs) {
+  // Membership compares the pairs from the far end back toward the leader.
+  // A ring whose only defect is pair i (S_0..S_i shifted by one, so every
+  // other pair stays consecutive) must still fail there, at every i, pair 0
+  // (the last one the far-end-first pass reaches) included.
+  for (int n : {16, 64, 257}) {
+    const PlParams p = PlParams::make(n, 32);
+    for (int k : {0, n / 3, n - 1}) {
+      for (int pair = 0; pair < p.zeta() - 2; ++pair) {
+        auto c = make_safe_config(p, k, 5);
+        for (int seg = 0; seg <= pair; ++seg)
+          set_segment_id(c, p, k, seg, 5 + seg + 1);
+        const std::string what = "n=" + std::to_string(n) + " k=" +
+                                 std::to_string(k) + " pair " +
+                                 std::to_string(pair);
+        EXPECT_EQ(expect_view_agrees(c, p, what), SafeClause::kSegmentIds)
+            << what;
+        EXPECT_EQ(check_safe(c, p).reason,
+                  "segment IDs not consecutive at pair " +
+                      std::to_string(pair))
+            << what;
+        EXPECT_EQ(membership_exit_clause(c, p), SafeClause::kSegmentIds)
+            << what;
+      }
+    }
+  }
+}
+
+TEST(SafeView, MembershipReadsTheIdsBeforeTheCdlWalk) {
+  for (int n : {16, 64, 257}) {
+    const PlParams p = PlParams::make(n, 32);
+    for (int k : {0, n / 2, n - 1}) {
+      const std::string what =
+          "n=" + std::to_string(n) + " k=" + std::to_string(k);
+      // One agent's `last` flag breaks C_DL; the IDs stay consecutive, so
+      // the walk must still run and find it, in both orders.
+      auto c = make_safe_config(p, k, 9);
+      c[static_cast<std::size_t>((k + 1) % n)].last ^= 1;
+      EXPECT_EQ(expect_view_agrees(c, p, what + " cdl only"),
+                SafeClause::kCdlLayout);
+      EXPECT_EQ(membership_exit_clause(c, p), SafeClause::kCdlLayout) << what;
+      // Now S_1's first bit breaks pairs 0 and 1 as well: proof order still
+      // names C_DL, membership stops at the IDs before its walk.
+      c[static_cast<std::size_t>((k + p.psi) % n)].b ^= 1;
+      EXPECT_EQ(expect_view_agrees(c, p, what + " cdl and ids"),
+                SafeClause::kCdlLayout);
+      EXPECT_EQ(membership_exit_clause(c, p), SafeClause::kSegmentIds)
+          << what;
+    }
+  }
+}
+
+TEST(SafeView, RingsWithoutSegmentPairsIgnoreTheirBits) {
+  // zeta <= 2: S_0..S_{zeta-2} hold at most one segment, so no pair exists
+  // and a token-free safe ring stays safe under every assignment of b.
+  for (int n = 2; n <= 8; ++n) {
+    for (int slack = 0; slack <= 2; ++slack) {
+      const PlParams p = PlParams::make(n, 32, slack);
+      if (p.zeta() > 2) continue;
+      for (int k : {0, n - 1}) {
+        for (unsigned bits = 0; bits < (1u << n); ++bits) {
+          auto c = make_safe_config(p, k);
+          for (int i = 0; i < n; ++i)
+            c[static_cast<std::size_t>(i)].b =
+                static_cast<std::uint8_t>((bits >> i) & 1);
+          const std::string what = "n=" + std::to_string(n) + " psi=" +
+                                   std::to_string(p.psi) + " k=" +
+                                   std::to_string(k) + " bits=" +
+                                   std::to_string(bits);
+          EXPECT_EQ(expect_view_agrees(c, p, what), SafeClause::kSafe)
+              << what;
+          EXPECT_EQ(membership_exit_clause(c, p), SafeClause::kSafe) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(SafeView, AdversaryFamiliesAgreeAtPaperC1) {
+  core::Xoshiro256pp rng(0xC132);
+  for (int n : {64, 257}) {
+    const PlParams p = PlParams::make(n, 32);
+    for (const auto& family :
+         analysis::Adversary<PlProtocol>::families()) {
+      for (int t = 0; t < 4; ++t)
+        expect_view_agrees(family.make(p, rng), p,
+                           family.name + " n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(SafeView, WrongSizedRingThrows) {
+  // Every entry point takes zeta and the last segment from p.n, so a ring
+  // of another size has no verdict: all of them refuse it.
+  const PlParams p = PlParams::make(16, 4);
+  const PackedLayout l = PackedLayout::make(p);
+  for (int size : {15, 17, 32}) {
+    std::vector<PlState> c(static_cast<std::size_t>(size));
+    c[0] = make_safe_config(p)[0];
+    std::vector<std::uint64_t> words;
+    for (const PlState& s : c) words.push_back(pack_word(s, l));
+    const WordConfig view(words, l);
+    const std::span<const PlState> span(c);
+    EXPECT_THROW((void)is_safe(span, p), std::invalid_argument) << size;
+    EXPECT_THROW((void)is_safe(view, p), std::invalid_argument) << size;
+    EXPECT_THROW((void)SafePredicate{}(span, p), std::invalid_argument);
+    EXPECT_THROW((void)SafePredicate{}(view, p), std::invalid_argument);
+    EXPECT_THROW((void)first_failing_clause(span, p), std::invalid_argument);
+    EXPECT_THROW((void)first_failing_clause(view, p), std::invalid_argument);
+    EXPECT_THROW((void)membership_exit_clause(span, p),
+                 std::invalid_argument);
+    EXPECT_THROW((void)membership_exit_clause(view, p),
+                 std::invalid_argument);
+    EXPECT_THROW((void)check_safe(span, p), std::invalid_argument) << size;
   }
 }
 

@@ -3,6 +3,8 @@
 // the last-segment flag update (line 9).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "pl/params.hpp"
 #include "pl/protocol.hpp"
 #include "pl/state.hpp"
@@ -149,6 +151,25 @@ TEST(Params, FactoryValidation) {
   EXPECT_EQ(p.psi, 7);  // ceil(log2 100)
   EXPECT_EQ(p.kappa_max, 32 * 7);
   EXPECT_GE(p.id_modulus(), 100);
+}
+
+TEST(Params, RegimesTheStateCannotHoldThrow) {
+  // kappa_max must fit PlState::clock and signal_r (16 bits): a clock
+  // stored as 120,000 would read 54,464, never equal kappa_max, and a
+  // leaderless ring would never detect it.
+  EXPECT_THROW((void)PlParams::make(64, 20000), std::invalid_argument);
+  EXPECT_THROW((void)PlParams::make(8, std::numeric_limits<int>::max()),
+               std::invalid_argument);  // c1 * psi overflows int
+  EXPECT_EQ(PlParams::make(4, 32767).kappa_max, 65534);   // psi = 2
+  EXPECT_THROW((void)PlParams::make(4, 32768), std::invalid_argument);
+  // psi must keep id_modulus() = 2^psi a signed 64-bit value.
+  const PlParams widest = PlParams::make(8, 1000, 59);
+  EXPECT_EQ(widest.psi, PlParams::kMaxPsi);
+  EXPECT_EQ(widest.kappa_max, 62000);
+  EXPECT_EQ(widest.id_modulus(), 1LL << 62);
+  EXPECT_THROW((void)PlParams::make(8, 1, 60), std::invalid_argument);
+  EXPECT_THROW((void)PlParams::make(8, 1, std::numeric_limits<int>::max()),
+               std::invalid_argument);
 }
 
 TEST(Params, PsiFloorIsTwo) {

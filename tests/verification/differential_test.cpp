@@ -247,6 +247,28 @@ TEST(Differential, PlOutOfDomainFaultDropsPackedLanesExactly) {
   EXPECT_FALSE(rep.lockstep_lane);  // same for the lockstep lane
 }
 
+/// P_PL whose vector kernel entries (x4, x8: every engine lane's only
+/// kernel calls) flip the responder's b on every lane.
+struct BrokenWordPl : pl::PlProtocol {
+  static void sabotage(std::uint64_t& wr) { wr ^= 0x2; }  // flip r.b
+  // always_inline, like PlProtocol's entries: the clone's broadcast
+  // policy only compiles inside the clone.
+  template <typename B>
+  [[gnu::always_inline]] static inline void apply_word_x4(
+      core::WordVec& l, core::WordVec& r, const WordKernelConsts& k,
+      B bcast) noexcept {
+    pl::apply_word_x4(l, r, k, bcast);
+    for (int j = 0; j < 4; ++j) sabotage(r[j]);
+  }
+  template <typename B>
+  [[gnu::always_inline]] static inline void apply_word_x8(
+      core::WordVec8& l, core::WordVec8& r, const WordKernelConsts& k,
+      B bcast) noexcept {
+    pl::apply_word_x8(l, r, k, bcast);
+    for (int j = 0; j < 8; ++j) sabotage(r[j]);
+  }
+};
+
 TEST_P(DifferentialWordLanes, BrokenWordKernelIsDetected) {
   // The canary for the packed fast path itself: vector kernel entries
   // (x4, x8: every engine lane's only kernel calls) that drift from the
@@ -256,19 +278,6 @@ TEST_P(DifferentialWordLanes, BrokenWordKernelIsDetected) {
   // and 8 lane G's six rings are a full and a padded x4 group, or one
   // padded x8 group, so any desync between a vector column and its scalar
   // stream (RNG included) surfaces there and is named as the lockstep lane.
-  struct BrokenWordPl : pl::PlProtocol {
-    static void sabotage(std::uint64_t& wr) { wr ^= 0x2; }  // flip r.b
-    static void apply_word_x4(core::WordVec& l, core::WordVec& r,
-                              const WordKernelConsts& k) noexcept {
-      pl::apply_word_x4(l, r, k);
-      for (int j = 0; j < 4; ++j) sabotage(r[j]);
-    }
-    static void apply_word_x8(core::WordVec8& l, core::WordVec8& r,
-                              const WordKernelConsts& k) noexcept {
-      pl::apply_word_x8(l, r, k);
-      for (int j = 0; j < 8; ++j) sabotage(r[j]);
-    }
-  };
   static_assert(core::EnsembleRunner<BrokenWordPl>::kWordable);
   // The scalar lanes A and B are the truth. Where runs_word_driver() fails
   // (below kWordCrossoverN) the one-ring lane D runs the scalar loop too,
